@@ -724,10 +724,12 @@ func (n *Node) Invoke(p *sim.Proc, req Request) (Result, error) {
 			if prefetched > 0 {
 				n.stats.WSPrefetchedPages += int64(prefetched)
 				n.cfg.Metrics.AddCounter(metrics.CtrWSPrefetchedPages, int64(prefetched))
-				n.cfg.Tracer.Record(trace.Event{
-					At: time.Duration(n.eng.Now()), Kind: trace.KindWorkingSet, ID: id, Key: req.Key,
-					Detail: fmt.Sprintf("prefetched %d pages", prefetched),
-				})
+				if n.cfg.Tracer != nil {
+					n.cfg.Tracer.Record(trace.Event{
+						At: time.Duration(n.eng.Now()), Kind: trace.KindWorkingSet, ID: id, Key: req.Key,
+						Detail: fmt.Sprintf("prefetched %d pages", prefetched),
+					})
+				}
 			}
 			if cerr := mu.u.Guest().Connect(); cerr != nil {
 				n.destroyUC(mu)
@@ -953,10 +955,12 @@ func (n *Node) captureFnSnapshot(p *sim.Proc, u *uc.UC, key string) {
 	n.fnSnaps[key] = &fnEntry{snap: snap, last: n.eng.Now()}
 	n.stats.SnapshotsCaptured++
 	n.cfg.Metrics.Inc(metrics.CtrSnapshotsCaptured)
-	n.cfg.Tracer.Record(trace.Event{
-		At: time.Duration(n.eng.Now()), Kind: trace.KindCapture, Key: key,
-		Detail: fmt.Sprintf("%.1f MB diff", float64(snap.DiffBytes())/1e6),
-	})
+	if n.cfg.Tracer != nil {
+		n.cfg.Tracer.Record(trace.Event{
+			At: time.Duration(n.eng.Now()), Kind: trace.KindCapture, Key: key,
+			Detail: fmt.Sprintf("%.1f MB diff", float64(snap.DiffBytes())/1e6),
+		})
+	}
 }
 
 // runOn performs the shared invocation tail on a ready UC and caches it
@@ -1272,10 +1276,12 @@ func (n *Node) demoteSnapshot(p *sim.Proc, snap *snapshot.Snapshot) bool {
 	n.chargeTier(p, costs.SnapDemoteBase, costs.SnapDemotePerPage, snap.DiffPages())
 	n.stats.SnapshotsDemoted++
 	n.cfg.Metrics.Inc(metrics.CtrTierDemotions)
-	n.cfg.Tracer.Record(trace.Event{
-		At: time.Duration(n.eng.Now()), Kind: trace.KindDemote, Key: snap.Name(),
-		Detail: fmt.Sprintf("%.1f MB diff", float64(snap.DiffBytes())/1e6),
-	})
+	if n.cfg.Tracer != nil {
+		n.cfg.Tracer.Record(trace.Event{
+			At: time.Duration(n.eng.Now()), Kind: trace.KindDemote, Key: snap.Name(),
+			Detail: fmt.Sprintf("%.1f MB diff", float64(snap.DiffBytes())/1e6),
+		})
+	}
 	return true
 }
 
@@ -1351,10 +1357,12 @@ func (n *Node) promote(p *sim.Proc, name string, id uint64, kind metrics.Counter
 		n.stats.SnapshotsPrewarmed++
 	}
 	n.cfg.Metrics.Inc(kind)
-	n.cfg.Tracer.Record(trace.Event{
-		At: time.Duration(n.eng.Now()), Kind: trace.KindPromote, ID: id, Key: name,
-		Detail: fmt.Sprintf("%.1f MB diff", float64(snap.DiffBytes())/1e6),
-	})
+	if n.cfg.Tracer != nil {
+		n.cfg.Tracer.Record(trace.Event{
+			At: time.Duration(n.eng.Now()), Kind: trace.KindPromote, ID: id, Key: name,
+			Detail: fmt.Sprintf("%.1f MB diff", float64(snap.DiffBytes())/1e6),
+		})
+	}
 	return snap, nil
 }
 
@@ -1448,10 +1456,12 @@ func (n *Node) harvestWorkingSet(mu *managedUC, key string, entry *fnEntry, id u
 		entry.ws = observed
 		n.stats.WSRecorded++
 		n.cfg.Metrics.Inc(metrics.CtrWSRecordsRecorded)
-		n.cfg.Tracer.Record(trace.Event{
-			At: time.Duration(n.eng.Now()), Kind: trace.KindWorkingSet, ID: id, Key: name,
-			Detail: fmt.Sprintf("recorded %d pages", len(observed)),
-		})
+		if n.cfg.Tracer != nil {
+			n.cfg.Tracer.Record(trace.Event{
+				At: time.Duration(n.eng.Now()), Kind: trace.KindWorkingSet, ID: id, Key: name,
+				Detail: fmt.Sprintf("recorded %d pages", len(observed)),
+			})
+		}
 		return
 	}
 	misses := wsMissCount(observed, entry.ws)
@@ -1471,10 +1481,12 @@ func (n *Node) harvestWorkingSet(mu *managedUC, key string, entry *fnEntry, id u
 	entry.ws = merged
 	n.stats.WSMerged++
 	n.cfg.Metrics.Inc(metrics.CtrWSRecordsMerged)
-	n.cfg.Tracer.Record(trace.Event{
-		At: time.Duration(n.eng.Now()), Kind: trace.KindWorkingSet, ID: id, Key: name,
-		Detail: fmt.Sprintf("merged %d misses into %d-page record", misses, len(merged)),
-	})
+	if n.cfg.Tracer != nil {
+		n.cfg.Tracer.Record(trace.Event{
+			At: time.Duration(n.eng.Now()), Kind: trace.KindWorkingSet, ID: id, Key: name,
+			Detail: fmt.Sprintf("merged %d misses into %d-page record", misses, len(merged)),
+		})
+	}
 }
 
 // wsMissCount counts pages in observed absent from ws (both sorted

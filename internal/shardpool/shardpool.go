@@ -14,9 +14,10 @@
 // core.Node) triple owned by a dedicated OS goroutine. Shards share no
 // mutable state — no lock protects the serving path, because nothing
 // is shared to protect. Requests reach a shard through its queue; the
-// shard goroutine drives its engine to completion for one request at a
-// time, so the engine ownership contract (see sim.Engine) holds by
-// construction.
+// shard goroutine runs one request at a time as a process on itself
+// (sim.Engine.RunProc: no goroutine or channel per request) and drives
+// its engine to completion, so the engine ownership contract (see
+// sim.Engine) holds by construction.
 //
 // Routing: a request's function key hashes to its owner shard, so a
 // function's snapshot and idle UCs stay shard-local and the hot/warm
@@ -616,15 +617,13 @@ func (s *shard) serve(r *request, stolen bool) {
 	}
 	if r.flush {
 		var flushed int
-		s.eng.Go("flush", func(p *sim.Proc) { flushed = s.node.FlushSnapshots(p) })
-		s.eng.Run()
+		s.eng.RunProc("flush", func(p *sim.Proc) { flushed = s.node.FlushSnapshots(p) })
 		r.reply <- response{shard: s.id, flushed: flushed}
 		return
 	}
 	if r.prewarm != "" {
 		var err error
-		s.eng.Go("prewarm:"+r.prewarm, func(p *sim.Proc) { err = s.node.PromoteLineage(p, r.prewarm) })
-		s.eng.Run()
+		s.eng.RunProc("prewarm", func(p *sim.Proc) { err = s.node.PromoteLineage(p, r.prewarm) })
 		r.reply <- response{shard: s.id, err: err}
 		return
 	}
@@ -636,13 +635,12 @@ func (s *shard) serve(r *request, stolen bool) {
 		// clock (invocations advance it only by their own latencies).
 		var ts core.TickStats
 		adv := r.advance
-		s.eng.Go("policy-tick", func(p *sim.Proc) {
+		s.eng.RunProc("policy-tick", func(p *sim.Proc) {
 			if adv > 0 {
 				p.Sleep(adv)
 			}
 			ts = s.node.PolicyTick(p)
 		})
-		s.eng.Run()
 		r.reply <- response{shard: s.id, tickStats: ts}
 		return
 	}
@@ -674,10 +672,9 @@ func (s *shard) serve(r *request, stolen bool) {
 
 	var res core.Result
 	var err error
-	s.eng.Go("invoke:"+r.req.Key, func(p *sim.Proc) {
+	s.eng.RunProc("invoke", func(p *sim.Proc) {
 		res, err = s.node.Invoke(p, r.req)
 	})
-	s.eng.Run()
 	if err != nil && fault.IsContained(err) {
 		s.breaker.recordFailure()
 	} else {

@@ -9,20 +9,45 @@
 // The engine supports two styles:
 //
 //   - Callback events: At/After schedule a function at a virtual instant.
-//   - Processes: Go spawns a coroutine-style process (backed by a
-//     goroutine with strict hand-off) that can Sleep, block on Queues and
-//     Resources, and generally be written as straight-line code, the way
-//     the paper's benchmark worker threads are described.
+//   - Processes: straight-line code that can Sleep and block on Queues,
+//     Resources and Signals, the way the paper's benchmark worker
+//     threads are described. Go spawns one on a worker goroutine with
+//     strict hand-off to the event loop; RunProc runs one on the
+//     calling goroutine itself.
 //
 // Determinism: exactly one process or callback runs at a time; ties in
 // virtual time are broken by schedule order (a monotonic sequence
 // number). Given the same seed and the same program, every run produces
-// identical results.
+// identical results. The reference semantics are those of a bare
+//
+//	for e.Step() {
+//	}
+//
+// loop: every Sleep pushes a wake-up event and every event is popped by
+// one Step. Run, RunUntil and RunProc produce exactly that event order
+// (equiv_test.go compares them on random programs) while skipping host
+// work the order makes redundant. A process runs to completion, without
+// leaving its goroutine, for as long as nothing else is due:
+//
+//   - Inline advance. A Sleep whose wake-up would provably be the next
+//     event popped — nothing is pending at or before its instant, and
+//     the instant is within the driving call's horizon — moves the clock
+//     and returns. No event, no heap operation, no goroutine switch.
+//   - Caller-run processes. RunProc's body runs on the goroutine that
+//     called RunProc. When it has to wait, it steps the event loop in
+//     place until its own wake-up fires, so a driver that runs one
+//     process at a time (a shard serving a request) spawns no goroutine
+//     and crosses no channel.
+//   - Recycled workers. When a process spawned by Go finishes, its
+//     goroutine and channel pair serve the next Go of the same driving
+//     call; that call releases the idle ones when it returns, so no
+//     goroutine outlives the work it was started for.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -77,19 +102,29 @@ func (h *eventHeap) Pop() interface{} {
 // usable; create one with NewEngine.
 //
 // Ownership contract: an Engine is single-threaded by construction and
-// is NOT safe for concurrent use. Every call — scheduling, Run/Step,
-// and every method of every Proc, Queue, Resource, or Signal bound to
-// it — must come from one owning OS goroutine (process goroutines
-// spawned by Go hand off strictly, so they count as the owner while
-// dispatched). A sharded system therefore runs one engine per shard,
-// each driven only by its shard goroutine; determinism holds per
-// engine, and nothing is promised about event ordering across engines.
+// is NOT safe for concurrent use. Every call — scheduling,
+// Run/RunUntil/RunProc/Step, and every method of every Proc, Queue,
+// Resource, or Signal bound to it — must come from one owning
+// goroutine. Worker goroutines of processes spawned by Go hand off
+// strictly, so they count as the owner while dispatched; the body of a
+// RunProc process IS the owner, running on the goroutine that called
+// RunProc. A sharded system therefore runs one engine per shard, each
+// driven only by its shard goroutine; determinism holds per engine, and
+// nothing is promised about event ordering across engines.
 type Engine struct {
-	now     Time
-	pq      eventHeap
-	seq     uint64
-	procs   int // live processes (for leak detection)
-	running bool
+	now   Time
+	pq    eventHeap
+	seq   uint64
+	procs int // live processes (for leak detection)
+	// driving is set while a Run, RunUntil or RunProc call is on the
+	// stack and horizon is the last instant that call may reach. A
+	// bare Step leaves driving unset: it runs exactly one event, so
+	// nothing may advance the clock inline under it.
+	driving bool
+	horizon Time
+	// idle holds the workers of finished processes for the next Go;
+	// the driving call that collected them releases them on return.
+	idle []*worker
 	// free recycles event descriptors: the scheduling hot path (every
 	// Sleep, every queue wakeup) reuses a popped descriptor instead of
 	// allocating one per event.
@@ -139,7 +174,9 @@ func (e *Engine) After(d Duration, fn func()) {
 }
 
 // Step runs the single earliest pending event, advancing the clock to
-// its instant. It reports whether an event was run.
+// its instant. It reports whether an event was run. An engine driven by
+// bare Step calls is the reference execution: every Sleep schedules its
+// wake-up and parks, and each call here runs exactly one event.
 func (e *Engine) Step() bool {
 	if len(e.pq) == 0 {
 		return false
@@ -157,12 +194,38 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// drive is the state a driving call saves on entry and restores on
+// return, so a driver nested inside an event keeps the outer horizon.
+type drive struct {
+	driving bool
+	horizon Time
+}
+
+func (e *Engine) beginDrive(horizon Time) drive {
+	prev := drive{e.driving, e.horizon}
+	e.driving, e.horizon = true, horizon
+	return prev
+}
+
+// endDrive restores the enclosing driver's state; the outermost one
+// also lets the idle workers exit.
+func (e *Engine) endDrive(prev drive) {
+	e.driving, e.horizon = prev.driving, prev.horizon
+	if e.driving {
+		return
+	}
+	for i, w := range e.idle {
+		close(w.resume)
+		e.idle[i] = nil
+	}
+	e.idle = e.idle[:0]
+}
+
 // Run executes events until none remain. Processes blocked forever (for
 // example, a server loop waiting on a queue that will never be filled)
 // do not keep Run alive: only scheduled events do.
 func (e *Engine) Run() {
-	e.running = true
-	defer func() { e.running = false }()
+	defer e.endDrive(e.beginDrive(math.MaxInt64))
 	for e.Step() {
 	}
 }
@@ -170,8 +233,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with instants <= t, then advances the clock
 // to exactly t.
 func (e *Engine) RunUntil(t Time) {
-	e.running = true
-	defer func() { e.running = false }()
+	defer e.endDrive(e.beginDrive(t))
 	for len(e.pq) > 0 && e.pq[0].at <= t {
 		e.Step()
 	}

@@ -180,15 +180,15 @@ func (n *Node) InvokeRuntime(t *Task, runtime, key, source, args string) (Invoca
 	return Invocation{RequestID: res.ID, Path: res.Path.String(), Output: res.Output, Latency: res.Latency}, nil
 }
 
-// InvokeSync is a convenience for sequential use: it spawns a task for
-// the invocation and runs the simulation until it completes.
+// InvokeSync is a convenience for sequential use: it runs the
+// invocation as a task on the calling goroutine and the simulation
+// until it completes.
 func (n *Node) InvokeSync(key, source, args string) (Invocation, error) {
 	var inv Invocation
 	var err error
-	n.sim.Spawn("invoke:"+key, func(t *Task) {
-		inv, err = n.Invoke(t, key, source, args)
+	n.sim.eng.RunProc("invoke", func(p *sim.Proc) {
+		inv, err = n.Invoke(&Task{p: p}, key, source, args)
 	})
-	n.sim.Run()
 	return inv, err
 }
 
@@ -736,10 +736,9 @@ func (d *DistCluster) InvokeSync(key, source, args string) (Invocation, int, err
 	var inv Invocation
 	var node int
 	var err error
-	d.sim.Spawn("dist:"+key, func(t *Task) {
-		inv, node, err = d.Invoke(t, key, source, args)
+	d.sim.eng.RunProc("dist", func(p *sim.Proc) {
+		inv, node, err = d.Invoke(&Task{p: p}, key, source, args)
 	})
-	d.sim.Run()
 	return inv, node, err
 }
 
