@@ -290,7 +290,7 @@ func (s *Store) Put(key, base string, data []byte) error {
 	s.mu.Unlock()
 
 	// Data write outside the lock: temp file in the store directory
-	// (same filesystem, so the rename is atomic), then rename.
+	// (same filesystem, so the rename is atomic).
 	tmp, err := os.CreateTemp(s.dir, tmpPrefix+"*")
 	if err != nil {
 		return fmt.Errorf("snapstore: %w", err)
@@ -305,16 +305,23 @@ func (s *Store) Put(key, base string, data []byte) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("snapstore: %w", err)
 	}
+
+	// The rename happens under the lock, with the entry that claims the
+	// file: between the two, a concurrent eviction of another key with
+	// the same content would find the file unreferenced and remove it.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := os.Rename(tmpName, filepath.Join(s.dir, file)); err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("snapstore: %w", err)
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if prev, ok := s.man.Entries[key]; ok {
 		s.bytes -= prev.Size
-		s.removeFileIfUnreferenced(prev.File, key)
+		// A concurrent Put of the same content may have registered
+		// this very file under key already; it is not stale.
+		if prev.File != file {
+			s.removeFileIfUnreferenced(prev.File, key)
+		}
 	}
 	s.man.Seq++
 	s.man.Entries[key] = entry{
