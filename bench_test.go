@@ -415,69 +415,13 @@ func BenchmarkPageFaultRealTime(b *testing.B) {
 	}
 }
 
-// BenchmarkLukewarmDeploy measures the real cost a disk-tier restore
-// adds over a warm deploy: read the encoded diff from the
-// content-addressed store (CRC-verified), decode it, graft it onto the
-// resident base, and reattach the guest payload. Compare with
-// BenchmarkColdRebuildRealTime — the path a restore skips — to see the
-// lukewarm win in wall time.
-func BenchmarkLukewarmDeploy(b *testing.B) {
-	st := mem.NewStore(0)
-	runtime := buildRuntimeSnapshot(b, st)
-	env := &libos.CountingEnv{}
-	u, err := uc.Deploy(runtime, nil, env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u.Guest().Connect()
-	u.Guest().ImportAndCompile(workload.NOPSource)
-	fnSnap, err := u.Capture("fn/bench", uc.TriggerPCPostCompile)
-	if err != nil {
-		b.Fatal(err)
-	}
-	store, err := snapstore.Open(b.TempDir(), -1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var wire bytes.Buffer
-	if err := fnSnap.Export(&wire); err != nil {
-		b.Fatal(err)
-	}
-	if err := store.Put("fn/bench", "runtime", wire.Bytes()); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := store.Get("fn/bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		diff, err := snapshot.ImportBytes(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snap, err := snapshot.Graft(diff, runtime)
-		if err != nil {
-			b.Fatal(err)
-		}
-		payload, err := uc.DecodePayload(diff.PayloadBytes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snap.SetPayload(payload)
-		b.StopTimer()
-		snap.Delete()
-		b.StartTimer()
-	}
-}
-
 // BenchmarkLukewarmPrefetched measures the promote a second lukewarm
 // restore of a recorded lineage pays: read the encoded diff from the
 // disk tier (cached descriptor, CRC-verified), load the working-set
-// plan from its sidecar, and graft the diff onto the resident base in
-// one fused decode+install pass (snapshot.GraftWire) — the same scope
-// as BenchmarkLukewarmDeploy, on the recorded fast path. After this
+// plan from its sidecar, graft the diff onto the resident base in one
+// decode+install pass (snapshot.GraftWire), and reattach the guest
+// payload. Compare with BenchmarkColdRebuildRealTime — the path a
+// restore skips — to see the lukewarm win in wall time. After this
 // the snapshot deploys exactly like a warm one (DeployPrefetched bulk-
 // maps the plan at the batched rate instead of taking the fault
 // storm), so this promote is the entire premium a disk restore pays
@@ -512,15 +456,11 @@ func BenchmarkLukewarmPrefetched(b *testing.B) {
 	// Record the working set the way the node does: one on-demand
 	// restore, harvest its dirty pages, persist the sidecar.
 	{
-		diff, err := snapshot.ImportBytes(wire.Bytes())
+		snap, payloadBytes, err := snapshot.GraftWire(wire.Bytes(), runtime)
 		if err != nil {
 			b.Fatal(err)
 		}
-		snap, err := snapshot.GraftBulk(diff, runtime)
-		if err != nil {
-			b.Fatal(err)
-		}
-		payload, err := uc.DecodePayload(diff.PayloadBytes)
+		payload, err := uc.DecodePayload(payloadBytes)
 		if err != nil {
 			b.Fatal(err)
 		}

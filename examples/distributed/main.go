@@ -2,14 +2,16 @@
 // cache. Unikernel snapshots are read-only and every UC shares one
 // network identity, so a snapshot captured on one node deploys on any
 // node with the same base image. The cluster's directory makes a
-// function cold at most once per *cluster*; under load, snapshot diffs
-// migrate over the 10 GbE fabric and the function becomes warm
-// everywhere.
+// function cold at most once per *cluster*; under load, the stack
+// layers a peer is missing are fetched from the holder's disk tier over
+// the 10 GbE fabric (the shared runtime base dedupes and ships nothing)
+// and the function becomes warm there too.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"seuss"
 )
@@ -23,37 +25,55 @@ function main(args) {
 `
 
 func main() {
-	sim := seuss.New()
-	dc, err := sim.NewDistCluster(seuss.DistConfig{Nodes: 3, Policy: seuss.PolicyMigrate})
-	if err != nil {
+	if err := run(); err != nil {
 		log.Fatal(err)
+	}
+}
+
+func run() error {
+	// Replication travels through each member's disk tier.
+	snapDir, err := os.MkdirTemp("", "seuss-distributed-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(snapDir)
+
+	sim := seuss.New()
+	dc, err := sim.NewDistCluster(seuss.DistConfig{Nodes: 3, Policy: seuss.PolicyMigrate, SnapDir: snapDir})
+	if err != nil {
+		return err
 	}
 	fmt.Printf("cluster: %d nodes, policy=migrate\n\n", dc.Nodes())
 
 	// First invocation: cold, once, somewhere.
 	inv, node, err := dc.InvokeSync("team/sum", fn, `{"n": 100}`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("request 1: node=%d path=%-4s latency=%8v %s\n", node, inv.Path, inv.Latency, inv.Output)
 
 	// Sixteen concurrent requests: the holder overloads, the snapshot
-	// migrates, and the function is served warm from multiple nodes.
+	// replicates, and the function is served warm from multiple nodes.
 	type outcome struct {
 		node int
 		path string
 	}
 	var outcomes []outcome
+	var failed error
 	for i := 0; i < 16; i++ {
 		sim.Spawn("client", func(t *seuss.Task) {
 			inv, node, err := dc.Invoke(t, "team/sum", fn, `{"n": 100}`)
 			if err != nil {
-				log.Fatal(err)
+				failed = err
+				return
 			}
 			outcomes = append(outcomes, outcome{node, inv.Path})
 		})
 	}
 	sim.Run()
+	if failed != nil {
+		return failed
+	}
 
 	perNode := map[int]int{}
 	cold := 0
@@ -66,6 +86,7 @@ func main() {
 	fmt.Printf("\n16 concurrent requests served by nodes: %v (cold paths: %d)\n", perNode, cold)
 
 	st := dc.Stats()
-	fmt.Printf("cluster stats: colds=%d migrations=%d migrated=%.1f MB holders=%v\n",
-		st.ClusterColds, st.Migrations, float64(st.MigratedBytes)/1e6, dc.Holders("team/sum"))
+	fmt.Printf("cluster stats: colds=%d fetches=%d fetched=%.1f KB deduped-layers=%d holders=%v\n",
+		st.ClusterColds, st.Fetches, float64(st.FetchedBytes)/1e3, st.LayerDedups, dc.Holders("team/sum"))
+	return nil
 }

@@ -9,11 +9,11 @@
 // lives in internal/sched: the cluster feeds the placer a gossiped view
 // of which node holds which lineage, verifies its decision against
 // ground truth (pruning stale entries), and executes the mechanics —
-// route to a holder, migrate a whole diff, or, when both ends run the
-// content-addressed snapshot fabric (Config.SnapDir), fetch only the
-// stack layers the destination is missing. Identical base layers dedupe
-// by FNV-64a digest and are stored once per node, so a function is cold
-// at most once per *cluster* and its runtime image ships zero times.
+// route to a holder, or replicate over the content-addressed snapshot
+// fabric (Config.SnapDir) by fetching only the stack layers the
+// destination is missing. Identical base layers dedupe by FNV-64a
+// digest and are stored once per node, so a function is cold at most
+// once per *cluster* and its runtime image ships zero times.
 package cluster
 
 import (
@@ -31,7 +31,6 @@ import (
 	"seuss/internal/policy"
 	"seuss/internal/sched"
 	"seuss/internal/sim"
-	"seuss/internal/snapshot"
 	"seuss/internal/snapstore"
 	"seuss/internal/trace"
 )
@@ -54,9 +53,9 @@ const (
 	// the snapshot (cheap, but hotspots the holder).
 	PolicyRoute Policy = iota
 	// PolicyMigrate replicates the snapshot to the chosen node when the
-	// holder is overloaded — by layer fetch on the fabric, by whole-diff
-	// migration otherwise (pays one transfer, then the function is warm
-	// on both nodes).
+	// holder is overloaded, by layer fetch over the fabric (pays one
+	// transfer, then the function is warm on both nodes). It needs
+	// Config.SnapDir: New rejects it without one.
 	PolicyMigrate
 )
 
@@ -72,9 +71,9 @@ type Config struct {
 	// NodeConfig configures each member identically ("similar hardware
 	// profiles").
 	NodeConfig core.Config
-	// Policy picks route-vs-replicate on remote snapshot hits (default
-	// PolicyMigrate — the replicated cache of §9). Ignored when Placer
-	// is set.
+	// Policy picks route-vs-replicate on remote snapshot hits (the zero
+	// value routes; PolicyMigrate is the replicated cache of §9). Ignored
+	// when Placer is set.
 	Policy Policy
 	// Placer overrides the placement policy entirely (default: a
 	// sched.LocalityPlacer configured from Policy).
@@ -117,9 +116,9 @@ type Config struct {
 	RejoinLazy bool
 	// SnapDir enables the content-addressed snapshot fabric: each member
 	// gets a disk tier at SnapDir/node<i>, seeded with byte-identical
-	// runtime base layers, and locality misses fetch only missing stack
-	// layers instead of migrating whole diffs. Empty disables the fabric
-	// (node-local behavior, migrate-only replication).
+	// runtime base layers, and a replicating placement fetches only the
+	// stack layers its destination is missing. Empty disables the fabric:
+	// members keep no disk tier and snapshots never leave their node.
 	SnapDir string
 	// SnapDiskCap bounds each member's tier in bytes (0 = unlimited).
 	SnapDiskCap int64
@@ -180,10 +179,6 @@ type Stats struct {
 	LocalHits int64
 	// RemoteRoutes forwarded to a holder node.
 	RemoteRoutes int64
-	// Migrations pulled a whole snapshot diff across the fabric.
-	Migrations int64
-	// MigratedBytes is the total whole-diff traffic.
-	MigratedBytes int64
 	// Fetches replicated a function by shipping only its missing stack
 	// layers from a holder's tier.
 	Fetches int64
@@ -203,10 +198,6 @@ type Stats struct {
 	ClusterColds int64
 	// Retries counts re-picked invocations after contained faults.
 	Retries int64
-	// FailedMigrations counts diff transfers abandoned mid-flight
-	// (export, decode — including injected corruption — or graft
-	// failure); each fell back to serving from the holder.
-	FailedMigrations int64
 	// StaleDirectory counts placements that tripped over a holder that
 	// no longer had the snapshot; the entry was pruned and the request
 	// re-placed.
@@ -300,10 +291,10 @@ type Cluster struct {
 	// placer turns the view plus load state into placement decisions. It
 	// is single-writer: only the cluster touches it.
 	placer sched.Placer
-	// migrating tracks in-flight transfers per function so concurrent
-	// requests do not re-ship the same pages.
-	migrating map[string]bool
-	stats     Stats
+	// fetching tracks in-flight transfers per function so concurrent
+	// requests do not re-ship the same layers.
+	fetching map[string]bool
+	stats    Stats
 	// faults is the fabric-level injector (nil when disabled).
 	faults *fault.Injector
 	rec    *metrics.Recorder
@@ -333,18 +324,21 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	}
 	placer := cfg.Placer
 	if placer == nil {
+		if cfg.Policy == PolicyMigrate && cfg.SnapDir == "" {
+			return nil, errors.New("cluster: PolicyMigrate replicates over the snapshot fabric; set Config.SnapDir")
+		}
 		placer = &sched.LocalityPlacer{Replicate: cfg.Policy == PolicyMigrate}
 	}
 	c := &Cluster{
-		eng:       eng,
-		cfg:       cfg,
-		view:      sched.NewView(cfg.Nodes),
-		placer:    placer,
-		migrating: make(map[string]bool),
-		served:    make(map[string]bool),
-		faults:    fault.New(cfg.Faults),
-		rec:       cfg.Metrics,
-		tr:        cfg.Tracer,
+		eng:      eng,
+		cfg:      cfg,
+		view:     sched.NewView(cfg.Nodes),
+		placer:   placer,
+		fetching: make(map[string]bool),
+		served:   make(map[string]bool),
+		faults:   fault.New(cfg.Faults),
+		rec:      cfg.Metrics,
+		tr:       cfg.Tracer,
 	}
 
 	base := cfg.NodeConfig
@@ -415,7 +409,6 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
 		c.members = append(c.members, &Member{ID: i, Node: node, Store: store, up: true, nc: nc})
-		c.view.SetFabric(i, store != nil)
 	}
 	return c, nil
 }
@@ -969,7 +962,7 @@ func (c *Cluster) pick(p *sim.Proc, req core.Request, exclude int) *Member {
 			}
 			c.pruneStale(holder.ID, req.Key, lineage)
 
-		case sched.ActionFetch, sched.ActionMigrate:
+		case sched.ActionFetch:
 			holder, dst := c.members[pl.Holder], c.members[pl.Node]
 			if !holder.alive() {
 				// Source died between gossip and placement: serve on the
@@ -985,23 +978,17 @@ func (c *Cluster) pick(p *sim.Proc, req core.Request, exclude int) *Member {
 				c.pruneStale(holder.ID, req.Key, lineage)
 				continue
 			}
-			if c.migrating[req.Key] {
-				// A racer is already shipping this function: serve from
-				// the holder rather than double-transferring.
+			if c.fetching[req.Key] || holder.Store == nil || dst.Store == nil {
+				// A racer is already shipping this function, or one end
+				// has no disk tier to fetch through: serve from the holder.
 				c.rec.Inc(metrics.CtrSchedPlacementsRoute)
 				c.stats.LocalHitsOrRoute(false)
 				return holder
 			}
-			c.migrating[req.Key] = true
-			var target *Member
-			if pl.Action == sched.ActionFetch {
-				c.rec.Inc(metrics.CtrSchedPlacementsFetch)
-				target = c.fetchLayers(p, holder, dst, req.Key)
-			} else {
-				c.rec.Inc(metrics.CtrSchedPlacementsMigrate)
-				target = c.migrate(p, holder, dst, req.Key)
-			}
-			delete(c.migrating, req.Key)
+			c.fetching[req.Key] = true
+			c.rec.Inc(metrics.CtrSchedPlacementsFetch)
+			target := c.fetchLayers(p, holder, dst, req.Key)
+			delete(c.fetching, req.Key)
 			return target
 		}
 	}
@@ -1014,50 +1001,6 @@ func fallback(holder, dst *Member) *Member {
 	if holder.alive() {
 		return holder
 	}
-	return dst
-}
-
-// migrate ships the holder's snapshot diff to dst over the fabric and
-// grafts it. On any failure — including an injected wire corruption
-// that the decoder rejects, or either end crashing while the diff is
-// on the wire — the transfer is abandoned and the holder serves the
-// request instead: migration failure degrades to routing, never to a
-// failed invocation.
-func (c *Cluster) migrate(p *sim.Proc, holder, dst *Member, key string) *Member {
-	var wire bytes.Buffer
-	if err := holder.Node.ExportSnapshot(key, &wire); err != nil {
-		c.stats.FailedMigrations++
-		return holder
-	}
-	// Fault point: the diff is corrupted in flight. Truncating the wire
-	// image makes the codec's decode fail, exercising the same path a
-	// checksum mismatch would take on real hardware.
-	if c.faults.Fire(fault.PointSnapshotCorrupt) {
-		wire.Truncate(wire.Len() / 2)
-	}
-	// Decode without copying: the diff aliases wire's bytes, which stay
-	// live until AdoptDiff has grafted (copied) them into local frames.
-	diff, err := snapshot.ImportBytes(wire.Bytes())
-	if err != nil {
-		c.stats.FailedMigrations++
-		return holder
-	}
-	// Ship the logical page volume: unmaterialized pages travel as one
-	// byte in the simulation but stand in for real content.
-	n := diff.LogicalBytes()
-	p.Sleep(c.transferTime(n))
-	if !dst.alive() || !holder.alive() {
-		// A member died while the diff was on the wire.
-		c.stats.FailedMigrations++
-		return fallback(holder, dst)
-	}
-	if err := dst.Node.AdoptDiff(p, key, diff); err != nil {
-		c.stats.FailedMigrations++
-		return holder
-	}
-	c.stats.Migrations++
-	c.stats.MigratedBytes += n
-	c.view.MarkResident(dst.ID, key)
 	return dst
 }
 

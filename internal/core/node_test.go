@@ -9,7 +9,6 @@ import (
 
 	"seuss/internal/mem"
 	"seuss/internal/sim"
-	"seuss/internal/snapshot"
 	"seuss/internal/trace"
 )
 
@@ -481,59 +480,55 @@ func TestGuestTrafficRoutesThroughProxy(t *testing.T) {
 	}
 }
 
-func TestExportAdoptBetweenNodes(t *testing.T) {
-	// Two nodes with identical base images: export a function snapshot
-	// from A, adopt the diff on B, then invoke warm on B.
-	engA := sim.NewEngine()
-	a, err := NewNode(engA, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSnapshotMovesBetweenNodes: two nodes with identical base images
+// and separate disk tiers. A flushes its function snapshot, the encoded
+// layer is copied tier to tier the way a fabric fetch does, and B
+// promotes it and serves warm — the diff's payload is all B needs.
+func TestSnapshotMovesBetweenNodes(t *testing.T) {
+	cfgA := DefaultConfig()
+	cfgA.SnapStore = newTierStore(t, -1)
+	a, engA := newTestNode(t, cfgA)
 	req := Request{Key: "mig/fn", Source: nopSource, Args: "{}"}
 	if _, err := invoke(t, a, engA, req); err != nil {
 		t.Fatal(err)
 	}
-	if !a.HasSnapshot("mig/fn") || a.SnapshotDiffBytes("mig/fn") == 0 {
-		t.Fatal("sender missing snapshot")
+	if !a.HasSnapshot("mig/fn") || !a.HasIdleUC("mig/fn") {
+		t.Fatal("sender missing snapshot or idle UC")
 	}
-	if !a.HasIdleUC("mig/fn") {
-		t.Fatal("sender missing idle UC")
+	if a.FlushLineage(nil, "missing") {
+		t.Error("flush of a missing snapshot succeeded")
 	}
-
-	var wire bytes.Buffer
-	if err := a.ExportSnapshot("mig/fn", &wire); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.ExportSnapshot("missing", &wire); err == nil {
-		t.Error("export of missing snapshot succeeded")
+	if !a.FlushLineage(nil, "mig/fn") {
+		t.Fatal("sender could not flush its snapshot")
 	}
 
-	engB := sim.NewEngine()
-	b, err := NewNode(engB, DefaultConfig())
+	cfgB := DefaultConfig()
+	cfgB.SnapStore = newTierStore(t, -1)
+	b, engB := newTestNode(t, cfgB)
+	layer, ok := cfgA.SnapStore.Layer("fn/mig/fn")
+	if !ok {
+		t.Fatal("flush left no layer in the sender's tier")
+	}
+	wire, err := cfgA.SnapStore.Get("fn/mig/fn")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff, err := snapshot.Import(&wire)
-	if err != nil {
+	if err := cfgB.SnapStore.PutFetched(layer.Key, layer.Base, wire, layer.Digest); err != nil {
 		t.Fatal(err)
 	}
-	engB.Go("adopt", func(p *sim.Proc) {
-		if err := b.AdoptDiff(p, "mig/fn", diff); err != nil {
-			t.Error(err)
-		}
-	})
-	engB.Run()
+	if err := b.PromoteLineage(nil, "fn/mig/fn"); err != nil {
+		t.Fatal(err)
+	}
 	if !b.HasSnapshot("mig/fn") {
-		t.Fatal("receiver missing adopted snapshot")
+		t.Fatal("receiver missing promoted snapshot")
 	}
-	// The adopted function serves a warm start on B, no source needed
-	// beyond the diff payload.
+	// No Source in the request: the function arrives in the payload.
 	res, err := invoke(t, b, engB, Request{Key: "mig/fn", Args: "{}"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Path != PathWarm {
-		t.Errorf("adopted path = %v, want warm", res.Path)
+		t.Errorf("path on receiver = %v, want warm", res.Path)
 	}
 	if !strings.Contains(res.Output, `"ok":true`) {
 		t.Errorf("output = %q", res.Output)

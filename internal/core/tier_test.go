@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 
+	"seuss/internal/interp"
 	"seuss/internal/snapstore"
 )
 
@@ -288,5 +290,56 @@ func TestPrewarmRestoresLineage(t *testing.T) {
 	}
 	if res.Path != PathWarm && res.Path != PathHot {
 		t.Errorf("first post-prewarm path = %v, want warm or hot", res.Path)
+	}
+}
+
+// gobEraPayload marshals the way builds before the "SEUP" payload codec
+// did, so a test can plant the tier entry such a build's flush left.
+type gobEraPayload struct{ source string }
+
+func (g gobEraPayload) MarshalBinary() ([]byte, error) {
+	var b bytes.Buffer
+	err := gob.NewEncoder(&b).Encode(struct{ Interp interp.State }{interp.State{ImportedSource: g.source}})
+	return b.Bytes(), err
+}
+
+// TestGobEraTierEntryServesCold: a tier entry whose pages are intact but
+// whose payload predates the payload codec can never promote. The
+// request it would have served is answered cold, not failed, and the
+// graft that could not get its payload is not cached.
+func TestGobEraTierEntryServesCold(t *testing.T) {
+	store := newTierStore(t, -1)
+	req := Request{Key: "acct/fn", Source: nopSource, Args: "{}"}
+
+	nA, engA := newTestNode(t, DefaultConfig())
+	if _, err := invoke(t, nA, engA, req); err != nil {
+		t.Fatal(err)
+	}
+	snap := nA.fnSnaps[req.Key].snap
+	snap.SetPayload(gobEraPayload{nopSource})
+	var wire bytes.Buffer
+	if err := snap.Export(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put("fn/"+req.Key, snap.Base().Name(), wire.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	cfgB := DefaultConfig()
+	cfgB.SnapStore = store
+	nB, engB := newTestNode(t, cfgB)
+	res, err := invoke(t, nB, engB, req)
+	if err != nil {
+		t.Fatalf("gob-era tier entry failed the request: %v", err)
+	}
+	if res.Path != PathCold {
+		t.Errorf("path = %v, want cold", res.Path)
+	}
+	st := nB.Stats()
+	if st.TierHits != 1 || st.SnapshotsPromoted != 0 || st.Lukewarm != 0 {
+		t.Errorf("tier hits/promotions/lukewarm = %d/%d/%d, want 1/0/0", st.TierHits, st.SnapshotsPromoted, st.Lukewarm)
+	}
+	if nB.CachedSnapshots() != 1 {
+		t.Errorf("cached snapshots = %d, want only the cold capture", nB.CachedSnapshots())
 	}
 }

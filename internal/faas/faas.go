@@ -7,17 +7,14 @@
 //     containers, with the stemcell cache, the container cache limit,
 //     and the bridged network whose broadcast scaling caps it;
 //   - SeussBackend: the drop-in SEUSS OS replacement reached through
-//     the shim process, whose single TCP connection serializes
-//     messages and adds the ≈8 ms hop of §6; and
-//   - SeussPoolBackend: the same shim front door over a sharded,
-//     shared-nothing node pool (internal/shardpool) instead of a
-//     single node; and
-//   - SeussDistBackend: the shim front door over a multi-node
+//     the shim process, whose TCP connection serializes messages and
+//     adds the ≈8 ms hop of §6. Behind the shim sits one node, a
+//     sharded shared-nothing pool (internal/shardpool), or a multi-node
 //     DR-SEUSS cluster (internal/cluster) with scheduler-driven,
 //     snapshot-locality-aware placement.
 //
-// Both satisfy workload.Invoker, so every macro experiment runs
-// unmodified against either.
+// A Cluster over either satisfies workload.Invoker, so every macro
+// experiment runs unmodified against both.
 package faas
 
 import (
@@ -212,13 +209,21 @@ func (c *Cluster) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
 
 // ---- SEUSS backend ----
 
-// SeussBackend fronts a SEUSS OS compute node with the shim process of
-// §6: requests are read from the message bus by the shim and forwarded
-// over its single TCP connection into the VM.
+// Invoker is the compute side behind the shim: it serves one request
+// inside p and charges p whatever virtual time the service took.
+type Invoker func(p *sim.Proc, req core.Request) error
+
+// SeussBackend fronts SEUSS compute with the shim process of §6:
+// requests are read from the message bus by the shim and forwarded over
+// its TCP connection into the VM. The compute behind the shim is an
+// Invoker — one node, a sharded pool, or a DR-SEUSS cluster; the front
+// door is the same for all three.
 type SeussBackend struct {
-	node *core.Node
-	shim *sim.Resource
-	rng  *sim.RNG
+	name   string
+	node   *core.Node // the single-node backend's node; nil otherwise
+	invoke Invoker
+	shim   *sim.Resource
+	rng    *sim.RNG
 	// Deadline, when set, bounds every invocation this backend serves:
 	// it is threaded through core.Request into the interpreter's step
 	// budget, so a runaway guest is killed (and its UC destroyed)
@@ -227,41 +232,31 @@ type SeussBackend struct {
 	Deadline time.Duration
 }
 
-// NewSeussBackend wraps a node.
-func NewSeussBackend(node *core.Node) *SeussBackend {
+// newSeussBackend builds the front door: lanes is how many shim
+// connections serialize message transfer.
+func newSeussBackend(eng *sim.Engine, name string, lanes int, invoke Invoker) *SeussBackend {
 	return &SeussBackend{
-		node: node,
-		shim: sim.NewResource(node.Engine(), 1),
-		rng:  sim.NewRNG(0x5E05),
+		name:   name,
+		invoke: invoke,
+		shim:   sim.NewResource(eng, lanes),
+		rng:    sim.NewRNG(0x5E05),
 	}
 }
 
-// Node returns the underlying compute node.
-func (b *SeussBackend) Node() *core.Node { return b.node }
-
-// Name implements Backend.
-func (b *SeussBackend) Name() string { return "seuss" }
-
-// Invoke implements Backend: the shim's single connection serializes
-// message transfer (the Table 3 creation-rate bottleneck) and the extra
-// hop adds ≈8 ms to the round trip (§7's 21% at small set sizes).
-func (b *SeussBackend) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
-	b.shim.Acquire(p)
-	p.Sleep(b.rng.Jitter(costs.ShimSerialize, 0.08))
-	b.shim.Release()
-	p.Sleep(costs.ShimHop - costs.ShimSerialize)
-	_, err := b.node.Invoke(p, core.Request{
-		Key: spec.Key, Source: spec.Source, Args: args, Deadline: b.Deadline,
+// NewSeussBackend wraps a node ("seuss").
+func NewSeussBackend(node *core.Node) *SeussBackend {
+	b := newSeussBackend(node.Engine(), "seuss", 1, func(p *sim.Proc, req core.Request) error {
+		_, err := node.Invoke(p, req)
+		return err
 	})
-	return err
+	b.node = node
+	return b
 }
 
-// ---- SEUSS sharded-pool backend ----
-
-// SeussPoolBackend fronts a sharded node pool (internal/shardpool)
-// instead of a single node: the same shim-process front door, but the
-// compute side fans out across shared-nothing shards, so the invoker
-// no longer serializes on one engine.
+// NewSeussPoolBackend wraps a sharded node pool (internal/shardpool)
+// for platform use ("seuss-pool"): the compute side fans out across
+// shared-nothing shards, so the invoker no longer serializes on one
+// engine.
 //
 // Bridge semantics: the platform's virtual clock and the pool's
 // per-shard virtual clocks are distinct. An invocation crosses the
@@ -270,102 +265,53 @@ func (b *SeussBackend) Invoke(p *sim.Proc, spec workload.Spec, args string) erro
 // is then charged to the platform task as a Sleep. Platform-level
 // determinism therefore holds only for the overheads and the per-shard
 // latencies, not for cross-shard interleaving.
-type SeussPoolBackend struct {
-	pool *shardpool.Pool
-	shim *sim.Resource
-	rng  *sim.RNG
-	// Deadline, when set, bounds every invocation (see
-	// SeussBackend.Deadline).
-	Deadline time.Duration
-}
-
-// NewSeussPoolBackend wraps a pool for platform use.
-func NewSeussPoolBackend(eng *sim.Engine, pool *shardpool.Pool) *SeussPoolBackend {
-	return &SeussPoolBackend{
-		pool: pool,
-		shim: sim.NewResource(eng, 1),
-		rng:  sim.NewRNG(0x5E05),
-	}
-}
-
-// Pool returns the underlying shard pool.
-func (b *SeussPoolBackend) Pool() *shardpool.Pool { return b.pool }
-
-// Name implements Backend.
-func (b *SeussPoolBackend) Name() string { return "seuss-pool" }
-
-// Invoke implements Backend: shim serialization and hop as for the
-// single-node backend, then the pool serves the request and its
-// shard-side virtual latency is charged to the platform clock.
-func (b *SeussPoolBackend) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
-	b.shim.Acquire(p)
-	p.Sleep(b.rng.Jitter(costs.ShimSerialize, 0.08))
-	b.shim.Release()
-	p.Sleep(costs.ShimHop - costs.ShimSerialize)
-	res, err := b.pool.Invoke(core.Request{
-		Key: spec.Key, Source: spec.Source, Args: args, Deadline: b.Deadline,
+func NewSeussPoolBackend(eng *sim.Engine, pool *shardpool.Pool) *SeussBackend {
+	return newSeussBackend(eng, "seuss-pool", 1, func(p *sim.Proc, req core.Request) error {
+		res, err := pool.Invoke(req)
+		if err != nil {
+			return err
+		}
+		p.Sleep(res.Latency)
+		return nil
 	})
-	if err != nil {
-		return err
-	}
-	p.Sleep(res.Latency)
-	return nil
 }
 
-// ---- SEUSS distributed-cluster backend ----
-
-// SeussDistBackend fronts a multi-node DR-SEUSS cluster
-// (internal/cluster): the same shim-process front door, with placement
-// across nodes delegated to the cluster's scheduler — locality-aware
+// NewSeussDistBackend wraps a multi-node DR-SEUSS cluster
+// (internal/cluster) for platform use ("seuss-dist"): placement across
+// nodes is delegated to the cluster's scheduler — locality-aware
 // routing over the gossiped snapshot directory, and replication by
-// layer fetch or diff migration when a holder saturates.
-type SeussDistBackend struct {
-	cluster *cluster.Cluster
-	shim    *sim.Resource
-	rng     *sim.RNG
-	// Deadline, when set, bounds every invocation (see
-	// SeussBackend.Deadline).
-	Deadline time.Duration
-}
-
-// NewSeussDistBackend wraps a cluster for platform use. The cluster
-// must share the platform's engine. Unlike the single-node backends,
-// each member node runs its own shim process, so the front door has
-// one serialization lane per member.
-func NewSeussDistBackend(eng *sim.Engine, c *cluster.Cluster) *SeussDistBackend {
+// layer fetch when a holder saturates. The cluster must share the
+// platform's engine. Each member node runs its own shim process, so the
+// front door has one serialization lane per member.
+func NewSeussDistBackend(eng *sim.Engine, c *cluster.Cluster) *SeussBackend {
 	lanes := len(c.Members())
 	if lanes < 1 {
 		lanes = 1
 	}
-	return &SeussDistBackend{
-		cluster: c,
-		shim:    sim.NewResource(eng, lanes),
-		rng:     sim.NewRNG(0x5E05),
-	}
+	return newSeussBackend(eng, "seuss-dist", lanes, func(p *sim.Proc, req core.Request) error {
+		_, _, err := c.Invoke(p, req)
+		return err
+	})
 }
 
-// Cluster returns the underlying node cluster.
-func (b *SeussDistBackend) Cluster() *cluster.Cluster { return b.cluster }
-
-// MemberStates reports every member's lifecycle state — front doors
-// surface it next to their health endpoints.
-func (b *SeussDistBackend) MemberStates() []cluster.MemberInfo { return b.cluster.MemberStates() }
+// Node returns the compute node behind NewSeussBackend; nil for the
+// pool and cluster backends.
+func (b *SeussBackend) Node() *core.Node { return b.node }
 
 // Name implements Backend.
-func (b *SeussDistBackend) Name() string { return "seuss-dist" }
+func (b *SeussBackend) Name() string { return b.name }
 
-// Invoke implements Backend: shim serialization and hop as for the
-// single-node backend, then the cluster scheduler places and serves the
-// request.
-func (b *SeussDistBackend) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
+// Invoke implements Backend: a shim connection serializes message
+// transfer (the Table 3 creation-rate bottleneck) and the extra hop
+// adds ≈8 ms to the round trip (§7's 21% at small set sizes).
+func (b *SeussBackend) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
 	b.shim.Acquire(p)
 	p.Sleep(b.rng.Jitter(costs.ShimSerialize, 0.08))
 	b.shim.Release()
 	p.Sleep(costs.ShimHop - costs.ShimSerialize)
-	_, _, err := b.cluster.Invoke(p, core.Request{
+	return b.invoke(p, core.Request{
 		Key: spec.Key, Source: spec.Source, Args: args, Deadline: b.Deadline,
 	})
-	return err
 }
 
 // ---- Linux backend ----

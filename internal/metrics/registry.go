@@ -76,7 +76,6 @@ const (
 	CtrSchedPlacementsCold
 	CtrSchedPlacementsRoute
 	CtrSchedPlacementsFetch
-	CtrSchedPlacementsMigrate
 	CtrSchedStaleEntries
 	CtrGossipRounds
 	CtrGossipDrops
@@ -179,16 +178,15 @@ var counterDescs = [numCounters]desc{
 	CtrPlatformFailures: {"seuss_platform_failures_total", "Platform-level activations that surfaced an error.", ""},
 	CtrPlatformRetries:  {"seuss_platform_retries_total", "Platform re-submissions after contained faults.", ""},
 
-	CtrSchedPlacementsCold:    {"seuss_sched_placements_total", "Scheduler placement decisions, by action.", `action="cold"`},
-	CtrSchedPlacementsRoute:   {"seuss_sched_placements_total", "", `action="route"`},
-	CtrSchedPlacementsFetch:   {"seuss_sched_placements_total", "", `action="fetch"`},
-	CtrSchedPlacementsMigrate: {"seuss_sched_placements_total", "", `action="migrate"`},
-	CtrSchedStaleEntries:      {"seuss_sched_stale_entries_total", "Stale scheduler directory entries pruned at placement time.", ""},
-	CtrGossipRounds:           {"seuss_fabric_gossip_rounds_total", "Completed scheduler manifest-exchange rounds.", ""},
-	CtrGossipDrops:            {"seuss_fabric_gossip_drops_total", "Gossip exchanges lost to injected faults.", ""},
-	CtrFabricLayersFetched:    {"seuss_fabric_layer_transfers_total", "Snapshot-layer transfer outcomes on the fabric.", `outcome="fetched"`},
-	CtrFabricLayersDeduped:    {"seuss_fabric_layer_transfers_total", "", `outcome="deduped"`},
-	CtrFabricLayersRejected:   {"seuss_fabric_layer_transfers_total", "", `outcome="rejected"`},
+	CtrSchedPlacementsCold:  {"seuss_sched_placements_total", "Scheduler placement decisions, by action.", `action="cold"`},
+	CtrSchedPlacementsRoute: {"seuss_sched_placements_total", "", `action="route"`},
+	CtrSchedPlacementsFetch: {"seuss_sched_placements_total", "", `action="fetch"`},
+	CtrSchedStaleEntries:    {"seuss_sched_stale_entries_total", "Stale scheduler directory entries pruned at placement time.", ""},
+	CtrGossipRounds:         {"seuss_fabric_gossip_rounds_total", "Completed scheduler manifest-exchange rounds.", ""},
+	CtrGossipDrops:          {"seuss_fabric_gossip_drops_total", "Gossip exchanges lost to injected faults.", ""},
+	CtrFabricLayersFetched:  {"seuss_fabric_layer_transfers_total", "Snapshot-layer transfer outcomes on the fabric.", `outcome="fetched"`},
+	CtrFabricLayersDeduped:  {"seuss_fabric_layer_transfers_total", "", `outcome="deduped"`},
+	CtrFabricLayersRejected: {"seuss_fabric_layer_transfers_total", "", `outcome="rejected"`},
 
 	CtrMemberStateAlive:       {"seuss_cluster_member_state_transitions_total", "Member liveness transitions, by state entered.", `state="alive"`},
 	CtrMemberStateSuspect:     {"seuss_cluster_member_state_transitions_total", "", `state="suspect"`},

@@ -632,92 +632,29 @@ func (as *AddressSpace) CloneRange(va uint64, size uint64) (int, error) {
 	return cloned, nil
 }
 
-// InstallCoWPages bulk-installs fresh private frames at the given VAs
-// as read-only CoW mappings — the graft fast path. Each page gets a
-// newly allocated frame (materialized with contents[va] when present,
-// left as an unmaterialized zero page otherwise); existing mappings at
-// the same VA are replaced. Unlike Store, nothing faults, nothing is
-// dirty-listed, and shared path nodes are privatized once per 2 MB
-// span rather than once per page. The resulting entries are exactly
-// what Capture's SetCoWAll + Clone would have produced for the same
-// stores, so a snapshot built over them re-exports byte-identically.
-func (as *AddressSpace) InstallCoWPages(vas []uint64, contents map[uint64][]byte) error {
-	if as.frozen {
-		panic("pagetable: InstallCoWPages on frozen address space")
-	}
-	var pt *node
-	spanBase, spanOK := uint64(0), false
-	for _, va := range vas {
-		if va >= MaxVirtual || va%mem.PageSize != 0 {
-			return ErrBadAddress
-		}
-		if !spanOK || va&^spanMask != spanBase {
-			var err error
-			pt, err = as.walk(va, true)
-			if err != nil {
-				return err
-			}
-			spanBase, spanOK = va&^spanMask, true
-		}
-		f, err := as.st.Alloc()
-		if err != nil {
-			return err
-		}
-		if content := contents[va]; content != nil {
-			f.Write(0, content)
-		}
-		e := &pt.entries[index(va, 0)]
-		if e.frame != nil {
-			as.st.DecRef(e.frame)
-		} else {
-			as.mapped++
-		}
-		e.frame = f
-		e.flags = FlagPresent | FlagUser | FlagCoW | FlagAccessed
-	}
-	return nil
-}
-
-// InstallCoWPagesSparse is InstallCoWPages for a restore: pages whose
-// installed mapping would be indistinguishable from the fault path's
-// default are skipped and returned instead of installed. A page
-// qualifies when it has no content and its current mapping already
+// SparseInstaller streams a snapshot diff's pages into the space, one
+// Page call at a time, so a caller decoding pages from a wire image
+// fuses decode and install into a single pass (snapshot.GraftWire).
+//
+// Each installed page gets a freshly allocated private frame mapped
+// read-only CoW — exactly the entry Capture's SetCoWAll + Clone would
+// have produced for a store at that address, so a snapshot built over
+// the result re-exports byte-identically. Nothing faults, nothing is
+// dirty-listed, and shared path nodes are privatized once per 2 MB span
+// rather than once per page.
+//
+// Pages whose installed mapping would be indistinguishable from the
+// fault path's default are skipped and collected in Lazy instead. A
+// page qualifies when it has no content and its current mapping already
 // reads as zeros — either no entry at all (a later touch demand-zero
 // faults to a fresh zero page) or an inherited frame that was never
 // materialized (reads as zeros now; a write CoW-clones another zero
 // page). Installing such a page buys nothing the fault path doesn't
 // already guarantee, and a typical diff is almost entirely such pages.
+// A snapshot that skipped pages must remember them so re-export
+// reproduces the original wire bytes.
 //
-// contentVAs must be the subsequence of vas that carries content, with
-// contents aligned to it — the loop advances both in lockstep, so the
-// common contentless page costs one entry inspection and no hashing.
-//
-// The returned slice (ascending if vas is ascending) is the caller's to
-// keep: a snapshot that skipped pages must remember them so re-export
-// reproduces the original wire bytes (see snapshot.GraftBulk).
-func (as *AddressSpace) InstallCoWPagesSparse(vas []uint64, contentVAs []uint64, contents [][]byte) ([]uint64, error) {
-	si := as.NewSparseInstaller(len(vas))
-	ci := 0
-	for _, va := range vas {
-		var content []byte
-		if ci < len(contentVAs) && contentVAs[ci] == va {
-			content = contents[ci]
-			ci++
-		}
-		if err := si.Page(va, content); err != nil {
-			return si.lazy, err
-		}
-	}
-	return si.lazy, nil
-}
-
-// SparseInstaller streams diff pages into the space under the
-// InstallCoWPagesSparse contract, one Page call at a time. It exists so
-// a caller that decodes pages from a wire image can fuse decode and
-// install into a single pass (snapshot.GraftWire) instead of staging
-// the page list and content table first. Pages must arrive in ascending
-// order for Lazy() to be ascending; spans repeat no walk work between
-// consecutive pages of the same 2 MB span.
+// Pages must arrive in ascending order for Lazy() to be ascending.
 type SparseInstaller struct {
 	as       *AddressSpace
 	pt       *node
@@ -738,7 +675,7 @@ func (as *AddressSpace) NewSparseInstaller(expect int) *SparseInstaller {
 
 // Page installs one diff page (content nil for a zero page). Zero pages
 // whose current mapping already reads as zeros are skipped and recorded
-// in Lazy instead — see InstallCoWPagesSparse.
+// in Lazy instead.
 func (si *SparseInstaller) Page(va uint64, content []byte) error {
 	as := si.as
 	if va >= MaxVirtual || va%mem.PageSize != 0 {

@@ -11,8 +11,8 @@
 //     lock-protected (RWMutex) and safe for concurrent lookups during
 //     a gossip refresh.
 //   - Placer turns one request plus the view into a decision: which
-//     node serves it, and by which action (cold, route, fetch the
-//     missing layers, or migrate the whole diff). Placers are
+//     node serves it, and by which action (cold, route, or fetch the
+//     missing layers). Placers are
 //     single-writer by contract — one owner goroutine per placer —
 //     and the built-in placers assert that contract at runtime.
 //
@@ -41,12 +41,9 @@ const (
 	// holder's content-addressed store to the chosen node, then serves
 	// there — layers already present locally (by digest) ship nothing.
 	ActionFetch
-	// ActionMigrate ships the holder's whole snapshot diff to the
-	// chosen node and grafts it there.
-	ActionMigrate
 )
 
-var actionNames = [...]string{"cold", "route", "fetch", "migrate"}
+var actionNames = [...]string{"cold", "route", "fetch"}
 
 // String implements fmt.Stringer.
 func (a Action) String() string { return actionNames[a] }
@@ -82,8 +79,8 @@ type Placement struct {
 	Node int
 	// Action is how the node gets ready to serve it.
 	Action Action
-	// Holder is the source node for ActionFetch/ActionMigrate and the
-	// serving holder for ActionRoute; -1 when no holder is involved.
+	// Holder is the source node for ActionFetch and the serving holder
+	// for ActionRoute; -1 when no holder is involved.
 	Holder int
 }
 
@@ -114,14 +111,14 @@ func (sw *singleWriter) exit() { sw.busy.Store(false) }
 // already lives. A request routes to its least-loaded holder while the
 // holder keeps up; once the holder is Slack requests busier than the
 // cluster's least-loaded node and Replicate is set, the function
-// replicates there — by layer fetch when both ends run the
-// content-addressed fabric, by whole-diff migration otherwise. With no
+// replicates there by layer fetch (the caller routes to the holder
+// instead when either end has no disk tier to fetch through). With no
 // RAM holder anywhere, a node advertising the lineage on disk serves
 // lukewarm; failing that, the request is cold exactly once per cluster,
 // placed least-loaded with a round-robin tie-break.
 type LocalityPlacer struct {
-	// Replicate allows fetch/migrate placements when a holder is
-	// overloaded (the cluster's PolicyMigrate). False always routes.
+	// Replicate allows fetch placements when a holder is overloaded
+	// (the cluster's PolicyMigrate). False always routes.
 	Replicate bool
 	// Slack is how many in-flight requests beyond the least-loaded
 	// node's a holder may carry before it counts as overloaded
@@ -178,10 +175,7 @@ func (lp *LocalityPlacer) Place(r Request) Placement {
 		// A replica already lives on the least-loaded node.
 		return Placement{Node: least.ID, Action: ActionRoute, Holder: least.ID}
 	}
-	if r.View.Fabric(holder) && r.View.Fabric(least.ID) {
-		return Placement{Node: least.ID, Action: ActionFetch, Holder: holder}
-	}
-	return Placement{Node: least.ID, Action: ActionMigrate, Holder: holder}
+	return Placement{Node: least.ID, Action: ActionFetch, Holder: holder}
 }
 
 // LeastLoadedPlacer ignores locality entirely: every request goes to

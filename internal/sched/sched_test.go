@@ -48,8 +48,8 @@ func TestLocalityPlacerColdSpreads(t *testing.T) {
 }
 
 // TestLocalityPlacerOverloadReplicates: an overloaded holder triggers
-// migration (no fabric) or a layer fetch (fabric on both ends) to the
-// least-loaded node; without Replicate it keeps routing.
+// a layer fetch to the least-loaded node; without Replicate it keeps
+// routing.
 func TestLocalityPlacerOverloadReplicates(t *testing.T) {
 	v := NewView(2)
 	v.MarkResident(0, "fn")
@@ -61,14 +61,8 @@ func TestLocalityPlacerOverloadReplicates(t *testing.T) {
 	}
 
 	rep := &LocalityPlacer{Replicate: true}
-	if pl := rep.Place(Request{Key: "fn", Lineage: "fn/fn", Nodes: st, View: v}); pl.Action != ActionMigrate || pl.Node != 1 || pl.Holder != 0 {
-		t.Fatalf("no-fabric placement = %+v, want migrate 0 -> 1", pl)
-	}
-
-	v.SetFabric(0, true)
-	v.SetFabric(1, true)
 	if pl := rep.Place(Request{Key: "fn", Lineage: "fn/fn", Nodes: st, View: v}); pl.Action != ActionFetch || pl.Node != 1 || pl.Holder != 0 {
-		t.Fatalf("fabric placement = %+v, want fetch 0 -> 1", pl)
+		t.Fatalf("replicating placement = %+v, want fetch 0 -> 1", pl)
 	}
 
 	// A replica already on the least-loaded node short-circuits to it.

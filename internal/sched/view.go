@@ -44,9 +44,6 @@ func (s MemberState) String() string { return memberStateNames[s] }
 
 // nodeView is what the scheduler believes about one node.
 type nodeView struct {
-	// fabric is whether the node runs a content-addressed disk store
-	// (set once at cluster boot, not gossiped).
-	fabric bool
 	// state is the heartbeat-driven liveness belief; missed counts the
 	// consecutive heartbeat rounds the node has failed to report.
 	state  MemberState
@@ -98,20 +95,6 @@ func (v *View) Nodes() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return len(v.nodes)
-}
-
-// SetFabric records whether a node runs a content-addressed disk store.
-func (v *View) SetFabric(node int, on bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.nodes[node].fabric = on
-}
-
-// Fabric reports whether a node runs a content-addressed disk store.
-func (v *View) Fabric(node int) bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.nodes[node].fabric
 }
 
 // State returns the liveness belief for a node.

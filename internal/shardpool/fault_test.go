@@ -4,9 +4,11 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"seuss/internal/core"
 	"seuss/internal/fault"
+	"seuss/internal/policy"
 )
 
 // TestBreakerStateMachine pins the breaker transitions in isolation:
@@ -311,5 +313,89 @@ func TestPoolFaultDeterminism(t *testing.T) {
 	}
 	if fired == 0 {
 		t.Error("rate 0.15 over 40 invocations fired nothing on any shard")
+	}
+}
+
+// TestControlMessagesBypassRoutingAndFaults: every pool-scope control
+// operation is one message kind, run by the shard it names. With that
+// shard's breaker open and a stall scheduled for its first request,
+// ShardStats, Prewarm, FlushSnapshots and PolicyTick are all still
+// answered by it — not diverted, not stalled, not mistaken for the
+// half-open probe — and leave the routing counters and the stall
+// schedule untouched for the next real invocation to meet.
+func TestControlMessagesBypassRoutingAndFaults(t *testing.T) {
+	const key = "ctl/fn"
+	cfg, _ := tierConfig(t, 2, -1)
+	cfg.Node.Policy = policy.FixedKeepAlive{Window: 30 * time.Second}
+
+	// Leave one lineage in the tier for Prewarm to find.
+	seed := newTestPool(t, cfg)
+	if _, err := seed.InvokeSync(key, nopSource, "{}"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seed.FlushSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+	seed.Close()
+
+	cfg.BreakerThreshold = 3
+	cfg.Faults = fault.Config{
+		Schedule: map[fault.Point][]uint64{fault.PointShardStall: {1}},
+	}
+	pool := newTestPool(t, cfg)
+	owner := pool.OwnerShard(key)
+	for i := 0; i < 3; i++ {
+		pool.shards[owner].breaker.recordFailure()
+	}
+
+	ownerStats := func() ShardStats {
+		t.Helper()
+		ss, err := pool.ShardStats(owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ss.Shard != owner || ss.Breaker != "open" {
+			t.Fatalf("ShardStats(%d) answered by shard %d, breaker %s; want the owner, still open", owner, ss.Shard, ss.Breaker)
+		}
+		return ss
+	}
+	if n, err := pool.Prewarm(0); err != nil || n != 1 {
+		t.Fatalf("Prewarm = %d, %v; want 1 lineage", n, err)
+	}
+	if ss := ownerStats(); ss.CachedSnapshots != 1 || ss.Node.SnapshotsPrewarmed != 1 {
+		t.Errorf("prewarm did not land on the owner: %+v", ss)
+	}
+	if n, err := pool.FlushSnapshots(); err != nil || n != 1 {
+		t.Errorf("FlushSnapshots = %d, %v; want the owner's 1 lineage", n, err)
+	}
+	if ts, err := pool.PolicyTick(31 * time.Second); err != nil || ts.DemotedLineages != 1 {
+		t.Errorf("PolicyTick = %+v, %v; want the owner's lineage demoted", ts, err)
+	}
+	if ss := ownerStats(); ss.CachedSnapshots != 0 || ss.Clock < 31*time.Second {
+		t.Errorf("tick did not run on the owner: %+v", ss)
+	}
+
+	st, err := pool.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Stolen != 0 || st.Rerouted != 0 || st.Requeued != 0 || st.Stalls != 0 {
+		t.Errorf("control messages moved routing counters: stolen=%d rerouted=%d requeued=%d stalls=%d",
+			st.Stolen, st.Rerouted, st.Requeued, st.Stalls)
+	}
+	if fired := pool.ShardFaults(owner).TotalFired(); fired != 0 {
+		t.Errorf("control messages consumed %d fault visits", fired)
+	}
+
+	// The first real invocation meets both: diverted around the open
+	// breaker, stalled once by the thief's still-armed schedule, served.
+	if _, err := pool.InvokeSync(key, nopSource, "{}"); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = pool.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Rerouted != 1 || st.Stalls != 1 || st.Requeued != 1 {
+		t.Errorf("after one invocation: rerouted=%d stalls=%d requeued=%d, want 1/1/1", st.Rerouted, st.Stalls, st.Requeued)
 	}
 }

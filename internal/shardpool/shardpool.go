@@ -325,21 +325,19 @@ func (b *breaker) snapshot() (string, int64) {
 }
 
 // request is one unit of work delivered to a shard goroutine: an
-// invocation, or a control read of shard state.
+// invocation, or a control message.
 type request struct {
-	req      core.Request
-	stats    bool          // control: snapshot shard stats instead of invoking
-	flush    bool          // control: demote resident snapshots to the disk tier
-	prewarm  string        // control: promote this lineage from the disk tier
-	tick     bool          // control: advance the shard clock and run a reaper pass
-	advance  time.Duration // virtual time to advance before the tick
-	requeues int           // times a stalled shard pushed this request back
+	req core.Request
+	// control, when set, makes this a control message: instead of
+	// invoking, the owner goroutine runs the closure between invocations
+	// — so it sees only quiescent shard state — and replies when it
+	// returns. A control message is never stolen, rerouted, or stalled.
+	// The closure hands its result back through what it captured; the
+	// reply orders those writes before the submitter's reads.
+	control  func(s *shard)
+	requeues int // times a stalled shard pushed this request back
 	reply    chan response
 }
-
-// control reports whether the request is a control message (served
-// inside the owner goroutine, never stolen, rerouted, or stalled).
-func (r *request) control() bool { return r.stats || r.flush || r.prewarm != "" || r.tick }
 
 // reqPool recycles request descriptors and their reply channels across
 // invocations — the front door's only steady-state allocations
@@ -354,23 +352,16 @@ func getRequest() *request { return reqPool.Get().(*request) }
 
 func putRequest(r *request) {
 	r.req = core.Request{}
-	r.stats = false
-	r.flush = false
-	r.prewarm = ""
-	r.tick = false
-	r.advance = 0
+	r.control = nil
 	r.requeues = 0
 	reqPool.Put(r)
 }
 
 type response struct {
-	res       core.Result
-	err       error
-	shard     int
-	stolen    bool
-	stats     ShardStats
-	flushed   int
-	tickStats core.TickStats
+	res    core.Result
+	err    error
+	shard  int
+	stolen bool
 }
 
 // shard is one shared-nothing compute unit: engine + store + node,
@@ -598,50 +589,9 @@ func (s *shard) loop() {
 // serve runs one request to completion on the shard's engine. stolen
 // marks requests picked off the overflow queue by a non-owner.
 func (s *shard) serve(r *request, stolen bool) {
-	if r.stats {
-		st := s.node.Stats()
-		st.FaultsInjected = int64(s.faults.TotalFired())
-		state, trips := s.breaker.snapshot()
-		r.reply <- response{shard: s.id, stats: ShardStats{
-			Shard:           s.id,
-			Node:            st,
-			CachedSnapshots: s.node.CachedSnapshots(),
-			IdleUCs:         s.node.IdleUCs(),
-			Mem:             s.node.MemStats(),
-			Clock:           time.Duration(s.eng.Now()),
-			Breaker:         state,
-			BreakerTrips:    trips,
-			FaultsInjected:  st.FaultsInjected,
-		}}
-		return
-	}
-	if r.flush {
-		var flushed int
-		s.eng.RunProc("flush", func(p *sim.Proc) { flushed = s.node.FlushSnapshots(p) })
-		r.reply <- response{shard: s.id, flushed: flushed}
-		return
-	}
-	if r.prewarm != "" {
-		var err error
-		s.eng.RunProc("prewarm", func(p *sim.Proc) { err = s.node.PromoteLineage(p, r.prewarm) })
-		r.reply <- response{shard: s.id, err: err}
-		return
-	}
-	if r.tick {
-		// The reaper pass runs between invocations on the owner
-		// goroutine, so it observes only quiescent state — no UC is
-		// mid-invocation when its keep-alive is judged. The advance
-		// models wall-clock idle time elapsing on the shard's virtual
-		// clock (invocations advance it only by their own latencies).
-		var ts core.TickStats
-		adv := r.advance
-		s.eng.RunProc("policy-tick", func(p *sim.Proc) {
-			if adv > 0 {
-				p.Sleep(adv)
-			}
-			ts = s.node.PolicyTick(p)
-		})
-		r.reply <- response{shard: s.id, tickStats: ts}
+	if r.control != nil {
+		r.control(s)
+		r.reply <- response{shard: s.id}
 		return
 	}
 
@@ -696,7 +646,7 @@ func (p *Pool) submit(r *request, owner int) error {
 		return ErrClosed
 	}
 	s := p.shards[owner]
-	if !p.cfg.DisableWorkStealing && !r.control() {
+	if !p.cfg.DisableWorkStealing && r.control == nil {
 		allow, probe := s.breaker.route()
 		switch {
 		case !allow:
@@ -788,25 +738,61 @@ func (p *Pool) InvokeSync(key, source, args string) (Result, error) {
 	return p.Invoke(core.Request{Key: key, Source: source, Args: args})
 }
 
+// control runs fn on each of the given shards, inside the shard's owning
+// goroutine, and waits for all of them. The messages fan out before the
+// first wait so one busy shard does not serialize the rest. On error
+// the caller must not read what fn writes: a message abandoned at
+// shutdown may still run.
+func (p *Pool) control(shards []*shard, fn func(s *shard)) error {
+	reqs := make([]*request, len(shards))
+	for i, s := range shards {
+		r := getRequest()
+		r.control = fn
+		if err := p.submit(r, s.id); err != nil {
+			putRequest(r)
+			return err
+		}
+		reqs[i] = r
+	}
+	for _, r := range reqs {
+		if _, err := p.await(r); err != nil {
+			return err
+		}
+		putRequest(r)
+	}
+	return nil
+}
+
+// stats snapshots the shard's state; called on its owning goroutine.
+func (s *shard) stats() ShardStats {
+	st := s.node.Stats()
+	st.FaultsInjected = int64(s.faults.TotalFired())
+	state, trips := s.breaker.snapshot()
+	return ShardStats{
+		Shard:           s.id,
+		Node:            st,
+		CachedSnapshots: s.node.CachedSnapshots(),
+		IdleUCs:         s.node.IdleUCs(),
+		Mem:             s.node.MemStats(),
+		Clock:           time.Duration(s.eng.Now()),
+		Breaker:         state,
+		BreakerTrips:    trips,
+		FaultsInjected:  st.FaultsInjected,
+	}
+}
+
 // ShardStats snapshots one shard's state by routing the read through
 // its owning goroutine — the reply is taken between invocations, never
 // mid-invocation.
-func (p *Pool) ShardStats(shard int) (ShardStats, error) {
-	if shard < 0 || shard >= len(p.shards) {
-		return ShardStats{}, fmt.Errorf("shardpool: no shard %d", shard)
+func (p *Pool) ShardStats(id int) (ShardStats, error) {
+	if id < 0 || id >= len(p.shards) {
+		return ShardStats{}, fmt.Errorf("shardpool: no shard %d", id)
 	}
-	r := getRequest()
-	r.stats = true
-	if err := p.submit(r, shard); err != nil {
-		putRequest(r)
+	var out ShardStats
+	if err := p.control(p.shards[id:id+1], func(s *shard) { out = s.stats() }); err != nil {
 		return ShardStats{}, err
 	}
-	resp, err := p.await(r)
-	if err != nil {
-		return ShardStats{}, err
-	}
-	putRequest(r)
-	return resp.stats, nil
+	return out, nil
 }
 
 // Stats aggregates counters across every shard. Each shard's snapshot
@@ -815,31 +801,15 @@ func (p *Pool) ShardStats(shard int) (ShardStats, error) {
 // moments, which is the strongest statement a shared-nothing design
 // can make.
 func (p *Pool) Stats() (Stats, error) {
-	// Fan the control reads out so one busy shard does not serialize
-	// the whole scrape.
-	reqs := make([]*request, len(p.shards))
-	for i := range p.shards {
-		r := getRequest()
-		r.stats = true
-		if err := p.submit(r, i); err != nil {
-			putRequest(r)
-			return Stats{}, err
-		}
-		reqs[i] = r
+	out := Stats{Shards: make([]ShardStats, len(p.shards))}
+	if err := p.control(p.shards, func(s *shard) { out.Shards[s.id] = s.stats() }); err != nil {
+		return Stats{}, err
 	}
-	var out Stats
 	out.Stolen = p.stolen.Load()
 	out.Rerouted = p.rerouted.Load()
 	out.Requeued = p.requeued.Load()
 	out.Stalls = p.stalls.Load()
-	for _, r := range reqs {
-		resp, err := p.await(r)
-		if err != nil {
-			return Stats{}, err
-		}
-		putRequest(r)
-		ss := resp.stats
-		out.Shards = append(out.Shards, ss)
+	for _, ss := range out.Shards {
 		out.Node.Add(ss.Node)
 		out.BreakerTrips += ss.BreakerTrips
 		out.CachedSnapshots += ss.CachedSnapshots
@@ -870,18 +840,15 @@ func (p *Pool) Prewarm(max int) (int, error) {
 		if key == name {
 			continue // mid-stack base, not a lineage: promoted on demand
 		}
-		r := getRequest()
-		r.prewarm = name
-		if err := p.submit(r, p.shardFor(key)); err != nil {
-			putRequest(r)
-			return count, err
-		}
-		resp, err := p.await(r)
+		var perr error
+		owner := p.shardFor(key)
+		err := p.control(p.shards[owner:owner+1], func(s *shard) {
+			s.eng.RunProc("prewarm", func(sp *sim.Proc) { perr = s.node.PromoteLineage(sp, name) })
+		})
 		if err != nil {
 			return count, err
 		}
-		putRequest(r)
-		if resp.err == nil {
+		if perr == nil {
 			count++
 		}
 	}
@@ -897,24 +864,16 @@ func (p *Pool) FlushSnapshots() (int, error) {
 	if st == nil {
 		return 0, nil
 	}
-	reqs := make([]*request, len(p.shards))
-	for i := range p.shards {
-		r := getRequest()
-		r.flush = true
-		if err := p.submit(r, i); err != nil {
-			putRequest(r)
-			return 0, err
-		}
-		reqs[i] = r
+	flushed := make([]int, len(p.shards))
+	err := p.control(p.shards, func(s *shard) {
+		s.eng.RunProc("flush", func(sp *sim.Proc) { flushed[s.id] = s.node.FlushSnapshots(sp) })
+	})
+	if err != nil {
+		return 0, err
 	}
 	total := 0
-	for _, r := range reqs {
-		resp, err := p.await(r)
-		if err != nil {
-			return total, err
-		}
-		putRequest(r)
-		total += resp.flushed
+	for _, n := range flushed {
+		total += n
 	}
 	return total, st.Sync()
 }
@@ -922,32 +881,31 @@ func (p *Pool) FlushSnapshots() (int, error) {
 // PolicyTick advances every shard's virtual clock by `advance` and
 // runs one lifecycle-reaper pass on each — the pool-scope heartbeat an
 // owner (a wall-clock ticker in the server, a scripted loop in an
-// experiment) drives. Fans out like Stats so one busy shard does not
-// serialize the pass; returns the aggregated TickStats. A no-op
-// returning zeros when no lifecycle policy is configured.
+// experiment) drives. The pass runs between invocations on the owner
+// goroutine, so no UC is mid-invocation when its keep-alive is judged;
+// the advance models wall-clock idle time elapsing on the shard's
+// virtual clock (invocations advance it only by their own latencies).
+// Returns the aggregated TickStats. A no-op returning zeros when no
+// lifecycle policy is configured.
 func (p *Pool) PolicyTick(advance time.Duration) (core.TickStats, error) {
 	var out core.TickStats
 	if p.cfg.Node.Policy == nil {
 		return out, nil
 	}
-	reqs := make([]*request, len(p.shards))
-	for i := range p.shards {
-		r := getRequest()
-		r.tick = true
-		r.advance = advance
-		if err := p.submit(r, i); err != nil {
-			putRequest(r)
-			return out, err
-		}
-		reqs[i] = r
+	ticks := make([]core.TickStats, len(p.shards))
+	err := p.control(p.shards, func(s *shard) {
+		s.eng.RunProc("policy-tick", func(sp *sim.Proc) {
+			if advance > 0 {
+				sp.Sleep(advance)
+			}
+			ticks[s.id] = s.node.PolicyTick(sp)
+		})
+	})
+	if err != nil {
+		return out, err
 	}
-	for _, r := range reqs {
-		resp, err := p.await(r)
-		if err != nil {
-			return out, err
-		}
-		putRequest(r)
-		out.Add(resp.tickStats)
+	for _, ts := range ticks {
+		out.Add(ts)
 	}
 	return out, nil
 }

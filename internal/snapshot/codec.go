@@ -32,7 +32,7 @@ import (
 // (which must carry the same base name — "similar hardware profiles").
 //
 // The payload field carries the snapshot's opaque guest metadata when
-// it implements encoding.BinaryMarshaler (uc.Payload does, via gob); on
+// it implements encoding.BinaryMarshaler (uc.Payload does); on
 // real hardware this state lives inside the shipped pages themselves.
 
 const codecMagic = "SEUS"
@@ -203,57 +203,21 @@ type ImportHeader struct {
 	Pages    int
 }
 
-// ImportedDiff is a decoded snapshot diff, ready to graft onto a base.
+// ImportedDiff is a decoded snapshot diff: what Materialize builds a
+// root image from, and what the disk tier decodes a received layer into
+// to validate it. Installing a diff onto a base does not stage one —
+// GraftWire works straight from the wire bytes.
 type ImportedDiff struct {
 	Header ImportHeader
 	// PayloadBytes is the opaque guest metadata shipped with the diff;
-	// the receiving node decodes it (uc.DecodePayload) and attaches it
-	// to the grafted snapshot.
+	// the receiver decodes it (uc.DecodePayload) and attaches it to the
+	// materialized snapshot.
 	PayloadBytes []byte
 	// PageVAs lists the diff's page addresses.
 	PageVAs []uint64
 	// Contents maps page addresses to 4 KiB payloads (absent for zero
 	// pages).
 	Contents map[uint64][]byte
-	// ContentVAs lists the addresses present in Contents in wire order
-	// (ascending) — the graft fast path walks it in lockstep with
-	// PageVAs instead of hashing every page into Contents.
-	ContentVAs []uint64
-}
-
-// LogicalBytes returns the diff's in-memory size (pages × PageSize) —
-// the volume a real migration ships. In the simulation, pages whose
-// content was never materialized travel as one byte on the wire (see
-// WireBytes), but they stand in for real page content, so transfer
-// accounting uses LogicalBytes.
-func (d *ImportedDiff) LogicalBytes() int64 {
-	return int64(len(d.PageVAs)) * mem.PageSize
-}
-
-// WireBytes returns the serialized size of the diff (transfer
-// accounting for the simulated stream itself; real systems with
-// zero-page compression approach this bound).
-func (d *ImportedDiff) WireBytes() int64 {
-	n := int64(len(d.PayloadBytes))
-	for _, va := range d.PageVAs {
-		n += 9 // va + has flag
-		if _, ok := d.Contents[va]; ok {
-			n += mem.PageSize
-		}
-	}
-	return n
-}
-
-// Import decodes an exported diff from a stream. The bytes are read
-// fully and decoded with ImportBytes; callers that already hold the
-// encoded image in memory should call ImportBytes directly and skip
-// this copy.
-func Import(r io.Reader) (*ImportedDiff, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCodec, err)
-	}
-	return ImportBytes(raw)
 }
 
 // importCursor is a bounds-checked offset reader over the encoded body;
@@ -301,12 +265,9 @@ func (c *importCursor) u64() uint64 {
 // ImportBytes decodes an exported diff without copying page contents:
 // the returned diff's Contents (and PayloadBytes) alias subslices of
 // raw. raw must remain live and unmodified for as long as the diff is
-// in use — the usual pattern (shard hydration, diff grafting) decodes
-// and immediately materializes into frames, which copies.
-//
-// This is the decode half of the zero-copy codec: a shard hydrating
-// from an encoded base image no longer duplicates the whole image into
-// per-page buffers before writing it into frames.
+// in use — the usual pattern (shard hydration) decodes and immediately
+// materializes into frames, which copies, so N shards hydrate from one
+// wire image without N intermediate copies.
 func ImportBytes(raw []byte) (*ImportedDiff, error) {
 	cur, hdr, payload, npages, err := decodePreamble(raw)
 	if err != nil {
@@ -327,7 +288,6 @@ func ImportBytes(raw []byte) (*ImportedDiff, error) {
 				return nil, fmt.Errorf("%w: page %d content: truncated", ErrCodec, i)
 			}
 			out.Contents[va] = content
-			out.ContentVAs = append(out.ContentVAs, va)
 		}
 	}
 	out.Header.Pages = len(out.PageVAs)
@@ -448,109 +408,21 @@ func Materialize(diff *ImportedDiff, st *mem.Store) (*Snapshot, error) {
 	return snap, nil
 }
 
-// Graft applies an imported diff on top of a local base snapshot,
-// producing a new snapshot equivalent to the exported one (same name,
-// registers, and page contents) but backed by local frames. The base's
-// name must match the diff's recorded lineage.
-func Graft(diff *ImportedDiff, base *Snapshot) (*Snapshot, error) {
-	if base == nil {
-		return nil, fmt.Errorf("%w: graft requires a base", ErrCodec)
-	}
-	if base.name != diff.Header.BaseName {
-		return nil, fmt.Errorf("%w: base %q does not match diff lineage %q",
-			ErrCodec, base.name, diff.Header.BaseName)
-	}
-	space, _, err := base.Deploy()
-	if err != nil {
-		return nil, err
-	}
-	for _, va := range diff.PageVAs {
-		if content, ok := diff.Contents[va]; ok {
-			if err := space.Store(va, content); err != nil {
-				space.Release()
-				base.ReleaseUC()
-				return nil, err
-			}
-		} else if err := space.Touch(va); err != nil {
-			space.Release()
-			base.ReleaseUC()
-			return nil, err
-		}
-	}
-	snap, err := Capture(diff.Header.Name, base, space, diff.Header.Regs)
-	if err != nil {
-		space.Release()
-		base.ReleaseUC()
-		return nil, err
-	}
-	// The staging space served its purpose; the snapshot holds its own
-	// references now.
-	space.Release()
-	base.ReleaseUC()
-	return snap, nil
-}
-
-// GraftBulk is Graft's bulk-install fast path: the same contract (same
-// resulting name, registers, page contents, and re-export bytes) with
-// the per-page write-fault resolution, the full-tree SetCoWAll walk,
-// and the second page-table clone all skipped. The diff pages are
-// installed directly as read-only CoW mappings backed by fresh private
-// frames, and the deployed space itself is frozen into the snapshot —
-// one table walk per 2 MB span instead of a fault per page plus a walk
-// over the whole tree.
-//
-// This is what drops the lukewarm restore's snapshot-reconstruction
-// cost from O(image) to O(diff): the prefetched restore path
-// (DESIGN.md §13) runs it on every promote.
-func GraftBulk(diff *ImportedDiff, base *Snapshot) (*Snapshot, error) {
-	if base == nil {
-		return nil, fmt.Errorf("%w: graft requires a base", ErrCodec)
-	}
-	if base.name != diff.Header.BaseName {
-		return nil, fmt.Errorf("%w: base %q does not match diff lineage %q",
-			ErrCodec, base.name, diff.Header.BaseName)
-	}
-	space, _, err := base.Deploy()
-	if err != nil {
-		return nil, err
-	}
-	var contents [][]byte
-	if len(diff.ContentVAs) > 0 {
-		contents = make([][]byte, len(diff.ContentVAs))
-		for i, va := range diff.ContentVAs {
-			contents[i] = diff.Contents[va]
-		}
-	}
-	lazy, err := space.InstallCoWPagesSparse(diff.PageVAs, diff.ContentVAs, contents)
-	if err != nil {
-		space.Release()
-		base.ReleaseUC()
-		return nil, err
-	}
-	space.Freeze()
-	snap := &Snapshot{
-		name:      diff.Header.Name,
-		base:      base,
-		space:     space,
-		regs:      diff.Header.Regs,
-		diffPages: len(diff.PageVAs),
-		lazyZero:  lazy,
-	}
-	base.children++
-	base.ReleaseUC()
-	return snap, nil
-}
-
-// GraftWire is ImportBytes fused with GraftBulk: one pass over the
-// encoded diff that installs (or lazily skips) each page as it is
-// decoded, with no intermediate page list, content table, or diff
-// struct. Validation, the resulting snapshot, and its re-export bytes
-// are identical to the two-step path. The second return value is the
+// GraftWire installs an encoded diff on top of a local base snapshot,
+// producing a snapshot equivalent to the exported one (same name,
+// registers, page contents, and re-export bytes) but backed by local
+// frames. The base's name must match the diff's recorded lineage. It is
+// one pass over raw: each page is installed as a read-only CoW mapping
+// over a fresh private frame as it is decoded — or skipped and
+// remembered in lazyZero when the fault path already yields the same
+// zeros — and the deployed space itself is frozen into the snapshot, so
+// the cost is O(diff), not O(image). The second return value is the
 // diff's opaque payload bytes (aliasing raw; decode with
 // uc.DecodePayload and attach via SetPayload).
 //
-// This is the restore path's entry point: a lukewarm promote decodes
-// straight from the snapstore read buffer into page-table state.
+// This is the only diff installer: a lukewarm promote, a boot prewarm
+// and a fabric fetch all decode straight from the snapstore read buffer
+// into page-table state through it.
 func GraftWire(raw []byte, base *Snapshot) (*Snapshot, []byte, error) {
 	if base == nil {
 		return nil, nil, fmt.Errorf("%w: graft requires a base", ErrCodec)

@@ -61,7 +61,7 @@ type Snapshot struct {
 	deploys   int64
 	deleted   bool
 	payload   interface{}
-	// lazyZero lists diff page VAs (ascending) that GraftBulk left
+	// lazyZero lists diff page VAs (ascending) that GraftWire left
 	// uninstalled because the fault path rehydrates them identically
 	// (no content, and the base reads as zeros there). They are still
 	// part of the diff: export merges them back as zero pages so the

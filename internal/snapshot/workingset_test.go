@@ -156,10 +156,11 @@ func FuzzWorkingSet(f *testing.F) {
 	})
 }
 
-// TestGraftWireMatchesGraft: the fused decode+install path must
-// produce a snapshot indistinguishable from Import+Graft — same
-// deployed contents, same re-export bytes (lazy zero pages included).
-func TestGraftWireMatchesGraft(t *testing.T) {
+// TestGraftWireMatchesSource: a diff installed on another machine's
+// base must be indistinguishable from the snapshot it was exported
+// from — same metadata, same deployed contents, same re-export bytes
+// (lazy zero pages included).
+func TestGraftWireMatchesSource(t *testing.T) {
 	stA := mem.NewStore(0)
 	_, childA := buildStack(t, stA)
 	var wire bytes.Buffer
@@ -173,61 +174,51 @@ func TestGraftWireMatchesGraft(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaGraft, err := Graft(diff, baseB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaWire, payload, err := GraftWire(wire.Bytes(), baseB)
+	grafted, payload, err := GraftWire(wire.Bytes(), baseB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(payload, diff.PayloadBytes) {
 		t.Errorf("payload bytes differ: %d vs %d", len(payload), len(diff.PayloadBytes))
 	}
-	if viaWire.Name() != viaGraft.Name() || viaWire.Registers() != viaGraft.Registers() {
+	if grafted.Name() != childA.Name() || grafted.Registers() != childA.Registers() {
 		t.Errorf("metadata differs: %q/%+v vs %q/%+v",
-			viaWire.Name(), viaWire.Registers(), viaGraft.Name(), viaGraft.Registers())
+			grafted.Name(), grafted.Registers(), childA.Name(), childA.Registers())
+	}
+	if grafted.DiffPages() != childA.DiffPages() {
+		t.Errorf("diff pages = %d, source has %d", grafted.DiffPages(), childA.DiffPages())
 	}
 
 	// Same bytes at every diff page and a shared base page.
-	check := make([]byte, 16)
 	for _, va := range append([]uint64{3 * mem.PageSize}, diff.PageVAs...) {
-		spaceA, _, err := viaGraft.Deploy()
-		if err != nil {
-			t.Fatal(err)
-		}
-		spaceB, _, err := viaWire.Deploy()
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := make([]byte, len(check))
-		b := make([]byte, len(check))
-		spaceA.Load(va, a)
-		spaceB.Load(va, b)
-		spaceA.Release()
-		viaGraft.ReleaseUC()
-		spaceB.Release()
-		viaWire.ReleaseUC()
-		if !bytes.Equal(a, b) {
-			t.Fatalf("page %#x differs: %v vs %v", va, a, b)
+		if got, want := loadPage(t, grafted, va), loadPage(t, childA, va); !bytes.Equal(got, want) {
+			t.Fatalf("page %#x differs: %v vs %v", va, got, want)
 		}
 	}
 
 	// Byte-identical re-export — the tier-integrity contract.
-	var reGraft, reWire bytes.Buffer
-	if err := viaGraft.Export(&reGraft); err != nil {
+	var rewire bytes.Buffer
+	if err := grafted.Export(&rewire); err != nil {
 		t.Fatal(err)
 	}
-	if err := viaWire.Export(&reWire); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reGraft.Bytes(), reWire.Bytes()) {
-		t.Fatalf("re-exports differ: %d vs %d bytes", reGraft.Len(), reWire.Len())
-	}
-	if !bytes.Equal(reWire.Bytes(), wire.Bytes()) {
+	if !bytes.Equal(rewire.Bytes(), wire.Bytes()) {
 		t.Fatalf("GraftWire re-export differs from original wire: %d vs %d bytes",
-			reWire.Len(), wire.Len())
+			rewire.Len(), wire.Len())
 	}
+}
+
+// loadPage deploys snap and reads the first bytes of the page at va.
+func loadPage(t *testing.T, snap *Snapshot, va uint64) []byte {
+	t.Helper()
+	space, _, err := snap.Deploy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.ReleaseUC()
+	defer space.Release()
+	b := make([]byte, 16)
+	space.Load(va, b)
+	return b
 }
 
 // TestGraftWireRejectsBadWire mirrors the two-step path's validation.

@@ -1,10 +1,9 @@
 package uc
 
-// Hand-rolled payload wire format ("SEUP"). The gob encoding this
-// replaces cost ~30 µs to decode — a third of the whole lukewarm
-// restore — because gob re-transmits type descriptors and reflects on
-// every field. The payload's shape is small and fixed, so a direct
-// little-endian layout decodes in well under a microsecond:
+// Payload wire format ("SEUP"). The payload's shape is small and
+// fixed, so a direct little-endian layout decodes in well under a
+// microsecond — a reflective encoding would cost a third of the whole
+// lukewarm restore:
 //
 //	magic    [4]byte "SEUP"
 //	version  uint16
@@ -18,17 +17,14 @@ package uc
 //	nfiles   uint32; nfiles * { path uint16-str, size uint64 }
 //	naddrs   uint32; naddrs * { path uint16-str, addr uint64 }
 //
-// The ramdisk maps are flattened in sorted path order, keeping the
-// old determinism contract: identical payloads marshal to identical
-// bytes, which the content-addressed snapshot tier (and the
-// working-set sidecar keyed off the same digest) depends on. Decoding
-// still accepts the old gob format, so snapshots persisted by earlier
-// builds promote unchanged.
+// The ramdisk maps are flattened in sorted path order: identical
+// payloads marshal to identical bytes, which the content-addressed
+// snapshot tier (and the working-set sidecar keyed off the same digest)
+// depends on. Bytes without the magic are a decode error; a tier entry
+// carrying them can never promote and its function is served cold.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 )
 
@@ -144,13 +140,10 @@ func (c *payloadCursor) u64() uint64 {
 
 func (c *payloadCursor) str16() string { return string(c.take(int(c.u16()))) }
 
-// DecodePayload reverses Payload.MarshalBinary. Bytes that do not
-// start with the "SEUP" magic fall back to the legacy gob decoder, so
-// images persisted by earlier builds (snapstore entries, fabric
-// transfers in flight) keep promoting.
+// DecodePayload reverses Payload.MarshalBinary.
 func DecodePayload(data []byte) (Payload, error) {
 	if len(data) < 4 || string(data[:4]) != payloadMagic {
-		return decodePayloadGob(data)
+		return Payload{}, fmt.Errorf("uc: payload: bad magic")
 	}
 	cur := &payloadCursor{b: data, off: 4}
 	if v := cur.u16(); v != payloadVersion {
@@ -193,31 +186,6 @@ func DecodePayload(data []byte) (Payload, error) {
 	}
 	if cur.off != len(data) {
 		return Payload{}, fmt.Errorf("uc: payload: %d trailing bytes", len(data)-cur.off)
-	}
-	return pl, nil
-}
-
-// decodePayloadGob is the legacy decoder for pre-"SEUP" images.
-func decodePayloadGob(data []byte) (Payload, error) {
-	var w wirePayload
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return Payload{}, err
-	}
-	if len(w.FilePaths) != len(w.FileSizes) || len(w.AddrPaths) != len(w.Addrs) {
-		return Payload{}, fmt.Errorf("uc: payload: mismatched ramdisk tables")
-	}
-	pl := Payload{Libos: w.Libos, Interp: w.Interp}
-	if len(w.FilePaths) > 0 {
-		pl.Libos.Files = make(map[string]int64, len(w.FilePaths))
-		for i, path := range w.FilePaths {
-			pl.Libos.Files[path] = w.FileSizes[i]
-		}
-	}
-	if len(w.AddrPaths) > 0 {
-		pl.Libos.FileAddrs = make(map[string]uint64, len(w.AddrPaths))
-		for i, path := range w.AddrPaths {
-			pl.Libos.FileAddrs[path] = w.Addrs[i]
-		}
 	}
 	return pl, nil
 }

@@ -430,20 +430,6 @@ func (u *UC) FootprintBytes() int64 {
 	return u.space.FootprintBytes() + int64(len(u.meta))*mem.PageSize
 }
 
-// wirePayload is Payload's serialized shape. The libos ramdisk maps are
-// flattened into path-sorted slices because gob iterates maps in random
-// order: the content-addressed snapshot tier keys entries by the hash
-// of the encoded image, so two marshals of the same payload must be
-// byte-identical.
-type wirePayload struct {
-	Libos     libos.State
-	Interp    interp.State
-	FilePaths []string
-	FileSizes []int64
-	AddrPaths []string
-	Addrs     []uint64
-}
-
 // sortedKeys returns m's keys in ascending order.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

@@ -1,11 +1,15 @@
 package uc
 
 import (
+	"bytes"
+	"encoding/gob"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"seuss/internal/costs"
+	"seuss/internal/interp"
 	"seuss/internal/libos"
 	"seuss/internal/mem"
 	"seuss/internal/snapshot"
@@ -417,5 +421,32 @@ func TestPayloadBinaryRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodePayload([]byte("garbage")); err == nil {
 		t.Error("garbage payload decoded")
+	}
+}
+
+// TestDecodePayloadRejectsGobEra: a payload in the encoding builds
+// before "SEUP" wrote is a clean decode error, not a second decoder.
+func TestDecodePayloadRejectsGobEra(t *testing.T) {
+	var old bytes.Buffer
+	err := gob.NewEncoder(&old).Encode(struct {
+		Libos     libos.State
+		Interp    interp.State
+		FilePaths []string
+		FileSizes []int64
+	}{
+		Libos:     libos.State{HeapBrk: 1 << 20, Booted: true},
+		Interp:    interp.State{Runtime: "nodejs", ImportedSource: nopSource},
+		FilePaths: []string{"/lib/runtime.js"},
+		FileSizes: []int64{4096},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := DecodePayload(old.Bytes())
+	if err == nil {
+		t.Fatal("gob-era payload decoded")
+	}
+	if !reflect.DeepEqual(pl, Payload{}) {
+		t.Errorf("failed decode returned a partial payload: %+v", pl)
 	}
 }

@@ -49,7 +49,7 @@ go test -c -o "$BIN/shardpool.test" ./internal/shardpool
 echo "== running hot-path benchmarks, $ROUNDS rounds (this takes ~3 min)" >&2
 for round in $(seq "$ROUNDS"); do
   "$BIN/seuss.test" -test.run '^$' -test.benchmem \
-    -test.bench 'BenchmarkUCDeployRealTime$|BenchmarkSnapshotCaptureRealTime$|BenchmarkLukewarmDeploy$|BenchmarkLukewarmPrefetched$|BenchmarkColdRebuildRealTime$' \
+    -test.bench 'BenchmarkUCDeployRealTime$|BenchmarkSnapshotCaptureRealTime$|BenchmarkLukewarmPrefetched$|BenchmarkColdRebuildRealTime$' \
     | tee -a "$RAW" >&2
   # The page-fault benchmark stops its timer to unmap its window every
   # 512 faults, and each restart costs a stop-the-world memstats read:

@@ -159,7 +159,6 @@ require '^seuss_trace_dropped_total 0$'
 require '^seuss_sched_placements_total{action="cold"} 0$'
 require '^seuss_sched_placements_total{action="route"} 0$'
 require '^seuss_sched_placements_total{action="fetch"} 0$'
-require '^seuss_sched_placements_total{action="migrate"} 0$'
 require '^seuss_sched_stale_entries_total 0$'
 require '^seuss_fabric_gossip_rounds_total 0$'
 require '^seuss_fabric_gossip_drops_total 0$'

@@ -679,7 +679,8 @@ type DistPolicy = cluster.Policy
 const (
 	// PolicyRoute forwards requests to a snapshot holder.
 	PolicyRoute = cluster.PolicyRoute
-	// PolicyMigrate replicates snapshot diffs across the fabric.
+	// PolicyMigrate replicates snapshots across the fabric by fetching
+	// the stack layers a peer is missing; it needs DistConfig.SnapDir.
 	PolicyMigrate = cluster.PolicyMigrate
 )
 
@@ -697,8 +698,7 @@ type Placer = sched.Placer
 // LocalityPlacer is the default policy: route to the least-loaded
 // snapshot holder, fall back to lukewarm tier holders, and — once
 // every holder is saturated past Slack — replicate by fetching only
-// the missing layers over the fabric (or migrating the whole diff
-// when Replicate is set without a fabric).
+// the missing layers over the fabric.
 type LocalityPlacer = sched.LocalityPlacer
 
 // LeastLoadedPlacer ignores snapshot locality entirely — the
