@@ -445,7 +445,9 @@ func main() {
 		FaultSeed:           *faultSeed,
 		FaultRate:           *faultRate,
 	}
-	cfg.Node.DisableAO = *noAO
+	if *noAO {
+		cfg.Node.NetworkAO, cfg.Node.InterpreterAO = false, false
+	}
 	cfg.Node.InvokeDeadline = *deadline
 	cfg.Node.Tracer = seuss.NewTrace(100000)
 	// A live daemon seeds deploy-time entropy from the OS boot

@@ -342,7 +342,7 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	}
 
 	base := cfg.NodeConfig
-	if base.Cores == 0 && base.MemoryBytes == 0 && !base.NetworkAO && !base.InterpreterAO && !base.DisableAO {
+	if base.Cores == 0 && base.MemoryBytes == 0 && !base.NetworkAO && !base.InterpreterAO {
 		base = core.DefaultConfig()
 	}
 

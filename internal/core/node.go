@@ -8,15 +8,21 @@
 //     function-specific snapshots layered on it (snapshot stacks), and
 //   - a UC cache: idle, fully-initialized UCs awaiting re-invocation.
 //
-// Each invocation takes one of three paths (Figure 2):
+// Every invocation is one spine — deploy → connect → import → capture
+// → run — entered at whatever depth the caches allow (Figure 2):
 //
-//	hot:  an idle UC for the function exists — import new arguments
-//	      into it and run.
-//	warm: a function snapshot exists — deploy a UC from it, connect,
-//	      pass arguments, run.
-//	cold: nothing cached — deploy from the base runtime snapshot,
-//	      import and compile the source, capture a function snapshot
-//	      for future warm starts, then run.
+//	hot:      an idle UC for the function exists — run.
+//	warm:     a function snapshot is resident — deploy from it,
+//	          connect, run.
+//	lukewarm: the snapshot's encoded diff is on local disk — promote
+//	          it, then as warm, with the recorded working set premapped.
+//	cold:     nothing cached — deploy from the base runtime snapshot,
+//	          connect, import and compile the source, capture a function
+//	          snapshot for future warm starts, run.
+//
+// Every request leaves through finish (one span, one outcome count),
+// and every event the node accounts is one count call: Stats and the
+// metrics recorder are two readings of the same ledger.
 //
 // Memory management follows §6: CoW overcommit is resolved by a trivial
 // OOM policy — idle UCs are reclaimed as soon as available physical
@@ -103,8 +109,6 @@ type Config struct {
 	// true; Table 2 ablates them).
 	NetworkAO     bool
 	InterpreterAO bool
-	// DisableAO turns both AOs off (overrides the two flags).
-	DisableAO bool
 	// OOMThreshold is the fraction of memory below which idle UCs are
 	// reclaimed (default 0.02).
 	OOMThreshold float64
@@ -197,9 +201,6 @@ func (c Config) withDefaults() Config {
 	if len(c.Runtimes) == 0 {
 		c.Runtimes = []string{"nodejs"}
 	}
-	if c.DisableAO {
-		c.NetworkAO, c.InterpreterAO = false, false
-	}
 	return c
 }
 
@@ -215,7 +216,9 @@ func DefaultConfig() Config {
 	return Config{NetworkAO: true, InterpreterAO: true}
 }
 
-// Stats counts node activity.
+// Stats counts node activity. Node.Stats derives every field from the
+// node's event ledger (see Node.count); the struct is the stable shape
+// pools and clusters aggregate.
 type Stats struct {
 	Cold, Warm, Hot   int64
 	Lukewarm          int64 // invocations restored from the disk tier
@@ -361,7 +364,37 @@ type Node struct {
 	// contract: one goroutine owns all node methods.
 	entropySrc *entropy.Source
 
-	stats Stats
+	// ledger is the node's one count of what happened, indexed by the
+	// metrics registry's counters. Only count writes it; Stats reads it.
+	ledger [metrics.NumCounters]int64
+}
+
+// count records delta occurrences of one event — the node's single
+// bookkeeping write: its own ledger, which Stats derives from, and the
+// attached recorder (nil-safe, atomic adds only).
+func (n *Node) count(ctr metrics.Counter, delta int64) {
+	n.ledger[ctr] += delta
+	n.cfg.Metrics.AddCounter(ctr, delta)
+}
+
+// eventAt records one point event on the node's timeline.
+func (n *Node) eventAt(at time.Duration, kind trace.Kind, id uint64, key, detail string) {
+	n.cfg.Tracer.Record(trace.Event{At: at, Kind: kind, ID: id, Key: key, Detail: detail})
+}
+
+// event is eventAt the current virtual instant (the reaper stamps its
+// events with the tick's start instead).
+func (n *Node) event(kind trace.Kind, id uint64, key, detail string) {
+	n.eventAt(time.Duration(n.eng.Now()), kind, id, key, detail)
+}
+
+// snapshotEvent records a point event about snap, sized in its detail
+// (formatted only when a tracer is attached: capture is on the cold
+// path, demote and promote on the tier's).
+func (n *Node) snapshotEvent(kind trace.Kind, id uint64, key string, snap *snapshot.Snapshot) {
+	if n.cfg.Tracer != nil {
+		n.event(kind, id, key, fmt.Sprintf("%.1f MB diff", float64(snap.DiffBytes())/1e6))
+	}
 }
 
 // newNodeShell builds the node structure around an existing store; the
@@ -401,7 +434,6 @@ func (n *Node) drawEntropy() uint64 {
 // export it through the snapshot codec, and hydrate every shard from
 // the encoded bytes instead of re-running AO per shard.
 func BootRuntime(store *mem.Store, cfg Config, name string) (*snapshot.Snapshot, error) {
-	cfg = cfg.withDefaults() // fold DisableAO into the per-AO flags
 	prof, err := interp.ProfileByName(name)
 	if err != nil {
 		return nil, fmt.Errorf("core: system init: %w", err)
@@ -460,7 +492,7 @@ func NewNode(eng *sim.Engine, cfg Config) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg.Metrics.Inc(metrics.CtrReseedsBoot)
+		n.count(metrics.CtrReseedsBoot, 1)
 		n.runtimeSnaps[name] = snap
 		if n.runtimeSnap == nil {
 			n.runtimeSnap = snap
@@ -527,8 +559,44 @@ func (n *Node) Runtimes() []string {
 	return out
 }
 
-// Stats returns a copy of the node's counters.
-func (n *Node) Stats() Stats { return n.stats }
+// Stats reads the node's counters off its ledger. FaultsInjected is the
+// injector's own count at read time, so points fired on the node's
+// behalf by its owner (a shard's stall point) are included.
+func (n *Node) Stats() Stats {
+	c := &n.ledger
+	return Stats{
+		Cold:                      c[metrics.CtrColdInvocations],
+		Warm:                      c[metrics.CtrWarmInvocations],
+		Hot:                       c[metrics.CtrHotInvocations],
+		Lukewarm:                  c[metrics.CtrLukewarmInvocations],
+		Errors:                    c[metrics.CtrInvokeErrors],
+		UCsDeployed:               c[metrics.CtrUCsDeployed],
+		UCsReclaimed:              c[metrics.CtrUCsReclaimed],
+		SnapshotsCaptured:         c[metrics.CtrSnapshotsCaptured],
+		SnapshotsEvicted:          c[metrics.CtrSnapshotsEvicted],
+		UCCrashes:                 c[metrics.CtrUCCrashes],
+		DeadlinesExceeded:         c[metrics.CtrDeadlinesExceeded],
+		PressureIdleReclaims:      c[metrics.CtrPressureIdleReclaims],
+		PressureSnapshotEvictions: c[metrics.CtrPressureSnapshotEvictions],
+		PressureColdFallbacks:     c[metrics.CtrPressureColdFallbacks],
+		FaultsInjected:            int64(n.cfg.Faults.TotalFired()),
+		TierHits:                  c[metrics.CtrTierHits],
+		TierMisses:                c[metrics.CtrTierMisses],
+		SnapshotsDemoted:          c[metrics.CtrTierDemotions],
+		SnapshotsPromoted:         c[metrics.CtrTierPromotionsLukewarm] + c[metrics.CtrTierPromotionsPrewarm],
+		SnapshotsPrewarmed:        c[metrics.CtrTierPromotionsPrewarm],
+		WSRecorded:                c[metrics.CtrWSRecordsRecorded],
+		WSMerged:                  c[metrics.CtrWSRecordsMerged],
+		WSCorrupt:                 c[metrics.CtrWSRecordsCorrupt],
+		WSPrefetchedPages:         c[metrics.CtrWSPrefetchedPages],
+		WSCoverageHits:            c[metrics.CtrWSCoverageHits],
+		WSCoverageMisses:          c[metrics.CtrWSCoverageMisses],
+		PolicyExpirations:         c[metrics.CtrPolicyExpirations],
+		PolicyPrewarms:            c[metrics.CtrPolicyPrewarmsPromoted],
+		PolicyPrewarmMisses:       c[metrics.CtrPolicyPrewarmsMiss],
+		PolicyPrewarmMisfires:     c[metrics.CtrPolicyPrewarmsMisfire],
+	}
+}
 
 // MemStats returns the physical memory accounting.
 func (n *Node) MemStats() mem.Stats { return n.store.Stats() }
@@ -595,8 +663,7 @@ func (e *env) HTTPGet(url string) (string, error) {
 	// Fault point: the proxy drops the outbound packet. The flow is
 	// absorbed, not failed — one retransmit timeout, then it proceeds.
 	if e.n.cfg.Faults.Fire(fault.PointProxyDrop) {
-		e.n.stats.FaultsInjected = faultsInjected(e.n.cfg.Faults)
-		e.n.cfg.Metrics.Inc(metrics.CtrFaultsInjected)
+		e.n.count(metrics.CtrFaultsInjected, 1)
 		e.p.Sleep(costs.ExternalHTTPLatency)
 	}
 	e.p.Sleep(costs.ExternalHTTPLatency)
@@ -671,151 +738,155 @@ var (
 	reseedCounters = [...]metrics.Counter{
 		PathCold:     metrics.CtrReseedsCold,
 		PathWarm:     metrics.CtrReseedsWarm,
-		PathHot:      metrics.CtrReseedsWarm, // hot never deploys; DeployIdle counts as warm
+		PathHot:      metrics.CtrReseedsWarm, // unused: hot never deploys
 		PathLukewarm: metrics.CtrReseedsLukewarm,
 	}
 )
 
-// invokeError accounts one failed invocation.
-func (n *Node) invokeError() {
-	n.stats.Errors++
-	n.cfg.Metrics.Inc(metrics.CtrInvokeErrors)
+// invocation is one request's envelope on the spine: what finish needs
+// to close its span, and what the steps in between stamp their events
+// with. It lives on Invoke's stack.
+type invocation struct {
+	start sim.Time
+	id    uint64
+	req   Request
+	path  Path
+	// gen is the deploy generation of the UC that serves the request
+	// (0 until one is deployed and connected; hot deploys nothing).
+	gen uint64
 }
 
-// Invoke services one invocation inside the calling simulated process.
+// Invoke services one invocation inside the calling simulated process:
+// it draws the request id, applies the OOM policy, and enters the spine
+// at the depth the caches allow. Every exit leaves through finish.
 func (n *Node) Invoke(p *sim.Proc, req Request) (Result, error) {
-	start := n.eng.Now()
-	id := invokeSeq.Add(1)
+	inv := invocation{start: n.eng.Now(), id: invokeSeq.Add(1), req: req}
 	n.reclaimIfNeeded(p)
 
-	// Hot path: an idle UC for this function.
+	// Hot: an idle UC for this function — only the run step is left.
 	if mu := n.takeIdle(req.Key); mu != nil {
-		n.cfg.Metrics.Inc(metrics.CtrIdleUCHits)
+		n.count(metrics.CtrIdleUCHits, 1)
+		inv.path = PathHot
 		out, err := n.runOn(p, mu, req)
-		return n.finish(start, id, req.Key, PathHot, 0, out, err)
+		return n.finish(&inv, out, err)
 	}
 
-	// Warm path: deploy from the function snapshot. On a miss, consult
-	// the disk tier: a hit there promotes the encoded diff (read, CRC
-	// check, graft onto the resident base) and serves the request
-	// lukewarm — no interpreter replay, unlike cold.
-	path := PathWarm
+	// Warm: the function snapshot is resident. On a miss, consult the
+	// disk tier: a hit there promotes the encoded diff (read, CRC check,
+	// graft onto the resident base) and serves the request lukewarm — no
+	// interpreter replay, unlike cold.
+	inv.path = PathWarm
 	entry, ok := n.fnSnaps[req.Key]
 	if ok {
-		n.cfg.Metrics.Inc(metrics.CtrSnapshotStackHits)
+		n.count(metrics.CtrSnapshotStackHits, 1)
 	} else {
-		n.cfg.Metrics.Inc(metrics.CtrSnapshotStackMisses)
-		if entry = n.promoteForInvoke(p, req.Key, id); entry != nil {
-			ok, path = true, PathLukewarm
-		}
+		n.count(metrics.CtrSnapshotStackMisses, 1)
+		inv.path = PathLukewarm
+		entry = n.promoteForInvoke(p, req.Key, inv.id)
 	}
-	if ok {
-		entry.last = n.eng.Now()
-		// A lukewarm deploy replays the lineage's recorded working set:
-		// the pages the first restore faulted on-demand are bulk-mapped
-		// before the first instruction. Warm deploys are left alone —
-		// the snapshot is resident and its faults are cheap.
-		var ws []uint64
-		if path == PathLukewarm {
-			ws = entry.ws
-		}
-		mu, prefetched, err := n.deploy(p, entry.snap, ws, path)
-		if err == nil {
-			if prefetched > 0 {
-				n.stats.WSPrefetchedPages += int64(prefetched)
-				n.cfg.Metrics.AddCounter(metrics.CtrWSPrefetchedPages, int64(prefetched))
-				if n.cfg.Tracer != nil {
-					n.cfg.Tracer.Record(trace.Event{
-						At: time.Duration(n.eng.Now()), Kind: trace.KindWorkingSet, ID: id, Key: req.Key,
-						Detail: fmt.Sprintf("prefetched %d pages", prefetched),
-					})
-				}
-			}
-			if cerr := mu.u.Guest().Connect(); cerr != nil {
-				n.destroyUC(mu)
-				n.invokeError()
-				return Result{}, cerr
-			}
-			gen := mu.u.Guest().Unikernel().DeployGeneration()
-			out, rerr := n.runOn(p, mu, req)
-			if path == PathLukewarm && rerr == nil {
-				n.harvestWorkingSet(mu, req.Key, entry, id)
-			}
-			return n.finish(start, id, req.Key, path, gen, out, rerr)
-		}
+	if entry != nil {
+		out, err := n.fromSnapshot(p, &inv, entry)
+		// Only a deploy that ran out of ladder reports saturation.
 		if !errors.Is(err, ErrNodeSaturated) || req.Source == "" {
-			n.invokeError()
-			return Result{}, err
+			return n.finish(&inv, out, err)
 		}
 		// Degradation ladder, level 3: the warm deploy cannot fit even
 		// after reclaim and eviction. Drop this function's snapshot
 		// (freeing its diff pages) and serve the request cold from the
 		// much-shared base runtime image instead of failing it.
 		n.dropSnapshot(p, req.Key)
-		n.stats.PressureColdFallbacks++
-		n.cfg.Metrics.Inc(metrics.CtrPressureColdFallbacks)
-		n.cfg.Tracer.Record(trace.Event{
-			At: time.Duration(n.eng.Now()), Kind: trace.KindFault, ID: id, Key: req.Key,
-			Detail: "pressure: warm deploy saturated; serving cold",
-		})
+		n.count(metrics.CtrPressureColdFallbacks, 1)
+		n.event(trace.KindFault, inv.id, req.Key, "pressure: warm deploy saturated; serving cold")
 	}
 
-	// Cold path: deploy from the runtime snapshot, import and compile,
-	// capture the function snapshot, run.
-	base, err := n.runtimeSnapFor(req.Runtime)
+	inv.path = PathCold
+	out, err := n.cold(p, &inv)
+	return n.finish(&inv, out, err)
+}
+
+// start runs the spine's first two steps: deploy a UC from snap (down
+// the pressure ladder when memory is short; ws, when non-nil, is
+// bulk-mapped first) and connect its driver. A UC that cannot connect
+// is destroyed.
+func (n *Node) start(p *sim.Proc, inv *invocation, snap *snapshot.Snapshot, ws []uint64) (*managedUC, error) {
+	mu, prefetched, err := n.deploy(p, snap, ws, inv.path)
 	if err != nil {
-		n.invokeError()
-		return Result{}, err
+		return nil, err
 	}
-	mu, _, err := n.deploy(p, base, nil, PathCold)
-	if err != nil {
-		n.invokeError()
-		return Result{}, err
+	if prefetched > 0 {
+		n.count(metrics.CtrWSPrefetchedPages, int64(prefetched))
+		if n.cfg.Tracer != nil {
+			n.event(trace.KindWorkingSet, inv.id, inv.req.Key, fmt.Sprintf("prefetched %d pages", prefetched))
+		}
 	}
 	if err := mu.u.Guest().Connect(); err != nil {
 		n.destroyUC(mu)
-		n.invokeError()
-		return Result{}, err
+		return nil, err
 	}
-	if err := mu.u.Guest().ImportAndCompile(req.Source); err != nil {
-		n.destroyUC(mu)
-		n.invokeError()
-		return Result{}, fmt.Errorf("core: import %q: %w", req.Key, err)
-	}
-	n.captureFnSnapshot(p, mu.u, req.Key)
-	gen := mu.u.Guest().Unikernel().DeployGeneration()
-	out, err := n.runOn(p, mu, req)
-	return n.finish(start, id, req.Key, PathCold, gen, out, err)
+	inv.gen = mu.u.Guest().Unikernel().DeployGeneration()
+	return mu, nil
 }
 
-func (n *Node) finish(start sim.Time, id uint64, key string, path Path, gen uint64, out string, err error) (Result, error) {
+// fromSnapshot enters the spine at deploy, from the function's own
+// snapshot: nothing to import, nothing to capture. A lukewarm deploy
+// replays the lineage's recorded working set — the pages the first
+// restore faulted on demand are bulk-mapped before the first
+// instruction — and a served one feeds the record back. Warm deploys
+// are left alone: the snapshot is resident and its faults are cheap.
+func (n *Node) fromSnapshot(p *sim.Proc, inv *invocation, entry *fnEntry) (string, error) {
+	entry.last = n.eng.Now()
+	var ws []uint64
+	if inv.path == PathLukewarm {
+		ws = entry.ws
+	}
+	mu, err := n.start(p, inv, entry.snap, ws)
 	if err != nil {
-		n.invokeError()
-		n.cfg.Tracer.Record(trace.Event{
-			At: time.Duration(start), Dur: time.Duration(n.eng.Now() - start),
-			Kind: trace.KindInvoke, ID: id, Key: key, Path: path.String(),
-			Detail: "error: " + err.Error(), Reseed: gen,
-		})
+		return "", err
+	}
+	out, err := n.runOn(p, mu, inv.req)
+	if inv.path == PathLukewarm && err == nil {
+		n.harvestWorkingSet(mu, inv.req.Key, entry, inv.id)
+	}
+	return out, err
+}
+
+// cold runs the whole spine: deploy from the runtime snapshot, connect,
+// import and compile, capture the function snapshot, run.
+func (n *Node) cold(p *sim.Proc, inv *invocation) (string, error) {
+	base, err := n.runtimeSnapFor(inv.req.Runtime)
+	if err != nil {
+		return "", err
+	}
+	mu, err := n.start(p, inv, base, nil)
+	if err != nil {
+		return "", err
+	}
+	if err := mu.u.Guest().ImportAndCompile(inv.req.Source); err != nil {
+		n.destroyUC(mu)
+		return "", fmt.Errorf("core: import %q: %w", inv.req.Key, err)
+	}
+	n.captureFnSnapshot(p, mu.u, inv.req.Key)
+	return n.runOn(p, mu, inv.req)
+}
+
+// finish closes a request: its one invoke span, its one outcome count,
+// and — served — its latency and what the lifecycle policy hears.
+func (n *Node) finish(inv *invocation, out string, err error) (Result, error) {
+	key, latency := inv.req.Key, time.Duration(n.eng.Now()-inv.start)
+	span := trace.Event{
+		At: time.Duration(inv.start), Dur: latency,
+		Kind: trace.KindInvoke, ID: inv.id, Key: key, Path: inv.path.String(),
+		Reseed: inv.gen,
+	}
+	if err != nil {
+		n.count(metrics.CtrInvokeErrors, 1)
+		span.Detail = "error: " + err.Error()
+		n.cfg.Tracer.Record(span)
 		return Result{}, err
 	}
-	latency := time.Duration(n.eng.Now() - start)
-	n.cfg.Tracer.Record(trace.Event{
-		At: time.Duration(start), Dur: latency,
-		Kind: trace.KindInvoke, ID: id, Key: key, Path: path.String(),
-		Reseed: gen,
-	})
-	n.cfg.Metrics.Inc(pathCounters[path])
-	n.cfg.Metrics.Observe(pathHists[path], latency)
-	switch path {
-	case PathCold:
-		n.stats.Cold++
-	case PathWarm:
-		n.stats.Warm++
-	case PathLukewarm:
-		n.stats.Lukewarm++
-	default:
-		n.stats.Hot++
-	}
+	n.cfg.Tracer.Record(span)
+	n.count(pathCounters[inv.path], 1)
+	n.cfg.Metrics.Observe(pathHists[inv.path], latency)
 	if pol := n.cfg.Policy; pol != nil {
 		nowD := time.Duration(n.eng.Now())
 		pol.RecordInvoke(key, nowD)
@@ -831,8 +902,8 @@ func (n *Node) finish(start sim.Time, id uint64, key string, path Path, gen uint
 		}
 	}
 	return Result{
-		ID:      id,
-		Path:    path,
+		ID:      inv.id,
+		Path:    inv.path,
 		Output:  out,
 		Latency: latency,
 	}, nil
@@ -852,13 +923,11 @@ func (n *Node) deploy(p *sim.Proc, snap *snapshot.Snapshot, ws []uint64, path Pa
 	host := &ucNetHost{Host: hypercall.NewStubHost(), n: n, port: new(int)}
 	u, prefetched, err := uc.DeployPrefetched(snap, host, e, ws)
 	for errors.Is(err, mem.ErrOutOfMemory) && n.reclaimOneIdle(p) {
-		n.stats.PressureIdleReclaims++
-		n.cfg.Metrics.Inc(metrics.CtrPressureIdleReclaims)
+		n.count(metrics.CtrPressureIdleReclaims, 1)
 		u, prefetched, err = uc.DeployPrefetched(snap, host, e, ws)
 	}
 	for errors.Is(err, mem.ErrOutOfMemory) && n.evictOneSnapshot(p) {
-		n.stats.PressureSnapshotEvictions++
-		n.cfg.Metrics.Inc(metrics.CtrPressureSnapshotEvictions)
+		n.count(metrics.CtrPressureSnapshotEvictions, 1)
 		u, prefetched, err = uc.DeployPrefetched(snap, host, e, ws)
 	}
 	if err != nil {
@@ -867,12 +936,11 @@ func (n *Node) deploy(p *sim.Proc, snap *snapshot.Snapshot, ws []uint64, path Pa
 		}
 		return nil, 0, err
 	}
-	n.stats.UCsDeployed++
-	n.cfg.Metrics.Inc(metrics.CtrUCsDeployed)
+	n.count(metrics.CtrUCsDeployed, 1)
 	if u.Recycled() {
-		n.cfg.Metrics.Inc(metrics.CtrDeployKitHits)
+		n.count(metrics.CtrDeployKitHits, 1)
 	} else {
-		n.cfg.Metrics.Inc(metrics.CtrDeployKitMisses)
+		n.count(metrics.CtrDeployKitMisses, 1)
 	}
 	// Restore-time uniqueness (DESIGN.md §14): the deploy drew fresh
 	// entropy and a new generation into the clone's RNG seed. The
@@ -881,18 +949,10 @@ func (n *Node) deploy(p *sim.Proc, snap *snapshot.Snapshot, ws []uint64, path Pa
 	// would catch a regression.
 	if n.cfg.Faults.Fire(fault.PointEntropyStale) {
 		u.Guest().RewindToStaleSeed()
-		n.stats.FaultsInjected = faultsInjected(n.cfg.Faults)
-		n.cfg.Metrics.Inc(metrics.CtrFaultsInjected)
-		n.cfg.Tracer.Record(trace.Event{
-			At: time.Duration(n.eng.Now()), Kind: trace.KindFault, Key: snap.Name(),
-			Detail: "entropy-stale: deploy kept the snapshot's RNG seed",
-		})
+		n.count(metrics.CtrFaultsInjected, 1)
+		n.event(trace.KindFault, 0, snap.Name(), "entropy-stale: deploy kept the snapshot's RNG seed")
 	} else {
-		ctr := reseedCounters[path]
-		if u.Recycled() {
-			ctr = metrics.CtrReseedsKit
-		}
-		n.cfg.Metrics.Inc(ctr)
+		n.countReseed(u, path)
 	}
 	mu := &managedUC{u: u, e: e, core: n.nextCore % n.cfg.Cores}
 	n.nextCore++
@@ -903,6 +963,16 @@ func (n *Node) deploy(p *sim.Proc, snap *snapshot.Snapshot, ws []uint64, path Pa
 		*host.port = port
 	}
 	return mu, prefetched, nil
+}
+
+// countReseed accounts the entropy reseed a deploy drew, by the path
+// that deployed — or as a kit reseed when the UC was a recycled one.
+func (n *Node) countReseed(u *uc.UC, path Path) {
+	ctr := reseedCounters[path]
+	if u.Recycled() {
+		ctr = metrics.CtrReseedsKit
+	}
+	n.count(ctr, 1)
 }
 
 // ucNetHost is the hypercall host the node gives each UC: non-network
@@ -953,14 +1023,8 @@ func (n *Node) captureFnSnapshot(p *sim.Proc, u *uc.UC, key string) {
 		return
 	}
 	n.fnSnaps[key] = &fnEntry{snap: snap, last: n.eng.Now()}
-	n.stats.SnapshotsCaptured++
-	n.cfg.Metrics.Inc(metrics.CtrSnapshotsCaptured)
-	if n.cfg.Tracer != nil {
-		n.cfg.Tracer.Record(trace.Event{
-			At: time.Duration(n.eng.Now()), Kind: trace.KindCapture, Key: key,
-			Detail: fmt.Sprintf("%.1f MB diff", float64(snap.DiffBytes())/1e6),
-		})
-	}
+	n.count(metrics.CtrSnapshotsCaptured, 1)
+	n.snapshotEvent(trace.KindCapture, 0, key, snap)
 }
 
 // runOn performs the shared invocation tail on a ready UC and caches it
@@ -995,7 +1059,7 @@ func (n *Node) runOn(p *sim.Proc, mu *managedUC, req Request) (string, error) {
 	// Fault point: the UC crashes mid-invocation. Containment per §4 —
 	// discard the context, keep the snapshot.
 	if n.cfg.Faults.Fire(fault.PointUCCrash) {
-		n.cfg.Metrics.Inc(metrics.CtrFaultsInjected)
+		n.count(metrics.CtrFaultsInjected, 1)
 		n.containFault(mu, req.Key, "injected uc crash")
 		return "", fault.Contain(ErrUCCrashed)
 	}
@@ -1004,8 +1068,7 @@ func (n *Node) runOn(p *sim.Proc, mu *managedUC, req Request) (string, error) {
 	if err != nil {
 		n.containFault(mu, req.Key, err.Error())
 		if errors.Is(err, lang.ErrTooManySteps) && deadline > 0 {
-			n.stats.DeadlinesExceeded++
-			n.cfg.Metrics.Inc(metrics.CtrDeadlinesExceeded)
+			n.count(metrics.CtrDeadlinesExceeded, 1)
 			return "", fault.Contain(fmt.Errorf("%w after %v: %w", ErrDeadlineExceeded, deadline, err))
 		}
 		return "", fault.Contain(fmt.Errorf("%w: %v", ErrUCCrashed, err))
@@ -1017,16 +1080,9 @@ func (n *Node) runOn(p *sim.Proc, mu *managedUC, req Request) (string, error) {
 // containFault destroys a faulted UC and records the containment.
 func (n *Node) containFault(mu *managedUC, key, detail string) {
 	n.destroyUC(mu)
-	n.stats.UCCrashes++
-	n.cfg.Metrics.Inc(metrics.CtrUCCrashes)
-	n.stats.FaultsInjected = faultsInjected(n.cfg.Faults)
-	n.cfg.Tracer.Record(trace.Event{
-		At: time.Duration(n.eng.Now()), Kind: trace.KindFault, Key: key, Detail: detail,
-	})
+	n.count(metrics.CtrUCCrashes, 1)
+	n.event(trace.KindFault, 0, key, detail)
 }
-
-// faultsInjected mirrors the injector's fired count into Stats.
-func faultsInjected(in *fault.Injector) int64 { return int64(in.TotalFired()) }
 
 // takeIdle pops a cached idle UC for the function.
 func (n *Node) takeIdle(key string) *managedUC {
@@ -1060,24 +1116,27 @@ func (n *Node) putIdle(p *sim.Proc, key string, mu *managedUC) {
 		victim := list[0]
 		copy(list, list[1:])
 		list[len(list)-1] = &idleUC{mu: mu, key: key, last: n.eng.Now()}
-		victim.mu.e.bind(p)
-		n.destroyUC(victim.mu)
-		n.stats.UCsReclaimed++
-		n.cfg.Metrics.Inc(metrics.CtrUCsReclaimed)
+		n.reclaimUC(p, victim.mu)
 		n.notePressure(key)
 		if st := n.cfg.SnapStore; st != nil && !st.Has("fn/"+key) {
 			if e, ok := n.fnSnaps[key]; ok {
 				n.demoteSnapshot(p, e.snap)
 			}
 		}
-		n.cfg.Tracer.Record(trace.Event{
-			At: time.Duration(n.eng.Now()), Kind: trace.KindReclaim, Key: key,
-			Detail: "idle cap: LRU idle UC evicted for the incoming one",
-		})
+		n.event(trace.KindReclaim, 0, key, "idle cap: LRU idle UC evicted for the incoming one")
 		return
 	}
 	n.idle[key] = append(list, &idleUC{mu: mu, key: key, last: n.eng.Now()})
 	n.idleCount++
+}
+
+// reclaimUC destroys an idle UC the caller has already unlinked from
+// the idle cache, on p's time (nil: harness teardown, costs dropped),
+// and accounts it as reclaimed.
+func (n *Node) reclaimUC(p *sim.Proc, mu *managedUC) {
+	mu.e.bind(p)
+	n.destroyUC(mu)
+	n.count(metrics.CtrUCsReclaimed, 1)
 }
 
 // notePressure tells the lifecycle policy key lost idle state to
@@ -1088,14 +1147,17 @@ func (n *Node) notePressure(key string) {
 	}
 }
 
+// belowThreshold reports whether available physical memory is under the
+// §6 OOM threshold (never, for an unbudgeted store).
+func (n *Node) belowThreshold() bool {
+	budget := n.store.Budget()
+	return budget != 0 && n.store.Available() < int64(float64(budget/mem.PageSize)*n.cfg.OOMThreshold)
+}
+
 // reclaimIfNeeded applies the §6 OOM policy: reclaim idle UCs as soon
 // as available memory drops below the threshold.
 func (n *Node) reclaimIfNeeded(p *sim.Proc) {
-	if n.store.Budget() == 0 {
-		return
-	}
-	thresholdFrames := int64(float64(n.store.Budget()/mem.PageSize) * n.cfg.OOMThreshold)
-	for n.store.Available() < thresholdFrames && n.reclaimOneIdle(p) {
+	for n.belowThreshold() && n.reclaimOneIdle(p) {
 	}
 }
 
@@ -1130,14 +1192,9 @@ func (n *Node) reclaimOneIdle(p *sim.Proc) bool {
 		delete(n.idle, oldestKey)
 	}
 	n.idleCount--
-	oldest.mu.e.bind(p)
-	n.destroyUC(oldest.mu)
-	n.stats.UCsReclaimed++
-	n.cfg.Metrics.Inc(metrics.CtrUCsReclaimed)
+	n.reclaimUC(p, oldest.mu)
 	n.notePressure(oldestKey)
-	n.cfg.Tracer.Record(trace.Event{
-		At: time.Duration(n.eng.Now()), Kind: trace.KindReclaim, Key: oldestKey,
-	})
+	n.event(trace.KindReclaim, 0, oldestKey, "")
 	return true
 }
 
@@ -1146,19 +1203,13 @@ func (n *Node) reclaimOneIdle(p *sim.Proc) bool {
 // UCs and no children may be deleted (§6); idle UCs deployed from a
 // candidate are destroyed first.
 func (n *Node) evictSnapshotsIfNeeded(p *sim.Proc) {
-	if n.store.Budget() == 0 {
-		return
-	}
-	thresholdFrames := int64(float64(n.store.Budget()/mem.PageSize) * n.cfg.OOMThreshold)
-	for n.store.Available() < thresholdFrames {
-		if !n.evictOneSnapshot(p) && !n.reclaimOneIdle(p) {
-			return
-		}
+	for n.belowThreshold() && (n.evictOneSnapshot(p) || n.reclaimOneIdle(p)) {
 	}
 }
 
-// evictOneSnapshot deletes the least recently used deletable function
-// snapshot; false if none qualifies.
+// evictOneSnapshot drops the least recently used function snapshot no
+// other snapshot is stacked on; false if there is none, or a live
+// invocation still depends on it (try later).
 func (n *Node) evictOneSnapshot(p *sim.Proc) bool {
 	var lruKey string
 	var lru *fnEntry
@@ -1170,45 +1221,14 @@ func (n *Node) evictOneSnapshot(p *sim.Proc) bool {
 			lru, lruKey = entry, key
 		}
 	}
-	if lru == nil {
-		return false
-	}
-	// Destroy idle UCs deployed from the candidate so it becomes
-	// deletable.
-	if list, ok := n.idle[lruKey]; ok {
-		for _, entry := range list {
-			entry.mu.e.bind(p)
-			n.destroyUC(entry.mu)
-			n.idleCount--
-			n.stats.UCsReclaimed++
-			n.cfg.Metrics.Inc(metrics.CtrUCsReclaimed)
-		}
-		delete(n.idle, lruKey)
-		n.notePressure(lruKey)
-	}
-	if lru.snap.ActiveUCs() > 0 {
-		return false // a live invocation depends on it; try later
-	}
-	// Demote-before-delete: persist the encoded diff so the next miss
-	// is lukewarm, not cold. Export must precede Delete (a deleted
-	// snapshot cannot export); a failed demote degrades to plain
-	// destruction.
-	n.demoteSnapshot(p, lru.snap)
-	if err := lru.snap.Delete(); err != nil {
-		return false
-	}
-	delete(n.fnSnaps, lruKey)
-	n.stats.SnapshotsEvicted++
-	n.cfg.Metrics.Inc(metrics.CtrSnapshotsEvicted)
-	n.cfg.Tracer.Record(trace.Event{
-		At: time.Duration(n.eng.Now()), Kind: trace.KindEvict, Key: lruKey,
-	})
-	return true
+	return lru != nil && n.dropSnapshot(p, lruKey)
 }
 
-// dropSnapshot force-evicts one function's snapshot (degradation
-// ladder level 3): destroy its idle UCs, then delete the snapshot if
-// nothing live depends on it. Reports whether the snapshot is gone.
+// dropSnapshot is the node's one eviction routine (LRU pressure
+// eviction, and the degradation ladder's level 3 for the function being
+// served): destroy the function's idle UCs so nothing idle pins it,
+// then — if nothing live depends on it — demote and delete the
+// snapshot. Reports whether the snapshot is gone.
 func (n *Node) dropSnapshot(p *sim.Proc, key string) bool {
 	entry, ok := n.fnSnaps[key]
 	if !ok {
@@ -1216,11 +1236,8 @@ func (n *Node) dropSnapshot(p *sim.Proc, key string) bool {
 	}
 	if list, ok := n.idle[key]; ok {
 		for _, idle := range list {
-			idle.mu.e.bind(p)
-			n.destroyUC(idle.mu)
 			n.idleCount--
-			n.stats.UCsReclaimed++
-			n.cfg.Metrics.Inc(metrics.CtrUCsReclaimed)
+			n.reclaimUC(p, idle.mu)
 		}
 		delete(n.idle, key)
 		n.notePressure(key)
@@ -1228,16 +1245,17 @@ func (n *Node) dropSnapshot(p *sim.Proc, key string) bool {
 	if entry.snap.ActiveUCs() > 0 || entry.snap.Children() > 0 {
 		return false
 	}
+	// Demote-before-delete: persist the encoded diff so the next miss
+	// is lukewarm, not cold. Export must precede Delete (a deleted
+	// snapshot cannot export); a failed demote degrades to plain
+	// destruction.
 	n.demoteSnapshot(p, entry.snap)
 	if err := entry.snap.Delete(); err != nil {
 		return false
 	}
 	delete(n.fnSnaps, key)
-	n.stats.SnapshotsEvicted++
-	n.cfg.Metrics.Inc(metrics.CtrSnapshotsEvicted)
-	n.cfg.Tracer.Record(trace.Event{
-		At: time.Duration(n.eng.Now()), Kind: trace.KindEvict, Key: key,
-	})
+	n.count(metrics.CtrSnapshotsEvicted, 1)
+	n.event(trace.KindEvict, 0, key, "")
 	return true
 }
 
@@ -1274,14 +1292,8 @@ func (n *Node) demoteSnapshot(p *sim.Proc, snap *snapshot.Snapshot) bool {
 		return false
 	}
 	n.chargeTier(p, costs.SnapDemoteBase, costs.SnapDemotePerPage, snap.DiffPages())
-	n.stats.SnapshotsDemoted++
-	n.cfg.Metrics.Inc(metrics.CtrTierDemotions)
-	if n.cfg.Tracer != nil {
-		n.cfg.Tracer.Record(trace.Event{
-			At: time.Duration(n.eng.Now()), Kind: trace.KindDemote, Key: snap.Name(),
-			Detail: fmt.Sprintf("%.1f MB diff", float64(snap.DiffBytes())/1e6),
-		})
-	}
+	n.count(metrics.CtrTierDemotions, 1)
+	n.snapshotEvent(trace.KindDemote, 0, snap.Name(), snap)
 	return true
 }
 
@@ -1314,12 +1326,10 @@ func (n *Node) promote(p *sim.Proc, name string, id uint64, kind metrics.Counter
 	}
 	data, err := st.Get(name)
 	if err != nil {
-		n.stats.TierMisses++
-		n.cfg.Metrics.Inc(metrics.CtrTierMisses)
+		n.count(metrics.CtrTierMisses, 1)
 		return nil, err
 	}
-	n.stats.TierHits++
-	n.cfg.Metrics.Inc(metrics.CtrTierHits)
+	n.count(metrics.CtrTierHits, 1)
 	hdr, err := snapshot.PeekWireHeader(data)
 	if err != nil {
 		// The store's CRC passed but the codec refused the bytes (a
@@ -1352,17 +1362,8 @@ func (n *Node) promote(p *sim.Proc, name string, id uint64, kind metrics.Counter
 	if key := strings.TrimPrefix(name, "fn/"); key != name {
 		n.fnSnaps[key] = &fnEntry{snap: snap, last: n.eng.Now()}
 	}
-	n.stats.SnapshotsPromoted++
-	if kind == metrics.CtrTierPromotionsPrewarm {
-		n.stats.SnapshotsPrewarmed++
-	}
-	n.cfg.Metrics.Inc(kind)
-	if n.cfg.Tracer != nil {
-		n.cfg.Tracer.Record(trace.Event{
-			At: time.Duration(n.eng.Now()), Kind: trace.KindPromote, ID: id, Key: name,
-			Detail: fmt.Sprintf("%.1f MB diff", float64(snap.DiffBytes())/1e6),
-		})
-	}
+	n.count(kind, 1)
+	n.snapshotEvent(trace.KindPromote, id, name, snap)
 	return snap, nil
 }
 
@@ -1404,8 +1405,7 @@ func (n *Node) loadWorkingSet(name string, id uint64) []uint64 {
 	// the CRC catches the damage exactly as a torn disk read would; the
 	// restore degrades to on-demand faulting.
 	if n.cfg.Faults.Fire(fault.PointWSCorrupt) {
-		n.cfg.Metrics.Inc(metrics.CtrFaultsInjected)
-		n.stats.FaultsInjected = faultsInjected(n.cfg.Faults)
+		n.count(metrics.CtrFaultsInjected, 1)
 		data, err := n.cfg.SnapStore.GetWorkingSet(name)
 		if err != nil {
 			return nil
@@ -1415,12 +1415,8 @@ func (n *Node) loadWorkingSet(name string, id uint64) []uint64 {
 		if _, derr := snapshot.DecodeWorkingSet(data); derr == nil {
 			return nil // bit flip survived the CRC? drop the record anyway
 		}
-		n.stats.WSCorrupt++
-		n.cfg.Metrics.Inc(metrics.CtrWSRecordsCorrupt)
-		n.cfg.Tracer.Record(trace.Event{
-			At: time.Duration(n.eng.Now()), Kind: trace.KindWorkingSet, ID: id, Key: name,
-			Detail: "corrupt record dropped; restoring on demand",
-		})
+		n.count(metrics.CtrWSRecordsCorrupt, 1)
+		n.event(trace.KindWorkingSet, id, name, "corrupt record dropped; restoring on demand")
 		return nil
 	}
 	ws, ok := n.cfg.SnapStore.GetWorkingSetPages(name)
@@ -1454,22 +1450,15 @@ func (n *Node) harvestWorkingSet(mu *managedUC, key string, entry *fnEntry, id u
 			return
 		}
 		entry.ws = observed
-		n.stats.WSRecorded++
-		n.cfg.Metrics.Inc(metrics.CtrWSRecordsRecorded)
+		n.count(metrics.CtrWSRecordsRecorded, 1)
 		if n.cfg.Tracer != nil {
-			n.cfg.Tracer.Record(trace.Event{
-				At: time.Duration(n.eng.Now()), Kind: trace.KindWorkingSet, ID: id, Key: name,
-				Detail: fmt.Sprintf("recorded %d pages", len(observed)),
-			})
+			n.event(trace.KindWorkingSet, id, name, fmt.Sprintf("recorded %d pages", len(observed)))
 		}
 		return
 	}
 	misses := wsMissCount(observed, entry.ws)
-	hits := len(observed) - misses
-	n.stats.WSCoverageHits += int64(hits)
-	n.stats.WSCoverageMisses += int64(misses)
-	n.cfg.Metrics.AddCounter(metrics.CtrWSCoverageHits, int64(hits))
-	n.cfg.Metrics.AddCounter(metrics.CtrWSCoverageMisses, int64(misses))
+	n.count(metrics.CtrWSCoverageHits, int64(len(observed)-misses))
+	n.count(metrics.CtrWSCoverageMisses, int64(misses))
 	if misses <= len(entry.ws)/8 {
 		return
 	}
@@ -1479,13 +1468,9 @@ func (n *Node) harvestWorkingSet(mu *managedUC, key string, entry *fnEntry, id u
 		return
 	}
 	entry.ws = merged
-	n.stats.WSMerged++
-	n.cfg.Metrics.Inc(metrics.CtrWSRecordsMerged)
+	n.count(metrics.CtrWSRecordsMerged, 1)
 	if n.cfg.Tracer != nil {
-		n.cfg.Tracer.Record(trace.Event{
-			At: time.Duration(n.eng.Now()), Kind: trace.KindWorkingSet, ID: id, Key: name,
-			Detail: fmt.Sprintf("merged %d misses into %d-page record", misses, len(merged)),
-		})
+		n.event(trace.KindWorkingSet, id, name, fmt.Sprintf("merged %d misses into %d-page record", misses, len(merged)))
 	}
 }
 
@@ -1539,12 +1524,7 @@ func (n *Node) DeployIdle(p *sim.Proc) (*uc.UC, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.stats.UCsDeployed++
-	n.cfg.Metrics.Inc(metrics.CtrUCsDeployed)
-	ctr := metrics.CtrReseedsWarm
-	if u.Recycled() {
-		ctr = metrics.CtrReseedsKit
-	}
-	n.cfg.Metrics.Inc(ctr)
+	n.count(metrics.CtrUCsDeployed, 1)
+	n.countReseed(u, PathWarm)
 	return u, nil
 }

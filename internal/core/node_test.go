@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"seuss/internal/mem"
+	"seuss/internal/metrics"
 	"seuss/internal/sim"
 	"seuss/internal/trace"
 )
@@ -160,16 +161,49 @@ func TestFunctionErrorReturnsDriverError(t *testing.T) {
 	}
 }
 
+// newObservedNode is newTestNode with a private tracer and recorder.
+func newObservedNode(t *testing.T) (*Node, *sim.Engine, *trace.Tracer, *metrics.Recorder) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Tracer, cfg.Metrics = trace.New(0), metrics.NewRecorder()
+	n, eng := newTestNode(t, cfg)
+	return n, eng, cfg.Tracer, cfg.Metrics
+}
+
+// requireOneFailedColdRequest: a request that failed before its function
+// ran is still one request — one invoke span saying so, one error in
+// each ledger — and leaves no UC or proxy mapping behind.
+func requireOneFailedColdRequest(t *testing.T, n *Node, tr *trace.Tracer, rec *metrics.Recorder) {
+	t.Helper()
+	spans := tr.ByKind(trace.KindInvoke)
+	if len(spans) != 1 {
+		t.Fatalf("invoke spans = %d, want 1: /trace cannot show the request that failed", len(spans))
+	}
+	if spans[0].Path != "cold" || !strings.HasPrefix(spans[0].Detail, "error: ") {
+		t.Errorf("span = %+v, want path cold and an error detail", spans[0])
+	}
+	if got := n.Stats().Errors; got != 1 {
+		t.Errorf("Stats().Errors = %d, want 1", got)
+	}
+	if got := rec.Snapshot().Counter(metrics.CtrInvokeErrors); got != 1 {
+		t.Errorf("CtrInvokeErrors = %d, want 1", got)
+	}
+	if n.IdleUCs() != 0 {
+		t.Errorf("idle UCs = %d after a failed request", n.IdleUCs())
+	}
+	if in, out := n.Proxy().Mappings(); in != 0 || out != 0 {
+		t.Errorf("proxy mappings leaked: %d internal, %d external", in, out)
+	}
+}
+
 func TestBadSourceFailsColdPath(t *testing.T) {
-	n, eng := newTestNode(t, DefaultConfig())
+	n, eng, tr, rec := newObservedNode(t)
 	req := Request{Key: "syntax", Source: `function main( {`, Args: "{}"}
 	_, err := invoke(t, n, eng, req)
 	if err == nil {
 		t.Fatal("syntax error accepted")
 	}
-	if n.Stats().Errors == 0 {
-		t.Error("error not counted")
-	}
+	requireOneFailedColdRequest(t, n, tr, rec)
 }
 
 func TestCPUBoundFunctionChargesCores(t *testing.T) {
@@ -305,7 +339,7 @@ func TestDeployIdleFootprint(t *testing.T) {
 func TestAblationNoAOColdSlower(t *testing.T) {
 	fast, engF := newTestNode(t, DefaultConfig())
 	slowCfg := DefaultConfig()
-	slowCfg.DisableAO = true
+	slowCfg.NetworkAO, slowCfg.InterpreterAO = false, false
 	slow, engS := newTestNode(t, slowCfg)
 
 	req := Request{Key: "fn", Source: nopSource, Args: "{}"}
@@ -455,11 +489,12 @@ func TestMultiRuntimeNode(t *testing.T) {
 }
 
 func TestUnknownRuntimeRejected(t *testing.T) {
-	n, eng := newTestNode(t, DefaultConfig())
+	n, eng, tr, rec := newObservedNode(t)
 	_, err := invoke(t, n, eng, Request{Key: "x", Source: nopSource, Args: "{}", Runtime: "ruby"})
 	if err == nil {
 		t.Fatal("unknown runtime accepted")
 	}
+	requireOneFailedColdRequest(t, n, tr, rec)
 }
 
 func TestNewNodeUnknownRuntimeFails(t *testing.T) {

@@ -64,12 +64,8 @@ func (n *Node) PolicyTick(p *sim.Proc) TickStats {
 	// useless prewarm only occupies RAM until it expires again.
 	misfire := n.cfg.Faults.Fire(fault.PointPolicyMisfire)
 	if misfire {
-		n.cfg.Metrics.Inc(metrics.CtrFaultsInjected)
-		n.stats.FaultsInjected = faultsInjected(n.cfg.Faults)
-		n.cfg.Tracer.Record(trace.Event{
-			At: now, Kind: trace.KindFault,
-			Detail: "policy-misfire: zero keep-alive this tick; one unpredicted prewarm",
-		})
+		n.count(metrics.CtrFaultsInjected, 1)
+		n.eventAt(now, trace.KindFault, 0, "", "policy-misfire: zero keep-alive this tick; one unpredicted prewarm")
 	}
 
 	n.expireIdleUCs(p, pol, now, misfire, &ts)
@@ -106,12 +102,8 @@ func (n *Node) expireIdleUCs(p *sim.Proc, pol policy.Policy, now time.Duration, 
 			n.destroyUC(entry.mu)
 			n.idleCount--
 			ts.ExpiredUCs++
-			n.stats.PolicyExpirations++
-			n.cfg.Metrics.Inc(metrics.CtrPolicyExpirations)
-			n.cfg.Tracer.Record(trace.Event{
-				At: now, Kind: trace.KindReclaim, Key: key,
-				Detail: fmt.Sprintf("keep-alive %v expired", ka),
-			})
+			n.count(metrics.CtrPolicyExpirations, 1)
+			n.eventAt(now, trace.KindReclaim, 0, key, fmt.Sprintf("keep-alive %v expired", ka))
 		}
 		if len(kept) == 0 {
 			delete(n.idle, key)
@@ -126,12 +118,7 @@ func (n *Node) expireIdleUCs(p *sim.Proc, pol policy.Policy, now time.Duration, 
 // the RAM copy is deleted, and — if the policy predicts a recurrence —
 // a prewarm is scheduled.
 func (n *Node) scaleToZero(p *sim.Proc, pol policy.Policy, now time.Duration, misfire bool, ts *TickStats) {
-	keys := make([]string, 0, len(n.fnSnaps))
-	for key := range n.fnSnaps {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	for _, key := range n.SnapshotKeys() {
 		if len(n.idle[key]) > 0 {
 			continue // live idle UCs outrank the snapshot window
 		}
@@ -161,12 +148,8 @@ func (n *Node) scaleToZero(p *sim.Proc, pol policy.Policy, now time.Duration, mi
 		}
 		delete(n.fnSnaps, key)
 		ts.DemotedLineages++
-		n.stats.PolicyExpirations++
-		n.cfg.Metrics.Inc(metrics.CtrPolicyExpirations)
-		n.cfg.Tracer.Record(trace.Event{
-			At: now, Kind: trace.KindEvict, Key: key,
-			Detail: fmt.Sprintf("scale-to-zero after %v idle", ska),
-		})
+		n.count(metrics.CtrPolicyExpirations, 1)
+		n.eventAt(now, trace.KindEvict, 0, key, fmt.Sprintf("scale-to-zero after %v idle", ska))
 		if n.cfg.Residency != nil {
 			n.cfg.Residency.LineageDemoted(key)
 		}
@@ -232,21 +215,15 @@ func (n *Node) prewarmLineage(p *sim.Proc, now time.Duration, key string, misfir
 		return // an invocation already brought it back; nothing to do
 	}
 	if _, err := n.promote(p, name, 0, metrics.CtrTierPromotionsPrewarm); err != nil {
-		n.stats.PolicyPrewarmMisses++
-		n.cfg.Metrics.Inc(metrics.CtrPolicyPrewarmsMiss)
-		n.cfg.Tracer.Record(trace.Event{
-			At: now, Kind: trace.KindFault, Key: key,
-			Detail: "prewarm miss: " + err.Error(),
-		})
+		n.count(metrics.CtrPolicyPrewarmsMiss, 1)
+		n.eventAt(now, trace.KindFault, 0, key, "prewarm miss: "+err.Error())
 		return
 	}
 	ts.Prewarmed++
 	if misfire {
-		n.stats.PolicyPrewarmMisfires++
-		n.cfg.Metrics.Inc(metrics.CtrPolicyPrewarmsMisfire)
+		n.count(metrics.CtrPolicyPrewarmsMisfire, 1)
 	} else {
-		n.stats.PolicyPrewarms++
-		n.cfg.Metrics.Inc(metrics.CtrPolicyPrewarmsPromoted)
+		n.count(metrics.CtrPolicyPrewarmsPromoted, 1)
 	}
 	if n.cfg.Residency != nil {
 		n.cfg.Residency.LineagePromoted(key)

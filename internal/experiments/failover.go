@@ -155,8 +155,7 @@ func RunFailover(cfg FailoverConfig) (FigureFailover, error) {
 	// Rejoin: restart the victim over its surviving disk tier (eager
 	// prewarm) and measure the recovered cluster.
 	var restartErr error
-	eng.Go("restart", func(p *sim.Proc) { restartErr = cl.Restart(p, victim) })
-	eng.Run()
+	eng.RunProc("restart", func(p *sim.Proc) { restartErr = cl.Restart(p, victim) })
 	if restartErr != nil {
 		return out, restartErr
 	}

@@ -128,8 +128,8 @@ type Store struct {
 	materialized int64 // frames with real payloads
 	allocs       int64 // lifetime allocation count
 	frees        int64
-	frameReuses  int64 // allocs served from the descriptor free list
-	bufReuses    int64 // materializations served from the payload free list
+	frameReuses  int64    // allocs served from the descriptor free list
+	bufReuses    int64    // materializations served from the payload free list
 	free         []*Frame // recycled descriptors (refs==0, data==nil)
 	bufs         [][]byte // recycled 4 KB payloads
 	slab         []Frame  // current descriptor slab

@@ -111,7 +111,9 @@ const (
 	CtrPolicyPrewarmsMiss
 	CtrPolicyPrewarmsMisfire
 
-	numCounters
+	// NumCounters is the registry's length: the size of any array
+	// indexed by Counter.
+	NumCounters
 )
 
 // Hist identifies one pre-registered latency histogram.
@@ -137,7 +139,7 @@ type desc struct {
 	labels string // rendered label pairs, "" for none
 }
 
-var counterDescs = [numCounters]desc{
+var counterDescs = [NumCounters]desc{
 	CtrColdInvocations:     {"seuss_invocations_total", "Invocations served, by path taken.", `path="cold"`},
 	CtrWarmInvocations:     {"seuss_invocations_total", "", `path="warm"`},
 	CtrHotInvocations:      {"seuss_invocations_total", "", `path="hot"`},
@@ -245,7 +247,7 @@ func boundsFor(h Hist) *[len(LatencyBuckets)]time.Duration {
 // carry a nil Recorder at zero cost and zero conditionals at call
 // sites.
 type Recorder struct {
-	counters [numCounters]atomic.Int64
+	counters [NumCounters]atomic.Int64
 	hists    [numHists]Histogram
 }
 
@@ -293,7 +295,7 @@ func (r *Recorder) Snapshot() Snapshot {
 // Snapshot is an immutable reading of a Recorder: the unit merged
 // across shards on scrape.
 type Snapshot struct {
-	Counters [numCounters]int64
+	Counters [NumCounters]int64
 	Hists    [numHists]HistogramSnapshot
 }
 
@@ -320,7 +322,7 @@ func (s Snapshot) Histogram(h Hist) HistogramSnapshot { return s.Hists[h] }
 // HELP/TYPE header, as the format requires.
 func WritePrometheus(w io.Writer, s Snapshot) error {
 	prev := ""
-	for i := Counter(0); i < numCounters; i++ {
+	for i := Counter(0); i < NumCounters; i++ {
 		d := counterDescs[i]
 		if d.name != prev {
 			if err := writeHeader(w, d.name, d.help, "counter"); err != nil {

@@ -68,10 +68,10 @@ type Policy interface {
 // "snapshots only, no cache" baseline.
 type NoKeepAlive struct{}
 
-func (NoKeepAlive) Name() string                                    { return "none" }
-func (NoKeepAlive) RecordInvoke(string, time.Duration)              {}
-func (NoKeepAlive) RecordPressure(string, time.Duration)            {}
-func (NoKeepAlive) KeepAlive(string, time.Duration) time.Duration   { return 0 }
+func (NoKeepAlive) Name() string                                  { return "none" }
+func (NoKeepAlive) RecordInvoke(string, time.Duration)            {}
+func (NoKeepAlive) RecordPressure(string, time.Duration)          {}
+func (NoKeepAlive) KeepAlive(string, time.Duration) time.Duration { return 0 }
 func (NoKeepAlive) SnapshotKeepAlive(string, time.Duration) time.Duration {
 	return 0
 }
@@ -99,9 +99,9 @@ func (f FixedKeepAlive) window() time.Duration {
 	return f.Window
 }
 
-func (f FixedKeepAlive) Name() string                         { return "fixed" }
-func (FixedKeepAlive) RecordInvoke(string, time.Duration)     {}
-func (FixedKeepAlive) RecordPressure(string, time.Duration)   {}
+func (f FixedKeepAlive) Name() string                       { return "fixed" }
+func (FixedKeepAlive) RecordInvoke(string, time.Duration)   {}
+func (FixedKeepAlive) RecordPressure(string, time.Duration) {}
 func (f FixedKeepAlive) KeepAlive(string, time.Duration) time.Duration {
 	return f.window()
 }

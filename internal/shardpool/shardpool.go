@@ -132,8 +132,7 @@ func (c Config) withDefaults() Config {
 		c.BreakerProbeAfter = 4
 	}
 	// Normalize the node config here so per-shard derivations below
-	// (memory split, runtime list) work from the defaulted values, and
-	// flags like DisableAO take effect before the template boot.
+	// (memory split, runtime list) work from the defaulted values.
 	c.Node = c.Node.Normalized()
 	return c
 }
@@ -766,7 +765,6 @@ func (p *Pool) control(shards []*shard, fn func(s *shard)) error {
 // stats snapshots the shard's state; called on its owning goroutine.
 func (s *shard) stats() ShardStats {
 	st := s.node.Stats()
-	st.FaultsInjected = int64(s.faults.TotalFired())
 	state, trips := s.breaker.snapshot()
 	return ShardStats{
 		Shard:           s.id,

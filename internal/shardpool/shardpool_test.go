@@ -212,8 +212,8 @@ func TestWorkStealingOverflow(t *testing.T) {
 	// by the idle shards.
 	cfg := testConfig(4)
 	cfg.StealThreshold = 1
-	blocked := make(chan struct{})  // closed to release the stuck owner
-	entered := make(chan struct{})  // signals the owner is wedged
+	blocked := make(chan struct{}) // closed to release the stuck owner
+	entered := make(chan struct{}) // signals the owner is wedged
 	var enterOnce sync.Once
 	cfg.Node.HTTPHandler = func(url string) (string, time.Duration, error) {
 		enterOnce.Do(func() { close(entered) })
@@ -366,22 +366,22 @@ func TestRuntimeSelection(t *testing.T) {
 	}
 }
 
-func TestDisableAOReachesTemplateBoot(t *testing.T) {
-	// DisableAO must affect the once-only template boot, not just
-	// per-shard node construction: without AO the cold path pays full
-	// first-touch initialization (~42 ms vs ~7.5 ms per Table 2).
+func TestNoAOReachesTemplateBoot(t *testing.T) {
+	// Clearing the AO flags must affect the once-only template boot, not
+	// just per-shard node construction: without AO the cold path pays
+	// full first-touch initialization (~42 ms vs ~7.5 ms per Table 2).
 	withAO, err := newTestPool(t, testConfig(2)).InvokeSync("ao/fn", nopSource, "{}")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig(2)
-	cfg.Node.DisableAO = true
+	cfg.Node.NetworkAO, cfg.Node.InterpreterAO = false, false
 	withoutAO, err := newTestPool(t, cfg).InvokeSync("ao/fn", nopSource, "{}")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if withoutAO.Latency < 3*withAO.Latency {
-		t.Errorf("DisableAO cold = %v, AO cold = %v: AO flag did not reach the template boot",
+		t.Errorf("no-AO cold = %v, AO cold = %v: the AO flags did not reach the template boot",
 			withoutAO.Latency, withAO.Latency)
 	}
 }

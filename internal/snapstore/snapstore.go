@@ -157,7 +157,7 @@ func (s *Store) recover() error {
 		return fmt.Errorf("snapstore: %w", err)
 	}
 	onDisk := make(map[string]int64) // .snap file → size
-	var wsOnDisk []string           // working-set sidecars, GC'd after entries settle
+	var wsOnDisk []string            // working-set sidecars, GC'd after entries settle
 	for _, de := range names {
 		name := de.Name()
 		switch {

@@ -264,22 +264,19 @@ func robustnessOf(st core.Stats) metrics.Robustness {
 	}
 }
 
-// Stats returns current counters.
-func (n *Node) Stats() NodeStats {
-	st := n.node.Stats()
+// nodeStatsOf maps a core node's counters onto the public stats shape;
+// the caller fills in current cache and memory occupancy.
+func nodeStatsOf(st core.Stats) NodeStats {
 	return NodeStats{
 		Cold: st.Cold, Warm: st.Warm, Hot: st.Hot,
-		Lukewarm:           st.Lukewarm,
-		Errors:             st.Errors,
-		UCsDeployed:        st.UCsDeployed,
-		UCsReclaimed:       st.UCsReclaimed,
-		SnapshotsCaptured:  st.SnapshotsCaptured,
-		SnapshotsEvicted:   st.SnapshotsEvicted,
-		CachedSnapshots:    n.node.CachedSnapshots(),
-		IdleUCs:            n.node.IdleUCs(),
-		MemoryUsedBytes:    n.node.MemStats().BytesInUse,
-		TierHits:           st.TierHits,
-		TierMisses:         st.TierMisses,
+		Lukewarm:              st.Lukewarm,
+		Errors:                st.Errors,
+		UCsDeployed:           st.UCsDeployed,
+		UCsReclaimed:          st.UCsReclaimed,
+		SnapshotsCaptured:     st.SnapshotsCaptured,
+		SnapshotsEvicted:      st.SnapshotsEvicted,
+		TierHits:              st.TierHits,
+		TierMisses:            st.TierMisses,
 		SnapshotsDemoted:      st.SnapshotsDemoted,
 		SnapshotsPromoted:     st.SnapshotsPromoted,
 		SnapshotsPrewarmed:    st.SnapshotsPrewarmed,
@@ -290,6 +287,14 @@ func (n *Node) Stats() NodeStats {
 		WorkingSet:            workingSetOf(st),
 		Robustness:            robustnessOf(st),
 	}
+}
+
+// Stats returns current counters.
+func (n *Node) Stats() NodeStats {
+	ns := nodeStatsOf(n.node.Stats())
+	ns.CachedSnapshots, ns.IdleUCs = n.node.CachedSnapshots(), n.node.IdleUCs()
+	ns.MemoryUsedBytes = n.node.MemStats().BytesInUse
+	return ns
 }
 
 // PolicyTick runs one lifecycle-reaper pass over the node at the
@@ -447,38 +452,17 @@ func (p *NodePool) Stats() (PoolStats, error) {
 	if err != nil {
 		return PoolStats{}, err
 	}
-	rob := robustnessOf(st.Node)
-	rob.BreakerTrips = st.BreakerTrips
-	rob.Rerouted = st.Rerouted
+	ns := nodeStatsOf(st.Node)
+	ns.CachedSnapshots, ns.IdleUCs, ns.MemoryUsedBytes = st.CachedSnapshots, st.IdleUCs, st.MemoryUsedBytes
+	ns.Robustness.BreakerTrips = st.BreakerTrips
+	ns.Robustness.Rerouted = st.Rerouted
 	return PoolStats{
-		NodeStats: NodeStats{
-			Cold: st.Node.Cold, Warm: st.Node.Warm, Hot: st.Node.Hot,
-			Lukewarm:           st.Node.Lukewarm,
-			Errors:             st.Node.Errors,
-			UCsDeployed:        st.Node.UCsDeployed,
-			UCsReclaimed:       st.Node.UCsReclaimed,
-			SnapshotsCaptured:  st.Node.SnapshotsCaptured,
-			SnapshotsEvicted:   st.Node.SnapshotsEvicted,
-			CachedSnapshots:    st.CachedSnapshots,
-			IdleUCs:            st.IdleUCs,
-			MemoryUsedBytes:    st.MemoryUsedBytes,
-			TierHits:           st.Node.TierHits,
-			TierMisses:         st.Node.TierMisses,
-			SnapshotsDemoted:      st.Node.SnapshotsDemoted,
-			SnapshotsPromoted:     st.Node.SnapshotsPromoted,
-			SnapshotsPrewarmed:    st.Node.SnapshotsPrewarmed,
-			PolicyExpirations:     st.Node.PolicyExpirations,
-			PolicyPrewarms:        st.Node.PolicyPrewarms,
-			PolicyPrewarmMisses:   st.Node.PolicyPrewarmMisses,
-			PolicyPrewarmMisfires: st.Node.PolicyPrewarmMisfires,
-			WorkingSet:            workingSetOf(st.Node),
-			Robustness:            rob,
-		},
-		Stolen:   st.Stolen,
-		Requeued: st.Requeued,
-		Stalls:   st.Stalls,
-		Breakers: p.pool.BreakerStates(),
-		Shards:   st.Shards,
+		NodeStats: ns,
+		Stolen:    st.Stolen,
+		Requeued:  st.Requeued,
+		Stalls:    st.Stalls,
+		Breakers:  p.pool.BreakerStates(),
+		Shards:    st.Shards,
 	}, nil
 }
 

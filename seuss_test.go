@@ -162,7 +162,7 @@ func TestInvokeErrorSurfaces(t *testing.T) {
 func TestNoAOConfig(t *testing.T) {
 	s := New()
 	cfg := NodeDefaults()
-	cfg.DisableAO = true
+	cfg.NetworkAO, cfg.InterpreterAO = false, false
 	node, err := s.NewNode(cfg)
 	if err != nil {
 		t.Fatal(err)
