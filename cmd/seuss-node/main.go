@@ -86,6 +86,7 @@ import (
 	"time"
 
 	"seuss"
+	"seuss/internal/metrics"
 )
 
 type server struct {
@@ -190,7 +191,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"memory_used_mb":   float64(ss.Mem.BytesInUse) / 1e6,
 		})
 	}
-	rob := st.Robustness
 	body := map[string]interface{}{
 		"shards":             s.pool.Shards(),
 		"cold":               st.Cold,
@@ -209,17 +209,18 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"per_shard":          shards,
 		"breakers":           st.Breakers,
 		"robustness": map[string]int64{
-			"retries":                     rob.Retries,
-			"breaker_trips":               rob.BreakerTrips,
-			"rerouted":                    rob.Rerouted,
+			// The platform's re-submissions; a bare node has none.
+			"retries":                     st.Counters[metrics.CtrPlatformRetries],
+			"breaker_trips":               st.BreakerTrips,
+			"rerouted":                    st.Rerouted,
 			"requeued":                    st.Requeued,
 			"stalls":                      st.Stalls,
-			"uc_crashes":                  rob.UCCrashes,
-			"deadlines_exceeded":          rob.DeadlinesExceeded,
-			"pressure_idle_reclaims":      rob.PressureIdleReclaims,
-			"pressure_snapshot_evictions": rob.PressureSnapshotEvictions,
-			"pressure_cold_fallbacks":     rob.PressureColdFallbacks,
-			"faults_injected":             rob.FaultsInjected,
+			"uc_crashes":                  st.UCCrashes,
+			"deadlines_exceeded":          st.DeadlinesExceeded,
+			"pressure_idle_reclaims":      st.PressureIdleReclaims,
+			"pressure_snapshot_evictions": st.PressureSnapshotEvictions,
+			"pressure_cold_fallbacks":     st.PressureColdFallbacks,
+			"faults_injected":             st.FaultsInjected,
 		},
 	}
 	// The fault-point roster: every point the injector can fire on this
@@ -251,12 +252,12 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"ws_dropped":       ss.WSDropped,
 		}
 		body["working_set"] = map[string]interface{}{
-			"records_recorded": st.WorkingSet.Recorded,
-			"records_merged":   st.WorkingSet.Merged,
-			"records_corrupt":  st.WorkingSet.Corrupt,
-			"prefetched_pages": st.WorkingSet.PrefetchedPages,
-			"coverage_hits":    st.WorkingSet.CoverageHits,
-			"coverage_misses":  st.WorkingSet.CoverageMisses,
+			"records_recorded": st.WSRecorded,
+			"records_merged":   st.WSMerged,
+			"records_corrupt":  st.WSCorrupt,
+			"prefetched_pages": st.WSPrefetchedPages,
+			"coverage_hits":    st.WSCoverageHits,
+			"coverage_misses":  st.WSCoverageMisses,
 		}
 	}
 	writeJSON(w, http.StatusOK, body)

@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -183,8 +185,51 @@ func TestInvokeBadSource(t *testing.T) {
 	errorBody(t, resp)
 }
 
+// statsKeyPaths is the /stats body's operator surface: every key, one
+// level of nesting spelled out (per_shard through its first element) —
+// what bench/ and dashboards parse. A literal, so that a change to how
+// the body is built cannot drop or rename a key unnoticed.
+var statsKeyPaths = []string{
+	"breakers", "cached_snapshots", "cold", "errors", "fault_points", "hot",
+	"idle_ucs", "lukewarm", "memory_used_mb", "per_shard",
+	"per_shard[0].cached_snapshots", "per_shard[0].cold", "per_shard[0].hot",
+	"per_shard[0].idle_ucs", "per_shard[0].lukewarm",
+	"per_shard[0].memory_used_mb", "per_shard[0].shard",
+	"per_shard[0].virtual_clock", "per_shard[0].warm", "robustness",
+	"robustness.breaker_trips", "robustness.deadlines_exceeded",
+	"robustness.faults_injected", "robustness.pressure_cold_fallbacks",
+	"robustness.pressure_idle_reclaims",
+	"robustness.pressure_snapshot_evictions", "robustness.requeued",
+	"robustness.rerouted", "robustness.retries", "robustness.stalls",
+	"robustness.uc_crashes", "shards", "snapshot_tier",
+	"snapshot_tier.bytes", "snapshot_tier.corrupt_dropped",
+	"snapshot_tier.demotions", "snapshot_tier.disk_bytes",
+	"snapshot_tier.disk_files", "snapshot_tier.entries",
+	"snapshot_tier.evictions", "snapshot_tier.hits", "snapshot_tier.misses",
+	"snapshot_tier.node_tier_hits", "snapshot_tier.node_tier_misses",
+	"snapshot_tier.prewarmed", "snapshot_tier.promotions",
+	"snapshot_tier.put_rejected", "snapshot_tier.puts",
+	"snapshot_tier.ws_dropped", "snapshots_captured", "snapshots_evicted",
+	"stolen", "ucs_deployed", "ucs_reclaimed", "warm", "working_set",
+	"working_set.coverage_hits", "working_set.coverage_misses",
+	"working_set.prefetched_pages", "working_set.records_corrupt",
+	"working_set.records_merged", "working_set.records_recorded",
+}
+
 func TestStatsEndpoint(t *testing.T) {
-	ts := newTestServer(t)
+	store, err := seuss.OpenSnapshotStore(t.TempDir(), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := seuss.NodeDefaults()
+	cfg.SnapStore = store
+	pool, err := seuss.NewNodePool(seuss.PoolConfig{Shards: 2, Node: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	ts := httptest.NewServer((&server{pool: pool}).mux())
+	t.Cleanup(ts.Close)
 	post(t, ts, `{"key": "s/fn", "source": "function main(a) { return {}; }"}`)
 
 	resp, err := http.Get(ts.URL + "/stats")
@@ -208,8 +253,28 @@ func TestStatsEndpoint(t *testing.T) {
 	if stats["shards"].(float64) != 2 {
 		t.Errorf("shards = %v", stats["shards"])
 	}
-	if per := stats["per_shard"].([]interface{}); len(per) != 2 {
-		t.Errorf("per_shard has %d entries", len(per))
+	per := stats["per_shard"].([]interface{})
+	if len(per) != 2 {
+		t.Fatalf("per_shard has %d entries", len(per))
+	}
+
+	var paths []string
+	for k, v := range stats {
+		paths = append(paths, k)
+		sub, _ := v.(map[string]interface{})
+		if k == "per_shard" {
+			k, sub = "per_shard[0]", per[0].(map[string]interface{})
+		}
+		if k == "fault_points" {
+			continue // the injector's registry, not a stats view
+		}
+		for sk := range sub {
+			paths = append(paths, k+"."+sk)
+		}
+	}
+	sort.Strings(paths)
+	if !reflect.DeepEqual(paths, statsKeyPaths) {
+		t.Errorf("/stats key paths changed:\n got %q\nwant %q", paths, statsKeyPaths)
 	}
 }
 

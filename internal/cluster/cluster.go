@@ -173,7 +173,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts cluster-level behavior.
+// Stats counts cluster-level behavior: a view of the cluster's event
+// ledger, computed by Cluster.Stats at read time.
 type Stats struct {
 	// LocalHits served from the chosen node's own caches.
 	LocalHits int64
@@ -187,6 +188,9 @@ type Stats struct {
 	// LayerDedups counts stack layers a fetch skipped because the
 	// destination already held identical content (by digest).
 	LayerDedups int64
+	// LayersRejected counts shipped layers the destination tier refused:
+	// codec, key or digest mismatch (injected corruption lands here).
+	LayersRejected int64
 	// FailedFetches counts layer fetches abandoned mid-flight (missing
 	// source, rejected verification — including injected corruption — or
 	// promote failure); each fell back to serving from the holder.
@@ -294,8 +298,12 @@ type Cluster struct {
 	// fetching tracks in-flight transfers per function so concurrent
 	// requests do not re-ship the same layers.
 	fetching map[string]bool
-	stats    Stats
-	// faults is the fabric-level injector (nil when disabled).
+	// ledger is the cluster's one count of what happened. Only count
+	// writes it; Stats reads it. It is private to the cluster because rec
+	// need not be: members without a recorder of their own share it.
+	ledger metrics.Counters
+	// faults is the fabric-level injector (nil when disabled); only fire
+	// consults it.
 	faults *fault.Injector
 	rec    *metrics.Recorder
 	tr     *trace.Tracer
@@ -420,8 +428,65 @@ func (c *Cluster) Members() []*Member { return c.members }
 // now — fault injectors use it to land a crash mid-invocation.
 func (m *Member) Inflight() int { return m.inflight }
 
-// Stats returns cluster counters.
-func (c *Cluster) Stats() Stats { return c.stats }
+// count records delta occurrences of one event — the cluster's single
+// bookkeeping write: its own ledger, which Stats derives from, and the
+// attached recorder (nil-safe).
+func (c *Cluster) count(ctr metrics.Counter, delta int64) {
+	c.ledger[ctr] += delta
+	c.rec.AddCounter(ctr, delta)
+}
+
+// fire consults the fabric-level injector and counts a fault that fires.
+func (c *Cluster) fire(pt fault.Point) bool {
+	fired := c.faults.Fire(pt)
+	if fired {
+		c.count(metrics.CtrFaultsInjected, 1)
+	}
+	return fired
+}
+
+// emit records a point event on the cluster's timeline at the current
+// virtual instant; member is the member it concerns (0 also when none).
+func (c *Cluster) emit(kind trace.Kind, member int, key, detail string) {
+	c.emitAt(c.eng.Now(), 0, kind, member, key, "", detail)
+}
+
+// emitAt records an event that began at an earlier instant, as a span
+// when dur > 0; path labels a span the way invocation spans are.
+func (c *Cluster) emitAt(at sim.Time, dur time.Duration, kind trace.Kind, member int, key, path, detail string) {
+	c.tr.Record(trace.Event{At: time.Duration(at), Dur: dur, Kind: kind, ID: uint64(member), Key: key, Path: path, Detail: detail})
+}
+
+// Stats derives the cluster's counters from its ledger.
+func (c *Cluster) Stats() Stats {
+	l := &c.ledger
+	return Stats{
+		LocalHits:        l[metrics.CtrSchedLocalHits],
+		RemoteRoutes:     l[metrics.CtrSchedPlacementsRoute] - l[metrics.CtrSchedLocalHits],
+		Fetches:          l[metrics.CtrSchedPlacementsFetch] - l[metrics.CtrFabricFetchesFailed],
+		FetchedBytes:     l[metrics.CtrFabricFetchedBytes],
+		LayerDedups:      l[metrics.CtrFabricLayersDeduped],
+		LayersRejected:   l[metrics.CtrFabricLayersRejected],
+		FailedFetches:    l[metrics.CtrFabricFetchesFailed],
+		FetchRetransmits: l[metrics.CtrFabricFetchRetransmits],
+		ClusterColds:     l[metrics.CtrSchedPlacementsCold],
+		Retries:          l[metrics.CtrClusterRetries],
+		StaleDirectory:   l[metrics.CtrSchedStaleEntries],
+		GossipRounds:     l[metrics.CtrGossipRounds],
+		GossipDrops:      l[metrics.CtrGossipDrops],
+		Failovers:        l[metrics.CtrClusterFailovers],
+		MemberCrashes:    l[metrics.CtrMemberCrashes],
+		MemberRestarts:   l[metrics.CtrMemberRestarts],
+		MemberPartitions: l[metrics.CtrMemberPartitions],
+		SuspectedMembers: l[metrics.CtrMemberStateSuspect],
+		DeadMembers:      l[metrics.CtrMemberStateDead],
+		RevivedMembers:   l[metrics.CtrMemberStateAlive],
+		RepairsPromoted:  l[metrics.CtrFabricRepairsPromoted],
+		RepairsRefetched: l[metrics.CtrFabricRepairsRefetched],
+		RepairsCold:      l[metrics.CtrFabricRepairsCold],
+		RepairsFailed:    l[metrics.CtrFabricRepairsFailed],
+	}
+}
 
 // View returns the scheduler's shared state (safe for concurrent use).
 func (c *Cluster) View() *sched.View { return c.view }
@@ -477,15 +542,11 @@ func (c *Cluster) Invoke(p *sim.Proc, req core.Request) (core.Result, int, error
 		if attempt >= c.cfg.MaxRetries || !fault.IsContained(err) {
 			return core.Result{}, target.ID, err
 		}
-		c.stats.Retries++
+		c.count(metrics.CtrClusterRetries, 1)
 		exclude = target.ID
 		if errors.Is(err, ErrMemberDown) {
-			c.stats.Failovers++
-			c.rec.Inc(metrics.CtrClusterFailovers)
-			c.tr.Record(trace.Event{
-				At: time.Duration(c.eng.Now()), Kind: trace.KindFailover, ID: uint64(target.ID),
-				Key: req.Key, Detail: "member unreachable; re-picking among live members",
-			})
+			c.count(metrics.CtrClusterFailovers, 1)
+			c.emit(trace.KindFailover, target.ID, req.Key, "member unreachable; re-picking among live members")
 		}
 		p.Sleep(backoff)
 		backoff *= 2
@@ -535,23 +596,24 @@ func (c *Cluster) maybeGossip() {
 	}
 	c.gossiped = true
 	c.lastGossip = now
+	// Nothing below blocks: every event of the round is stamped now.
 
 	for _, m := range c.members {
 		switch {
 		case !m.up:
-			if c.faults.Fire(fault.PointMemberRestart) && !m.restarting {
+			if c.fire(fault.PointMemberRestart) && !m.restarting {
 				m.restarting = true
 				mm := m
 				c.eng.Go(fmt.Sprintf("restart-%d", m.ID), func(p *sim.Proc) { c.restart(p, mm) })
 			}
 		case m.partitioned:
-			if c.faults.Fire(fault.PointMemberRestart) {
+			if c.fire(fault.PointMemberRestart) {
 				c.heal(m)
 			}
 		default:
-			if c.faults.Fire(fault.PointMemberCrash) {
+			if c.fire(fault.PointMemberCrash) {
 				c.crash(m)
-			} else if c.faults.Fire(fault.PointMemberPartition) {
+			} else if c.fire(fault.PointMemberPartition) {
 				c.partition(m)
 			}
 		}
@@ -559,7 +621,7 @@ func (c *Cluster) maybeGossip() {
 
 	declaredDead := false
 	for _, m := range c.members {
-		if m.alive() && !c.faults.Fire(fault.PointGossipDrop) {
+		if m.alive() && !c.fire(fault.PointGossipDrop) {
 			var layers []sched.Layer
 			if m.Store != nil {
 				for _, l := range m.Store.Manifest() {
@@ -568,12 +630,8 @@ func (c *Cluster) maybeGossip() {
 			}
 			c.view.Refresh(m.ID, m.Node.SnapshotKeys(), layers)
 			if from := c.view.ReportHeartbeat(m.ID); from != sched.StateAlive {
-				c.stats.RevivedMembers++
-				c.rec.Inc(metrics.CtrMemberStateAlive)
-				c.tr.Record(trace.Event{
-					At: time.Duration(now), Kind: trace.KindRejoin, ID: uint64(m.ID),
-					Detail: fmt.Sprintf("heartbeat resumed (was %v); believed alive again", from),
-				})
+				c.count(metrics.CtrMemberStateAlive, 1)
+				c.emit(trace.KindRejoin, m.ID, "", fmt.Sprintf("heartbeat resumed (was %v); believed alive again", from))
 			}
 			continue
 		}
@@ -582,12 +640,8 @@ func (c *Cluster) maybeGossip() {
 			// stays stale for this member and the miss still counts
 			// against its liveness — the detector cannot tell a lossy
 			// wire from a dead peer.
-			c.stats.GossipDrops++
-			c.rec.Inc(metrics.CtrGossipDrops)
-			c.tr.Record(trace.Event{
-				At: time.Duration(now), Kind: trace.KindFault, ID: uint64(m.ID),
-				Key: "gossip", Detail: "manifest exchange dropped; view stays stale one round",
-			})
+			c.count(metrics.CtrGossipDrops, 1)
+			c.emit(trace.KindFault, m.ID, "gossip", "manifest exchange dropped; view stays stale one round")
 		}
 		from, to := c.view.MissHeartbeat(m.ID, c.cfg.SuspectAfter, c.cfg.DeadAfter)
 		if to == from {
@@ -595,33 +649,18 @@ func (c *Cluster) maybeGossip() {
 		}
 		switch to {
 		case sched.StateSuspect:
-			c.stats.SuspectedMembers++
-			c.rec.Inc(metrics.CtrMemberStateSuspect)
-			c.tr.Record(trace.Event{
-				At: time.Duration(now), Kind: trace.KindCrash, ID: uint64(m.ID),
-				Detail: fmt.Sprintf("suspected after %d missed heartbeats; skipped as holder", c.view.Missed(m.ID)),
-			})
+			c.count(metrics.CtrMemberStateSuspect, 1)
+			c.emit(trace.KindCrash, m.ID, "", fmt.Sprintf("suspected after %d missed heartbeats; skipped as holder", c.view.Missed(m.ID)))
 		case sched.StateDead:
-			c.stats.DeadMembers++
-			c.rec.Inc(metrics.CtrMemberStateDead)
+			c.count(metrics.CtrMemberStateDead, 1)
 			pruned := c.view.PurgeNode(m.ID)
-			if pruned > 0 {
-				c.stats.StaleDirectory += int64(pruned)
-				c.rec.AddCounter(metrics.CtrSchedStaleEntries, int64(pruned))
-			}
+			c.count(metrics.CtrSchedStaleEntries, int64(pruned))
 			declaredDead = true
-			c.tr.Record(trace.Event{
-				At: time.Duration(now), Kind: trace.KindCrash, ID: uint64(m.ID),
-				Detail: fmt.Sprintf("declared dead after %d missed heartbeats; %d view entries pruned", c.view.Missed(m.ID), pruned),
-			})
+			c.emit(trace.KindCrash, m.ID, "", fmt.Sprintf("declared dead after %d missed heartbeats; %d view entries pruned", c.view.Missed(m.ID), pruned))
 		}
 	}
-	c.stats.GossipRounds++
-	c.rec.Inc(metrics.CtrGossipRounds)
-	c.tr.Record(trace.Event{
-		At: time.Duration(now), Kind: trace.KindGossip,
-		Detail: fmt.Sprintf("round %d, view gen %d", c.stats.GossipRounds, c.view.Generation()),
-	})
+	c.count(metrics.CtrGossipRounds, 1)
+	c.emit(trace.KindGossip, 0, "", fmt.Sprintf("round %d, view gen %d", c.ledger[metrics.CtrGossipRounds], c.view.Generation()))
 	if declaredDead {
 		c.scheduleRepair()
 	}
@@ -649,11 +688,8 @@ func (c *Cluster) crash(m *Member) {
 	m.partitioned = false
 	m.epoch++
 	m.Node = nil // RAM state is gone; any touch is a bug, make it loud
-	c.stats.MemberCrashes++
-	c.tr.Record(trace.Event{
-		At: time.Duration(c.eng.Now()), Kind: trace.KindCrash, ID: uint64(m.ID),
-		Detail: "member crashed: RAM state lost, disk tier offline until restart",
-	})
+	c.count(metrics.CtrMemberCrashes, 1)
+	c.emit(trace.KindCrash, m.ID, "", "member crashed: RAM state lost, disk tier offline until restart")
 }
 
 // Restart rebuilds a crashed member over its surviving disk tier and
@@ -686,7 +722,7 @@ func (c *Cluster) restart(p *sim.Proc, m *Member) error {
 	m.Node = node
 	m.up = true
 	m.partitioned = false
-	c.stats.MemberRestarts++
+	c.count(metrics.CtrMemberRestarts, 1)
 	warmed := 0
 	if m.Store != nil && !c.cfg.RejoinLazy {
 		// Prewarm: every lineage the surviving disk tier holds promotes
@@ -699,10 +735,7 @@ func (c *Cluster) restart(p *sim.Proc, m *Member) error {
 		}
 	}
 	c.resync(m)
-	c.tr.Record(trace.Event{
-		At: time.Duration(c.eng.Now()), Kind: trace.KindRejoin, ID: uint64(m.ID),
-		Detail: fmt.Sprintf("restarted: manifest resynced, %d lineages prewarmed from disk tier", warmed),
-	})
+	c.emit(trace.KindRejoin, m.ID, "", fmt.Sprintf("restarted: manifest resynced, %d lineages prewarmed from disk tier", warmed))
 	return nil
 }
 
@@ -721,11 +754,8 @@ func (c *Cluster) Partition(id int) bool {
 
 func (c *Cluster) partition(m *Member) {
 	m.partitioned = true
-	c.stats.MemberPartitions++
-	c.tr.Record(trace.Event{
-		At: time.Duration(c.eng.Now()), Kind: trace.KindCrash, ID: uint64(m.ID),
-		Detail: "partitioned: running but reachable by no one",
-	})
+	c.count(metrics.CtrMemberPartitions, 1)
+	c.emit(trace.KindCrash, m.ID, "", "partitioned: running but reachable by no one")
 }
 
 // Heal reconnects a partitioned member. Its RAM state survived, but
@@ -743,10 +773,7 @@ func (c *Cluster) Heal(id int) bool {
 func (c *Cluster) heal(m *Member) {
 	m.partitioned = false
 	c.resync(m)
-	c.tr.Record(trace.Event{
-		At: time.Duration(c.eng.Now()), Kind: trace.KindRejoin, ID: uint64(m.ID),
-		Detail: "partition healed: manifest resynced",
-	})
+	c.emit(trace.KindRejoin, m.ID, "", "partition healed: manifest resynced")
 }
 
 // resync replaces everything the view believes about a rejoining
@@ -762,8 +789,7 @@ func (c *Cluster) resync(m *Member) {
 	}
 	c.view.Refresh(m.ID, m.Node.SnapshotKeys(), layers)
 	if from := c.view.ReportHeartbeat(m.ID); from != sched.StateAlive {
-		c.stats.RevivedMembers++
-		c.rec.Inc(metrics.CtrMemberStateAlive)
+		c.count(metrics.CtrMemberStateAlive, 1)
 	}
 }
 
@@ -842,12 +868,8 @@ func (c *Cluster) repairLineage(p *sim.Proc, key string) {
 		}
 	}
 	if len(survivors) == 0 {
-		c.stats.RepairsCold++
-		c.rec.Inc(metrics.CtrFabricRepairsCold)
-		c.tr.Record(trace.Event{
-			At: time.Duration(start), Kind: trace.KindRepair, Key: key,
-			Detail: "no live disk copy; next request cold-boots locally",
-		})
+		c.count(metrics.CtrFabricRepairsCold, 1)
+		c.emit(trace.KindRepair, 0, key, "no live disk copy; next request cold-boots locally")
 		return
 	}
 	// Restore a RAM copy on the least-loaded survivor (its own disk is
@@ -859,21 +881,12 @@ func (c *Cluster) repairLineage(p *sim.Proc, key string) {
 		}
 	}
 	if err := src.Node.PromoteLineage(p, lineage); err != nil {
-		c.stats.RepairsFailed++
-		c.rec.Inc(metrics.CtrFabricRepairsFailed)
-		c.tr.Record(trace.Event{
-			At: time.Duration(start), Kind: trace.KindRepair, ID: uint64(src.ID), Key: key,
-			Detail: fmt.Sprintf("promote on survivor failed: %v", err),
-		})
+		c.count(metrics.CtrFabricRepairsFailed, 1)
+		c.emitAt(start, 0, trace.KindRepair, src.ID, key, "", fmt.Sprintf("promote on survivor failed: %v", err))
 	} else {
-		c.stats.RepairsPromoted++
-		c.rec.Inc(metrics.CtrFabricRepairsPromoted)
+		c.count(metrics.CtrFabricRepairsPromoted, 1)
 		c.view.MarkResident(src.ID, key)
-		c.tr.Record(trace.Event{
-			At: time.Duration(start), Dur: time.Duration(c.eng.Now() - start),
-			Kind: trace.KindRepair, ID: uint64(src.ID), Key: key,
-			Detail: "lineage promoted from disk-tier survivor",
-		})
+		c.emitAt(start, time.Duration(c.eng.Now()-start), trace.KindRepair, src.ID, key, "", "lineage promoted from disk-tier survivor")
 	}
 	// Restore disk redundancy: ship the stack to live members missing
 	// it until RepairReplicas live tiers hold a copy.
@@ -885,21 +898,13 @@ func (c *Cluster) repairLineage(p *sim.Proc, key string) {
 		shipStart := c.eng.Now()
 		moved, fetched, deduped, err := c.shipLayers(p, src, dst, lineage)
 		if err != nil {
-			c.stats.RepairsFailed++
-			c.rec.Inc(metrics.CtrFabricRepairsFailed)
-			c.tr.Record(trace.Event{
-				At: time.Duration(shipStart), Kind: trace.KindRepair, ID: uint64(dst.ID), Key: key,
-				Detail: fmt.Sprintf("re-replication from member %d failed: %v", src.ID, err),
-			})
+			c.count(metrics.CtrFabricRepairsFailed, 1)
+			c.emitAt(shipStart, 0, trace.KindRepair, dst.ID, key, "", fmt.Sprintf("re-replication from member %d failed: %v", src.ID, err))
 			continue
 		}
-		c.stats.RepairsRefetched++
-		c.rec.Inc(metrics.CtrFabricRepairsRefetched)
-		c.tr.Record(trace.Event{
-			At: time.Duration(shipStart), Dur: time.Duration(c.eng.Now() - shipStart),
-			Kind: trace.KindRepair, ID: uint64(dst.ID), Key: key,
-			Detail: fmt.Sprintf("%d layers re-fetched (%d deduped), %.1f KB from member %d", fetched, deduped, float64(moved)/1e3, src.ID),
-		})
+		c.count(metrics.CtrFabricRepairsRefetched, 1)
+		c.emitAt(shipStart, time.Duration(c.eng.Now()-shipStart), trace.KindRepair, dst.ID, key, "",
+			fmt.Sprintf("%d layers re-fetched (%d deduped), %.1f KB from member %d", fetched, deduped, float64(moved)/1e3, src.ID))
 		need--
 	}
 }
@@ -910,12 +915,8 @@ func (c *Cluster) repairLineage(p *sim.Proc, key string) {
 func (c *Cluster) pruneStale(node int, key, lineage string) {
 	c.view.DropResident(node, key)
 	c.view.DropLayer(node, lineage)
-	c.stats.StaleDirectory++
-	c.rec.Inc(metrics.CtrSchedStaleEntries)
-	c.tr.Record(trace.Event{
-		At: time.Duration(c.eng.Now()), Kind: trace.KindStale, ID: uint64(node),
-		Key: key, Detail: "holder no longer resident; entry pruned, request re-placed",
-	})
+	c.count(metrics.CtrSchedStaleEntries, 1)
+	c.emit(trace.KindStale, node, key, "holder no longer resident; entry pruned, request re-placed")
 }
 
 // pick asks the placer for a decision, verifies it against node ground
@@ -936,8 +937,7 @@ func (c *Cluster) pick(p *sim.Proc, req core.Request, exclude int) *Member {
 
 		switch pl.Action {
 		case sched.ActionCold:
-			c.stats.ClusterColds++
-			c.rec.Inc(metrics.CtrSchedPlacementsCold)
+			c.count(metrics.CtrSchedPlacementsCold, 1)
 			return c.members[pl.Node]
 
 		case sched.ActionRoute:
@@ -951,13 +951,14 @@ func (c *Cluster) pick(p *sim.Proc, req core.Request, exclude int) *Member {
 			}
 			if holder.Node.HasSnapshot(req.Key) || holder.Node.HasIdleUC(req.Key) ||
 				(holder.Store != nil && holder.Store.Has(lineage)) {
-				c.rec.Inc(metrics.CtrSchedPlacementsRoute)
-				c.stats.LocalHitsOrRoute(c.isLeastLoaded(holder))
+				c.count(metrics.CtrSchedPlacementsRoute, 1)
+				if c.isLeastLoaded(holder) {
+					c.count(metrics.CtrSchedLocalHits, 1)
+				}
 				return holder
 			}
 			if tries >= len(c.members) {
-				c.stats.ClusterColds++
-				c.rec.Inc(metrics.CtrSchedPlacementsCold)
+				c.count(metrics.CtrSchedPlacementsCold, 1)
 				return holder
 			}
 			c.pruneStale(holder.ID, req.Key, lineage)
@@ -971,8 +972,7 @@ func (c *Cluster) pick(p *sim.Proc, req core.Request, exclude int) *Member {
 			}
 			if !holder.Node.HasSnapshot(req.Key) {
 				if tries >= len(c.members) {
-					c.stats.ClusterColds++
-					c.rec.Inc(metrics.CtrSchedPlacementsCold)
+					c.count(metrics.CtrSchedPlacementsCold, 1)
 					return dst
 				}
 				c.pruneStale(holder.ID, req.Key, lineage)
@@ -981,14 +981,16 @@ func (c *Cluster) pick(p *sim.Proc, req core.Request, exclude int) *Member {
 			if c.fetching[req.Key] || holder.Store == nil || dst.Store == nil {
 				// A racer is already shipping this function, or one end
 				// has no disk tier to fetch through: serve from the holder.
-				c.rec.Inc(metrics.CtrSchedPlacementsRoute)
-				c.stats.LocalHitsOrRoute(false)
+				c.count(metrics.CtrSchedPlacementsRoute, 1)
 				return holder
 			}
 			c.fetching[req.Key] = true
-			c.rec.Inc(metrics.CtrSchedPlacementsFetch)
 			target := c.fetchLayers(p, holder, dst, req.Key)
 			delete(c.fetching, req.Key)
+			// Counted on return, after the transfer's outcome, so that
+			// Stats.Fetches (placements − failed) never includes one still
+			// on the wire.
+			c.count(metrics.CtrSchedPlacementsFetch, 1)
 			return target
 		}
 	}
@@ -1017,28 +1019,18 @@ func (c *Cluster) fetchLayers(p *sim.Proc, holder, dst *Member, key string) *Mem
 	lineage := "fn/" + key
 	start := c.eng.Now()
 	if !holder.Node.FlushLineage(p, key) && !holder.Store.Has(lineage) {
-		c.stats.FailedFetches++
+		c.count(metrics.CtrFabricFetchesFailed, 1)
 		return holder
 	}
 	moved, fetched, deduped, err := c.shipLayers(p, holder, dst, lineage)
-	if err != nil {
-		c.stats.FailedFetches++
+	if err != nil || !dst.alive() || dst.Node.PromoteLineage(p, lineage) != nil {
+		c.count(metrics.CtrFabricFetchesFailed, 1)
 		return fallback(holder, dst)
 	}
-	if !dst.alive() || dst.Node.PromoteLineage(p, lineage) != nil {
-		c.stats.FailedFetches++
-		return fallback(holder, dst)
-	}
-	c.stats.Fetches++
-	c.stats.FetchedBytes += moved
+	c.count(metrics.CtrFabricFetchedBytes, moved)
 	c.view.MarkResident(dst.ID, key)
-	now := c.eng.Now()
-	c.tr.Record(trace.Event{
-		At: time.Duration(start), Dur: time.Duration(now - start),
-		Kind: trace.KindFetch, ID: uint64(dst.ID), Key: key,
-		Path:   "fetch",
-		Detail: fmt.Sprintf("%d layers fetched (%d deduped), %.1f KB from node %d", fetched, deduped, float64(moved)/1e3, holder.ID),
-	})
+	c.emitAt(start, time.Duration(c.eng.Now()-start), trace.KindFetch, dst.ID, key, "fetch",
+		fmt.Sprintf("%d layers fetched (%d deduped), %.1f KB from node %d", fetched, deduped, float64(moved)/1e3, holder.ID))
 	return dst
 }
 
@@ -1065,8 +1057,7 @@ func (c *Cluster) shipLayers(p *sim.Proc, src, dst *Member, lineage string) (mov
 			// Same key, same content: only the working-set sidecar can
 			// be missing; ship that alone.
 			moved += shipWorkingSet(src, dst, layer.Digest)
-			c.stats.LayerDedups++
-			c.rec.Inc(metrics.CtrFabricLayersDeduped)
+			c.count(metrics.CtrFabricLayersDeduped, 1)
 			deduped++
 			continue
 		}
@@ -1074,8 +1065,7 @@ func (c *Cluster) shipLayers(p *sim.Proc, src, dst *Member, lineage string) (mov
 			// Identical content under another name: link, ship nothing
 			// but the sidecar.
 			moved += shipWorkingSet(src, dst, layer.Digest)
-			c.stats.LayerDedups++
-			c.rec.Inc(metrics.CtrFabricLayersDeduped)
+			c.count(metrics.CtrFabricLayersDeduped, 1)
 			deduped++
 			continue
 		}
@@ -1086,12 +1076,12 @@ func (c *Cluster) shipLayers(p *sim.Proc, src, dst *Member, lineage string) (mov
 		// Copy before mutating: Get's single-flight shares the backing
 		// slice with concurrent readers.
 		wire := append([]byte(nil), data...)
-		if c.faults.Fire(fault.PointFetchDrop) {
+		if c.fire(fault.PointFetchDrop) {
 			// One dropped packet: pay a retransmit RTT and continue.
-			c.stats.FetchRetransmits++
+			c.count(metrics.CtrFabricFetchRetransmits, 1)
 			p.Sleep(c.cfg.LinkRTT)
 		}
-		if c.faults.Fire(fault.PointSnapshotCorrupt) {
+		if c.fire(fault.PointSnapshotCorrupt) {
 			wire[len(wire)/2] ^= 0xff
 		}
 		p.Sleep(c.transferTime(int64(len(wire))))
@@ -1100,16 +1090,13 @@ func (c *Cluster) shipLayers(p *sim.Proc, src, dst *Member, lineage string) (mov
 			return moved, fetched, deduped, fault.Contain(fmt.Errorf("%w: transfer %d→%d lost mid-layer", ErrMemberDown, src.ID, dst.ID))
 		}
 		if err := dst.Store.PutFetched(lk, layer.Base, wire, layer.Digest); err != nil {
-			c.rec.Inc(metrics.CtrFabricLayersRejected)
-			c.tr.Record(trace.Event{
-				At: time.Duration(c.eng.Now()), Kind: trace.KindFault, ID: uint64(dst.ID),
-				Key: lk, Detail: fmt.Sprintf("fetched layer rejected: %v; holder serves", err),
-			})
+			c.count(metrics.CtrFabricLayersRejected, 1)
+			c.emit(trace.KindFault, dst.ID, lk, fmt.Sprintf("fetched layer rejected: %v; holder serves", err))
 			return moved, fetched, deduped, err
 		}
 		moved += int64(len(wire))
 		fetched++
-		c.rec.Inc(metrics.CtrFabricLayersFetched)
+		c.count(metrics.CtrFabricLayersFetched, 1)
 		moved += shipWorkingSet(src, dst, layer.Digest)
 	}
 	return moved, fetched, deduped, nil
@@ -1133,13 +1120,4 @@ func shipWorkingSet(src, dst *Member, digest uint64) int64 {
 		return 0
 	}
 	return int64(len(data))
-}
-
-// LocalHitsOrRoute records a directory hit.
-func (s *Stats) LocalHitsOrRoute(local bool) {
-	if local {
-		s.LocalHits++
-	} else {
-		s.RemoteRoutes++
-	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"seuss/internal/core"
 	"seuss/internal/fault"
+	"seuss/internal/metrics"
 	"seuss/internal/sched"
 	"seuss/internal/sim"
 	"seuss/internal/workload"
@@ -164,8 +165,9 @@ func TestFetchPlacementWithoutTierRoutesToHolder(t *testing.T) {
 // TestFabricFetchDropRetransmits: an injected fetch packet drop costs
 // one retransmit RTT and the transfer still completes.
 func TestFabricFetchDropRetransmits(t *testing.T) {
+	rec := metrics.NewRecorder()
 	c, eng := newCluster(t, Config{
-		Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir(),
+		Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir(), Metrics: rec,
 		Faults: fault.Config{
 			Schedule: map[fault.Point][]uint64{fault.PointFetchDrop: {1}},
 		},
@@ -182,6 +184,9 @@ func TestFabricFetchDropRetransmits(t *testing.T) {
 	}
 	if st.FailedFetches != 0 {
 		t.Errorf("FailedFetches = %d after a plain drop, want 0", st.FailedFetches)
+	}
+	if got, fired := rec.Counters()[metrics.CtrFaultsInjected], int64(c.faults.TotalFired()); got != fired || fired != 1 {
+		t.Errorf("seuss_faults_injected_total = %d, injector fired %d, want both 1", got, fired)
 	}
 }
 

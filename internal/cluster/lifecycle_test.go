@@ -9,8 +9,10 @@ import (
 
 	"seuss/internal/core"
 	"seuss/internal/fault"
+	"seuss/internal/metrics"
 	"seuss/internal/sched"
 	"seuss/internal/sim"
+	"seuss/internal/trace"
 	"seuss/internal/workload"
 )
 
@@ -64,19 +66,84 @@ func stackBytes(t *testing.T, m *Member, lineage string) map[string][]byte {
 	return out
 }
 
-// TestMemberCrashFailoverAndRepair is the lifecycle acceptance test: it
-// kills the sole live RAM holder of a hot lineage and proves that
-// (a) the in-flight invocation fails over, contained, and succeeds on a
-// live member within the retry budget, and (b) the repair pass restores
-// the lineage from the disk-tier survivor — promoted back into RAM and
-// re-fetched to a fresh member with byte-identical layers.
-func TestMemberCrashFailoverAndRepair(t *testing.T) {
-	c, eng := newCluster(t, Config{
-		Nodes: 3, Policy: PolicyMigrate, SnapDir: t.TempDir(),
+// failoverScenario is one three-member fabric cluster with a recorder
+// and tracers attached, driven through every event the cluster accounts.
+// Its spine is the lifecycle acceptance script — kill the sole live RAM
+// holder of a hot lineage mid-invocation, fail over, orphan the lineage,
+// let the repair pass restore it byte-identical — extended with a
+// retransmitted and a rejected fabric fetch, a planted stale directory
+// entry, two dropped heartbeats, a lineage with no disk copy, a failed
+// re-replication and a partition/heal. It is the shared script of
+// TestMemberCrashFailoverAndRepair (the assertions in run),
+// TestClusterStatsDeriveFromLedger and TestClusterTimelineGolden.
+type failoverScenario struct {
+	c   *Cluster
+	eng *sim.Engine
+	rec *metrics.Recorder
+	// tr receives the cluster's events, whose IDs are member IDs; nodeTr
+	// the members', whose IDs are process-global request IDs.
+	tr, nodeTr *trace.Tracer
+}
+
+// failoverFaults schedules each fabric-level fault point. Visit numbers
+// are positions in failoverScenario.run: gossip-drop is consulted once
+// per live member per round in ID order, so visits 3 and 6 are member
+// 2's exchanges in rounds 1 and 2; fetch-drop and snapshot-corrupt are
+// consulted once per layer actually shipped.
+var failoverFaults = map[fault.Point][]uint64{
+	fault.PointGossipDrop:      {3, 6},
+	fault.PointFetchDrop:       {1},
+	fault.PointSnapshotCorrupt: {3, 5},
+}
+
+func newFailoverScenario(t *testing.T) *failoverScenario {
+	t.Helper()
+	s := &failoverScenario{rec: metrics.NewRecorder(), tr: trace.New(0), nodeTr: trace.New(0)}
+	nc := core.DefaultConfig()
+	nc.Tracer = s.nodeTr
+	s.c, s.eng = newCluster(t, Config{
+		Nodes: 3, Policy: PolicyMigrate, SnapDir: t.TempDir(), NodeConfig: nc,
 		GossipInterval: time.Nanosecond, // every invocation is a heartbeat round
 		MaxRetries:     2,
 		RejoinLazy:     true, // restarts come back with an empty RAM tier
+		Metrics:        s.rec,
+		Tracer:         s.tr,
+		Faults:         fault.Config{Schedule: failoverFaults},
 	})
+	return s
+}
+
+// restartLazily crashes member id and rejoins it with an empty RAM tier.
+func (s *failoverScenario) restartLazily(t *testing.T, id int) {
+	t.Helper()
+	if !s.c.Crash(id) {
+		t.Fatalf("Crash(%d) refused", id)
+	}
+	s.eng.Go("restart", func(p *sim.Proc) {
+		if err := s.c.Restart(p, id); err != nil {
+			t.Errorf("restart %d: %v", id, err)
+		}
+	})
+	s.eng.Run()
+}
+
+// untilDead drives heartbeat rounds with unrelated traffic until one
+// more member has been declared dead.
+func (s *failoverScenario) untilDead(t *testing.T) {
+	t.Helper()
+	filler := core.Request{Key: "filler", Source: workload.NOPSource, Args: "{}"}
+	dead := s.c.Stats().DeadMembers
+	for i := 0; i < 12 && s.c.Stats().DeadMembers == dead; i++ {
+		invoke(t, s.c, s.eng, filler)
+	}
+	if s.c.Stats().DeadMembers == dead {
+		t.Fatalf("no member declared dead: %+v", s.c.Stats())
+	}
+}
+
+func (s *failoverScenario) run(t *testing.T) {
+	t.Helper()
+	c, eng := s.c, s.eng
 	req := core.Request{Key: "hotfn", Source: workload.CPUBoundSource(20), Args: "{}"}
 	invoke(t, c, eng, req) // cold, on node 0
 	overload(t, c, eng, req, 8)
@@ -93,15 +160,7 @@ func TestMemberCrashFailoverAndRepair(t *testing.T) {
 
 	// Crash node 0 and bring it back lazily: its disk tier survives but
 	// its RAM copy is gone — the replica is now the sole live RAM holder.
-	if !c.Crash(0) {
-		t.Fatal("Crash(0) refused")
-	}
-	eng.Go("restart", func(p *sim.Proc) {
-		if err := c.Restart(p, 0); err != nil {
-			t.Errorf("restart 0: %v", err)
-		}
-	})
-	eng.Run()
+	s.restartLazily(t, 0)
 	if got := c.Holders("hotfn"); len(got) != 1 || got[0] != replica {
 		t.Fatalf("holders after lazy rejoin = %v, want sole holder %d", got, replica)
 	}
@@ -139,23 +198,11 @@ func TestMemberCrashFailoverAndRepair(t *testing.T) {
 	// Orphan the lineage outright: crash the member the failover landed
 	// on and bring it back lazily, so no live member holds hotfn in RAM
 	// and the only live copy is node 0's disk tier.
-	if !c.Crash(served) {
-		t.Fatalf("Crash(%d) refused", served)
-	}
-	eng.Go("restart", func(p *sim.Proc) {
-		if err := c.Restart(p, served); err != nil {
-			t.Errorf("restart %d: %v", served, err)
-		}
-	})
-	eng.Run()
+	s.restartLazily(t, served)
 
-	// Drive heartbeat rounds with unrelated traffic until the dead
-	// replica's missed heartbeats pass DeadAfter; the declaration
-	// schedules the repair pass.
-	filler := core.Request{Key: "filler", Source: workload.NOPSource, Args: "{}"}
-	for i := 0; i < 12 && c.Stats().DeadMembers == 0; i++ {
-		invoke(t, c, eng, filler)
-	}
+	// Drive heartbeat rounds until the dead replica's missed heartbeats
+	// pass DeadAfter; the declaration schedules the repair pass.
+	s.untilDead(t)
 	st = c.Stats()
 	if st.SuspectedMembers == 0 || st.DeadMembers == 0 {
 		t.Fatalf("replica never declared dead: suspected=%d dead=%d", st.SuspectedMembers, st.DeadMembers)
@@ -194,6 +241,77 @@ func TestMemberCrashFailoverAndRepair(t *testing.T) {
 	if res2.Path == core.PathCold || c.Stats().ClusterColds != colds {
 		t.Errorf("post-repair invocation went cold (path %v, node %d)", res2.Path, n2)
 	}
+
+	// A second lineage replicates under load; the diff layer corrupts
+	// on the wire, the destination tier rejects it and the holder serves;
+	// the next burst's fetch goes through.
+	aux := core.Request{Key: "aux", Source: workload.CPUBoundSource(20), Args: "{}"}
+	invoke(t, c, eng, aux)
+	overload(t, c, eng, aux, 8)
+	overload(t, c, eng, aux, 8)
+	st = c.Stats()
+	if st.FailedFetches != 1 || st.Fetches < 2 {
+		t.Fatalf("aux replication: failed=%d fetches=%d, want 1 and >= 2", st.FailedFetches, st.Fetches)
+	}
+
+	// A directory entry the view believes and ground truth does not: the
+	// lie is planted in the instant after a round, so no gossip repairs
+	// it before placement verifies, prunes and re-places.
+	ghost := core.Request{Key: "ghost", Source: workload.NOPSource, Args: "{}"}
+	eng.Go("client", func(p *sim.Proc) {
+		if _, _, err := c.Invoke(p, aux); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.Go("ghost-client", func(p *sim.Proc) {
+		c.View().MarkResident(third, "ghost")
+		if _, _, err := c.Invoke(p, ghost); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.Run()
+
+	// One lineage with no disk copy anywhere, on a member about to be cut
+	// off; the dead replica rejoins; the other survivor loses its RAM.
+	doomed := core.Request{Key: "doomed", Source: workload.NOPSource, Args: "{}"}
+	_, cut := invoke(t, c, eng, doomed)
+	eng.Go("restart", func(p *sim.Proc) {
+		if err := c.Restart(p, replica); err != nil {
+			t.Errorf("restart %d: %v", replica, err)
+		}
+	})
+	eng.Run()
+	s.restartLazily(t, otherMember(t, c, replica, cut))
+	if !c.Partition(cut) {
+		t.Fatalf("Partition(%d) refused", cut)
+	}
+	// The cut-off member is declared dead and the repair pass finds all
+	// three outcomes: hotfn and aux promote on a disk-tier survivor, aux's
+	// re-replication to the rejoined member corrupts on the wire, and
+	// doomed has no live copy at all.
+	s.untilDead(t)
+	st = c.Stats()
+	if st.RepairsPromoted < 3 || st.RepairsFailed != 1 || st.RepairsCold == 0 {
+		t.Fatalf("second repair pass: %+v", st)
+	}
+	if !c.Heal(cut) {
+		t.Fatalf("Heal(%d) refused", cut)
+	}
+	for _, r := range []core.Request{req, aux, doomed} {
+		if res, n := invoke(t, c, eng, r); res.Output == "" {
+			t.Errorf("%s stranded on node %d after heal", r.Key, n)
+		}
+	}
+}
+
+// TestMemberCrashFailoverAndRepair is the lifecycle acceptance test: it
+// kills the sole live RAM holder of a hot lineage and proves that
+// (a) the in-flight invocation fails over, contained, and succeeds on a
+// live member within the retry budget, and (b) the repair pass restores
+// the lineage from the disk-tier survivor — promoted back into RAM and
+// re-fetched to a fresh member with byte-identical layers.
+func TestMemberCrashFailoverAndRepair(t *testing.T) {
+	newFailoverScenario(t).run(t)
 }
 
 // TestRepairColdWhenNoDiskSurvivor: when every disk copy of an orphaned
@@ -240,8 +358,9 @@ func TestRepairColdWhenNoDiskSurvivor(t *testing.T) {
 // the member never died — the repair pass does no damage and the next
 // landed heartbeat revives it.
 func TestGossipDropRunsLivenessStateMachine(t *testing.T) {
+	rec := metrics.NewRecorder()
 	c, eng := newCluster(t, Config{
-		Nodes: 2, GossipInterval: time.Nanosecond,
+		Nodes: 2, GossipInterval: time.Nanosecond, Metrics: rec,
 		Faults: fault.Config{
 			// Drops are consulted once per alive member per round in ID
 			// order: even visits are node 1's exchanges. Rounds 2-5 drop
@@ -275,6 +394,9 @@ func TestGossipDropRunsLivenessStateMachine(t *testing.T) {
 	}
 	if st.GossipDrops != 4 {
 		t.Errorf("GossipDrops = %d, want the 4 scheduled", st.GossipDrops)
+	}
+	if got, fired := rec.Counters()[metrics.CtrFaultsInjected], int64(c.faults.TotalFired()); got != fired || fired != 4 {
+		t.Errorf("seuss_faults_injected_total = %d, injector fired %d, want both 4", got, fired)
 	}
 	if st.StaleDirectory == 0 {
 		t.Error("death declaration pruned nothing; node 1's entries should count as stale")

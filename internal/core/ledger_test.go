@@ -213,8 +213,8 @@ func (s *ledgerScenario) run() {
 }
 
 // TestStatsDeriveFromLedger: every core.Stats field equals its
-// expression over the node's metrics counters (and the injector's fired
-// count), and the scenario leaves none of them zero — so a field that
+// expression over the node's metrics counters (FaultsInjected also the
+// injector's own fired count), and the scenario leaves none of them zero — so a field that
 // falls out of the mapping, or an event counted in one ledger and not
 // the other, fails here.
 func TestStatsDeriveFromLedger(t *testing.T) {
@@ -272,6 +272,36 @@ func TestStatsDeriveFromLedger(t *testing.T) {
 	}
 	if f := c(metrics.CtrFaultsInjected); f != want["FaultsInjected"] {
 		t.Errorf("seuss_faults_injected_total = %d, injector fired %d", f, want["FaultsInjected"])
+	}
+}
+
+// TestStatsOfMapsEveryField feeds StatsOf a distinct prime per counter.
+// No field may come out zero (its mapping was dropped) and no two may be
+// equal (two fields read one counter): the only field that is not one
+// counter is SnapshotsPromoted, a sum of two odd primes.
+func TestStatsOfMapsEveryField(t *testing.T) {
+	var c metrics.Counters
+	for i, p := 0, int64(2); i < len(c); p++ {
+		prime := true
+		for d := int64(2); d*d <= p; d++ {
+			prime = prime && p%d != 0
+		}
+		if prime {
+			c[i] = p
+			i++
+		}
+	}
+	got := reflect.ValueOf(StatsOf(c))
+	seen := map[int64]string{}
+	for i := 0; i < got.NumField(); i++ {
+		name, v := got.Type().Field(i).Name, got.Field(i).Int()
+		if v == 0 {
+			t.Errorf("Stats.%s = 0: StatsOf does not map it", name)
+		}
+		if other, dup := seen[v]; dup {
+			t.Errorf("Stats.%s and Stats.%s both read %d", name, other, v)
+		}
+		seen[v] = name
 	}
 }
 

@@ -216,9 +216,9 @@ func DefaultConfig() Config {
 	return Config{NetworkAO: true, InterpreterAO: true}
 }
 
-// Stats counts node activity. Node.Stats derives every field from the
-// node's event ledger (see Node.count); the struct is the stable shape
-// pools and clusters aggregate.
+// Stats counts node activity: a view of a counter array, computed by
+// StatsOf at read time — of one node's ledger (Node.Stats), of one
+// shard's recorder, or of a pool's sum.
 type Stats struct {
 	Cold, Warm, Hot   int64
 	Lukewarm          int64 // invocations restored from the disk tier
@@ -240,7 +240,7 @@ type Stats struct {
 	PressureIdleReclaims      int64
 	PressureSnapshotEvictions int64
 	PressureColdFallbacks     int64
-	// FaultsInjected counts fault points that fired on this node.
+	// FaultsInjected counts fault points fired on this node or its shard.
 	FaultsInjected int64
 	// The snapshot disk tier: lookups on warm misses, evictions
 	// persisted as demotions, diffs grafted back in (lukewarm restores
@@ -266,40 +266,6 @@ type Stats struct {
 	PolicyPrewarms        int64
 	PolicyPrewarmMisses   int64
 	PolicyPrewarmMisfires int64
-}
-
-// Add accumulates o into s (pool/cluster aggregation).
-func (s *Stats) Add(o Stats) {
-	s.Cold += o.Cold
-	s.Warm += o.Warm
-	s.Hot += o.Hot
-	s.Errors += o.Errors
-	s.UCsDeployed += o.UCsDeployed
-	s.UCsReclaimed += o.UCsReclaimed
-	s.SnapshotsCaptured += o.SnapshotsCaptured
-	s.SnapshotsEvicted += o.SnapshotsEvicted
-	s.UCCrashes += o.UCCrashes
-	s.DeadlinesExceeded += o.DeadlinesExceeded
-	s.PressureIdleReclaims += o.PressureIdleReclaims
-	s.PressureSnapshotEvictions += o.PressureSnapshotEvictions
-	s.PressureColdFallbacks += o.PressureColdFallbacks
-	s.FaultsInjected += o.FaultsInjected
-	s.Lukewarm += o.Lukewarm
-	s.TierHits += o.TierHits
-	s.TierMisses += o.TierMisses
-	s.SnapshotsDemoted += o.SnapshotsDemoted
-	s.SnapshotsPromoted += o.SnapshotsPromoted
-	s.SnapshotsPrewarmed += o.SnapshotsPrewarmed
-	s.WSRecorded += o.WSRecorded
-	s.WSMerged += o.WSMerged
-	s.WSCorrupt += o.WSCorrupt
-	s.WSPrefetchedPages += o.WSPrefetchedPages
-	s.WSCoverageHits += o.WSCoverageHits
-	s.WSCoverageMisses += o.WSCoverageMisses
-	s.PolicyExpirations += o.PolicyExpirations
-	s.PolicyPrewarms += o.PolicyPrewarms
-	s.PolicyPrewarmMisses += o.PolicyPrewarmMisses
-	s.PolicyPrewarmMisfires += o.PolicyPrewarmMisfires
 }
 
 // managedUC pairs a UC with its host environment so later operations
@@ -364,9 +330,11 @@ type Node struct {
 	// contract: one goroutine owns all node methods.
 	entropySrc *entropy.Source
 
-	// ledger is the node's one count of what happened, indexed by the
-	// metrics registry's counters. Only count writes it; Stats reads it.
-	ledger [metrics.NumCounters]int64
+	// ledger is the node's one count of what happened. Only count writes
+	// it; Stats reads it. It is private to the node because cfg.Metrics
+	// need not be: a cluster's members may share one recorder, or have
+	// none.
+	ledger metrics.Counters
 }
 
 // count records delta occurrences of one event — the node's single
@@ -559,11 +527,12 @@ func (n *Node) Runtimes() []string {
 	return out
 }
 
-// Stats reads the node's counters off its ledger. FaultsInjected is the
-// injector's own count at read time, so points fired on the node's
-// behalf by its owner (a shard's stall point) are included.
-func (n *Node) Stats() Stats {
-	c := &n.ledger
+// Stats reads the node's counters off its ledger.
+func (n *Node) Stats() Stats { return StatsOf(n.ledger) }
+
+// StatsOf is the one mapping from the metrics registry's counters to
+// the Stats shape.
+func StatsOf(c metrics.Counters) Stats {
 	return Stats{
 		Cold:                      c[metrics.CtrColdInvocations],
 		Warm:                      c[metrics.CtrWarmInvocations],
@@ -579,7 +548,7 @@ func (n *Node) Stats() Stats {
 		PressureIdleReclaims:      c[metrics.CtrPressureIdleReclaims],
 		PressureSnapshotEvictions: c[metrics.CtrPressureSnapshotEvictions],
 		PressureColdFallbacks:     c[metrics.CtrPressureColdFallbacks],
-		FaultsInjected:            int64(n.cfg.Faults.TotalFired()),
+		FaultsInjected:            c[metrics.CtrFaultsInjected],
 		TierHits:                  c[metrics.CtrTierHits],
 		TierMisses:                c[metrics.CtrTierMisses],
 		SnapshotsDemoted:          c[metrics.CtrTierDemotions],

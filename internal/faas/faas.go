@@ -107,16 +107,26 @@ type Cluster struct {
 	// Retry is the platform's contained-fault retry policy. Set it
 	// before traffic; the dispatcher reads it per activation.
 	Retry RetryPolicy
-	// Requests / Failures count platform-level outcomes.
-	Requests int64
-	Failures int64
-	// Retries counts re-submissions after contained faults.
-	Retries int64
 	// Metrics, when non-nil, mirrors the platform outcome counters into
 	// the pre-registered metrics registry (CtrPlatformRequests /
 	// Failures / Retries). Set it before traffic, alongside Retry.
 	Metrics *metrics.Recorder
+	// ledger is the platform's own count; only count writes it.
+	ledger metrics.Counters
 }
+
+// count records one platform event: on the ledger Requests, Failures
+// and Retries read, and on the attached recorder (nil-safe).
+func (c *Cluster) count(ctr metrics.Counter) {
+	c.ledger[ctr]++
+	c.Metrics.Inc(ctr)
+}
+
+// Requests and Failures count platform-level outcomes; Retries counts
+// re-submissions after contained faults.
+func (c *Cluster) Requests() int64 { return c.ledger[metrics.CtrPlatformRequests] }
+func (c *Cluster) Failures() int64 { return c.ledger[metrics.CtrPlatformFailures] }
+func (c *Cluster) Retries() int64  { return c.ledger[metrics.CtrPlatformRetries] }
 
 // busRequest is one activation in flight on the bus.
 type busRequest struct {
@@ -167,8 +177,7 @@ func (c *Cluster) invokeWithRetry(p *sim.Proc, spec workload.Spec, args string) 
 		backoff = time.Millisecond
 	}
 	for attempt := 0; attempt < c.Retry.Max && err != nil && fault.IsContained(err); attempt++ {
-		c.Retries++
-		c.Metrics.Inc(metrics.CtrPlatformRetries)
+		c.count(metrics.CtrPlatformRetries)
 		p.Sleep(backoff)
 		backoff *= 2
 		err = c.backend.Invoke(p, spec, args)
@@ -190,8 +199,7 @@ func (c *Cluster) Backend() Backend { return c.backend }
 // overhead, publish the activation to the bus, and block on the reply
 // (the paper's benchmark issues synchronous requests).
 func (c *Cluster) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
-	c.Requests++
-	c.Metrics.Inc(metrics.CtrPlatformRequests)
+	c.count(metrics.CtrPlatformRequests)
 	c.registry.Put(spec.Key, spec.Source) // idempotent registration
 	p.Sleep(costs.ControllerOverhead)
 	r := &busRequest{spec: spec, args: args, reply: sim.NewQueue(c.eng)}
@@ -199,8 +207,7 @@ func (c *Cluster) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
 	v, _ := r.reply.Get(p)
 	if v != nil {
 		if err, ok := v.(error); ok {
-			c.Failures++
-			c.Metrics.Inc(metrics.CtrPlatformFailures)
+			c.count(metrics.CtrPlatformFailures)
 			return err
 		}
 	}
@@ -657,8 +664,7 @@ type activations struct {
 // finishes. Controller overhead is charged to the caller, as for
 // blocking invocations.
 func (c *Cluster) InvokeAsync(p *sim.Proc, spec workload.Spec, args string) int64 {
-	c.Requests++
-	c.Metrics.Inc(metrics.CtrPlatformRequests)
+	c.count(metrics.CtrPlatformRequests)
 	c.registry.Put(spec.Key, spec.Source)
 	p.Sleep(costs.ControllerOverhead)
 	c.acts.next++
@@ -671,8 +677,7 @@ func (c *Cluster) InvokeAsync(p *sim.Proc, spec workload.Spec, args string) int6
 		act.Err = err
 		act.Done = true
 		if err != nil {
-			c.Failures++
-			c.Metrics.Inc(metrics.CtrPlatformFailures)
+			c.count(metrics.CtrPlatformFailures)
 		}
 		c.acts.updated.Broadcast()
 	})

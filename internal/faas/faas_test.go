@@ -71,8 +71,8 @@ func TestSeussEndToEnd(t *testing.T) {
 	if lat[2] >= lat[0] {
 		t.Errorf("hot %v !< cold %v", lat[2], lat[0])
 	}
-	if c.Requests != 3 || c.Failures != 0 {
-		t.Errorf("requests=%d failures=%d", c.Requests, c.Failures)
+	if c.Requests() != 3 || c.Failures() != 0 {
+		t.Errorf("requests=%d failures=%d", c.Requests(), c.Failures())
 	}
 }
 
@@ -225,8 +225,8 @@ func TestLinuxErrorsWhenCapacityExhausted(t *testing.T) {
 	if errs == 0 {
 		t.Error("no capacity errors despite 12 long requests on 4 containers")
 	}
-	if c.Failures != int64(errs) {
-		t.Errorf("cluster failures = %d, errs = %d", c.Failures, errs)
+	if c.Failures() != int64(errs) {
+		t.Errorf("cluster failures = %d, errs = %d", c.Failures(), errs)
 	}
 }
 
@@ -373,7 +373,7 @@ func TestAsyncActivationFailureRecorded(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if c.Failures == 0 {
+	if c.Failures() == 0 {
 		t.Error("cluster failures not counted")
 	}
 }
@@ -423,7 +423,7 @@ func TestSeussPoolBackend(t *testing.T) {
 	if got := st.Node.Cold + st.Node.Warm + st.Node.Hot; got != int64(len(specs)) {
 		t.Errorf("pool served %d, want %d", got, len(specs))
 	}
-	if c.Requests != int64(len(specs)) || c.Failures != 0 {
-		t.Errorf("requests=%d failures=%d", c.Requests, c.Failures)
+	if c.Requests() != int64(len(specs)) || c.Failures() != 0 {
+		t.Errorf("requests=%d failures=%d", c.Requests(), c.Failures())
 	}
 }

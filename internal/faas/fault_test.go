@@ -7,6 +7,7 @@ import (
 
 	"seuss/internal/core"
 	"seuss/internal/fault"
+	"seuss/internal/metrics"
 	"seuss/internal/sim"
 	"seuss/internal/workload"
 )
@@ -30,6 +31,7 @@ func TestPlatformRetryMasksContainedCrash(t *testing.T) {
 	eng := sim.NewEngine()
 	c := newFaultyCluster(t, eng, map[fault.Point][]uint64{fault.PointUCCrash: {1}})
 	c.Retry = RetryPolicy{Max: 2, Backoff: time.Millisecond}
+	c.Metrics = metrics.NewRecorder()
 	spec := workload.NOPSpec(0)
 	var err error
 	eng.Go("client", func(p *sim.Proc) { err = c.Invoke(p, spec, "{}") })
@@ -37,11 +39,14 @@ func TestPlatformRetryMasksContainedCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retried activation still failed: %v", err)
 	}
-	if c.Retries != 1 {
-		t.Errorf("Retries = %d, want 1", c.Retries)
+	if c.Retries() != 1 {
+		t.Errorf("Retries = %d, want 1", c.Retries())
 	}
-	if c.Failures != 0 {
-		t.Errorf("Failures = %d, want 0 — the crash must be masked", c.Failures)
+	if c.Failures() != 0 {
+		t.Errorf("Failures = %d, want 0 — the crash must be masked", c.Failures())
+	}
+	if got := c.Metrics.Counters(); got != c.ledger || c.Requests() != 1 {
+		t.Errorf("recorder reads %v, the platform's ledger %v; want equal, one request", got, c.ledger)
 	}
 }
 
@@ -57,8 +62,8 @@ func TestPlatformNoRetryByDefault(t *testing.T) {
 	if !errors.Is(err, core.ErrUCCrashed) {
 		t.Fatalf("err = %v, want ErrUCCrashed", err)
 	}
-	if c.Failures != 1 || c.Retries != 0 {
-		t.Errorf("failures=%d retries=%d, want 1 and 0", c.Failures, c.Retries)
+	if c.Failures() != 1 || c.Retries() != 0 {
+		t.Errorf("failures=%d retries=%d, want 1 and 0", c.Failures(), c.Retries())
 	}
 }
 
@@ -81,8 +86,8 @@ func TestPlatformRetryAsyncActivation(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if c.Retries != 1 {
-		t.Errorf("Retries = %d, want 1", c.Retries)
+	if c.Retries() != 1 {
+		t.Errorf("Retries = %d, want 1", c.Retries())
 	}
 }
 

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -176,29 +175,5 @@ func TestLatenciesExcludeErrors(t *testing.T) {
 	tl.Add(Point{Latency: ms(2), Err: true})
 	if got := tl.Latencies(""); len(got) != 1 || got[0] != ms(1) {
 		t.Errorf("latencies = %v", got)
-	}
-}
-
-func TestRobustnessAddAndString(t *testing.T) {
-	var r Robustness
-	if !r.Zero() || r.String() != "no faults" {
-		t.Fatalf("zero ledger: zero=%v str=%q", r.Zero(), r.String())
-	}
-	r.Add(Robustness{Retries: 2, UCCrashes: 1})
-	r.Add(Robustness{Retries: 1, BreakerTrips: 3, PressureColdFallbacks: 4})
-	if r.Retries != 3 || r.BreakerTrips != 3 || r.UCCrashes != 1 || r.PressureColdFallbacks != 4 {
-		t.Errorf("accumulated ledger = %+v", r)
-	}
-	if r.Zero() {
-		t.Error("non-empty ledger reported zero")
-	}
-	s := r.String()
-	for _, want := range []string{"retries=3", "breaker_trips=3", "uc_crashes=1", "pressure_cold_fallbacks=4"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("String() = %q, missing %q", s, want)
-		}
-	}
-	if strings.Contains(s, "deadlines") {
-		t.Errorf("String() = %q renders zero counters", s)
 	}
 }

@@ -77,15 +77,23 @@ const (
 	CtrSchedPlacementsRoute
 	CtrSchedPlacementsFetch
 	CtrSchedStaleEntries
+	CtrSchedLocalHits
 	CtrGossipRounds
 	CtrGossipDrops
 	CtrFabricLayersFetched
 	CtrFabricLayersDeduped
 	CtrFabricLayersRejected
+	CtrFabricFetchedBytes
+	CtrFabricFetchesFailed
+	CtrFabricFetchRetransmits
 	// Member liveness lifecycle, failover, and redundancy repair.
 	CtrMemberStateAlive
 	CtrMemberStateSuspect
 	CtrMemberStateDead
+	CtrMemberCrashes
+	CtrMemberRestarts
+	CtrMemberPartitions
+	CtrClusterRetries
 	CtrClusterFailovers
 	CtrFabricRepairsPromoted
 	CtrFabricRepairsRefetched
@@ -115,6 +123,20 @@ const (
 	// indexed by Counter.
 	NumCounters
 )
+
+// Counters is one reading of every registered counter, indexed by
+// Counter: the only shape counts travel in between layers. A layer that
+// keeps its own (core.Node, cluster.Cluster, faas.Cluster) holds one
+// beside its Recorder; readers sum them with Add and derive their Stats
+// shape from the sum at read time.
+type Counters [NumCounters]int64
+
+// Add accumulates o into c, element-wise.
+func (c *Counters) Add(o Counters) {
+	for i := range c {
+		c[i] += o[i]
+	}
+}
 
 // Hist identifies one pre-registered latency histogram.
 type Hist int
@@ -184,15 +206,24 @@ var counterDescs = [NumCounters]desc{
 	CtrSchedPlacementsRoute: {"seuss_sched_placements_total", "", `action="route"`},
 	CtrSchedPlacementsFetch: {"seuss_sched_placements_total", "", `action="fetch"`},
 	CtrSchedStaleEntries:    {"seuss_sched_stale_entries_total", "Stale scheduler directory entries pruned at placement time.", ""},
+	CtrSchedLocalHits:       {"seuss_sched_local_hits_total", "Route placements whose holder was also the least-loaded member.", ""},
 	CtrGossipRounds:         {"seuss_fabric_gossip_rounds_total", "Completed scheduler manifest-exchange rounds.", ""},
 	CtrGossipDrops:          {"seuss_fabric_gossip_drops_total", "Gossip exchanges lost to injected faults.", ""},
 	CtrFabricLayersFetched:  {"seuss_fabric_layer_transfers_total", "Snapshot-layer transfer outcomes on the fabric.", `outcome="fetched"`},
 	CtrFabricLayersDeduped:  {"seuss_fabric_layer_transfers_total", "", `outcome="deduped"`},
 	CtrFabricLayersRejected: {"seuss_fabric_layer_transfers_total", "", `outcome="rejected"`},
 
+	CtrFabricFetchedBytes:     {"seuss_fabric_fetched_bytes_total", "Bytes shipped by completed replication fetches (deduped layers ship none).", ""},
+	CtrFabricFetchesFailed:    {"seuss_fabric_fetches_failed_total", "Replication fetches abandoned mid-flight; the holder served instead.", ""},
+	CtrFabricFetchRetransmits: {"seuss_fabric_fetch_retransmits_total", "Injected fetch packet drops, each costing one extra round trip.", ""},
+
 	CtrMemberStateAlive:       {"seuss_cluster_member_state_transitions_total", "Member liveness transitions, by state entered.", `state="alive"`},
 	CtrMemberStateSuspect:     {"seuss_cluster_member_state_transitions_total", "", `state="suspect"`},
 	CtrMemberStateDead:        {"seuss_cluster_member_state_transitions_total", "", `state="dead"`},
+	CtrMemberCrashes:          {"seuss_cluster_member_events_total", "Member lifecycle events, test hooks and injected faults alike.", `event="crash"`},
+	CtrMemberRestarts:         {"seuss_cluster_member_events_total", "", `event="restart"`},
+	CtrMemberPartitions:       {"seuss_cluster_member_events_total", "", `event="partition"`},
+	CtrClusterRetries:         {"seuss_cluster_retries_total", "Invocations re-picked after a contained fault.", ""},
 	CtrClusterFailovers:       {"seuss_cluster_failovers_total", "Invocations re-picked to a live member after the serving member became unreachable.", ""},
 	CtrFabricRepairsPromoted:  {"seuss_fabric_repairs_total", "Repair-pass actions for lineages that lost their last live holder, by outcome.", `outcome="promoted"`},
 	CtrFabricRepairsRefetched: {"seuss_fabric_repairs_total", "", `outcome="refetched"`},
@@ -276,18 +307,25 @@ func (r *Recorder) Observe(h Hist, d time.Duration) {
 	}
 }
 
+// Counters reads every counter. Safe on a nil recorder (all zero).
+func (r *Recorder) Counters() Counters {
+	var c Counters
+	if r != nil {
+		for i := range r.counters {
+			c[i] = r.counters[i].Load()
+		}
+	}
+	return c
+}
+
 // Snapshot returns a point-in-time copy of every counter and
 // histogram. Safe on a nil recorder (returns the zero snapshot).
 func (r *Recorder) Snapshot() Snapshot {
-	var s Snapshot
-	if r == nil {
-		return s
-	}
-	for i := range r.counters {
-		s.Counters[i] = r.counters[i].Load()
-	}
-	for i := range r.hists {
-		s.Hists[i] = r.hists[i].Snapshot()
+	s := Snapshot{Counters: r.Counters()}
+	if r != nil {
+		for i := range r.hists {
+			s.Hists[i] = r.hists[i].Snapshot()
+		}
 	}
 	return s
 }
@@ -295,15 +333,13 @@ func (r *Recorder) Snapshot() Snapshot {
 // Snapshot is an immutable reading of a Recorder: the unit merged
 // across shards on scrape.
 type Snapshot struct {
-	Counters [NumCounters]int64
+	Counters Counters
 	Hists    [numHists]HistogramSnapshot
 }
 
 // Merge accumulates o into s (element-wise, associative).
 func (s *Snapshot) Merge(o Snapshot) {
-	for i := range s.Counters {
-		s.Counters[i] += o.Counters[i]
-	}
+	s.Counters.Add(o.Counters)
 	for i := range s.Hists {
 		s.Hists[i].Merge(o.Hists[i])
 	}

@@ -8,6 +8,7 @@ import (
 
 	"seuss/internal/core"
 	"seuss/internal/fault"
+	"seuss/internal/metrics"
 	"seuss/internal/policy"
 )
 
@@ -15,7 +16,9 @@ import (
 // closed → open on threshold consecutive failures, open → half-open
 // after probeAfter diversions, probe outcome closes or re-opens.
 func TestBreakerStateMachine(t *testing.T) {
-	b := newBreaker(2, 3, nil)
+	rec := metrics.NewRecorder()
+	trips := func() int64 { return rec.Counters()[metrics.CtrBreakerTrips] }
+	b := newBreaker(2, 3, rec)
 
 	if allow, _ := b.route(); !allow {
 		t.Fatal("closed breaker must allow")
@@ -23,12 +26,12 @@ func TestBreakerStateMachine(t *testing.T) {
 	b.recordFailure()
 	b.recordSuccess() // success resets the consecutive-failure count
 	b.recordFailure()
-	if s, _ := b.snapshot(); s != "closed" {
+	if s := b.stateName(); s != "closed" {
 		t.Fatalf("one failure after reset tripped the breaker: %s", s)
 	}
 	b.recordFailure()
-	if s, trips := b.snapshot(); s != "open" || trips != 1 {
-		t.Fatalf("after threshold failures: state=%s trips=%d", s, trips)
+	if s := b.stateName(); s != "open" || trips() != 1 {
+		t.Fatalf("after threshold failures: state=%s trips=%d", s, trips())
 	}
 
 	// Open: diverts probeAfter-1 requests, then lets a probe through.
@@ -48,8 +51,8 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// Probe fails: straight back to open, counts a fresh trip.
 	b.recordFailure()
-	if s, trips := b.snapshot(); s != "open" || trips != 2 {
-		t.Fatalf("failed probe: state=%s trips=%d", s, trips)
+	if s := b.stateName(); s != "open" || trips() != 2 {
+		t.Fatalf("failed probe: state=%s trips=%d", s, trips())
 	}
 	// Re-probe, succeed: closed.
 	b.route()
@@ -58,7 +61,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("expected another probe")
 	}
 	b.recordSuccess()
-	if s, _ := b.snapshot(); s != "closed" {
+	if s := b.stateName(); s != "closed" {
 		t.Fatalf("successful probe left state %s", s)
 	}
 
@@ -70,6 +73,26 @@ func TestBreakerStateMachine(t *testing.T) {
 	d.recordFailure()
 	if allow, _ := d.route(); !allow {
 		t.Fatal("disabled breaker must always allow")
+	}
+}
+
+// tripBreaker opens shard id's breaker where serving code does: on the
+// shard's own goroutine (recordFailure's only caller is shard.serve),
+// between requests. Tripping it from the test goroutine instead races
+// the owner's loop — a shard already parked in its steal select read
+// healthy() before the trip and may take back the request it diverts.
+func tripBreaker(t *testing.T, pool *Pool, id int) {
+	t.Helper()
+	err := pool.control(pool.shards[id:id+1], func(s *shard) {
+		for i := 0; i < s.breaker.threshold; i++ {
+			s.breaker.recordFailure()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := pool.BreakerState(id); st != "open" {
+		t.Fatalf("breaker state = %s, want open", st)
 	}
 }
 
@@ -88,14 +111,7 @@ func TestBreakerReroutesAroundSickShard(t *testing.T) {
 	sick := pool.OwnerShard(key)
 	healthy := 1 - sick
 
-	// Trip the owner's breaker directly (white-box): three contained
-	// failures.
-	for i := 0; i < 3; i++ {
-		pool.shards[sick].breaker.recordFailure()
-	}
-	if st, _ := pool.BreakerState(sick); st != "open" {
-		t.Fatalf("breaker state = %s, want open", st)
-	}
+	tripBreaker(t, pool, sick) // white-box: three contained failures
 
 	// Diversions 1 and 2 must be served by the healthy shard.
 	for i := 0; i < 2; i++ {
@@ -344,9 +360,7 @@ func TestControlMessagesBypassRoutingAndFaults(t *testing.T) {
 	}
 	pool := newTestPool(t, cfg)
 	owner := pool.OwnerShard(key)
-	for i := 0; i < 3; i++ {
-		pool.shards[owner].breaker.recordFailure()
-	}
+	tripBreaker(t, pool, owner)
 
 	ownerStats := func() ShardStats {
 		t.Helper()

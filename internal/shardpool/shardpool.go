@@ -160,7 +160,10 @@ type Result struct {
 // ShardStats is one shard's state, snapshotted inside its owning
 // goroutine (never read mid-invocation).
 type ShardStats struct {
-	Shard           int
+	Shard int
+	// Counters is the shard's ledger — the recorder its node, breaker and
+	// stall point count into — and Node the node-level view of it.
+	Counters        metrics.Counters
 	Node            core.Stats
 	CachedSnapshots int
 	IdleUCs         int
@@ -169,21 +172,10 @@ type ShardStats struct {
 	// Breaker is the shard's circuit-breaker state ("closed", "open",
 	// "half-open").
 	Breaker string
-	// BreakerTrips counts closed→open transitions on this shard.
-	BreakerTrips int64
-	// FaultsInjected counts fault points fired on this shard.
-	FaultsInjected int64
 }
 
-// Stats is the pool-level aggregate.
-type Stats struct {
-	// Node sums the per-shard counters.
-	Node core.Stats
-	// CachedSnapshots / IdleUCs sum the per-shard cache sizes.
-	CachedSnapshots int
-	IdleUCs         int
-	// MemoryUsedBytes sums per-shard physical memory in use.
-	MemoryUsedBytes int64
+// RoutingStats is the pool-level view of the routing counters.
+type RoutingStats struct {
 	// Stolen counts requests served off their owner shard.
 	Stolen int64
 	// BreakerTrips sums closed→open transitions across shards.
@@ -195,6 +187,20 @@ type Stats struct {
 	Requeued int64
 	// Stalls counts injected shard stalls.
 	Stalls int64
+}
+
+// Stats is the pool-level aggregate.
+type Stats struct {
+	// Counters sums the per-shard ledgers and the pool's own routing
+	// counters; Node and RoutingStats are views of it.
+	Counters metrics.Counters
+	Node     core.Stats
+	RoutingStats
+	// CachedSnapshots / IdleUCs sum the per-shard cache sizes.
+	CachedSnapshots int
+	IdleUCs         int
+	// MemoryUsedBytes sums per-shard physical memory in use.
+	MemoryUsedBytes int64
 	// Shards is the per-shard breakdown.
 	Shards []ShardStats
 }
@@ -225,9 +231,8 @@ type breaker struct {
 	threshold  int
 	probeAfter int
 	state      int
-	failures   int // consecutive contained failures while closed
-	diverted   int // requests diverted while open
-	trips      int64
+	failures   int               // consecutive contained failures while closed
+	diverted   int               // requests diverted while open
 	rec        *metrics.Recorder // shard recorder; counts trips (nil ok)
 }
 
@@ -287,7 +292,6 @@ func (b *breaker) recordFailure() {
 	case breakerHalfOpen: // the probe failed: straight back to open
 		b.state = breakerOpen
 		b.diverted = 0
-		b.trips++
 		b.rec.Inc(metrics.CtrBreakerTrips)
 	case breakerClosed:
 		b.failures++
@@ -295,7 +299,6 @@ func (b *breaker) recordFailure() {
 			b.state = breakerOpen
 			b.failures = 0
 			b.diverted = 0
-			b.trips++
 			b.rec.Inc(metrics.CtrBreakerTrips)
 		}
 	}
@@ -313,14 +316,14 @@ func (b *breaker) healthy() bool {
 	return b.state == breakerClosed
 }
 
-// snapshot returns the state name and trip count.
-func (b *breaker) snapshot() (string, int64) {
+// stateName returns the state's name.
+func (b *breaker) stateName() string {
 	if b.disabled() {
-		return "disabled", 0
+		return "disabled"
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return breakerStateNames[b.state], b.trips
+	return breakerStateNames[b.state]
 }
 
 // request is one unit of work delivered to a shard goroutine: an
@@ -375,7 +378,8 @@ type shard struct {
 	breaker *breaker
 	// rec is the shard's private metrics recorder, shared with its node
 	// (lock-free by construction: one writer goroutine for node-path
-	// counters, atomics for the breaker). Merged on Pool.Metrics().
+	// counters, atomics for the breaker). Never nil and never shared with
+	// another shard, so it is also the shard's ledger: stats reads it.
 	rec *metrics.Recorder
 }
 
@@ -387,12 +391,8 @@ type Pool struct {
 	quit     chan struct{}
 	wg       sync.WaitGroup
 	closed   atomic.Bool
-	stolen   atomic.Int64
-	rerouted atomic.Int64
-	requeued atomic.Int64
-	stalls   atomic.Int64
 	// rec holds pool-level (routing) counters; per-shard recorders are
-	// merged with it on Metrics().
+	// summed with it on Stats() and Metrics().
 	rec *metrics.Recorder
 }
 
@@ -599,7 +599,6 @@ func (s *shard) serve(r *request, stolen bool) {
 	// counts against this shard's breaker), unless re-routing is
 	// impossible, in which case the caller gets a contained error.
 	if s.faults.Fire(fault.PointShardStall) {
-		s.pool.stalls.Add(1)
 		s.rec.Inc(metrics.CtrShardStalls)
 		s.rec.Inc(metrics.CtrFaultsInjected)
 		s.breaker.recordFailure()
@@ -608,7 +607,6 @@ func (s *shard) serve(r *request, stolen bool) {
 			r.requeues++
 			select {
 			case s.pool.overflow <- r:
-				s.pool.requeued.Add(1)
 				s.pool.rec.Inc(metrics.CtrRequestsRequeued)
 				return
 			default:
@@ -630,7 +628,6 @@ func (s *shard) serve(r *request, stolen bool) {
 		s.breaker.recordSuccess()
 	}
 	if stolen {
-		s.pool.stolen.Add(1)
 		s.pool.rec.Inc(metrics.CtrRequestsStolen)
 	}
 	r.reply <- response{res: res, err: err, shard: s.id, stolen: stolen}
@@ -658,7 +655,6 @@ func (p *Pool) submit(r *request, owner int) error {
 			if p.anyHealthy(owner) {
 				select {
 				case p.overflow <- r:
-					p.rerouted.Add(1)
 					p.rec.Inc(metrics.CtrRequestsRerouted)
 					return nil
 				default:
@@ -764,18 +760,16 @@ func (p *Pool) control(shards []*shard, fn func(s *shard)) error {
 
 // stats snapshots the shard's state; called on its owning goroutine.
 func (s *shard) stats() ShardStats {
-	st := s.node.Stats()
-	state, trips := s.breaker.snapshot()
+	c := s.rec.Counters()
 	return ShardStats{
 		Shard:           s.id,
-		Node:            st,
+		Counters:        c,
+		Node:            core.StatsOf(c),
 		CachedSnapshots: s.node.CachedSnapshots(),
 		IdleUCs:         s.node.IdleUCs(),
 		Mem:             s.node.MemStats(),
 		Clock:           time.Duration(s.eng.Now()),
-		Breaker:         state,
-		BreakerTrips:    trips,
-		FaultsInjected:  st.FaultsInjected,
+		Breaker:         s.breaker.stateName(),
 	}
 }
 
@@ -803,16 +797,20 @@ func (p *Pool) Stats() (Stats, error) {
 	if err := p.control(p.shards, func(s *shard) { out.Shards[s.id] = s.stats() }); err != nil {
 		return Stats{}, err
 	}
-	out.Stolen = p.stolen.Load()
-	out.Rerouted = p.rerouted.Load()
-	out.Requeued = p.requeued.Load()
-	out.Stalls = p.stalls.Load()
+	c := p.rec.Counters()
 	for _, ss := range out.Shards {
-		out.Node.Add(ss.Node)
-		out.BreakerTrips += ss.BreakerTrips
+		c.Add(ss.Counters)
 		out.CachedSnapshots += ss.CachedSnapshots
 		out.IdleUCs += ss.IdleUCs
 		out.MemoryUsedBytes += ss.Mem.BytesInUse
+	}
+	out.Counters, out.Node = c, core.StatsOf(c)
+	out.RoutingStats = RoutingStats{
+		Stolen:       c[metrics.CtrRequestsStolen],
+		BreakerTrips: c[metrics.CtrBreakerTrips],
+		Rerouted:     c[metrics.CtrRequestsRerouted],
+		Requeued:     c[metrics.CtrRequestsRequeued],
+		Stalls:       c[metrics.CtrShardStalls],
 	}
 	return out, nil
 }
@@ -932,15 +930,14 @@ func (p *Pool) BreakerState(shard int) (string, error) {
 	if shard < 0 || shard >= len(p.shards) {
 		return "", fmt.Errorf("shardpool: no shard %d", shard)
 	}
-	state, _ := p.shards[shard].breaker.snapshot()
-	return state, nil
+	return p.shards[shard].breaker.stateName(), nil
 }
 
 // BreakerStates returns every shard's breaker state, indexed by shard.
 func (p *Pool) BreakerStates() []string {
 	out := make([]string, len(p.shards))
 	for i, s := range p.shards {
-		out[i], _ = s.breaker.snapshot()
+		out[i] = s.breaker.stateName()
 	}
 	return out
 }

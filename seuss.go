@@ -192,109 +192,23 @@ func (n *Node) InvokeSync(key, source, args string) (Invocation, error) {
 	return inv, err
 }
 
-// NodeStats reports the node's counters.
+// NodeStats reports the node's counters — core.Stats, a view of the
+// node's event ledger — and its current cache and memory occupancy.
 type NodeStats struct {
-	Cold, Warm, Hot   int64
-	Lukewarm          int64
-	Errors            int64
-	UCsDeployed       int64
-	UCsReclaimed      int64
-	SnapshotsCaptured int64
-	SnapshotsEvicted  int64
-	CachedSnapshots   int
-	IdleUCs           int
-	MemoryUsedBytes   int64
-	// Snapshot disk-tier traffic: lookups against the store, evictions
-	// demoted to disk, stacks restored from it (prewarms are restores
-	// done ahead of any request, at boot or via Prewarm).
-	TierHits           int64
-	TierMisses         int64
-	SnapshotsDemoted   int64
-	SnapshotsPromoted  int64
-	SnapshotsPrewarmed int64
-	// Lifecycle-policy activity: keep-alive expirations (idle UCs
-	// destroyed plus lineages scaled to zero), predicted prewarms that
-	// promoted, predictions that missed (tier no longer held the
-	// lineage), and fault-injected misfire promotions.
-	PolicyExpirations     int64
-	PolicyPrewarms        int64
-	PolicyPrewarmMisses   int64
-	PolicyPrewarmMisfires int64
-	// WorkingSet is the lukewarm record/replay ledger: sidecar records
-	// written, drift-merged, and dropped corrupt, plus pages
-	// bulk-prefetched and how well records covered real invocations.
-	WorkingSet WorkingSetStats
-	// Robustness is the failure-containment ledger: crashes contained,
-	// deadlines enforced, pressure degradations taken.
-	Robustness metrics.Robustness
-}
-
-// WorkingSetStats reports working-set record/replay activity on the
-// lukewarm path.
-type WorkingSetStats struct {
-	Recorded        int64 // records persisted on first restore
-	Merged          int64 // records union-merged after coverage drift
-	Corrupt         int64 // records dropped for failing decode
-	PrefetchedPages int64 // pages bulk-mapped before resume
-	CoverageHits    int64 // touched pages a record covered
-	CoverageMisses  int64 // touched pages a record missed
-}
-
-// workingSetOf maps a core node's counters onto the working-set ledger.
-func workingSetOf(st core.Stats) WorkingSetStats {
-	return WorkingSetStats{
-		Recorded:        st.WSRecorded,
-		Merged:          st.WSMerged,
-		Corrupt:         st.WSCorrupt,
-		PrefetchedPages: st.WSPrefetchedPages,
-		CoverageHits:    st.WSCoverageHits,
-		CoverageMisses:  st.WSCoverageMisses,
-	}
-}
-
-// robustnessOf maps a core node's counters onto the metrics ledger.
-func robustnessOf(st core.Stats) metrics.Robustness {
-	return metrics.Robustness{
-		UCCrashes:                 st.UCCrashes,
-		DeadlinesExceeded:         st.DeadlinesExceeded,
-		PressureIdleReclaims:      st.PressureIdleReclaims,
-		PressureSnapshotEvictions: st.PressureSnapshotEvictions,
-		PressureColdFallbacks:     st.PressureColdFallbacks,
-		FaultsInjected:            st.FaultsInjected,
-	}
-}
-
-// nodeStatsOf maps a core node's counters onto the public stats shape;
-// the caller fills in current cache and memory occupancy.
-func nodeStatsOf(st core.Stats) NodeStats {
-	return NodeStats{
-		Cold: st.Cold, Warm: st.Warm, Hot: st.Hot,
-		Lukewarm:              st.Lukewarm,
-		Errors:                st.Errors,
-		UCsDeployed:           st.UCsDeployed,
-		UCsReclaimed:          st.UCsReclaimed,
-		SnapshotsCaptured:     st.SnapshotsCaptured,
-		SnapshotsEvicted:      st.SnapshotsEvicted,
-		TierHits:              st.TierHits,
-		TierMisses:            st.TierMisses,
-		SnapshotsDemoted:      st.SnapshotsDemoted,
-		SnapshotsPromoted:     st.SnapshotsPromoted,
-		SnapshotsPrewarmed:    st.SnapshotsPrewarmed,
-		PolicyExpirations:     st.PolicyExpirations,
-		PolicyPrewarms:        st.PolicyPrewarms,
-		PolicyPrewarmMisses:   st.PolicyPrewarmMisses,
-		PolicyPrewarmMisfires: st.PolicyPrewarmMisfires,
-		WorkingSet:            workingSetOf(st),
-		Robustness:            robustnessOf(st),
-	}
+	core.Stats
+	CachedSnapshots int
+	IdleUCs         int
+	MemoryUsedBytes int64
 }
 
 // Stats returns current counters.
 func (n *Node) Stats() NodeStats {
-	ns := nodeStatsOf(n.node.Stats())
-	ns.CachedSnapshots, ns.IdleUCs = n.node.CachedSnapshots(), n.node.IdleUCs()
-	ns.MemoryUsedBytes = n.node.MemStats().BytesInUse
-	return ns
+	return NodeStats{
+		Stats:           n.node.Stats(),
+		CachedSnapshots: n.node.CachedSnapshots(),
+		IdleUCs:         n.node.IdleUCs(),
+		MemoryUsedBytes: n.node.MemStats().BytesInUse,
+	}
 }
 
 // PolicyTick runs one lifecycle-reaper pass over the node at the
@@ -431,12 +345,12 @@ func (p *NodePool) InvokeRuntime(runtime, key, source, args string) (PoolInvocat
 // mid-invocation.
 type PoolStats struct {
 	NodeStats
-	// Stolen counts requests served off their owner shard.
-	Stolen int64
-	// Requeued counts requests a stalled shard pushed back to the
-	// overflow queue; Stalls counts the injected stalls themselves.
-	Requeued int64
-	Stalls   int64
+	// RoutingStats is what the front door did: requests stolen, rerouted
+	// or requeued, and the breaker trips and stalls behind them.
+	shardpool.RoutingStats
+	// Counters is the sum every counting field is a view of, including
+	// the registered counters no field names.
+	Counters metrics.Counters
 	// Breakers is each shard's circuit-breaker state, indexed by shard.
 	Breakers []string
 	// Shards is the per-shard breakdown.
@@ -452,17 +366,17 @@ func (p *NodePool) Stats() (PoolStats, error) {
 	if err != nil {
 		return PoolStats{}, err
 	}
-	ns := nodeStatsOf(st.Node)
-	ns.CachedSnapshots, ns.IdleUCs, ns.MemoryUsedBytes = st.CachedSnapshots, st.IdleUCs, st.MemoryUsedBytes
-	ns.Robustness.BreakerTrips = st.BreakerTrips
-	ns.Robustness.Rerouted = st.Rerouted
 	return PoolStats{
-		NodeStats: ns,
-		Stolen:    st.Stolen,
-		Requeued:  st.Requeued,
-		Stalls:    st.Stalls,
-		Breakers:  p.pool.BreakerStates(),
-		Shards:    st.Shards,
+		NodeStats: NodeStats{
+			Stats:           st.Node,
+			CachedSnapshots: st.CachedSnapshots,
+			IdleUCs:         st.IdleUCs,
+			MemoryUsedBytes: st.MemoryUsedBytes,
+		},
+		RoutingStats: st.RoutingStats,
+		Counters:     st.Counters,
+		Breakers:     p.pool.BreakerStates(),
+		Shards:       st.Shards,
 	}, nil
 }
 
