@@ -1,14 +1,14 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus mechanism microbenchmarks and ablations of the
-// design choices DESIGN.md calls out.
+// Mechanism microbenchmarks and ablations of the design choices
+// DESIGN.md calls out. The paper's tables and figures are regenerated
+// by cmd/seuss-experiments, not here.
 //
 // Two kinds of numbers appear here:
 //
 //   - go-test ns/op measures the *real* cost of the reproduced
 //     mechanisms (deploying a UC really is a root-node copy; capturing
 //     a snapshot really walks the dirty list), and
-//   - ReportMetric values labeled vms/op, req/s, etc. are *virtual*
-//     time results — the quantities the paper's tables report.
+//   - ReportMetric values labeled warm_vms, req/s, etc. are *virtual*
+//     time results from the ablations.
 package seuss
 
 import (
@@ -20,7 +20,6 @@ import (
 	"seuss/internal/cluster"
 	"seuss/internal/core"
 	"seuss/internal/costs"
-	"seuss/internal/experiments"
 	"seuss/internal/faas"
 	"seuss/internal/libos"
 	"seuss/internal/mem"
@@ -55,286 +54,6 @@ func buildRuntimeSnapshot(b *testing.B, st *mem.Store) *snapshot.Snapshot {
 	}
 	return snap
 }
-
-// ---- Table 1: invocation latency and snapshot sizes ----
-
-func BenchmarkTable1Invocations(b *testing.B) {
-	for _, path := range []string{"cold", "warm", "hot"} {
-		b.Run(path, func(b *testing.B) {
-			st := mem.NewStore(0)
-			runtime := buildRuntimeSnapshot(b, st)
-
-			// Build the per-path starting state once.
-			coldUC := func(env *libos.CountingEnv) *uc.UC {
-				u, err := uc.Deploy(runtime, nil, env)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := u.Guest().Connect(); err != nil {
-					b.Fatal(err)
-				}
-				return u
-			}
-			var fnSnap *snapshot.Snapshot
-			{
-				env := &libos.CountingEnv{}
-				u := coldUC(env)
-				if err := u.Guest().ImportAndCompile(workload.NOPSource); err != nil {
-					b.Fatal(err)
-				}
-				s, err := u.Capture("fn/nop", uc.TriggerPCPostCompile)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fnSnap = s
-			}
-
-			var virt time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				env := &libos.CountingEnv{}
-				switch path {
-				case "cold":
-					u := coldUC(env)
-					if err := u.Guest().ImportAndCompile(workload.NOPSource); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := u.Capture(fmt.Sprintf("fn/%d", i), uc.TriggerPCPostCompile); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := u.Guest().Invoke(`{}`); err != nil {
-						b.Fatal(err)
-					}
-					virt += env.Elapsed()
-					u.Destroy()
-				case "warm":
-					u, err := uc.Deploy(fnSnap, nil, env)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := u.Guest().Connect(); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := u.Guest().Invoke(`{}`); err != nil {
-						b.Fatal(err)
-					}
-					virt += env.Elapsed()
-					u.Destroy()
-				case "hot":
-					u, err := uc.Deploy(fnSnap, nil, env)
-					if err != nil {
-						b.Fatal(err)
-					}
-					u.Guest().Connect()
-					u.Guest().Invoke(`{}`) // first invocation warms the UC
-					h0 := env.Elapsed()
-					if _, err := u.Guest().Invoke(`{}`); err != nil {
-						b.Fatal(err)
-					}
-					virt += env.Elapsed() - h0
-					u.Destroy()
-				}
-			}
-			b.StopTimer()
-			vms(b, "vms/op", virt/time.Duration(b.N))
-		})
-	}
-}
-
-func BenchmarkTable1SnapshotSizes(b *testing.B) {
-	var baseMB, fnMB float64
-	for i := 0; i < b.N; i++ {
-		st := mem.NewStore(0)
-		runtime := buildRuntimeSnapshot(b, st)
-		env := &libos.CountingEnv{}
-		u, err := uc.Deploy(runtime, nil, env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		u.Guest().Connect()
-		if err := u.Guest().ImportAndCompile(workload.NOPSource); err != nil {
-			b.Fatal(err)
-		}
-		fn, err := u.Capture("fn/nop", uc.TriggerPCPostCompile)
-		if err != nil {
-			b.Fatal(err)
-		}
-		baseMB = float64(runtime.DiffBytes()) / 1e6
-		fnMB = float64(fn.DiffBytes()) / 1e6
-	}
-	b.ReportMetric(baseMB, "baseMB")
-	b.ReportMetric(fnMB, "fnMB")
-}
-
-// ---- Table 2: AO ablation ----
-
-func BenchmarkTable2AO(b *testing.B) {
-	for _, lvl := range []struct {
-		name     string
-		net, itp bool
-	}{{"no-ao", false, false}, {"network-ao", true, false}, {"full-ao", true, true}} {
-		b.Run(lvl.name, func(b *testing.B) {
-			var cold, warm time.Duration
-			for i := 0; i < b.N; i++ {
-				st := mem.NewStore(0)
-				env := &libos.CountingEnv{}
-				boot, err := uc.BootFresh(st, nil, env)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if lvl.net {
-					boot.Guest().Unikernel().WarmNetwork()
-				}
-				if lvl.itp {
-					boot.Guest().WarmInterpreter()
-				}
-				runtime, err := boot.Capture("runtime", uc.TriggerPCDriverListen)
-				if err != nil {
-					b.Fatal(err)
-				}
-				coldEnv := &libos.CountingEnv{}
-				u, err := uc.Deploy(runtime, nil, coldEnv)
-				if err != nil {
-					b.Fatal(err)
-				}
-				u.Guest().Connect()
-				u.Guest().ImportAndCompile(workload.NOPSource)
-				fn, err := u.Capture("fn", uc.TriggerPCPostCompile)
-				if err != nil {
-					b.Fatal(err)
-				}
-				u.Guest().Invoke(`{}`)
-				cold = coldEnv.Elapsed()
-
-				warmEnv := &libos.CountingEnv{}
-				w, err := uc.Deploy(fn, nil, warmEnv)
-				if err != nil {
-					b.Fatal(err)
-				}
-				w.Guest().Connect()
-				w.Guest().Invoke(`{}`)
-				warm = warmEnv.Elapsed()
-			}
-			vms(b, "cold_vms", cold)
-			vms(b, "warm_vms", warm)
-		})
-	}
-}
-
-// ---- Table 3: density and creation rates ----
-
-func BenchmarkTable3Density(b *testing.B) {
-	var density float64
-	for i := 0; i < b.N; i++ {
-		t3, err := experiments.RunTable3(300)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range t3.Rows {
-			if row.Method == "SEUSS UC" {
-				density = float64(row.Density)
-			}
-		}
-	}
-	b.ReportMetric(density, "UCs")
-}
-
-func BenchmarkTable3CreationRate(b *testing.B) {
-	// UC deployment rate through the shim, 16-way (Table 3: 128.6/s).
-	var rate float64
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		node, err := core.NewNode(eng, core.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		shim := sim.NewResource(eng, 1)
-		created := 0
-		for w := 0; w < costs.NodeCores; w++ {
-			eng.Go("deploy", func(p *sim.Proc) {
-				for j := 0; j < 20; j++ {
-					shim.Acquire(p)
-					p.Sleep(costs.ShimSerialize)
-					shim.Release()
-					if _, err := node.DeployIdle(p); err != nil {
-						return
-					}
-					created++
-				}
-			})
-		}
-		eng.Run()
-		rate = float64(created) / time.Duration(eng.Now()).Seconds()
-	}
-	b.ReportMetric(rate, "UCs/s")
-}
-
-// ---- Figure 4: platform throughput ----
-
-func BenchmarkFigure4Throughput(b *testing.B) {
-	for _, m := range []int{64, 1024, 8192} {
-		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
-			var seussRPS, linuxRPS float64
-			for i := 0; i < b.N; i++ {
-				f, err := experiments.RunFigure4(experiments.Figure4Config{
-					SetSizes: []int{m}, N: 400, Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				seussRPS = f.Points[0].SeussPerSec
-				linuxRPS = f.Points[0].LinuxPerSec
-			}
-			b.ReportMetric(seussRPS, "seuss_rps")
-			b.ReportMetric(linuxRPS, "linux_rps")
-		})
-	}
-}
-
-// ---- Figure 5: latency percentiles ----
-
-func BenchmarkFigure5Latency(b *testing.B) {
-	var p50, p99 float64
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunFigure5([]int{64}, 300, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range f.Rows {
-			if r.Backend == "seuss" {
-				p50 = float64(r.Summary.P50.Microseconds()) / 1000
-				p99 = float64(r.Summary.P99.Microseconds()) / 1000
-			}
-		}
-	}
-	b.ReportMetric(p50, "seuss_p50ms")
-	b.ReportMetric(p99, "seuss_p99ms")
-}
-
-// ---- Figures 6-8: burst resiliency ----
-
-func benchBurst(b *testing.B, period time.Duration) {
-	var linuxErrs, seussErrs float64
-	for i := 0; i < b.N; i++ {
-		f, err := experiments.RunBurst(experiments.BurstConfig{
-			Period:  period,
-			Bursts:  6,
-			Threads: 64,
-			Seed:    1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		linuxErrs = float64(f.Linux.BackgroundErrors + f.Linux.BurstErrors)
-		seussErrs = float64(f.Seuss.BackgroundErrors + f.Seuss.BurstErrors)
-	}
-	b.ReportMetric(linuxErrs, "linux_errors")
-	b.ReportMetric(seussErrs, "seuss_errors")
-}
-
-func BenchmarkFigure6Burst32(b *testing.B) { benchBurst(b, 32*time.Second) }
-func BenchmarkFigure7Burst16(b *testing.B) { benchBurst(b, 16*time.Second) }
-func BenchmarkFigure8Burst8(b *testing.B)  { benchBurst(b, 8*time.Second) }
 
 // ---- Mechanism microbenchmarks (real wall time) ----
 

@@ -1,195 +1,145 @@
-// Command seuss-experiments regenerates the tables and figures of the
-// SEUSS paper's evaluation (§7) and writes both human-readable tables
-// and TSV series for plotting.
+// Command seuss-experiments is the virtual-time harness: it regenerates
+// the tables and figures of the SEUSS paper's evaluation (§7), writes
+// both human-readable tables and TSV series for plotting, and points
+// the paper's load generator at one backend for profiling.
 //
 // Usage:
 //
-//	seuss-experiments [-run all|table1|table2|table3|fig4|fig5|fig6|fig7|fig8|fabric|failover|policy]
+//	seuss-experiments [-run all|fig1|table1|table2|table3|fig4|fabric|failover|policy|fig5|fig6|fig7|fig8|trial|burst]
 //	                  [-out DIR] [-quick] [-seed N] [-trace-file CSV]
+//	                  [-backend seuss|linux] [-n N] [-m M]
+//	                  [-cpuprofile FILE] [-memprofile FILE]
 //
+// The experiments are the entries of internal/experiments.Registry;
+// -h lists them with what -run all includes and what results/ pins.
 // -quick shrinks iteration counts and sweep ranges for a fast pass;
 // the default sizes reproduce the full experiments (minutes of wall
 // time for the figure sweeps). -trace-file replaces the policy
 // experiment's synthetic key population with one parsed from a CSV of
-// `key,process,mean_ms[,sigma[,cpu_ms]]` rows.
+// `key,process,mean_ms[,sigma[,cpu_ms]]` rows. -run trial is one trial
+// of -n invocations over -m functions from 32 worker threads against
+// -backend, and -run burst the 32 s burst schedule against it; neither
+// is part of -run all.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"time"
+	"runtime"
+	"runtime/pprof"
+	"strings"
 
 	"seuss/internal/experiments"
-	"seuss/internal/workload"
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment to run: all, fig1, table1, table2, table3, fig4, fig5, fig6, fig7, fig8, fabric, failover, policy")
-	out := flag.String("out", "", "directory for TSV outputs (default: none written)")
-	quick := flag.Bool("quick", false, "reduced iteration counts for a fast pass")
-	seed := flag.Int64("seed", 1, "experiment seed")
-	traceFile := flag.String("trace-file", "", "CSV trace for the policy experiment (key,process,mean_ms[,sigma[,cpu_ms]])")
-	flag.Parse()
-
-	want := func(name string) bool { return *run == "all" || *run == name }
-	writeTSV := func(name, content string) {
-		if *out == "" {
-			return
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "seuss-experiments:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
 		}
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatal(err)
-		}
-		path := filepath.Join(*out, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-
-	if want("fig1") {
-		f, err := experiments.RunFigure1()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(f.Render())
-	}
-	if want("table1") {
-		iters := 475
-		if *quick {
-			iters = 25
-		}
-		t, err := experiments.RunTable1(iters)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(t.Render())
-	}
-	if want("table2") {
-		iters := 100
-		if *quick {
-			iters = 10
-		}
-		t, err := experiments.RunTable2(iters)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(t.Render())
-	}
-	if want("table3") {
-		sample := 1500
-		if *quick {
-			sample = 400
-		}
-		t, err := experiments.RunTable3(sample)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(t.Render())
-	}
-	if want("fig4") {
-		cfg := experiments.Figure4Config{Seed: *seed}
-		if *quick {
-			cfg.SetSizes = []int{64, 256, 1024, 4096, 16384}
-			cfg.N = 600
-		}
-		f, err := experiments.RunFigure4(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(f.Render())
-		writeTSV("figure4.tsv", f.TSV())
-	}
-	if want("fabric") {
-		cfg := experiments.FabricConfig{Seed: *seed}
-		if *quick {
-			cfg.SetSizes = []int{64, 256, 1024}
-			cfg.N = 400
-		}
-		f, err := experiments.RunFabric(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(f.Render())
-		writeTSV("fabric.tsv", f.TSV())
-	}
-	if want("failover") {
-		cfg := experiments.FailoverConfig{Seed: *seed}
-		if *quick {
-			cfg.N = 300
-			cfg.M = 16
-		}
-		f, err := experiments.RunFailover(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(f.Render())
-		writeTSV("failover.tsv", f.TSV())
-	}
-	if want("policy") {
-		cfg := experiments.PolicyConfig{Seed: *seed}
-		if *quick {
-			cfg.HotKeys = 20
-			cfg.PeriodicKeys = 60
-			cfg.OnceKeys = 200
-		}
-		if *traceFile != "" {
-			f, err := os.Open(*traceFile)
-			if err != nil {
-				fatal(err)
-			}
-			keys, err := workload.ParseTraceCSV(f)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Keys = keys
-		}
-		f, err := experiments.RunPolicy(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(f.Render())
-		writeTSV("policy.tsv", f.TSV())
-	}
-	if want("fig5") {
-		n := 1000
-		if *quick {
-			n = 400
-		}
-		f, err := experiments.RunFigure5(nil, n, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(f.Render())
-	}
-	for _, b := range []struct {
-		name   string
-		period time.Duration
-	}{
-		{"fig6", 32 * time.Second},
-		{"fig7", 16 * time.Second},
-		{"fig8", 8 * time.Second},
-	} {
-		if !want(b.name) {
-			continue
-		}
-		cfg := experiments.BurstConfig{Period: b.period, Seed: *seed}
-		if *quick {
-			cfg.Bursts = 5
-			cfg.Threads = 64
-		}
-		f, err := experiments.RunBurst(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(f.Render())
-		writeTSV(b.name+".tsv", f.TSV())
+		os.Exit(1)
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "seuss-experiments:", err)
-	os.Exit(1)
+// errUsage marks a command line that names no experiment to run; main
+// exits 2 on it.
+var errUsage = errors.New("bad command line")
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("seuss-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	name := fs.String("run", "all", "experiment to run: all, or one of "+strings.Join(experiments.Names(), ", "))
+	out := fs.String("out", "", "directory for TSV outputs (default: none written)")
+	var p experiments.Params
+	fs.BoolVar(&p.Quick, "quick", false, "reduced iteration counts for a fast pass")
+	fs.Int64Var(&p.Seed, "seed", 1, "experiment seed (send orders are pre-computed per seed)")
+	fs.StringVar(&p.TraceFile, "trace-file", "", "CSV trace for the policy experiment (key,process,mean_ms[,sigma[,cpu_ms]])")
+	fs.StringVar(&p.Backend, "backend", "seuss", "trial, burst: seuss or linux")
+	fs.IntVar(&p.N, "n", 2000, "trial: invocation count (N)")
+	fs.IntVar(&p.M, "m", 64, "trial: function set size (M)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile (post-run) to this file")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: seuss-experiments [flags]")
+		fs.PrintDefaults()
+		fmt.Fprint(stderr, "\n", listing())
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	selected, err := experiments.Select(*name)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
+	for _, e := range selected {
+		res, err := e.Run(p)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, res.Render())
+		if *out == "" || e.TSV == "" {
+			continue
+		}
+		if err := os.MkdirAll(*out, 0o755); err != nil {
+			return err
+		}
+		path := filepath.Join(*out, e.TSV)
+		tsv := res.(interface{ TSV() string }).TSV()
+		if err := os.WriteFile(path, []byte(tsv), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", path)
+	}
+	if *memprofile == "" {
+		return nil
+	}
+	f, err := os.Create(*memprofile)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle the heap so the profile shows live objects
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// listing renders the registry for -h, one line per experiment: its
+// name, whether -run all includes it, and the file under results/ that
+// scripts/results_drift.sh (which reads these lines) holds it against.
+func listing() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%-10s%-10s%s\n", "name", "-run all", "pinned by")
+	for _, e := range experiments.Registry {
+		all, pinned := "-", "-"
+		if e.All {
+			all = "all"
+		}
+		if f := e.PinnedFile(); f != "" {
+			pinned = "results/" + f
+		}
+		fmt.Fprintf(&sb, "%-10s%-10s%s\n", e.Name, all, pinned)
+	}
+	return sb.String()
 }

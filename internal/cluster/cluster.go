@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"seuss/internal/core"
+	"seuss/internal/costs"
 	"seuss/internal/fault"
 	"seuss/internal/mem"
 	"seuss/internal/metrics"
@@ -86,11 +87,6 @@ type Config struct {
 	// scaled-to-zero lineages. Nil disables lifecycle management. (The
 	// name: Policy was already taken by the placement policy above.)
 	Lifecycle policy.Policy
-	// LinkBandwidth is the inter-node network bandwidth
-	// (default 10 Gb/s, the paper's testbed fabric).
-	LinkBandwidth float64 // bytes/second
-	// LinkRTT is the inter-node round trip (default 150 µs).
-	LinkRTT time.Duration
 	// GossipInterval is how often (in virtual time) members exchange
 	// snapshot manifests with the scheduler view (default 10 ms). The
 	// exchange is lazy — it piggybacks on the next Invoke past the
@@ -98,38 +94,22 @@ type Config struct {
 	// ride the same rounds: a member whose report fails to land misses
 	// a heartbeat.
 	GossipInterval time.Duration
-	// SuspectAfter is the suspicion threshold K: a member that misses K
-	// consecutive heartbeat rounds is believed suspect (default 2), and
-	// placers stop routing to it as a holder.
-	SuspectAfter int
-	// DeadAfter is how many consecutive missed rounds declare a member
-	// dead (default 2*SuspectAfter): its view entries are purged and
-	// the repair pass re-replicates lineages it solely held.
-	DeadAfter int
-	// RepairReplicas is how many live disk-tier copies the repair pass
-	// restores for a lineage that lost its last live RAM holder
-	// (default 2, capped by the live fabric-member count).
-	RepairReplicas int
 	// RejoinLazy skips the disk-tier prewarm when a member restarts:
 	// surviving lineages promote lazily (lukewarm) on first request
 	// instead of eagerly at rejoin.
 	RejoinLazy bool
 	// SnapDir enables the content-addressed snapshot fabric: each member
-	// gets a disk tier at SnapDir/node<i>, seeded with byte-identical
-	// runtime base layers, and a replicating placement fetches only the
-	// stack layers its destination is missing. Empty disables the fabric:
-	// members keep no disk tier and snapshots never leave their node.
+	// gets an unbounded disk tier at SnapDir/node<i>, seeded with
+	// byte-identical runtime base layers, and a replicating placement
+	// fetches only the stack layers its destination is missing. Empty
+	// disables the fabric: members keep no disk tier and snapshots never
+	// leave their node.
 	SnapDir string
-	// SnapDiskCap bounds each member's tier in bytes (0 = unlimited).
-	SnapDiskCap int64
 	// MaxRetries is the retry budget for contained faults: after a
 	// member fails an invocation with a contained error, the cluster
 	// re-picks a member and retries up to MaxRetries times (default 0 =
 	// fail fast). Uncontained errors are never retried.
 	MaxRetries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// attempt (default 1 ms).
-	RetryBackoff time.Duration
 	// Faults configures deterministic fault injection. The cluster
 	// keeps the base injector for fabric-level points (snapshot
 	// corruption, gossip and fetch drops); each member node derives a
@@ -149,26 +129,8 @@ func (c Config) withDefaults() Config {
 	if c.Nodes == 0 {
 		c.Nodes = 2
 	}
-	if c.LinkBandwidth == 0 {
-		c.LinkBandwidth = 10e9 / 8 // 10 GbE
-	}
-	if c.LinkRTT == 0 {
-		c.LinkRTT = 150 * time.Microsecond
-	}
 	if c.GossipInterval == 0 {
 		c.GossipInterval = 10 * time.Millisecond
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = time.Millisecond
-	}
-	if c.SuspectAfter == 0 {
-		c.SuspectAfter = 2
-	}
-	if c.DeadAfter == 0 {
-		c.DeadAfter = 2 * c.SuspectAfter
-	}
-	if c.RepairReplicas == 0 {
-		c.RepairReplicas = 2
 	}
 	return c
 }
@@ -396,12 +358,8 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 		}
 		var store *snapstore.Store
 		if cfg.SnapDir != "" {
-			capBytes := cfg.SnapDiskCap
-			if capBytes == 0 {
-				capBytes = -1
-			}
 			var err error
-			store, err = snapstore.Open(filepath.Join(cfg.SnapDir, fmt.Sprintf("node%d", i)), capBytes)
+			store, err = snapstore.Open(filepath.Join(cfg.SnapDir, fmt.Sprintf("node%d", i)), -1)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: node %d tier: %w", i, err)
 			}
@@ -499,7 +457,7 @@ func (c *Cluster) Holders(key string) []int {
 
 // transferTime models shipping bytes across the fabric.
 func (c *Cluster) transferTime(bytes int64) time.Duration {
-	return c.cfg.LinkRTT + time.Duration(float64(bytes)/c.cfg.LinkBandwidth*float64(time.Second))
+	return costs.LinkRTT + time.Duration(float64(bytes)/costs.LinkBandwidth*float64(time.Second))
 }
 
 // isLeastLoaded reports whether no member carries less than m.
@@ -511,6 +469,10 @@ func (c *Cluster) isLeastLoaded(m *Member) bool {
 	}
 	return true
 }
+
+// retryBackoff is the delay before the first retry, doubling per
+// attempt.
+const retryBackoff = time.Millisecond
 
 // Invoke services one invocation somewhere in the cluster and returns
 // the result plus the serving node's ID. A contained fault (UC crash,
@@ -530,7 +492,7 @@ func (c *Cluster) Invoke(p *sim.Proc, req core.Request) (core.Result, int, error
 		c.served[req.Key] = true
 		c.servedKeys = append(c.servedKeys, req.Key)
 	}
-	backoff := c.cfg.RetryBackoff
+	backoff := retryBackoff
 	exclude := -1
 	for attempt := 0; ; attempt++ {
 		target := c.pick(p, req, exclude)
@@ -573,6 +535,17 @@ func (c *Cluster) attempt(p *sim.Proc, target *Member, req core.Request) (core.R
 	return res, err
 }
 
+const (
+	// suspectAfter is the suspicion threshold K: a member that misses K
+	// consecutive heartbeat rounds is believed suspect, and placers
+	// stop routing to it as a holder.
+	suspectAfter = 2
+	// deadAfter is how many consecutive missed rounds declare a member
+	// dead: its view entries are purged and the repair pass
+	// re-replicates lineages it solely held.
+	deadAfter = 2 * suspectAfter
+)
+
 // maybeGossip runs a manifest-exchange round if the interval elapsed:
 // every reachable member reports its RAM-resident snapshot keys and
 // (on the fabric) its tier manifest, wholesale-replacing the scheduler
@@ -583,7 +556,7 @@ func (c *Cluster) attempt(p *sim.Proc, target *Member, req core.Request) (core.R
 // Heartbeats piggyback on the same rounds: a member whose report fails
 // to land — crashed, partitioned, or dropped on the wire — misses a
 // heartbeat, and the per-member state machine walks alive → suspect
-// (SuspectAfter consecutive misses) → dead (DeadAfter). A death
+// (suspectAfter consecutive misses) → dead (deadAfter). A death
 // declaration purges the member's view entries (counted as stale
 // prunes) and schedules the repair pass. Lifecycle fault points
 // (member-crash, member-partition, member-restart) are also consulted
@@ -643,7 +616,7 @@ func (c *Cluster) maybeGossip() {
 			c.count(metrics.CtrGossipDrops, 1)
 			c.emit(trace.KindFault, m.ID, "gossip", "manifest exchange dropped; view stays stale one round")
 		}
-		from, to := c.view.MissHeartbeat(m.ID, c.cfg.SuspectAfter, c.cfg.DeadAfter)
+		from, to := c.view.MissHeartbeat(m.ID, suspectAfter, deadAfter)
 		if to == from {
 			continue
 		}
@@ -826,10 +799,15 @@ func (c *Cluster) scheduleRepair() {
 	})
 }
 
+// repairReplicas is how many live disk-tier copies the repair pass
+// restores for a lineage that lost its last live RAM holder (capped by
+// the live fabric-member count).
+const repairReplicas = 2
+
 // repairPass scans every lineage the cluster has served for ones that
 // lost their last live RAM holder, and restores redundancy: promote a
 // copy back into RAM on the least-loaded disk-tier survivor, then
-// re-fetch the stack onto additional live members until RepairReplicas
+// re-fetch the stack onto additional live members until repairReplicas
 // live tiers hold it. A lineage with no live disk copy is left to the
 // placement fallback — the next request cold-boots locally (outcome
 // "cold"): degraded, never stranded.
@@ -889,8 +867,8 @@ func (c *Cluster) repairLineage(p *sim.Proc, key string) {
 		c.emitAt(start, time.Duration(c.eng.Now()-start), trace.KindRepair, src.ID, key, "", "lineage promoted from disk-tier survivor")
 	}
 	// Restore disk redundancy: ship the stack to live members missing
-	// it until RepairReplicas live tiers hold a copy.
-	need := c.cfg.RepairReplicas - len(survivors)
+	// it until repairReplicas live tiers hold a copy.
+	need := repairReplicas - len(survivors)
 	for _, dst := range candidates {
 		if need <= 0 {
 			break
@@ -1079,7 +1057,7 @@ func (c *Cluster) shipLayers(p *sim.Proc, src, dst *Member, lineage string) (mov
 		if c.fire(fault.PointFetchDrop) {
 			// One dropped packet: pay a retransmit RTT and continue.
 			c.count(metrics.CtrFabricFetchRetransmits, 1)
-			p.Sleep(c.cfg.LinkRTT)
+			p.Sleep(costs.LinkRTT)
 		}
 		if c.fire(fault.PointSnapshotCorrupt) {
 			wire[len(wire)/2] ^= 0xff

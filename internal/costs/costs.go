@@ -329,6 +329,13 @@ var (
 
 	// NodeMemoryBytes is the compute node VM's memory (88 GB).
 	NodeMemoryBytes = int64(88) << 30
+
+	// LinkBandwidth is the inter-node network bandwidth in bytes per
+	// second: 10 Gb/s, the paper's testbed fabric.
+	LinkBandwidth = 10e9 / 8
+
+	// LinkRTT is the inter-node round trip.
+	LinkRTT = 150 * time.Microsecond
 )
 
 // ---- OpenWhisk invoker path (macro calibration) ----

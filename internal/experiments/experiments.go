@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§7). Each experiment returns structured results
-// plus a rendered text table so the same code backs the
-// seuss-experiments binary, the benchmark suite, and the regression
-// tests in this package.
+// plus a rendered text table; Registry lists them once for the
+// seuss-experiments binary, and the regression tests in this package
+// call the same functions.
 //
 // EXPERIMENTS.md records paper-vs-measured for each experiment and the
 // scaling decisions (e.g. the SEUSS density fill is measured over a
@@ -27,31 +27,32 @@ import (
 	"seuss/internal/workload"
 )
 
-// aoLevel names an anticipatory-optimization configuration.
-type aoLevel struct {
-	name     string
-	net, itp bool
-}
-
-var aoLevels = []aoLevel{
-	{"No AO", false, false},
-	{"Network AO", true, false},
-	{"Network + Interpreter AO", true, true},
-}
+// aoLevels are Table 2's columns: no AO, network AO, network +
+// interpreter AO.
+var aoLevels = []struct{ net, itp bool }{{false, false}, {true, false}, {true, true}}
 
 // MicroRun is one full micro-benchmark pass at a given AO level: the
 // system-initialization sequence followed by a cold, warm, and hot
 // invocation of the NOP function, measured at the node boundary the
 // way Table 1 measures (request received → result returned).
 type MicroRun struct {
-	Level             string
-	Cold, Warm, Hot   time.Duration
-	BaseSnapshotMB    float64
-	FnSnapshotMB      float64
-	ColdPagesCopied   int
-	WarmPagesCopied   int
-	HotPagesCopied    int
-	IdleUCFootprintMB float64
+	Cold, Warm, Hot time.Duration
+	BaseSnapshotMB  float64
+	FnSnapshotMB    float64
+	ColdPagesCopied int
+	WarmPagesCopied int
+	HotPagesCopied  int
+	// boot is the system initialization the runtime snapshot captures;
+	// coldStages and warmStages are the first invocation's cumulative
+	// virtual time after each stage (Figure 1).
+	boot                   time.Duration
+	coldStages, warmStages stageStamps
+}
+
+// stageStamps is one invocation's elapsed virtual time at the end of
+// each stage it runs.
+type stageStamps struct {
+	deploy, connect, importCompile, execute time.Duration
 }
 
 // runMicro executes the §7 microbenchmark flow at one AO level,
@@ -75,6 +76,7 @@ func runMicro(netAO, interpAO bool, iters int) (MicroRun, error) {
 			return out, err
 		}
 	}
+	out.boot = env.Elapsed()
 	base, err := boot.Capture("runtime", uc.TriggerPCDriverListen)
 	if err != nil {
 		return out, err
@@ -86,13 +88,16 @@ func runMicro(netAO, interpAO bool, iters int) (MicroRun, error) {
 	for i := 0; i < iters; i++ {
 		// Cold path.
 		coldEnv := &libos.CountingEnv{}
+		var cold, warm stageStamps
 		coldUC, err := uc.Deploy(base, nil, coldEnv)
 		if err != nil {
 			return out, err
 		}
+		cold.deploy = coldEnv.Elapsed()
 		if err := coldUC.Guest().Connect(); err != nil {
 			return out, err
 		}
+		cold.connect = coldEnv.Elapsed()
 		if err := coldUC.Guest().ImportAndCompile(workload.NOPSource); err != nil {
 			return out, err
 		}
@@ -100,10 +105,12 @@ func runMicro(netAO, interpAO bool, iters int) (MicroRun, error) {
 		if err != nil {
 			return out, err
 		}
+		cold.importCompile = coldEnv.Elapsed()
 		if _, err := coldUC.Guest().Invoke(`{}`); err != nil {
 			return out, err
 		}
-		coldTotal += coldEnv.Elapsed()
+		cold.execute = coldEnv.Elapsed()
+		coldTotal += cold.execute
 		if i == 0 {
 			out.FnSnapshotMB = float64(snapN.DiffBytes()) / 1e6
 			out.ColdPagesCopied = coldUC.Space().Faults.Copied()
@@ -116,15 +123,20 @@ func runMicro(netAO, interpAO bool, iters int) (MicroRun, error) {
 		if err != nil {
 			return out, err
 		}
+		warm.deploy = warmEnv.Elapsed()
 		if err := warmUC.Guest().Connect(); err != nil {
 			return out, err
 		}
+		warm.connect = warmEnv.Elapsed()
+		warm.importCompile = warm.connect // skipped: in the function snapshot
 		if _, err := warmUC.Guest().Invoke(`{}`); err != nil {
 			return out, err
 		}
-		warmTotal += warmEnv.Elapsed()
+		warm.execute = warmEnv.Elapsed()
+		warmTotal += warm.execute
 		if i == 0 {
 			out.WarmPagesCopied = warmUC.Space().Faults.Copied()
+			out.coldStages, out.warmStages = cold, warm
 		}
 
 		// Hot path (reuse the warm UC).
@@ -143,15 +155,6 @@ func runMicro(netAO, interpAO bool, iters int) (MicroRun, error) {
 	out.Cold = coldTotal / time.Duration(iters)
 	out.Warm = warmTotal / time.Duration(iters)
 	out.Hot = hotTotal / time.Duration(iters)
-
-	// Idle-UC marginal footprint (Table 3's SEUSS density driver).
-	idleEnv := &libos.CountingEnv{}
-	idle, err := uc.Deploy(base, nil, idleEnv)
-	if err != nil {
-		return out, err
-	}
-	out.IdleUCFootprintMB = float64(idle.FootprintBytes()) / 1e6
-	idle.Destroy()
 	return out, nil
 }
 
@@ -166,9 +169,6 @@ type Table1 struct {
 // RunTable1 executes the Table 1 experiment, averaging over iters
 // invocations per path (the paper uses 475).
 func RunTable1(iters int) (Table1, error) {
-	if iters <= 0 {
-		iters = 475
-	}
 	no, err := runMicro(false, false, iters)
 	if err != nil {
 		return Table1{}, err
@@ -203,16 +203,12 @@ type Table2 struct {
 
 // RunTable2 executes the AO ablation.
 func RunTable2(iters int) (Table2, error) {
-	if iters <= 0 {
-		iters = 50
-	}
 	var out Table2
 	for _, lvl := range aoLevels {
 		run, err := runMicro(lvl.net, lvl.itp, iters)
 		if err != nil {
 			return out, err
 		}
-		run.Level = lvl.name
 		out.Levels = append(out.Levels, run)
 	}
 	return out, nil
@@ -244,11 +240,8 @@ type Table3 struct {
 // RunTable3 measures parallel creation rate and cache density for the
 // four isolation methods. sampleUCs bounds how many real UCs the SEUSS
 // measurement materializes (footprint is constant per UC, so density
-// extrapolates exactly; 0 means 1500).
+// extrapolates exactly; the registry uses 1500).
 func RunTable3(sampleUCs int) (Table3, error) {
-	if sampleUCs <= 0 {
-		sampleUCs = 1500
-	}
 	var out Table3
 
 	// Linux baselines: fill to saturation from 16 workers.

@@ -45,21 +45,17 @@ type FabricConfig struct {
 	// SetSizes lists the unique-function counts (default 64…1024
 	// doubling — the knee of the Figure 4 curve).
 	SetSizes []int
-	// Nodes is the cluster size (default 4).
-	Nodes int
 	// N is invocations measured per trial (default 800).
 	N int
-	// C is worker threads (default: one per node). The dist backend
-	// has one shim lane per member, so C beyond Nodes measures
-	// front-door queueing — identical in both arms — instead of
-	// placement.
-	C int
 	// Seed fixes the random send orders.
 	Seed int64
-	// SnapDir roots the fabric arm's per-node snapshot tiers; empty
-	// uses a temporary directory removed when the sweep finishes.
-	SnapDir string
 }
+
+// fabricNodes is the cluster size, and the worker-thread count: the
+// dist backend has one shim lane per member, so more threads than nodes
+// would measure front-door queueing — identical in both arms — instead
+// of placement.
+const fabricNodes = 4
 
 func (c FabricConfig) withDefaults() FabricConfig {
 	if len(c.SetSizes) == 0 {
@@ -67,14 +63,8 @@ func (c FabricConfig) withDefaults() FabricConfig {
 			c.SetSizes = append(c.SetSizes, m)
 		}
 	}
-	if c.Nodes == 0 {
-		c.Nodes = 4
-	}
 	if c.N == 0 {
 		c.N = 800
-	}
-	if c.C == 0 {
-		c.C = c.Nodes
 	}
 	return c
 }
@@ -83,15 +73,13 @@ func (c FabricConfig) withDefaults() FabricConfig {
 // cluster deployment, exactly as the paper re-deploys per trial.
 func RunFabric(cfg FabricConfig) (FigureFabric, error) {
 	cfg = cfg.withDefaults()
-	if cfg.SnapDir == "" {
-		dir, err := os.MkdirTemp("", "seuss-fabric")
-		if err != nil {
-			return FigureFabric{}, err
-		}
-		defer os.RemoveAll(dir)
-		cfg.SnapDir = dir
+	// The fabric arm's per-node snapshot tiers live under snapDir.
+	snapDir, err := os.MkdirTemp("", "seuss-fabric")
+	if err != nil {
+		return FigureFabric{}, err
 	}
-	out := FigureFabric{Nodes: cfg.Nodes, N: cfg.N, C: cfg.C}
+	defer os.RemoveAll(snapDir)
+	out := FigureFabric{Nodes: fabricNodes, N: cfg.N, C: fabricNodes}
 
 	run := func(trial workload.Trial, c cluster.Config) (workload.TrialResult, cluster.Stats, error) {
 		eng := sim.NewEngine()
@@ -108,12 +96,12 @@ func RunFabric(cfg FabricConfig) (FigureFabric, error) {
 		for i := range fns {
 			fns[i] = workload.NOPSpec(i)
 		}
-		trial := workload.Trial{N: cfg.N, Fns: fns, C: cfg.C, Seed: cfg.Seed, Warmup: steadyWarmup(m)}
+		trial := workload.Trial{N: cfg.N, Fns: fns, C: fabricNodes, Seed: cfg.Seed, Warmup: steadyWarmup(m)}
 
 		// Local-only arm: no fabric, no locality — the placer spreads by
 		// load alone, so every node pays its own cold starts.
 		resL, stL, err := run(trial, cluster.Config{
-			Nodes:  cfg.Nodes,
+			Nodes:  fabricNodes,
 			Placer: &sched.LeastLoadedPlacer{},
 		})
 		if err != nil {
@@ -123,9 +111,9 @@ func RunFabric(cfg FabricConfig) (FigureFabric, error) {
 		// Fabric arm: locality-aware placement over per-node
 		// content-addressed tiers; replication fetches missing layers.
 		resF, stF, err := run(trial, cluster.Config{
-			Nodes:   cfg.Nodes,
+			Nodes:   fabricNodes,
 			Policy:  cluster.PolicyMigrate,
-			SnapDir: filepath.Join(cfg.SnapDir, fmt.Sprintf("m%d", m)),
+			SnapDir: filepath.Join(snapDir, fmt.Sprintf("m%d", m)),
 		})
 		if err != nil {
 			return out, err

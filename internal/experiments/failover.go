@@ -42,34 +42,28 @@ type FigureFailover struct {
 
 // FailoverConfig scales the experiment.
 type FailoverConfig struct {
-	// Nodes is the cluster size (default 3).
-	Nodes int
 	// N is invocations measured per phase (default 600).
 	N int
-	// C is worker threads (default: one per node).
-	C int
 	// M is the unique-function count (default 24) — small enough that
 	// the crashed member's lineages are hot, so its loss is felt.
 	M int
 	// Seed fixes the random send orders.
 	Seed int64
-	// SnapDir roots the per-node snapshot tiers; empty uses a temporary
-	// directory removed when the run finishes.
-	SnapDir string
 }
 
+const (
+	// failoverNodes is the cluster size.
+	failoverNodes = 3
+	// failoverThreads oversubscribes the cluster on purpose: holders
+	// must saturate so the hot lineages replicate across tiers before
+	// the crash — that prior replication is what the repair pass later
+	// restores from.
+	failoverThreads = 2 * failoverNodes
+)
+
 func (c FailoverConfig) withDefaults() FailoverConfig {
-	if c.Nodes == 0 {
-		c.Nodes = 3
-	}
 	if c.N == 0 {
 		c.N = 600
-	}
-	if c.C == 0 {
-		// Oversubscribed on purpose: holders must saturate so the hot
-		// lineages replicate across tiers before the crash — that prior
-		// replication is what the repair pass later restores from.
-		c.C = 2 * c.Nodes
 	}
 	if c.M == 0 {
 		c.M = 24
@@ -86,21 +80,19 @@ func (c FailoverConfig) withDefaults() FailoverConfig {
 // victim and measure the rejoined cluster.
 func RunFailover(cfg FailoverConfig) (FigureFailover, error) {
 	cfg = cfg.withDefaults()
-	if cfg.SnapDir == "" {
-		dir, err := os.MkdirTemp("", "seuss-failover")
-		if err != nil {
-			return FigureFailover{}, err
-		}
-		defer os.RemoveAll(dir)
-		cfg.SnapDir = dir
+	// The per-node snapshot tiers live under snapDir.
+	snapDir, err := os.MkdirTemp("", "seuss-failover")
+	if err != nil {
+		return FigureFailover{}, err
 	}
-	out := FigureFailover{Nodes: cfg.Nodes, N: cfg.N, C: cfg.C, M: cfg.M}
+	defer os.RemoveAll(snapDir)
+	out := FigureFailover{Nodes: failoverNodes, N: cfg.N, C: failoverThreads, M: cfg.M}
 
 	eng := sim.NewEngine()
 	cl, err := cluster.New(eng, cluster.Config{
-		Nodes:      cfg.Nodes,
+		Nodes:      failoverNodes,
 		Policy:     cluster.PolicyMigrate,
-		SnapDir:    cfg.SnapDir,
+		SnapDir:    snapDir,
 		MaxRetries: 3,
 	})
 	if err != nil {
@@ -117,7 +109,7 @@ func RunFailover(cfg FailoverConfig) (FigureFailover, error) {
 	seed := cfg.Seed
 	phase := func(name string, warmup int) FailoverPhase {
 		seed++ // distinct send order per phase, still deterministic
-		res := workload.Trial{N: cfg.N, Fns: fns, C: cfg.C, Seed: seed, Warmup: warmup}.Run(eng, plat)
+		res := workload.Trial{N: cfg.N, Fns: fns, C: failoverThreads, Seed: seed, Warmup: warmup}.Run(eng, plat)
 		sum := res.Summary()
 		return FailoverPhase{Phase: name, PerSec: res.SteadyThroughput(), P50: sum.P50, P99: sum.P99, Errors: res.Errors}
 	}

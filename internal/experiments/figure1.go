@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"seuss/internal/libos"
-	"seuss/internal/mem"
 	"seuss/internal/metrics"
-	"seuss/internal/uc"
-	"seuss/internal/workload"
 )
 
 // Figure1Stage is one stage of a function invocation's lifetime
@@ -38,82 +34,12 @@ type Figure1 struct {
 // function snapshot (T2) removes import + compile from warm starts, and
 // the cached UC removes deployment and connection from hot starts.
 func RunFigure1() (Figure1, error) {
-	var out Figure1
-	st := mem.NewStore(0)
-
-	// System initialization (pre-T1).
-	bootEnv := &libos.CountingEnv{}
-	boot, err := uc.BootFresh(st, nil, bootEnv)
+	m, err := runMicro(true, true, 1)
 	if err != nil {
-		return out, err
+		return Figure1{}, err
 	}
-	if err := boot.Guest().Unikernel().WarmNetwork(); err != nil {
-		return out, err
-	}
-	if err := boot.Guest().WarmInterpreter(); err != nil {
-		return out, err
-	}
-	out.BootTime = bootEnv.Elapsed()
-	base, err := boot.Capture("runtime", uc.TriggerPCDriverListen)
-	if err != nil {
-		return out, err
-	}
-
-	type stamps struct {
-		deploy, connect, importCompile, args time.Duration
-	}
-
-	// Cold path, stage by stage.
-	var cold stamps
-	env := &libos.CountingEnv{}
-	u, err := uc.Deploy(base, nil, env)
-	if err != nil {
-		return out, err
-	}
-	cold.deploy = env.Elapsed()
-	if err := u.Guest().Connect(); err != nil {
-		return out, err
-	}
-	cold.connect = env.Elapsed()
-	if err := u.Guest().ImportAndCompile(workload.NOPSource); err != nil {
-		return out, err
-	}
-	fnSnap, err := u.Capture("fn", uc.TriggerPCPostCompile)
-	if err != nil {
-		return out, err
-	}
-	cold.importCompile = env.Elapsed()
-	if _, err := u.Guest().Invoke(`{}`); err != nil {
-		return out, err
-	}
-	cold.args = env.Elapsed()
-
-	// Warm path.
-	var warm stamps
-	wEnv := &libos.CountingEnv{}
-	w, err := uc.Deploy(fnSnap, nil, wEnv)
-	if err != nil {
-		return out, err
-	}
-	warm.deploy = wEnv.Elapsed()
-	if err := w.Guest().Connect(); err != nil {
-		return out, err
-	}
-	warm.connect = wEnv.Elapsed()
-	warm.importCompile = wEnv.Elapsed() // skipped
-	if _, err := w.Guest().Invoke(`{}`); err != nil {
-		return out, err
-	}
-	warm.args = wEnv.Elapsed()
-
-	// Hot path: reuse w.
-	var hot stamps
-	h0 := wEnv.Elapsed()
-	if _, err := w.Guest().Invoke(`{}`); err != nil {
-		return out, err
-	}
-	hot.args = wEnv.Elapsed() - h0
-
+	cold, warm := m.coldStages, m.warmStages
+	out := Figure1{BootTime: m.boot}
 	out.Stages = []Figure1Stage{
 		{
 			Name:     "boot unikernel + init interpreter",
@@ -133,7 +59,7 @@ func RunFigure1() (Figure1, error) {
 		},
 		{
 			Name: "pass arguments + execute",
-			Cold: cold.args - cold.importCompile, Warm: warm.args - warm.importCompile, Hot: hot.args,
+			Cold: cold.execute - cold.importCompile, Warm: warm.execute - warm.importCompile, Hot: m.Hot,
 		},
 	}
 	return out, nil

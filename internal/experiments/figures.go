@@ -12,6 +12,10 @@ import (
 	"seuss/internal/workload"
 )
 
+// loadThreads is the load generator's worker-thread count (C), as in
+// the paper.
+const loadThreads = 32
+
 // steadyWarmup returns how many unmeasured invocations precede the
 // measurement window: the paper streams requests "until the measured
 // throughput reaches a point of stability". Small sets need roughly
@@ -34,7 +38,6 @@ type Figure4Point struct {
 	SetSize        int
 	SeussPerSec    float64
 	LinuxPerSec    float64
-	SeussErrors    int
 	LinuxErrors    int
 	SeussColdShare float64 // fraction of requests served cold
 }
@@ -55,8 +58,6 @@ type Figure4Config struct {
 	SetSizes []int
 	// N is invocations measured per trial (default 1200).
 	N int
-	// C is worker threads (default 32, as in the paper).
-	C int
 	// Seed fixes the random send orders.
 	Seed int64
 }
@@ -70,9 +71,6 @@ func (c Figure4Config) withDefaults() Figure4Config {
 	if c.N == 0 {
 		c.N = 1200
 	}
-	if c.C == 0 {
-		c.C = 32
-	}
 	return c
 }
 
@@ -80,13 +78,13 @@ func (c Figure4Config) withDefaults() Figure4Config {
 // deployment, exactly as the paper re-deploys OpenWhisk per trial.
 func RunFigure4(cfg Figure4Config) (Figure4, error) {
 	cfg = cfg.withDefaults()
-	out := Figure4{N: cfg.N, C: cfg.C}
+	out := Figure4{N: cfg.N, C: loadThreads}
 	for _, m := range cfg.SetSizes {
 		fns := make([]workload.Spec, m)
 		for i := range fns {
 			fns[i] = workload.NOPSpec(i)
 		}
-		trial := workload.Trial{N: cfg.N, Fns: fns, C: cfg.C, Seed: cfg.Seed, Warmup: steadyWarmup(m)}
+		trial := workload.Trial{N: cfg.N, Fns: fns, C: loadThreads, Seed: cfg.Seed, Warmup: steadyWarmup(m)}
 
 		// SEUSS backend.
 		engS := sim.NewEngine()
@@ -110,7 +108,6 @@ func RunFigure4(cfg Figure4Config) (Figure4, error) {
 			SetSize:        m,
 			SeussPerSec:    resS.SteadyThroughput(),
 			LinuxPerSec:    resL.SteadyThroughput(),
-			SeussErrors:    resS.Errors,
 			LinuxErrors:    resL.Errors,
 			SeussColdShare: coldShare,
 		})
@@ -168,16 +165,13 @@ func RunFigure5(setSizes []int, n int, seed int64) (Figure5, error) {
 	if len(setSizes) == 0 {
 		setSizes = []int{64, 2048, 65536}
 	}
-	if n == 0 {
-		n = 1000
-	}
 	var out Figure5
 	for _, m := range setSizes {
 		fns := make([]workload.Spec, m)
 		for i := range fns {
 			fns[i] = workload.NOPSpec(i)
 		}
-		trial := workload.Trial{N: n, Fns: fns, C: 32, Seed: seed, Warmup: steadyWarmup(m)}
+		trial := workload.Trial{N: n, Fns: fns, C: loadThreads, Seed: seed, Warmup: steadyWarmup(m)}
 
 		engS := sim.NewEngine()
 		nodeS, err := core.NewNode(engS, core.DefaultConfig())
@@ -232,18 +226,12 @@ type FigureBurst struct {
 // BurstConfig parameterizes the burst experiments; zero values take the
 // paper's setup.
 type BurstConfig struct {
-	Period     time.Duration // 32 s, 16 s, or 8 s
-	Bursts     int           // default 10
-	BurstSize  int           // default 128 (not stated in the paper; chosen so the container cache limit is hit around the 5th burst at the 32 s period, as §7 reports)
-	Threads    int           // default 128
-	BGFns      int           // default 16
-	BGRate     float64       // default 72 req/s
-	IOBlock    time.Duration // default 250 ms
-	BurstCPUms int           // default 150
-	Seed       int64
-	// LinuxContainerLimit defaults to 1024 (the bridge's endpoint
-	// limit, as in the throughput runs).
-	LinuxContainerLimit int
+	Period    time.Duration // 32 s, 16 s, or 8 s
+	Bursts    int           // default 10
+	BurstSize int           // default 128 (not stated in the paper; chosen so the container cache limit is hit around the 5th burst at the 32 s period, as §7 reports)
+	Threads   int           // default 128
+	BGRate    float64       // default 72 req/s
+	Seed      int64
 }
 
 func (c BurstConfig) withDefaults() BurstConfig {
@@ -259,22 +247,50 @@ func (c BurstConfig) withDefaults() BurstConfig {
 	if c.Threads == 0 {
 		c.Threads = 128
 	}
-	if c.BGFns == 0 {
-		c.BGFns = 16
-	}
 	if c.BGRate == 0 {
 		c.BGRate = 72
 	}
-	if c.IOBlock == 0 {
-		c.IOBlock = 250 * time.Millisecond
-	}
-	if c.BurstCPUms == 0 {
-		c.BurstCPUms = 150
-	}
-	if c.LinuxContainerLimit == 0 {
-		c.LinuxContainerLimit = 1024
-	}
 	return c
+}
+
+const (
+	// burstBGFns is how many IO-bound functions the background stream
+	// cycles through.
+	burstBGFns = 16
+	// burstIOBlock is the external HTTP server's think time: how long
+	// each background function blocks.
+	burstIOBlock = 250 * time.Millisecond
+	// burstCPUms is each burst function's CPU-bound run time.
+	burstCPUms = 150
+)
+
+// load builds the burst schedule: the background stream at BGRate, and
+// Bursts CPU-bound bursts one Period apart.
+func (c BurstConfig) load() workload.Burst {
+	fns := make([]workload.Spec, burstBGFns)
+	for i := range fns {
+		fns[i] = workload.IOSpec(fmt.Sprintf("bg%02d/io", i), "http://ext/block", burstIOBlock)
+	}
+	return workload.Burst{
+		Threads:    c.Threads,
+		BGFns:      fns,
+		BGRate:     c.BGRate,
+		BurstEvery: c.Period,
+		BurstSize:  c.BurstSize,
+		BurstCPUms: burstCPUms,
+		Bursts:     c.Bursts,
+		Seed:       c.Seed,
+	}
+}
+
+// seussIONode is a default SEUSS node whose external HTTP server
+// blocks burstIOBlock, then replies.
+func seussIONode(eng *sim.Engine) (*core.Node, error) {
+	cfg := core.DefaultConfig()
+	cfg.HTTPHandler = func(url string) (string, time.Duration, error) {
+		return "OK", burstIOBlock, nil
+	}
+	return core.NewNode(eng, cfg)
 }
 
 // RunBurst executes one burst experiment (one of Figures 6-8) on both
@@ -283,51 +299,30 @@ func RunBurst(cfg BurstConfig) (FigureBurst, error) {
 	cfg = cfg.withDefaults()
 	out := FigureBurst{Period: cfg.Period}
 
-	mkBurst := func() workload.Burst {
-		fns := make([]workload.Spec, cfg.BGFns)
-		for i := range fns {
-			fns[i] = workload.IOSpec(fmt.Sprintf("bg%02d/io", i), "http://ext/block", cfg.IOBlock)
-		}
-		return workload.Burst{
-			Threads:    cfg.Threads,
-			BGFns:      fns,
-			BGRate:     cfg.BGRate,
-			BurstEvery: cfg.Period,
-			BurstSize:  cfg.BurstSize,
-			BurstCPUms: cfg.BurstCPUms,
-			Bursts:     cfg.Bursts,
-			Seed:       cfg.Seed,
-		}
-	}
-
-	// SEUSS node: the external HTTP server blocks IOBlock then replies.
 	engS := sim.NewEngine()
-	nodeCfg := core.DefaultConfig()
-	nodeCfg.HTTPHandler = func(url string) (string, time.Duration, error) {
-		return "OK", cfg.IOBlock, nil
-	}
-	nodeS, err := core.NewNode(engS, nodeCfg)
+	nodeS, err := seussIONode(engS)
 	if err != nil {
 		return out, err
 	}
 	clusterS := faas.NewCluster(engS, faas.NewSeussBackend(nodeS))
 	// The SEUSS guest blocks inside http.get; the workload Spec's IO
 	// field is for the Linux model, so zero it to avoid double counting.
-	bS := mkBurst()
+	bS := cfg.load()
 	for i := range bS.BGFns {
 		bS.BGFns[i].IO = 0
 	}
 	tlS := bS.Run(engS, clusterS)
 	out.Seuss = summarizeBurst("seuss", cfg.Period, tlS)
 
-	// Linux node: stemcell cache 256, as configured for this experiment.
+	// Linux node: stemcell cache 256, as configured for this experiment;
+	// the container limit stays at the bridge's 1024-endpoint default,
+	// as in the throughput runs.
 	engL := sim.NewEngine()
 	clusterL := faas.NewCluster(engL, faas.NewLinuxBackend(engL, faas.LinuxConfig{
-		Seed:           cfg.Seed,
-		Stemcells:      256,
-		ContainerLimit: cfg.LinuxContainerLimit,
+		Seed:      cfg.Seed,
+		Stemcells: 256,
 	}))
-	tlL := mkBurst().Run(engL, clusterL)
+	tlL := cfg.load().Run(engL, clusterL)
 	out.Linux = summarizeBurst("linux", cfg.Period, tlL)
 	return out, nil
 }

@@ -27,22 +27,21 @@ import (
 
 // PolicyArm is one policy's measured outcome over the trace.
 type PolicyArm struct {
-	Policy    string
-	Arrivals  int // total scheduled arrivals
-	Measured  int // completions inside the measurement window
-	Cold      int
-	Lukewarm  int
-	Warm      int
-	Hot       int
-	P50       time.Duration
-	P99       time.Duration
-	P999      time.Duration
-	WarmHit   float64 // (hot+warm) / measured
-	RAMGBs    float64 // resident-RAM integral over the window, GB·s
-	Expired   int64   // keep-alive expirations (UCs + lineages)
-	Prewarms  int64   // predicted promotions
-	Misses    int64   // predictions whose lineage left the tier
-	PeakBytes int64   // peak resident bytes observed at ticks
+	Policy   string
+	Arrivals int // total scheduled arrivals
+	Measured int // completions inside the measurement window
+	Cold     int
+	Lukewarm int
+	Warm     int
+	Hot      int
+	P50      time.Duration
+	P99      time.Duration
+	P999     time.Duration
+	WarmHit  float64 // (hot+warm) / measured
+	RAMGBs   float64 // resident-RAM integral over the window, GB·s
+	Expired  int64   // keep-alive expirations (UCs + lineages)
+	Prewarms int64   // predicted promotions
+	Misses   int64   // predictions whose lineage left the tier
 }
 
 // FigurePolicy is the full policy comparison.
@@ -53,19 +52,31 @@ type FigurePolicy struct {
 	Warmup  time.Duration
 }
 
+// The trace's band shapes and the policy clock; PolicyConfig scales
+// only how many keys each band has and how long the trace runs.
+const (
+	// policyHotMean is the hot band's Poisson mean — always inside any
+	// sane keep-alive window.
+	policyHotMean = 15 * time.Second
+	// policyPeriodicMean and policyPeriodicSigma are the periodic
+	// band's lognormal median and log-stddev: the band where the
+	// policies separate — longer than Fixed's window, predictable
+	// enough for Hybrid to prewarm.
+	policyPeriodicMean  = 4 * time.Minute
+	policyPeriodicSigma = 0.12
+	// policyTick is the reaper period, also the RAM sampling period.
+	policyTick = 15 * time.Second
+	// policyFixedWindow is the FixedKeepAlive arm's window.
+	policyFixedWindow = 2 * time.Minute
+)
+
 // PolicyConfig scales the experiment.
 type PolicyConfig struct {
-	// HotKeys invoke Poisson with mean HotMean — always inside any
-	// sane keep-alive window (default 200 keys, 15 s).
+	// HotKeys invoke Poisson with mean policyHotMean (default 200
+	// keys).
 	HotKeys int
-	HotMean time.Duration
-	// PeriodicKeys invoke near-periodically (lognormal, median
-	// PeriodicMean, log-stddev PeriodicSigma): the band where the
-	// policies separate — longer than Fixed's window, predictable
-	// enough for Hybrid to prewarm (default 800 keys, 4 min, 0.12).
-	PeriodicKeys  int
-	PeriodicMean  time.Duration
-	PeriodicSigma float64
+	// PeriodicKeys invoke near-periodically (default 800 keys).
+	PeriodicKeys int
 	// OnceKeys fire exactly once during warmup and never again — dead
 	// weight every keep-alive window holds for nothing (default 9000).
 	OnceKeys int
@@ -76,11 +87,6 @@ type PolicyConfig struct {
 	// compares steady-state behavior, not cold statistics.
 	Horizon time.Duration
 	Warmup  time.Duration
-	// Tick is the reaper period, also the RAM sampling period
-	// (default 15 s).
-	Tick time.Duration
-	// FixedWindow is the FixedKeepAlive arm's window (default 2 min).
-	FixedWindow time.Duration
 	// Keys overrides the synthetic bands entirely (e.g. from
 	// workload.ParseTraceCSV); the *Keys counts are then ignored.
 	Keys []workload.TraceKey
@@ -94,17 +100,8 @@ func (c PolicyConfig) withDefaults() PolicyConfig {
 	if c.HotKeys == 0 {
 		c.HotKeys = 200
 	}
-	if c.HotMean == 0 {
-		c.HotMean = 15 * time.Second
-	}
 	if c.PeriodicKeys == 0 {
 		c.PeriodicKeys = 800
-	}
-	if c.PeriodicMean == 0 {
-		c.PeriodicMean = 4 * time.Minute
-	}
-	if c.PeriodicSigma == 0 {
-		c.PeriodicSigma = 0.12
 	}
 	if c.OnceKeys == 0 {
 		c.OnceKeys = 9000
@@ -114,12 +111,6 @@ func (c PolicyConfig) withDefaults() PolicyConfig {
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 14 * time.Minute
-	}
-	if c.Tick == 0 {
-		c.Tick = 15 * time.Second
-	}
-	if c.FixedWindow == 0 {
-		c.FixedWindow = 2 * time.Minute
 	}
 	return c
 }
@@ -134,15 +125,15 @@ func (c PolicyConfig) traceKeys() []workload.TraceKey {
 		keys = append(keys, workload.TraceKey{
 			Spec:    workload.Spec{Key: fmt.Sprintf("hot/fn%d", i), Source: workload.NOPSource},
 			Process: workload.ProcPoisson,
-			Mean:    c.HotMean,
+			Mean:    policyHotMean,
 		})
 	}
 	for i := 0; i < c.PeriodicKeys; i++ {
 		keys = append(keys, workload.TraceKey{
 			Spec:    workload.Spec{Key: fmt.Sprintf("cron/fn%d", i), Source: workload.NOPSource},
 			Process: workload.ProcLognormal,
-			Mean:    c.PeriodicMean,
-			Sigma:   c.PeriodicSigma,
+			Mean:    policyPeriodicMean,
+			Sigma:   policyPeriodicSigma,
 		})
 	}
 	for i := 0; i < c.OnceKeys; i++ {
@@ -184,7 +175,7 @@ func RunPolicy(cfg PolicyConfig) (FigurePolicy, error) {
 
 	arms := []policy.Policy{
 		policy.NoKeepAlive{},
-		policy.FixedKeepAlive{Window: cfg.FixedWindow},
+		policy.FixedKeepAlive{Window: policyFixedWindow},
 		policy.NewHybrid(),
 	}
 	for i, pol := range arms {
@@ -220,21 +211,16 @@ func runPolicyArm(cfg PolicyConfig, tr workload.Trace, pol policy.Policy, dir st
 	// period — the same observable for every arm, so the comparison is
 	// exact even if the absolute integral is quantized).
 	var ramByteSeconds float64
-	var peak int64
 	eng.Go("policy-reaper", func(p *sim.Proc) {
 		for {
-			p.Sleep(cfg.Tick)
+			p.Sleep(policyTick)
 			now := time.Duration(p.Now())
-			if now > cfg.Horizon+cfg.Tick {
+			if now > cfg.Horizon+policyTick {
 				return
 			}
 			node.PolicyTick(p)
 			if now >= cfg.Warmup && now <= cfg.Horizon {
-				b := node.MemStats().BytesInUse
-				ramByteSeconds += float64(b) * cfg.Tick.Seconds()
-				if b > peak {
-					peak = b
-				}
+				ramByteSeconds += float64(node.MemStats().BytesInUse) * policyTick.Seconds()
 			}
 		}
 	})
@@ -242,13 +228,12 @@ func runPolicyArm(cfg PolicyConfig, tr workload.Trace, pol policy.Policy, dir st
 	st := node.Stats()
 
 	arm := PolicyArm{
-		Policy:    pol.Name(),
-		Arrivals:  res.Arrivals,
-		RAMGBs:    ramByteSeconds / 1e9,
-		Expired:   st.PolicyExpirations,
-		Prewarms:  st.PolicyPrewarms,
-		Misses:    st.PolicyPrewarmMisses,
-		PeakBytes: peak,
+		Policy:   pol.Name(),
+		Arrivals: res.Arrivals,
+		RAMGBs:   ramByteSeconds / 1e9,
+		Expired:  st.PolicyExpirations,
+		Prewarms: st.PolicyPrewarms,
+		Misses:   st.PolicyPrewarmMisses,
 	}
 	var lat []time.Duration
 	for _, pt := range res.Points {

@@ -337,9 +337,6 @@ type LinuxConfig struct {
 	MemoryBytes int64
 	// Seed drives drop/jitter randomness.
 	Seed int64
-	// HTTPDelay models the external server's think time for IO-bound
-	// functions (the workload Spec carries per-function IO too).
-	HTTPDelay time.Duration
 }
 
 func (c LinuxConfig) withDefaults() LinuxConfig {
@@ -427,9 +424,6 @@ func (b *LinuxBackend) Name() string { return "linux" }
 
 // Bridge exposes the container network (instrumentation).
 func (b *LinuxBackend) Bridge() *netsim.Bridge { return b.bridge }
-
-// Containers returns the live container count.
-func (b *LinuxBackend) Containers() int { return b.total }
 
 // maybeReplenish restarts the stemcell replenisher after the pool is
 // consumed. The replenisher competes with invocations for the Docker
@@ -633,7 +627,7 @@ func (b *LinuxBackend) runIn(p *sim.Proc, ctr *container, spec workload.Spec) er
 		b.cores.Use(p, spec.CPU)
 	}
 	if spec.IO > 0 {
-		p.Sleep(spec.IO + b.cfg.HTTPDelay)
+		p.Sleep(spec.IO) // the external server's think time rides the Spec
 	}
 	return nil
 }

@@ -138,29 +138,12 @@ func (p *structPool) getSpace() *AddressSpace {
 	return as
 }
 
-// FaultKind classifies resolved page faults, mirroring §6's three
-// resolution semantics.
-type FaultKind int
-
-const (
-	// FaultDemandZero: store to an unmapped page; a fresh zero frame is
-	// allocated.
-	FaultDemandZero FaultKind = iota
-	// FaultCoW: store to a read-only CoW page; the frame is cloned.
-	FaultCoW
-	// FaultSharedMap: load of a page present only in the backing
-	// snapshot stack; resolved with a read-only mapping (counted by the
-	// snapshot layer).
-	FaultSharedMap
-)
-
 // FaultStats counts faults resolved since the address space was created
 // or stats were reset. The paper's Table 1 reports "pages copied" per
 // invocation path; CoW+DemandZero is that number.
 type FaultStats struct {
 	DemandZero  int
 	CoW         int
-	SharedMap   int
 	TableClones int // interior nodes privatized by CoW-on-write paths
 	// Prefetched counts pages resolved by PrefetchWritable — the
 	// working-set bulk-map path. Deliberately NOT part of Copied():
@@ -579,59 +562,6 @@ func (as *AddressSpace) faultForWrite(va uint64) (*mem.Frame, error) {
 	return e.frame, nil
 }
 
-// CloneRange eagerly resolves every present CoW mapping in
-// [va, va+size): the bulk/prefetch-resolve path. A burst of anticipated
-// writes on one PT node privatizes the node (and its path) once instead
-// of once per fault, and absent subtrees are skipped wholesale. Pages
-// are made privately writable but NOT marked dirty — their content
-// still equals the backing snapshot's, so the next capture correctly
-// excludes them; the first real store sets the D bit as usual.
-// Demand-zero and already-writable pages are left untouched. Returns
-// the number of pages cloned.
-func (as *AddressSpace) CloneRange(va uint64, size uint64) (int, error) {
-	if as.frozen {
-		panic("pagetable: CloneRange on frozen address space")
-	}
-	if size == 0 {
-		return 0, nil
-	}
-	end := va + size
-	cloned := 0
-	for p := PageBase(va); p < end; {
-		spanEnd := (p | spanMask) + 1
-		// Probe first: an absent subtree costs one read-only walk, not
-		// 512 build-walks.
-		probe, err := as.walk(p, false)
-		if err != nil {
-			return cloned, err
-		}
-		if probe == nil {
-			p = spanEnd
-			continue
-		}
-		pt, err := as.walk(p, true) // privatize the path once for the whole span
-		if err != nil {
-			return cloned, err
-		}
-		for ; p < end && p < spanEnd; p += mem.PageSize {
-			e := &pt.entries[index(p, 0)]
-			if e.frame == nil || e.flags&FlagCoW == 0 || e.flags&FlagWritable != 0 {
-				continue
-			}
-			f, err := as.st.Clone(e.frame)
-			if err != nil {
-				return cloned, err
-			}
-			as.st.DecRef(e.frame)
-			e.frame = f
-			e.flags = (e.flags &^ FlagCoW) | FlagWritable
-			as.Faults.CoW++
-			cloned++
-		}
-	}
-	return cloned, nil
-}
-
 // SparseInstaller streams a snapshot diff's pages into the space, one
 // Page call at a time, so a caller decoding pages from a wire image
 // fuses decode and install into a single pass (snapshot.GraftWire).
@@ -803,13 +733,6 @@ func (as *AddressSpace) DirtyPages() []uint64 {
 	copy(out, as.dirty)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// AppendDirtyPages appends the dirty page-base addresses to dst
-// (unsorted, insertion order) and returns it — the allocation-free
-// variant of DirtyPages for callers that bring their own storage.
-func (as *AddressSpace) AppendDirtyPages(dst []uint64) []uint64 {
-	return append(dst, as.dirty...)
 }
 
 // DirtyCount returns the number of dirty pages without copying the list.

@@ -21,98 +21,8 @@ func snapshotStyleCapture(t *testing.T, live *AddressSpace) *AddressSpace {
 	return snap
 }
 
-// TestCloneRangePrivatizesNodeOnce verifies the bulk path: resolving a
-// burst of CoW pages within one PT span clones the page-table node once,
-// not per page.
-func TestCloneRangePrivatizesNodeOnce(t *testing.T) {
-	st := mem.NewStore(0)
-	parent, err := New(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const pages = 64
-	for i := 0; i < pages; i++ {
-		if err := parent.Store(uint64(i)*mem.PageSize, []byte{byte(i), 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := snapshotStyleCapture(t, parent)
-
-	child, err := snap.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	child.ResetFaults()
-	n, err := child.CloneRange(0, pages*mem.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != pages {
-		t.Fatalf("CloneRange cloned %d pages, want %d", n, pages)
-	}
-	if got := child.Faults.CoW; got != pages {
-		t.Errorf("CoW faults = %d, want %d", got, pages)
-	}
-	// All 64 pages live under one PT node; the whole path (PML4e child,
-	// PDPT, PD, PT) is privatized exactly once each.
-	if got := child.Faults.TableClones; got > levels-1 {
-		t.Errorf("TableClones = %d, want ≤ %d (one privatization per level)", got, levels-1)
-	}
-	// Prefetch-resolved pages are NOT dirty: content equals the backing
-	// image until a real store lands.
-	if got := child.DirtyCount(); got != 0 {
-		t.Errorf("DirtyCount = %d after CloneRange, want 0", got)
-	}
-	// Writes after prefetch need no further frame copies.
-	child.ResetFaults()
-	for i := 0; i < pages; i++ {
-		if err := child.Store(uint64(i)*mem.PageSize, []byte{byte(i), 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := child.Faults.Copied(); got != 0 {
-		t.Errorf("stores after CloneRange copied %d pages, want 0", got)
-	}
-	if got := child.DirtyCount(); got != pages {
-		t.Errorf("DirtyCount = %d after stores, want %d", got, pages)
-	}
-	// Independence: the snapshot still reads the old bytes.
-	var b [2]byte
-	if err := snap.Load(0, b[:]); err != nil {
-		t.Fatal(err)
-	}
-	if b[1] != 1 {
-		t.Errorf("snapshot corrupted by CloneRange child: got %#x", b[1])
-	}
-}
-
-// TestCloneRangeSkipsAbsentAndZero checks absent subtrees and
-// demand-zero/writable pages are left alone.
-func TestCloneRangeSkipsAbsentAndZero(t *testing.T) {
-	st := mem.NewStore(0)
-	as, err := New(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One writable page; the rest of the range is unmapped.
-	if err := as.Store(0, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	before := st.Stats().Allocs
-	n, err := as.CloneRange(0, 1<<30) // 1 GB of mostly-absent address space
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("CloneRange cloned %d pages, want 0", n)
-	}
-	if got := st.Stats().Allocs - before; got != 0 {
-		t.Errorf("CloneRange allocated %d frames over absent space, want 0", got)
-	}
-}
-
-// TestFaultBurstPrivatizesNodeOnce: the software fault cache gives the
-// regular (non-bulk) fault path the same privatize-once behavior.
+// TestFaultBurstPrivatizesNodeOnce: with the software fault cache, a
+// burst of faults in one PT span privatizes the node once, not per page.
 func TestFaultBurstPrivatizesNodeOnce(t *testing.T) {
 	st := mem.NewStore(0)
 	parent, err := New(st)

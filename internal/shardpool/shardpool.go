@@ -88,8 +88,6 @@ type Config struct {
 	// reads are single-flight, the one deliberate exception to the
 	// shared-nothing rule (disk, unlike the engines, is one device).
 	Node core.Config
-	// QueueDepth is each shard's request queue capacity (default 128).
-	QueueDepth int
 	// StealThreshold is the owner-queue depth at or beyond which a
 	// request overflows to the shared steal queue (default 2).
 	StealThreshold int
@@ -118,9 +116,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
 		c.Shards = runtime.NumCPU()
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 128
 	}
 	if c.StealThreshold == 0 {
 		c.StealThreshold = 2
@@ -366,6 +361,10 @@ type response struct {
 	stolen bool
 }
 
+// queueDepth is each shard's request queue capacity; the shared
+// overflow queue holds one shard's worth per shard.
+const queueDepth = 128
+
 // shard is one shared-nothing compute unit: engine + store + node,
 // owned exclusively by its loop goroutine.
 type shard struct {
@@ -429,7 +428,7 @@ func New(cfg Config) (*Pool, error) {
 
 	p := &Pool{
 		cfg:      cfg,
-		overflow: make(chan *request, cfg.Shards*cfg.QueueDepth),
+		overflow: make(chan *request, cfg.Shards*queueDepth),
 		quit:     make(chan struct{}),
 		rec:      metrics.NewRecorder(),
 	}
@@ -514,7 +513,7 @@ func (p *Pool) hydrateShard(id int, memBytes int64, encoded map[string][]byte) (
 		pool:    p,
 		eng:     eng,
 		node:    node,
-		reqs:    make(chan *request, p.cfg.QueueDepth),
+		reqs:    make(chan *request, queueDepth),
 		faults:  inj,
 		breaker: newBreaker(p.cfg.BreakerThreshold, p.cfg.BreakerProbeAfter, rec),
 		rec:     rec,

@@ -243,12 +243,6 @@ type PoolConfig struct {
 	// injection entirely (zero overhead).
 	FaultSeed int64
 	FaultRate float64
-	// BreakerThreshold is the consecutive contained failures that open
-	// a shard's circuit breaker (0 = default 3, -1 disables).
-	BreakerThreshold int
-	// BreakerProbeAfter is the diverted requests an open breaker
-	// absorbs before probing half-open (0 = default 4).
-	BreakerProbeAfter int
 }
 
 // FaultPoint is one registered fault-injection point: its name (the
@@ -295,8 +289,6 @@ func NewNodePool(cfg PoolConfig) (*NodePool, error) {
 		Node:                cfg.Node,
 		DisableWorkStealing: cfg.DisableWorkStealing,
 		Faults:              fault.Config{Seed: cfg.FaultSeed, Rate: cfg.FaultRate},
-		BreakerThreshold:    cfg.BreakerThreshold,
-		BreakerProbeAfter:   cfg.BreakerProbeAfter,
 	})
 	if err != nil {
 		return nil, err
