@@ -37,7 +37,7 @@
 // unlimited, 0 = reject all writes).
 // GET /stats reports pool-aggregated caches and counters (each shard's
 // contribution snapshotted between invocations, never mid-flight),
-// including the robustness ledger — retries, breaker trips, UC
+// including the robustness ledger — breaker trips, requeues, UC
 // crashes, pressure degradations. GET /metrics serves the same data as
 // Prometheus text exposition — invocation-latency histograms split by
 // cold/warm/hot, cache hit/miss counters, breaker transitions, trace
@@ -86,7 +86,6 @@ import (
 	"time"
 
 	"seuss"
-	"seuss/internal/metrics"
 )
 
 type server struct {
@@ -133,13 +132,22 @@ func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	return true
 }
 
+// maxInvokeBody bounds an /invoke request body: function source plus
+// arguments, far above anything a guest program needs.
+const maxInvokeBody = 1 << 20
+
 func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req invokeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request: "+err.Error())
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInvokeBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "bad request: "+err.Error())
 		return
 	}
 	if req.Key == "" || req.Source == "" {
@@ -209,8 +217,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"per_shard":          shards,
 		"breakers":           st.Breakers,
 		"robustness": map[string]int64{
-			// The platform's re-submissions; a bare node has none.
-			"retries":                     st.Counters[metrics.CtrPlatformRetries],
 			"breaker_trips":               st.BreakerTrips,
 			"rerouted":                    st.Rerouted,
 			"requeued":                    st.Requeued,

@@ -163,14 +163,19 @@ func TestInvokeOverHTTP(t *testing.T) {
 
 func TestInvokeValidation(t *testing.T) {
 	ts := newTestServer(t)
-	for name, body := range map[string]string{
-		"empty":     `{}`,
-		"bad json":  `{`,
-		"no source": `{"key": "x"}`,
+	for name, tc := range map[string]struct {
+		body string
+		want int
+	}{
+		"empty":     {`{}`, http.StatusBadRequest},
+		"bad json":  {`{`, http.StatusBadRequest},
+		"no source": {`{"key": "x"}`, http.StatusBadRequest},
+		"over cap": {`{"key": "x", "source": "` + strings.Repeat("x", maxInvokeBody) + `"}`,
+			http.StatusRequestEntityTooLarge},
 	} {
-		resp, _ := post(t, ts, body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
+		resp, _ := post(t, ts, tc.body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status = %d, want %d", name, resp.StatusCode, tc.want)
 		}
 		errorBody(t, resp)
 	}
@@ -200,7 +205,7 @@ var statsKeyPaths = []string{
 	"robustness.faults_injected", "robustness.pressure_cold_fallbacks",
 	"robustness.pressure_idle_reclaims",
 	"robustness.pressure_snapshot_evictions", "robustness.requeued",
-	"robustness.rerouted", "robustness.retries", "robustness.stalls",
+	"robustness.rerouted", "robustness.stalls",
 	"robustness.uc_crashes", "shards", "snapshot_tier",
 	"snapshot_tier.bytes", "snapshot_tier.corrupt_dropped",
 	"snapshot_tier.demotions", "snapshot_tier.disk_bytes",

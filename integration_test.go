@@ -20,7 +20,7 @@ func TestIntegrationStatsConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster := faas.NewCluster(eng, faas.NewSeussBackend(node))
+	cluster := faas.NewCluster(faas.NewSeussBackend(node))
 	fns := make([]workload.Spec, 8)
 	for i := range fns {
 		fns[i] = workload.NOPSpec(i)
@@ -41,10 +41,9 @@ func TestIntegrationStatsConservation(t *testing.T) {
 	if st.Cold != 8 || st.SnapshotsCaptured != 8 {
 		t.Errorf("cold=%d captured=%d, want 8", st.Cold, st.SnapshotsCaptured)
 	}
-	// Bus accounting: one activation per request, topic drained.
-	topic := cluster.Bus().Topic("invoker0")
-	if topic.Published() != 200 || topic.Depth() != 0 {
-		t.Errorf("bus: %v", topic)
+	// Platform accounting: one activation per request.
+	if cluster.Requests() != 200 {
+		t.Errorf("platform requests = %d, want 200", cluster.Requests())
 	}
 }
 
@@ -56,7 +55,7 @@ func TestIntegrationMemoryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster := faas.NewCluster(eng, faas.NewSeussBackend(node))
+	cluster := faas.NewCluster(faas.NewSeussBackend(node))
 	// 120 unique functions on a memory-tight node: evictions and
 	// reclaims must keep the node inside budget with zero failures.
 	fns := make([]workload.Spec, 120)
@@ -83,7 +82,7 @@ func TestIntegrationDeterministicMacroRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cluster := faas.NewCluster(eng, faas.NewSeussBackend(node))
+		cluster := faas.NewCluster(faas.NewSeussBackend(node))
 		fns := make([]workload.Spec, 16)
 		for i := range fns {
 			fns[i] = workload.NOPSpec(i)

@@ -311,9 +311,12 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 		tr:       cfg.Tracer,
 	}
 
+	// A NodeConfig that sizes nothing and turns neither AO on means the
+	// paper's node (core.DefaultConfig: both AOs on); every other field
+	// it carries — deadline, seed, runtimes, handlers — is kept.
 	base := cfg.NodeConfig
 	if base.Cores == 0 && base.MemoryBytes == 0 && !base.NetworkAO && !base.InterpreterAO {
-		base = core.DefaultConfig()
+		base.NetworkAO, base.InterpreterAO = true, true
 	}
 
 	// With the fabric on, every member's tier is seeded from ONE

@@ -94,6 +94,35 @@ func TestClusterRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestClusterNodeConfigDeadlineHonoured: a NodeConfig that leaves the
+// size and AO fields at zero still carries its other fields to every
+// member — the deadline kills a spinning guest instead of letting it run
+// to the interpreter's lifetime step budget.
+func TestClusterNodeConfigDeadlineHonoured(t *testing.T) {
+	eng := sim.NewEngine()
+	c, err := New(eng, Config{Nodes: 2, NodeConfig: core.Config{InvokeDeadline: 2 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var invokeErr error
+	eng.Go("client", func(p *sim.Proc) {
+		_, _, invokeErr = c.Invoke(p, core.Request{
+			Key: "user/spin", Source: `function main(args) { while (true) { var x = 1; } }`, Args: "{}",
+		})
+	})
+	eng.Run()
+	if !errors.Is(invokeErr, core.ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrDeadlineExceeded", invokeErr)
+	}
+	var killed int64
+	for _, m := range c.Members() {
+		killed += m.Node.Stats().DeadlinesExceeded
+	}
+	if killed != 1 {
+		t.Errorf("DeadlinesExceeded = %d across members, want 1", killed)
+	}
+}
+
 // TestClusterFaultDeterminism: the same cluster fault seed replays the
 // same retry count, stats, and outcome.
 func TestClusterFaultDeterminism(t *testing.T) {

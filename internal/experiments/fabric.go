@@ -87,7 +87,7 @@ func RunFabric(cfg FabricConfig) (FigureFabric, error) {
 		if err != nil {
 			return workload.TrialResult{}, cluster.Stats{}, err
 		}
-		res := trial.Run(eng, faas.NewCluster(eng, faas.NewSeussDistBackend(eng, cl)))
+		res := trial.Run(eng, faas.NewCluster(faas.NewSeussDistBackend(eng, cl)))
 		return res, cl.Stats(), nil
 	}
 

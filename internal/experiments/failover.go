@@ -98,7 +98,7 @@ func RunFailover(cfg FailoverConfig) (FigureFailover, error) {
 	if err != nil {
 		return out, err
 	}
-	plat := faas.NewCluster(eng, faas.NewSeussDistBackend(eng, cl))
+	plat := faas.NewCluster(faas.NewSeussDistBackend(eng, cl))
 
 	// CPU-bound bodies keep holders busy enough to trigger replication
 	// and leave invocations in flight when the crash lands.

@@ -92,12 +92,12 @@ func RunFigure4(cfg Figure4Config) (Figure4, error) {
 		if err != nil {
 			return out, err
 		}
-		clusterS := faas.NewCluster(engS, faas.NewSeussBackend(nodeS))
+		clusterS := faas.NewCluster(faas.NewSeussBackend(nodeS))
 		resS := trial.Run(engS, clusterS)
 
 		// Linux backend ('stemcell' cache disabled for throughput, per §7).
 		engL := sim.NewEngine()
-		clusterL := faas.NewCluster(engL, faas.NewLinuxBackend(engL, faas.LinuxConfig{Seed: cfg.Seed}))
+		clusterL := faas.NewCluster(faas.NewLinuxBackend(engL, faas.LinuxConfig{Seed: cfg.Seed}))
 		resL := trial.Run(engL, clusterL)
 
 		coldShare := 0.0
@@ -178,11 +178,11 @@ func RunFigure5(setSizes []int, n int, seed int64) (Figure5, error) {
 		if err != nil {
 			return out, err
 		}
-		resS := trial.Run(engS, faas.NewCluster(engS, faas.NewSeussBackend(nodeS)))
+		resS := trial.Run(engS, faas.NewCluster(faas.NewSeussBackend(nodeS)))
 		out.Rows = append(out.Rows, Figure5Row{Backend: "seuss", SetSize: m, Summary: resS.Summary(), Errors: resS.Errors})
 
 		engL := sim.NewEngine()
-		resL := trial.Run(engL, faas.NewCluster(engL, faas.NewLinuxBackend(engL, faas.LinuxConfig{Seed: seed})))
+		resL := trial.Run(engL, faas.NewCluster(faas.NewLinuxBackend(engL, faas.LinuxConfig{Seed: seed})))
 		out.Rows = append(out.Rows, Figure5Row{Backend: "linux", SetSize: m, Summary: resL.Summary(), Errors: resL.Errors})
 	}
 	return out, nil
@@ -304,7 +304,7 @@ func RunBurst(cfg BurstConfig) (FigureBurst, error) {
 	if err != nil {
 		return out, err
 	}
-	clusterS := faas.NewCluster(engS, faas.NewSeussBackend(nodeS))
+	clusterS := faas.NewCluster(faas.NewSeussBackend(nodeS))
 	// The SEUSS guest blocks inside http.get; the workload Spec's IO
 	// field is for the Linux model, so zero it to avoid double counting.
 	bS := cfg.load()
@@ -318,7 +318,7 @@ func RunBurst(cfg BurstConfig) (FigureBurst, error) {
 	// the container limit stays at the bridge's 1024-endpoint default,
 	// as in the throughput runs.
 	engL := sim.NewEngine()
-	clusterL := faas.NewCluster(engL, faas.NewLinuxBackend(engL, faas.LinuxConfig{
+	clusterL := faas.NewCluster(faas.NewLinuxBackend(engL, faas.LinuxConfig{
 		Seed:      cfg.Seed,
 		Stemcells: 256,
 	}))

@@ -26,9 +26,9 @@ func NewPlatform(eng *sim.Engine, backend string) (*faas.Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		return faas.NewCluster(eng, faas.NewSeussBackend(node)), nil
+		return faas.NewCluster(faas.NewSeussBackend(node)), nil
 	case "linux":
-		return faas.NewCluster(eng, faas.NewLinuxBackend(eng, faas.LinuxConfig{Stemcells: 256})), nil
+		return faas.NewCluster(faas.NewLinuxBackend(eng, faas.LinuxConfig{Stemcells: 256})), nil
 	default:
 		return nil, fmt.Errorf("unknown backend %q", backend)
 	}

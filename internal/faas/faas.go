@@ -1,17 +1,16 @@
-// Package faas implements the OpenWhisk-like FaaS platform of the
-// macro evaluation (§6, §7): an action registry (the CouchDB role), a
-// topic-based message bus (the Kafka role), a controller with its
-// API-gateway overheads, and interchangeable compute backends —
+// Package faas models the OpenWhisk-like FaaS platform of the macro
+// evaluation (§6, §7) as what the paper measures of it: the API
+// gateway and controller as one overhead per request, and
+// interchangeable compute backends —
 //
 //   - LinuxBackend: the stock OpenWhisk invoker managing Docker
 //     containers, with the stemcell cache, the container cache limit,
 //     and the bridged network whose broadcast scaling caps it;
 //   - SeussBackend: the drop-in SEUSS OS replacement reached through
 //     the shim process, whose TCP connection serializes messages and
-//     adds the ≈8 ms hop of §6. Behind the shim sits one node, a
-//     sharded shared-nothing pool (internal/shardpool), or a multi-node
-//     DR-SEUSS cluster (internal/cluster) with scheduler-driven,
-//     snapshot-locality-aware placement.
+//     adds the ≈8 ms hop of §6. Behind the shim sits one node or a
+//     multi-node DR-SEUSS cluster (internal/cluster) with
+//     scheduler-driven, snapshot-locality-aware placement.
 //
 // A Cluster over either satisfies workload.Invoker, so every macro
 // experiment runs unmodified against both.
@@ -19,16 +18,12 @@ package faas
 
 import (
 	"errors"
-	"time"
 
 	"seuss/internal/cluster"
 	"seuss/internal/core"
 	"seuss/internal/costs"
-	"seuss/internal/fault"
 	"seuss/internal/isolation"
-	"seuss/internal/metrics"
 	"seuss/internal/netsim"
-	"seuss/internal/shardpool"
 	"seuss/internal/sim"
 	"seuss/internal/workload"
 )
@@ -36,42 +31,6 @@ import (
 // ErrNoCapacity is returned when the Linux invoker cannot obtain a
 // container before the platform timeout.
 var ErrNoCapacity = errors.New("faas: no container capacity")
-
-// Action is a registered function (the CouchDB document).
-type Action struct {
-	Name     string
-	Source   string
-	Revision int
-}
-
-// Registry is the action store.
-type Registry struct {
-	actions map[string]*Action
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{actions: make(map[string]*Action)} }
-
-// Put registers or updates an action, bumping its revision.
-func (r *Registry) Put(name, source string) *Action {
-	if a, ok := r.actions[name]; ok {
-		a.Source = source
-		a.Revision++
-		return a
-	}
-	a := &Action{Name: name, Source: source, Revision: 1}
-	r.actions[name] = a
-	return a
-}
-
-// Get looks an action up.
-func (r *Registry) Get(name string) (*Action, bool) {
-	a, ok := r.actions[name]
-	return a, ok
-}
-
-// Len returns the number of registered actions.
-func (r *Registry) Len() int { return len(r.actions) }
 
 // Backend is a compute node reachable from the controller.
 type Backend interface {
@@ -81,137 +40,39 @@ type Backend interface {
 	Name() string
 }
 
-// RetryPolicy bounds the platform's handling of contained compute
-// faults: a crashed UC, a deadline kill, or a stalled shard is
-// re-submitted to the backend after a doubling backoff, up to Max
-// attempts beyond the first. The zero policy retries nothing.
-type RetryPolicy struct {
-	// Max is the retry budget per activation (retries after the first
-	// attempt).
-	Max int
-	// Backoff is the delay before the first retry, doubling per attempt
-	// (default 1 ms when Max > 0).
-	Backoff time.Duration
-}
-
-// Cluster is the whole platform: control plane + one compute backend.
-// Requests flow controller → message bus → invoker dispatcher →
-// backend, and completions return on per-request reply queues, exactly
-// as OpenWhisk routes activations through Kafka.
+// Cluster is the whole platform: the control plane's overhead in front
+// of one compute backend. It decides nothing and re-runs nothing — a
+// failure belongs to the layer that can recover from it (the shard
+// pool's breaker, the cluster's MaxRetries) and passes through here
+// unchanged.
 type Cluster struct {
-	eng      *sim.Engine
-	registry *Registry
-	backend  Backend
-	bus      *Bus
-	acts     activations
-	// Retry is the platform's contained-fault retry policy. Set it
-	// before traffic; the dispatcher reads it per activation.
-	Retry RetryPolicy
-	// Metrics, when non-nil, mirrors the platform outcome counters into
-	// the pre-registered metrics registry (CtrPlatformRequests /
-	// Failures / Retries). Set it before traffic, alongside Retry.
-	Metrics *metrics.Recorder
-	// ledger is the platform's own count; only count writes it.
-	ledger metrics.Counters
+	backend            Backend
+	requests, failures int64
 }
 
-// count records one platform event: on the ledger Requests, Failures
-// and Retries read, and on the attached recorder (nil-safe).
-func (c *Cluster) count(ctr metrics.Counter) {
-	c.ledger[ctr]++
-	c.Metrics.Inc(ctr)
-}
+// NewCluster assembles a platform over the given backend.
+func NewCluster(backend Backend) *Cluster { return &Cluster{backend: backend} }
 
-// Requests and Failures count platform-level outcomes; Retries counts
-// re-submissions after contained faults.
-func (c *Cluster) Requests() int64 { return c.ledger[metrics.CtrPlatformRequests] }
-func (c *Cluster) Failures() int64 { return c.ledger[metrics.CtrPlatformFailures] }
-func (c *Cluster) Retries() int64  { return c.ledger[metrics.CtrPlatformRetries] }
+// Requests counts the activations accepted.
+func (c *Cluster) Requests() int64 { return c.requests }
 
-// busRequest is one activation in flight on the bus.
-type busRequest struct {
-	spec  workload.Spec
-	args  string
-	reply *sim.Queue
-}
-
-// invokerTopic is the bus topic the compute backend consumes.
-const invokerTopic = "invoker0"
-
-// NewCluster assembles a platform over the given backend and starts
-// its invoker dispatcher.
-func NewCluster(eng *sim.Engine, backend Backend) *Cluster {
-	c := &Cluster{eng: eng, registry: NewRegistry(), backend: backend, bus: NewBus(eng)}
-	c.acts = activations{byID: make(map[int64]*Activation), updated: sim.NewSignal(eng)}
-	eng.Go("invoker-dispatch", func(p *sim.Proc) {
-		for {
-			m, ok := c.bus.Consume(p, invokerTopic)
-			if !ok {
-				return
-			}
-			r := m.Body.(*busRequest)
-			// Each activation is handled concurrently; the backend
-			// applies its own concurrency limits.
-			eng.Go("activation", func(hp *sim.Proc) {
-				err := c.invokeWithRetry(hp, r.spec, r.args)
-				r.reply.Put(err)
-			})
-		}
-	})
-	return c
-}
-
-// invokeWithRetry drives one activation through the backend, spending
-// the retry budget on contained faults only: a crashed UC is
-// redeployed from its immutable snapshot on the retry (SEUSS §4's
-// containment property is what makes blind re-submission safe).
-// Deterministic failures — bad source, uncontained backend errors —
-// surface immediately.
-func (c *Cluster) invokeWithRetry(p *sim.Proc, spec workload.Spec, args string) error {
-	err := c.backend.Invoke(p, spec, args)
-	if err == nil || c.Retry.Max <= 0 {
-		return err
-	}
-	backoff := c.Retry.Backoff
-	if backoff <= 0 {
-		backoff = time.Millisecond
-	}
-	for attempt := 0; attempt < c.Retry.Max && err != nil && fault.IsContained(err); attempt++ {
-		c.count(metrics.CtrPlatformRetries)
-		p.Sleep(backoff)
-		backoff *= 2
-		err = c.backend.Invoke(p, spec, args)
-	}
-	return err
-}
-
-// Bus exposes the message service (instrumentation).
-func (c *Cluster) Bus() *Bus { return c.bus }
-
-// Registry exposes the action store (trials pre-register functions the
-// way the paper populates a fresh OpenWhisk deployment).
-func (c *Cluster) Registry() *Registry { return c.registry }
+// Failures counts the activations that surfaced an error.
+func (c *Cluster) Failures() int64 { return c.failures }
 
 // Backend returns the compute backend.
 func (c *Cluster) Backend() Backend { return c.backend }
 
 // Invoke implements workload.Invoker: API gateway + controller
-// overhead, publish the activation to the bus, and block on the reply
-// (the paper's benchmark issues synchronous requests).
+// overhead, then the backend, in the caller's process (the paper's
+// benchmark issues synchronous requests).
 func (c *Cluster) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
-	c.count(metrics.CtrPlatformRequests)
-	c.registry.Put(spec.Key, spec.Source) // idempotent registration
+	c.requests++
 	p.Sleep(costs.ControllerOverhead)
-	r := &busRequest{spec: spec, args: args, reply: sim.NewQueue(c.eng)}
-	c.bus.Publish(invokerTopic, r)
-	v, _ := r.reply.Get(p)
-	if v != nil {
-		if err, ok := v.(error); ok {
-			c.count(metrics.CtrPlatformFailures)
-			return err
-		}
+	err := c.backend.Invoke(p, spec, args)
+	if err != nil {
+		c.failures++
 	}
-	return nil
+	return err
 }
 
 // ---- SEUSS backend ----
@@ -221,22 +82,16 @@ func (c *Cluster) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
 type Invoker func(p *sim.Proc, req core.Request) error
 
 // SeussBackend fronts SEUSS compute with the shim process of §6:
-// requests are read from the message bus by the shim and forwarded over
+// requests reach the shim from the controller and are forwarded over
 // its TCP connection into the VM. The compute behind the shim is an
-// Invoker — one node, a sharded pool, or a DR-SEUSS cluster; the front
-// door is the same for all three.
+// Invoker — one node or a DR-SEUSS cluster; the front door is the same
+// for both.
 type SeussBackend struct {
 	name   string
 	node   *core.Node // the single-node backend's node; nil otherwise
 	invoke Invoker
 	shim   *sim.Resource
 	rng    *sim.RNG
-	// Deadline, when set, bounds every invocation this backend serves:
-	// it is threaded through core.Request into the interpreter's step
-	// budget, so a runaway guest is killed (and its UC destroyed)
-	// instead of wedging the node. Zero defers to the node's own
-	// InvokeDeadline.
-	Deadline time.Duration
 }
 
 // newSeussBackend builds the front door: lanes is how many shim
@@ -260,29 +115,6 @@ func NewSeussBackend(node *core.Node) *SeussBackend {
 	return b
 }
 
-// NewSeussPoolBackend wraps a sharded node pool (internal/shardpool)
-// for platform use ("seuss-pool"): the compute side fans out across
-// shared-nothing shards, so the invoker no longer serializes on one
-// engine.
-//
-// Bridge semantics: the platform's virtual clock and the pool's
-// per-shard virtual clocks are distinct. An invocation crosses the
-// boundary synchronously — the pool serves it in wall clock while the
-// platform clock is frozen — and the shard-side virtual service time
-// is then charged to the platform task as a Sleep. Platform-level
-// determinism therefore holds only for the overheads and the per-shard
-// latencies, not for cross-shard interleaving.
-func NewSeussPoolBackend(eng *sim.Engine, pool *shardpool.Pool) *SeussBackend {
-	return newSeussBackend(eng, "seuss-pool", 1, func(p *sim.Proc, req core.Request) error {
-		res, err := pool.Invoke(req)
-		if err != nil {
-			return err
-		}
-		p.Sleep(res.Latency)
-		return nil
-	})
-}
-
 // NewSeussDistBackend wraps a multi-node DR-SEUSS cluster
 // (internal/cluster) for platform use ("seuss-dist"): placement across
 // nodes is delegated to the cluster's scheduler — locality-aware
@@ -302,7 +134,7 @@ func NewSeussDistBackend(eng *sim.Engine, c *cluster.Cluster) *SeussBackend {
 }
 
 // Node returns the compute node behind NewSeussBackend; nil for the
-// pool and cluster backends.
+// cluster backend.
 func (b *SeussBackend) Node() *core.Node { return b.node }
 
 // Name implements Backend.
@@ -316,9 +148,7 @@ func (b *SeussBackend) Invoke(p *sim.Proc, spec workload.Spec, args string) erro
 	p.Sleep(b.rng.Jitter(costs.ShimSerialize, 0.08))
 	b.shim.Release()
 	p.Sleep(costs.ShimHop - costs.ShimSerialize)
-	return b.invoke(p, core.Request{
-		Key: spec.Key, Source: spec.Source, Args: args, Deadline: b.Deadline,
-	})
+	return b.invoke(p, core.Request{Key: spec.Key, Source: spec.Source, Args: args})
 }
 
 // ---- Linux backend ----
@@ -630,69 +460,4 @@ func (b *LinuxBackend) runIn(p *sim.Proc, ctr *container, spec workload.Spec) er
 		p.Sleep(spec.IO) // the external server's think time rides the Spec
 	}
 	return nil
-}
-
-// ---- Asynchronous activations ----
-
-// Activation is the platform's record of one invocation (the CouchDB
-// activation document): OpenWhisk clients may invoke non-blocking and
-// fetch the result later by activation ID.
-type Activation struct {
-	ID    int64
-	Key   string
-	Start time.Duration
-	End   time.Duration
-	Err   error
-	Done  bool
-}
-
-// activations is the cluster's activation store.
-type activations struct {
-	next    int64
-	byID    map[int64]*Activation
-	updated *sim.Signal
-}
-
-// InvokeAsync publishes an activation and returns immediately with its
-// ID; the result lands in the activation store when the backend
-// finishes. Controller overhead is charged to the caller, as for
-// blocking invocations.
-func (c *Cluster) InvokeAsync(p *sim.Proc, spec workload.Spec, args string) int64 {
-	c.count(metrics.CtrPlatformRequests)
-	c.registry.Put(spec.Key, spec.Source)
-	p.Sleep(costs.ControllerOverhead)
-	c.acts.next++
-	id := c.acts.next
-	act := &Activation{ID: id, Key: spec.Key, Start: time.Duration(c.eng.Now())}
-	c.acts.byID[id] = act
-	c.eng.Go("activation-async", func(hp *sim.Proc) {
-		err := c.invokeWithRetry(hp, spec, args)
-		act.End = time.Duration(c.eng.Now())
-		act.Err = err
-		act.Done = true
-		if err != nil {
-			c.count(metrics.CtrPlatformFailures)
-		}
-		c.acts.updated.Broadcast()
-	})
-	return id
-}
-
-// Activation fetches an activation record by ID.
-func (c *Cluster) Activation(id int64) (*Activation, bool) {
-	a, ok := c.acts.byID[id]
-	return a, ok
-}
-
-// WaitActivation blocks until the activation completes and returns it;
-// nil for unknown IDs.
-func (c *Cluster) WaitActivation(p *sim.Proc, id int64) *Activation {
-	a, ok := c.acts.byID[id]
-	if !ok {
-		return nil
-	}
-	for !a.Done {
-		c.acts.updated.Wait(p)
-	}
-	return a
 }

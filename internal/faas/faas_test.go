@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"seuss/internal/core"
-	"seuss/internal/costs"
-	"seuss/internal/shardpool"
 	"seuss/internal/sim"
 	"seuss/internal/workload"
 )
@@ -17,29 +15,11 @@ func newSeussCluster(t *testing.T, eng *sim.Engine) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewCluster(eng, NewSeussBackend(node))
+	return NewCluster(NewSeussBackend(node))
 }
 
 func newLinuxCluster(eng *sim.Engine, cfg LinuxConfig) *Cluster {
-	return NewCluster(eng, NewLinuxBackend(eng, cfg))
-}
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	a := r.Put("fn", "src1")
-	if a.Revision != 1 {
-		t.Errorf("rev = %d", a.Revision)
-	}
-	a2 := r.Put("fn", "src2")
-	if a2.Revision != 2 || a2.Source != "src2" {
-		t.Errorf("update = %+v", a2)
-	}
-	if _, ok := r.Get("missing"); ok {
-		t.Error("phantom action")
-	}
-	if r.Len() != 1 {
-		t.Errorf("len = %d", r.Len())
-	}
+	return NewCluster(NewLinuxBackend(eng, cfg))
 }
 
 func TestSeussEndToEnd(t *testing.T) {
@@ -164,7 +144,7 @@ func TestFigure4ShapeLargeSetSeussWins(t *testing.T) {
 func TestLinuxStemcellAbsorbsBurst(t *testing.T) {
 	eng := sim.NewEngine()
 	lb := NewLinuxBackend(eng, LinuxConfig{Seed: 1, Stemcells: 64, ContainerLimit: 128})
-	c := NewCluster(eng, lb)
+	c := NewCluster(lb)
 	if len(lb.stemcells) != 64 {
 		t.Fatalf("prewarmed stemcells = %d", len(lb.stemcells))
 	}
@@ -206,7 +186,7 @@ func TestLinuxErrorsWhenCapacityExhausted(t *testing.T) {
 	// requests wait, then time out — the paper's burst failures.
 	eng := sim.NewEngine()
 	lb := NewLinuxBackend(eng, LinuxConfig{Seed: 1, ContainerLimit: 4})
-	c := NewCluster(eng, lb)
+	c := NewCluster(lb)
 	errs := 0
 	done := 0
 	for i := 0; i < 12; i++ {
@@ -241,189 +221,5 @@ func TestBackendNames(t *testing.T) {
 	}
 	if NewSeussBackend(node).Name() != "seuss" {
 		t.Error("seuss name")
-	}
-}
-
-func TestBusOrderingAndOffsets(t *testing.T) {
-	eng := sim.NewEngine()
-	bus := NewBus(eng)
-	for i := 0; i < 5; i++ {
-		if off := bus.Publish("invoker0", i); off != int64(i+1) {
-			t.Errorf("offset = %d", off)
-		}
-	}
-	var got []int
-	eng.Go("consumer", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			m, ok := bus.Consume(p, "invoker0")
-			if !ok {
-				t.Error("topic closed early")
-				return
-			}
-			if m.Seq != int64(i+1) || m.Topic != "invoker0" {
-				t.Errorf("message = %+v", m)
-			}
-			got = append(got, m.Body.(int))
-		}
-	})
-	eng.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("out of order: %v", got)
-		}
-	}
-	topic := bus.Topic("invoker0")
-	if topic.Published() != 5 || topic.Consumed() != 5 || topic.Depth() != 0 {
-		t.Errorf("topic = %v", topic)
-	}
-}
-
-func TestBusBlocksConsumerUntilPublish(t *testing.T) {
-	eng := sim.NewEngine()
-	bus := NewBus(eng)
-	var at time.Duration
-	eng.Go("consumer", func(p *sim.Proc) {
-		if _, ok := bus.Consume(p, "completed"); ok {
-			at = time.Duration(p.Now())
-		}
-	})
-	eng.Go("producer", func(p *sim.Proc) {
-		p.Sleep(9 * time.Millisecond)
-		bus.Publish("completed", "result")
-	})
-	eng.Run()
-	if at != 9*time.Millisecond {
-		t.Errorf("consumed at %v", at)
-	}
-}
-
-func TestBusTopicsIndependent(t *testing.T) {
-	eng := sim.NewEngine()
-	bus := NewBus(eng)
-	bus.Publish("a", 1)
-	bus.Publish("b", 2)
-	if bus.Topics() != 2 {
-		t.Errorf("topics = %d", bus.Topics())
-	}
-	if bus.Topic("a").Depth() != 1 || bus.Topic("b").Depth() != 1 {
-		t.Error("cross-topic interference")
-	}
-}
-
-func TestBusClose(t *testing.T) {
-	eng := sim.NewEngine()
-	bus := NewBus(eng)
-	bus.Publish("t", "last")
-	bus.Close("t")
-	var sawLast, sawClosed bool
-	eng.Go("c", func(p *sim.Proc) {
-		if m, ok := bus.Consume(p, "t"); ok && m.Body == "last" {
-			sawLast = true
-		}
-		if _, ok := bus.Consume(p, "t"); !ok {
-			sawClosed = true
-		}
-	})
-	eng.Run()
-	if !sawLast || !sawClosed {
-		t.Errorf("drain-then-close broken: last=%v closed=%v", sawLast, sawClosed)
-	}
-}
-
-func TestAsyncActivations(t *testing.T) {
-	eng := sim.NewEngine()
-	c := newSeussCluster(t, eng)
-	spec := workload.CPUSpec("async/cpu", 50)
-	var id int64
-	var waited *Activation
-	eng.Go("client", func(p *sim.Proc) {
-		id = c.InvokeAsync(p, spec, "{}")
-		// The call returns before the function completes.
-		if a, ok := c.Activation(id); !ok || a.Done {
-			t.Errorf("activation state at submit: %+v ok=%v", a, ok)
-		}
-		waited = c.WaitActivation(p, id)
-	})
-	eng.Run()
-	if waited == nil || !waited.Done || waited.Err != nil {
-		t.Fatalf("activation = %+v", waited)
-	}
-	// A 50ms CPU function through the cold path: the span covers it.
-	if waited.End-waited.Start < 50*time.Millisecond {
-		t.Errorf("span = %v", waited.End-waited.Start)
-	}
-	if c.WaitActivation(nil, 999999) != nil {
-		t.Error("phantom activation")
-	}
-}
-
-func TestAsyncActivationFailureRecorded(t *testing.T) {
-	eng := sim.NewEngine()
-	lb := NewLinuxBackend(eng, LinuxConfig{Seed: 1, ContainerLimit: 1})
-	c := NewCluster(eng, lb)
-	// Pin the only container with a >timeout function, then submit
-	// another async activation: it must complete with an error.
-	var failedID int64
-	eng.Go("client", func(p *sim.Proc) {
-		c.InvokeAsync(p, workload.CPUSpec("pin/a", 120_000), "{}")
-		failedID = c.InvokeAsync(p, workload.CPUSpec("pin/b", 10), "{}")
-		a := c.WaitActivation(p, failedID)
-		if a.Err == nil {
-			t.Error("capacity failure not recorded")
-		}
-	})
-	eng.Run()
-	if c.Failures() == 0 {
-		t.Error("cluster failures not counted")
-	}
-}
-
-func TestSeussPoolBackend(t *testing.T) {
-	pool, err := shardpool.New(shardpool.Config{
-		Shards: 2,
-		Node:   core.Config{NetworkAO: true, InterpreterAO: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	eng := sim.NewEngine()
-	c := NewCluster(eng, NewSeussPoolBackend(eng, pool))
-	if c.Backend().Name() != "seuss-pool" {
-		t.Errorf("name = %q", c.Backend().Name())
-	}
-
-	specs := []workload.Spec{workload.NOPSpec(0), workload.NOPSpec(1), workload.NOPSpec(0)}
-	var clocks []time.Duration
-	eng.Go("client", func(p *sim.Proc) {
-		for _, spec := range specs {
-			before := time.Duration(p.Now())
-			if err := c.Invoke(p, spec, "{}"); err != nil {
-				t.Errorf("%s: %v", spec.Key, err)
-			}
-			clocks = append(clocks, time.Duration(p.Now())-before)
-		}
-	})
-	eng.Run()
-	if len(clocks) != len(specs) {
-		t.Fatalf("completed %d of %d", len(clocks), len(specs))
-	}
-	// The shard-side virtual latency is charged to the platform clock:
-	// every round trip costs at least the ≈8 ms shim hop plus service.
-	for i, d := range clocks {
-		if d < costs.ShimHop {
-			t.Errorf("invocation %d: platform span %v < shim hop", i, d)
-		}
-	}
-	st, err := pool.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Node.Cold + st.Node.Warm + st.Node.Hot; got != int64(len(specs)) {
-		t.Errorf("pool served %d, want %d", got, len(specs))
-	}
-	if c.Requests() != int64(len(specs)) || c.Failures() != 0 {
-		t.Errorf("requests=%d failures=%d", c.Requests(), c.Failures())
 	}
 }

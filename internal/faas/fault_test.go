@@ -5,119 +5,93 @@ import (
 	"testing"
 	"time"
 
+	"seuss/internal/cluster"
 	"seuss/internal/core"
+	"seuss/internal/costs"
 	"seuss/internal/fault"
-	"seuss/internal/metrics"
 	"seuss/internal/sim"
 	"seuss/internal/workload"
 )
 
-func newFaultyCluster(t *testing.T, eng *sim.Engine, sched map[fault.Point][]uint64) *Cluster {
-	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Faults = fault.New(fault.Config{Schedule: sched})
-	node, err := core.NewNode(eng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewCluster(eng, NewSeussBackend(node))
+// stubBackend takes d of virtual time per call and returns err.
+type stubBackend struct {
+	d     time.Duration
+	err   error
+	calls int
 }
 
-// TestPlatformRetryMasksContainedCrash: with a retry budget, an
-// injected UC crash never reaches the client — the dispatcher backs
-// off, re-submits, and the fresh deploy from the snapshot serves the
-// activation.
-func TestPlatformRetryMasksContainedCrash(t *testing.T) {
-	eng := sim.NewEngine()
-	c := newFaultyCluster(t, eng, map[fault.Point][]uint64{fault.PointUCCrash: {1}})
-	c.Retry = RetryPolicy{Max: 2, Backoff: time.Millisecond}
-	c.Metrics = metrics.NewRecorder()
-	spec := workload.NOPSpec(0)
-	var err error
-	eng.Go("client", func(p *sim.Proc) { err = c.Invoke(p, spec, "{}") })
-	eng.Run()
-	if err != nil {
-		t.Fatalf("retried activation still failed: %v", err)
-	}
-	if c.Retries() != 1 {
-		t.Errorf("Retries = %d, want 1", c.Retries())
-	}
-	if c.Failures() != 0 {
-		t.Errorf("Failures = %d, want 0 — the crash must be masked", c.Failures())
-	}
-	if got := c.Metrics.Counters(); got != c.ledger || c.Requests() != 1 {
-		t.Errorf("recorder reads %v, the platform's ledger %v; want equal, one request", got, c.ledger)
-	}
+func (b *stubBackend) Name() string { return "stub" }
+
+func (b *stubBackend) Invoke(p *sim.Proc, _ workload.Spec, _ string) error {
+	b.calls++
+	p.Sleep(b.d)
+	return b.err
 }
 
-// TestPlatformNoRetryByDefault: the zero policy fails fast, surfacing
-// the contained error to the caller.
+// TestPlatformNoRetryByDefault: the platform is its overhead plus the
+// backend call. A contained error — the kind a retry layer would
+// re-run — reaches the caller as the very value the backend returned,
+// after one attempt, counted once.
 func TestPlatformNoRetryByDefault(t *testing.T) {
 	eng := sim.NewEngine()
-	c := newFaultyCluster(t, eng, map[fault.Point][]uint64{fault.PointUCCrash: {1}})
-	spec := workload.NOPSpec(0)
+	down := fault.Contain(errors.New("stub: down"))
+	b := &stubBackend{d: 5 * time.Millisecond, err: down}
+	c := NewCluster(b)
 	var err error
-	eng.Go("client", func(p *sim.Proc) { err = c.Invoke(p, spec, "{}") })
+	eng.Go("client", func(p *sim.Proc) { err = c.Invoke(p, workload.NOPSpec(0), "{}") })
 	eng.Run()
-	if !errors.Is(err, core.ErrUCCrashed) {
-		t.Fatalf("err = %v, want ErrUCCrashed", err)
+	if err != down {
+		t.Fatalf("err = %v, want the backend's own error value", err)
 	}
-	if c.Failures() != 1 || c.Retries() != 0 {
-		t.Errorf("failures=%d retries=%d, want 1 and 0", c.Failures(), c.Retries())
+	if got, want := time.Duration(eng.Now()), costs.ControllerOverhead+b.d; got != want {
+		t.Errorf("returned at %v, want controller overhead + backend = %v", got, want)
+	}
+	if b.calls != 1 || c.Requests() != 1 || c.Failures() != 1 {
+		t.Errorf("attempts=%d requests=%d failures=%d, want 1 each", b.calls, c.Requests(), c.Failures())
 	}
 }
 
-// TestPlatformRetryAsyncActivation: the async path shares the retry
-// machinery — the activation record completes successfully.
-func TestPlatformRetryAsyncActivation(t *testing.T) {
-	eng := sim.NewEngine()
-	c := newFaultyCluster(t, eng, map[fault.Point][]uint64{fault.PointUCCrash: {1}})
-	c.Retry = RetryPolicy{Max: 1, Backoff: time.Millisecond}
-	spec := workload.NOPSpec(0)
-	eng.Go("client", func(p *sim.Proc) {
-		id := c.InvokeAsync(p, spec, "{}")
-		act := c.WaitActivation(p, id)
-		if act == nil || !act.Done {
-			t.Error("activation never completed")
-			return
-		}
-		if act.Err != nil {
-			t.Errorf("async activation failed despite retry budget: %v", act.Err)
-		}
-	})
-	eng.Run()
-	if c.Retries() != 1 {
-		t.Errorf("Retries = %d, want 1", c.Retries())
-	}
-}
-
-// TestBackendDeadlineKillsRunawayGuest: the platform-level deadline is
-// threaded through the backend into the interpreter's step budget; a
-// spinning guest is killed and the platform records a failure instead
-// of hanging the whole simulated node.
-func TestBackendDeadlineKillsRunawayGuest(t *testing.T) {
-	eng := sim.NewEngine()
-	node, err := core.NewNode(eng, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend := NewSeussBackend(node)
-	backend.Deadline = 2 * time.Millisecond
-	c := NewCluster(eng, backend)
-	spec := workload.Spec{
-		Key:    "user/spin",
-		Source: `function main(args) { while (true) { var x = 1; } }`,
-	}
-	var invokeErr error
-	eng.Go("client", func(p *sim.Proc) { invokeErr = c.Invoke(p, spec, "{}") })
-	eng.Run()
-	if !errors.Is(invokeErr, core.ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want ErrDeadlineExceeded", invokeErr)
-	}
-	if !fault.IsContained(invokeErr) {
-		t.Error("deadline kill not contained")
-	}
-	if node.IdleUCs() != 0 {
-		t.Errorf("runaway UC cached as idle (idle=%d)", node.IdleUCs())
+// TestPlatformLeavesRetryToCluster: the failure table, executed. Over a
+// two-member cluster with MaxRetries 2 whose members share one injector,
+// a crash the budget covers is masked below the platform, and one that
+// outlasts it surfaces after exactly MaxRetries+1 deploys: the layer
+// above the cluster re-runs nothing.
+func TestPlatformLeavesRetryToCluster(t *testing.T) {
+	for _, tc := range []struct {
+		name                      string
+		crashOn                   []uint64
+		failures, retries, deploy int64
+	}{
+		{"masked", []uint64{1}, 0, 1, 2},
+		{"exhausted", []uint64{1, 2, 3, 4, 5, 6}, 1, 2, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			nc := core.DefaultConfig()
+			nc.Faults = fault.New(fault.Config{Schedule: map[fault.Point][]uint64{fault.PointUCCrash: tc.crashOn}})
+			cl, err := cluster.New(eng, cluster.Config{Nodes: 2, MaxRetries: 2, NodeConfig: nc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := NewCluster(NewSeussDistBackend(eng, cl))
+			eng.Go("client", func(p *sim.Proc) { err = c.Invoke(p, workload.NOPSpec(0), "{}") })
+			eng.Run()
+			if tc.failures == 0 && err != nil || tc.failures == 1 && !errors.Is(err, core.ErrUCCrashed) {
+				t.Fatalf("err = %v with %d failures expected", err, tc.failures)
+			}
+			if c.Requests() != 1 || c.Failures() != tc.failures {
+				t.Errorf("platform requests=%d failures=%d, want 1 and %d", c.Requests(), c.Failures(), tc.failures)
+			}
+			var crashes, deployed int64
+			for _, m := range cl.Members() {
+				st := m.Node.Stats()
+				crashes += st.UCCrashes
+				deployed += st.UCsDeployed
+			}
+			if got := cl.Stats().Retries; got != tc.retries || crashes != tc.retries+tc.failures || deployed != tc.deploy {
+				t.Errorf("cluster retries=%d node crashes=%d deploys=%d, want %d, %d, %d",
+					got, crashes, deployed, tc.retries, tc.retries+tc.failures, tc.deploy)
+			}
+		})
 	}
 }

@@ -15,9 +15,9 @@
 // every method is nil-safe and Fire on nil is a single predictable
 // branch. Code under test never checks a flag; it just calls Fire.
 //
-// Containment taxonomy: handling layers (node, pool, platform,
-// cluster) wrap the errors that destroyed only the offending UC/shard
-// request in Contain; retry layers consult IsContained to distinguish
+// Containment taxonomy: handling layers (node, pool, cluster) wrap the
+// errors that destroyed only the offending UC/shard request in
+// Contain; retry layers consult IsContained to distinguish
 // "retry against a fresh deploy" from "deterministic failure, do not
 // waste the retry budget".
 package fault

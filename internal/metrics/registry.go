@@ -1,6 +1,6 @@
 // The metrics registry: a fixed, pre-registered set of monotonic
 // counters and latency histograms every instrumented layer (core node,
-// shard pool, platform) records into, plus the Prometheus text
+// shard pool, cluster) records into, plus the Prometheus text
 // exposition writer.
 //
 // Design: observability must stay off the allocation-free hot path.
@@ -68,10 +68,6 @@ const (
 	CtrRequestsRerouted
 	CtrRequestsRequeued
 	CtrShardStalls
-	// Platform (faas.Cluster) outcomes.
-	CtrPlatformRequests
-	CtrPlatformFailures
-	CtrPlatformRetries
 	// Scheduler placements and the snapshot fabric.
 	CtrSchedPlacementsCold
 	CtrSchedPlacementsRoute
@@ -126,7 +122,7 @@ const (
 
 // Counters is one reading of every registered counter, indexed by
 // Counter: the only shape counts travel in between layers. A layer that
-// keeps its own (core.Node, cluster.Cluster, faas.Cluster) holds one
+// keeps its own (core.Node, cluster.Cluster) holds one
 // beside its Recorder; readers sum them with Add and derive their Stats
 // shape from the sum at read time.
 type Counters [NumCounters]int64
@@ -197,10 +193,6 @@ var counterDescs = [NumCounters]desc{
 	CtrRequestsRerouted: {"seuss_requests_rerouted_total", "Requests diverted away from an open breaker.", ""},
 	CtrRequestsRequeued: {"seuss_requests_requeued_total", "Requests a stalled shard pushed back for a healthy shard.", ""},
 	CtrShardStalls:      {"seuss_shard_stalls_total", "Injected shard stalls.", ""},
-
-	CtrPlatformRequests: {"seuss_platform_requests_total", "Platform-level activations accepted.", ""},
-	CtrPlatformFailures: {"seuss_platform_failures_total", "Platform-level activations that surfaced an error.", ""},
-	CtrPlatformRetries:  {"seuss_platform_retries_total", "Platform re-submissions after contained faults.", ""},
 
 	CtrSchedPlacementsCold:  {"seuss_sched_placements_total", "Scheduler placement decisions, by action.", `action="cold"`},
 	CtrSchedPlacementsRoute: {"seuss_sched_placements_total", "", `action="route"`},

@@ -665,8 +665,11 @@ func TestRecycledWorkerPanicCrashes(t *testing.T) {
 			e.Go("second", func(p *Proc) { panic("boom in a recycled worker") })
 		})
 		e.Run()
-		fmt.Println("survived")
-		os.Exit(0)
+		// The dying worker's deferred yield lets Run return while the
+		// panic is still unwinding; exiting here would race the crash.
+		// Block instead: a swallowed panic ends as a runtime deadlock
+		// error, which lacks the message the parent looks for.
+		select {}
 	}
 	cmd := exec.Command(os.Args[0], "-test.run=^TestRecycledWorkerPanicCrashes$")
 	cmd.Env = append(os.Environ(), "SIM_TEST_PANIC_CHILD=1")

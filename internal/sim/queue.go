@@ -1,9 +1,9 @@
 package sim
 
 // Queue is an unbounded FIFO connecting simulated processes: the work
-// queue the benchmark's worker threads pull from, the message bus
-// topics, the per-core run queues of the SEUSS node. Get blocks (in
-// virtual time) until an item is available.
+// queue the benchmark's worker threads pull from and the burst
+// generator's arrival stream. Get blocks (in virtual time) until an
+// item is available.
 type Queue struct {
 	eng     *Engine
 	items   []interface{}

@@ -340,9 +340,6 @@ type PoolStats struct {
 	// RoutingStats is what the front door did: requests stolen, rerouted
 	// or requeued, and the breaker trips and stalls behind them.
 	shardpool.RoutingStats
-	// Counters is the sum every counting field is a view of, including
-	// the registered counters no field names.
-	Counters metrics.Counters
 	// Breakers is each shard's circuit-breaker state, indexed by shard.
 	Breakers []string
 	// Shards is the per-shard breakdown.
@@ -366,7 +363,6 @@ func (p *NodePool) Stats() (PoolStats, error) {
 			MemoryUsedBytes: st.MemoryUsedBytes,
 		},
 		RoutingStats: st.RoutingStats,
-		Counters:     st.Counters,
 		Breakers:     p.pool.BreakerStates(),
 		Shards:       st.Shards,
 	}, nil
@@ -489,15 +485,7 @@ func (s *Simulation) NewSeussCluster(cfg NodeConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{sim: s, cluster: faas.NewCluster(s.eng, faas.NewSeussBackend(n))}, nil
-}
-
-// NewSeussPoolCluster assembles the platform over a sharded node pool:
-// the same control plane and shim front door, but compute fans out
-// across shared-nothing shards. The caller owns the pool (and its
-// Close); see NodePool for the determinism contract at the boundary.
-func (s *Simulation) NewSeussPoolCluster(pool *NodePool) *Cluster {
-	return &Cluster{sim: s, cluster: faas.NewCluster(s.eng, faas.NewSeussPoolBackend(s.eng, pool.pool))}
+	return &Cluster{sim: s, cluster: faas.NewCluster(faas.NewSeussBackend(n))}, nil
 }
 
 // NewSeussDistCluster assembles the platform over a DR-SEUSS
@@ -505,7 +493,7 @@ func (s *Simulation) NewSeussPoolCluster(pool *NodePool) *Cluster {
 // with the scheduler placing each invocation by snapshot locality.
 // The caller keeps the DistCluster handle for stats and holders.
 func (s *Simulation) NewSeussDistCluster(d *DistCluster) *Cluster {
-	return &Cluster{sim: s, cluster: faas.NewCluster(s.eng, faas.NewSeussDistBackend(s.eng, d.c))}
+	return &Cluster{sim: s, cluster: faas.NewCluster(faas.NewSeussDistBackend(s.eng, d.c))}
 }
 
 // LinuxConfig parameterizes the stock OpenWhisk Linux backend.
@@ -514,7 +502,7 @@ type LinuxConfig = faas.LinuxConfig
 // NewLinuxCluster assembles the platform over the Linux container
 // invoker.
 func (s *Simulation) NewLinuxCluster(cfg LinuxConfig) *Cluster {
-	return &Cluster{sim: s, cluster: faas.NewCluster(s.eng, faas.NewLinuxBackend(s.eng, cfg))}
+	return &Cluster{sim: s, cluster: faas.NewCluster(faas.NewLinuxBackend(s.eng, cfg))}
 }
 
 // Invoke issues one synchronous platform request from a task.
@@ -522,8 +510,8 @@ func (c *Cluster) Invoke(t *Task, fn Function, args string) error {
 	return c.cluster.Invoke(t.p, fn, args)
 }
 
-// Backend returns the backend's name ("seuss", "seuss-pool",
-// "seuss-dist", or "linux").
+// Backend returns the backend's name ("seuss", "seuss-dist", or
+// "linux").
 func (c *Cluster) Backend() string { return c.cluster.Backend().Name() }
 
 // Platform exposes the underlying cluster for experiment harnesses.
@@ -618,7 +606,7 @@ func (d *DistCluster) Invoke(t *Task, key, source, args string) (Invocation, int
 	if err != nil {
 		return Invocation{}, node, err
 	}
-	return Invocation{Path: res.Path.String(), Output: res.Output, Latency: res.Latency}, node, nil
+	return Invocation{RequestID: res.ID, Path: res.Path.String(), Output: res.Output, Latency: res.Latency}, node, nil
 }
 
 // InvokeSync is the sequential convenience form.
@@ -712,16 +700,3 @@ type Trace = trace.Tracer
 // NewTrace returns a trace recorder retaining at most max events
 // (0 = unlimited). Attach it via NodeConfig.Tracer.
 func NewTrace(max int) *Trace { return trace.New(max) }
-
-// InvokeAsync submits a non-blocking platform invocation (OpenWhisk's
-// async activations) and returns its activation ID.
-func (c *Cluster) InvokeAsync(t *Task, fn Function, args string) int64 {
-	return c.cluster.InvokeAsync(t.p, fn, args)
-}
-
-// WaitActivation blocks the task until the activation completes and
-// reports whether it succeeded; false is also returned for unknown IDs.
-func (c *Cluster) WaitActivation(t *Task, id int64) bool {
-	a := c.cluster.WaitActivation(t.p, id)
-	return a != nil && a.Err == nil
-}

@@ -197,23 +197,6 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestAsyncThroughFacade(t *testing.T) {
-	s := New()
-	c, err := s.NewSeussCluster(NodeDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ok bool
-	s.Spawn("client", func(task *Task) {
-		id := c.InvokeAsync(task, NOP(0), `{}`)
-		ok = c.WaitActivation(task, id)
-	})
-	s.Run()
-	if !ok {
-		t.Error("async activation failed")
-	}
-}
-
 func TestFacadeAccessorsAndDistCluster(t *testing.T) {
 	s := New()
 	if s.Engine() == nil {
@@ -231,7 +214,8 @@ func TestFacadeAccessorsAndDistCluster(t *testing.T) {
 		t.Error("NewTrace")
 	}
 
-	dc, err := s.NewDistCluster(DistConfig{Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir()})
+	dtr := NewTrace(0)
+	dc, err := s.NewDistCluster(DistConfig{Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir(), Tracer: dtr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,6 +228,10 @@ func TestFacadeAccessorsAndDistCluster(t *testing.T) {
 	}
 	if inv.Path != "cold" || servedBy < 0 {
 		t.Errorf("first = %s on node %d", inv.Path, servedBy)
+	}
+	// The reported request id is the one its invoke span carries.
+	if spans := dtr.ByKind("invoke"); len(spans) != 1 || inv.RequestID == 0 || spans[0].ID != inv.RequestID {
+		t.Errorf("request id = %d, invoke spans = %+v; want one span with the same non-zero id", inv.RequestID, spans)
 	}
 	inv2, _, err := dc.InvokeSync("dist/fn", NOPSource, `{}`)
 	if err != nil {
@@ -331,27 +319,6 @@ func TestNodePoolFacade(t *testing.T) {
 	}
 	if len(st.Shards) != 2 {
 		t.Errorf("per-shard breakdown has %d entries", len(st.Shards))
-	}
-}
-
-func TestSeussPoolClusterFacade(t *testing.T) {
-	s := New()
-	pool, err := NewNodePool(PoolConfig{Shards: 2, Node: NodeDefaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	c := s.NewSeussPoolCluster(pool)
-	if c.Backend() != "seuss-pool" {
-		t.Errorf("backend = %q", c.Backend())
-	}
-	var invErr error
-	s.Spawn("client", func(task *Task) {
-		invErr = c.Invoke(task, NOP(1), `{}`)
-	})
-	s.Run()
-	if invErr != nil {
-		t.Error(invErr)
 	}
 }
 
