@@ -6,9 +6,8 @@
 //
 // EXPERIMENTS.md records paper-vs-measured for each experiment and the
 // scaling decisions (e.g. the SEUSS density fill is measured over a
-// sample and extrapolated by its exact marginal footprint, because
-// 54,000 live UC objects would not fit in host RAM even though their
-// *simulated* memory accounting is exact).
+// sample and extrapolated by its exact marginal footprint; the note
+// under Table 3 there says what the full fill would cost the host).
 package experiments
 
 import (

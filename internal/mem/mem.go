@@ -14,10 +14,14 @@
 // 4 KB payload buffers are recycled instead of handed back to the Go
 // allocator, so the deploy→fault→capture hot path runs allocation-free
 // in steady state (fresh descriptors come from slabs, amortizing the
-// cold-start cost too). Recycling trades away the garbage collector's
-// use-after-free protection; build with `-tags seusspoison` to get it
-// back — freed payloads are filled with a poison pattern and freed
-// descriptors are quarantined so stale handles keep panicking.
+// cold-start cost too). A cached function keeps about a thousand
+// descriptors reachable, so the descriptor is kept to 32 bytes: the
+// payload is a pointer to a page-sized array, not a slice, and the free
+// payload list holds the same 8-byte pointers. Recycling trades away
+// the garbage collector's use-after-free protection; build with
+// `-tags seusspoison` to get it back — freed payloads are filled with a
+// poison pattern and freed descriptors are quarantined so stale handles
+// keep panicking.
 package mem
 
 import (
@@ -33,7 +37,7 @@ const PageSize = 4096
 const PageShift = 12
 
 // frameSlabSize is how many frame descriptors are carved from one slab
-// allocation when the free list is empty. 128 descriptors ≈ 6 KB —
+// allocation when the free list is empty. 128 descriptors = 4 KB —
 // small enough to stay cheap, large enough that allocs/op on a
 // descriptor-churning benchmark truncates to zero.
 const frameSlabSize = 128
@@ -59,11 +63,13 @@ type FrameID uint64
 // scanner, cross-shard observers) may call Refs concurrently with a
 // shard mutating it; all *structural* mutation (Alloc/DecRef/Write)
 // still belongs to the store-owning goroutine.
+//
+// Three words and the count: 32 bytes (TestFrameDescriptorSize).
 type Frame struct {
 	id   FrameID
-	refs atomic.Int32
-	data []byte // nil until materialized; nil reads as all zeros
+	data *[PageSize]byte // nil until materialized; nil reads as all zeros
 	st   *Store
+	refs atomic.Int32
 }
 
 // ID returns the frame's identifier.
@@ -81,7 +87,12 @@ func (f *Frame) Materialized() bool { return f.data != nil }
 // backing buffer: it is valid only while the caller holds a reference,
 // and callers must treat it as read-only — it exists so the snapshot
 // codec can stream page contents straight from frames to the wire.
-func (f *Frame) Bytes() []byte { return f.data }
+func (f *Frame) Bytes() []byte {
+	if f.data == nil {
+		return nil
+	}
+	return f.data[:]
+}
 
 // Write copies data into the frame at off, materializing the payload on
 // first write. It panics if the write would run past the frame: callers
@@ -128,13 +139,13 @@ type Store struct {
 	materialized int64 // frames with real payloads
 	allocs       int64 // lifetime allocation count
 	frees        int64
-	frameReuses  int64    // allocs served from the descriptor free list
-	bufReuses    int64    // materializations served from the payload free list
-	free         []*Frame // recycled descriptors (refs==0, data==nil)
-	bufs         [][]byte // recycled 4 KB payloads
-	slab         []Frame  // current descriptor slab
-	slabN        int      // descriptors handed out of slab
-	scanner      *Scanner // optional KSM-style content scanner
+	frameReuses  int64             // allocs served from the descriptor free list
+	bufReuses    int64             // materializations served from the payload free list
+	free         []*Frame          // recycled descriptors (refs==0, data==nil)
+	bufs         []*[PageSize]byte // recycled 4 KB payloads
+	slab         []Frame           // current descriptor slab
+	slabN        int               // descriptors handed out of slab
+	scanner      *Scanner          // optional KSM-style content scanner
 }
 
 // AttachScanner registers a deduplication scanner: every frame that
@@ -156,24 +167,24 @@ func (s *Store) Budget() int64 { return s.budget }
 // buffers carry stale bytes (or poison, under the seusspoison tag), so
 // callers that expose the buffer as a fresh zero page pass zero=true;
 // the Clone path overwrites the full page and skips the clear.
-func (s *Store) getBuf(zero bool) []byte {
+func (s *Store) getBuf(zero bool) *[PageSize]byte {
 	if n := len(s.bufs); n > 0 {
 		b := s.bufs[n-1]
 		s.bufs[n-1] = nil
 		s.bufs = s.bufs[:n-1]
 		s.bufReuses++
 		if zero {
-			clear(b)
+			clear(b[:])
 		}
 		return b
 	}
-	return make([]byte, PageSize)
+	return new([PageSize]byte)
 }
 
 // putBuf recycles a payload buffer (poisoning it first under the
 // seusspoison build tag).
-func (s *Store) putBuf(b []byte) {
-	poisonBuf(b)
+func (s *Store) putBuf(b *[PageSize]byte) {
+	poisonBuf(b[:])
 	if len(s.bufs) < maxFreeBufs {
 		s.bufs = append(s.bufs, b)
 	}
@@ -267,7 +278,7 @@ func (s *Store) Clone(src *Frame) (*Frame, error) {
 	}
 	if src.data != nil {
 		f.data = s.getBuf(false)
-		copy(f.data, src.data)
+		*f.data = *src.data
 		s.materialized++
 		if s.scanner != nil {
 			s.scanner.Track(f)

@@ -1,6 +1,18 @@
 package mem
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestFrameDescriptorSize pins the descriptor at 32 bytes: a cached
+// node.js function keeps about a thousand of them reachable, so a word
+// added here is 8 KB more host memory per function.
+func TestFrameDescriptorSize(t *testing.T) {
+	if got := unsafe.Sizeof(Frame{}); got > 32 {
+		t.Errorf("sizeof(Frame) = %d, want <= 32", got)
+	}
+}
 
 // TestFramePoolRecycles checks that freed descriptors and payload
 // buffers are reused in the default build, and that recycled frames come

@@ -9,16 +9,29 @@
 // mapping into the stack. This package reproduces those operations
 // bit-for-bit in simulation:
 //
-//   - A virtual address space is a radix tree of 512-entry nodes
+//   - A virtual address space is a radix tree of 512-slot nodes
 //     (PML4 → PDPT → PD → PT) mapping 48-bit canonical addresses.
-//   - Interior nodes are reference counted and shared copy-on-write
-//     between address spaces: Clone copies only the root, so deploying
-//     a UC from a 100 MB snapshot touches one node.
+//   - Nodes are reference counted and shared copy-on-write between
+//     address spaces: Clone copies only the root, so deploying a UC
+//     from a 100 MB snapshot touches one node.
 //   - Leaf entries carry Present/Writable/Dirty/Accessed bits plus a
 //     software CoW bit; stores to CoW pages clone the frame, stores to
 //     unmapped pages allocate demand-zero frames, and every store sets
 //     the dirty bit and lands on the address space's dirty list — the
 //     exact state snapshot capture consumes.
+//
+// A node is charged one simulated frame whatever it holds, but on the
+// host each kind is sized to what it maps, because a node.js function
+// keeps about a dozen private ones alive for as long as it is cached.
+// A PT (leaf) is nearly full — ~440 of 512 slots — so it is dense: 512
+// frame pointers, then 512 flag bytes in an array of their own, which
+// keeps the pointers the collector must scan to the first 4 KB of a
+// 4.6 KB object. The levels above are nearly empty — a root and a PDPT
+// hold 2 children, a PD ~50 — so an interior node is sparse: a 512-bit
+// occupancy bitmap and the children that exist, packed in index order.
+// Slot i is occupied when bit i is set, and its child sits at the
+// number of set bits below i (a popcount rank). Clone, privatize and
+// release touch only those children.
 //
 // The structures themselves are recycled: page-table nodes and address
 // space shells released by Release/privatize return to a per-lineage
@@ -32,7 +45,8 @@ package pagetable
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"seuss/internal/mem"
 )
@@ -75,9 +89,9 @@ const (
 )
 
 const (
-	// maxPooledNodes bounds the per-lineage node free list (8192 nodes
-	// ≈ 100 MB of mapped-address capacity; beyond that, let the GC
-	// have them).
+	// maxPooledNodes bounds each of the per-lineage node free lists
+	// (8192 leaves ≈ 40 MB of host memory; beyond that, let the GC have
+	// them).
 	maxPooledNodes = 8192
 	// maxPooledSpaces bounds recycled address-space shells.
 	maxPooledSpaces = 512
@@ -99,43 +113,95 @@ func index(va uint64, level int) int {
 // PageBase returns va rounded down to its page base.
 func PageBase(va uint64) uint64 { return va &^ uint64(mem.PageSize-1) }
 
-type entry struct {
-	child *node      // interior levels
-	frame *mem.Frame // leaf level
-	flags Flags
+// nodeHeader is what both node kinds carry: the count of parents that
+// reference the node, and the simulated frame it is charged as.
+type nodeHeader struct {
+	frame *mem.Frame
+	refs  int32
 }
 
-type node struct {
-	level   int
-	refs    int32
-	frame   *mem.Frame // accounting: the node itself occupies one frame
-	entries [entriesPer]entry
+func (h *nodeHeader) header() *nodeHeader { return h }
+
+// tableNode is a child slot of an interior node: a *interior above the
+// PD level, a *leaf (one PT) below it.
+type tableNode interface{ header() *nodeHeader }
+
+// leaf is a PT: one entry per page of a 2 MB span. flags[i] describes
+// frames[i] and is zero while frames[i] is nil.
+type leaf struct {
+	nodeHeader
+	frames [entriesPer]*mem.Frame
+	flags  [entriesPer]Flags
+}
+
+// inlineKids is how many children an interior node holds before kids
+// outgrows the node's own allocation: a root or a PDPT (2 children
+// under every runtime image) stays one Go object.
+const inlineKids = 4
+
+// interior is a PML4, PDPT or PD. Bit i of occ is set when slot i has a
+// child; kids holds the children in slot order.
+type interior struct {
+	nodeHeader
+	occ  [entriesPer / 64]uint64
+	kids []tableNode
+	few  [inlineKids]tableNode // kids' first backing array
+}
+
+// rank returns where slot idx's child sits in kids — or would be
+// inserted — and whether the slot is occupied.
+func (n *interior) rank(idx int) (int, bool) {
+	w, bit := idx>>6, uint64(1)<<(idx&63)
+	r := bits.OnesCount64(n.occ[w] & (bit - 1))
+	for _, word := range n.occ[:w] {
+		r += bits.OnesCount64(word)
+	}
+	return r, n.occ[w]&bit != 0
+}
+
+// insert places child in the empty slot idx, whose rank is r.
+func (n *interior) insert(idx, r int, child tableNode) {
+	n.occ[idx>>6] |= 1 << (idx & 63)
+	n.kids = slices.Insert(n.kids, r, child)
+}
+
+// eachKid calls visit with every child and its slot index, ascending.
+func (n *interior) eachKid(visit func(idx int, kid tableNode)) {
+	r := 0
+	for w, word := range n.occ {
+		for ; word != 0; word &= word - 1 {
+			visit(w<<6|bits.TrailingZeros64(word), n.kids[r])
+			r++
+		}
+	}
 }
 
 // structPool recycles page-table nodes and address-space shells within
 // one lineage (a root space plus every space Cloned from it,
 // transitively). Single-goroutine by the shard ownership contract.
 type structPool struct {
-	nodes  []*node
-	spaces []*AddressSpace
+	leaves    []*leaf
+	interiors []*interior
+	spaces    []*AddressSpace
 }
 
-func (p *structPool) putNode(n *node) {
-	if p == nil || len(p.nodes) >= maxPooledNodes {
-		return
+// pop takes the last entry off a free list, or returns nil.
+func pop[T any](list *[]*T) *T {
+	k := len(*list)
+	if k == 0 {
+		return nil
 	}
-	p.nodes = append(p.nodes, n)
+	x := (*list)[k-1]
+	(*list)[k-1] = nil
+	*list = (*list)[:k-1]
+	return x
 }
 
 func (p *structPool) getSpace() *AddressSpace {
-	if p == nil || len(p.spaces) == 0 {
-		return &AddressSpace{}
+	if as := pop(&p.spaces); as != nil {
+		return as
 	}
-	n := len(p.spaces)
-	as := p.spaces[n-1]
-	p.spaces[n-1] = nil
-	p.spaces = p.spaces[:n-1]
-	return as
+	return &AddressSpace{}
 }
 
 // FaultStats counts faults resolved since the address space was created
@@ -160,7 +226,7 @@ func (f FaultStats) Copied() int { return f.DemandZero + f.CoW }
 // space held by a snapshot.
 type AddressSpace struct {
 	st    *mem.Store
-	root  *node
+	root  *interior
 	dirty []uint64 // page-base VAs written since last ClearDirty; dedup via flagDirtyListed
 	// Faults accumulates fault-resolution counts; see FaultStats.
 	Faults FaultStats
@@ -172,37 +238,70 @@ type AddressSpace struct {
 	// 2 MB span walks (and privatizes) the node once, then hits here.
 	// Invalidated by Clone — the source's nodes become shared and the
 	// next write must re-privatize — and by Release.
-	cacheBase uint64
-	cachePT   *node
-	cacheOK   bool
+	cache ptCursor
+}
+
+// ptCursor remembers the PT node of the last 2 MB span walked, so a run
+// of addresses inside one span costs one table walk.
+type ptCursor struct {
+	base uint64
+	pt   *leaf
+	ok   bool
+}
+
+// at returns the PT node covering va (nil if absent and !build),
+// walking only when va leaves the cursor's span.
+func (c *ptCursor) at(as *AddressSpace, va uint64, build bool) (*leaf, error) {
+	if c.ok && va&^spanMask == c.base {
+		return c.pt, nil
+	}
+	pt, err := as.walk(va, build)
+	if err != nil {
+		return nil, err
+	}
+	*c = ptCursor{base: va &^ spanMask, pt: pt, ok: true}
+	return pt, nil
 }
 
 // New returns an empty address space backed by st. The space owns a
 // fresh structure pool, inherited by every space cloned from it.
 func New(st *mem.Store) (*AddressSpace, error) {
 	pool := &structPool{}
-	root, err := newNode(st, pool, levels-1)
+	root, err := newInterior(st, pool)
 	if err != nil {
 		return nil, err
 	}
 	return &AddressSpace{st: st, root: root, pool: pool}, nil
 }
 
-func newNode(st *mem.Store, pool *structPool, level int) (*node, error) {
+// newInterior returns an empty interior node holding one reference,
+// recycled from pool when it can be, and charges st one frame for it.
+func newInterior(st *mem.Store, pool *structPool) (*interior, error) {
 	f, err := st.Alloc()
 	if err != nil {
 		return nil, err
 	}
-	if pool != nil {
-		if n := len(pool.nodes); n > 0 {
-			nd := pool.nodes[n-1]
-			pool.nodes[n-1] = nil
-			pool.nodes = pool.nodes[:n-1]
-			nd.level, nd.refs, nd.frame = level, 1, f
-			return nd, nil
-		}
+	n := pop(&pool.interiors)
+	if n == nil {
+		n = &interior{}
+		n.kids = n.few[:0]
 	}
-	return &node{level: level, refs: 1, frame: f}, nil
+	n.frame, n.refs = f, 1
+	return n, nil
+}
+
+// newLeaf is newInterior for a PT.
+func newLeaf(st *mem.Store, pool *structPool) (*leaf, error) {
+	f, err := st.Alloc()
+	if err != nil {
+		return nil, err
+	}
+	n := pop(&pool.leaves)
+	if n == nil {
+		n = &leaf{}
+	}
+	n.frame, n.refs = f, 1
+	return n, nil
 }
 
 // Backing returns the physical memory store behind this space.
@@ -228,21 +327,15 @@ func (as *AddressSpace) MappedPages() int { return as.mapped }
 // the snapshot layer enforces this. Cloning a space with writable
 // entries would alias writable frames between spaces.
 func (as *AddressSpace) Clone() (*AddressSpace, error) {
-	root, err := newNode(as.st, as.pool, levels-1)
+	root, err := newInterior(as.st, as.pool)
 	if err != nil {
 		return nil, err
 	}
-	for i := range as.root.entries {
-		e := as.root.entries[i]
-		if e.child != nil {
-			e.child.refs++
-		}
-		root.entries[i] = e
-	}
+	shareKids(root, as.root)
 	// Our previously-private path nodes are now reachable from the
 	// clone: the next write fault must re-walk and re-privatize rather
 	// than scribble into a node the clone shares.
-	as.cacheOK, as.cachePT = false, nil
+	as.cache = ptCursor{}
 	cp := as.pool.getSpace()
 	*cp = AddressSpace{
 		st:     as.st,
@@ -254,52 +347,81 @@ func (as *AddressSpace) Clone() (*AddressSpace, error) {
 	return cp, nil
 }
 
+// shareKids makes the empty node dst a second parent of src's children.
+func shareKids(dst, src *interior) {
+	dst.occ = src.occ
+	dst.kids = append(dst.kids, src.kids...)
+	for _, kid := range dst.kids {
+		kid.header().refs++
+	}
+}
+
 // privatize returns a private copy of n (refs==1), cloning it if shared.
-// Child references are adjusted; the caller must install the result in
-// the parent entry.
-func (as *AddressSpace) privatize(n *node) (*node, error) {
-	if n.refs == 1 {
+// Child and frame references are adjusted; the caller must install the
+// result in the parent's slot.
+func (as *AddressSpace) privatize(n tableNode) (tableNode, error) {
+	if n.header().refs == 1 {
 		return n, nil
 	}
-	cp, err := newNode(as.st, as.pool, n.level)
-	if err != nil {
-		return nil, err
-	}
-	for i := range n.entries {
-		e := n.entries[i]
-		if e.child != nil {
-			e.child.refs++
+	var cp tableNode
+	switch n := n.(type) {
+	case *interior:
+		c, err := newInterior(as.st, as.pool)
+		if err != nil {
+			return nil, err
 		}
-		if e.frame != nil {
-			as.st.IncRef(e.frame)
+		shareKids(c, n)
+		cp = c
+	case *leaf:
+		c, err := newLeaf(as.st, as.pool)
+		if err != nil {
+			return nil, err
 		}
-		cp.entries[i] = e
+		c.frames, c.flags = n.frames, n.flags
+		for _, f := range c.frames {
+			if f != nil {
+				as.st.IncRef(f)
+			}
+		}
+		cp = c
 	}
 	releaseNode(as.st, as.pool, n)
 	as.Faults.TableClones++
 	return cp, nil
 }
 
-// releaseNode drops one reference; at zero it releases children and the
-// node's accounting frame and recycles the node into the pool.
-func releaseNode(st *mem.Store, pool *structPool, n *node) {
-	n.refs--
-	if n.refs > 0 {
+// releaseNode drops one reference; at zero it releases children, mapped
+// frames and the node's accounting frame and recycles the node into the
+// pool.
+func releaseNode(st *mem.Store, pool *structPool, n tableNode) {
+	h := n.header()
+	h.refs--
+	if h.refs > 0 {
 		return
 	}
-	for i := range n.entries {
-		e := &n.entries[i]
-		if e.child != nil {
-			releaseNode(st, pool, e.child)
+	switch n := n.(type) {
+	case *interior:
+		for _, kid := range n.kids {
+			releaseNode(st, pool, kid)
 		}
-		if e.frame != nil {
-			st.DecRef(e.frame)
+		clear(n.kids)
+		n.kids, n.occ = n.kids[:0], [entriesPer / 64]uint64{}
+		if len(pool.interiors) < maxPooledNodes {
+			pool.interiors = append(pool.interiors, n)
+		}
+	case *leaf:
+		for _, f := range n.frames {
+			if f != nil {
+				st.DecRef(f)
+			}
+		}
+		n.frames, n.flags = [entriesPer]*mem.Frame{}, [entriesPer]Flags{}
+		if len(pool.leaves) < maxPooledNodes {
+			pool.leaves = append(pool.leaves, n)
 		}
 	}
-	st.DecRef(n.frame)
-	n.frame = nil
-	n.entries = [entriesPer]entry{}
-	pool.putNode(n)
+	st.DecRef(h.frame)
+	h.frame = nil
 }
 
 // Release frees the address space: every shared node and frame loses one
@@ -311,7 +433,7 @@ func (as *AddressSpace) Release() {
 	}
 	releaseNode(as.st, as.pool, as.root)
 	as.root = nil
-	as.cacheOK, as.cachePT = false, nil
+	as.cache = ptCursor{}
 	if pool := as.pool; pool != nil && len(pool.spaces) < maxPooledSpaces {
 		dirty := as.dirty[:0]
 		*as = AddressSpace{dirty: dirty}
@@ -319,37 +441,45 @@ func (as *AddressSpace) Release() {
 	}
 }
 
-// walk descends to the leaf node containing va. If build is true,
-// missing interior nodes are created and shared nodes on the path are
-// privatized (CoW of the table structure itself). Returns the PT-level
-// node, or nil if absent and !build.
-func (as *AddressSpace) walk(va uint64, build bool) (*node, error) {
+// walk descends to the PT node containing va. If build is true, missing
+// nodes on the path are created and shared ones are privatized (CoW of
+// the table structure itself). Returns nil if the PT is absent and
+// !build.
+func (as *AddressSpace) walk(va uint64, build bool) (*leaf, error) {
 	if va >= MaxVirtual {
 		return nil, ErrBadAddress
 	}
 	n := as.root
-	for level := levels - 1; level > 0; level-- {
+	for level := levels - 1; ; level-- {
 		idx := index(va, level)
-		e := &n.entries[idx]
-		if e.child == nil {
-			if !build {
-				return nil, nil
+		r, ok := n.rank(idx)
+		switch {
+		case !ok && !build:
+			return nil, nil
+		case !ok:
+			var child tableNode
+			var err error
+			if level > 1 {
+				child, err = newInterior(as.st, as.pool)
+			} else {
+				child, err = newLeaf(as.st, as.pool)
 			}
-			child, err := newNode(as.st, as.pool, level-1)
 			if err != nil {
 				return nil, err
 			}
-			e.child = child
-		} else if build && e.child.refs > 1 {
-			cp, err := as.privatize(e.child)
+			n.insert(idx, r, child)
+		case build:
+			cp, err := as.privatize(n.kids[r])
 			if err != nil {
 				return nil, err
 			}
-			e.child = cp
+			n.kids[r] = cp
 		}
-		n = e.child
+		if level == 1 {
+			return n.kids[r].(*leaf), nil
+		}
+		n = n.kids[r].(*interior)
 	}
-	return n, nil
 }
 
 // MapFrame installs frame at page-aligned va with the given flags,
@@ -366,21 +496,22 @@ func (as *AddressSpace) MapFrame(va uint64, f *mem.Frame, flags Flags) error {
 	if err != nil {
 		return err
 	}
-	e := &pt.entries[index(va, 0)]
-	listed := e.flags & flagDirtyListed // a replaced mapping stays on the dirty list
-	if e.frame != nil {
-		as.st.DecRef(e.frame)
+	i := index(va, 0)
+	listed := pt.flags[i] & flagDirtyListed // a replaced mapping stays on the dirty list
+	if old := pt.frames[i]; old != nil {
+		as.st.DecRef(old)
 	} else {
 		as.mapped++
 	}
 	as.st.IncRef(f)
-	e.frame = f
-	e.flags = (flags &^ flagDirtyListed) | FlagPresent | listed
+	pt.frames[i] = f
+	pt.flags[i] = (flags &^ flagDirtyListed) | FlagPresent | listed
 	return nil
 }
 
 // Unmap removes the mapping at va if present, dropping the frame
-// reference.
+// reference. An address that was never mapped returns ErrNotMapped and
+// leaves the table structure as it was.
 func (as *AddressSpace) Unmap(va uint64) error {
 	if as.frozen {
 		panic("pagetable: mutation of frozen address space")
@@ -388,28 +519,29 @@ func (as *AddressSpace) Unmap(va uint64) error {
 	if va%mem.PageSize != 0 {
 		return ErrBadAddress
 	}
-	pt, err := as.walk(va, true)
+	i := index(va, 0)
+	pt, err := as.walk(va, false)
 	if err != nil {
 		return err
 	}
-	if pt == nil {
+	if pt == nil || pt.frames[i] == nil {
 		return ErrNotMapped
 	}
-	e := &pt.entries[index(va, 0)]
-	if e.frame == nil {
-		return ErrNotMapped
+	// There is a mapping to remove: only now privatize the path to it.
+	if pt, err = as.walk(va, true); err != nil {
+		return err
 	}
-	if e.flags&flagDirtyListed != 0 {
-		for i, d := range as.dirty {
+	if pt.flags[i]&flagDirtyListed != 0 {
+		for j, d := range as.dirty {
 			if d == va {
-				as.dirty[i] = as.dirty[len(as.dirty)-1]
+				as.dirty[j] = as.dirty[len(as.dirty)-1]
 				as.dirty = as.dirty[:len(as.dirty)-1]
 				break
 			}
 		}
 	}
-	as.st.DecRef(e.frame)
-	*e = entry{}
+	as.st.DecRef(pt.frames[i])
+	pt.frames[i], pt.flags[i] = nil, 0
 	as.mapped--
 	return nil
 }
@@ -422,11 +554,11 @@ func (as *AddressSpace) Translate(va uint64) (*mem.Frame, Flags, bool) {
 	if err != nil || pt == nil {
 		return nil, 0, false
 	}
-	e := pt.entries[index(va, 0)]
-	if e.frame == nil {
+	i := index(va, 0)
+	if pt.frames[i] == nil {
 		return nil, 0, false
 	}
-	return e.frame, e.flags &^ flagDirtyListed, true
+	return pt.frames[i], pt.flags[i] &^ flagDirtyListed, true
 }
 
 // Load copies memory at va into dst, crossing page boundaries as
@@ -449,13 +581,10 @@ func (as *AddressSpace) Load(va uint64, dst []byte) error {
 		}
 		if pt == nil {
 			zero(dst[:n])
+		} else if f := pt.frames[index(va, 0)]; f == nil {
+			zero(dst[:n])
 		} else {
-			e := &pt.entries[index(va, 0)]
-			if e.frame == nil {
-				zero(dst[:n])
-			} else {
-				e.frame.Read(off, dst[:n])
-			}
+			f.Read(off, dst[:n])
 		}
 		dst = dst[n:]
 		va += uint64(n)
@@ -518,48 +647,42 @@ func (as *AddressSpace) faultForWrite(va uint64) (*mem.Frame, error) {
 	if as.frozen {
 		panic("pagetable: store to frozen address space")
 	}
-	var pt *node
-	if as.cacheOK && va&^spanMask == as.cacheBase {
-		pt = as.cachePT
-	} else {
-		var err error
-		pt, err = as.walk(va, true)
-		if err != nil {
-			return nil, err
-		}
-		as.cacheBase, as.cachePT, as.cacheOK = va&^spanMask, pt, true
+	pt, err := as.cache.at(as, va, true)
+	if err != nil {
+		return nil, err
 	}
-	e := &pt.entries[index(va, 0)]
+	i := index(va, 0)
+	flags := pt.flags[i]
 	switch {
-	case e.frame == nil:
+	case pt.frames[i] == nil:
 		// Demand-zero fault: allocate a fresh frame.
 		f, err := as.st.Alloc()
 		if err != nil {
 			return nil, err
 		}
-		e.frame = f
-		e.flags = FlagPresent | FlagWritable | FlagUser
+		pt.frames[i] = f
+		flags = FlagPresent | FlagWritable | FlagUser
 		as.mapped++
 		as.Faults.DemandZero++
-	case e.flags&FlagWritable == 0 && e.flags&FlagCoW != 0:
+	case flags&FlagWritable == 0 && flags&FlagCoW != 0:
 		// CoW fault: clone the snapshot's frame; all writes land on a
 		// page dedicated exclusively to this UC (§5).
-		f, err := as.st.Clone(e.frame)
+		f, err := as.st.Clone(pt.frames[i])
 		if err != nil {
 			return nil, err
 		}
-		as.st.DecRef(e.frame)
-		e.frame = f
-		e.flags = (e.flags &^ FlagCoW) | FlagWritable
+		as.st.DecRef(pt.frames[i])
+		pt.frames[i] = f
+		flags = (flags &^ FlagCoW) | FlagWritable
 		as.Faults.CoW++
-	case e.flags&FlagWritable == 0:
+	case flags&FlagWritable == 0:
 		return nil, fmt.Errorf("pagetable: write protection fault at %#x", va)
 	}
-	if e.flags&flagDirtyListed == 0 {
+	if flags&flagDirtyListed == 0 {
 		as.dirty = append(as.dirty, va)
 	}
-	e.flags |= FlagDirty | FlagAccessed | flagDirtyListed
-	return e.frame, nil
+	pt.flags[i] = flags | FlagDirty | FlagAccessed | flagDirtyListed
+	return pt.frames[i], nil
 }
 
 // SparseInstaller streams a snapshot diff's pages into the space, one
@@ -587,7 +710,7 @@ func (as *AddressSpace) faultForWrite(va uint64) (*mem.Frame, error) {
 // Pages must arrive in ascending order for Lazy() to be ascending.
 type SparseInstaller struct {
 	as       *AddressSpace
-	pt       *node
+	pt       *leaf
 	spanBase uint64
 	spanOK   bool
 	built    bool // whether pt came from a build walk (private, installable)
@@ -623,7 +746,7 @@ func (si *SparseInstaller) Page(va uint64, content []byte) error {
 			si.lazy = append(si.lazy, va)
 			return nil
 		}
-		if e := &si.pt.entries[index(va, 0)]; e.frame == nil || !e.frame.Materialized() {
+		if f := si.pt.frames[index(va, 0)]; f == nil || !f.Materialized() {
 			si.lazy = append(si.lazy, va)
 			return nil
 		}
@@ -642,14 +765,14 @@ func (si *SparseInstaller) Page(va uint64, content []byte) error {
 	if content != nil {
 		f.Write(0, content)
 	}
-	e := &si.pt.entries[index(va, 0)]
-	if e.frame != nil {
-		as.st.DecRef(e.frame)
+	i := index(va, 0)
+	if old := si.pt.frames[i]; old != nil {
+		as.st.DecRef(old)
 	} else {
 		as.mapped++
 	}
-	e.frame = f
-	e.flags = FlagPresent | FlagUser | FlagCoW | FlagAccessed
+	si.pt.frames[i] = f
+	si.pt.flags[i] = FlagPresent | FlagUser | FlagCoW | FlagAccessed
 	return nil
 }
 
@@ -675,53 +798,49 @@ func (as *AddressSpace) PrefetchWritable(vas []uint64) (int, error) {
 	if as.frozen {
 		panic("pagetable: PrefetchWritable on frozen address space")
 	}
-	var pt *node
-	spanBase, spanOK := uint64(0), false
+	var cur ptCursor
 	resolved := 0
 	for _, va := range vas {
 		if va >= MaxVirtual || va%mem.PageSize != 0 {
 			return resolved, ErrBadAddress
 		}
-		if !spanOK || va&^spanMask != spanBase {
-			var err error
-			pt, err = as.walk(va, true)
-			if err != nil {
-				return resolved, err
-			}
-			spanBase, spanOK = va&^spanMask, true
+		pt, err := cur.at(as, va, true)
+		if err != nil {
+			return resolved, err
 		}
-		e := &pt.entries[index(va, 0)]
+		i := index(va, 0)
+		flags := pt.flags[i]
 		switch {
-		case e.frame == nil:
+		case pt.frames[i] == nil:
 			f, err := as.st.Alloc()
 			if err != nil {
 				return resolved, err
 			}
-			e.frame = f
-			e.flags = FlagPresent | FlagWritable | FlagUser
+			pt.frames[i] = f
+			flags = FlagPresent | FlagWritable | FlagUser
 			as.mapped++
-		case e.flags&FlagWritable == 0 && e.flags&FlagCoW != 0:
-			f, err := as.st.Clone(e.frame)
+		case flags&FlagWritable == 0 && flags&FlagCoW != 0:
+			f, err := as.st.Clone(pt.frames[i])
 			if err != nil {
 				return resolved, err
 			}
-			as.st.DecRef(e.frame)
-			e.frame = f
-			e.flags = (e.flags &^ FlagCoW) | FlagWritable
+			as.st.DecRef(pt.frames[i])
+			pt.frames[i] = f
+			flags = (flags &^ FlagCoW) | FlagWritable
 		default:
 			continue // already writable (or protected): nothing to prefetch
 		}
-		if e.flags&flagDirtyListed == 0 {
+		if flags&flagDirtyListed == 0 {
 			as.dirty = append(as.dirty, va)
 		}
-		e.flags |= FlagDirty | FlagAccessed | flagDirtyListed
+		pt.flags[i] = flags | FlagDirty | FlagAccessed | flagDirtyListed
 		as.Faults.Prefetched++
 		resolved++
 	}
-	if spanOK {
+	if cur.ok {
 		// Seed the one-entry fault cache with the last span: residual
 		// on-demand faults often land near the tail of the working set.
-		as.cacheBase, as.cachePT, as.cacheOK = spanBase, pt, true
+		as.cache = cur
 	}
 	return resolved, nil
 }
@@ -729,9 +848,8 @@ func (as *AddressSpace) PrefetchWritable(vas []uint64) (int, error) {
 // DirtyPages returns the sorted page-base addresses written since
 // creation or the last ClearDirty — the set snapshot capture clones.
 func (as *AddressSpace) DirtyPages() []uint64 {
-	out := make([]uint64, len(as.dirty))
-	copy(out, as.dirty)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(as.dirty)
+	slices.Sort(out)
 	return out
 }
 
@@ -742,9 +860,10 @@ func (as *AddressSpace) DirtyCount() int { return len(as.dirty) }
 // list). Called after a snapshot capture. The list's storage is kept
 // for the next cycle.
 func (as *AddressSpace) ClearDirty() {
+	var cur ptCursor
 	for _, va := range as.dirty {
-		if pt, _ := as.walk(va, false); pt != nil {
-			pt.entries[index(va, 0)].flags &^= FlagDirty | flagDirtyListed
+		if pt, _ := cur.at(as, va, false); pt != nil {
+			pt.flags[index(va, 0)] &^= FlagDirty | flagDirtyListed
 		}
 	}
 	as.dirty = as.dirty[:0]
@@ -753,20 +872,33 @@ func (as *AddressSpace) ClearDirty() {
 // SetCoWAll downgrades every writable mapping to read-only CoW. Clone
 // already produces CoW views; this is used when freezing a live space
 // into a snapshot in place.
-func (as *AddressSpace) SetCoWAll() {
-	var walkNode func(n *node)
-	walkNode = func(n *node) {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if e.child != nil {
-				walkNode(e.child)
-			}
-			if e.frame != nil && e.flags&FlagWritable != 0 {
-				e.flags = (e.flags &^ FlagWritable) | FlagCoW
+//
+// A node with more than one reference is skipped with everything under
+// it. It became shared through a Clone, whose contract is that the
+// source was downgraded first, and nothing has written under it since:
+// a store reaches an entry only through walk(build), which privatizes
+// every shared node on the way down, so the writable entry it leaves
+// behind lives in a private copy. A shared subtree is therefore
+// read-only CoW already, and a capture walks only the nodes the space
+// has privatized since it was deployed.
+func (as *AddressSpace) SetCoWAll() { setCoW(as.root) }
+
+func setCoW(n tableNode) {
+	if n.header().refs > 1 {
+		return
+	}
+	switch n := n.(type) {
+	case *interior:
+		for _, kid := range n.kids {
+			setCoW(kid)
+		}
+	case *leaf:
+		for i, flags := range n.flags {
+			if flags&FlagWritable != 0 {
+				n.flags[i] = (flags &^ FlagWritable) | FlagCoW
 			}
 		}
 	}
-	walkNode(as.root)
 }
 
 // ResetFaults zeroes the fault counters and returns the previous values.
@@ -779,53 +911,47 @@ func (as *AddressSpace) ResetFaults() FaultStats {
 // PresentPages returns the sorted page-base addresses of every present
 // leaf mapping (the snapshot codec walks these to compute diffs).
 func (as *AddressSpace) PresentPages() []uint64 {
-	var out []uint64
-	var walkNode func(n *node, prefix uint64)
-	walkNode = func(n *node, prefix uint64) {
-		shift := uint(mem.PageShift + indexBits*n.level)
-		for i := range n.entries {
-			e := &n.entries[i]
-			va := prefix | uint64(i)<<shift
-			if n.level == 0 {
-				if e.frame != nil {
-					out = append(out, va)
-				}
-				continue
-			}
-			if e.child != nil {
-				walkNode(e.child, va)
+	return appendPresent(make([]uint64, 0, as.mapped), as.root, levels-1, 0)
+}
+
+// appendPresent appends the pages mapped under n, whose own slot starts
+// at prefix, in ascending order.
+func appendPresent(out []uint64, n tableNode, level int, prefix uint64) []uint64 {
+	shift := uint(mem.PageShift + indexBits*level)
+	switch n := n.(type) {
+	case *interior:
+		n.eachKid(func(idx int, kid tableNode) {
+			out = appendPresent(out, kid, level-1, prefix|uint64(idx)<<shift)
+		})
+	case *leaf:
+		for i, f := range n.frames {
+			if f != nil {
+				out = append(out, prefix|uint64(i)<<shift)
 			}
 		}
 	}
-	walkNode(as.root, 0)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // TableNodes returns the number of page-table nodes reachable from this
 // space, and how many of those are private — reachable only through
 // this space (every node on the path from the root has a single
-// reference). Shared nodes are counted once.
+// reference).
 func (as *AddressSpace) TableNodes() (total, private int) {
-	seen := map[*node]bool{}
-	var walkNode func(n *node, exclusive bool)
-	walkNode = func(n *node, exclusive bool) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
+	var count func(n tableNode, exclusive bool)
+	count = func(n tableNode, exclusive bool) {
 		total++
-		exclusive = exclusive && n.refs == 1
+		exclusive = exclusive && n.header().refs == 1
 		if exclusive {
 			private++
 		}
-		for i := range n.entries {
-			if c := n.entries[i].child; c != nil {
-				walkNode(c, exclusive)
+		if n, ok := n.(*interior); ok {
+			for _, kid := range n.kids {
+				count(kid, exclusive)
 			}
 		}
 	}
-	walkNode(as.root, true)
+	count(as.root, true)
 	return total, private
 }
 

@@ -8,8 +8,8 @@
 #                                      fig4, fabric, failover, fig7, fig8
 #                                      against their TSVs
 #   scripts/results_drift.sh -policy   those plus the full 10^4-key
-#                                      policy trace (~10 min and ~10 GB of
-#                                      RAM more)
+#                                      policy trace (~10 min more; peak
+#                                      RSS 0.5 GB)
 #
 # The simulation is deterministic, so results/*.tsv and
 # results/tables.txt are a function of the source tree: a refactor that

@@ -1,6 +1,7 @@
 package seuss
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -362,4 +363,41 @@ func TestPoolFacadeRobustnessSurface(t *testing.T) {
 	if perShard != st.FaultsInjected {
 		t.Errorf("shards injected %d faults, the pool reports %d", perShard, st.FaultsInjected)
 	}
+}
+
+// TestHostHeapPerColdFunction pins what one cached function costs the
+// Go process, not the simulated node: its snapshot, its idle UC and the
+// page-table nodes and frame descriptors under both. The paper's
+// density argument is that this is small because pages and tables are
+// shared, and host-side it holds only while page-table nodes and frame
+// descriptors stay sized to what they map (DESIGN.md §8): 85 KB
+// measured.
+func TestHostHeapPerColdFunction(t *testing.T) {
+	node, err := New().NewNode(NodeDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	const fns = 1000
+	before := heap()
+	for i := 0; i < fns; i++ {
+		fn := NOP(i)
+		if _, err := node.InvokeSync(fn.Key, fn.Source, `{}`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := node.Stats(); st.Cold != fns {
+		t.Fatalf("cold = %d, want %d", st.Cold, fns)
+	}
+	perFn := (heap() - before) / fns
+	t.Logf("%d KB of Go heap per cold function", perFn>>10)
+	if perFn > 110<<10 {
+		t.Errorf("%d bytes of Go heap per cold function, want <= %d", perFn, 110<<10)
+	}
+	runtime.KeepAlive(node)
 }
