@@ -426,12 +426,12 @@ func BenchmarkAblationKSMScan(b *testing.B) {
 	var dupMB, scannedMB float64
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
-		scanner := mem.NewScanner()
 		cfg := core.DefaultConfig()
 		node, err := core.NewNode(eng, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		scanner := mem.NewScanner(node.Store())
 		node.Store().AttachScanner(scanner)
 		for f := 0; f < 10; f++ {
 			req := core.Request{

@@ -77,11 +77,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -162,6 +164,18 @@ func (s *server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	// No lock: the pool is safe for concurrent use, and each request
 	// runs on whichever shard owns (or steals) its key.
 	inv, err := s.pool.InvokeRuntime(req.Runtime, req.Key, req.Source, args)
+	if errors.Is(err, seuss.ErrOverloaded) {
+		// Shed, not failed: the shard queue stayed full past the pool's
+		// admission deadline. Tell the client to come back after it, in
+		// the header's whole seconds.
+		retryAfter := int(math.Ceil(seuss.AdmitDeadline.Seconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+		writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{
+			"error":       "overloaded: " + err.Error(),
+			"retry_after": retryAfter,
+		})
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "invocation failed: "+err.Error())
 		return
@@ -227,6 +241,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"pressure_snapshot_evictions": st.PressureSnapshotEvictions,
 			"pressure_cold_fallbacks":     st.PressureColdFallbacks,
 			"faults_injected":             st.FaultsInjected,
+			"overloaded":                  st.Overloaded,
 		},
 	}
 	// The fault-point roster: every point the injector can fire on this

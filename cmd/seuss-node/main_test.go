@@ -190,6 +190,52 @@ func TestInvokeBadSource(t *testing.T) {
 	errorBody(t, resp)
 }
 
+// TestHostileGuestsAreContained: guests that once took the whole
+// process down — unbounded recursion (a Go stack overflow is fatal),
+// a string doubled forty times or an array rendered again and again
+// (killed by the OS), source nested a megabyte deep, array slots kept
+// in a global across invocations — now fail their own request with 422
+// or 500, and the node serves the next request.
+func TestHostileGuestsAreContained(t *testing.T) {
+	ts := newTestServer(t)
+	for name, src := range map[string]string{
+		"recursion": `function f(x){ return f(x+1); } function main(){ return f(0); }`,
+		"doubling":  `function main(){ var s = "x"; for (var i = 0; i < 40; i++) { s = s + s; } return s.length; }`,
+		"nesting":   strings.Repeat("(", maxInvokeBody-64),
+		"String of DAG": `function main(){ var a = ["x".repeat(1 << 20)]; for (var i = 0; i < 7; i++) { a = [a, a]; }
+			var keep = []; for (var j = 0; j < 200; j++) { keep.push(String(a)); } return keep.length; }`,
+	} {
+		body, err := json.Marshal(map[string]string{"key": "hostile/" + name, "source": src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, _ := post(t, ts, string(body))
+		if resp.StatusCode != http.StatusUnprocessableEntity && resp.StatusCode != http.StatusInternalServerError {
+			t.Errorf("%s: status = %d, want 422 or 500", name, resp.StatusCode)
+		}
+		msg := errorBody(t, resp)
+		t.Logf("%s: %d %s", name, resp.StatusCode, msg)
+
+		next, out := post(t, ts, `{"key": "after/`+name+`", "source": "function main(args) { return {ok: true}; }"}`)
+		if next.StatusCode != http.StatusOK || !strings.Contains(string(out.Output), `"ok":true`) {
+			t.Fatalf("after %s: status %d, output %s", name, next.StatusCode, out.Output)
+		}
+	}
+
+	// Slots kept in a global pass every per-invocation bound; the third
+	// invocation passes the UC's lifetime bound, and its successor
+	// starts again at zero.
+	growth := `{"key": "hostile/growth", "source": "var g = []; function main(args) { g.length += 2000000; return g.length; }"}`
+	var codes []int
+	for i := 0; i < 4; i++ {
+		resp, _ := post(t, ts, growth)
+		codes = append(codes, resp.StatusCode)
+	}
+	if codes[0] != http.StatusOK || codes[1] != http.StatusOK || codes[2] != http.StatusUnprocessableEntity || codes[3] != http.StatusOK {
+		t.Errorf("kept growth: statuses %v, want 200 200 422 200", codes)
+	}
+}
+
 // statsKeyPaths is the /stats body's operator surface: every key, one
 // level of nesting spelled out (per_shard through its first element) —
 // what bench/ and dashboards parse. A literal, so that a change to how
@@ -202,7 +248,8 @@ var statsKeyPaths = []string{
 	"per_shard[0].memory_used_mb", "per_shard[0].shard",
 	"per_shard[0].virtual_clock", "per_shard[0].warm", "robustness",
 	"robustness.breaker_trips", "robustness.deadlines_exceeded",
-	"robustness.faults_injected", "robustness.pressure_cold_fallbacks",
+	"robustness.faults_injected", "robustness.overloaded",
+	"robustness.pressure_cold_fallbacks",
 	"robustness.pressure_idle_reclaims",
 	"robustness.pressure_snapshot_evictions", "robustness.requeued",
 	"robustness.rerouted", "robustness.stalls",

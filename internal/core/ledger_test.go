@@ -103,7 +103,7 @@ func (s *ledgerScenario) tick(d time.Duration) TickStats {
 // memory — and returns the function that gives them back.
 func (s *ledgerScenario) occupy(leave int64) (release func()) {
 	s.t.Helper()
-	var held []*mem.Frame
+	var held []mem.Frame
 	for s.n.store.Available() > leave {
 		f, err := s.n.store.Alloc()
 		if err != nil {

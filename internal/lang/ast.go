@@ -43,6 +43,9 @@ type FuncLit struct {
 	Name   string // optional
 	Params []string
 	Body   []Node
+	// Nesting is how many levels the body's statements and expressions
+	// nest, which bounds how deep the evaluator recurses for one call.
+	Nesting int
 }
 
 // Unary is op expr (e.g. -x, !x, typeof x).

@@ -3,7 +3,9 @@ package lang
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
+	"unicode/utf8"
 )
 
 // getMember implements obj.name, including method dispatch on native
@@ -29,7 +31,7 @@ func (in *Interp) getMember(obj Value, name string) (Value, error) {
 		}
 		return Undefined{}, nil
 	case Null, Undefined, nil:
-		return nil, &ThrowError{Value: fmt.Sprintf("cannot read property %q of %s", name, ToString(obj))}
+		return nil, &ThrowError{Value: fmt.Sprintf("cannot read property %q of %s", describe(name), ToString(obj))}
 	default:
 		return Undefined{}, nil
 	}
@@ -38,7 +40,9 @@ func (in *Interp) getMember(obj Value, name string) (Value, error) {
 func (in *Interp) setMember(obj Value, name string, val Value) error {
 	switch o := obj.(type) {
 	case *Object:
-		in.alloc(32 + len(name))
+		if err := in.alloc(32 + len(name)); err != nil {
+			return err
+		}
 		o.Set(name, val)
 		return nil
 	case *Array:
@@ -46,6 +50,9 @@ func (in *Interp) setMember(obj Value, name string, val Value) error {
 			n := int(ToNumber(val))
 			if n < 0 {
 				n = 0
+			}
+			if err := in.grow(n - len(o.Elems)); err != nil {
+				return err
 			}
 			for len(o.Elems) < n {
 				o.Elems = append(o.Elems, Undefined{})
@@ -55,7 +62,7 @@ func (in *Interp) setMember(obj Value, name string, val Value) error {
 		}
 		return nil // ignore expando props on arrays
 	default:
-		return &ThrowError{Value: fmt.Sprintf("cannot set property %q on %s", name, TypeOf(obj))}
+		return &ThrowError{Value: fmt.Sprintf("cannot set property %q on %s", describe(name), TypeOf(obj))}
 	}
 }
 
@@ -71,7 +78,11 @@ func (in *Interp) getIndex(obj, key Value) (Value, error) {
 		}
 		return o.Elems[i], nil
 	case *Object:
-		return o.Get(ToString(key)), nil
+		ks, err := in.toString(key)
+		if err != nil {
+			return nil, err
+		}
+		return o.Get(ks), nil
 	case string:
 		if ks, ok := key.(string); ok {
 			return in.getMember(o, ks)
@@ -82,7 +93,7 @@ func (in *Interp) getIndex(obj, key Value) (Value, error) {
 		}
 		return string(o[i]), nil
 	case Null, Undefined, nil:
-		return nil, &ThrowError{Value: "cannot index " + ToString(obj)}
+		return nil, &ThrowError{Value: "cannot index " + describe(obj)}
 	default:
 		return Undefined{}, nil
 	}
@@ -95,15 +106,25 @@ func (in *Interp) setIndex(obj, key, val Value) error {
 		if i < 0 {
 			return &ThrowError{Value: "negative array index"}
 		}
+		if err := in.grow(i - len(o.Elems)); err != nil { // the holes before i
+			return err
+		}
 		for len(o.Elems) <= i {
 			o.Elems = append(o.Elems, Undefined{})
 		}
-		in.alloc(16)
+		if err := in.alloc(16); err != nil {
+			return err
+		}
 		o.Elems[i] = val
 		return nil
 	case *Object:
-		ks := ToString(key)
-		in.alloc(32 + len(ks))
+		ks, err := in.toString(key)
+		if err != nil {
+			return err
+		}
+		if err := in.alloc(32 + len(ks)); err != nil {
+			return err
+		}
 		o.Set(ks, val)
 		return nil
 	default:
@@ -134,7 +155,9 @@ func init() {
 	arrayMethods = map[string]methodFn{
 		"push": func(in *Interp, this Value, args []Value) (Value, error) {
 			a := this.(*Array)
-			in.alloc(16 * len(args))
+			if err := in.allocN(len(args), 16); err != nil {
+				return nil, err
+			}
 			a.Elems = append(a.Elems, args...)
 			return float64(len(a.Elems)), nil
 		},
@@ -162,20 +185,20 @@ func init() {
 			if s, ok := arg(args, 0).(string); ok {
 				sep = s
 			}
-			parts := make([]string, len(a.Elems))
-			for i, e := range a.Elems {
-				parts[i] = ToString(e)
+			var sb strings.Builder
+			joinTo(&sb, a, sep, 0, in.room())
+			if err := in.alloc(sb.Len()); err != nil {
+				return nil, err
 			}
-			out := strings.Join(parts, sep)
-			in.alloc(len(out))
-			return out, nil
+			return sb.String(), nil
 		},
 		"slice": func(in *Interp, this Value, args []Value) (Value, error) {
 			a := this.(*Array)
 			start, end := sliceBounds(len(a.Elems), arg(args, 0), arg(args, 1))
-			out := &Array{Elems: append([]Value{}, a.Elems[start:end]...)}
-			in.alloc(24 + 16*len(out.Elems))
-			return out, nil
+			if err := in.alloc(24 + 16*(end-start)); err != nil {
+				return nil, err
+			}
+			return &Array{Elems: append([]Value{}, a.Elems[start:end]...)}, nil
 		},
 		"indexOf": func(in *Interp, this Value, args []Value) (Value, error) {
 			a := this.(*Array)
@@ -197,7 +220,18 @@ func init() {
 		},
 		"concat": func(in *Interp, this Value, args []Value) (Value, error) {
 			a := this.(*Array)
-			out := &Array{Elems: append([]Value{}, a.Elems...)}
+			n := len(a.Elems)
+			for _, v := range args {
+				if b, ok := v.(*Array); ok {
+					n += len(b.Elems)
+				} else {
+					n++
+				}
+			}
+			if err := in.alloc(24 + 16*n); err != nil {
+				return nil, err
+			}
+			out := &Array{Elems: append(make([]Value, 0, n), a.Elems...)}
 			for _, v := range args {
 				if b, ok := v.(*Array); ok {
 					out.Elems = append(out.Elems, b.Elems...)
@@ -205,13 +239,14 @@ func init() {
 					out.Elems = append(out.Elems, v)
 				}
 			}
-			in.alloc(24 + 16*len(out.Elems))
 			return out, nil
 		},
 		"map": func(in *Interp, this Value, args []Value) (Value, error) {
 			a := this.(*Array)
+			if err := in.alloc(24 + 16*len(a.Elems)); err != nil {
+				return nil, err
+			}
 			out := &Array{Elems: make([]Value, 0, len(a.Elems))}
-			in.alloc(24 + 16*len(a.Elems))
 			for i, e := range a.Elems {
 				v, err := in.CallValue(arg(args, 0), Undefined{}, []Value{e, float64(i)})
 				if err != nil {
@@ -233,7 +268,9 @@ func init() {
 					out.Elems = append(out.Elems, e)
 				}
 			}
-			in.alloc(24 + 16*len(out.Elems))
+			if err := in.alloc(24 + 16*len(out.Elems)); err != nil {
+				return nil, err
+			}
 			return out, nil
 		},
 		"forEach": func(in *Interp, this Value, args []Value) (Value, error) {
@@ -306,6 +343,16 @@ var stringMethods = map[string]methodFn{
 	"split": func(in *Interp, this Value, args []Value) (Value, error) {
 		s := this.(string)
 		sep, _ := arg(args, 0).(string)
+		n := 1
+		switch {
+		case sep == "" && len(args) > 0:
+			n = utf8.RuneCountInString(s)
+		case len(args) > 0:
+			n = strings.Count(s, sep) + 1
+		}
+		if err := in.alloc(24 + 16*n + len(s)); err != nil {
+			return nil, err
+		}
 		var parts []string
 		if sep == "" && len(args) > 0 {
 			for _, r := range s {
@@ -320,17 +367,20 @@ var stringMethods = map[string]methodFn{
 		for i, p := range parts {
 			out.Elems[i] = p
 		}
-		in.alloc(24 + 16*len(parts) + len(s))
 		return out, nil
 	},
 	"toUpperCase": func(in *Interp, this Value, args []Value) (Value, error) {
 		s := strings.ToUpper(this.(string))
-		in.alloc(len(s))
+		if err := in.alloc(len(s)); err != nil {
+			return nil, err
+		}
 		return s, nil
 	},
 	"toLowerCase": func(in *Interp, this Value, args []Value) (Value, error) {
 		s := strings.ToLower(this.(string))
-		in.alloc(len(s))
+		if err := in.alloc(len(s)); err != nil {
+			return nil, err
+		}
 		return s, nil
 	},
 	"indexOf": func(in *Interp, this Value, args []Value) (Value, error) {
@@ -344,9 +394,10 @@ var stringMethods = map[string]methodFn{
 	"slice": func(in *Interp, this Value, args []Value) (Value, error) {
 		s := this.(string)
 		start, end := sliceBounds(len(s), arg(args, 0), arg(args, 1))
-		out := s[start:end]
-		in.alloc(len(out))
-		return out, nil
+		if err := in.alloc(end - start); err != nil {
+			return nil, err
+		}
+		return s[start:end], nil
 	},
 	"charAt": func(in *Interp, this Value, args []Value) (Value, error) {
 		s := this.(string)
@@ -372,9 +423,14 @@ var stringMethods = map[string]methodFn{
 		if n < 0 {
 			return nil, &ThrowError{Value: "invalid repeat count"}
 		}
-		s := strings.Repeat(this.(string), n)
-		in.alloc(len(s))
-		return s, nil
+		s := this.(string)
+		if len(s) == 0 {
+			n = 0
+		}
+		if err := in.allocN(n, max(len(s), 1)); err != nil {
+			return nil, err
+		}
+		return strings.Repeat(s, n), nil
 	},
 	"startsWith": func(in *Interp, this Value, args []Value) (Value, error) {
 		sub, _ := arg(args, 0).(string)
@@ -394,8 +450,16 @@ func (in *Interp) installBuiltins() {
 	console := NewObject()
 	console.Set("log", &Builtin{Name: "console.log", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		parts := make([]string, len(args))
+		size := 0
 		for n, a := range args {
-			parts[n] = ToString(a)
+			s, err := i.toString(a)
+			if err != nil {
+				return nil, err
+			}
+			parts[n], size = s, size+len(s)+1
+		}
+		if err := i.charge(size); err != nil { // the joined line
+			return nil, err
 		}
 		if i.hooks.Output != nil {
 			i.hooks.Output(strings.Join(parts, " "))
@@ -407,20 +471,19 @@ func (in *Interp) installBuiltins() {
 
 	jsonObj := NewObject()
 	jsonObj.Set("stringify", &Builtin{Name: "JSON.stringify", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
-		s := JSONStringify(arg(args, 0))
-		i.alloc(len(s))
-		return s, nil
+		var sb strings.Builder
+		writeJSON(&sb, arg(args, 0), 0, i.room())
+		if err := i.alloc(sb.Len()); err != nil {
+			return nil, err
+		}
+		return sb.String(), nil
 	}})
 	jsonObj.Set("parse", &Builtin{Name: "JSON.parse", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		s, ok := arg(args, 0).(string)
 		if !ok {
 			return nil, &ThrowError{Value: "JSON.parse requires a string"}
 		}
-		v, err := parseJSON(i, s)
-		if err != nil {
-			return nil, &ThrowError{Value: err.Error()}
-		}
-		return v, nil
+		return parseJSON(i, s)
 	}})
 	g.Define("JSON", jsonObj)
 
@@ -472,11 +535,13 @@ func (in *Interp) installBuiltins() {
 			return &Array{}, nil
 		}
 		ks := o.Keys()
+		if err := i.alloc(24 + 16*len(ks)); err != nil {
+			return nil, err
+		}
 		out := &Array{Elems: make([]Value, len(ks))}
 		for n, k := range ks {
 			out.Elems[n] = k
 		}
-		i.alloc(24 + 16*len(ks))
 		return out, nil
 	}})
 	objectObj.Set("values", &Builtin{Name: "Object.values", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
@@ -484,11 +549,14 @@ func (in *Interp) installBuiltins() {
 		if !ok {
 			return &Array{}, nil
 		}
+		ks := o.Keys()
+		if err := i.alloc(24 + 16*len(ks)); err != nil {
+			return nil, err
+		}
 		out := &Array{}
-		for _, k := range o.Keys() {
+		for _, k := range ks {
 			out.Elems = append(out.Elems, o.Get(k))
 		}
-		i.alloc(24 + 16*len(out.Elems))
 		return out, nil
 	}})
 	objectObj.Set("assign", &Builtin{Name: "Object.assign", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
@@ -499,7 +567,9 @@ func (in *Interp) installBuiltins() {
 		for _, src := range args[1:] {
 			if so, ok := src.(*Object); ok {
 				for _, k := range so.Keys() {
-					i.alloc(32 + len(k))
+					if err := i.alloc(32 + len(k)); err != nil {
+						return nil, err
+					}
 					dst.Set(k, so.Get(k))
 				}
 			}
@@ -535,7 +605,9 @@ func (in *Interp) installBuiltins() {
 		if err != nil {
 			return nil, &ThrowError{Value: "http.get: " + err.Error()}
 		}
-		i.alloc(len(body))
+		if err := i.alloc(len(body)); err != nil {
+			return nil, err
+		}
 		return body, nil
 	}})
 	g.Define("http", httpObj)
@@ -559,7 +631,15 @@ func (in *Interp) installBuiltins() {
 		return ToNumber(arg(args, 0)), nil
 	}})
 	g.Define("String", &Builtin{Name: "String", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
-		return ToString(arg(args, 0)), nil
+		v := arg(args, 0)
+		s, err := i.toString(v)
+		if _, same := v.(string); err == nil && !same {
+			err = i.alloc(len(s))
+		}
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
 	}})
 	g.Define("Number", &Builtin{Name: "Number", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		return ToNumber(arg(args, 0)), nil
@@ -569,9 +649,11 @@ func (in *Interp) installBuiltins() {
 		return n != n, nil
 	}})
 	g.Define("Error", &Builtin{Name: "Error", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+		if err := i.alloc(64); err != nil {
+			return nil, err
+		}
 		o := NewObject()
 		o.Set("message", arg(args, 0))
-		i.alloc(64)
 		return o, nil
 	}})
 }
@@ -583,70 +665,62 @@ func init() {
 	stringMethods["replace"] = func(in *Interp, this Value, args []Value) (Value, error) {
 		s := this.(string)
 		old, _ := arg(args, 0).(string)
-		nw := ToString(arg(args, 1))
-		out := strings.Replace(s, old, nw, 1)
-		in.alloc(len(out))
-		return out, nil
+		nw, err := in.toString(arg(args, 1))
+		if err != nil {
+			return nil, err
+		}
+		if err := in.allocReplaced(s, old, nw, 1); err != nil {
+			return nil, err
+		}
+		return strings.Replace(s, old, nw, 1), nil
 	}
 	stringMethods["replaceAll"] = func(in *Interp, this Value, args []Value) (Value, error) {
 		s := this.(string)
 		old, _ := arg(args, 0).(string)
-		nw := ToString(arg(args, 1))
-		out := strings.ReplaceAll(s, old, nw)
-		in.alloc(len(out))
-		return out, nil
+		nw, err := in.toString(arg(args, 1))
+		if err != nil {
+			return nil, err
+		}
+		if err := in.allocReplaced(s, old, nw, -1); err != nil {
+			return nil, err
+		}
+		return strings.ReplaceAll(s, old, nw), nil
 	}
 	stringMethods["substring"] = stringMethods["slice"]
 	stringMethods["padStart"] = func(in *Interp, this Value, args []Value) (Value, error) {
 		s := this.(string)
-		n := int(ToNumber(arg(args, 0)))
-		pad := " "
-		if p, ok := arg(args, 1).(string); ok && p != "" {
-			pad = p
+		fill, k, err := in.padding(s, args)
+		if err != nil {
+			return nil, err
 		}
-		for len(s) < n {
-			s = pad + s
-			if len(s) > n {
-				s = s[len(s)-n:]
-			}
-		}
-		in.alloc(len(s))
-		return s, nil
+		return fill[len(fill)-k:] + s, nil
 	}
 	stringMethods["padEnd"] = func(in *Interp, this Value, args []Value) (Value, error) {
 		s := this.(string)
-		n := int(ToNumber(arg(args, 0)))
-		pad := " "
-		if p, ok := arg(args, 1).(string); ok && p != "" {
-			pad = p
+		fill, k, err := in.padding(s, args)
+		if err != nil {
+			return nil, err
 		}
-		for len(s) < n {
-			s = s + pad
-			if len(s) > n {
-				s = s[:n]
-			}
-		}
-		in.alloc(len(s))
-		return s, nil
+		return s + fill[:k], nil
 	}
 
 	arrayMethods["sort"] = func(in *Interp, this Value, args []Value) (Value, error) {
 		a := this.(*Array)
 		cmp, hasCmp := arg(args, 0).(*Closure)
+		if !hasCmp {
+			return a, in.sortByString(a)
+		}
 		var sortErr error
 		sortStable(a.Elems, func(x, y Value) bool {
 			if sortErr != nil {
 				return false
 			}
-			if hasCmp {
-				v, err := in.CallValue(cmp, Undefined{}, []Value{x, y})
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				return ToNumber(v) < 0
+			v, err := in.CallValue(cmp, Undefined{}, []Value{x, y})
+			if err != nil {
+				sortErr = err
+				return false
 			}
-			return ToString(x) < ToString(y) // JS default: string order
+			return ToNumber(v) < 0
 		})
 		if sortErr != nil {
 			return nil, sortErr
@@ -694,7 +768,18 @@ func init() {
 	}
 	arrayMethods["flat"] = func(in *Interp, this Value, args []Value) (Value, error) {
 		a := this.(*Array)
-		out := &Array{}
+		n := 0
+		for _, e := range a.Elems {
+			if inner, ok := e.(*Array); ok {
+				n += len(inner.Elems)
+			} else {
+				n++
+			}
+		}
+		if err := in.alloc(24 + 16*n); err != nil {
+			return nil, err
+		}
+		out := &Array{Elems: make([]Value, 0, n)}
 		for _, e := range a.Elems {
 			if inner, ok := e.(*Array); ok {
 				out.Elems = append(out.Elems, inner.Elems...)
@@ -702,17 +787,75 @@ func init() {
 				out.Elems = append(out.Elems, e)
 			}
 		}
-		in.alloc(24 + 16*len(out.Elems))
 		return out, nil
 	}
 }
 
-// sortStable is an insertion sort: stable, no reflection, fine for the
-// array sizes guest functions use.
-func sortStable(v []Value, less func(a, b Value) bool) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && less(v[j], v[j-1]); j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
+// padding prices the result of s.padStart/padEnd(args) and returns the
+// pad string repeated to cover the k bytes the result adds to s.
+func (in *Interp) padding(s string, args []Value) (fill string, k int, err error) {
+	n := int(ToNumber(arg(args, 0)))
+	if n <= len(s) {
+		return "", 0, in.alloc(len(s))
 	}
+	if err := in.alloc(n); err != nil {
+		return "", 0, err
+	}
+	pad := " "
+	if p, ok := arg(args, 1).(string); ok && p != "" {
+		pad = p
+	}
+	k = n - len(s)
+	return strings.Repeat(pad, (k+len(pad)-1)/len(pad)), k, nil
+}
+
+// allocReplaced prices strings.Replace(s, old, nw, n) before it is built.
+func (in *Interp) allocReplaced(s, old, nw string, n int) error {
+	count := strings.Count(s, old)
+	if n >= 0 && count > n {
+		count = n
+	}
+	if len(nw) <= len(old) {
+		return in.alloc(len(s) - count*(len(old)-len(nw)))
+	}
+	if count > (MaxHostBytes-len(s))/(len(nw)-len(old)) {
+		return ErrHostMemory
+	}
+	return in.alloc(len(s) + count*(len(nw)-len(old)))
+}
+
+// sortByString sorts a in JavaScript's default order, by the elements'
+// string renderings. Each element is rendered once, up front, so the
+// renderings are charged once rather than on every comparison.
+func (in *Interp) sortByString(a *Array) error {
+	type keyed struct {
+		key string
+		v   Value
+	}
+	ks := make([]keyed, len(a.Elems))
+	for i, v := range a.Elems {
+		s, err := in.toString(v)
+		if err != nil {
+			return err
+		}
+		ks[i] = keyed{s, v}
+	}
+	slices.SortStableFunc(ks, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
+	for i, k := range ks {
+		a.Elems[i] = k.v
+	}
+	return nil
+}
+
+// sortStable sorts v stably by less: an insertion sort up to 20
+// elements, so a guest comparator sees the calls it always saw, and a
+// merge of such runs above, so a large array does not cost the host
+// quadratic time.
+func sortStable(v []Value, less func(a, b Value) bool) {
+	slices.SortStableFunc(v, func(a, b Value) int {
+		if less(a, b) {
+			return -1
+		}
+		return 0
+	})
 }

@@ -3,6 +3,9 @@ package lang
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
+	"unicode/utf8"
 )
 
 // Hooks connect the interpreter to its host. Inside a UC the host is
@@ -39,11 +42,55 @@ type Interp struct {
 	hooks    Hooks
 	steps    int64
 	maxSteps int64
+	depth    int   // call-depth units held by the guest calls in progress
+	heap     int64 // host bytes charged since the host last entered the guest
+	grown    int64 // host bytes of array slots grown over the interpreter's life
 }
 
 // ErrTooManySteps aborts runaway scripts (the platform's execution
 // time limit).
 var ErrTooManySteps = errors.New("minijs: step budget exhausted")
+
+// A guest runs inside the host process, so what it can make the host do
+// is bounded here, not by the operating system. Past either bound the
+// guest stops with an error no try/catch can intercept, and the
+// platform destroys its UC as it does on a deadline kill.
+var (
+	// ErrCallDepth is returned when guest recursion passes MaxCallDepth.
+	ErrCallDepth = errors.New("minijs: maximum call stack size exceeded")
+	// ErrHostMemory is returned when one entry into the guest would
+	// charge more than MaxHostBytes.
+	ErrHostMemory = errors.New("minijs: host memory budget exhausted")
+)
+
+// MaxCallDepth bounds guest recursion, as V8's stack limit bounds Node's
+// (about 10 000 frames of a one-line recursive function). A call costs
+// one unit, plus one per nestUnit levels of static nesting in the
+// function's body, because the evaluator recurses once per level: a
+// unit is then at most a few KB of goroutine stack, and the deepest
+// recursion any guest can write stays under 64 MB of it
+// (TestCallDepthBoundsHostStack), where reaching Go's own 1 GB limit
+// would crash the whole process. The parser records each body's nesting
+// so that the evaluator pays for the bound once per call: a counter
+// kept by eval and execStmt themselves, once per node, made
+// BenchmarkInterpreterNOP 4% slower (median of six alternating runs on
+// a 2-vCPU VM).
+const MaxCallDepth = 10_000
+
+// nestUnit is how many levels of static nesting one call-depth unit
+// covers; see MaxCallDepth. A one-line body nests about 8 levels.
+const nestUnit = 16
+
+// MaxHostBytes bounds the host memory one entry into the guest (an
+// invocation, a module evaluation) may charge for the strings, arrays
+// and objects it builds and for the values it renders as strings. The
+// charge is made before the value is built, so a guest that doubles a
+// string forty times stops at 64 MiB instead of being killed by the
+// operating system. An invocation of the workload corpus charges under
+// 1 KB. Array slots that an index or a length creates are the one thing
+// a guest keeps that the guest heap does not price (see grow), so they
+// are also held to MaxHostBytes over the interpreter's whole life.
+const MaxHostBytes = 64 << 20
 
 // DefaultStepBudget is the interpreter's lifetime step budget before a
 // caller installs a per-invocation limit (LimitSteps).
@@ -109,17 +156,92 @@ func (in *Interp) step(n int) error {
 	return nil
 }
 
-func (in *Interp) alloc(n int) {
+// alloc charges n bytes of a value about to be built: to the host
+// budget, then to the guest heap through the Alloc hook.
+func (in *Interp) alloc(n int) error {
+	if err := in.charge(n); err != nil {
+		return err
+	}
 	if in.hooks.Alloc != nil {
 		in.hooks.Alloc(n)
 	}
+	return nil
 }
+
+// allocN is alloc for count items of size bytes each, without overflow.
+func (in *Interp) allocN(count, size int) error {
+	if count < 0 || count > MaxHostBytes/size {
+		return ErrHostMemory
+	}
+	return in.alloc(count * size)
+}
+
+// charge counts n host bytes against MaxHostBytes without charging the
+// guest heap: growth the guest heap model never priced still costs the
+// host.
+func (in *Interp) charge(n int) error {
+	if n < 0 || in.heap+int64(n) > MaxHostBytes {
+		return ErrHostMemory
+	}
+	in.heap += int64(n)
+	return nil
+}
+
+// grow charges the host for n more array slots. The guest heap model
+// prices a slot when it is assigned, not when an index or a length
+// creates it, so the guest heap is not charged here. A guest can keep
+// such slots across invocations in a global, where no per-entry budget
+// sees them, so they also count against the interpreter's lifetime
+// bound: past it the UC is destroyed, and its successor starts at zero.
+func (in *Interp) grow(n int) error {
+	if n <= 0 {
+		return nil
+	}
+	if n > MaxHostBytes/16 || in.grown+16*int64(n) > MaxHostBytes {
+		return ErrHostMemory
+	}
+	if err := in.charge(16 * n); err != nil {
+		return err
+	}
+	in.grown += 16 * int64(n)
+	return nil
+}
+
+// toString is ToString for a value the guest renders. Rendering an
+// array, an object or a function builds a new string, so it is bounded
+// by what is left of the host budget and charged to it; a string
+// renders as itself and a primitive as a few bytes, uncharged. A caller
+// that hands the result to the guest prices it again with alloc.
+func (in *Interp) toString(v Value) (string, error) {
+	switch t := v.(type) {
+	case string:
+		return t, nil
+	case float64, bool, Null, Undefined, nil:
+		return ToString(v), nil
+	case *Array:
+		var sb strings.Builder
+		joinTo(&sb, t, ",", 0, in.room())
+		return sb.String(), in.charge(sb.Len())
+	}
+	s := ToString(v)
+	return s, in.charge(len(s))
+}
+
+// room is how many bytes the host budget has left in this entry.
+func (in *Interp) room() int { return int(MaxHostBytes - in.heap) }
+
+// enter starts a host entry into the guest: the host budget is per
+// entry, so a long-lived UC never exhausts it across invocations.
+func (in *Interp) enter() { in.heap = 0 }
 
 // Run parses nothing — callers Parse first — and executes the program
 // in the global scope, charging its compiled size to the guest heap.
 // The value of the last expression statement is returned.
 func (in *Interp) Run(prog *Program) (Value, error) {
-	in.alloc(TreeSize(prog))
+	in.enter()
+	if err := in.alloc(TreeSize(prog)); err != nil {
+		return nil, err
+	}
 	var last Value = Undefined{}
 	for _, stmt := range prog.Body {
 		v, err := in.execStmt(stmt, in.globals)
@@ -152,6 +274,7 @@ func (in *Interp) CallGlobal(name string, args []Value) (Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("minijs: %s is not defined", name)
 	}
+	in.enter()
 	return in.CallValue(fn, Undefined{}, args)
 }
 
@@ -159,30 +282,44 @@ func (in *Interp) CallGlobal(name string, args []Value) (Value, error) {
 func (in *Interp) CallValue(fn Value, this Value, args []Value) (Value, error) {
 	switch f := fn.(type) {
 	case *Closure:
-		env := NewEnv(f.Env)
-		in.alloc(48 + 16*len(args))
-		for i, p := range f.Fn.Params {
-			if i < len(args) {
-				env.Define(p, args[i])
-			} else {
-				env.Define(p, Undefined{})
-			}
+		units := 1 + f.Fn.Nesting/nestUnit
+		if in.depth+units > MaxCallDepth {
+			return nil, ErrCallDepth
 		}
-		env.Define("arguments", &Array{Elems: args})
-		for _, stmt := range f.Fn.Body {
-			if _, err := in.execStmt(stmt, env); err != nil {
-				if r, ok := err.(returnErr); ok {
-					return r.v, nil
-				}
-				return nil, err
-			}
-		}
-		return Undefined{}, nil
+		in.depth += units
+		v, err := in.callClosure(f, args)
+		in.depth -= units
+		return v, err
 	case *Builtin:
 		return f.Fn(in, this, args)
 	default:
-		return nil, &ThrowError{Value: ToString(fn) + " is not a function"}
+		return nil, &ThrowError{Value: describe(fn) + " is not a function"}
 	}
+}
+
+// callClosure runs a guest function's body in a fresh scope.
+func (in *Interp) callClosure(f *Closure, args []Value) (Value, error) {
+	env := NewEnv(f.Env)
+	if err := in.allocN(len(args)+3, 16); err != nil { // 48 + 16 per argument
+		return nil, err
+	}
+	for i, p := range f.Fn.Params {
+		if i < len(args) {
+			env.Define(p, args[i])
+		} else {
+			env.Define(p, Undefined{})
+		}
+	}
+	env.Define("arguments", &Array{Elems: args})
+	for _, stmt := range f.Fn.Body {
+		if _, err := in.execStmt(stmt, env); err != nil {
+			if r, ok := err.(returnErr); ok {
+				return r.v, nil
+			}
+			return nil, err
+		}
+	}
+	return Undefined{}, nil
 }
 
 // execStmt executes one statement and returns its value (for ExprStmt).
@@ -200,7 +337,9 @@ func (in *Interp) execStmt(n Node, env *Env) (Value, error) {
 				return nil, err
 			}
 		}
-		in.alloc(24)
+		if err := in.alloc(24); err != nil {
+			return nil, err
+		}
 		env.Define(t.Name, v)
 		return Undefined{}, nil
 	case *ExprStmt:
@@ -388,36 +527,65 @@ func (in *Interp) execForIn(t *ForIn, env *Env) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	var items []Value
-	if t.Of {
-		switch s := src.(type) {
-		case *Array:
-			items = append(items, s.Elems...)
-		case string:
-			for _, r := range s {
-				items = append(items, string(r))
-			}
-		default:
-			return nil, &ThrowError{Value: "for-of over non-iterable"}
+	// Items are produced as the loop runs, from a snapshot of an array's
+	// elements or an object's keys: a string of n bytes or an array of n
+	// slots must not cost the host n values up front.
+	var next func() (Value, bool)
+	i := 0
+	switch s := src.(type) {
+	case *Array:
+		elems := s.Elems
+		if t.Of {
+			elems = slices.Clone(elems)
 		}
-	} else {
-		switch s := src.(type) {
-		case *Object:
-			for _, k := range s.Keys() {
-				items = append(items, k)
+		next = func() (Value, bool) {
+			if i == len(elems) {
+				return nil, false
 			}
-		case *Array:
-			for i := range s.Elems {
-				items = append(items, formatNumber(float64(i)))
+			i++
+			if t.Of {
+				return elems[i-1], true
 			}
-		default:
+			return formatNumber(float64(i - 1)), true
+		}
+	case string:
+		if !t.Of {
 			return nil, &ThrowError{Value: "for-in over non-object"}
 		}
+		next = func() (Value, bool) {
+			if i == len(s) {
+				return nil, false
+			}
+			r, size := utf8.DecodeRuneInString(s[i:])
+			i += size
+			return string(r), true
+		}
+	case *Object:
+		if t.Of {
+			return nil, &ThrowError{Value: "for-of over non-iterable"}
+		}
+		keys := s.Keys()
+		next = func() (Value, bool) {
+			if i == len(keys) {
+				return nil, false
+			}
+			i++
+			return keys[i-1], true
+		}
+	default:
+		if t.Of {
+			return nil, &ThrowError{Value: "for-of over non-iterable"}
+		}
+		return nil, &ThrowError{Value: "for-in over non-object"}
 	}
 	loopEnv := NewEnv(env)
 	loopEnv.Define(t.Var, Undefined{})
-	for _, item := range items {
-		loopEnv.Define(t.Var, item)
+	for {
+		v, ok := next()
+		if !ok {
+			return Undefined{}, nil
+		}
+		loopEnv.Define(t.Var, v)
 		if err := in.execBlock(t.Body, loopEnv); err != nil {
 			if _, ok := err.(breakErr); ok {
 				return Undefined{}, nil
@@ -428,7 +596,6 @@ func (in *Interp) execForIn(t *ForIn, env *Env) (Value, error) {
 			return nil, err
 		}
 	}
-	return Undefined{}, nil
 }
 
 // eval evaluates an expression.
@@ -451,10 +618,12 @@ func (in *Interp) eval(n Node, env *Env) (Value, error) {
 		if v, ok := env.Get(t.Name); ok {
 			return v, nil
 		}
-		return nil, &ThrowError{Value: t.Name + " is not defined"}
+		return nil, &ThrowError{Value: describe(t.Name) + " is not defined"}
 	case *ArrayLit:
+		if err := in.alloc(24 + 16*len(t.Elems)); err != nil {
+			return nil, err
+		}
 		arr := &Array{Elems: make([]Value, 0, len(t.Elems))}
-		in.alloc(24 + 16*len(t.Elems))
 		for _, e := range t.Elems {
 			v, err := in.eval(e, env)
 			if err != nil {
@@ -464,19 +633,25 @@ func (in *Interp) eval(n Node, env *Env) (Value, error) {
 		}
 		return arr, nil
 	case *ObjectLit:
+		if err := in.alloc(48); err != nil {
+			return nil, err
+		}
 		obj := NewObject()
-		in.alloc(48)
 		for i, k := range t.Keys {
 			v, err := in.eval(t.Values[i], env)
 			if err != nil {
 				return nil, err
 			}
-			in.alloc(32 + len(k))
+			if err := in.alloc(32 + len(k)); err != nil {
+				return nil, err
+			}
 			obj.Set(k, v)
 		}
 		return obj, nil
 	case *FuncLit:
-		in.alloc(64)
+		if err := in.alloc(64); err != nil {
+			return nil, err
+		}
 		return &Closure{Fn: t, Env: env}, nil
 	case *Unary:
 		return in.evalUnary(t, env)
@@ -576,13 +751,20 @@ func applyBinary(in *Interp, op string, lhs, rhs Value) (Value, error) {
 		ls, lok := lhs.(string)
 		rs, rok := rhs.(string)
 		if lok || rok {
+			var err error
 			if !lok {
-				ls = ToString(lhs)
+				if ls, err = in.toString(lhs); err != nil {
+					return nil, err
+				}
 			}
 			if !rok {
-				rs = ToString(rhs)
+				if rs, err = in.toString(rhs); err != nil {
+					return nil, err
+				}
 			}
-			in.alloc(len(ls) + len(rs))
+			if err := in.alloc(len(ls) + len(rs)); err != nil {
+				return nil, err
+			}
 			return ls + rs, nil
 		}
 		return ToNumber(lhs) + ToNumber(rhs), nil

@@ -4,9 +4,31 @@ import "fmt"
 
 // parser is a recursive-descent / Pratt parser for MiniJS.
 type parser struct {
-	toks []Token
-	pos  int
+	toks    []Token
+	pos     int
+	depth   int // statement and expression levels open; see nest
+	deepest int // the highest depth reached, for FuncLit.Nesting
 }
+
+// maxNesting bounds how deeply statements and expressions nest. The
+// parser recurses once per level and the evaluator once per level of
+// the tree it builds, so without a bound 1 MiB of "((((" would take
+// either one deeper than a goroutine stack can grow, and that is a
+// crash of the whole process. Past the bound the source is a syntax
+// error. A parenthesis opens two levels.
+const maxNesting = 512
+
+// nest opens one level of nesting; unnest closes it.
+func (p *parser) nest() error {
+	if p.depth == maxNesting {
+		return p.errHere("statements and expressions nest too deeply")
+	}
+	p.depth++
+	p.deepest = max(p.deepest, p.depth)
+	return nil
+}
+
+func (p *parser) unnest() { p.depth-- }
 
 // Parse compiles MiniJS source into a Program. This is the "import and
 // compile the function code" step of a cold invocation.
@@ -66,6 +88,10 @@ func (p *parser) errHere(msg string) error {
 // ---- statements ----
 
 func (p *parser) statement() (Node, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	t := p.cur()
 	if t.Kind == TokKeyword {
 		switch t.Text {
@@ -213,11 +239,20 @@ func (p *parser) funcRest(name string) (*FuncLit, error) {
 	if _, err := p.expect(TokPunct, ")"); err != nil {
 		return nil, err
 	}
-	body, err := p.block()
+	return p.funcBody(&FuncLit{Name: name, Params: params}, p.block)
+}
+
+// funcBody parses fn's body with body and records how deeply it nests.
+func (p *parser) funcBody(fn *FuncLit, body func() ([]Node, error)) (*FuncLit, error) {
+	outer := p.deepest
+	p.deepest = p.depth
+	stmts, err := body()
 	if err != nil {
 		return nil, err
 	}
-	return &FuncLit{Name: name, Params: params, Body: body}, nil
+	fn.Body, fn.Nesting = stmts, p.deepest-p.depth
+	p.deepest = max(outer, p.deepest)
+	return fn, nil
 }
 
 func (p *parser) block() ([]Node, error) {
@@ -494,6 +529,10 @@ func (p *parser) tryStmt() (Node, error) {
 func (p *parser) expression() (Node, error) { return p.assignExpr() }
 
 func (p *parser) assignExpr() (Node, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	lhs, err := p.condExpr()
 	if err != nil {
 		return nil, err
@@ -565,6 +604,10 @@ func (p *parser) binaryExpr(minPrec int) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each operator wraps the tree so far: a left-deep chain the
+	// evaluator descends one level per link.
+	links := 0
+	defer func() { p.depth -= links }()
 	for {
 		t := p.cur()
 		if t.Kind != TokPunct {
@@ -575,6 +618,10 @@ func (p *parser) binaryExpr(minPrec int) (Node, error) {
 			return lhs, nil
 		}
 		p.next()
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		links++
 		rhs, err := p.binaryExpr(prec + 1)
 		if err != nil {
 			return nil, err
@@ -588,6 +635,10 @@ func (p *parser) binaryExpr(minPrec int) (Node, error) {
 }
 
 func (p *parser) unaryExpr() (Node, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	t := p.cur()
 	if t.Kind == TokPunct && (t.Text == "-" || t.Text == "+" || t.Text == "!" || t.Text == "~") {
 		p.next()
@@ -640,7 +691,17 @@ func (p *parser) callExpr() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Calls, members and indexes wrap e: a left-deep chain, as in
+	// binaryExpr.
+	links := 0
+	defer func() { p.depth -= links }()
 	for {
+		if p.at(TokPunct, "(") || p.at(TokPunct, ".") || p.at(TokPunct, "[") {
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
+			links++
+		}
 		switch {
 		case p.accept(TokPunct, "("):
 			var args []Node
@@ -690,7 +751,7 @@ func (p *parser) primary() (Node, error) {
 		return &StringLit{Value: t.Text}, nil
 	case TokTemplate:
 		p.next()
-		return parseTemplate(t)
+		return p.template(t)
 	case TokKeyword:
 		switch t.Text {
 		case "true":
@@ -715,6 +776,10 @@ func (p *parser) primary() (Node, error) {
 		case "new":
 			// MiniJS treats `new F(args)` as a plain call.
 			p.next()
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
+			defer p.unnest()
 			return p.callExpr()
 		}
 	case TokIdent:
@@ -766,23 +831,34 @@ func (p *parser) primary() (Node, error) {
 	return nil, p.errHere(fmt.Sprintf("unexpected token %q", t.Text))
 }
 
-// parseTemplate desugars a template literal into nested string
+// template desugars a template literal into nested string
 // concatenation: `a${x}b` → "a" + (x) + "b". Holes are parsed as full
-// expressions.
-func parseTemplate(t Token) (Node, error) {
+// expressions, nesting inside the literal.
+func (p *parser) template(t Token) (Node, error) {
 	body := t.Text
 	var node Node = &StringLit{Value: ""}
-	appendNode := func(n Node) {
+	links := 0 // each piece wraps node one level deeper, as in binaryExpr
+	defer func() { p.depth -= links }()
+	appendNode := func(n Node) error {
+		if err := p.nest(); err != nil {
+			return err
+		}
+		links++
 		node = &Binary{Op: "+", LHS: node, RHS: n}
+		return nil
 	}
 	for len(body) > 0 {
 		idx := indexHole(body)
 		if idx < 0 {
-			appendNode(&StringLit{Value: body})
+			if err := appendNode(&StringLit{Value: body}); err != nil {
+				return nil, err
+			}
 			break
 		}
 		if idx > 0 {
-			appendNode(&StringLit{Value: body[:idx]})
+			if err := appendNode(&StringLit{Value: body[:idx]}); err != nil {
+				return nil, err
+			}
 		}
 		rest := body[idx+2:] // past "${"
 		depth := 1
@@ -809,7 +885,7 @@ func parseTemplate(t Token) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		hp := &parser{toks: toks}
+		hp := &parser{toks: toks, depth: p.depth, deepest: p.deepest}
 		expr, err := hp.expression()
 		if err != nil {
 			return nil, err
@@ -817,7 +893,10 @@ func parseTemplate(t Token) (Node, error) {
 		if !hp.at(TokEOF, "") {
 			return nil, &SyntaxError{Msg: "trailing tokens in template hole", Line: t.Line, Col: t.Col}
 		}
-		appendNode(expr)
+		p.deepest = hp.deepest
+		if err := appendNode(expr); err != nil {
+			return nil, err
+		}
 		body = rest[end+1:]
 	}
 	if len(t.Text) == 0 {
@@ -899,16 +978,19 @@ func (p *parser) tryArrowParams() ([]string, bool) {
 }
 
 func (p *parser) arrowBody(params []string) (Node, error) {
-	if p.at(TokPunct, "{") {
-		body, err := p.block()
-		if err != nil {
-			return nil, err
+	body := p.block
+	if !p.at(TokPunct, "{") {
+		body = func() ([]Node, error) {
+			expr, err := p.assignExpr()
+			if err != nil {
+				return nil, err
+			}
+			return []Node{&Return{Value: expr}}, nil
 		}
-		return &FuncLit{Params: params, Body: body}, nil
 	}
-	expr, err := p.assignExpr()
+	fn, err := p.funcBody(&FuncLit{Params: params}, body)
 	if err != nil {
 		return nil, err
 	}
-	return &FuncLit{Params: params, Body: []Node{&Return{Value: expr}}}, nil
+	return fn, nil
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Value is a MiniJS runtime value. Concrete types:
@@ -194,11 +195,9 @@ func ToString(v Value) string {
 	case string:
 		return t
 	case *Array:
-		parts := make([]string, len(t.Elems))
-		for i, e := range t.Elems {
-			parts[i] = ToString(e)
-		}
-		return strings.Join(parts, ",")
+		var sb strings.Builder
+		joinTo(&sb, t, ",", 0, MaxHostBytes)
+		return sb.String()
 	case *Object:
 		return "[object Object]"
 	case *Closure:
@@ -210,6 +209,63 @@ func ToString(v Value) string {
 		return "function " + t.Name
 	}
 	return fmt.Sprintf("%v", v)
+}
+
+// joinTo writes a's elements rendered by ToString and separated by sep.
+// Rendering is bounded, because a guest can build values whose
+// rendering the host cannot afford: an array nested deeper than the
+// parser's bound (an array that contains itself, say) renders as
+// nothing, as JavaScript renders a cycle, and rendering stops one byte
+// past limit, which the caller then refuses.
+func joinTo(sb *strings.Builder, a *Array, sep string, depth, limit int) {
+	if depth > maxNesting {
+		return
+	}
+	for i, e := range a.Elems {
+		if sb.Len() > limit {
+			return
+		}
+		if i > 0 {
+			writeCapped(sb, sep, limit)
+		}
+		if inner, ok := e.(*Array); ok {
+			joinTo(sb, inner, ",", depth+1, limit)
+		} else {
+			writeCapped(sb, ToString(e), limit)
+		}
+	}
+}
+
+// writeCapped writes s, or as much of it as takes sb one byte past
+// limit.
+func writeCapped(sb *strings.Builder, s string, limit int) {
+	if room := limit + 1 - sb.Len(); len(s) > room {
+		s = s[:max(room, 0)]
+	}
+	sb.WriteString(s)
+}
+
+// describeLimit bounds how much of a value an error message shows.
+const describeLimit = 64
+
+// describe renders v for an error message a guest can catch and keep:
+// at most describeLimit bytes and an ellipsis, so a message costs the
+// host no more than the error value carrying it, whatever v is.
+func describe(v Value) string {
+	s, ok := v.(string)
+	if !ok {
+		if a, isArray := v.(*Array); isArray {
+			var sb strings.Builder
+			joinTo(&sb, a, ",", 0, describeLimit)
+			s = sb.String()
+		} else {
+			s = ToString(v)
+		}
+	}
+	if len(s) > describeLimit {
+		return s[:describeLimit] + "..."
+	}
+	return s
 }
 
 func formatNumber(f float64) string {
@@ -306,13 +362,19 @@ func nullish(v Value) (isNullish, _ bool) {
 
 // JSONStringify renders a value as JSON; functions and undefined render
 // as null inside containers, matching JS closely enough for driver use.
+// Rendering is bounded as joinTo's is: a container nested deeper than
+// the parser's bound renders as null, and rendering stops once the
+// output passes MaxHostBytes.
 func JSONStringify(v Value) string {
 	var sb strings.Builder
-	writeJSON(&sb, v)
+	writeJSON(&sb, v, 0, MaxHostBytes)
 	return sb.String()
 }
 
-func writeJSON(sb *strings.Builder, v Value) {
+func writeJSON(sb *strings.Builder, v Value, depth, limit int) {
+	if sb.Len() > limit {
+		return
+	}
 	switch t := v.(type) {
 	case nil, Undefined, *Closure, *Builtin:
 		sb.WriteString("null")
@@ -327,30 +389,58 @@ func writeJSON(sb *strings.Builder, v Value) {
 	case float64:
 		sb.WriteString(formatNumber(t))
 	case string:
-		sb.WriteString(strconv.Quote(t))
+		writeQuoted(sb, t, limit)
 	case *Array:
+		if depth > maxNesting {
+			sb.WriteString("null")
+			return
+		}
 		sb.WriteByte('[')
 		for i, e := range t.Elems {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
-			writeJSON(sb, e)
+			writeJSON(sb, e, depth+1, limit)
 		}
 		sb.WriteByte(']')
 	case *Object:
+		if depth > maxNesting {
+			sb.WriteString("null")
+			return
+		}
 		sb.WriteByte('{')
 		for i, k := range t.keys {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
-			sb.WriteString(strconv.Quote(k))
+			writeQuoted(sb, k, limit)
 			sb.WriteByte(':')
-			writeJSON(sb, t.props[k])
+			writeJSON(sb, t.props[k], depth+1, limit)
 		}
 		sb.WriteByte('}')
 	default:
 		sb.WriteString("null")
 	}
+}
+
+// writeQuoted writes s as a quoted string literal, a piece at a time
+// so that quoting (up to six bytes per byte) never builds more than a
+// piece past limit. Pieces end on rune boundaries, so the output is
+// strconv.Quote(s)'s.
+func writeQuoted(sb *strings.Builder, s string, limit int) {
+	const piece = 4096
+	sb.WriteByte('"')
+	var buf []byte
+	for len(s) > 0 && sb.Len() <= limit {
+		n := min(len(s), piece)
+		for k := 0; k < utf8.UTFMax && n < len(s) && !utf8.RuneStart(s[n]); k++ {
+			n--
+		}
+		buf = strconv.AppendQuote(buf[:0], s[:n])
+		sb.Write(buf[1 : len(buf)-1])
+		s = s[n:]
+	}
+	sb.WriteByte('"')
 }
 
 // SortedKeys returns object keys sorted lexicographically (test helper

@@ -21,41 +21,42 @@ type DedupStats struct {
 	ZeroFrames int
 }
 
-// Scanner fingerprints frame contents, modeling a KSM pass over the
-// node's memory. Frames are registered as they materialize; Scan
+// Scanner fingerprints frame contents, modeling a KSM pass over one
+// store's memory. Frames are registered as they materialize; Scan
 // reports merge opportunities without performing merges (SEUSS never
-// merges retroactively).
+// merges retroactively). Like its store, a scanner belongs to the
+// store's goroutine.
 type Scanner struct {
-	frames map[FrameID]*Frame
+	st     *Store
+	frames map[Frame]struct{}
 }
 
-// NewScanner returns an empty scanner.
-func NewScanner() *Scanner {
-	return &Scanner{frames: make(map[FrameID]*Frame)}
+// NewScanner returns an empty scanner over st's frames.
+func NewScanner(st *Store) *Scanner {
+	return &Scanner{st: st, frames: make(map[Frame]struct{})}
 }
 
 // Track registers a frame for scanning.
-func (s *Scanner) Track(f *Frame) { s.frames[f.id] = f }
+func (s *Scanner) Track(f Frame) { s.frames[f] = struct{}{} }
 
 // Untrack removes a frame (freed or out of scope).
-func (s *Scanner) Untrack(id FrameID) { delete(s.frames, id) }
+func (s *Scanner) Untrack(f Frame) { delete(s.frames, f) }
 
 // Scan fingerprints every tracked live frame and reports duplicates.
 func (s *Scanner) Scan() DedupStats {
 	var stats DedupStats
 	seen := make(map[[32]byte]bool)
-	buf := make([]byte, PageSize)
-	for _, f := range s.frames {
-		if f.Refs() <= 0 {
+	for f := range s.frames {
+		if s.st.Refs(f) <= 0 {
 			continue
 		}
-		if !f.Materialized() {
+		content := s.st.Bytes(f)
+		if content == nil {
 			stats.ZeroFrames++
 			continue
 		}
 		stats.Scanned++
-		f.Read(0, buf)
-		sum := sha256.Sum256(buf)
+		sum := sha256.Sum256(content)
 		if seen[sum] {
 			stats.Duplicates++
 			stats.DuplicateBytes += PageSize

@@ -4,10 +4,10 @@ import "testing"
 
 func TestScannerFindsDuplicates(t *testing.T) {
 	st := NewStore(0)
-	sc := NewScanner()
-	mk := func(content byte) *Frame {
+	sc := NewScanner(st)
+	mk := func(content byte) Frame {
 		f := st.MustAlloc()
-		f.Write(0, []byte{content, content, content})
+		st.Write(f, 0, []byte{content, content, content})
 		sc.Track(f)
 		return f
 	}
@@ -31,9 +31,9 @@ func TestScannerFindsDuplicates(t *testing.T) {
 
 func TestScannerSkipsFreedFrames(t *testing.T) {
 	st := NewStore(0)
-	sc := NewScanner()
+	sc := NewScanner(st)
 	f := st.MustAlloc()
-	f.Write(0, []byte{9})
+	st.Write(f, 0, []byte{9})
 	sc.Track(f)
 	st.DecRef(f)
 	stats := sc.Scan()
@@ -44,11 +44,11 @@ func TestScannerSkipsFreedFrames(t *testing.T) {
 
 func TestScannerUntrack(t *testing.T) {
 	st := NewStore(0)
-	sc := NewScanner()
+	sc := NewScanner(st)
 	f := st.MustAlloc()
-	f.Write(0, []byte{7})
+	st.Write(f, 0, []byte{7})
 	sc.Track(f)
-	sc.Untrack(f.ID())
+	sc.Untrack(f)
 	if stats := sc.Scan(); stats.Scanned != 0 {
 		t.Errorf("scanned untracked frame: %+v", stats)
 	}
@@ -59,12 +59,12 @@ func TestScannerUntrack(t *testing.T) {
 // the same frame.
 func TestStructuralSharingLeavesNothingForKSM(t *testing.T) {
 	st := NewStore(0)
-	sc := NewScanner()
+	sc := NewScanner(st)
 
 	// One "snapshot" frame shared CoW by many consumers: a single
 	// frame, many references.
 	shared := st.MustAlloc()
-	shared.Write(0, []byte("interpreter page"))
+	st.Write(shared, 0, []byte("interpreter page"))
 	sc.Track(shared)
 	for i := 0; i < 100; i++ {
 		st.IncRef(shared) // 100 UCs map it
@@ -95,10 +95,10 @@ func TestStructuralSharingLeavesNothingForKSM(t *testing.T) {
 
 func TestAttachedScannerTracksLifecycle(t *testing.T) {
 	st := NewStore(0)
-	sc := NewScanner()
+	sc := NewScanner(st)
 	st.AttachScanner(sc)
 	a := st.MustAlloc()
-	a.Write(0, []byte("x"))
+	st.Write(a, 0, []byte("x"))
 	b, err := st.Clone(a)
 	if err != nil {
 		t.Fatal(err)

@@ -8,8 +8,8 @@ import (
 func TestAllocAndAccounting(t *testing.T) {
 	s := NewStore(0)
 	f := s.MustAlloc()
-	if f.Refs() != 1 {
-		t.Errorf("refs = %d, want 1", f.Refs())
+	if s.Refs(f) != 1 {
+		t.Errorf("refs = %d, want 1", s.Refs(f))
 	}
 	st := s.Stats()
 	if st.FramesInUse != 1 || st.BytesInUse != PageSize {
@@ -58,22 +58,22 @@ func TestUnlimitedStoreAvailable(t *testing.T) {
 func TestLazyMaterialization(t *testing.T) {
 	s := NewStore(0)
 	f := s.MustAlloc()
-	if f.Materialized() {
+	if s.Materialized(f) {
 		t.Error("fresh frame is materialized")
 	}
 	buf := make([]byte, 8)
-	f.Read(0, buf)
+	s.Read(f, 0, buf)
 	for _, b := range buf {
 		if b != 0 {
 			t.Fatal("unmaterialized frame read nonzero")
 		}
 	}
-	f.Write(100, []byte("hello"))
-	if !f.Materialized() {
+	s.Write(f, 100, []byte("hello"))
+	if !s.Materialized(f) {
 		t.Error("written frame not materialized")
 	}
 	got := make([]byte, 5)
-	f.Read(100, got)
+	s.Read(f, 100, got)
 	if string(got) != "hello" {
 		t.Errorf("read %q", got)
 	}
@@ -85,8 +85,8 @@ func TestLazyMaterialization(t *testing.T) {
 func TestEmptyWriteDoesNotMaterialize(t *testing.T) {
 	s := NewStore(0)
 	f := s.MustAlloc()
-	f.Write(0, nil)
-	if f.Materialized() {
+	s.Write(f, 0, nil)
+	if s.Materialized(f) {
 		t.Error("empty write materialized frame")
 	}
 }
@@ -99,7 +99,7 @@ func TestWriteOutOfBoundsPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	f.Write(PageSize-2, []byte("abc"))
+	s.Write(f, PageSize-2, []byte("abc"))
 }
 
 func TestReadOutOfBoundsPanics(t *testing.T) {
@@ -110,7 +110,7 @@ func TestReadOutOfBoundsPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	f.Read(-1, make([]byte, 1))
+	s.Read(f, -1, make([]byte, 1))
 }
 
 func TestRefCounting(t *testing.T) {
@@ -118,8 +118,8 @@ func TestRefCounting(t *testing.T) {
 	f := s.MustAlloc()
 	s.IncRef(f)
 	s.IncRef(f)
-	if f.Refs() != 3 {
-		t.Fatalf("refs = %d", f.Refs())
+	if s.Refs(f) != 3 {
+		t.Fatalf("refs = %d", s.Refs(f))
 	}
 	s.DecRef(f)
 	s.DecRef(f)
@@ -159,19 +159,19 @@ func TestIncRefOnFreedFramePanics(t *testing.T) {
 func TestCloneCopiesContent(t *testing.T) {
 	s := NewStore(0)
 	src := s.MustAlloc()
-	src.Write(0, []byte("original"))
+	s.Write(src, 0, []byte("original"))
 	dst, err := s.Clone(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 8)
-	dst.Read(0, got)
+	s.Read(dst, 0, got)
 	if string(got) != "original" {
 		t.Errorf("clone read %q", got)
 	}
 	// Mutating the clone must not affect the source (CoW isolation).
-	dst.Write(0, []byte("mutated!"))
-	src.Read(0, got)
+	s.Write(dst, 0, []byte("mutated!"))
+	s.Read(src, 0, got)
 	if string(got) != "original" {
 		t.Errorf("source corrupted by clone write: %q", got)
 	}
@@ -184,14 +184,14 @@ func TestCloneOfZeroFrameStaysLazy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dst.Materialized() {
+	if s.Materialized(dst) {
 		t.Error("clone of zero frame materialized")
 	}
 }
 
 func TestHighWaterMark(t *testing.T) {
 	s := NewStore(0)
-	var frames []*Frame
+	var frames []Frame
 	for i := 0; i < 10; i++ {
 		frames = append(frames, s.MustAlloc())
 	}
@@ -209,13 +209,13 @@ func TestHighWaterMark(t *testing.T) {
 
 func TestUniqueFrameIDs(t *testing.T) {
 	s := NewStore(0)
-	seen := map[FrameID]bool{}
+	seen := map[Frame]bool{}
 	for i := 0; i < 1000; i++ {
 		f := s.MustAlloc()
-		if seen[f.ID()] {
-			t.Fatalf("duplicate frame ID %d", f.ID())
+		if f == 0 || seen[f] {
+			t.Fatalf("frame number %d handed out twice, or zero", f)
 		}
-		seen[f.ID()] = true
+		seen[f] = true
 	}
 }
 
@@ -231,9 +231,9 @@ func TestQuickWriteReadRoundTrip(t *testing.T) {
 		}
 		f := s.MustAlloc()
 		defer s.DecRef(f)
-		f.Write(o, data)
+		s.Write(f, o, data)
 		got := make([]byte, len(data))
-		f.Read(o, got)
+		s.Read(f, o, got)
 		for i := range data {
 			if got[i] != data[i] {
 				return false
@@ -252,7 +252,7 @@ func TestQuickBudgetInvariant(t *testing.T) {
 	prop := func(ops []bool) bool {
 		const budget = 8 * PageSize
 		s := NewStore(budget)
-		var live []*Frame
+		var live []Frame
 		for _, alloc := range ops {
 			if alloc {
 				if f, err := s.Alloc(); err == nil {

@@ -3,12 +3,13 @@
 package mem
 
 // PoisonEnabled reports whether the store poisons freed payload buffers
-// and quarantines freed frame descriptors (build tag seusspoison).
+// and never reuses freed frame numbers (build tag seusspoison).
 const PoisonEnabled = false
 
-// framePoolEnabled gates descriptor recycling. In the default build,
-// descriptors are recycled for the allocation-free hot path.
-const framePoolEnabled = true
+// recycleNumbers gates frame-number reuse. In the default build freed
+// numbers are reused, last in first out, for the allocation-free hot
+// path.
+const recycleNumbers = true
 
 // poisonBuf is a no-op in the default build.
 func poisonBuf([]byte) {}

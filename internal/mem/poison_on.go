@@ -3,7 +3,7 @@
 package mem
 
 // PoisonEnabled reports whether the store poisons freed payload buffers
-// and quarantines freed frame descriptors (build tag seusspoison).
+// and never reuses freed frame numbers (build tag seusspoison).
 const PoisonEnabled = true
 
 // PoisonByte fills every freed payload buffer. A reader holding a
@@ -12,11 +12,10 @@ const PoisonEnabled = true
 // silent zero reads.
 const PoisonByte = 0xDB
 
-// framePoolEnabled gates descriptor recycling. Under seusspoison,
-// descriptors are quarantined (never recycled) so a stale *Frame handle
-// keeps its refs==0 state forever and the next IncRef/DecRef panics —
-// the same detection the garbage-collected build gave us for free.
-const framePoolEnabled = false
+// recycleNumbers gates frame-number reuse. Under seusspoison a freed
+// number is never handed out again, so a stale copy of it keeps a zero
+// reference count forever and the next IncRef/DecRef/Write panics.
+const recycleNumbers = false
 
 // poisonBuf fills a freed payload with the poison pattern.
 func poisonBuf(b []byte) {

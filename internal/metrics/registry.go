@@ -68,6 +68,7 @@ const (
 	CtrRequestsRerouted
 	CtrRequestsRequeued
 	CtrShardStalls
+	CtrRequestsOverloaded
 	// Scheduler placements and the snapshot fabric.
 	CtrSchedPlacementsCold
 	CtrSchedPlacementsRoute
@@ -193,6 +194,8 @@ var counterDescs = [NumCounters]desc{
 	CtrRequestsRerouted: {"seuss_requests_rerouted_total", "Requests diverted away from an open breaker.", ""},
 	CtrRequestsRequeued: {"seuss_requests_requeued_total", "Requests a stalled shard pushed back for a healthy shard.", ""},
 	CtrShardStalls:      {"seuss_shard_stalls_total", "Injected shard stalls.", ""},
+
+	CtrRequestsOverloaded: {"seuss_requests_overloaded_total", "Requests refused because their shard's queue stayed full past the admission deadline.", ""},
 
 	CtrSchedPlacementsCold:  {"seuss_sched_placements_total", "Scheduler placement decisions, by action.", `action="cold"`},
 	CtrSchedPlacementsRoute: {"seuss_sched_placements_total", "", `action="route"`},

@@ -24,9 +24,10 @@
 // host each kind is sized to what it maps, because a node.js function
 // keeps about a dozen private ones alive for as long as it is cached.
 // A PT (leaf) is nearly full — ~440 of 512 slots — so it is dense: 512
-// frame pointers, then 512 flag bytes in an array of their own, which
-// keeps the pointers the collector must scan to the first 4 KB of a
-// 4.6 KB object. The levels above are nearly empty — a root and a PDPT
+// frame numbers (mem.Frame is a uint32), 512 flag bytes and a header
+// whose accounting frame is a number too. That is 2.5 KB with no pointer
+// in it, which the collector never scans. The levels above are nearly
+// empty — a root and a PDPT
 // hold 2 children, a PD ~50 — so an interior node is sparse: a 512-bit
 // occupancy bitmap and the children that exist, packed in index order.
 // Slot i is occupied when bit i is set, and its child sits at the
@@ -90,7 +91,7 @@ const (
 
 const (
 	// maxPooledNodes bounds each of the per-lineage node free lists
-	// (8192 leaves ≈ 40 MB of host memory; beyond that, let the GC have
+	// (8192 leaves ≈ 22 MB of host memory; beyond that, let the GC have
 	// them).
 	maxPooledNodes = 8192
 	// maxPooledSpaces bounds recycled address-space shells.
@@ -116,7 +117,7 @@ func PageBase(va uint64) uint64 { return va &^ uint64(mem.PageSize-1) }
 // nodeHeader is what both node kinds carry: the count of parents that
 // reference the node, and the simulated frame it is charged as.
 type nodeHeader struct {
-	frame *mem.Frame
+	frame mem.Frame
 	refs  int32
 }
 
@@ -127,10 +128,10 @@ func (h *nodeHeader) header() *nodeHeader { return h }
 type tableNode interface{ header() *nodeHeader }
 
 // leaf is a PT: one entry per page of a 2 MB span. flags[i] describes
-// frames[i] and is zero while frames[i] is nil.
+// frames[i] and is zero while frames[i] is 0 (no frame).
 type leaf struct {
 	nodeHeader
-	frames [entriesPer]*mem.Frame
+	frames [entriesPer]mem.Frame
 	flags  [entriesPer]Flags
 }
 
@@ -379,7 +380,7 @@ func (as *AddressSpace) privatize(n tableNode) (tableNode, error) {
 		}
 		c.frames, c.flags = n.frames, n.flags
 		for _, f := range c.frames {
-			if f != nil {
+			if f != 0 {
 				as.st.IncRef(f)
 			}
 		}
@@ -411,17 +412,17 @@ func releaseNode(st *mem.Store, pool *structPool, n tableNode) {
 		}
 	case *leaf:
 		for _, f := range n.frames {
-			if f != nil {
+			if f != 0 {
 				st.DecRef(f)
 			}
 		}
-		n.frames, n.flags = [entriesPer]*mem.Frame{}, [entriesPer]Flags{}
+		n.frames, n.flags = [entriesPer]mem.Frame{}, [entriesPer]Flags{}
 		if len(pool.leaves) < maxPooledNodes {
 			pool.leaves = append(pool.leaves, n)
 		}
 	}
 	st.DecRef(h.frame)
-	h.frame = nil
+	h.frame = 0
 }
 
 // Release frees the address space: every shared node and frame loses one
@@ -485,7 +486,7 @@ func (as *AddressSpace) walk(va uint64, build bool) (*leaf, error) {
 // MapFrame installs frame at page-aligned va with the given flags,
 // taking a reference on the frame. An existing mapping is replaced (its
 // frame reference dropped).
-func (as *AddressSpace) MapFrame(va uint64, f *mem.Frame, flags Flags) error {
+func (as *AddressSpace) MapFrame(va uint64, f mem.Frame, flags Flags) error {
 	if as.frozen {
 		panic("pagetable: mutation of frozen address space")
 	}
@@ -498,7 +499,7 @@ func (as *AddressSpace) MapFrame(va uint64, f *mem.Frame, flags Flags) error {
 	}
 	i := index(va, 0)
 	listed := pt.flags[i] & flagDirtyListed // a replaced mapping stays on the dirty list
-	if old := pt.frames[i]; old != nil {
+	if old := pt.frames[i]; old != 0 {
 		as.st.DecRef(old)
 	} else {
 		as.mapped++
@@ -524,7 +525,7 @@ func (as *AddressSpace) Unmap(va uint64) error {
 	if err != nil {
 		return err
 	}
-	if pt == nil || pt.frames[i] == nil {
+	if pt == nil || pt.frames[i] == 0 {
 		return ErrNotMapped
 	}
 	// There is a mapping to remove: only now privatize the path to it.
@@ -541,7 +542,7 @@ func (as *AddressSpace) Unmap(va uint64) error {
 		}
 	}
 	as.st.DecRef(pt.frames[i])
-	pt.frames[i], pt.flags[i] = nil, 0
+	pt.frames[i], pt.flags[i] = 0, 0
 	as.mapped--
 	return nil
 }
@@ -549,14 +550,14 @@ func (as *AddressSpace) Unmap(va uint64) error {
 // Translate returns the frame and flags mapped at va's page, or ok=false.
 // It does not set the accessed bit (use Load/Store for access
 // semantics). The software dirty-list bookkeeping bit is masked out.
-func (as *AddressSpace) Translate(va uint64) (*mem.Frame, Flags, bool) {
+func (as *AddressSpace) Translate(va uint64) (mem.Frame, Flags, bool) {
 	pt, err := as.walk(PageBase(va), false)
 	if err != nil || pt == nil {
-		return nil, 0, false
+		return 0, 0, false
 	}
 	i := index(va, 0)
-	if pt.frames[i] == nil {
-		return nil, 0, false
+	if pt.frames[i] == 0 {
+		return 0, 0, false
 	}
 	return pt.frames[i], pt.flags[i] &^ flagDirtyListed, true
 }
@@ -581,10 +582,10 @@ func (as *AddressSpace) Load(va uint64, dst []byte) error {
 		}
 		if pt == nil {
 			zero(dst[:n])
-		} else if f := pt.frames[index(va, 0)]; f == nil {
+		} else if f := pt.frames[index(va, 0)]; f == 0 {
 			zero(dst[:n])
 		} else {
-			f.Read(off, dst[:n])
+			as.st.Read(f, off, dst[:n])
 		}
 		dst = dst[n:]
 		va += uint64(n)
@@ -616,7 +617,7 @@ func (as *AddressSpace) Store(va uint64, data []byte) error {
 		if err != nil {
 			return err
 		}
-		f.Write(off, data[:n])
+		as.st.Write(f, off, data[:n])
 		data = data[n:]
 		va += uint64(n)
 	}
@@ -643,22 +644,22 @@ func (as *AddressSpace) TouchRange(va uint64, size uint64) error {
 
 // faultForWrite makes the page at page-base va privately writable,
 // resolving demand-zero and CoW faults, and returns its frame.
-func (as *AddressSpace) faultForWrite(va uint64) (*mem.Frame, error) {
+func (as *AddressSpace) faultForWrite(va uint64) (mem.Frame, error) {
 	if as.frozen {
 		panic("pagetable: store to frozen address space")
 	}
 	pt, err := as.cache.at(as, va, true)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	i := index(va, 0)
 	flags := pt.flags[i]
 	switch {
-	case pt.frames[i] == nil:
+	case pt.frames[i] == 0:
 		// Demand-zero fault: allocate a fresh frame.
 		f, err := as.st.Alloc()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		pt.frames[i] = f
 		flags = FlagPresent | FlagWritable | FlagUser
@@ -669,14 +670,14 @@ func (as *AddressSpace) faultForWrite(va uint64) (*mem.Frame, error) {
 		// page dedicated exclusively to this UC (§5).
 		f, err := as.st.Clone(pt.frames[i])
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		as.st.DecRef(pt.frames[i])
 		pt.frames[i] = f
 		flags = (flags &^ FlagCoW) | FlagWritable
 		as.Faults.CoW++
 	case flags&FlagWritable == 0:
-		return nil, fmt.Errorf("pagetable: write protection fault at %#x", va)
+		return 0, fmt.Errorf("pagetable: write protection fault at %#x", va)
 	}
 	if flags&flagDirtyListed == 0 {
 		as.dirty = append(as.dirty, va)
@@ -746,7 +747,7 @@ func (si *SparseInstaller) Page(va uint64, content []byte) error {
 			si.lazy = append(si.lazy, va)
 			return nil
 		}
-		if f := si.pt.frames[index(va, 0)]; f == nil || !f.Materialized() {
+		if f := si.pt.frames[index(va, 0)]; f == 0 || !as.st.Materialized(f) {
 			si.lazy = append(si.lazy, va)
 			return nil
 		}
@@ -763,10 +764,10 @@ func (si *SparseInstaller) Page(va uint64, content []byte) error {
 		return err
 	}
 	if content != nil {
-		f.Write(0, content)
+		as.st.Write(f, 0, content)
 	}
 	i := index(va, 0)
-	if old := si.pt.frames[i]; old != nil {
+	if old := si.pt.frames[i]; old != 0 {
 		as.st.DecRef(old)
 	} else {
 		as.mapped++
@@ -811,7 +812,7 @@ func (as *AddressSpace) PrefetchWritable(vas []uint64) (int, error) {
 		i := index(va, 0)
 		flags := pt.flags[i]
 		switch {
-		case pt.frames[i] == nil:
+		case pt.frames[i] == 0:
 			f, err := as.st.Alloc()
 			if err != nil {
 				return resolved, err
@@ -925,7 +926,7 @@ func appendPresent(out []uint64, n tableNode, level int, prefix uint64) []uint64
 		})
 	case *leaf:
 		for i, f := range n.frames {
-			if f != nil {
+			if f != 0 {
 				out = append(out, prefix|uint64(i)<<shift)
 			}
 		}

@@ -126,7 +126,7 @@ func TestMapFrameAndTranslate(t *testing.T) {
 	st := mem.NewStore(0)
 	as, _ := New(st)
 	f := st.MustAlloc()
-	f.Write(0, []byte("shared"))
+	st.Write(f, 0, []byte("shared"))
 	if err := as.MapFrame(0x7000, f, FlagUser); err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +137,8 @@ func TestMapFrameAndTranslate(t *testing.T) {
 	if fl&FlagPresent == 0 {
 		t.Error("present not set")
 	}
-	if f.Refs() != 2 {
-		t.Errorf("frame refs = %d, want 2 (caller + mapping)", f.Refs())
+	if st.Refs(f) != 2 {
+		t.Errorf("frame refs = %d, want 2 (caller + mapping)", st.Refs(f))
 	}
 }
 
@@ -163,8 +163,8 @@ func TestUnmap(t *testing.T) {
 	if _, _, ok := as.Translate(0x7000); ok {
 		t.Error("still mapped")
 	}
-	if f.Refs() != 1 {
-		t.Errorf("refs = %d, want 1", f.Refs())
+	if st.Refs(f) != 1 {
+		t.Errorf("refs = %d, want 1", st.Refs(f))
 	}
 	if err := as.Unmap(0x7000); err != ErrNotMapped {
 		t.Errorf("double unmap err = %v", err)

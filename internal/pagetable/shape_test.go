@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -275,17 +276,36 @@ func TestUnmapOfUnmappedAddressBuildsNothing(t *testing.T) {
 }
 
 // TestNodeSizes pins what each node kind costs the host. A leaf is its
-// header, 512 frame pointers and then 512 flag bytes, in that order:
-// the collector scans an object up to its last pointer, so flags after
-// frames is what keeps a PT to 4 KB of mark work. An interior node with
-// up to inlineKids children is a single allocation.
+// header, 512 frame numbers and 512 flag bytes, and nothing in it is a
+// pointer, so the collector never scans the ~440 mappings a PT holds. An
+// interior node with up to inlineKids children is a single allocation.
 func TestNodeSizes(t *testing.T) {
 	var l leaf
-	if got, want := unsafe.Sizeof(l), unsafe.Sizeof(l.nodeHeader)+entriesPer*8+entriesPer; got != want {
+	if got, want := unsafe.Sizeof(l), unsafe.Sizeof(l.nodeHeader)+entriesPer*4+entriesPer; got != want {
 		t.Errorf("sizeof(leaf) = %d, want %d", got, want)
 	}
-	if unsafe.Offsetof(l.flags) < unsafe.Offsetof(l.frames) {
-		t.Error("leaf.flags precedes leaf.frames: the collector would scan the flag bytes too")
+	if got := unsafe.Sizeof(l.nodeHeader); got != 8 {
+		t.Errorf("sizeof(nodeHeader) = %d, want 8: an accounting frame number and a count", got)
+	}
+	var scanned func(reflect.Type, string) []string
+	scanned = func(typ reflect.Type, path string) []string {
+		switch typ.Kind() {
+		case reflect.Struct:
+			var out []string
+			for i := range typ.NumField() {
+				out = append(out, scanned(typ.Field(i).Type, path+"."+typ.Field(i).Name)...)
+			}
+			return out
+		case reflect.Array:
+			return scanned(typ.Elem(), path+"[]")
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint, reflect.Uintptr:
+			return nil
+		}
+		return []string{path + " (" + typ.String() + ")"}
+	}
+	if ptrs := scanned(reflect.TypeOf(l), "leaf"); len(ptrs) > 0 {
+		t.Errorf("leaf has fields the collector must scan: %v", ptrs)
 	}
 	if got := unsafe.Sizeof(interior{}); got > 176 {
 		t.Errorf("sizeof(interior) = %d, want <= 176", got)

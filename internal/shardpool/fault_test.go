@@ -2,6 +2,7 @@ package shardpool
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -275,6 +276,58 @@ func TestStallWithoutStealingFailsContained(t *testing.T) {
 	}
 	if !strings.Contains(res.Output, `"ok":true`) {
 		t.Errorf("retry output = %q", res.Output)
+	}
+}
+
+// TestOverloadedQueueShedsWithinDeadline: with its owner parked in a
+// control message and its queue full, a shard sheds the next invocation
+// with a contained, counted ErrOverloaded once AdmitDeadline passes,
+// instead of holding the caller for as long as the shard is stuck. The
+// queued requests are still served when the owner comes back.
+func TestOverloadedQueueShedsWithinDeadline(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.DisableWorkStealing = true
+	pool := newTestPool(t, cfg)
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	go pool.control(pool.shards, func(*shard) {
+		close(parked)
+		<-release
+	})
+	<-parked
+	errs := make(chan error, queueDepth)
+	for i := 0; i < queueDepth; i++ {
+		go func() {
+			_, err := pool.InvokeSync(fmt.Sprintf("queued/%d", i), nopSource, "{}")
+			errs <- err
+		}()
+	}
+	for len(pool.shards[0].reqs) < queueDepth {
+		time.Sleep(time.Millisecond)
+	}
+
+	start := time.Now()
+	_, err := pool.InvokeSync("late/fn", nopSource, "{}")
+	waited := time.Since(start)
+	if !errors.Is(err, ErrOverloaded) || !fault.IsContained(err) {
+		t.Fatalf("err = %v, want a contained ErrOverloaded", err)
+	}
+	if waited < AdmitDeadline || waited > 2*AdmitDeadline {
+		t.Errorf("shed after %v, want between %v and %v", waited, AdmitDeadline, 2*AdmitDeadline)
+	}
+
+	close(release)
+	for i := 0; i < queueDepth; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("queued request: %v", err)
+		}
+	}
+	st, err := pool.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Overloaded != 1 || st.Node.Cold != queueDepth {
+		t.Errorf("overloaded = %d, cold = %d; want 1 and %d", st.Overloaded, st.Node.Cold, queueDepth)
 	}
 }
 

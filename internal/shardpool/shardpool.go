@@ -70,6 +70,19 @@ import (
 // ErrClosed is returned for requests submitted after Close.
 var ErrClosed = errors.New("shardpool: pool closed")
 
+// ErrOverloaded is returned when a request's shard queue stays full for
+// AdmitDeadline. Contained and counted: the pool sheds the request
+// instead of holding its caller, and the caller may retry.
+var ErrOverloaded = errors.New("shardpool: overloaded")
+
+// AdmitDeadline bounds how long submit waits for room in a full shard
+// queue. A full queue is 128 requests, which a healthy shard drains in
+// tens of milliseconds (a cold invocation is about 150 µs of wall
+// time), so a request not admitted within a second is queued behind a
+// stalled shard or an offered load beyond capacity. Shedding it then
+// keeps the front door answering.
+const AdmitDeadline = time.Second
+
 // ErrShardStalled is returned when a stalled shard cannot re-route a
 // request (stealing disabled, or the requeue budget is exhausted in a
 // pool-wide fault storm). Contained: a retry may land on a healthy
@@ -182,6 +195,8 @@ type RoutingStats struct {
 	Requeued int64
 	// Stalls counts injected shard stalls.
 	Stalls int64
+	// Overloaded counts requests refused with ErrOverloaded.
+	Overloaded int64
 }
 
 // Stats is the pool-level aggregate.
@@ -635,7 +650,9 @@ func (s *shard) serve(r *request, stolen bool) {
 // submit routes a request: owner shard when its queue is shallow and
 // its breaker closed; the shared overflow queue when the owner is
 // backed up or its breaker is open (unless stealing is disabled). It
-// never blocks the pool shut-down path.
+// never blocks the pool shut-down path, and an invocation waits for
+// room in a full owner queue at most AdmitDeadline (control messages,
+// which carry no client, wait as long as it takes).
 func (p *Pool) submit(r *request, owner int) error {
 	if p.closed.Load() {
 		return ErrClosed
@@ -675,6 +692,22 @@ func (p *Pool) submit(r *request, owner int) error {
 	select {
 	case s.reqs <- r:
 		return nil
+	default:
+	}
+	// The owner's queue is full. Only now arm a timer, so the common
+	// path allocates nothing.
+	var expired <-chan time.Time
+	if r.control == nil {
+		t := time.NewTimer(AdmitDeadline)
+		defer t.Stop()
+		expired = t.C
+	}
+	select {
+	case s.reqs <- r:
+		return nil
+	case <-expired:
+		p.rec.Inc(metrics.CtrRequestsOverloaded)
+		return fault.Contain(ErrOverloaded)
 	case <-p.quit:
 		return ErrClosed
 	}
@@ -810,6 +843,7 @@ func (p *Pool) Stats() (Stats, error) {
 		Rerouted:     c[metrics.CtrRequestsRerouted],
 		Requeued:     c[metrics.CtrRequestsRequeued],
 		Stalls:       c[metrics.CtrShardStalls],
+		Overloaded:   c[metrics.CtrRequestsOverloaded],
 	}
 	return out, nil
 }

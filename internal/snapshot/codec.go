@@ -123,11 +123,12 @@ func (s *Snapshot) Export(w io.Writer) error {
 
 	pages := s.diffPageSet()
 	putU32(uint32(len(pages)))
+	st := s.space.Backing()
 	for _, pg := range pages {
 		putU64(pg.va)
-		// A nil frame is a lazy zero page (skipped at graft): wire-wise
+		// Frame 0 is a lazy zero page (skipped at graft): wire-wise
 		// identical to an unmaterialized frame, i.e. no content.
-		if content := pg.frameBytes(); content != nil {
+		if content := st.Bytes(pg.frame); content != nil {
 			scratch[0] = 1
 			cw.write(scratch[:1])
 			cw.write(content) // straight from the frame, no copy
@@ -146,14 +147,7 @@ func (s *Snapshot) Export(w io.Writer) error {
 
 type diffPage struct {
 	va    uint64
-	frame *mem.Frame // nil for a lazy zero page recorded in s.lazyZero
-}
-
-func (pg diffPage) frameBytes() []byte {
-	if pg.frame == nil {
-		return nil
-	}
-	return pg.frame.Bytes()
+	frame mem.Frame // 0 for a lazy zero page recorded in s.lazyZero
 }
 
 // diffPageSet walks the snapshot's space and its base's, collecting the

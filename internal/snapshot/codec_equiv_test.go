@@ -17,10 +17,10 @@ func buildTestSnapshot(t *testing.T, name string) (*Snapshot, *mem.Store) {
 	t.Helper()
 	st := mem.NewStore(0)
 	// Churn the frame pool so exported frames are recycled ones.
-	churn := make([]*mem.Frame, 32)
+	churn := make([]mem.Frame, 32)
 	for i := range churn {
 		churn[i] = st.MustAlloc()
-		churn[i].Write(0, []byte{0xEE, byte(i)})
+		st.Write(churn[i], 0, []byte{0xEE, byte(i)})
 	}
 	for _, f := range churn {
 		st.DecRef(f)
@@ -83,11 +83,12 @@ func referenceExport(s *Snapshot, w *bytes.Buffer) {
 	pages := s.diffPageSet()
 	binary.Write(&buf, binary.LittleEndian, uint32(len(pages)))
 	content := make([]byte, mem.PageSize)
+	st := s.space.Backing()
 	for _, pg := range pages {
 		binary.Write(&buf, binary.LittleEndian, pg.va)
-		if pg.frame.Materialized() {
+		if st.Materialized(pg.frame) {
 			buf.WriteByte(1)
-			pg.frame.Read(0, content)
+			st.Read(pg.frame, 0, content)
 			buf.Write(content)
 		} else {
 			buf.WriteByte(0)

@@ -87,7 +87,7 @@ type UC struct {
 	recycled bool
 	// meta holds the kernel-side frames backing the UC descriptor,
 	// event-context stacks, and proxy mappings.
-	meta []*mem.Frame
+	meta []mem.Frame
 	// stub is the fallback hypercall host created when a caller passed
 	// nil, remembered so kit recycling does not rebuild it per deploy.
 	stub hypercall.Host

@@ -153,6 +153,9 @@ require '^seuss_invocations_total{path="lukewarm"} 0$'
 require '^seuss_deploy_kit_lookups_total{result='
 require '^seuss_ucs_deployed_total '
 require '^seuss_trace_dropped_total 0$'
+# Admission control (DESIGN.md §7): two sequential requests never find a
+# shard queue full, so nothing is shed.
+require '^seuss_requests_overloaded_total 0$'
 # Scheduler and snapshot-fabric families (DESIGN.md §11). seuss-node
 # runs a single pool, not a cluster, so these counters are zero here —
 # the lint pins that the families are registered and rendered.

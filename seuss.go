@@ -265,6 +265,15 @@ func FaultPoints() []FaultPoint {
 	return out
 }
 
+// ErrOverloaded is returned by a NodePool invocation shed because its
+// shard's queue stayed full past AdmitDeadline. The request never ran;
+// retrying later is safe.
+var ErrOverloaded = shardpool.ErrOverloaded
+
+// AdmitDeadline is how long a NodePool invocation waits for room in a
+// full shard queue before it is shed with ErrOverloaded.
+const AdmitDeadline = shardpool.AdmitDeadline
+
 // NodePool is a shared-nothing pool of compute shards behind one front
 // door. Each shard is an independent (engine, memory store, node)
 // triple hydrated from a single encoded base-runtime snapshot, owned by
