@@ -910,28 +910,56 @@ func (as *AddressSpace) ResetFaults() FaultStats {
 }
 
 // PresentPages returns the sorted page-base addresses of every present
-// leaf mapping (the snapshot codec walks these to compute diffs).
+// leaf mapping.
 func (as *AddressSpace) PresentPages() []uint64 {
-	return appendPresent(make([]uint64, 0, as.mapped), as.root, levels-1, 0)
+	out := make([]uint64, 0, as.mapped)
+	as.WalkDiff(nil, func(va uint64, _ mem.Frame) { out = append(out, va) })
+	return out
 }
 
-// appendPresent appends the pages mapped under n, whose own slot starts
-// at prefix, in ascending order.
-func appendPresent(out []uint64, n tableNode, level int, prefix uint64) []uint64 {
+// WalkDiff calls visit, in ascending address order, with every present
+// page whose frame differs from the one base maps at the same address
+// (or that base does not map) — the pages a snapshot owns beyond its
+// base. The two trees are walked in parallel, and a subtree whose node
+// is base's node in the same slot is skipped unentered, so the walk
+// costs the table nodes this space has privatized, not the pages it
+// maps. A nil base visits every present page.
+func (as *AddressSpace) WalkDiff(base *AddressSpace, visit func(va uint64, f mem.Frame)) {
+	var other tableNode
+	if base != nil {
+		other = base.root
+	}
+	walkDiff(as.root, other, levels-1, 0, visit)
+}
+
+// walkDiff visits the pages under n, whose own slot starts at prefix,
+// that base (the node in the same slot of the other tree, or nil) maps
+// differently.
+func walkDiff(n, base tableNode, level int, prefix uint64, visit func(uint64, mem.Frame)) {
+	if n == base {
+		return
+	}
 	shift := uint(mem.PageShift + indexBits*level)
 	switch n := n.(type) {
 	case *interior:
+		b, _ := base.(*interior)
 		n.eachKid(func(idx int, kid tableNode) {
-			out = appendPresent(out, kid, level-1, prefix|uint64(idx)<<shift)
+			var bkid tableNode
+			if b != nil {
+				if r, ok := b.rank(idx); ok {
+					bkid = b.kids[r]
+				}
+			}
+			walkDiff(kid, bkid, level-1, prefix|uint64(idx)<<shift, visit)
 		})
 	case *leaf:
+		b, _ := base.(*leaf)
 		for i, f := range n.frames {
-			if f != 0 {
-				out = append(out, prefix|uint64(i)<<shift)
+			if f != 0 && (b == nil || b.frames[i] != f) {
+				visit(prefix|uint64(i)<<shift, f)
 			}
 		}
 	}
-	return out
 }
 
 // TableNodes returns the number of page-table nodes reachable from this

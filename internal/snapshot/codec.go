@@ -150,28 +150,20 @@ type diffPage struct {
 	frame mem.Frame // 0 for a lazy zero page recorded in s.lazyZero
 }
 
-// diffPageSet walks the snapshot's space and its base's, collecting the
-// pages whose frames differ, then merges in the lazy zero pages a
+// diffPageSet walks the snapshot's space and its base's in parallel,
+// collecting the pages whose frames differ without entering the table
+// nodes the two still share, then merges in the lazy zero pages a
 // sparse graft skipped — both lists are ascending, so the result is the
 // exact page sequence of the original wire encoding.
 func (s *Snapshot) diffPageSet() []diffPage {
-	var out []diffPage
 	var baseSpace *pagetable.AddressSpace
 	if s.base != nil {
 		baseSpace = s.base.space
 	}
-	for _, va := range s.space.PresentPages() {
-		f, _, ok := s.space.Translate(va)
-		if !ok {
-			continue
-		}
-		if baseSpace != nil {
-			if bf, _, bok := baseSpace.Translate(va); bok && bf == f {
-				continue // shared with the base: not part of the diff
-			}
-		}
+	out := make([]diffPage, 0, s.diffPages)
+	s.space.WalkDiff(baseSpace, func(va uint64, f mem.Frame) {
 		out = append(out, diffPage{va: va, frame: f})
-	}
+	})
 	if len(s.lazyZero) == 0 {
 		return out
 	}

@@ -60,16 +60,14 @@ func (s *Store) Layer(key string) (Layer, bool) {
 // HasDigest reports whether any resident entry's content has the given
 // digest — the dedup probe a fetch runs before shipping bytes.
 func (s *Store) HasDigest(digest uint64) bool {
-	file := fmt.Sprintf("%016x.snap", digest)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.man.Entries {
-		if e.File == file {
-			return true
-		}
-	}
-	return false
+	_, held := s.files[digestFile(digest)]
+	return held
 }
+
+// digestFile names the data file holding content with the given digest.
+func digestFile(digest uint64) string { return fmt.Sprintf("%016x.snap", digest) }
 
 // LinkDigest installs key as a new name for content already resident
 // under the given digest — the zero-byte-transfer half of a fetch.
@@ -80,61 +78,38 @@ func (s *Store) LinkDigest(key, base string, digest uint64) error {
 	if key == "" {
 		return fmt.Errorf("snapstore: empty key")
 	}
-	file := fmt.Sprintf("%016x.snap", digest)
+	file := digestFile(digest)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var src entry
-	found := false
-	for _, e := range s.man.Entries {
-		if e.File == file {
-			src, found = e, true
-			break
-		}
-	}
-	if !found {
+	src, ok := s.files[file]
+	if !ok {
 		return ErrNotFound
 	}
 	if prev, ok := s.man.Entries[key]; ok && prev.File == file {
 		// Already linked: refresh the LRU clock only.
-		s.man.Seq++
-		prev.Used = s.man.Seq
-		s.man.Entries[key] = prev
-		return s.syncLocked()
+		s.touchLocked(key, prev)
+		return nil
 	}
 	if s.cap >= 0 {
 		prevSize := int64(0)
 		if prev, ok := s.man.Entries[key]; ok {
 			prevSize = prev.Size
 		}
-		s.evictLocked(src.Size - prevSize)
-		if s.bytes-prevSize+src.Size > s.cap {
+		s.evictLocked(src.size - prevSize)
+		if s.bytes-prevSize+src.size > s.cap {
 			s.stats.PutRejected++
 			return ErrNoCapacity
 		}
 		// Eviction may have cascaded away every holder of the source
 		// file; linking to deleted bytes would serve ErrNotFound later.
-		found = false
-		for _, e := range s.man.Entries {
-			if e.File == file {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if _, ok := s.files[file]; !ok {
 			return ErrNotFound
 		}
 	}
-	if prev, ok := s.man.Entries[key]; ok {
-		s.bytes -= prev.Size
-		s.removeFileIfUnreferenced(prev.File, key)
-	}
 	s.man.Seq++
-	s.man.Entries[key] = entry{File: file, Base: base, Size: src.Size, CRC: src.CRC, Used: s.man.Seq}
-	s.bytes += src.Size
+	err := s.setLocked(key, entry{File: file, Base: base, Size: src.size, CRC: src.crc, Used: s.man.Seq})
 	s.stats.Puts++
-	s.stats.Entries = len(s.man.Entries)
-	s.stats.Bytes = s.bytes
-	return s.syncLocked()
+	return err
 }
 
 // PutFetched stores a layer received from a peer, verifying it before

@@ -10,18 +10,34 @@
 //
 // Layout of a store directory:
 //
-//	<dir>/manifest.json     index: key → {file, base, size, crc, used}
+//	<dir>/manifest.json     compacted index: key → {file, base, size, crc, used}
+//	<dir>/manifest.log      changes since: one JSON record per line, each
+//	                        setting a key to an entry or tombstoning it
 //	<dir>/<hash16>.snap     one encoded diff, named by FNV-64a of bytes
+//	<dir>/<hash16>.ws       its working-set sidecar, if any (workingset.go)
 //	<dir>/.tmp-*            in-flight writes (GC'd on Open)
 //
-// Crash safety: every write lands in a temp file first and is renamed
-// into place, data file before manifest, so a kill -9 at any instant
-// leaves either (a) a stray .tmp-* file (deleted on next Open), or (b)
-// a complete .snap file the manifest does not know about (adopted on
-// next Open by decoding its self-describing header). A torn or missing
-// manifest is never fatal: the store rebuilds it from the .snap files,
-// and entries whose bytes fail the codec CRC are deleted rather than
-// served.
+// A change to the entry set costs one appended record, not a rewrite of
+// the index. Open replays the log over manifest.json, stopping at the
+// first line that does not parse (a torn tail), then compacts: it
+// rewrites manifest.json from memory (temp + rename) and only then
+// truncates the log. Compaction also runs on Sync and whenever the log
+// holds more than twice as many records as there are entries. A touch
+// (an unchanged re-Put, a Get) moves the LRU clock in memory only; the
+// next compaction persists it.
+//
+// Crash safety against kill -9: data files land in a temp file that is
+// renamed into place before the record naming them is appended, and a
+// file is removed only after the tombstone that drops its last entry.
+// An eviction cascade drops dependents before their base. So a crash at
+// any instant leaves a stray .tmp-* file (deleted on Open), a complete
+// .snap file no record names (adopted on Open by decoding its
+// self-describing header), a torn last record, or a record whose file
+// is gone (dropped on Open) — never a diff without its base. Replaying
+// a record is idempotent, so a crash between a compaction's rename and
+// its truncate is harmless. Entries whose bytes fail the codec CRC are
+// deleted rather than served. Nothing is fsynced, so none of this holds
+// against power loss.
 //
 // A Store is safe for concurrent use. Gets for the same key are
 // single-flight: concurrent shards promoting one lineage share a single
@@ -29,6 +45,7 @@
 package snapstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -56,6 +73,7 @@ var ErrNoCapacity = errors.New("snapstore: over capacity")
 var ErrCorrupt = errors.New("snapstore: corrupt entry")
 
 const manifestName = "manifest.json"
+const logName = "manifest.log"
 const tmpPrefix = ".tmp-"
 
 // entry is one manifest record. File names are content addresses
@@ -73,6 +91,32 @@ type manifest struct {
 	Version int              `json:"version"`
 	Seq     uint64           `json:"seq"`
 	Entries map[string]entry `json:"entries"`
+}
+
+// logRecord is one line of manifest.log: Key now resolves to Set, or
+// to nothing when Set is absent (a tombstone).
+type logRecord struct {
+	Key string `json:"key"`
+	Set *entry `json:"set,omitempty"`
+}
+
+// fileRef is one content-addressed data file: how many entries address
+// it, and the size and CRC every one of them records.
+type fileRef struct {
+	refs int
+	size int64
+	crc  uint32
+}
+
+// crashPoint, when set, runs after every file-system step that changes
+// what a reopen would see. Tests use it to copy the directory at each
+// step a kill -9 could interrupt.
+var crashPoint func()
+
+func stepped() {
+	if crashPoint != nil {
+		crashPoint()
+	}
 }
 
 // Stats counts store activity since Open.
@@ -95,11 +139,17 @@ type Store struct {
 	dir string
 	cap int64 // <0: unlimited; 0: accepts nothing; >0: LRU bound
 
-	mu      sync.Mutex
-	man     manifest
-	bytes   int64
-	flights map[string]*flight
-	stats   Stats
+	mu    sync.Mutex
+	man   manifest
+	bytes int64
+	// files indexes the data files the entries address, so whether a
+	// file is held (dedup, fabric links, removal) is one lookup.
+	files     map[string]fileRef
+	diskBytes int64
+	log       *os.File // manifest.log, append-only; nil until Open has compacted
+	logRecs   int      // records appended since the last compaction
+	flights   map[string]*flight
+	stats     Stats
 	// wsCache holds decoded working-set records by sidecar file name.
 	// The store decodes every sidecar it accepts (Put validation, Open
 	// GC), so serving the decoded pages from memory makes the prefetch
@@ -129,9 +179,9 @@ type flight struct {
 // capacity (capBytes < 0 means unlimited, 0 means the tier accepts
 // nothing). Recovery runs before Open returns: stray temp files from
 // interrupted writes are deleted, the manifest is loaded if readable
-// (and rebuilt from the data files if not), orphan .snap files are
-// adopted by decoding their headers, and entries that fail their CRC
-// are removed.
+// (and rebuilt from the data files if not) and the log replayed over
+// it, orphan .snap files are adopted by decoding their headers, and
+// entries that fail their CRC are removed. The result is compacted.
 func Open(dir string, capBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("snapstore: %w", err)
@@ -140,6 +190,7 @@ func Open(dir string, capBytes int64) (*Store, error) {
 		dir:     dir,
 		cap:     capBytes,
 		man:     manifest{Version: 1, Entries: make(map[string]entry)},
+		files:   make(map[string]fileRef),
 		flights: make(map[string]*flight),
 		wsCache: make(map[string][]uint64),
 		fds:     make(map[string]*os.File),
@@ -147,6 +198,14 @@ func Open(dir string, capBytes int64) (*Store, error) {
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
+	// recover ended with manifest.json holding everything; the log's
+	// records are now redundant, so it starts empty.
+	log, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("snapstore: %w", err)
+	}
+	stepped()
+	s.log = log
 	return s, nil
 }
 
@@ -183,23 +242,26 @@ func (s *Store) recover() error {
 			s.man = m
 		}
 	}
+	s.replayLog()
 
-	// Drop entries whose data file is gone; track which files the
-	// manifest accounts for.
-	claimed := make(map[string]bool, len(s.man.Entries))
+	// Drop entries whose data file is gone; index the files the rest
+	// address.
 	for key, e := range s.man.Entries {
 		if _, ok := onDisk[e.File]; !ok {
 			delete(s.man.Entries, key)
 			continue
 		}
-		claimed[e.File] = true
+		s.holdLocked(e)
 	}
 
-	// Adopt orphan .snap files (complete writes whose manifest update
-	// was lost). The wire format is self-describing: decode recovers
-	// the lineage key and base, and the codec CRC rejects damage.
+	// Adopt orphan .snap files (complete writes whose record was lost).
+	// The wire format is self-describing: decode recovers the lineage
+	// key and base, and the codec CRC rejects damage. If the key already
+	// resolves to another file (an older content version whose
+	// replacement rename won but whose record lost the race with the
+	// crash), the adopted, newer bytes replace it.
 	for file, size := range onDisk {
-		if claimed[file] {
+		if _, held := s.files[file]; held {
 			continue
 		}
 		raw, err := os.ReadFile(filepath.Join(s.dir, file))
@@ -213,32 +275,43 @@ func (s *Store) recover() error {
 			s.stats.CorruptDropped++
 			continue
 		}
-		if prev, ok := s.man.Entries[diff.Header.Name]; ok {
-			// The key already resolves to another file (an older
-			// content version whose replacement rename won but whose
-			// manifest write lost the race with the crash). Keep the
-			// adopted (newer) bytes, drop the stale file.
-			s.removeFileIfUnreferenced(prev.File, diff.Header.Name)
-		}
 		s.man.Seq++
-		s.man.Entries[diff.Header.Name] = entry{
+		s.setLocked(diff.Header.Name, entry{
 			File: file,
 			Base: diff.Header.BaseName,
 			Size: size,
 			CRC:  crc32.ChecksumIEEE(raw),
 			Used: s.man.Seq,
-		}
+		})
 	}
 
-	s.bytes = 0
-	for _, e := range s.man.Entries {
-		s.bytes += e.Size
-	}
-	s.stats.Entries = len(s.man.Entries)
-	s.stats.Bytes = s.bytes
 	s.evictLocked(0)
 	s.recoverWorkingSets(wsOnDisk)
 	return s.syncLocked()
+}
+
+// replayLog applies manifest.log's records, in order, over the loaded
+// manifest. It stops at the first line that does not parse: a torn
+// tail, the last append a crash cut short. Replay is idempotent, so a
+// log that a compaction already folded into manifest.json (a crash
+// between its rename and its truncate) replays to the same entries.
+func (s *Store) replayLog() {
+	raw, err := os.ReadFile(filepath.Join(s.dir, logName))
+	if err != nil {
+		return
+	}
+	for _, line := range bytes.Split(raw, []byte{'\n'}) {
+		var rec logRecord
+		if json.Unmarshal(line, &rec) != nil || rec.Key == "" {
+			return
+		}
+		if rec.Set == nil {
+			delete(s.man.Entries, rec.Key)
+			continue
+		}
+		s.man.Entries[rec.Key] = *rec.Set
+		s.man.Seq = max(s.man.Seq, rec.Set.Used)
+	}
 }
 
 // Put stores the encoded snapshot data under key (the snapshot's
@@ -261,17 +334,14 @@ func (s *Store) Put(key, base string, data []byte) error {
 
 	sum := fnv.New64a()
 	sum.Write(data)
-	file := fmt.Sprintf("%016x.snap", sum.Sum64())
+	file := digestFile(sum.Sum64())
 
 	if prev, ok := s.man.Entries[key]; ok && prev.File == file {
 		// Unchanged content: refresh the LRU clock only.
-		s.man.Seq++
-		prev.Used = s.man.Seq
-		s.man.Entries[key] = prev
+		s.touchLocked(key, prev)
 		s.stats.Puts++
-		err := s.syncLocked()
 		s.mu.Unlock()
-		return err
+		return nil
 	}
 
 	// Make room, never evicting the key being replaced mid-Put.
@@ -315,30 +385,20 @@ func (s *Store) Put(key, base string, data []byte) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("snapstore: %w", err)
 	}
-	if prev, ok := s.man.Entries[key]; ok {
-		s.bytes -= prev.Size
-		// A concurrent Put of the same content may have registered
-		// this very file under key already; it is not stale.
-		if prev.File != file {
-			s.removeFileIfUnreferenced(prev.File, key)
-		}
-	}
+	stepped()
 	s.man.Seq++
-	s.man.Entries[key] = entry{
+	err = s.setLocked(key, entry{
 		File: file,
 		Base: base,
 		Size: size,
 		CRC:  crc32.ChecksumIEEE(data),
 		Used: s.man.Seq,
-	}
-	s.bytes += size
+	})
 	s.stats.Puts++
-	s.stats.Entries = len(s.man.Entries)
-	s.stats.Bytes = s.bytes
 	// Capacity may still be exceeded if a concurrent Put landed between
 	// our reservation and now; restore the invariant.
 	s.evictLocked(0)
-	return s.syncLocked()
+	return err
 }
 
 // Get returns the encoded bytes stored under key, verifying them
@@ -376,9 +436,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if err == nil {
 		s.stats.Hits++
 		if cur, ok := s.man.Entries[key]; ok && cur.File == e.File {
-			s.man.Seq++
-			cur.Used = s.man.Seq
-			s.man.Entries[key] = cur
+			s.touchLocked(key, cur)
 		}
 	} else {
 		s.stats.Misses++
@@ -407,7 +465,6 @@ func (s *Store) Delete(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dropLocked(key)
-	s.syncLocked()
 }
 
 // Len returns the number of entries resident in the tier.
@@ -431,14 +488,8 @@ func (s *Store) Stats() Stats {
 	st := s.stats
 	st.Entries = len(s.man.Entries)
 	st.Bytes = s.bytes
-	files := make(map[string]int64, len(s.man.Entries))
-	for _, e := range s.man.Entries {
-		files[e.File] = e.Size
-	}
-	st.DiskFiles = len(files)
-	for _, sz := range files {
-		st.DiskBytes += sz
-	}
+	st.DiskFiles = len(s.files)
+	st.DiskBytes = s.diskBytes
 	return st
 }
 
@@ -501,39 +552,79 @@ func (s *Store) HasStack(key string) bool {
 	return key == ""
 }
 
-// Sync persists the manifest (atomic temp + rename). Put/Delete sync
-// implicitly; callers use Sync after out-of-band mutations or before
-// handing the directory to another process.
+// Sync compacts the index: manifest.json is rewritten from memory
+// (atomic temp + rename), persisting every LRU touch, and the log is
+// emptied. Entry changes are logged as they happen; callers use Sync
+// before handing the directory to another process, as a drain does.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.syncLocked()
 }
 
-// dropLocked removes an entry and its file (if unshared). Caller holds mu.
+// touchLocked moves key's LRU clock. Only memory changes: the next
+// compaction persists it. Caller holds mu.
+func (s *Store) touchLocked(key string, e entry) {
+	s.man.Seq++
+	e.Used = s.man.Seq
+	s.man.Entries[key] = e
+}
+
+// setLocked makes key resolve to e, whose file must already be in
+// place: the record is appended after the data it names, and the file
+// key addressed before is released only after the record. Caller holds
+// mu.
+func (s *Store) setLocked(key string, e entry) error {
+	prev, had := s.man.Entries[key]
+	s.man.Entries[key] = e
+	s.holdLocked(e)
+	err := s.logLocked(key, &e)
+	if had {
+		s.releaseLocked(prev)
+	}
+	return err
+}
+
+// dropLocked removes an entry, appending its tombstone before its file
+// (if unshared) goes. Caller holds mu.
 func (s *Store) dropLocked(key string) {
 	e, ok := s.man.Entries[key]
 	if !ok {
 		return
 	}
 	delete(s.man.Entries, key)
-	s.bytes -= e.Size
-	s.removeFileIfUnreferenced(e.File, key)
-	s.stats.Entries = len(s.man.Entries)
-	s.stats.Bytes = s.bytes
+	s.logLocked(key, nil)
+	s.releaseLocked(e)
 }
 
-// removeFileIfUnreferenced deletes file unless another entry (excluding
-// exceptKey) still addresses it — content addressing means two lineages
-// with identical bytes share one file. The working-set sidecar rides on
-// the content, so it goes when the last reference does.
-func (s *Store) removeFileIfUnreferenced(file, exceptKey string) {
-	for k, e := range s.man.Entries {
-		if k != exceptKey && e.File == file {
-			return
-		}
+// holdLocked counts one more entry addressing e's file. Caller holds mu.
+func (s *Store) holdLocked(e entry) {
+	f, ok := s.files[e.File]
+	if !ok {
+		f = fileRef{size: e.Size, crc: e.CRC}
+		s.diskBytes += e.Size
 	}
+	f.refs++
+	s.files[e.File] = f
+	s.bytes += e.Size
+}
+
+// releaseLocked drops one entry's hold on e's file. Content addressing
+// means two lineages with identical bytes share one file, so the file
+// is deleted with its last holder — and the working-set sidecar, which
+// rides on the content, with it. Caller holds mu.
+func (s *Store) releaseLocked(e entry) {
+	s.bytes -= e.Size
+	file := e.File
+	f := s.files[file]
+	if f.refs--; f.refs > 0 {
+		s.files[file] = f
+		return
+	}
+	delete(s.files, file)
+	s.diskBytes -= f.size
 	os.Remove(filepath.Join(s.dir, file))
+	stepped()
 	os.Remove(filepath.Join(s.dir, wsFile(file)))
 	delete(s.wsCache, wsFile(file))
 	if fd, ok := s.fds[file]; ok {
@@ -638,18 +729,53 @@ func (s *Store) evictLocked(need int64) {
 }
 
 // evictStackLocked removes key and, transitively, every entry depending
-// on it as a base.
+// on it as a base — dependents before their base, so a crash partway
+// through the cascade never leaves a diff resident without its base.
 func (s *Store) evictStackLocked(key string) {
-	s.dropLocked(key)
-	s.stats.Evictions++
-	for k, e := range s.man.Entries {
-		if e.Base == key {
-			s.evictStackLocked(k)
+	stack := []string{key}
+	in := map[string]bool{key: true}
+	for i := 0; i < len(stack); i++ {
+		for k, e := range s.man.Entries {
+			if e.Base == stack[i] && !in[k] {
+				in[k] = true
+				stack = append(stack, k)
+			}
 		}
+	}
+	// Each key was found after its base, so reverse order drops every
+	// dependent first.
+	for i := len(stack) - 1; i >= 0; i-- {
+		s.dropLocked(stack[i])
+		s.stats.Evictions++
 	}
 }
 
-// syncLocked writes the manifest atomically. Caller holds mu.
+// logLocked appends one record to manifest.log: key now resolves to *e,
+// or to nothing when e is nil. It compacts instead when the append
+// fails, so a partial line never precedes later records, and when the
+// log has grown past twice the entry count. During Open's recovery
+// there is no log yet: Open compacts when recovery ends. Caller holds
+// mu.
+func (s *Store) logLocked(key string, e *entry) error {
+	if s.log == nil {
+		return nil
+	}
+	line, err := json.Marshal(logRecord{Key: key, Set: e})
+	if err == nil {
+		_, err = s.log.Write(append(line, '\n'))
+		stepped()
+	}
+	s.logRecs++
+	if err != nil || s.logRecs > 2*len(s.man.Entries) {
+		return s.syncLocked()
+	}
+	return nil
+}
+
+// syncLocked compacts: it writes manifest.json atomically, then
+// truncates manifest.log — in that order, so a crash between the two
+// leaves records the manifest already holds, which replay reapplies
+// harmlessly. Caller holds mu.
 func (s *Store) syncLocked() error {
 	raw, err := json.Marshal(&s.man)
 	if err != nil {
@@ -673,5 +799,14 @@ func (s *Store) syncLocked() error {
 		os.Remove(tmpName)
 		return fmt.Errorf("snapstore: manifest: %w", err)
 	}
+	stepped()
+	if s.log == nil {
+		return nil
+	}
+	if err := s.log.Truncate(0); err != nil {
+		return fmt.Errorf("snapstore: manifest log: %w", err)
+	}
+	stepped()
+	s.logRecs = 0
 	return nil
 }

@@ -104,17 +104,8 @@ func (s *Store) GetWorkingSet(key string) ([]byte, error) {
 // content with the given digest — the fabric's read side, used to ship
 // the sidecar alongside a fetched layer.
 func (s *Store) WorkingSetForDigest(digest uint64) ([]byte, bool) {
-	file := fmt.Sprintf("%016x.snap", digest)
-	s.mu.Lock()
-	held := false
-	for _, e := range s.man.Entries {
-		if e.File == file {
-			held = true
-			break
-		}
-	}
-	s.mu.Unlock()
-	if !held {
+	file := digestFile(digest)
+	if !s.HasDigest(digest) {
 		return nil, false
 	}
 	data, err := os.ReadFile(filepath.Join(s.dir, wsFile(file)))
@@ -134,20 +125,10 @@ func (s *Store) PutWorkingSetForDigest(digest uint64, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("snapstore: working set: %w", err)
 	}
-	file := fmt.Sprintf("%016x.snap", digest)
-	s.mu.Lock()
-	held := false
-	for _, e := range s.man.Entries {
-		if e.File == file {
-			held = true
-			break
-		}
-	}
-	s.mu.Unlock()
-	if !held {
+	if !s.HasDigest(digest) {
 		return ErrNotFound
 	}
-	return s.writeWorkingSet(wsFile(file), data, pages)
+	return s.writeWorkingSet(wsFile(digestFile(digest)), data, pages)
 }
 
 // writeWorkingSet lands data in file via the store's usual temp+rename
@@ -173,6 +154,7 @@ func (s *Store) writeWorkingSet(file string, data []byte, pages []uint64) error 
 		os.Remove(tmpName)
 		return fmt.Errorf("snapstore: working set: %w", err)
 	}
+	stepped()
 	s.mu.Lock()
 	s.wsCache[file] = pages
 	s.mu.Unlock()
@@ -185,12 +167,8 @@ func (s *Store) writeWorkingSet(file string, data []byte, pages []uint64) error 
 // corrupt-entry drops have settled. Caller holds mu (Open is
 // single-threaded, but recover mutates stats).
 func (s *Store) recoverWorkingSets(wsOnDisk []string) {
-	live := make(map[string]bool, len(s.man.Entries))
-	for _, e := range s.man.Entries {
-		live[wsFile(e.File)] = true
-	}
 	for _, name := range wsOnDisk {
-		if !live[name] {
+		if _, live := s.files[strings.TrimSuffix(name, ".ws")+".snap"]; !live {
 			os.Remove(filepath.Join(s.dir, name))
 			s.stats.WSDropped++
 			continue

@@ -10,6 +10,9 @@
 #   4. the first re-invocation must be served from RAM (warm/hot, never
 #      cold), and /metrics must show the prewarm promotions and a
 #      lukewarm latency family
+#   5. a third boot records a working-set sidecar and is stopped with
+#      SIGKILL, no drain: a fourth boot must still restore lukewarm with
+#      prefetched pages, so a kill -9 loses nothing already on disk
 #
 # This is the CI proof that "restart without losing your warm starts"
 # survives the full stack — flags, store recovery, pool prewarm — not
@@ -85,6 +88,11 @@ if ! ls "$SNAPDIR"/*.snap >/dev/null 2>&1 || [ ! -f "$SNAPDIR/manifest.json" ]; 
   ls -la "$SNAPDIR" >&2 || true
   exit 1
 fi
+if [ -s "$SNAPDIR/manifest.log" ]; then
+  echo "FAIL: drain left manifest.log uncompacted:" >&2
+  cat "$SNAPDIR/manifest.log" >&2
+  exit 1
+fi
 
 echo "== second boot over the same -snapdir" >&2
 "$TMP/seuss-node" -addr "$ADDR" -shards 2 -snapdir "$SNAPDIR" >"$TMP/node2.log" 2>&1 &
@@ -149,11 +157,12 @@ if ! ls "$SNAPDIR"/*.ws >/dev/null 2>&1; then
   ls -la "$SNAPDIR" >&2 || true
   exit 1
 fi
-kill -TERM "$NODE_PID"
+echo "== SIGKILL: no drain; what is on disk already must survive" >&2
+kill -KILL "$NODE_PID"
 wait "$NODE_PID" 2>/dev/null || true
 NODE_PID=""
 
-echo "== fourth boot with -no-prewarm: the record survives restart and prefetches" >&2
+echo "== fourth boot with -no-prewarm: the record survives kill -9 and prefetches" >&2
 "$TMP/seuss-node" -addr "$ADDR" -shards 2 -snapdir "$SNAPDIR" -no-prewarm >"$TMP/node4.log" 2>&1 &
 NODE_PID=$!
 wait_healthy "$TMP/node4.log"
