@@ -20,9 +20,9 @@ import (
 	"seuss/internal/cluster"
 	"seuss/internal/core"
 	"seuss/internal/costs"
-	"seuss/internal/faas"
 	"seuss/internal/libos"
 	"seuss/internal/mem"
+	"seuss/internal/netsim"
 	"seuss/internal/sim"
 	"seuss/internal/snapshot"
 	"seuss/internal/snapstore"
@@ -378,8 +378,7 @@ func BenchmarkAblationBridgeEndpoints(b *testing.B) {
 		b.Run(fmt.Sprintf("endpoints=%d", n), func(b *testing.B) {
 			var p float64
 			for i := 0; i < b.N; i++ {
-				eng := faas.NewLinuxBackend(sim.NewEngine(), faas.LinuxConfig{Seed: 1})
-				bridge := eng.Bridge()
+				bridge := netsim.NewBridge(sim.NewRNG(1))
 				for j := 0; j < n; j++ {
 					bridge.Attach()
 				}
@@ -388,74 +387,6 @@ func BenchmarkAblationBridgeEndpoints(b *testing.B) {
 			b.ReportMetric(p*100, "drop%")
 		})
 	}
-}
-
-// BenchmarkAblationOOMThreshold sweeps the idle-UC reclaim threshold on
-// a memory-tight node and reports reclaim counts.
-func BenchmarkAblationOOMThreshold(b *testing.B) {
-	for _, thr := range []float64{0.01, 0.05, 0.15} {
-		b.Run(fmt.Sprintf("thr=%.2f", thr), func(b *testing.B) {
-			var reclaimed float64
-			for i := 0; i < b.N; i++ {
-				eng := sim.NewEngine()
-				cfg := core.DefaultConfig()
-				cfg.MemoryBytes = 170 << 20
-				cfg.OOMThreshold = thr
-				node, err := core.NewNode(eng, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for f := 0; f < 20; f++ {
-					req := core.Request{Key: fmt.Sprintf("fn%02d", f), Source: workload.NOPSource, Args: "{}"}
-					eng.Go("client", func(p *sim.Proc) { node.Invoke(p, req) })
-					eng.Run()
-				}
-				reclaimed = float64(node.Stats().UCsReclaimed)
-			}
-			b.ReportMetric(reclaimed, "reclaimed")
-		})
-	}
-}
-
-// BenchmarkAblationKSMScan runs a KSM-style dedup scan over a node
-// that has cached several function snapshots: §5's claim that SEUSS's
-// structural (snapshot-stack) sharing leaves retroactive deduplication
-// little to find. Reported: duplicate bytes a KSM pass could still
-// merge, against the total materialized bytes.
-func BenchmarkAblationKSMScan(b *testing.B) {
-	var dupMB, scannedMB float64
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		cfg := core.DefaultConfig()
-		node, err := core.NewNode(eng, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scanner := mem.NewScanner(node.Store())
-		node.Store().AttachScanner(scanner)
-		for f := 0; f < 10; f++ {
-			req := core.Request{
-				Key:    fmt.Sprintf("user%02d/fn", f),
-				Source: workload.NOPSource,
-				Args:   "{}",
-			}
-			eng.Go("client", func(p *sim.Proc) {
-				if _, err := node.Invoke(p, req); err != nil {
-					b.Error(err)
-				}
-			})
-			eng.Run()
-		}
-		stats := scanner.Scan()
-		dupMB = float64(stats.DuplicateBytes) / 1e6
-		scannedMB = float64(node.MemStats().BytesInUse) / 1e6
-	}
-	// A KSM pass over the whole node finds only the few content-bearing
-	// duplicate pages (identical imported sources across tenants);
-	// everything else is already shared structurally through snapshot
-	// stacks or is an implicit zero page.
-	b.ReportMetric(dupMB, "ksm_mergeable_MB")
-	b.ReportMetric(scannedMB, "node_in_use_MB")
 }
 
 // BenchmarkClusterColdOnce measures DR-SEUSS (§9): with N nodes and a

@@ -127,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // listing renders the registry for -h, one line per experiment: its
 // name, whether -run all includes it, and the file under results/ that
-// scripts/results_drift.sh (which reads these lines) holds it against.
+// the root package's TestResultsByteIdentical holds it against.
 func listing() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s%-10s%s\n", "name", "-run all", "pinned by")

@@ -65,7 +65,7 @@ func TestUnknownExperimentRejected(t *testing.T) {
 	}
 }
 
-// TestHelpListsRegistry pins the lines scripts/results_drift.sh reads:
+// TestHelpListsRegistry pins the -h listing, one line per experiment:
 // name, whether -run all includes it, and the results/ file holding it.
 func TestHelpListsRegistry(t *testing.T) {
 	var stdout, stderr bytes.Buffer

@@ -3,6 +3,7 @@ package seuss_test
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"seuss"
 )
@@ -74,4 +75,19 @@ func ExampleCluster_RunTrial() {
 	fmt.Println(res.Completed, res.Errors)
 	// Output:
 	// 50 0
+}
+
+// A task sleeps in virtual time: no wall-clock time passes, and the
+// simulation's clock reads what the task slept.
+func ExampleTask_Sleep() {
+	sim := seuss.New()
+	sim.Spawn("sleeper", func(t *seuss.Task) {
+		t.Sleep(250 * time.Millisecond)
+		fmt.Println("task woke at", t.Now())
+	})
+	sim.Run()
+	fmt.Println("clock reads", sim.Clock())
+	// Output:
+	// task woke at 250ms
+	// clock reads 250ms
 }

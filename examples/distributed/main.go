@@ -39,11 +39,11 @@ func run() error {
 	defer os.RemoveAll(snapDir)
 
 	sim := seuss.New()
-	dc, err := sim.NewDistCluster(seuss.DistConfig{Nodes: 3, Policy: seuss.PolicyMigrate, SnapDir: snapDir})
+	dc, err := sim.NewDistCluster(seuss.DistConfig{Nodes: 3, Placer: &seuss.LocalityPlacer{Replicate: true}, SnapDir: snapDir})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("cluster: %d nodes, policy=migrate\n\n", dc.Nodes())
+	fmt.Printf("cluster: %d nodes, replicating placement\n\n", dc.Nodes())
 
 	// First invocation: cold, once, somewhere.
 	inv, node, err := dc.InvokeSync("team/sum", fn, `{"n": 100}`)

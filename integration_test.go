@@ -41,10 +41,6 @@ func TestIntegrationStatsConservation(t *testing.T) {
 	if st.Cold != 8 || st.SnapshotsCaptured != 8 {
 		t.Errorf("cold=%d captured=%d, want 8", st.Cold, st.SnapshotsCaptured)
 	}
-	// Platform accounting: one activation per request.
-	if cluster.Requests() != 200 {
-		t.Errorf("platform requests = %d, want 200", cluster.Requests())
-	}
 }
 
 func TestIntegrationMemoryBounded(t *testing.T) {
@@ -147,7 +143,7 @@ func TestIntegrationVirtualTimeNeverRegresses(t *testing.T) {
 		if _, err := node.InvokeSync("t/fn", NOPSource, `{}`); err != nil {
 			t.Fatal(err)
 		}
-		now := s.Clock()
+		now := time.Duration(s.Engine().Now())
 		if now < last {
 			t.Fatalf("clock regressed: %v < %v", now, last)
 		}

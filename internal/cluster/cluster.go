@@ -29,41 +29,19 @@ import (
 	"seuss/internal/fault"
 	"seuss/internal/mem"
 	"seuss/internal/metrics"
-	"seuss/internal/policy"
 	"seuss/internal/sched"
 	"seuss/internal/sim"
 	"seuss/internal/snapstore"
 	"seuss/internal/trace"
 )
 
-// ErrNoNodes is returned when the cluster has no members.
-var ErrNoNodes = errors.New("cluster: no nodes")
+// errNoNodes is returned when the cluster has no members.
+var errNoNodes = errors.New("cluster: no nodes")
 
-// ErrMemberDown marks an attempt that landed on an unreachable member
+// errMemberDown marks an attempt that landed on an unreachable member
 // (crashed or partitioned). It is always wrapped in fault.Contain: the
 // retry path fails over to a live member instead of surfacing it.
-var ErrMemberDown = errors.New("cluster: member down")
-
-// Policy selects how a node without a local snapshot exploits a remote
-// holder. It is shorthand for the two built-in placers; Config.Placer
-// overrides it entirely.
-type Policy int
-
-const (
-	// PolicyRoute forwards the request to a node that already holds
-	// the snapshot (cheap, but hotspots the holder).
-	PolicyRoute Policy = iota
-	// PolicyMigrate replicates the snapshot to the chosen node when the
-	// holder is overloaded, by layer fetch over the fabric (pays one
-	// transfer, then the function is warm on both nodes). It needs
-	// Config.SnapDir: New rejects it without one.
-	PolicyMigrate
-)
-
-var policyNames = [...]string{"route", "migrate"}
-
-// String implements fmt.Stringer.
-func (p Policy) String() string { return policyNames[p] }
+var errMemberDown = errors.New("cluster: member down")
 
 // Config parameterizes the cluster.
 type Config struct {
@@ -72,32 +50,10 @@ type Config struct {
 	// NodeConfig configures each member identically ("similar hardware
 	// profiles").
 	NodeConfig core.Config
-	// Policy picks route-vs-replicate on remote snapshot hits (the zero
-	// value routes; PolicyMigrate is the replicated cache of §9). Ignored
-	// when Placer is set.
-	Policy Policy
-	// Placer overrides the placement policy entirely (default: a
-	// sched.LocalityPlacer configured from Policy).
+	// Placer decides where each invocation runs (default: a routing
+	// sched.LocalityPlacer; &sched.LocalityPlacer{Replicate: true} is
+	// the replicated cache of §9 and needs SnapDir).
 	Placer sched.Placer
-	// Lifecycle is the per-function lifecycle policy — keep-alive,
-	// scale-to-zero, predictive prewarm — cloned into every member
-	// (policies accumulate per-key history, so members never share an
-	// instance). Lifecycle transitions a member's reaper makes are
-	// reflected into the scheduler view, keeping placement aware of
-	// scaled-to-zero lineages. Nil disables lifecycle management. (The
-	// name: Policy was already taken by the placement policy above.)
-	Lifecycle policy.Policy
-	// GossipInterval is how often (in virtual time) members exchange
-	// snapshot manifests with the scheduler view (default 10 ms). The
-	// exchange is lazy — it piggybacks on the next Invoke past the
-	// deadline — so an idle cluster gossips nothing. Member heartbeats
-	// ride the same rounds: a member whose report fails to land misses
-	// a heartbeat.
-	GossipInterval time.Duration
-	// RejoinLazy skips the disk-tier prewarm when a member restarts:
-	// surviving lineages promote lazily (lukewarm) on first request
-	// instead of eagerly at rejoin.
-	RejoinLazy bool
 	// SnapDir enables the content-addressed snapshot fabric: each member
 	// gets an unbounded disk tier at SnapDir/node<i>, seeded with
 	// byte-identical runtime base layers, and a replicating placement
@@ -110,27 +66,27 @@ type Config struct {
 	// re-picks a member and retries up to MaxRetries times (default 0 =
 	// fail fast). Uncontained errors are never retried.
 	MaxRetries int
-	// Faults configures deterministic fault injection. The cluster
-	// keeps the base injector for fabric-level points (snapshot
-	// corruption, gossip and fetch drops); each member node derives a
-	// private child injector for node-level points (UC crashes), unless
-	// NodeConfig already carries one.
-	Faults fault.Config
-	// Metrics receives cluster-level counters (scheduler placements,
-	// gossip, layer transfers); shared with members whose NodeConfig
-	// carries none. Nil disables.
-	Metrics *metrics.Recorder
-	// Tracer receives cluster-level spans (gossip, fetch, stale prunes);
-	// shared with members whose NodeConfig carries none. Nil disables.
-	Tracer *trace.Tracer
+
+	// Test hooks: faults configures deterministic fault injection (the
+	// cluster keeps the base injector for fabric-level points; each
+	// member derives a private child unless NodeConfig carries one);
+	// metrics and tracer are shared with members whose NodeConfig
+	// carries none; gossipInterval is the manifest-exchange period
+	// (default 10 ms); rejoinLazy skips the disk-tier prewarm when a
+	// member restarts.
+	faults         fault.Config
+	metrics        *metrics.Recorder
+	tracer         *trace.Tracer
+	gossipInterval time.Duration
+	rejoinLazy     bool
 }
 
 func (c Config) withDefaults() Config {
 	if c.Nodes == 0 {
 		c.Nodes = 2
 	}
-	if c.GossipInterval == 0 {
-		c.GossipInterval = 10 * time.Millisecond
+	if c.gossipInterval == 0 {
+		c.gossipInterval = 10 * time.Millisecond
 	}
 	return c
 }
@@ -226,25 +182,6 @@ type Member struct {
 // alive reports ground-truth reachability: up and not partitioned.
 func (m *Member) alive() bool { return m.up && !m.partitioned }
 
-// Up reports whether the member's node is running (ground truth).
-func (m *Member) Up() bool { return m.up }
-
-// Partitioned reports whether the member is running but unreachable.
-func (m *Member) Partitioned() bool { return m.partitioned }
-
-// MemberInfo is one member's lifecycle state: the ground truth the
-// cluster runtime knows (Up, Partitioned) plus the heartbeat-driven
-// belief recorded in the scheduler view (State, Missed).
-type MemberInfo struct {
-	ID          int
-	Up          bool
-	Partitioned bool
-	// State is the view's liveness belief: "alive", "suspect", "dead".
-	State string
-	// Missed is the member's consecutive missed heartbeat rounds.
-	Missed int
-}
-
 // Cluster is a DR-SEUSS deployment.
 type Cluster struct {
 	eng     *sim.Engine
@@ -290,14 +227,14 @@ type Cluster struct {
 func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Nodes <= 0 {
-		return nil, ErrNoNodes
+		return nil, errNoNodes
 	}
 	placer := cfg.Placer
 	if placer == nil {
-		if cfg.Policy == PolicyMigrate && cfg.SnapDir == "" {
-			return nil, errors.New("cluster: PolicyMigrate replicates over the snapshot fabric; set Config.SnapDir")
-		}
-		placer = &sched.LocalityPlacer{Replicate: cfg.Policy == PolicyMigrate}
+		placer = &sched.LocalityPlacer{}
+	}
+	if lp, ok := placer.(*sched.LocalityPlacer); ok && lp.Replicate && cfg.SnapDir == "" {
+		return nil, errors.New("cluster: a replicating LocalityPlacer fetches over the snapshot fabric; set Config.SnapDir")
 	}
 	c := &Cluster{
 		eng:      eng,
@@ -306,9 +243,9 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 		placer:   placer,
 		fetching: make(map[string]bool),
 		served:   make(map[string]bool),
-		faults:   fault.New(cfg.Faults),
-		rec:      cfg.Metrics,
-		tr:       cfg.Tracer,
+		faults:   fault.New(cfg.faults),
+		rec:      cfg.metrics,
+		tr:       cfg.tracer,
 	}
 
 	// A NodeConfig that sizes nothing and turns neither AO on means the
@@ -347,17 +284,13 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 		if nc.Faults == nil {
 			// Child(i+1) keeps member injectors distinct from the
 			// cluster's own (Child(0) would alias the base seed).
-			nc.Faults = fault.New(cfg.Faults.Child(i + 1))
+			nc.Faults = fault.New(cfg.faults.Child(i + 1))
 		}
 		if nc.Metrics == nil {
-			nc.Metrics = cfg.Metrics
+			nc.Metrics = cfg.metrics
 		}
 		if nc.Tracer == nil {
-			nc.Tracer = cfg.Tracer
-		}
-		if cfg.Lifecycle != nil {
-			nc.Policy = cfg.Lifecycle.Clone()
-			nc.Residency = lifecycleResidency{c: c, id: i}
+			nc.Tracer = cfg.tracer
 		}
 		var store *snapstore.Store
 		if cfg.SnapDir != "" {
@@ -449,9 +382,6 @@ func (c *Cluster) Stats() Stats {
 	}
 }
 
-// View returns the scheduler's shared state (safe for concurrent use).
-func (c *Cluster) View() *sched.View { return c.view }
-
 // Holders returns the nodes the scheduler believes hold a function's
 // snapshot in RAM, in ascending node order.
 func (c *Cluster) Holders(key string) []int {
@@ -488,7 +418,7 @@ const retryBackoff = time.Millisecond
 // (deterministic) failures fail fast.
 func (c *Cluster) Invoke(p *sim.Proc, req core.Request) (core.Result, int, error) {
 	if len(c.members) == 0 {
-		return core.Result{}, -1, ErrNoNodes
+		return core.Result{}, -1, errNoNodes
 	}
 	c.maybeGossip()
 	if !c.served[req.Key] {
@@ -509,7 +439,7 @@ func (c *Cluster) Invoke(p *sim.Proc, req core.Request) (core.Result, int, error
 		}
 		c.count(metrics.CtrClusterRetries, 1)
 		exclude = target.ID
-		if errors.Is(err, ErrMemberDown) {
+		if errors.Is(err, errMemberDown) {
 			c.count(metrics.CtrClusterFailovers, 1)
 			c.emit(trace.KindFailover, target.ID, req.Key, "member unreachable; re-picking among live members")
 		}
@@ -523,7 +453,7 @@ func (c *Cluster) Invoke(p *sim.Proc, req core.Request) (core.Result, int, error
 // the retry loop fails over.
 func (c *Cluster) attempt(p *sim.Proc, target *Member, req core.Request) (core.Result, error) {
 	if !target.alive() {
-		return core.Result{}, fault.Contain(fmt.Errorf("%w: member %d", ErrMemberDown, target.ID))
+		return core.Result{}, fault.Contain(fmt.Errorf("%w: member %d", errMemberDown, target.ID))
 	}
 	epoch := target.epoch
 	target.inflight++
@@ -533,7 +463,7 @@ func (c *Cluster) attempt(p *sim.Proc, target *Member, req core.Request) (core.R
 		// The member died (or vanished behind a partition) while the
 		// request was in flight: whatever it computed never reached the
 		// caller. Contained — the retry path re-runs it elsewhere.
-		return core.Result{}, fault.Contain(fmt.Errorf("%w: member %d died mid-invocation", ErrMemberDown, target.ID))
+		return core.Result{}, fault.Contain(fmt.Errorf("%w: member %d died mid-invocation", errMemberDown, target.ID))
 	}
 	return res, err
 }
@@ -567,7 +497,7 @@ const (
 // lifecycle chaos replays deterministically.
 func (c *Cluster) maybeGossip() {
 	now := c.eng.Now()
-	if c.gossiped && now.Sub(c.lastGossip) < c.cfg.GossipInterval {
+	if c.gossiped && now.Sub(c.lastGossip) < c.cfg.gossipInterval {
 		return
 	}
 	c.gossiped = true
@@ -671,7 +601,7 @@ func (c *Cluster) crash(m *Member) {
 // Restart rebuilds a crashed member over its surviving disk tier and
 // rejoins it: a fresh node (empty RAM), a full manifest resync into
 // the view with its stale entries pruned first, and a prewarm of every
-// surviving lineage from the disk tier (skipped under RejoinLazy —
+// surviving lineage from the disk tier (skipped under rejoinLazy —
 // first requests then promote lukewarm). Partitioned members heal via
 // Heal; restarting an up member is an error. (Test hook; the
 // member-restart fault point drives the same path.)
@@ -700,7 +630,7 @@ func (c *Cluster) restart(p *sim.Proc, m *Member) error {
 	m.partitioned = false
 	c.count(metrics.CtrMemberRestarts, 1)
 	warmed := 0
-	if m.Store != nil && !c.cfg.RejoinLazy {
+	if m.Store != nil && !c.cfg.rejoinLazy {
 		// Prewarm: every lineage the surviving disk tier holds promotes
 		// back into RAM before the member takes traffic (best-effort —
 		// a damaged entry degrades that lineage to lukewarm-on-demand).
@@ -715,35 +645,10 @@ func (c *Cluster) restart(p *sim.Proc, m *Member) error {
 	return nil
 }
 
-// Partition isolates member id: the node keeps running but is
-// reachable by no one — heartbeats stop landing, placements skip it
-// once suspected, in-flight responses are lost. Returns false if the
-// member is down or already partitioned. (Test hook; the
-// member-partition fault point drives the same path.)
-func (c *Cluster) Partition(id int) bool {
-	if id < 0 || id >= len(c.members) || !c.members[id].alive() {
-		return false
-	}
-	c.partition(c.members[id])
-	return true
-}
-
 func (c *Cluster) partition(m *Member) {
 	m.partitioned = true
 	c.count(metrics.CtrMemberPartitions, 1)
 	c.emit(trace.KindCrash, m.ID, "", "partitioned: running but reachable by no one")
-}
-
-// Heal reconnects a partitioned member. Its RAM state survived, but
-// its view entries may have been purged while it was believed dead, so
-// it resyncs its manifest like a rejoining member. Returns false if
-// the member is not partitioned.
-func (c *Cluster) Heal(id int) bool {
-	if id < 0 || id >= len(c.members) || !c.members[id].partitioned {
-		return false
-	}
-	c.heal(c.members[id])
-	return true
 }
 
 func (c *Cluster) heal(m *Member) {
@@ -767,20 +672,6 @@ func (c *Cluster) resync(m *Member) {
 	if from := c.view.ReportHeartbeat(m.ID); from != sched.StateAlive {
 		c.count(metrics.CtrMemberStateAlive, 1)
 	}
-}
-
-// MemberStates reports every member's lifecycle state: runtime ground
-// truth plus the heartbeat-driven belief in the scheduler view.
-func (c *Cluster) MemberStates() []MemberInfo {
-	out := make([]MemberInfo, len(c.members))
-	for i, m := range c.members {
-		out[i] = MemberInfo{
-			ID: m.ID, Up: m.up, Partitioned: m.partitioned,
-			State:  c.view.State(m.ID).String(),
-			Missed: c.view.Missed(m.ID),
-		}
-	}
-	return out
 }
 
 // ---- Redundancy repair ----
@@ -1028,7 +919,7 @@ func (c *Cluster) shipLayers(p *sim.Proc, src, dst *Member, lineage string) (mov
 	for i := len(stack) - 1; i >= 0; i-- {
 		lk := stack[i]
 		if !src.alive() || !dst.alive() {
-			return moved, fetched, deduped, fault.Contain(fmt.Errorf("%w: transfer %d→%d lost mid-stack", ErrMemberDown, src.ID, dst.ID))
+			return moved, fetched, deduped, fault.Contain(fmt.Errorf("%w: transfer %d→%d lost mid-stack", errMemberDown, src.ID, dst.ID))
 		}
 		layer, ok := src.Store.Layer(lk)
 		if !ok {
@@ -1068,7 +959,7 @@ func (c *Cluster) shipLayers(p *sim.Proc, src, dst *Member, lineage string) (mov
 		p.Sleep(c.transferTime(int64(len(wire))))
 		if !src.alive() || !dst.alive() {
 			// A member died while the layer was on the wire.
-			return moved, fetched, deduped, fault.Contain(fmt.Errorf("%w: transfer %d→%d lost mid-layer", ErrMemberDown, src.ID, dst.ID))
+			return moved, fetched, deduped, fault.Contain(fmt.Errorf("%w: transfer %d→%d lost mid-layer", errMemberDown, src.ID, dst.ID))
 		}
 		if err := dst.Store.PutFetched(lk, layer.Base, wire, layer.Digest); err != nil {
 			c.count(metrics.CtrFabricLayersRejected, 1)

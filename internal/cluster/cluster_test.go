@@ -7,6 +7,7 @@ import (
 	"seuss/internal/core"
 	"seuss/internal/sched"
 	"seuss/internal/sim"
+	"seuss/internal/trace"
 	"seuss/internal/workload"
 )
 
@@ -68,7 +69,7 @@ func TestColdOncePerCluster(t *testing.T) {
 }
 
 func TestMigrationReplicatesUnderLoad(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir()})
+	c, eng := newCluster(t, Config{Nodes: 2, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir()})
 	req := core.Request{Key: "hotfn", Source: workload.NOPSource, Args: "{}"}
 	invoke(t, c, eng, req) // cold on one node
 
@@ -94,7 +95,7 @@ func TestMigrationReplicatesUnderLoad(t *testing.T) {
 }
 
 func TestRoutePolicyDoesNotReplicate(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 2, Policy: PolicyRoute, SnapDir: t.TempDir()})
+	c, eng := newCluster(t, Config{Nodes: 2, SnapDir: t.TempDir()})
 	req := core.Request{Key: "fn", Source: workload.NOPSource, Args: "{}"}
 	invoke(t, c, eng, req)
 	for i := 0; i < 8; i++ {
@@ -166,22 +167,44 @@ func TestDirectoryStaleEntryRecovers(t *testing.T) {
 	}
 }
 
-// TestPolicyMigrateRequiresSnapDir: replication has one transport, the
-// snapshot fabric, so asking for it without a SnapDir is a configuration
-// error — not a silent switch to some other path. A caller-supplied
-// Placer makes Policy irrelevant, as documented.
-func TestPolicyMigrateRequiresSnapDir(t *testing.T) {
-	if _, err := New(sim.NewEngine(), Config{Nodes: 2, Policy: PolicyMigrate}); err == nil {
-		t.Error("PolicyMigrate without SnapDir accepted")
-	}
-	if _, err := New(sim.NewEngine(), Config{Nodes: 2, Policy: PolicyMigrate, Placer: &sched.LeastLoadedPlacer{}}); err != nil {
-		t.Errorf("Policy consulted despite a Placer: %v", err)
+// TestResultCarriesSpanID: the id a cluster invocation reports is the
+// one its invoke span carries, so a caller can find its request in the
+// trace.
+func TestResultCarriesSpanID(t *testing.T) {
+	tr := trace.New(0)
+	c, eng := newCluster(t, Config{Nodes: 2, tracer: tr})
+	res, _ := invoke(t, c, eng, core.Request{Key: "dist/fn", Source: workload.NOPSource, Args: "{}"})
+	if spans := tr.ByKind(trace.KindInvoke); len(spans) != 1 || res.ID == 0 || spans[0].ID != res.ID {
+		t.Errorf("request id = %d, invoke spans = %+v; want one span with the same non-zero id", res.ID, spans)
 	}
 }
 
+// TestPolicyMigrateRequiresSnapDir: replication (the migrate policy)
+// has one transport, the snapshot fabric, so a replicating
+// LocalityPlacer without a SnapDir is a configuration error — not a
+// silent switch to some other path — and a caller-supplied placer is
+// checked like the default one.
+func TestPolicyMigrateRequiresSnapDir(t *testing.T) {
+	if _, err := New(sim.NewEngine(), Config{Nodes: 2, Placer: &sched.LocalityPlacer{Replicate: true}}); err == nil {
+		t.Error("replicating placer without SnapDir accepted")
+	}
+	for _, pl := range []sched.Placer{nil, &sched.LocalityPlacer{}, &sched.LeastLoadedPlacer{}} {
+		if _, err := New(sim.NewEngine(), Config{Nodes: 2, Placer: pl}); err != nil {
+			t.Errorf("placer %v without SnapDir: %v", pl, err)
+		}
+	}
+}
+
+// TestPolicyStrings: the placement policies a cluster reports by name.
 func TestPolicyStrings(t *testing.T) {
-	if PolicyRoute.String() != "route" || PolicyMigrate.String() != "migrate" {
-		t.Error("policy names")
+	for pl, want := range map[sched.Placer]string{
+		&sched.LocalityPlacer{}:                "locality-route",
+		&sched.LocalityPlacer{Replicate: true}: "locality-replicate",
+		&sched.LeastLoadedPlacer{}:             "least-loaded",
+	} {
+		if got := pl.Name(); got != want {
+			t.Errorf("%T name = %q, want %q", pl, got, want)
+		}
 	}
 }
 
@@ -228,7 +251,7 @@ func TestUniqueWorkloadScalesWithNodes(t *testing.T) {
 }
 
 func TestDirectoryStatsAccounting(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 2, Policy: PolicyRoute})
+	c, eng := newCluster(t, Config{Nodes: 2})
 	req := core.Request{Key: "acct/fn", Source: workload.NOPSource, Args: "{}"}
 	invoke(t, c, eng, req) // cluster cold
 	for i := 0; i < 4; i++ {

@@ -39,7 +39,7 @@ func overload(t *testing.T, c *Cluster, eng *sim.Engine, req core.Request, n int
 // (byte-identical by digest cluster-wide) and a replication fetch ships
 // only the function's diff layer — never the base.
 func TestFabricBaseLayerDedup(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 3, Policy: PolicyMigrate, SnapDir: t.TempDir()})
+	c, eng := newCluster(t, Config{Nodes: 3, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir()})
 	req := core.Request{Key: "hotfn", Source: workload.NOPSource, Args: "{}"}
 	invoke(t, c, eng, req) // cold once, on one node
 	overload(t, c, eng, req, 8)
@@ -91,7 +91,7 @@ func TestFabricBaseLayerDedup(t *testing.T) {
 // TestFabricPlacementRoutesToHolder: an invocation whose lineage lives
 // on node A routes to A, even when other nodes are equally idle.
 func TestFabricPlacementRoutesToHolder(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 3, Policy: PolicyMigrate, SnapDir: t.TempDir()})
+	c, eng := newCluster(t, Config{Nodes: 3, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir()})
 	req := core.Request{Key: "fn", Source: workload.NOPSource, Args: "{}"}
 	_, home := invoke(t, c, eng, req)
 	for i := 0; i < 6; i++ {
@@ -114,8 +114,8 @@ func TestFabricPlacementRoutesToHolder(t *testing.T) {
 // fails an invocation.
 func TestFabricFetchCorruptionFallsBackToHolder(t *testing.T) {
 	c, eng := newCluster(t, Config{
-		Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir(),
-		Faults: fault.Config{
+		Nodes: 2, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir(),
+		faults: fault.Config{
 			Schedule: map[fault.Point][]uint64{fault.PointSnapshotCorrupt: {1}},
 		},
 	})
@@ -167,8 +167,8 @@ func TestFetchPlacementWithoutTierRoutesToHolder(t *testing.T) {
 func TestFabricFetchDropRetransmits(t *testing.T) {
 	rec := metrics.NewRecorder()
 	c, eng := newCluster(t, Config{
-		Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir(), Metrics: rec,
-		Faults: fault.Config{
+		Nodes: 2, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir(), metrics: rec,
+		faults: fault.Config{
 			Schedule: map[fault.Point][]uint64{fault.PointFetchDrop: {1}},
 		},
 	})
@@ -195,8 +195,8 @@ func TestFabricFetchDropRetransmits(t *testing.T) {
 // completes and the next one recovers.
 func TestFabricGossipDropKeepsViewStale(t *testing.T) {
 	c, eng := newCluster(t, Config{
-		Nodes: 2, GossipInterval: time.Nanosecond, SnapDir: t.TempDir(),
-		Faults: fault.Config{
+		Nodes: 2, gossipInterval: time.Nanosecond, SnapDir: t.TempDir(),
+		faults: fault.Config{
 			Schedule: map[fault.Point][]uint64{fault.PointGossipDrop: {1}},
 		},
 	})
@@ -228,7 +228,7 @@ func TestFabricGossipDropKeepsViewStale(t *testing.T) {
 // it, prunes the entry, and re-places the request — which then recovers
 // (cold again) instead of failing.
 func TestStaleDirectoryPrunedAndCounted(t *testing.T) {
-	cfg := Config{Nodes: 2, GossipInterval: time.Hour} // gossip never repairs the view
+	cfg := Config{Nodes: 2, gossipInterval: time.Hour} // gossip never repairs the view
 	cfg.NodeConfig = core.DefaultConfig()
 	cfg.NodeConfig.MemoryBytes = 170 << 20
 	c, eng := newCluster(t, cfg)
@@ -261,7 +261,7 @@ func TestStaleDirectoryPrunedAndCounted(t *testing.T) {
 // re-recording.
 func TestFabricShipsWorkingSetSidecar(t *testing.T) {
 	c, eng := newCluster(t, Config{
-		Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir(), RejoinLazy: true,
+		Nodes: 2, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir(), rejoinLazy: true,
 	})
 	req := core.Request{Key: "hotfn", Source: workload.NOPSource, Args: "{}"}
 	_, home := invoke(t, c, eng, req) // cold on the home node

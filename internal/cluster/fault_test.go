@@ -21,7 +21,7 @@ func TestInvokeOnEmptyCluster(t *testing.T) {
 		_, _, err = c.Invoke(p, core.Request{Key: "fn", Source: workload.NOPSource, Args: "{}"})
 	})
 	eng.Run()
-	if !errors.Is(err, ErrNoNodes) {
+	if !errors.Is(err, errNoNodes) {
 		t.Fatalf("err = %v, want ErrNoNodes", err)
 	}
 }
@@ -37,7 +37,7 @@ func TestClusterRetryRedeploysCrashedUC(t *testing.T) {
 		// Every member's derived injector crashes its own first UC
 		// invocation — so the retry must also survive landing on the
 		// other, equally faulty, member before attempt three succeeds.
-		Faults: fault.Config{
+		faults: fault.Config{
 			Schedule: map[fault.Point][]uint64{fault.PointUCCrash: {1}},
 		},
 	})
@@ -71,7 +71,7 @@ func TestClusterRetryBudgetExhausted(t *testing.T) {
 	c, err := New(eng, Config{
 		Nodes:      2,
 		MaxRetries: 1,
-		Faults: fault.Config{
+		faults: fault.Config{
 			Schedule: map[fault.Point][]uint64{fault.PointUCCrash: {1, 2, 3, 4}},
 		},
 	})
@@ -131,7 +131,7 @@ func TestClusterFaultDeterminism(t *testing.T) {
 		c, err := New(eng, Config{
 			Nodes:      2,
 			MaxRetries: 3,
-			Faults:     fault.Config{Seed: 11, Rate: 0.25, Points: []fault.Point{fault.PointUCCrash}},
+			faults:     fault.Config{Seed: 11, Rate: 0.25, Points: []fault.Point{fault.PointUCCrash}},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -102,13 +102,13 @@ func newFailoverScenario(t *testing.T) *failoverScenario {
 	nc := core.DefaultConfig()
 	nc.Tracer = s.nodeTr
 	s.c, s.eng = newCluster(t, Config{
-		Nodes: 3, Policy: PolicyMigrate, SnapDir: t.TempDir(), NodeConfig: nc,
-		GossipInterval: time.Nanosecond, // every invocation is a heartbeat round
+		Nodes: 3, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir(), NodeConfig: nc,
+		gossipInterval: time.Nanosecond, // every invocation is a heartbeat round
 		MaxRetries:     2,
-		RejoinLazy:     true, // restarts come back with an empty RAM tier
-		Metrics:        s.rec,
-		Tracer:         s.tr,
-		Faults:         fault.Config{Schedule: failoverFaults},
+		rejoinLazy:     true, // restarts come back with an empty RAM tier
+		metrics:        s.rec,
+		tracer:         s.tr,
+		faults:         fault.Config{Schedule: failoverFaults},
 	})
 	return s
 }
@@ -319,8 +319,8 @@ func TestMemberCrashFailoverAndRepair(t *testing.T) {
 // next request is never stranded — it cold-boots on a live member.
 func TestRepairColdWhenNoDiskSurvivor(t *testing.T) {
 	c, eng := newCluster(t, Config{
-		Nodes: 3, Policy: PolicyMigrate, SnapDir: t.TempDir(),
-		GossipInterval: time.Nanosecond, MaxRetries: 2,
+		Nodes: 3, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir(),
+		gossipInterval: time.Nanosecond, MaxRetries: 2,
 	})
 	req := core.Request{Key: "doomed", Source: workload.NOPSource, Args: "{}"}
 	invoke(t, c, eng, req) // cold on node 0; tier copy on node 0 only
@@ -360,8 +360,8 @@ func TestRepairColdWhenNoDiskSurvivor(t *testing.T) {
 func TestGossipDropRunsLivenessStateMachine(t *testing.T) {
 	rec := metrics.NewRecorder()
 	c, eng := newCluster(t, Config{
-		Nodes: 2, GossipInterval: time.Nanosecond, Metrics: rec,
-		Faults: fault.Config{
+		Nodes: 2, gossipInterval: time.Nanosecond, metrics: rec,
+		faults: fault.Config{
 			// Drops are consulted once per alive member per round in ID
 			// order: even visits are node 1's exchanges. Rounds 2-5 drop
 			// node 1 only — four consecutive misses, DeadAfter's default.
@@ -422,7 +422,7 @@ func TestGossipDropRunsLivenessStateMachine(t *testing.T) {
 // and a heal resyncs its manifest and revives it with its RAM state
 // intact.
 func TestPartitionHealLifecycle(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 2, GossipInterval: time.Nanosecond, MaxRetries: 1})
+	c, eng := newCluster(t, Config{Nodes: 2, gossipInterval: time.Nanosecond, MaxRetries: 1})
 	req := core.Request{Key: "fn", Source: workload.NOPSource, Args: "{}"}
 	_, home := invoke(t, c, eng, req)
 
@@ -469,11 +469,11 @@ func TestPartitionHealLifecycle(t *testing.T) {
 }
 
 // TestRestartGuards: Restart refuses an up member (partitions heal via
-// Heal), Crash refuses a down member, and a restart without RejoinLazy
+// Heal), Crash refuses a down member, and a restart without rejoinLazy
 // prewarms the surviving disk tier so the function serves warm with no
 // transfer.
 func TestRestartGuards(t *testing.T) {
-	c, eng := newCluster(t, Config{Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir()})
+	c, eng := newCluster(t, Config{Nodes: 2, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir()})
 	req := core.Request{Key: "fn", Source: workload.NOPSource, Args: "{}"}
 	_, home := invoke(t, c, eng, req)
 	overload(t, c, eng, req, 8) // flushes the lineage to home's tier
@@ -515,8 +515,8 @@ func TestRestartGuards(t *testing.T) {
 // via fallback and failover.
 func TestMemberCrashDuringFetch(t *testing.T) {
 	c, eng := newCluster(t, Config{
-		Nodes: 2, Policy: PolicyMigrate, SnapDir: t.TempDir(),
-		GossipInterval: time.Hour, // lifecycle points stay quiet; the test hook crashes
+		Nodes: 2, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir(),
+		gossipInterval: time.Hour, // lifecycle points stay quiet; the test hook crashes
 		MaxRetries:     3,
 	})
 	req := core.Request{Key: "hotfn", Source: workload.CPUBoundSource(20), Args: "{}"}
@@ -562,10 +562,10 @@ func TestLifecycleFaultDeterminism(t *testing.T) {
 	run := func() Stats {
 		eng := sim.NewEngine()
 		c, err := New(eng, Config{
-			Nodes: 3, Policy: PolicyMigrate, SnapDir: t.TempDir(),
-			GossipInterval: time.Millisecond,
+			Nodes: 3, Placer: &sched.LocalityPlacer{Replicate: true}, SnapDir: t.TempDir(),
+			gossipInterval: time.Millisecond,
 			MaxRetries:     3,
-			Faults: fault.Config{
+			faults: fault.Config{
 				Seed: seed, Rate: 0.05,
 				Points: []fault.Point{
 					fault.PointMemberCrash, fault.PointMemberRestart, fault.PointMemberPartition,

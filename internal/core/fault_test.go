@@ -84,7 +84,7 @@ func TestFaultGuestErrorDestroysUC(t *testing.T) {
 		Key:      "acct/spin",
 		Source:   `function main(args) { while (true) { var x = 1; } }`,
 		Args:     "{}",
-		Deadline: 2 * time.Millisecond,
+		deadline: 2 * time.Millisecond,
 	}
 	_, err := invoke(t, n, eng, spin)
 	if !errors.Is(err, ErrDeadlineExceeded) {

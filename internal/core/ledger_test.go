@@ -75,8 +75,8 @@ func newLedgerScenario(t *testing.T) *ledgerScenario {
 	// ≈131 frames: less than one deploy needs (≈400), so in the pressure
 	// phase the deploy runs out of memory before the threshold reclaim
 	// has emptied the idle cache, and the ladder has something to do.
-	cfg.OOMThreshold = 0.002
-	cfg.MaxIdlePerFn = 1
+	cfg.oomThreshold = 0.002
+	cfg.maxIdlePerFn = 1
 	cfg.Tracer, cfg.Metrics, cfg.SnapStore, cfg.Policy = s.tr, s.rec, s.store, s.pol
 	cfg.HTTPHandler = func(string) (string, time.Duration, error) { return "OK", 20 * time.Millisecond, nil }
 	cfg.Faults = fault.New(fault.Config{Schedule: ledgerFaults})
@@ -138,7 +138,7 @@ func (s *ledgerScenario) run() {
 		t.Fatalf("scheduled uc-crash: err=%v", err)
 	}
 	s.invoke("fn", growSource, `{"n":0}`, PathWarm) // deploys with the entropy-stale fault
-	if _, err := invoke(t, n, eng, Request{Key: "spin", Source: spinSource, Args: "{}", Deadline: 2 * time.Millisecond}); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := invoke(t, n, eng, Request{Key: "spin", Source: spinSource, Args: "{}", deadline: 2 * time.Millisecond}); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("deadline kill: err=%v", err)
 	}
 	s.invoke("io", ioSource, "{}", PathCold) // its one packet is dropped once

@@ -83,10 +83,10 @@ var pathNames = [...]string{"cold", "warm", "hot", "lukewarm"}
 // String implements fmt.Stringer.
 func (p Path) String() string { return pathNames[p] }
 
-// ErrNodeSaturated is returned when an invocation cannot obtain memory
+// errNodeSaturated is returned when an invocation cannot obtain memory
 // even after the full degradation ladder (idle reclaim, snapshot
 // eviction, cold fallback). Contained: memory may free up; retry.
-var ErrNodeSaturated = errors.New("core: node memory saturated")
+var errNodeSaturated = errors.New("core: node memory saturated")
 
 // ErrUCCrashed is returned when a UC dies mid-invocation (injected or
 // real). The UC is destroyed; the function's snapshot is untouched, so
@@ -109,9 +109,6 @@ type Config struct {
 	// true; Table 2 ablates them).
 	NetworkAO     bool
 	InterpreterAO bool
-	// OOMThreshold is the fraction of memory below which idle UCs are
-	// reclaimed (default 0.02).
-	OOMThreshold float64
 	// Seed drives the node's deterministic RNG.
 	Seed int64
 	// Entropy, when non-nil, supplies the host entropy drawn at every UC
@@ -127,8 +124,6 @@ type Config struct {
 	// response body and how long the remote end blocks. nil fails
 	// guest http.get calls.
 	HTTPHandler func(url string) (body string, delay time.Duration, err error)
-	// MaxIdlePerFn caps cached idle UCs per function (default 64).
-	MaxIdlePerFn int
 	// Tracer, when non-nil, records the node's structured event
 	// timeline (see internal/trace).
 	Tracer *trace.Tracer
@@ -139,7 +134,7 @@ type Config struct {
 	// InvokeDeadline bounds each invocation's guest execution; it is
 	// converted to an interpreter step budget (deadline / StepTime) and
 	// a UC that exhausts it is destroyed, not recycled. Per-request
-	// deadlines (Request.Deadline) override it. 0 = the interpreter's
+	// deadlines (Request.deadline, a test hook) override it. 0 = the interpreter's
 	// default lifetime budget only.
 	InvokeDeadline time.Duration
 	// Faults injects deterministic failures at the node's registered
@@ -166,23 +161,13 @@ type Config struct {
 	// clones it per shard. nil keeps the pressure ladder as the only
 	// reclaim trigger — exactly the pre-policy behavior.
 	Policy policy.Policy
-	// Residency, when non-nil, observes the reaper's lineage residency
-	// transitions (scale-to-zero demotions, prewarm promotions). A
-	// cluster wires this to its scheduler view so placement stops
-	// routing to members whose copy left RAM. Callbacks run on the
-	// node's owner goroutine and must not re-enter the node.
-	Residency ResidencyListener
-}
 
-// ResidencyListener observes lineage residency transitions driven by
-// the lifecycle reaper.
-type ResidencyListener interface {
-	// LineageDemoted fires after the reaper scales key to zero: the
-	// resident snapshot was demoted to the disk tier and freed.
-	LineageDemoted(key string)
-	// LineagePromoted fires after the prewarm scheduler promotes key
-	// back into RAM.
-	LineagePromoted(key string)
+	// maxIdlePerFn caps cached idle UCs per function (default 64; < 0
+	// disables the idle cache), and oomThreshold is the fraction of
+	// memory below which idle UCs are reclaimed (default 0.02). Only
+	// tests move them.
+	maxIdlePerFn int
+	oomThreshold float64
 }
 
 func (c Config) withDefaults() Config {
@@ -192,11 +177,11 @@ func (c Config) withDefaults() Config {
 	if c.MemoryBytes == 0 {
 		c.MemoryBytes = costs.NodeMemoryBytes
 	}
-	if c.OOMThreshold == 0 {
-		c.OOMThreshold = 0.02
+	if c.oomThreshold == 0 {
+		c.oomThreshold = 0.02
 	}
-	if c.MaxIdlePerFn == 0 {
-		c.MaxIdlePerFn = 64
+	if c.maxIdlePerFn == 0 {
+		c.maxIdlePerFn = 64
 	}
 	if len(c.Runtimes) == 0 {
 		c.Runtimes = []string{"nodejs"}
@@ -516,17 +501,6 @@ func (n *Node) Engine() *sim.Engine { return n.eng }
 // RuntimeSnapshot returns the default runtime's base snapshot.
 func (n *Node) RuntimeSnapshot() *snapshot.Snapshot { return n.runtimeSnap }
 
-// Runtimes returns the configured interpreter names.
-func (n *Node) Runtimes() []string {
-	out := make([]string, 0, len(n.runtimeSnaps))
-	for _, name := range n.cfg.Runtimes {
-		if _, ok := n.runtimeSnaps[name]; ok {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 // Stats reads the node's counters off its ledger.
 func (n *Node) Stats() Stats { return StatsOf(n.ledger) }
 
@@ -570,20 +544,11 @@ func StatsOf(c metrics.Counters) Stats {
 // MemStats returns the physical memory accounting.
 func (n *Node) MemStats() mem.Stats { return n.store.Stats() }
 
-// Store exposes the physical memory store (harness use).
-func (n *Node) Store() *mem.Store { return n.store }
-
 // CachedSnapshots returns the number of function snapshots cached.
 func (n *Node) CachedSnapshots() int { return len(n.fnSnaps) }
 
 // IdleUCs returns the number of cached idle UCs.
 func (n *Node) IdleUCs() int { return n.idleCount }
-
-// Cores returns the node's core resource (harness instrumentation).
-func (n *Node) Cores() *sim.Resource { return n.cores }
-
-// Proxy exposes the per-core network proxy (instrumentation).
-func (n *Node) Proxy() *netsim.Proxy { return n.proxy }
 
 // env builds the host environment one invocation runs against: CPU
 // charges contend for the node's cores; blocking does not hold a core.
@@ -661,10 +626,11 @@ type Request struct {
 	Args string
 	// Runtime names the interpreter to run on ("" = the node's default).
 	Runtime string
-	// Deadline bounds this invocation's guest execution (0 = the
+	// deadline bounds this invocation's guest execution (0 = the
 	// node's configured InvokeDeadline, if any). Exhausting it destroys
-	// the UC and returns a contained ErrDeadlineExceeded.
-	Deadline time.Duration
+	// the UC and returns a contained ErrDeadlineExceeded. Only tests
+	// set a per-request deadline.
+	deadline time.Duration
 }
 
 // Result is the node's reply.
@@ -756,7 +722,7 @@ func (n *Node) Invoke(p *sim.Proc, req Request) (Result, error) {
 	if entry != nil {
 		out, err := n.fromSnapshot(p, &inv, entry)
 		// Only a deploy that ran out of ladder reports saturation.
-		if !errors.Is(err, ErrNodeSaturated) || req.Source == "" {
+		if !errors.Is(err, errNodeSaturated) || req.Source == "" {
 			return n.finish(&inv, out, err)
 		}
 		// Degradation ladder, level 3: the warm deploy cannot fit even
@@ -901,7 +867,7 @@ func (n *Node) deploy(p *sim.Proc, snap *snapshot.Snapshot, ws []uint64, path Pa
 	}
 	if err != nil {
 		if errors.Is(err, mem.ErrOutOfMemory) {
-			return nil, 0, fault.Contain(ErrNodeSaturated)
+			return nil, 0, fault.Contain(errNodeSaturated)
 		}
 		return nil, 0, err
 	}
@@ -1011,7 +977,7 @@ func (n *Node) runOn(p *sim.Proc, mu *managedUC, req Request) (string, error) {
 	// Thread the invocation deadline into the interpreter's step
 	// budget. With no deadline the default lifetime budget is restored,
 	// so a prior deadlined run on this UC leaves no residue.
-	deadline := req.Deadline
+	deadline := req.deadline
 	if deadline == 0 {
 		deadline = n.cfg.InvokeDeadline
 	}
@@ -1065,7 +1031,7 @@ func (n *Node) takeIdle(key string) *managedUC {
 	return entry.mu
 }
 
-// putIdle caches a UC for hot reuse. At the MaxIdlePerFn cap the key's
+// putIdle caches a UC for hot reuse. At the maxIdlePerFn cap the key's
 // LRU idle UC is evicted in favor of the incoming (warmest) one, the
 // eviction is accounted as a reclaim, the lifecycle policy hears about
 // the pressure, and — when a disk tier is attached — the lineage is
@@ -1074,14 +1040,14 @@ func (n *Node) takeIdle(key string) *managedUC {
 // metric, no policy signal, no tier copy.)
 func (n *Node) putIdle(p *sim.Proc, key string, mu *managedUC) {
 	mu.u.SetIdle()
-	if n.cfg.MaxIdlePerFn < 0 {
+	if n.cfg.maxIdlePerFn < 0 {
 		// Negative cap disables the idle cache entirely (a test knob,
 		// not pressure) — destroy the UC without reclaim accounting.
 		n.destroyUC(mu)
 		return
 	}
 	list := n.idle[key]
-	if len(list) >= n.cfg.MaxIdlePerFn && len(list) > 0 {
+	if len(list) >= n.cfg.maxIdlePerFn && len(list) > 0 {
 		victim := list[0]
 		copy(list, list[1:])
 		list[len(list)-1] = &idleUC{mu: mu, key: key, last: n.eng.Now()}
@@ -1120,21 +1086,13 @@ func (n *Node) notePressure(key string) {
 // §6 OOM threshold (never, for an unbudgeted store).
 func (n *Node) belowThreshold() bool {
 	budget := n.store.Budget()
-	return budget != 0 && n.store.Available() < int64(float64(budget/mem.PageSize)*n.cfg.OOMThreshold)
+	return budget != 0 && n.store.Available() < int64(float64(budget/mem.PageSize)*n.cfg.oomThreshold)
 }
 
 // reclaimIfNeeded applies the §6 OOM policy: reclaim idle UCs as soon
 // as available memory drops below the threshold.
 func (n *Node) reclaimIfNeeded(p *sim.Proc) {
 	for n.belowThreshold() && n.reclaimOneIdle(p) {
-	}
-}
-
-// reclaimAll destroys every idle UC (last-resort memory recovery). A
-// nil proc is allowed for harness-side teardown; destruction costs are
-// then dropped.
-func (n *Node) reclaimAll(p *sim.Proc) {
-	for n.reclaimOneIdle(p) {
 	}
 }
 

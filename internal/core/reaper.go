@@ -150,9 +150,6 @@ func (n *Node) scaleToZero(p *sim.Proc, pol policy.Policy, now time.Duration, mi
 		ts.DemotedLineages++
 		n.count(metrics.CtrPolicyExpirations, 1)
 		n.eventAt(now, trace.KindEvict, 0, key, fmt.Sprintf("scale-to-zero after %v idle", ska))
-		if n.cfg.Residency != nil {
-			n.cfg.Residency.LineageDemoted(key)
-		}
 		if n.cfg.SnapStore != nil {
 			// Only arm predictions that are still ahead of the clock: a
 			// stale instant here means the key stopped recurring (the
@@ -224,9 +221,6 @@ func (n *Node) prewarmLineage(p *sim.Proc, now time.Duration, key string, misfir
 		n.count(metrics.CtrPolicyPrewarmsMisfire, 1)
 	} else {
 		n.count(metrics.CtrPolicyPrewarmsPromoted, 1)
-	}
-	if n.cfg.Residency != nil {
-		n.cfg.Residency.LineagePromoted(key)
 	}
 }
 

@@ -330,7 +330,7 @@ func TestPolicyMisfireFaultUnpredictedPrewarm(t *testing.T) {
 }
 
 // TestPolicyIdleCapEvictionNotifiesPressure: satellite 1 — the
-// MaxIdlePerFn cap evicts the oldest idle UC (LRU), accounts it as a
+// maxIdlePerFn cap evicts the oldest idle UC (LRU), accounts it as a
 // reclaim, flushes the fn snapshot toward the tier, and reports the
 // pressure event to the policy.
 func TestPolicyIdleCapEvictionNotifiesPressure(t *testing.T) {
@@ -339,7 +339,7 @@ func TestPolicyIdleCapEvictionNotifiesPressure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = pol
 	cfg.SnapStore = store
-	cfg.MaxIdlePerFn = 1
+	cfg.maxIdlePerFn = 1
 	n, eng := newTestNode(t, cfg)
 	req := Request{Key: "acct/fn", Source: nopSource, Args: "{}"}
 	if _, err := invoke(t, n, eng, req); err != nil {

@@ -40,11 +40,11 @@ func TestColdClonesDivergeEntropy(t *testing.T) {
 }
 
 // TestWarmClonesDivergeEntropy: repeated warm deploys from one function
-// snapshot diverge. MaxIdlePerFn < 0 disables the idle cache, so every
+// snapshot diverge. maxIdlePerFn < 0 disables the idle cache, so every
 // repeat is a genuine warm deploy, not a hot hit.
 func TestWarmClonesDivergeEntropy(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MaxIdlePerFn = -1
+	cfg.maxIdlePerFn = -1
 	n, eng := newTestNode(t, cfg)
 	req := Request{Key: "acct/rand", Source: randSource, Args: "{}"}
 	if _, err := invoke(t, n, eng, req); err != nil {

@@ -267,14 +267,9 @@ var (
 	// (450 instances in 88 GB; >100 MB over the container).
 	MicroVMIdleBytes = int64(208_000_000)
 
-	// ProcessWarmInvoke / ContainerWarmInvoke are the in-instance costs
-	// of running a cached NOP invocation on Linux.
-	ProcessWarmInvoke   = 2 * time.Millisecond
+	// ContainerWarmInvoke is the in-container cost of running a cached
+	// NOP invocation on Linux.
 	ContainerWarmInvoke = 2500 * time.Microsecond
-
-	// ContainerPauseResume is unpausing a cached container (disabled in
-	// the paper's throughput runs, used otherwise).
-	ContainerPauseResume = 12 * time.Millisecond
 )
 
 // ---- Platform / network (§6 FaaS integration, §7 macro) ----

@@ -30,11 +30,11 @@ import (
 // interpreter AO.
 var aoLevels = []struct{ net, itp bool }{{false, false}, {true, false}, {true, true}}
 
-// MicroRun is one full micro-benchmark pass at a given AO level: the
+// microRun is one full micro-benchmark pass at a given AO level: the
 // system-initialization sequence followed by a cold, warm, and hot
 // invocation of the NOP function, measured at the node boundary the
 // way Table 1 measures (request received → result returned).
-type MicroRun struct {
+type microRun struct {
 	Cold, Warm, Hot time.Duration
 	BaseSnapshotMB  float64
 	FnSnapshotMB    float64
@@ -57,8 +57,8 @@ type stageStamps struct {
 // runMicro executes the §7 microbenchmark flow at one AO level,
 // averaging invocation latencies over iters invocations per path (the
 // paper averages across 475).
-func runMicro(netAO, interpAO bool, iters int) (MicroRun, error) {
-	var out MicroRun
+func runMicro(netAO, interpAO bool, iters int) (microRun, error) {
+	var out microRun
 	st := mem.NewStore(0)
 	env := &libos.CountingEnv{}
 	boot, err := uc.BootFresh(st, nil, env)
@@ -157,30 +157,30 @@ func runMicro(netAO, interpAO bool, iters int) (MicroRun, error) {
 	return out, nil
 }
 
-// Table1 reproduces Table 1: snapshot memory footprints before and
+// table1 reproduces Table 1: snapshot memory footprints before and
 // after AO, and per-path invocation latency and pages copied.
-type Table1 struct {
-	NoAO   MicroRun // before anticipatory optimization
-	FullAO MicroRun // after both AOs
+type table1 struct {
+	NoAO   microRun // before anticipatory optimization
+	FullAO microRun // after both AOs
 	Iters  int
 }
 
-// RunTable1 executes the Table 1 experiment, averaging over iters
+// runTable1 executes the Table 1 experiment, averaging over iters
 // invocations per path (the paper uses 475).
-func RunTable1(iters int) (Table1, error) {
+func runTable1(iters int) (table1, error) {
 	no, err := runMicro(false, false, iters)
 	if err != nil {
-		return Table1{}, err
+		return table1{}, err
 	}
 	full, err := runMicro(true, true, iters)
 	if err != nil {
-		return Table1{}, err
+		return table1{}, err
 	}
-	return Table1{NoAO: no, FullAO: full, Iters: iters}, nil
+	return table1{NoAO: no, FullAO: full, Iters: iters}, nil
 }
 
 // Render formats the experiment like the paper's Table 1.
-func (t Table1) Render() string {
+func (t table1) Render() string {
 	top := metrics.Table{Header: []string{"Rumprun Unikernel", "Snapshot Size (MB)", "Size After AO (MB)"}}
 	top.AddRow("Node.js Invocation Driver", fmt.Sprintf("%.1f", t.NoAO.BaseSnapshotMB), fmt.Sprintf("%.1f", t.FullAO.BaseSnapshotMB))
 	top.AddRow("JavaScript NOP function", fmt.Sprintf("%.1f", t.NoAO.FnSnapshotMB), fmt.Sprintf("%.1f", t.FullAO.FnSnapshotMB))
@@ -195,14 +195,14 @@ func (t Table1) Render() string {
 		top.String() + "\n" + bot.String()
 }
 
-// Table2 reproduces Table 2: cold/warm latency across AO levels.
-type Table2 struct {
-	Levels []MicroRun
+// table2 reproduces Table 2: cold/warm latency across AO levels.
+type table2 struct {
+	Levels []microRun
 }
 
-// RunTable2 executes the AO ablation.
-func RunTable2(iters int) (Table2, error) {
-	var out Table2
+// runTable2 executes the AO ablation.
+func runTable2(iters int) (table2, error) {
+	var out table2
 	for _, lvl := range aoLevels {
 		run, err := runMicro(lvl.net, lvl.itp, iters)
 		if err != nil {
@@ -214,7 +214,7 @@ func RunTable2(iters int) (Table2, error) {
 }
 
 // Render formats the experiment like the paper's Table 2.
-func (t Table2) Render() string {
+func (t table2) Render() string {
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.1f ms", float64(d.Microseconds())/1000) }
 	tab := metrics.Table{Header: []string{"", "No AO", "Network AO", "Network + Interpreter AO"}}
 	if len(t.Levels) == 3 {
@@ -224,24 +224,24 @@ func (t Table2) Render() string {
 	return "Table 2: Latency improvements across different AO\n\n" + tab.String()
 }
 
-// Table3Row is one isolation method's creation rate and density.
-type Table3Row struct {
+// table3Row is one isolation method's creation rate and density.
+type table3Row struct {
 	Method       string
 	CreationRate float64 // instances/second, 16-way parallel
 	Density      int     // idle instances in the 88 GB node
 }
 
-// Table3 reproduces Table 3.
-type Table3 struct {
-	Rows []Table3Row
+// table3 reproduces Table 3.
+type table3 struct {
+	Rows []table3Row
 }
 
-// RunTable3 measures parallel creation rate and cache density for the
+// runTable3 measures parallel creation rate and cache density for the
 // four isolation methods. sampleUCs bounds how many real UCs the SEUSS
 // measurement materializes (footprint is constant per UC, so density
 // extrapolates exactly; the registry uses 1500).
-func RunTable3(sampleUCs int) (Table3, error) {
-	var out Table3
+func runTable3(sampleUCs int) (table3, error) {
+	var out table3
 
 	// Linux baselines: fill to saturation from 16 workers.
 	for _, kind := range []isolation.Kind{isolation.KindMicroVM, isolation.KindContainer, isolation.KindProcess} {
@@ -266,7 +266,7 @@ func RunTable3(sampleUCs int) (Table3, error) {
 			isolation.KindContainer: "Docker w/ overlay2 fs",
 			isolation.KindProcess:   "Linux process",
 		}[kind]
-		out.Rows = append(out.Rows, Table3Row{Method: name, CreationRate: rate, Density: created})
+		out.Rows = append(out.Rows, table3Row{Method: name, CreationRate: rate, Density: created})
 	}
 
 	// SEUSS: creation rate through the shim's serialized connection;
@@ -279,11 +279,11 @@ func RunTable3(sampleUCs int) (Table3, error) {
 	return out, nil
 }
 
-func seussTable3(sampleUCs int) (Table3Row, error) {
+func seussTable3(sampleUCs int) (table3Row, error) {
 	eng := sim.NewEngine()
 	node, err := core.NewNode(eng, core.DefaultConfig())
 	if err != nil {
-		return Table3Row{}, err
+		return table3Row{}, err
 	}
 	shim := sim.NewResource(eng, 1)
 	var ucs []*uc.UC
@@ -317,11 +317,11 @@ func seussTable3(sampleUCs int) (Table3Row, error) {
 	marginal /= int64(len(ucs))
 	baseBytes := node.RuntimeSnapshot().TotalBytes()
 	density := int((costs.NodeMemoryBytes - baseBytes) / marginal)
-	return Table3Row{Method: "SEUSS UC", CreationRate: rate, Density: density}, nil
+	return table3Row{Method: "SEUSS UC", CreationRate: rate, Density: density}, nil
 }
 
 // Render formats the experiment like the paper's Table 3.
-func (t Table3) Render() string {
+func (t table3) Render() string {
 	tab := metrics.Table{Header: []string{"Isolation Method", "Creation Rate (per second)", "Cache Density"}}
 	for _, r := range t.Rows {
 		tab.AddRow(r.Method, fmt.Sprintf("%.1f", r.CreationRate), fmt.Sprintf("%d", r.Density))

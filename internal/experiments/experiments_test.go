@@ -11,7 +11,7 @@ import (
 // harnesses produce paper-shaped output end to end.
 
 func TestTable1Shape(t *testing.T) {
-	t1, err := RunTable1(5)
+	t1, err := runTable1(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2Monotone(t *testing.T) {
-	t2, err := RunTable2(3)
+	t2, err := runTable2(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +72,14 @@ func TestTable2Monotone(t *testing.T) {
 }
 
 func TestTable3Ordering(t *testing.T) {
-	t3, err := RunTable3(200)
+	t3, err := runTable3(200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(t3.Rows) != 4 {
 		t.Fatalf("rows = %d", len(t3.Rows))
 	}
-	byName := map[string]Table3Row{}
+	byName := map[string]table3Row{}
 	for _, r := range t3.Rows {
 		byName[r.Method] = r
 	}
@@ -111,7 +111,7 @@ func TestTable3Ordering(t *testing.T) {
 func TestFigure4Crossover(t *testing.T) {
 	// N must be large enough that the measured window sits past the
 	// container-cache build; the full-size runs use N=1200.
-	f, err := RunFigure4(Figure4Config{SetSizes: []int{64, 2048}, N: 1200, Seed: 1})
+	f, err := runFigure4(figure4Config{SetSizes: []int{64, 2048}, N: 1200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +133,14 @@ func TestFigure4Crossover(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	f, err := RunFigure5([]int{32, 2048}, 300, 1)
+	f, err := runFigure5([]int{32, 2048}, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(f.Rows) != 4 {
 		t.Fatalf("rows = %d", len(f.Rows))
 	}
-	var seussSmall, linuxSmall, linuxBig *Figure5Row
+	var seussSmall, linuxSmall, linuxBig *figure5Row
 	for i := range f.Rows {
 		r := &f.Rows[i]
 		switch {
@@ -170,7 +170,7 @@ func TestBurstShapes(t *testing.T) {
 	// Scaled-down burst pair: SEUSS absorbs everything; the Linux burst
 	// path degrades once the 256 stemcells run dry (5 bursts × 128
 	// requests overruns the pool with no time to replenish).
-	f, err := RunBurst(BurstConfig{
+	f, err := runBurst(burstConfig{
 		Period:    6 * time.Second,
 		Bursts:    5,
 		BurstSize: 128,
@@ -201,14 +201,14 @@ func TestBurstShapes(t *testing.T) {
 }
 
 func TestFigure1StageSkipping(t *testing.T) {
-	f, err := RunFigure1()
+	f, err := runFigure1()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(f.Stages) != 5 {
 		t.Fatalf("stages = %d", len(f.Stages))
 	}
-	byName := map[string]Figure1Stage{}
+	byName := map[string]figure1Stage{}
 	for _, s := range f.Stages {
 		byName[s.Name] = s
 	}
@@ -238,7 +238,7 @@ func TestFigure1StageSkipping(t *testing.T) {
 }
 
 func TestFailoverTimeline(t *testing.T) {
-	f, err := RunFailover(FailoverConfig{N: 300, M: 16, Seed: 1})
+	f, err := runFailover(failoverConfig{N: 300, M: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

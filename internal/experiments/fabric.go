@@ -14,10 +14,10 @@ import (
 	"seuss/internal/workload"
 )
 
-// FabricPoint is one trial of the placement experiment: a unique
+// fabricPoint is one trial of the placement experiment: a unique
 // function count and the throughput a multi-node cluster sustained
 // under each placement policy.
-type FabricPoint struct {
+type fabricPoint struct {
 	SetSize      int
 	LocalPerSec  float64 // locality-blind, node-local snapshots only
 	FabricPerSec float64 // locality-aware over the snapshot fabric
@@ -28,20 +28,20 @@ type FabricPoint struct {
 	RemoteRoutes int64 // fabric requests forwarded to a holder
 }
 
-// FigureFabric is the Figure 4 sweep re-run on a DR-SEUSS cluster:
+// figureFabric is the Figure 4 sweep re-run on a DR-SEUSS cluster:
 // throughput vs unique-function count for local-only placement (each
 // node cold-starts its own copy) against locality-aware placement over
 // the content-addressed snapshot fabric (cold at most once per
 // cluster, bases deduped by digest).
-type FigureFabric struct {
-	Points []FabricPoint
+type figureFabric struct {
+	Points []fabricPoint
 	Nodes  int
 	N      int
 	C      int
 }
 
-// FabricConfig scales the experiment.
-type FabricConfig struct {
+// fabricConfig scales the experiment.
+type fabricConfig struct {
 	// SetSizes lists the unique-function counts (default 64…1024
 	// doubling — the knee of the Figure 4 curve).
 	SetSizes []int
@@ -57,7 +57,7 @@ type FabricConfig struct {
 // of placement.
 const fabricNodes = 4
 
-func (c FabricConfig) withDefaults() FabricConfig {
+func (c fabricConfig) withDefaults() fabricConfig {
 	if len(c.SetSizes) == 0 {
 		for m := 64; m <= 1024; m *= 2 {
 			c.SetSizes = append(c.SetSizes, m)
@@ -69,17 +69,17 @@ func (c FabricConfig) withDefaults() FabricConfig {
 	return c
 }
 
-// RunFabric executes the sweep: each arm of each trial runs on a fresh
+// runFabric executes the sweep: each arm of each trial runs on a fresh
 // cluster deployment, exactly as the paper re-deploys per trial.
-func RunFabric(cfg FabricConfig) (FigureFabric, error) {
+func runFabric(cfg fabricConfig) (figureFabric, error) {
 	cfg = cfg.withDefaults()
 	// The fabric arm's per-node snapshot tiers live under snapDir.
 	snapDir, err := os.MkdirTemp("", "seuss-fabric")
 	if err != nil {
-		return FigureFabric{}, err
+		return figureFabric{}, err
 	}
 	defer os.RemoveAll(snapDir)
-	out := FigureFabric{Nodes: fabricNodes, N: cfg.N, C: fabricNodes}
+	out := figureFabric{Nodes: fabricNodes, N: cfg.N, C: fabricNodes}
 
 	run := func(trial workload.Trial, c cluster.Config) (workload.TrialResult, cluster.Stats, error) {
 		eng := sim.NewEngine()
@@ -112,14 +112,14 @@ func RunFabric(cfg FabricConfig) (FigureFabric, error) {
 		// content-addressed tiers; replication fetches missing layers.
 		resF, stF, err := run(trial, cluster.Config{
 			Nodes:   fabricNodes,
-			Policy:  cluster.PolicyMigrate,
+			Placer:  &sched.LocalityPlacer{Replicate: true},
 			SnapDir: filepath.Join(snapDir, fmt.Sprintf("m%d", m)),
 		})
 		if err != nil {
 			return out, err
 		}
 
-		out.Points = append(out.Points, FabricPoint{
+		out.Points = append(out.Points, fabricPoint{
 			SetSize:      m,
 			LocalPerSec:  resL.SteadyThroughput(),
 			FabricPerSec: resF.SteadyThroughput(),
@@ -134,7 +134,7 @@ func RunFabric(cfg FabricConfig) (FigureFabric, error) {
 }
 
 // Render formats the sweep as the fabric-placement series.
-func (f FigureFabric) Render() string {
+func (f figureFabric) Render() string {
 	tab := metrics.Table{Header: []string{"Set Size (M)", "local (req/s)", "fabric (req/s)", "fabric/local", "local colds", "fabric colds", "routes", "fetches", "dedups"}}
 	for _, p := range f.Points {
 		ratio := 0.0
@@ -157,7 +157,7 @@ func (f FigureFabric) Render() string {
 }
 
 // TSV renders the series as tab-separated values for plotting.
-func (f FigureFabric) TSV() string {
+func (f figureFabric) TSV() string {
 	var sb strings.Builder
 	sb.WriteString("set_size\tlocal_rps\tfabric_rps\tlocal_colds\tfabric_colds\troutes\tfetches\tdedups\n")
 	for _, p := range f.Points {

@@ -9,12 +9,13 @@ import (
 	"seuss/internal/cluster"
 	"seuss/internal/faas"
 	"seuss/internal/metrics"
+	"seuss/internal/sched"
 	"seuss/internal/sim"
 	"seuss/internal/workload"
 )
 
-// FailoverPhase is one measured window of the member-failure timeline.
-type FailoverPhase struct {
+// failoverPhase is one measured window of the member-failure timeline.
+type failoverPhase struct {
 	Phase  string
 	PerSec float64
 	P50    time.Duration
@@ -22,12 +23,12 @@ type FailoverPhase struct {
 	Errors int
 }
 
-// FigureFailover is the member-failure lifecycle experiment: one
+// figureFailover is the member-failure lifecycle experiment: one
 // cluster carries a steady workload through a member crash, the
 // suspicion window, the repair pass, and the member's rejoin — the
 // graceful-degradation claim measured as a throughput/latency timeline.
-type FigureFailover struct {
-	Phases []FailoverPhase
+type figureFailover struct {
+	Phases []failoverPhase
 	Nodes  int
 	N      int // invocations measured per phase
 	C      int
@@ -40,8 +41,8 @@ type FigureFailover struct {
 	Stats cluster.Stats
 }
 
-// FailoverConfig scales the experiment.
-type FailoverConfig struct {
+// failoverConfig scales the experiment.
+type failoverConfig struct {
 	// N is invocations measured per phase (default 600).
 	N int
 	// M is the unique-function count (default 24) — small enough that
@@ -61,7 +62,7 @@ const (
 	failoverThreads = 2 * failoverNodes
 )
 
-func (c FailoverConfig) withDefaults() FailoverConfig {
+func (c failoverConfig) withDefaults() failoverConfig {
 	if c.N == 0 {
 		c.N = 600
 	}
@@ -71,27 +72,27 @@ func (c FailoverConfig) withDefaults() FailoverConfig {
 	return c
 }
 
-// RunFailover executes the timeline on ONE cluster deployment — unlike
+// runFailover executes the timeline on ONE cluster deployment — unlike
 // the sweep experiments, the phases must share state, because the
 // experiment is about what a crash does to state the cluster already
 // has. Phase boundaries are the lifecycle events themselves: crash the
 // victim after the first measurement, measure through the suspicion
 // and repair window, then again after repair settles, then restart the
 // victim and measure the rejoined cluster.
-func RunFailover(cfg FailoverConfig) (FigureFailover, error) {
+func runFailover(cfg failoverConfig) (figureFailover, error) {
 	cfg = cfg.withDefaults()
 	// The per-node snapshot tiers live under snapDir.
 	snapDir, err := os.MkdirTemp("", "seuss-failover")
 	if err != nil {
-		return FigureFailover{}, err
+		return figureFailover{}, err
 	}
 	defer os.RemoveAll(snapDir)
-	out := FigureFailover{Nodes: failoverNodes, N: cfg.N, C: failoverThreads, M: cfg.M}
+	out := figureFailover{Nodes: failoverNodes, N: cfg.N, C: failoverThreads, M: cfg.M}
 
 	eng := sim.NewEngine()
 	cl, err := cluster.New(eng, cluster.Config{
 		Nodes:      failoverNodes,
-		Policy:     cluster.PolicyMigrate,
+		Placer:     &sched.LocalityPlacer{Replicate: true},
 		SnapDir:    snapDir,
 		MaxRetries: 3,
 	})
@@ -107,11 +108,11 @@ func RunFailover(cfg FailoverConfig) (FigureFailover, error) {
 		fns[i] = workload.CPUSpec(fmt.Sprintf("fn%02d", i), 2)
 	}
 	seed := cfg.Seed
-	phase := func(name string, warmup int) FailoverPhase {
+	phase := func(name string, warmup int) failoverPhase {
 		seed++ // distinct send order per phase, still deterministic
 		res := workload.Trial{N: cfg.N, Fns: fns, C: failoverThreads, Seed: seed, Warmup: warmup}.Run(eng, plat)
 		sum := res.Summary()
-		return FailoverPhase{Phase: name, PerSec: res.SteadyThroughput(), P50: sum.P50, P99: sum.P99, Errors: res.Errors}
+		return failoverPhase{Phase: name, PerSec: res.SteadyThroughput(), P50: sum.P50, P99: sum.P99, Errors: res.Errors}
 	}
 
 	// Pre-crash: warm the working set in, then measure the baseline.
@@ -161,7 +162,7 @@ func RunFailover(cfg FailoverConfig) (FigureFailover, error) {
 }
 
 // Render formats the timeline.
-func (f FigureFailover) Render() string {
+func (f figureFailover) Render() string {
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000) }
 	tab := metrics.Table{Header: []string{"Phase", "req/s", "p50 (ms)", "p99 (ms)", "errors"}}
 	for _, p := range f.Phases {
@@ -177,7 +178,7 @@ func (f FigureFailover) Render() string {
 }
 
 // TSV renders the timeline as tab-separated values for plotting.
-func (f FigureFailover) TSV() string {
+func (f figureFailover) TSV() string {
 	var sb strings.Builder
 	sb.WriteString("phase\trps\tp50_us\tp99_us\terrors\n")
 	for _, p := range f.Phases {

@@ -7,11 +7,11 @@ import (
 	"seuss/internal/metrics"
 )
 
-// Figure1Stage is one stage of a function invocation's lifetime
+// figure1Stage is one stage of a function invocation's lifetime
 // (Figure 1 of the paper), with the measured time each path spends in
 // it. A zero duration with Skipped=true is the point of the figure:
 // cached stages vanish from later paths.
-type Figure1Stage struct {
+type figure1Stage struct {
 	Name                        string
 	Cold                        time.Duration
 	Warm                        time.Duration
@@ -19,28 +19,28 @@ type Figure1Stage struct {
 	ColdSkip, WarmSkip, HotSkip bool
 }
 
-// Figure1 is the invocation-stage breakdown.
-type Figure1 struct {
-	Stages []Figure1Stage
+// figure1 is the invocation-stage breakdown.
+type figure1 struct {
+	Stages []figure1Stage
 	// BootTime is the once-per-interpreter system initialization that
 	// even cold starts skip (T1 in the figure: captured in the runtime
 	// snapshot).
 	BootTime time.Duration
 }
 
-// RunFigure1 measures each invocation stage on each path, reproducing
+// runFigure1 measures each invocation stage on each path, reproducing
 // the stage-skipping structure of Figure 1: the runtime snapshot (T1)
 // removes boot + interpreter initialization from every path, the
 // function snapshot (T2) removes import + compile from warm starts, and
 // the cached UC removes deployment and connection from hot starts.
-func RunFigure1() (Figure1, error) {
+func runFigure1() (figure1, error) {
 	m, err := runMicro(true, true, 1)
 	if err != nil {
-		return Figure1{}, err
+		return figure1{}, err
 	}
 	cold, warm := m.coldStages, m.warmStages
-	out := Figure1{BootTime: m.boot}
-	out.Stages = []Figure1Stage{
+	out := figure1{BootTime: m.boot}
+	out.Stages = []figure1Stage{
 		{
 			Name:     "boot unikernel + init interpreter",
 			ColdSkip: true, WarmSkip: true, HotSkip: true, // in the runtime snapshot
@@ -66,7 +66,7 @@ func RunFigure1() (Figure1, error) {
 }
 
 // Render formats the stage table.
-func (f Figure1) Render() string {
+func (f figure1) Render() string {
 	tab := metrics.Table{Header: []string{"Stage", "Cold", "Warm", "Hot"}}
 	cell := func(d time.Duration, skip bool) string {
 		if skip {

@@ -32,9 +32,9 @@ func steadyWarmup(m int) int {
 	return w
 }
 
-// Figure4Point is one trial of the throughput experiment: a function
+// figure4Point is one trial of the throughput experiment: a function
 // set size and the throughput each backend sustained.
-type Figure4Point struct {
+type figure4Point struct {
 	SetSize        int
 	SeussPerSec    float64
 	LinuxPerSec    float64
@@ -42,18 +42,18 @@ type Figure4Point struct {
 	SeussColdShare float64 // fraction of requests served cold
 }
 
-// Figure4 is the platform-throughput sweep.
-type Figure4 struct {
-	Points []Figure4Point
+// figure4 is the platform-throughput sweep.
+type figure4 struct {
+	Points []figure4Point
 	N      int
 	C      int
 }
 
-// Figure4Config scales the experiment. The paper doubles M from 64 to
+// figure4Config scales the experiment. The paper doubles M from 64 to
 // 65536 with 32 worker threads on a continuous stream; we measure N
 // requests per trial after warmup (with N ≥ several times the
 // steady-state working set this matches the stream's stable point).
-type Figure4Config struct {
+type figure4Config struct {
 	// SetSizes lists the M values (default 64…65536 doubling).
 	SetSizes []int
 	// N is invocations measured per trial (default 1200).
@@ -62,7 +62,7 @@ type Figure4Config struct {
 	Seed int64
 }
 
-func (c Figure4Config) withDefaults() Figure4Config {
+func (c figure4Config) withDefaults() figure4Config {
 	if len(c.SetSizes) == 0 {
 		for m := 64; m <= 65536; m *= 2 {
 			c.SetSizes = append(c.SetSizes, m)
@@ -74,11 +74,11 @@ func (c Figure4Config) withDefaults() Figure4Config {
 	return c
 }
 
-// RunFigure4 executes the sweep: each trial runs on a fresh platform
+// runFigure4 executes the sweep: each trial runs on a fresh platform
 // deployment, exactly as the paper re-deploys OpenWhisk per trial.
-func RunFigure4(cfg Figure4Config) (Figure4, error) {
+func runFigure4(cfg figure4Config) (figure4, error) {
 	cfg = cfg.withDefaults()
-	out := Figure4{N: cfg.N, C: loadThreads}
+	out := figure4{N: cfg.N, C: loadThreads}
 	for _, m := range cfg.SetSizes {
 		fns := make([]workload.Spec, m)
 		for i := range fns {
@@ -104,7 +104,7 @@ func RunFigure4(cfg Figure4Config) (Figure4, error) {
 		if st := nodeS.Stats(); st.Cold+st.Warm+st.Hot > 0 {
 			coldShare = float64(st.Cold) / float64(st.Cold+st.Warm+st.Hot)
 		}
-		out.Points = append(out.Points, Figure4Point{
+		out.Points = append(out.Points, figure4Point{
 			SetSize:        m,
 			SeussPerSec:    resS.SteadyThroughput(),
 			LinuxPerSec:    resL.SteadyThroughput(),
@@ -116,7 +116,7 @@ func RunFigure4(cfg Figure4Config) (Figure4, error) {
 }
 
 // Render formats the sweep as the Figure 4 series.
-func (f Figure4) Render() string {
+func (f figure4) Render() string {
 	tab := metrics.Table{Header: []string{"Set Size (M)", "SEUSS (req/s)", "Linux (req/s)", "SEUSS/Linux", "Linux errors", "SEUSS cold%"}}
 	for _, p := range f.Points {
 		ratio := 0.0
@@ -136,7 +136,7 @@ func (f Figure4) Render() string {
 }
 
 // TSV renders the series as tab-separated values for plotting.
-func (f Figure4) TSV() string {
+func (f figure4) TSV() string {
 	var sb strings.Builder
 	sb.WriteString("set_size\tseuss_rps\tlinux_rps\tlinux_errors\n")
 	for _, p := range f.Points {
@@ -145,27 +145,27 @@ func (f Figure4) TSV() string {
 	return sb.String()
 }
 
-// Figure5Row is the latency distribution of one backend at one set
+// figure5Row is the latency distribution of one backend at one set
 // size.
-type Figure5Row struct {
+type figure5Row struct {
 	Backend string
 	SetSize int
 	Summary metrics.Summary
 	Errors  int
 }
 
-// Figure5 is the end-to-end latency percentile experiment.
-type Figure5 struct {
-	Rows []Figure5Row
+// figure5 is the end-to-end latency percentile experiment.
+type figure5 struct {
+	Rows []figure5Row
 }
 
-// RunFigure5 measures end-to-end request latency distributions at the
+// runFigure5 measures end-to-end request latency distributions at the
 // three set sizes of the paper's figure.
-func RunFigure5(setSizes []int, n int, seed int64) (Figure5, error) {
+func runFigure5(setSizes []int, n int, seed int64) (figure5, error) {
 	if len(setSizes) == 0 {
 		setSizes = []int{64, 2048, 65536}
 	}
-	var out Figure5
+	var out figure5
 	for _, m := range setSizes {
 		fns := make([]workload.Spec, m)
 		for i := range fns {
@@ -179,17 +179,17 @@ func RunFigure5(setSizes []int, n int, seed int64) (Figure5, error) {
 			return out, err
 		}
 		resS := trial.Run(engS, faas.NewCluster(faas.NewSeussBackend(nodeS)))
-		out.Rows = append(out.Rows, Figure5Row{Backend: "seuss", SetSize: m, Summary: resS.Summary(), Errors: resS.Errors})
+		out.Rows = append(out.Rows, figure5Row{Backend: "seuss", SetSize: m, Summary: resS.Summary(), Errors: resS.Errors})
 
 		engL := sim.NewEngine()
 		resL := trial.Run(engL, faas.NewCluster(faas.NewLinuxBackend(engL, faas.LinuxConfig{Seed: seed})))
-		out.Rows = append(out.Rows, Figure5Row{Backend: "linux", SetSize: m, Summary: resL.Summary(), Errors: resL.Errors})
+		out.Rows = append(out.Rows, figure5Row{Backend: "linux", SetSize: m, Summary: resL.Summary(), Errors: resL.Errors})
 	}
 	return out, nil
 }
 
 // Render formats the Figure 5 quantiles.
-func (f Figure5) Render() string {
+func (f figure5) Render() string {
 	tab := metrics.Table{Header: []string{"Backend", "M", "p1", "p25", "p50", "p75", "p99", "mean", "errors"}}
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.1f", float64(d.Microseconds())/1000) }
 	for _, r := range f.Rows {
@@ -201,8 +201,8 @@ func (f Figure5) Render() string {
 	return "Figure 5: End-to-end request latency of a NOP function (ms)\n\n" + tab.String()
 }
 
-// BurstResult is one backend's outcome in a burst experiment.
-type BurstResult struct {
+// burstResult is one backend's outcome in a burst experiment.
+type burstResult struct {
 	Backend          string
 	Period           time.Duration
 	BackgroundCount  int
@@ -215,17 +215,17 @@ type BurstResult struct {
 	Timeline         *metrics.Timeline
 }
 
-// FigureBurst is one of Figures 6-8: both backends exposed to the same
+// figureBurst is one of Figures 6-8: both backends exposed to the same
 // burst schedule.
-type FigureBurst struct {
+type figureBurst struct {
 	Period time.Duration
-	Seuss  BurstResult
-	Linux  BurstResult
+	Seuss  burstResult
+	Linux  burstResult
 }
 
-// BurstConfig parameterizes the burst experiments; zero values take the
+// burstConfig parameterizes the burst experiments; zero values take the
 // paper's setup.
-type BurstConfig struct {
+type burstConfig struct {
 	Period    time.Duration // 32 s, 16 s, or 8 s
 	Bursts    int           // default 10
 	BurstSize int           // default 128 (not stated in the paper; chosen so the container cache limit is hit around the 5th burst at the 32 s period, as §7 reports)
@@ -234,7 +234,7 @@ type BurstConfig struct {
 	Seed      int64
 }
 
-func (c BurstConfig) withDefaults() BurstConfig {
+func (c burstConfig) withDefaults() burstConfig {
 	if c.Period == 0 {
 		c.Period = 32 * time.Second
 	}
@@ -266,7 +266,7 @@ const (
 
 // load builds the burst schedule: the background stream at BGRate, and
 // Bursts CPU-bound bursts one Period apart.
-func (c BurstConfig) load() workload.Burst {
+func (c burstConfig) load() workload.Burst {
 	fns := make([]workload.Spec, burstBGFns)
 	for i := range fns {
 		fns[i] = workload.IOSpec(fmt.Sprintf("bg%02d/io", i), "http://ext/block", burstIOBlock)
@@ -293,11 +293,11 @@ func seussIONode(eng *sim.Engine) (*core.Node, error) {
 	return core.NewNode(eng, cfg)
 }
 
-// RunBurst executes one burst experiment (one of Figures 6-8) on both
+// runBurst executes one burst experiment (one of Figures 6-8) on both
 // backends.
-func RunBurst(cfg BurstConfig) (FigureBurst, error) {
+func runBurst(cfg burstConfig) (figureBurst, error) {
 	cfg = cfg.withDefaults()
-	out := FigureBurst{Period: cfg.Period}
+	out := figureBurst{Period: cfg.Period}
 
 	engS := sim.NewEngine()
 	nodeS, err := seussIONode(engS)
@@ -327,10 +327,10 @@ func RunBurst(cfg BurstConfig) (FigureBurst, error) {
 	return out, nil
 }
 
-func summarizeBurst(backend string, period time.Duration, tl *metrics.Timeline) BurstResult {
+func summarizeBurst(backend string, period time.Duration, tl *metrics.Timeline) burstResult {
 	bg := metrics.Summarize(tl.Latencies("background"))
 	bu := metrics.Summarize(tl.Latencies("burst"))
-	return BurstResult{
+	return burstResult{
 		Backend:          backend,
 		Period:           period,
 		BackgroundCount:  tl.Count("background"),
@@ -345,9 +345,9 @@ func summarizeBurst(backend string, period time.Duration, tl *metrics.Timeline) 
 }
 
 // Render formats the burst experiment summary.
-func (f FigureBurst) Render() string {
+func (f figureBurst) Render() string {
 	tab := metrics.Table{Header: []string{"Backend", "bg reqs", "bg errors", "bg p99", "max bg gap", "burst reqs", "burst errors", "burst p99"}}
-	row := func(r BurstResult) {
+	row := func(r burstResult) {
 		tab.AddRow(r.Backend,
 			fmt.Sprintf("%d", r.BackgroundCount), fmt.Sprintf("%d", r.BackgroundErrors),
 			r.BackgroundP99.Round(time.Millisecond).String(), r.MaxBackgroundGap.Round(time.Millisecond).String(),
@@ -361,7 +361,7 @@ func (f FigureBurst) Render() string {
 
 // TSV renders both timelines as tab-separated scatter data
 // (backend, kind, sent_s, latency_ms, error).
-func (f FigureBurst) TSV() string {
+func (f figureBurst) TSV() string {
 	var sb strings.Builder
 	sb.WriteString("backend\tkind\tsent_s\tlatency_ms\terror\n")
 	write := func(backend string, tl *metrics.Timeline) {

@@ -66,7 +66,7 @@ func runBurstEntry(p Params) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := BurstConfig{Seed: p.Seed}.withDefaults()
+	cfg := burstConfig{Seed: p.Seed}.withDefaults()
 	r := summarizeBurst(p.Backend, cfg.Period, cfg.load().Run(eng, plat))
 	ms := time.Millisecond
 	return plainText(fmt.Sprintf("backend=%s period=%v bursts=%d size=%d\n"+

@@ -25,8 +25,8 @@ import (
 // inter-arrival history — the experiment measures both sides of the
 // trade for all three.
 
-// PolicyArm is one policy's measured outcome over the trace.
-type PolicyArm struct {
+// policyArm is one policy's measured outcome over the trace.
+type policyArm struct {
 	Policy   string
 	Arrivals int // total scheduled arrivals
 	Measured int // completions inside the measurement window
@@ -44,9 +44,9 @@ type PolicyArm struct {
 	Misses   int64   // predictions whose lineage left the tier
 }
 
-// FigurePolicy is the full policy comparison.
-type FigurePolicy struct {
-	Arms    []PolicyArm
+// figurePolicy is the full policy comparison.
+type figurePolicy struct {
+	Arms    []policyArm
 	Keys    int
 	Horizon time.Duration
 	Warmup  time.Duration
@@ -70,8 +70,8 @@ const (
 	policyFixedWindow = 2 * time.Minute
 )
 
-// PolicyConfig scales the experiment.
-type PolicyConfig struct {
+// policyConfig scales the experiment.
+type policyConfig struct {
 	// HotKeys invoke Poisson with mean policyHotMean (default 200
 	// keys).
 	HotKeys int
@@ -96,7 +96,7 @@ type PolicyConfig struct {
 	SnapDir string
 }
 
-func (c PolicyConfig) withDefaults() PolicyConfig {
+func (c policyConfig) withDefaults() policyConfig {
 	if c.HotKeys == 0 {
 		c.HotKeys = 200
 	}
@@ -116,7 +116,7 @@ func (c PolicyConfig) withDefaults() PolicyConfig {
 }
 
 // traceKeys builds the synthetic three-band key population.
-func (c PolicyConfig) traceKeys() []workload.TraceKey {
+func (c policyConfig) traceKeys() []workload.TraceKey {
 	if len(c.Keys) > 0 {
 		return c.Keys
 	}
@@ -157,21 +157,21 @@ func (ni nodeInvoker) InvokePath(p *sim.Proc, spec workload.Spec, args string) (
 	return res.Path.String(), nil
 }
 
-// RunPolicy replays the same trace against each policy arm on a fresh
+// runPolicy replays the same trace against each policy arm on a fresh
 // node with a fresh disk tier.
-func RunPolicy(cfg PolicyConfig) (FigurePolicy, error) {
+func runPolicy(cfg policyConfig) (figurePolicy, error) {
 	cfg = cfg.withDefaults()
 	if cfg.SnapDir == "" {
 		dir, err := os.MkdirTemp("", "seuss-policy")
 		if err != nil {
-			return FigurePolicy{}, err
+			return figurePolicy{}, err
 		}
 		defer os.RemoveAll(dir)
 		cfg.SnapDir = dir
 	}
 	keys := cfg.traceKeys()
 	tr := workload.Trace{Keys: keys, Horizon: cfg.Horizon, Seed: cfg.Seed}
-	out := FigurePolicy{Keys: len(keys), Horizon: cfg.Horizon, Warmup: cfg.Warmup}
+	out := figurePolicy{Keys: len(keys), Horizon: cfg.Horizon, Warmup: cfg.Warmup}
 
 	arms := []policy.Policy{
 		policy.NoKeepAlive{},
@@ -191,10 +191,10 @@ func RunPolicy(cfg PolicyConfig) (FigurePolicy, error) {
 // runPolicyArm runs one policy over the trace. The reaper ticks and
 // RAM sampling ride one bounded proc on the trace's engine: it stops
 // one tick past the horizon, so eng.Run still terminates.
-func runPolicyArm(cfg PolicyConfig, tr workload.Trace, pol policy.Policy, dir string) (PolicyArm, error) {
+func runPolicyArm(cfg policyConfig, tr workload.Trace, pol policy.Policy, dir string) (policyArm, error) {
 	store, err := snapstore.Open(dir, -1)
 	if err != nil {
-		return PolicyArm{}, err
+		return policyArm{}, err
 	}
 	eng := sim.NewEngine()
 	nc := core.DefaultConfig()
@@ -203,7 +203,7 @@ func runPolicyArm(cfg PolicyConfig, tr workload.Trace, pol policy.Policy, dir st
 	nc.SnapStore = store
 	node, err := core.NewNode(eng, nc)
 	if err != nil {
-		return PolicyArm{}, err
+		return policyArm{}, err
 	}
 
 	// RAM accounting integrates BytesInUse over the measurement window
@@ -227,7 +227,7 @@ func runPolicyArm(cfg PolicyConfig, tr workload.Trace, pol policy.Policy, dir st
 	res := tr.Run(eng, nodeInvoker{n: node})
 	st := node.Stats()
 
-	arm := PolicyArm{
+	arm := policyArm{
 		Policy:   pol.Name(),
 		Arrivals: res.Arrivals,
 		RAMGBs:   ramByteSeconds / 1e9,
@@ -264,7 +264,7 @@ func runPolicyArm(cfg PolicyConfig, tr workload.Trace, pol policy.Policy, dir st
 }
 
 // Render formats the comparison.
-func (f FigurePolicy) Render() string {
+func (f figurePolicy) Render() string {
 	tab := metrics.Table{Header: []string{
 		"policy", "measured", "cold", "lukewarm", "warm", "hot",
 		"p50", "p99", "p99.9", "warm-hit", "RAM GB·s", "expired", "prewarms",
@@ -292,7 +292,7 @@ func (f FigurePolicy) Render() string {
 }
 
 // TSV renders the comparison for plotting and the results gate.
-func (f FigurePolicy) TSV() string {
+func (f figurePolicy) TSV() string {
 	var sb strings.Builder
 	sb.WriteString("policy\tarrivals\tmeasured\tcold\tlukewarm\twarm\thot\tp50_us\tp99_us\tp999_us\twarm_hit\tram_gb_s\texpired\tprewarms\tprewarm_misses\n")
 	for _, a := range f.Arms {

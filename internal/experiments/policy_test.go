@@ -15,7 +15,7 @@ import (
 // (scale-to-zero between predicted arrivals; one-shot keys retire on
 // the short default window).
 func TestPolicyTradeoffs(t *testing.T) {
-	f, err := RunPolicy(PolicyConfig{
+	f, err := runPolicy(policyConfig{
 		HotKeys:      20,
 		PeriodicKeys: 60,
 		OnceKeys:     200,
@@ -30,7 +30,7 @@ func TestPolicyTradeoffs(t *testing.T) {
 	if len(f.Arms) != 3 {
 		t.Fatalf("arms = %d, want 3", len(f.Arms))
 	}
-	byName := map[string]PolicyArm{}
+	byName := map[string]policyArm{}
 	for _, a := range f.Arms {
 		byName[a.Policy] = a
 	}

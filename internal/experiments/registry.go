@@ -28,7 +28,7 @@ type Params struct {
 
 // Experiment is one entry of the virtual-time harness. The registry is
 // the only list of experiments: seuss-experiments' usage text, its -run
-// validation and scripts/results_drift.sh all read it.
+// validation and the root package's TestResultsByteIdentical all read it.
 type Experiment struct {
 	Name string
 	// All reports whether -run all includes the entry.
@@ -36,7 +36,7 @@ type Experiment struct {
 	// TSV names the file the entry's series is written to under -out;
 	// empty for an entry that renders text only.
 	TSV string
-	// Pinned reports whether scripts/results_drift.sh holds the entry's
+	// Pinned reports whether TestResultsByteIdentical holds the entry's
 	// output against results/: its series against results/<TSV>, or,
 	// for a text-only entry, its rendered text against its share of
 	// results/tables.txt.
@@ -67,44 +67,44 @@ func (e Experiment) PinnedFile() string {
 // is the order of results/tables.txt and results/all_experiments.txt.
 var Registry = []Experiment{
 	{Name: "fig1", All: true, Pinned: true, Run: func(Params) (Result, error) {
-		return RunFigure1()
+		return runFigure1()
 	}},
 	{Name: "table1", All: true, Pinned: true, Run: func(p Params) (Result, error) {
-		return RunTable1(pick(p.Quick, 25, 475))
+		return runTable1(pick(p.Quick, 25, 475))
 	}},
 	{Name: "table2", All: true, Pinned: true, Run: func(p Params) (Result, error) {
-		return RunTable2(pick(p.Quick, 10, 100))
+		return runTable2(pick(p.Quick, 10, 100))
 	}},
 	{Name: "table3", All: true, Pinned: true, Run: func(p Params) (Result, error) {
-		return RunTable3(pick(p.Quick, 400, 1500))
+		return runTable3(pick(p.Quick, 400, 1500))
 	}},
 	{Name: "fig4", All: true, TSV: "figure4.tsv", Pinned: true, Run: func(p Params) (Result, error) {
-		cfg := Figure4Config{Seed: p.Seed}
+		cfg := figure4Config{Seed: p.Seed}
 		if p.Quick {
 			cfg.SetSizes = []int{64, 256, 1024, 4096, 16384}
 			cfg.N = 600
 		}
-		return RunFigure4(cfg)
+		return runFigure4(cfg)
 	}},
 	{Name: "fabric", All: true, TSV: "fabric.tsv", Pinned: true, Run: func(p Params) (Result, error) {
-		cfg := FabricConfig{Seed: p.Seed}
+		cfg := fabricConfig{Seed: p.Seed}
 		if p.Quick {
 			cfg.SetSizes = []int{64, 256, 1024}
 			cfg.N = 400
 		}
-		return RunFabric(cfg)
+		return runFabric(cfg)
 	}},
 	{Name: "failover", All: true, TSV: "failover.tsv", Pinned: true, Run: func(p Params) (Result, error) {
-		cfg := FailoverConfig{Seed: p.Seed}
+		cfg := failoverConfig{Seed: p.Seed}
 		if p.Quick {
 			cfg.N = 300
 			cfg.M = 16
 		}
-		return RunFailover(cfg)
+		return runFailover(cfg)
 	}},
 	{Name: "policy", All: true, TSV: "policy.tsv", Pinned: true, Run: runPolicyEntry},
 	{Name: "fig5", All: true, Run: func(p Params) (Result, error) {
-		return RunFigure5(nil, pick(p.Quick, 400, 1000), p.Seed)
+		return runFigure5(nil, pick(p.Quick, 400, 1000), p.Seed)
 	}},
 	// fig6's 1.8 MB series is not committed, so nothing pins it.
 	{Name: "fig6", All: true, TSV: "fig6.tsv", Run: burstEntry(32 * time.Second)},
@@ -149,17 +149,17 @@ func pick(quick bool, reduced, full int) int {
 
 func burstEntry(period time.Duration) func(Params) (Result, error) {
 	return func(p Params) (Result, error) {
-		cfg := BurstConfig{Period: period, Seed: p.Seed}
+		cfg := burstConfig{Period: period, Seed: p.Seed}
 		if p.Quick {
 			cfg.Bursts = 5
 			cfg.Threads = 64
 		}
-		return RunBurst(cfg)
+		return runBurst(cfg)
 	}
 }
 
 func runPolicyEntry(p Params) (Result, error) {
-	cfg := PolicyConfig{Seed: p.Seed}
+	cfg := policyConfig{Seed: p.Seed}
 	if p.Quick {
 		cfg.HotKeys = 20
 		cfg.PeriodicKeys = 60
@@ -177,5 +177,5 @@ func runPolicyEntry(p Params) (Result, error) {
 		}
 		cfg.Keys = keys
 	}
-	return RunPolicy(cfg)
+	return runPolicy(cfg)
 }

@@ -28,12 +28,12 @@ import (
 	"seuss/internal/workload"
 )
 
-// ErrNoCapacity is returned when the Linux invoker cannot obtain a
+// errNoCapacity is returned when the Linux invoker cannot obtain a
 // container before the platform timeout.
-var ErrNoCapacity = errors.New("faas: no container capacity")
+var errNoCapacity = errors.New("faas: no container capacity")
 
-// Backend is a compute node reachable from the controller.
-type Backend interface {
+// backend is a compute node reachable from the controller.
+type backend interface {
 	// Invoke services one invocation inside p.
 	Invoke(p *sim.Proc, spec workload.Spec, args string) error
 	// Name identifies the backend in reports.
@@ -46,21 +46,15 @@ type Backend interface {
 // pool's breaker, the cluster's MaxRetries) and passes through here
 // unchanged.
 type Cluster struct {
-	backend            Backend
+	backend            backend
 	requests, failures int64
 }
 
 // NewCluster assembles a platform over the given backend.
-func NewCluster(backend Backend) *Cluster { return &Cluster{backend: backend} }
-
-// Requests counts the activations accepted.
-func (c *Cluster) Requests() int64 { return c.requests }
-
-// Failures counts the activations that surfaced an error.
-func (c *Cluster) Failures() int64 { return c.failures }
+func NewCluster(backend backend) *Cluster { return &Cluster{backend: backend} }
 
 // Backend returns the compute backend.
-func (c *Cluster) Backend() Backend { return c.backend }
+func (c *Cluster) Backend() backend { return c.backend }
 
 // Invoke implements workload.Invoker: API gateway + controller
 // overhead, then the backend, in the caller's process (the paper's
@@ -77,9 +71,9 @@ func (c *Cluster) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
 
 // ---- SEUSS backend ----
 
-// Invoker is the compute side behind the shim: it serves one request
+// invoker is the compute side behind the shim: it serves one request
 // inside p and charges p whatever virtual time the service took.
-type Invoker func(p *sim.Proc, req core.Request) error
+type invoker func(p *sim.Proc, req core.Request) error
 
 // SeussBackend fronts SEUSS compute with the shim process of §6:
 // requests reach the shim from the controller and are forwarded over
@@ -89,14 +83,14 @@ type Invoker func(p *sim.Proc, req core.Request) error
 type SeussBackend struct {
 	name   string
 	node   *core.Node // the single-node backend's node; nil otherwise
-	invoke Invoker
+	invoke invoker
 	shim   *sim.Resource
 	rng    *sim.RNG
 }
 
 // newSeussBackend builds the front door: lanes is how many shim
 // connections serialize message transfer.
-func newSeussBackend(eng *sim.Engine, name string, lanes int, invoke Invoker) *SeussBackend {
+func newSeussBackend(eng *sim.Engine, name string, lanes int, invoke invoker) *SeussBackend {
 	return &SeussBackend{
 		name:   name,
 		invoke: invoke,
@@ -190,8 +184,8 @@ type container struct {
 	busy bool
 }
 
-// LinuxBackend is the stock OpenWhisk invoker on a Linux compute node.
-type LinuxBackend struct {
+// linuxBackend is the stock OpenWhisk invoker on a Linux compute node.
+type linuxBackend struct {
 	eng          *sim.Engine
 	cfg          LinuxConfig
 	cores        *sim.Resource
@@ -212,11 +206,11 @@ type LinuxBackend struct {
 
 // NewLinuxBackend builds the Linux invoker and, if configured, starts
 // the stemcell replenisher.
-func NewLinuxBackend(eng *sim.Engine, cfg LinuxConfig) *LinuxBackend {
+func NewLinuxBackend(eng *sim.Engine, cfg LinuxConfig) *linuxBackend {
 	cfg = cfg.withDefaults()
 	rng := sim.NewRNG(cfg.Seed)
 	bridge := netsim.NewBridge(rng)
-	b := &LinuxBackend{
+	b := &linuxBackend{
 		eng:      eng,
 		cfg:      cfg,
 		cores:    sim.NewResource(eng, cfg.Cores),
@@ -238,7 +232,7 @@ func NewLinuxBackend(eng *sim.Engine, cfg LinuxConfig) *LinuxBackend {
 // setup (the paper's burst trials start from a fresh deployment with
 // the cache configured, before the measurement clock matters), so no
 // virtual time is charged.
-func (b *LinuxBackend) prewarmStemcells() {
+func (b *linuxBackend) prewarmStemcells() {
 	for i := 0; i < b.cfg.Stemcells; i++ {
 		inst, err := b.docker.Prewarm()
 		if err != nil {
@@ -250,17 +244,14 @@ func (b *LinuxBackend) prewarmStemcells() {
 }
 
 // Name implements Backend.
-func (b *LinuxBackend) Name() string { return "linux" }
-
-// Bridge exposes the container network (instrumentation).
-func (b *LinuxBackend) Bridge() *netsim.Bridge { return b.bridge }
+func (b *linuxBackend) Name() string { return "linux" }
 
 // maybeReplenish restarts the stemcell replenisher after the pool is
 // consumed. The replenisher competes with invocations for the Docker
 // daemon — the §7 observation that automatic background container
 // construction interferes with cold starts — and exits once the pool
 // is back at target (keeping the event queue drainable).
-func (b *LinuxBackend) maybeReplenish() {
+func (b *linuxBackend) maybeReplenish() {
 	if b.cfg.Stemcells == 0 || b.replenishing {
 		return
 	}
@@ -281,7 +272,7 @@ func (b *LinuxBackend) maybeReplenish() {
 }
 
 // Invoke implements Backend.
-func (b *LinuxBackend) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
+func (b *linuxBackend) Invoke(p *sim.Proc, spec workload.Spec, args string) error {
 	p.Sleep(costs.InvokerOverhead)
 	// The invoker's dispatch path is serialized (message decode,
 	// scheduling, result collection share one loop).
@@ -308,13 +299,13 @@ func (b *LinuxBackend) Invoke(p *sim.Proc, spec workload.Spec, args string) erro
 // acquireContainer finds or builds a warm container for the function:
 // idle container → stemcell import → fresh create → evict-and-create,
 // waiting for capacity up to the platform timeout.
-func (b *LinuxBackend) acquireContainer(p *sim.Proc, spec workload.Spec) (*container, error) {
+func (b *linuxBackend) acquireContainer(p *sim.Proc, spec workload.Spec) (*container, error) {
 	deadline := p.Now().Add(costs.ConnTimeout)
 	for {
 		// A request that cannot be scheduled before the platform
 		// timeout has already failed upstream.
 		if p.Now() > deadline {
-			return nil, ErrNoCapacity
+			return nil, errNoCapacity
 		}
 		// Warm: idle container already holding this function.
 		if list := b.byFn[spec.Key]; len(list) > 0 {
@@ -365,7 +356,7 @@ func (b *LinuxBackend) acquireContainer(p *sim.Proc, spec workload.Spec) (*conta
 					ctr.busy = false
 					ctr.last = b.eng.Now()
 					b.freed.Broadcast()
-					return nil, ErrNoCapacity
+					return nil, errNoCapacity
 				}
 				b.Cold++
 				return ctr, nil
@@ -389,7 +380,7 @@ func (b *LinuxBackend) acquireContainer(p *sim.Proc, spec workload.Spec) (*conta
 // and admitting more of them than the limit would overshoot it. A
 // share of the creation burns node CPU, contending with running
 // functions.
-func (b *LinuxBackend) createFor(p *sim.Proc, spec workload.Spec) (*container, error) {
+func (b *linuxBackend) createFor(p *sim.Proc, spec workload.Spec) (*container, error) {
 	b.total++
 	b.creating[spec.Key]++
 	inst, err := b.docker.Create(p)
@@ -413,7 +404,7 @@ func (b *LinuxBackend) createFor(p *sim.Proc, spec workload.Spec) (*container, e
 }
 
 // lruIdle returns the least recently used idle warm container.
-func (b *LinuxBackend) lruIdle() *container {
+func (b *linuxBackend) lruIdle() *container {
 	var lru *container
 	for _, list := range b.byFn {
 		for _, ctr := range list {
@@ -429,7 +420,7 @@ func (b *LinuxBackend) lruIdle() *container {
 }
 
 // removeContainer destroys a container and forgets it.
-func (b *LinuxBackend) removeContainer(p *sim.Proc, victim *container) {
+func (b *linuxBackend) removeContainer(p *sim.Proc, victim *container) {
 	list := b.byFn[victim.fn]
 	for i, ctr := range list {
 		if ctr == victim {
@@ -447,7 +438,7 @@ func (b *LinuxBackend) removeContainer(p *sim.Proc, victim *container) {
 // runIn executes the function inside its container: connect across the
 // bridge, run the modeled CPU on the node's cores, block for external
 // IO.
-func (b *LinuxBackend) runIn(p *sim.Proc, ctr *container, spec workload.Spec) error {
+func (b *linuxBackend) runIn(p *sim.Proc, ctr *container, spec workload.Spec) error {
 	if !b.bridge.Connect() {
 		p.Sleep(costs.ConnTimeout)
 		return isolation.ErrConnTimeout

@@ -135,7 +135,7 @@ func TestFigure4ShapeLargeSetSeussWins(t *testing.T) {
 		t.Errorf("SEUSS %.1f/s not >5x Linux %.1f/s on unique-function workload",
 			resS.Throughput(), resL.Throughput())
 	}
-	lb := cl.Backend().(*LinuxBackend)
+	lb := cl.Backend().(*linuxBackend)
 	if lb.docker.Destroyed == 0 {
 		t.Error("Linux saturation never evicted containers")
 	}

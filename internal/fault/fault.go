@@ -110,17 +110,6 @@ var (
 	}
 )
 
-// Register adds a fault point to the global registry (idempotent).
-// Points need not be registered to fire; the registry exists so
-// operators can enumerate what a build can inject.
-func Register(pt Point, desc string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, ok := registry[pt]; !ok {
-		registry[pt] = desc
-	}
-}
-
 // Points lists the registered fault points in sorted order.
 func Points() []Point {
 	regMu.Lock()
@@ -158,8 +147,8 @@ type Config struct {
 	Schedule map[Point][]uint64
 }
 
-// Enabled reports whether the config injects anything at all.
-func (c Config) Enabled() bool { return c.Rate > 0 || len(c.Schedule) > 0 }
+// enabled reports whether the config injects anything at all.
+func (c Config) enabled() bool { return c.Rate > 0 || len(c.Schedule) > 0 }
 
 // Child derives the config for a numbered sub-component (a shard, a
 // cluster member): same rate, points, and schedule, but a seed offset
@@ -169,8 +158,8 @@ func (c Config) Child(id int) Config {
 	return c
 }
 
-// Event is one fired fault in an injector's trace.
-type Event struct {
+// event is one fired fault in an injector's trace.
+type event struct {
 	// Seq is the event's position in the injector's firing order.
 	Seq uint64
 	// Point is the site that fired.
@@ -180,7 +169,7 @@ type Event struct {
 }
 
 // String renders the event compactly ("3:uc-crash@7").
-func (e Event) String() string { return fmt.Sprintf("%d:%s@%d", e.Seq, e.Point, e.Visit) }
+func (e event) String() string { return fmt.Sprintf("%d:%s@%d", e.Seq, e.Point, e.Visit) }
 
 // Injector decides, deterministically, whether fault points fire. The
 // nil *Injector is valid and never fires — the zero-overhead disabled
@@ -195,7 +184,7 @@ type Injector struct {
 	schedule  map[Point]map[uint64]bool
 	visits    map[Point]uint64
 	fired     map[Point]uint64
-	events    []Event
+	events    []event
 	seq       uint64
 }
 
@@ -206,7 +195,7 @@ const traceCap = 4096
 // New builds an injector, or nil — the zero-overhead disabled
 // injector — when the config injects nothing.
 func New(c Config) *Injector {
-	if !c.Enabled() {
+	if !c.enabled() {
 		return nil
 	}
 	in := &Injector{
@@ -259,7 +248,7 @@ func (in *Injector) Fire(pt Point) bool {
 		in.fired[pt]++
 		in.seq++
 		if len(in.events) < traceCap {
-			in.events = append(in.events, Event{Seq: in.seq, Point: pt, Visit: visit})
+			in.events = append(in.events, event{Seq: in.seq, Point: pt, Visit: visit})
 		}
 	}
 	return fire
@@ -297,13 +286,13 @@ func (in *Injector) TotalFired() uint64 {
 
 // Trace returns a copy of the firing trace (capped at an internal
 // limit; counters are exact regardless).
-func (in *Injector) Trace() []Event {
+func (in *Injector) Trace() []event {
 	if in == nil {
 		return nil
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	out := make([]Event, len(in.events))
+	out := make([]event, len(in.events))
 	copy(out, in.events)
 	return out
 }

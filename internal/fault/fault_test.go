@@ -41,10 +41,10 @@ func TestDisabledConfigReturnsNil(t *testing.T) {
 	if New(Config{Seed: 42}) != nil {
 		t.Error("config with no rate and no schedule should build the nil injector")
 	}
-	if !(Config{Rate: 0.1}).Enabled() {
+	if !(Config{Rate: 0.1}).enabled() {
 		t.Error("rate should enable")
 	}
-	if !(Config{Schedule: map[Point][]uint64{PointUCCrash: {1}}}).Enabled() {
+	if !(Config{Schedule: map[Point][]uint64{PointUCCrash: {1}}}).enabled() {
 		t.Error("schedule should enable")
 	}
 }

@@ -19,30 +19,30 @@ package hypercall
 
 import "time"
 
-// Number identifies one of the thirteen hypercalls.
-type Number int
+// number identifies one of the thirteen hypercalls.
+type number int
 
 // The hypercall table, mirroring Solo5's ukvm interface plus the
 // Entropy extension.
 const (
-	NumWallTime Number = iota
-	NumPuts
-	NumPoll
-	NumBlkInfo
-	NumBlkRead
-	NumBlkWrite
-	NumNetInfo
-	NumNetRead
-	NumNetWrite
-	NumMemInfo
-	NumSetTLS
-	NumHalt
+	numWallTime number = iota
+	numPuts
+	numPoll
+	numBlkInfo
+	numBlkRead
+	numBlkWrite
+	numNetInfo
+	numNetRead
+	numNetWrite
+	numMemInfo
+	numSetTLS
+	numHalt
 	NumEntropy
 
-	// NumCalls is the size of the hypercall table. The narrowness of
+	// numCalls is the size of the hypercall table. The narrowness of
 	// this interface — 13 entries: Solo5's 12 plus Entropy — is
 	// asserted by tests; growing it is a deliberate act.
-	NumCalls
+	numCalls
 )
 
 var names = [...]string{
@@ -54,25 +54,25 @@ var names = [...]string{
 }
 
 // String returns the hypercall's name.
-func (n Number) String() string {
+func (n number) String() string {
 	if n < 0 || int(n) >= len(names) {
 		return "invalid"
 	}
 	return names[n]
 }
 
-// NetInfo describes the guest's network identity. Every UC is
+// netInfo describes the guest's network identity. Every UC is
 // configured with an identical IP and MAC address (§6 Networking),
 // which is what lets snapshots be redeployed across time, cores, and —
 // in future work — machines.
-type NetInfo struct {
+type netInfo struct {
 	MAC [6]byte
 	IP  [4]byte
 	MTU int
 }
 
-// DefaultNetInfo is the identity every UC shares.
-var DefaultNetInfo = NetInfo{
+// defaultNetInfo is the identity every UC shares.
+var defaultNetInfo = netInfo{
 	MAC: [6]byte{0x02, 0x5e, 0x55, 0x00, 0x00, 0x01},
 	IP:  [4]byte{10, 0, 0, 2},
 	MTU: 1500,
@@ -96,7 +96,7 @@ type Host interface {
 	// BlkWrite writes one sector from buf.
 	BlkWrite(sector int64, buf []byte) error
 	// NetInfo returns the guest's network identity.
-	NetInfo() NetInfo
+	NetInfo() netInfo
 	// NetRead receives one frame, blocking in virtual time; ok=false
 	// means the device was closed.
 	NetRead() (frame []byte, ok bool)
@@ -116,33 +116,33 @@ type Host interface {
 	Entropy() uint64
 }
 
-// CPUSink receives the CPU-time cost of each domain crossing. Any
+// cpuSink receives the CPU-time cost of each domain crossing. Any
 // environment with a ChargeCPU method (e.g. libos.Env) satisfies it
 // directly — holding the sink as an interface instead of a bound method
 // value keeps Counter construction allocation-free.
-type CPUSink interface {
+type cpuSink interface {
 	ChargeCPU(d time.Duration)
 }
 
-// ChargeFunc adapts a plain function to CPUSink (test harnesses).
-type ChargeFunc func(d time.Duration)
+// chargeFunc adapts a plain function to CPUSink (test harnesses).
+type chargeFunc func(d time.Duration)
 
 // ChargeCPU implements CPUSink.
-func (f ChargeFunc) ChargeCPU(d time.Duration) { f(d) }
+func (f chargeFunc) ChargeCPU(d time.Duration) { f(d) }
 
 // Counter wraps a Host and counts crossings per hypercall, charging the
 // domain-crossing cost to a CPU-time sink. It is how the evaluation
 // observes hypercall traffic and how the time model charges crossings.
 type Counter struct {
 	inner  Host
-	counts [NumCalls]int64
-	sink   CPUSink
+	counts [numCalls]int64
+	sink   cpuSink
 	cost   time.Duration
 }
 
 // NewCounter returns a counting, cost-charging wrapper around inner.
 // sink may be nil (no time accounting, e.g. unit tests).
-func NewCounter(inner Host, cost time.Duration, sink CPUSink) *Counter {
+func NewCounter(inner Host, cost time.Duration, sink cpuSink) *Counter {
 	return &Counter{inner: inner, cost: cost, sink: sink}
 }
 
@@ -150,14 +150,14 @@ func NewCounter(inner Host, cost time.Duration, sink CPUSink) *Counter {
 // crossing counts — the recycling path for deploy kits, where the
 // Counter struct outlives one UC incarnation and must start the next
 // with clean accounting.
-func (c *Counter) Reset(inner Host, sink CPUSink) {
+func (c *Counter) Reset(inner Host, sink cpuSink) {
 	c.inner = inner
 	c.sink = sink
-	c.counts = [NumCalls]int64{}
+	c.counts = [numCalls]int64{}
 }
 
 // Counts returns the per-hypercall crossing counts.
-func (c *Counter) Counts() [NumCalls]int64 { return c.counts }
+func (c *Counter) Counts() [numCalls]int64 { return c.counts }
 
 // Total returns the total number of crossings.
 func (c *Counter) Total() int64 {
@@ -168,7 +168,7 @@ func (c *Counter) Total() int64 {
 	return t
 }
 
-func (c *Counter) cross(n Number) {
+func (c *Counter) cross(n number) {
 	c.counts[n]++
 	if c.sink != nil {
 		c.sink.ChargeCPU(c.cost)
@@ -176,46 +176,46 @@ func (c *Counter) cross(n Number) {
 }
 
 // WallTime implements Host.
-func (c *Counter) WallTime() time.Duration { c.cross(NumWallTime); return c.inner.WallTime() }
+func (c *Counter) WallTime() time.Duration { c.cross(numWallTime); return c.inner.WallTime() }
 
 // Puts implements Host.
-func (c *Counter) Puts(s string) { c.cross(NumPuts); c.inner.Puts(s) }
+func (c *Counter) Puts(s string) { c.cross(numPuts); c.inner.Puts(s) }
 
 // Poll implements Host.
-func (c *Counter) Poll(timeout time.Duration) bool { c.cross(NumPoll); return c.inner.Poll(timeout) }
+func (c *Counter) Poll(timeout time.Duration) bool { c.cross(numPoll); return c.inner.Poll(timeout) }
 
 // BlkInfo implements Host.
-func (c *Counter) BlkInfo() (int64, int) { c.cross(NumBlkInfo); return c.inner.BlkInfo() }
+func (c *Counter) BlkInfo() (int64, int) { c.cross(numBlkInfo); return c.inner.BlkInfo() }
 
 // BlkRead implements Host.
 func (c *Counter) BlkRead(sector int64, buf []byte) error {
-	c.cross(NumBlkRead)
+	c.cross(numBlkRead)
 	return c.inner.BlkRead(sector, buf)
 }
 
 // BlkWrite implements Host.
 func (c *Counter) BlkWrite(sector int64, buf []byte) error {
-	c.cross(NumBlkWrite)
+	c.cross(numBlkWrite)
 	return c.inner.BlkWrite(sector, buf)
 }
 
 // NetInfo implements Host.
-func (c *Counter) NetInfo() NetInfo { c.cross(NumNetInfo); return c.inner.NetInfo() }
+func (c *Counter) NetInfo() netInfo { c.cross(numNetInfo); return c.inner.NetInfo() }
 
 // NetRead implements Host.
-func (c *Counter) NetRead() ([]byte, bool) { c.cross(NumNetRead); return c.inner.NetRead() }
+func (c *Counter) NetRead() ([]byte, bool) { c.cross(numNetRead); return c.inner.NetRead() }
 
 // NetWrite implements Host.
-func (c *Counter) NetWrite(frame []byte) error { c.cross(NumNetWrite); return c.inner.NetWrite(frame) }
+func (c *Counter) NetWrite(frame []byte) error { c.cross(numNetWrite); return c.inner.NetWrite(frame) }
 
 // MemInfo implements Host.
-func (c *Counter) MemInfo() int64 { c.cross(NumMemInfo); return c.inner.MemInfo() }
+func (c *Counter) MemInfo() int64 { c.cross(numMemInfo); return c.inner.MemInfo() }
 
 // SetTLS implements Host.
-func (c *Counter) SetTLS(base uint64) { c.cross(NumSetTLS); c.inner.SetTLS(base) }
+func (c *Counter) SetTLS(base uint64) { c.cross(numSetTLS); c.inner.SetTLS(base) }
 
 // Halt implements Host.
-func (c *Counter) Halt(status int) { c.cross(NumHalt); c.inner.Halt(status) }
+func (c *Counter) Halt(status int) { c.cross(numHalt); c.inner.Halt(status) }
 
 // Entropy implements Host.
 func (c *Counter) Entropy() uint64 { c.cross(NumEntropy); return c.inner.Entropy() }

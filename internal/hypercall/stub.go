@@ -3,13 +3,11 @@ package hypercall
 import "time"
 
 // StubHost is a self-contained Host for tests and standalone guests: a
-// fixed clock source, an in-memory console, a small ramdisk, and a
+// clock stopped at zero, an in-memory console, a small ramdisk, and a
 // loopback network that delivers written frames back to NetRead.
 type StubHost struct {
 	// Console accumulates Puts output.
 	Console []string
-	// Clock is advanced manually by tests.
-	Clock time.Duration
 	// Disk is the ramdisk contents, sector-indexed.
 	Disk       map[int64][]byte
 	SectorSize int
@@ -42,7 +40,7 @@ func NewStubHost() *StubHost {
 }
 
 // WallTime implements Host.
-func (h *StubHost) WallTime() time.Duration { return h.Clock }
+func (h *StubHost) WallTime() time.Duration { return 0 }
 
 // Puts implements Host.
 func (h *StubHost) Puts(s string) { h.Console = append(h.Console, s) }
@@ -74,7 +72,7 @@ func (h *StubHost) BlkWrite(sector int64, buf []byte) error {
 }
 
 // NetInfo implements Host.
-func (h *StubHost) NetInfo() NetInfo { return DefaultNetInfo }
+func (h *StubHost) NetInfo() netInfo { return defaultNetInfo }
 
 // NetRead implements Host.
 func (h *StubHost) NetRead() ([]byte, bool) {

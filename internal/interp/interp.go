@@ -28,11 +28,11 @@ import (
 	"seuss/internal/libos"
 )
 
-// DriverSource is the invocation driver (§4): a real MiniJS script run
+// driverSource is the invocation driver (§4): a real MiniJS script run
 // at system initialization, before the runtime snapshot is captured. It
 // keeps per-UC bookkeeping and wraps user functions with the platform's
 // request/response protocol.
-const DriverSource = `
+const driverSource = `
 var __driver = {requests: 0, status: "listening", proto: "http/1.1"};
 function __handle(payload) {
 	__driver.requests = __driver.requests + 1;
@@ -46,10 +46,10 @@ function __status() {
 }
 `
 
-// WarmSource is the "dummy" script of the interpreter anticipatory
+// warmSource is the "dummy" script of the interpreter anticipatory
 // optimization: run through the interpreter before the base snapshot so
 // parser tables, caches, and common code paths land in the shared image.
-const WarmSource = `
+const warmSource = `
 function __warm() {
 	var acc = [];
 	for (var i = 0; i < 64; i++) { acc.push(i * 3 + 1); }
@@ -62,8 +62,8 @@ function __warm() {
 __warm();
 `
 
-// ErrNoFunction is returned by Invoke before a function is imported.
-var ErrNoFunction = errors.New("interp: no function imported")
+// errNoFunction is returned by Invoke before a function is imported.
+var errNoFunction = errors.New("interp: no function imported")
 
 // State is the interpreter half of a snapshot payload (libos carries
 // the other half).
@@ -116,14 +116,6 @@ type Runtime struct {
 	staleSeed uint64
 }
 
-// NewRuntime wires a fresh Node.js-profile interpreter to a booted
-// unikernel. The interpreter image itself is not yet loaded; call
-// InitInterpreter (the once-per-interpreter system initialization) or
-// RestoreFromState (the deploy path).
-func NewRuntime(uk *libos.Unikernel) *Runtime {
-	return NewRuntimeWithProfile(uk, NodeJS)
-}
-
 // NewRuntimeWithProfile wires a specific interpreter flavor. The RNG
 // starts on a placeholder seed; every boot and deploy path follows up
 // with Reseed (host entropy + deploy generation), so no two runtimes
@@ -134,9 +126,6 @@ func NewRuntimeWithProfile(uk *libos.Unikernel, prof Profile) *Runtime {
 	r.in = lang.New(r.hooks())
 	return r
 }
-
-// Profile returns the runtime's interpreter profile.
-func (r *Runtime) Profile() Profile { return r.prof }
 
 func (r *Runtime) hooks() lang.Hooks {
 	return lang.Hooks{
@@ -220,20 +209,12 @@ func (r *Runtime) Unikernel() *libos.Unikernel { return r.uk }
 // State returns the interpreter payload for snapshot capture.
 func (r *Runtime) State() State { return r.st }
 
-// GuestAllocs returns the total guest-heap bytes charged by interpreter
-// activity (diagnostics).
-func (r *Runtime) GuestAllocs() int64 { return r.allocs }
-
 // LimitSteps bounds the guest's *next* execution to n more interpreter
 // steps (lang.ErrTooManySteps past the cap). This is how invocation
 // deadlines reach the interpreter: deadline / costs.StepTime steps.
 // n <= 0 removes the limit. The budget is relative to steps already
 // consumed, so a long-lived hot UC never exhausts a lifetime budget.
 func (r *Runtime) LimitSteps(n int64) { r.in.LimitSteps(n) }
-
-// Steps returns total interpreter steps consumed over the runtime's
-// lifetime (diagnostics).
-func (r *Runtime) Steps() int64 { return r.in.Steps() }
 
 // InitInterpreter loads the interpreter image into guest memory and
 // boots it — the expensive once-per-interpreter step at system
@@ -321,14 +302,14 @@ func (r *Runtime) Connect() error {
 	return nil
 }
 
-// Connected reports whether a live connection exists.
-func (r *Runtime) Connected() bool { return r.conn != nil && r.conn.Alive() }
+// connected reports whether a live connection exists.
+func (r *Runtime) connected() bool { return r.conn != nil && r.conn.Alive() }
 
 // ImportAndCompile receives user function source over the connection,
 // compiles it, and defines it in the interpreter — the C step of a cold
 // invocation. The function must define main(args).
 func (r *Runtime) ImportAndCompile(src string) error {
-	if !r.Connected() {
+	if !r.connected() {
 		return errors.New("interp: import without connection")
 	}
 	r.pristine = false
@@ -365,9 +346,9 @@ func (r *Runtime) Imported() bool { return r.st.ImportedSource != "" }
 // shared tail of cold, warm, and hot paths.
 func (r *Runtime) Invoke(argsJSON string) (string, error) {
 	if !r.Imported() {
-		return "", ErrNoFunction
+		return "", errNoFunction
 	}
-	if !r.Connected() {
+	if !r.connected() {
 		return "", errors.New("interp: invoke without connection")
 	}
 	if err := r.conn.Send(int64(len(argsJSON))); err != nil {
@@ -416,23 +397,6 @@ func (r *Runtime) Invoke(argsJSON string) (string, error) {
 		return "", fmt.Errorf("interp: driver returned %T", v)
 	}
 	return s, nil
-}
-
-// Requests returns the driver's in-guest request counter (read through
-// the interpreter, proving the driver state is real).
-func (r *Runtime) Requests() (int, error) {
-	r.pristine = false
-	v, err := r.in.CallGlobal("__status", nil)
-	if err != nil {
-		return 0, err
-	}
-	s, _ := v.(string)
-	var n int
-	_, err = fmt.Sscanf(s, `{"status":"listening","requests":%d}`, &n)
-	if err != nil {
-		return 0, fmt.Errorf("interp: bad status %q: %v", s, err)
-	}
-	return n, nil
 }
 
 // hookError surfaces allocation failures recorded by the lang hooks.

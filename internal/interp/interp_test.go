@@ -38,10 +38,10 @@ func newRuntime(t *testing.T) (*Runtime, *libos.CountingEnv) {
 }
 
 func TestDriverScriptIsRealMiniJS(t *testing.T) {
-	if _, err := lang.Parse(DriverSource); err != nil {
+	if _, err := lang.Parse(driverSource); err != nil {
 		t.Fatalf("driver does not parse: %v", err)
 	}
-	if _, err := lang.Parse(WarmSource); err != nil {
+	if _, err := lang.Parse(warmSource); err != nil {
 		t.Fatalf("warm script does not parse: %v", err)
 	}
 }
@@ -79,7 +79,7 @@ func TestImportInvokeFlow(t *testing.T) {
 	if r.Imported() {
 		t.Fatal("imported before import")
 	}
-	if _, err := r.Invoke(`{}`); err != ErrNoFunction {
+	if _, err := r.Invoke(`{}`); err != errNoFunction {
 		t.Errorf("invoke before import: %v", err)
 	}
 	if err := r.ImportAndCompile(`function main(a) { return 1; }`); err == nil {
@@ -288,13 +288,18 @@ func TestHotWriteCapBoundsDirtying(t *testing.T) {
 	}
 }
 
+// httpEnv answers a guest http.get after blocking it 250 ms.
+type httpEnv struct{ libos.CountingEnv }
+
+func (e *httpEnv) HTTPGet(url string) (string, error) {
+	e.Blocked += 250 * time.Millisecond
+	return "pong:" + url, nil
+}
+
 func TestGuestHTTPThroughHooks(t *testing.T) {
 	st := mem.NewStore(0)
 	as, _ := pagetable.New(st)
-	env := &libos.CountingEnv{
-		HTTP:        func(url string) (string, error) { return "pong:" + url, nil },
-		HTTPLatency: 250 * time.Millisecond,
-	}
+	env := &httpEnv{}
 	uk := libos.New(as, hypercall.NewStubHost(), env)
 	uk.Boot()
 	r := NewRuntime(uk)
@@ -344,8 +349,8 @@ func TestProfileRegistry(t *testing.T) {
 	}
 	// Registration replaces.
 	custom := Profile{Name: "custom", ImageBytes: 1 << 20, InitCost: time.Millisecond,
-		DriverSource: DriverSource, WarmSource: WarmSource}
-	RegisterProfile(custom)
+		DriverSource: driverSource, WarmSource: warmSource}
+	registerProfile(custom)
 	got, err := ProfileByName("custom")
 	if err != nil || got.ImageBytes != 1<<20 {
 		t.Errorf("custom profile: %+v, %v", got, err)
@@ -358,7 +363,7 @@ func TestPythonProfileRuntime(t *testing.T) {
 	env := &libos.CountingEnv{}
 	uk := libos.New(as, hypercall.NewStubHost(), env)
 	uk.Boot()
-	r := NewRuntimeWithProfile(uk, Python)
+	r := NewRuntimeWithProfile(uk, python)
 	if err := r.InitInterpreter(); err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +397,7 @@ func TestRestorePreservesRuntimeName(t *testing.T) {
 	env := &libos.CountingEnv{}
 	uk := libos.New(as, hypercall.NewStubHost(), env)
 	uk.Boot()
-	r := NewRuntimeWithProfile(uk, Python)
+	r := NewRuntimeWithProfile(uk, python)
 	r.InitInterpreter()
 	r.StartDriver()
 

@@ -34,24 +34,24 @@ var NodeJS = Profile{
 	Name:         "nodejs",
 	ImageBytes:   costs.RuntimeImageBytes - int64(6<<20),
 	InitCost:     costs.InterpreterInit,
-	DriverSource: DriverSource,
-	WarmSource:   WarmSource,
+	DriverSource: driverSource,
+	WarmSource:   warmSource,
 }
 
-// Python is the second runtime the prototype ports: a smaller resident
+// python is the second runtime the prototype ports: a smaller resident
 // image and faster interpreter boot, the same driver protocol.
-var Python = Profile{
+var python = Profile{
 	Name:         "python",
 	ImageBytes:   int64(38 << 20),
 	InitCost:     180 * time.Millisecond,
-	DriverSource: DriverSource,
-	WarmSource:   WarmSource,
+	DriverSource: driverSource,
+	WarmSource:   warmSource,
 }
 
 var profiles = map[string]Profile{}
 
-// RegisterProfile adds (or replaces) a runtime profile.
-func RegisterProfile(p Profile) {
+// registerProfile adds (or replaces) a runtime profile.
+func registerProfile(p Profile) {
 	profiles[p.Name] = p
 }
 
@@ -64,16 +64,7 @@ func ProfileByName(name string) (Profile, error) {
 	return p, nil
 }
 
-// Profiles returns the registered runtime names.
-func Profiles() []string {
-	out := make([]string, 0, len(profiles))
-	for name := range profiles {
-		out = append(out, name)
-	}
-	return out
-}
-
 func init() {
-	RegisterProfile(NodeJS)
-	RegisterProfile(Python)
+	registerProfile(NodeJS)
+	registerProfile(python)
 }

@@ -28,18 +28,18 @@ var ErrOutOfMemory = errors.New("isolation: node memory exhausted")
 // drops (bridge saturation) and the platform request times out.
 var ErrConnTimeout = errors.New("isolation: connection timed out")
 
-// MemPool is the node's memory budget shared by all instances of a
+// memPool is the node's memory budget shared by all instances of a
 // backend (the 88 GB VM).
-type MemPool struct {
+type memPool struct {
 	budget int64
 	used   int64
 }
 
 // NewMemPool returns a pool with the given byte budget.
-func NewMemPool(budget int64) *MemPool { return &MemPool{budget: budget} }
+func NewMemPool(budget int64) *memPool { return &memPool{budget: budget} }
 
-// Take reserves n bytes; false if the budget would be exceeded.
-func (m *MemPool) Take(n int64) bool {
+// take reserves n bytes; false if the budget would be exceeded.
+func (m *memPool) take(n int64) bool {
 	if m.used+n > m.budget {
 		return false
 	}
@@ -47,32 +47,20 @@ func (m *MemPool) Take(n int64) bool {
 	return true
 }
 
-// Give returns n bytes.
-func (m *MemPool) Give(n int64) {
+// give returns n bytes.
+func (m *memPool) give(n int64) {
 	m.used -= n
 	if m.used < 0 {
 		m.used = 0
 	}
 }
 
-// Used returns reserved bytes.
-func (m *MemPool) Used() int64 { return m.used }
-
-// Available returns free bytes.
-func (m *MemPool) Available() int64 { return m.budget - m.used }
-
 // Instance is one idle-or-busy execution environment.
 type Instance struct {
 	backend *Backend
 	foot    int64
 	dead    bool
-	// Fn is the function code loaded into the instance ("" for a
-	// stemcell that has not imported code yet).
-	Fn string
 }
-
-// Footprint returns the instance's idle memory footprint in bytes.
-func (i *Instance) Footprint() int64 { return i.foot }
 
 // Kind is the isolation technology.
 type Kind int
@@ -93,7 +81,7 @@ func (k Kind) String() string { return kindNames[k] }
 // applying that kind's cost model.
 type Backend struct {
 	kind     Kind
-	mem      *MemPool
+	mem      *memPool
 	bridge   *netsim.Bridge // containers only
 	rng      *sim.RNG
 	pop      int // live instances
@@ -106,29 +94,8 @@ type Backend struct {
 
 // NewBackend returns a backend of the given kind drawing from mem.
 // bridge may be nil for non-container kinds.
-func NewBackend(kind Kind, mem *MemPool, bridge *netsim.Bridge, rng *sim.RNG) *Backend {
+func NewBackend(kind Kind, mem *memPool, bridge *netsim.Bridge, rng *sim.RNG) *Backend {
 	return &Backend{kind: kind, mem: mem, bridge: bridge, rng: rng}
-}
-
-// Kind returns the backend's isolation kind.
-func (b *Backend) Kind() Kind { return b.kind }
-
-// Population returns the number of live instances.
-func (b *Backend) Population() int { return b.pop }
-
-// InFlight returns the number of creations currently in progress.
-func (b *Backend) InFlight() int { return b.inflight }
-
-// idleBytes returns the marginal idle footprint for the kind.
-func (b *Backend) idleBytes() int64 {
-	switch b.kind {
-	case KindProcess:
-		return costs.ProcessIdleBytes
-	case KindContainer:
-		return costs.ContainerIdleBytes
-	default:
-		return costs.MicroVMIdleBytes
-	}
 }
 
 // createLatency returns the modeled creation time at the current
@@ -168,7 +135,7 @@ func (b *Backend) createLatency() time.Duration {
 // saturated — the density limit of Table 3.
 func (b *Backend) Create(p *sim.Proc) (*Instance, error) {
 	foot := b.idleBytes()
-	if !b.mem.Take(foot) {
+	if !b.mem.take(foot) {
 		return nil, ErrOutOfMemory
 	}
 	b.inflight++
@@ -196,7 +163,7 @@ func (b *Backend) Create(p *sim.Proc) (*Instance, error) {
 // accounting are identical to Create; only the latency is skipped.
 func (b *Backend) Prewarm() (*Instance, error) {
 	foot := b.idleBytes()
-	if !b.mem.Take(foot) {
+	if !b.mem.take(foot) {
 		return nil, ErrOutOfMemory
 	}
 	b.pop++
@@ -205,31 +172,6 @@ func (b *Backend) Prewarm() (*Instance, error) {
 		b.bridge.Attach()
 	}
 	return &Instance{backend: b, foot: foot}, nil
-}
-
-// Invoke runs one cached (warm/hot) invocation in the instance: the
-// platform connects to the in-instance server, passes arguments, and
-// the function runs for fnCPU.
-func (b *Backend) Invoke(p *sim.Proc, inst *Instance, fnCPU time.Duration) error {
-	if inst.dead {
-		return errors.New("isolation: invoke on destroyed instance")
-	}
-	if b.kind == KindContainer && b.bridge != nil {
-		if !b.bridge.Connect() {
-			p.Sleep(costs.ConnTimeout)
-			return ErrConnTimeout
-		}
-	}
-	switch b.kind {
-	case KindProcess:
-		p.Sleep(costs.ProcessWarmInvoke)
-	default:
-		p.Sleep(costs.ContainerWarmInvoke)
-	}
-	if fnCPU > 0 {
-		p.Sleep(fnCPU)
-	}
-	return nil
 }
 
 // Destroy tears the instance down, releasing memory and its bridge
@@ -248,12 +190,24 @@ func (b *Backend) Destroy(p *sim.Proc, inst *Instance) {
 
 func (b *Backend) destroyLocked(_ *sim.Proc, inst *Instance) {
 	inst.dead = true
-	b.mem.Give(inst.foot)
+	b.mem.give(inst.foot)
 	if b.pop > 0 {
 		b.pop--
 	}
 	b.Destroyed++
 	if b.kind == KindContainer && b.bridge != nil {
 		b.bridge.Detach()
+	}
+}
+
+// idleBytes returns the marginal idle footprint for the kind.
+func (b *Backend) idleBytes() int64 {
+	switch b.kind {
+	case KindProcess:
+		return costs.ProcessIdleBytes
+	case KindContainer:
+		return costs.ContainerIdleBytes
+	default:
+		return costs.MicroVMIdleBytes
 	}
 }

@@ -11,17 +11,17 @@ import (
 
 func TestMemPool(t *testing.T) {
 	m := NewMemPool(100)
-	if !m.Take(60) || !m.Take(40) {
+	if !m.take(60) || !m.take(40) {
 		t.Fatal("takes within budget failed")
 	}
-	if m.Take(1) {
+	if m.take(1) {
 		t.Fatal("over-budget take succeeded")
 	}
-	m.Give(50)
+	m.give(50)
 	if m.Used() != 50 || m.Available() != 50 {
 		t.Errorf("used/avail = %d/%d", m.Used(), m.Available())
 	}
-	m.Give(1000) // over-give clamps
+	m.give(1000) // over-give clamps
 	if m.Used() != 0 {
 		t.Errorf("used = %d", m.Used())
 	}
@@ -275,22 +275,4 @@ func TestPrewarmAccountsLikeCreate(t *testing.T) {
 	if _, err := tiny.Prewarm(); err != ErrOutOfMemory {
 		t.Errorf("err = %v", err)
 	}
-}
-
-func TestInstanceFnField(t *testing.T) {
-	m := NewMemPool(costs.NodeMemoryBytes)
-	b := NewBackend(KindProcess, m, nil, sim.NewRNG(1))
-	eng := sim.NewEngine()
-	eng.Go("w", func(p *sim.Proc) {
-		inst, err := b.Create(p)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		inst.Fn = "user/fn"
-		if inst.Fn != "user/fn" || b.InFlight() != 0 {
-			t.Errorf("inst = %+v inflight = %d", inst, b.InFlight())
-		}
-	})
-	eng.Run()
 }

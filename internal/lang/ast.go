@@ -11,35 +11,35 @@ type Node interface {
 
 // ---- Expressions ----
 
-// NumberLit is a numeric literal.
-type NumberLit struct{ Value float64 }
+// numberLit is a numeric literal.
+type numberLit struct{ Value float64 }
 
-// StringLit is a string literal.
-type StringLit struct{ Value string }
+// stringLit is a string literal.
+type stringLit struct{ Value string }
 
-// BoolLit is true/false.
-type BoolLit struct{ Value bool }
+// boolLit is true/false.
+type boolLit struct{ Value bool }
 
-// NullLit is null.
-type NullLit struct{}
+// nullLit is null.
+type nullLit struct{}
 
-// UndefinedLit is undefined.
-type UndefinedLit struct{}
+// undefinedLit is undefined.
+type undefinedLit struct{}
 
-// Ident is a variable reference.
-type Ident struct{ Name string }
+// ident is a variable reference.
+type ident struct{ Name string }
 
-// ArrayLit is [a, b, ...].
-type ArrayLit struct{ Elems []Node }
+// arrayLit is [a, b, ...].
+type arrayLit struct{ Elems []Node }
 
-// ObjectLit is {k: v, ...}.
-type ObjectLit struct {
+// objectLit is {k: v, ...}.
+type objectLit struct {
 	Keys   []string
 	Values []Node
 }
 
-// FuncLit is function(params){body} or (params) => expr/body.
-type FuncLit struct {
+// funcLit is function(params){body} or (params) => expr/body.
+type funcLit struct {
 	Name   string // optional
 	Params []string
 	Body   []Node
@@ -48,145 +48,145 @@ type FuncLit struct {
 	Nesting int
 }
 
-// Unary is op expr (e.g. -x, !x, typeof x).
-type Unary struct {
+// unary is op expr (e.g. -x, !x, typeof x).
+type unary struct {
 	Op   string
 	Expr Node
 }
 
-// Binary is lhs op rhs.
-type Binary struct {
+// binary is lhs op rhs.
+type binary struct {
 	Op       string
 	LHS, RHS Node
 }
 
-// Logical is && / || with short-circuit evaluation.
-type Logical struct {
+// logical is && / || with short-circuit evaluation.
+type logical struct {
 	Op       string
 	LHS, RHS Node
 }
 
-// Cond is the ternary a ? b : c.
-type Cond struct {
+// cond is the ternary a ? b : c.
+type cond struct {
 	Test, Then, Else Node
 }
 
-// Assign is target op value where op is =, +=, etc. Target is an Ident,
+// assign is target op value where op is =, +=, etc. Target is an Ident,
 // Member, or Index.
-type Assign struct {
+type assign struct {
 	Op     string
 	Target Node
 	Value  Node
 }
 
-// Update is ++x / x++ / --x / x--.
-type Update struct {
+// update is ++x / x++ / --x / x--.
+type update struct {
 	Op      string // "++" or "--"
 	Target  Node
 	Postfix bool
 }
 
-// Call is fn(args).
-type Call struct {
+// call is fn(args).
+type call struct {
 	Fn   Node
 	Args []Node
 }
 
-// Member is obj.name.
-type Member struct {
+// member is obj.name.
+type member struct {
 	Obj  Node
 	Name string
 }
 
-// Index is obj[expr].
-type Index struct {
+// index is obj[expr].
+type index struct {
 	Obj Node
 	Key Node
 }
 
 // ---- Statements ----
 
-// VarDecl declares one variable (var/let/const are treated alike).
-type VarDecl struct {
+// varDecl declares one variable (var/let/const are treated alike).
+type varDecl struct {
 	Name string
 	Init Node // may be nil
 }
 
-// ExprStmt wraps an expression used as a statement.
-type ExprStmt struct{ Expr Node }
+// exprStmt wraps an expression used as a statement.
+type exprStmt struct{ Expr Node }
 
-// Return is a return statement.
-type Return struct{ Value Node } // Value may be nil
+// returnStmt is a return statement.
+type returnStmt struct{ Value Node } // Value may be nil
 
-// If is if/else.
-type If struct {
+// ifStmt is if/else.
+type ifStmt struct {
 	Test Node
 	Then []Node
 	Else []Node // nil when absent
 }
 
-// While is a while loop.
-type While struct {
+// while is a while loop.
+type while struct {
 	Test Node
 	Body []Node
 }
 
-// For is a C-style for loop.
-type For struct {
+// forStmt is a C-style for loop.
+type forStmt struct {
 	Init Node // statement or nil
 	Test Node // nil = true
 	Post Node // nil
 	Body []Node
 }
 
-// ForIn is for (x of arr) / for (x in obj).
-type ForIn struct {
+// forIn is for (x of arr) / for (x in obj).
+type forIn struct {
 	Var  string
 	Of   bool // true: of (values), false: in (keys)
 	Expr Node
 	Body []Node
 }
 
-// Switch is a switch statement with === case matching.
-type Switch struct {
+// switchStmt is a switch statement with === case matching.
+type switchStmt struct {
 	Tag     Node
-	Cases   []SwitchCase
+	Cases   []switchCase
 	Default []Node // nil when absent
 }
 
-// SwitchCase is one case arm.
-type SwitchCase struct {
+// switchCase is one case arm.
+type switchCase struct {
 	Value Node
 	Body  []Node
 }
 
-// DoWhile is a do { } while (cond) loop.
-type DoWhile struct {
+// doWhile is a do { } while (cond) loop.
+type doWhile struct {
 	Body []Node
 	Test Node
 }
 
-// Break breaks the innermost loop or switch.
-type Break struct{}
+// breakStmt breaks the innermost loop or switch.
+type breakStmt struct{}
 
-// Continue continues the innermost loop.
-type Continue struct{}
+// continueStmt continues the innermost loop.
+type continueStmt struct{}
 
-// Throw raises a value as an error.
-type Throw struct{ Value Node }
+// throw raises a value as an error.
+type throw struct{ Value Node }
 
-// Try is try/catch.
-type Try struct {
+// try is try/catch.
+type try struct {
 	Body      []Node
 	CatchVar  string
 	CatchBody []Node
 }
 
-// Block is a lexical block.
-type Block struct{ Body []Node }
+// block is a lexical block.
+type block struct{ Body []Node }
 
-// Program is a parsed compilation unit.
-type Program struct {
+// program is a parsed compilation unit.
+type program struct {
 	Body []Node
 	// Source is retained so snapshot tooling can report code size.
 	Source string
@@ -197,53 +197,53 @@ type Program struct {
 // source compiles to roughly 8-12x its byte length of guest metadata,
 // in line with observed V8 heap costs for parsed-and-compiled code.
 
-func (n *NumberLit) GuestSize() int    { return 16 }
-func (n *StringLit) GuestSize() int    { return 24 + len(n.Value) }
-func (n *BoolLit) GuestSize() int      { return 8 }
-func (n *NullLit) GuestSize() int      { return 8 }
-func (n *UndefinedLit) GuestSize() int { return 8 }
-func (n *Ident) GuestSize() int        { return 16 + len(n.Name) }
-func (n *ArrayLit) GuestSize() int     { return 24 }
-func (n *ObjectLit) GuestSize() int {
+func (n *numberLit) GuestSize() int    { return 16 }
+func (n *stringLit) GuestSize() int    { return 24 + len(n.Value) }
+func (n *boolLit) GuestSize() int      { return 8 }
+func (n *nullLit) GuestSize() int      { return 8 }
+func (n *undefinedLit) GuestSize() int { return 8 }
+func (n *ident) GuestSize() int        { return 16 + len(n.Name) }
+func (n *arrayLit) GuestSize() int     { return 24 }
+func (n *objectLit) GuestSize() int {
 	sz := 32
 	for _, k := range n.Keys {
 		sz += 8 + len(k)
 	}
 	return sz
 }
-func (n *FuncLit) GuestSize() int {
+func (n *funcLit) GuestSize() int {
 	sz := 96 + len(n.Name)
 	for _, p := range n.Params {
 		sz += 8 + len(p)
 	}
 	return sz
 }
-func (n *Unary) GuestSize() int    { return 16 }
-func (n *Binary) GuestSize() int   { return 24 }
-func (n *Logical) GuestSize() int  { return 24 }
-func (n *Cond) GuestSize() int     { return 24 }
-func (n *Assign) GuestSize() int   { return 24 }
-func (n *Update) GuestSize() int   { return 16 }
-func (n *Call) GuestSize() int     { return 32 }
-func (n *Member) GuestSize() int   { return 24 + len(n.Name) }
-func (n *Index) GuestSize() int    { return 24 }
-func (n *VarDecl) GuestSize() int  { return 24 + len(n.Name) }
-func (n *ExprStmt) GuestSize() int { return 8 }
-func (n *Return) GuestSize() int   { return 16 }
-func (n *If) GuestSize() int       { return 32 }
-func (n *While) GuestSize() int    { return 32 }
-func (n *For) GuestSize() int      { return 48 }
-func (n *ForIn) GuestSize() int    { return 48 + len(n.Var) }
-func (n *Switch) GuestSize() int {
+func (n *unary) GuestSize() int      { return 16 }
+func (n *binary) GuestSize() int     { return 24 }
+func (n *logical) GuestSize() int    { return 24 }
+func (n *cond) GuestSize() int       { return 24 }
+func (n *assign) GuestSize() int     { return 24 }
+func (n *update) GuestSize() int     { return 16 }
+func (n *call) GuestSize() int       { return 32 }
+func (n *member) GuestSize() int     { return 24 + len(n.Name) }
+func (n *index) GuestSize() int      { return 24 }
+func (n *varDecl) GuestSize() int    { return 24 + len(n.Name) }
+func (n *exprStmt) GuestSize() int   { return 8 }
+func (n *returnStmt) GuestSize() int { return 16 }
+func (n *ifStmt) GuestSize() int     { return 32 }
+func (n *while) GuestSize() int      { return 32 }
+func (n *forStmt) GuestSize() int    { return 48 }
+func (n *forIn) GuestSize() int      { return 48 + len(n.Var) }
+func (n *switchStmt) GuestSize() int {
 	return 48 + 16*len(n.Cases)
 }
-func (n *DoWhile) GuestSize() int  { return 32 }
-func (n *Break) GuestSize() int    { return 8 }
-func (n *Continue) GuestSize() int { return 8 }
-func (n *Throw) GuestSize() int    { return 16 }
-func (n *Try) GuestSize() int      { return 48 + len(n.CatchVar) }
-func (n *Block) GuestSize() int    { return 16 }
-func (n *Program) GuestSize() int  { return 64 }
+func (n *doWhile) GuestSize() int      { return 32 }
+func (n *breakStmt) GuestSize() int    { return 8 }
+func (n *continueStmt) GuestSize() int { return 8 }
+func (n *throw) GuestSize() int        { return 16 }
+func (n *try) GuestSize() int          { return 48 + len(n.CatchVar) }
+func (n *block) GuestSize() int        { return 16 }
+func (n *program) GuestSize() int      { return 64 }
 
 // TreeSize returns the total guest bytes of a subtree.
 func TreeSize(n Node) int {
@@ -259,56 +259,56 @@ func TreeSize(n Node) int {
 
 func children(n Node) []Node {
 	switch t := n.(type) {
-	case *ArrayLit:
+	case *arrayLit:
 		return t.Elems
-	case *ObjectLit:
+	case *objectLit:
 		return t.Values
-	case *FuncLit:
+	case *funcLit:
 		return t.Body
-	case *Unary:
+	case *unary:
 		return []Node{t.Expr}
-	case *Binary:
+	case *binary:
 		return []Node{t.LHS, t.RHS}
-	case *Logical:
+	case *logical:
 		return []Node{t.LHS, t.RHS}
-	case *Cond:
+	case *cond:
 		return []Node{t.Test, t.Then, t.Else}
-	case *Assign:
+	case *assign:
 		return []Node{t.Target, t.Value}
-	case *Update:
+	case *update:
 		return []Node{t.Target}
-	case *Call:
+	case *call:
 		return append([]Node{t.Fn}, t.Args...)
-	case *Member:
+	case *member:
 		return []Node{t.Obj}
-	case *Index:
+	case *index:
 		return []Node{t.Obj, t.Key}
-	case *VarDecl:
+	case *varDecl:
 		if t.Init != nil {
 			return []Node{t.Init}
 		}
-	case *ExprStmt:
+	case *exprStmt:
 		return []Node{t.Expr}
-	case *Return:
+	case *returnStmt:
 		if t.Value != nil {
 			return []Node{t.Value}
 		}
-	case *If:
+	case *ifStmt:
 		out := []Node{t.Test}
 		out = append(out, t.Then...)
 		return append(out, t.Else...)
-	case *While:
+	case *while:
 		return append([]Node{t.Test}, t.Body...)
-	case *DoWhile:
+	case *doWhile:
 		return append(append([]Node{}, t.Body...), t.Test)
-	case *Switch:
+	case *switchStmt:
 		out := []Node{t.Tag}
 		for _, cs := range t.Cases {
 			out = append(out, cs.Value)
 			out = append(out, cs.Body...)
 		}
 		return append(out, t.Default...)
-	case *For:
+	case *forStmt:
 		var out []Node
 		for _, c := range []Node{t.Init, t.Test, t.Post} {
 			if c != nil {
@@ -316,15 +316,15 @@ func children(n Node) []Node {
 			}
 		}
 		return append(out, t.Body...)
-	case *ForIn:
+	case *forIn:
 		return append([]Node{t.Expr}, t.Body...)
-	case *Throw:
+	case *throw:
 		return []Node{t.Value}
-	case *Try:
+	case *try:
 		return append(append([]Node{}, t.Body...), t.CatchBody...)
-	case *Block:
+	case *block:
 		return t.Body
-	case *Program:
+	case *program:
 		return t.Body
 	}
 	return nil

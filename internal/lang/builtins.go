@@ -12,16 +12,16 @@ import (
 // strings and arrays.
 func (in *Interp) getMember(obj Value, name string) (Value, error) {
 	switch o := obj.(type) {
-	case *Object:
-		return o.Get(name), nil
-	case *Array:
+	case *object:
+		return o.get(name), nil
+	case *array:
 		if name == "length" {
 			return float64(len(o.Elems)), nil
 		}
 		if m, ok := arrayMethods[name]; ok {
 			return bindMethod(name, o, m), nil
 		}
-		return Undefined{}, nil
+		return undefined{}, nil
 	case string:
 		if name == "length" {
 			return float64(len(o)), nil
@@ -29,25 +29,25 @@ func (in *Interp) getMember(obj Value, name string) (Value, error) {
 		if m, ok := stringMethods[name]; ok {
 			return bindMethod(name, o, m), nil
 		}
-		return Undefined{}, nil
-	case Null, Undefined, nil:
+		return undefined{}, nil
+	case null, undefined, nil:
 		return nil, &ThrowError{Value: fmt.Sprintf("cannot read property %q of %s", describe(name), ToString(obj))}
 	default:
-		return Undefined{}, nil
+		return undefined{}, nil
 	}
 }
 
 func (in *Interp) setMember(obj Value, name string, val Value) error {
 	switch o := obj.(type) {
-	case *Object:
+	case *object:
 		if err := in.alloc(32 + len(name)); err != nil {
 			return err
 		}
-		o.Set(name, val)
+		o.set(name, val)
 		return nil
-	case *Array:
+	case *array:
 		if name == "length" {
-			n := int(ToNumber(val))
+			n := int(toNumber(val))
 			if n < 0 {
 				n = 0
 			}
@@ -55,54 +55,54 @@ func (in *Interp) setMember(obj Value, name string, val Value) error {
 				return err
 			}
 			for len(o.Elems) < n {
-				o.Elems = append(o.Elems, Undefined{})
+				o.Elems = append(o.Elems, undefined{})
 			}
 			o.Elems = o.Elems[:n]
 			return nil
 		}
 		return nil // ignore expando props on arrays
 	default:
-		return &ThrowError{Value: fmt.Sprintf("cannot set property %q on %s", describe(name), TypeOf(obj))}
+		return &ThrowError{Value: fmt.Sprintf("cannot set property %q on %s", describe(name), typeOf(obj))}
 	}
 }
 
 func (in *Interp) getIndex(obj, key Value) (Value, error) {
 	switch o := obj.(type) {
-	case *Array:
+	case *array:
 		if ks, ok := key.(string); ok {
 			return in.getMember(o, ks)
 		}
-		i := int(ToNumber(key))
+		i := int(toNumber(key))
 		if i < 0 || i >= len(o.Elems) {
-			return Undefined{}, nil
+			return undefined{}, nil
 		}
 		return o.Elems[i], nil
-	case *Object:
+	case *object:
 		ks, err := in.toString(key)
 		if err != nil {
 			return nil, err
 		}
-		return o.Get(ks), nil
+		return o.get(ks), nil
 	case string:
 		if ks, ok := key.(string); ok {
 			return in.getMember(o, ks)
 		}
-		i := int(ToNumber(key))
+		i := int(toNumber(key))
 		if i < 0 || i >= len(o) {
-			return Undefined{}, nil
+			return undefined{}, nil
 		}
 		return string(o[i]), nil
-	case Null, Undefined, nil:
+	case null, undefined, nil:
 		return nil, &ThrowError{Value: "cannot index " + describe(obj)}
 	default:
-		return Undefined{}, nil
+		return undefined{}, nil
 	}
 }
 
 func (in *Interp) setIndex(obj, key, val Value) error {
 	switch o := obj.(type) {
-	case *Array:
-		i := int(ToNumber(key))
+	case *array:
+		i := int(toNumber(key))
 		if i < 0 {
 			return &ThrowError{Value: "negative array index"}
 		}
@@ -110,14 +110,14 @@ func (in *Interp) setIndex(obj, key, val Value) error {
 			return err
 		}
 		for len(o.Elems) <= i {
-			o.Elems = append(o.Elems, Undefined{})
+			o.Elems = append(o.Elems, undefined{})
 		}
 		if err := in.alloc(16); err != nil {
 			return err
 		}
 		o.Elems[i] = val
 		return nil
-	case *Object:
+	case *object:
 		ks, err := in.toString(key)
 		if err != nil {
 			return err
@@ -125,17 +125,17 @@ func (in *Interp) setIndex(obj, key, val Value) error {
 		if err := in.alloc(32 + len(ks)); err != nil {
 			return err
 		}
-		o.Set(ks, val)
+		o.set(ks, val)
 		return nil
 	default:
-		return &ThrowError{Value: "cannot index-assign " + TypeOf(obj)}
+		return &ThrowError{Value: "cannot index-assign " + typeOf(obj)}
 	}
 }
 
 type methodFn func(in *Interp, this Value, args []Value) (Value, error)
 
-func bindMethod(name string, this Value, m methodFn) *Builtin {
-	return &Builtin{Name: name, Fn: func(in *Interp, _ Value, args []Value) (Value, error) {
+func bindMethod(name string, this Value, m methodFn) *builtin {
+	return &builtin{Name: name, Fn: func(in *Interp, _ Value, args []Value) (Value, error) {
 		return m(in, this, args)
 	}}
 }
@@ -144,7 +144,7 @@ func arg(args []Value, i int) Value {
 	if i < len(args) {
 		return args[i]
 	}
-	return Undefined{}
+	return undefined{}
 }
 
 // arrayMethods is populated in init to break the initialization cycle
@@ -154,7 +154,7 @@ var arrayMethods map[string]methodFn
 func init() {
 	arrayMethods = map[string]methodFn{
 		"push": func(in *Interp, this Value, args []Value) (Value, error) {
-			a := this.(*Array)
+			a := this.(*array)
 			if err := in.allocN(len(args), 16); err != nil {
 				return nil, err
 			}
@@ -162,25 +162,25 @@ func init() {
 			return float64(len(a.Elems)), nil
 		},
 		"pop": func(in *Interp, this Value, args []Value) (Value, error) {
-			a := this.(*Array)
+			a := this.(*array)
 			if len(a.Elems) == 0 {
-				return Undefined{}, nil
+				return undefined{}, nil
 			}
 			v := a.Elems[len(a.Elems)-1]
 			a.Elems = a.Elems[:len(a.Elems)-1]
 			return v, nil
 		},
 		"shift": func(in *Interp, this Value, args []Value) (Value, error) {
-			a := this.(*Array)
+			a := this.(*array)
 			if len(a.Elems) == 0 {
-				return Undefined{}, nil
+				return undefined{}, nil
 			}
 			v := a.Elems[0]
 			a.Elems = a.Elems[1:]
 			return v, nil
 		},
 		"join": func(in *Interp, this Value, args []Value) (Value, error) {
-			a := this.(*Array)
+			a := this.(*array)
 			sep := ","
 			if s, ok := arg(args, 0).(string); ok {
 				sep = s
@@ -193,36 +193,36 @@ func init() {
 			return sb.String(), nil
 		},
 		"slice": func(in *Interp, this Value, args []Value) (Value, error) {
-			a := this.(*Array)
+			a := this.(*array)
 			start, end := sliceBounds(len(a.Elems), arg(args, 0), arg(args, 1))
 			if err := in.alloc(24 + 16*(end-start)); err != nil {
 				return nil, err
 			}
-			return &Array{Elems: append([]Value{}, a.Elems[start:end]...)}, nil
+			return &array{Elems: append([]Value{}, a.Elems[start:end]...)}, nil
 		},
 		"indexOf": func(in *Interp, this Value, args []Value) (Value, error) {
-			a := this.(*Array)
+			a := this.(*array)
 			for i, e := range a.Elems {
-				if StrictEquals(e, arg(args, 0)) {
+				if strictEquals(e, arg(args, 0)) {
 					return float64(i), nil
 				}
 			}
 			return float64(-1), nil
 		},
 		"includes": func(in *Interp, this Value, args []Value) (Value, error) {
-			a := this.(*Array)
+			a := this.(*array)
 			for _, e := range a.Elems {
-				if StrictEquals(e, arg(args, 0)) {
+				if strictEquals(e, arg(args, 0)) {
 					return true, nil
 				}
 			}
 			return false, nil
 		},
 		"concat": func(in *Interp, this Value, args []Value) (Value, error) {
-			a := this.(*Array)
+			a := this.(*array)
 			n := len(a.Elems)
 			for _, v := range args {
-				if b, ok := v.(*Array); ok {
+				if b, ok := v.(*array); ok {
 					n += len(b.Elems)
 				} else {
 					n++
@@ -231,9 +231,9 @@ func init() {
 			if err := in.alloc(24 + 16*n); err != nil {
 				return nil, err
 			}
-			out := &Array{Elems: append(make([]Value, 0, n), a.Elems...)}
+			out := &array{Elems: append(make([]Value, 0, n), a.Elems...)}
 			for _, v := range args {
-				if b, ok := v.(*Array); ok {
+				if b, ok := v.(*array); ok {
 					out.Elems = append(out.Elems, b.Elems...)
 				} else {
 					out.Elems = append(out.Elems, v)
@@ -242,13 +242,13 @@ func init() {
 			return out, nil
 		},
 		"map": func(in *Interp, this Value, args []Value) (Value, error) {
-			a := this.(*Array)
+			a := this.(*array)
 			if err := in.alloc(24 + 16*len(a.Elems)); err != nil {
 				return nil, err
 			}
-			out := &Array{Elems: make([]Value, 0, len(a.Elems))}
+			out := &array{Elems: make([]Value, 0, len(a.Elems))}
 			for i, e := range a.Elems {
-				v, err := in.CallValue(arg(args, 0), Undefined{}, []Value{e, float64(i)})
+				v, err := in.callValue(arg(args, 0), undefined{}, []Value{e, float64(i)})
 				if err != nil {
 					return nil, err
 				}
@@ -257,14 +257,14 @@ func init() {
 			return out, nil
 		},
 		"filter": func(in *Interp, this Value, args []Value) (Value, error) {
-			a := this.(*Array)
-			out := &Array{}
+			a := this.(*array)
+			out := &array{}
 			for i, e := range a.Elems {
-				v, err := in.CallValue(arg(args, 0), Undefined{}, []Value{e, float64(i)})
+				v, err := in.callValue(arg(args, 0), undefined{}, []Value{e, float64(i)})
 				if err != nil {
 					return nil, err
 				}
-				if Truthy(v) {
+				if truthy(v) {
 					out.Elems = append(out.Elems, e)
 				}
 			}
@@ -274,19 +274,19 @@ func init() {
 			return out, nil
 		},
 		"forEach": func(in *Interp, this Value, args []Value) (Value, error) {
-			a := this.(*Array)
+			a := this.(*array)
 			for i, e := range a.Elems {
-				if _, err := in.CallValue(arg(args, 0), Undefined{}, []Value{e, float64(i)}); err != nil {
+				if _, err := in.callValue(arg(args, 0), undefined{}, []Value{e, float64(i)}); err != nil {
 					return nil, err
 				}
 			}
-			return Undefined{}, nil
+			return undefined{}, nil
 		},
 		"reduce": func(in *Interp, this Value, args []Value) (Value, error) {
-			a := this.(*Array)
+			a := this.(*array)
 			acc := arg(args, 1)
 			start := 0
-			if _, isUndef := acc.(Undefined); isUndef && len(args) < 2 {
+			if _, isUndef := acc.(undefined); isUndef && len(args) < 2 {
 				if len(a.Elems) == 0 {
 					return nil, &ThrowError{Value: "reduce of empty array with no initial value"}
 				}
@@ -294,7 +294,7 @@ func init() {
 				start = 1
 			}
 			for i := start; i < len(a.Elems); i++ {
-				v, err := in.CallValue(arg(args, 0), Undefined{}, []Value{acc, a.Elems[i], float64(i)})
+				v, err := in.callValue(arg(args, 0), undefined{}, []Value{acc, a.Elems[i], float64(i)})
 				if err != nil {
 					return nil, err
 				}
@@ -303,7 +303,7 @@ func init() {
 			return acc, nil
 		},
 		"reverse": func(in *Interp, this Value, args []Value) (Value, error) {
-			a := this.(*Array)
+			a := this.(*array)
 			for i, j := 0, len(a.Elems)-1; i < j; i, j = i+1, j-1 {
 				a.Elems[i], a.Elems[j] = a.Elems[j], a.Elems[i]
 			}
@@ -314,11 +314,11 @@ func init() {
 
 func sliceBounds(n int, startV, endV Value) (int, int) {
 	start, end := 0, n
-	if _, u := startV.(Undefined); !u {
-		start = clampIndex(int(ToNumber(startV)), n)
+	if _, u := startV.(undefined); !u {
+		start = clampIndex(int(toNumber(startV)), n)
 	}
-	if _, u := endV.(Undefined); !u {
-		end = clampIndex(int(ToNumber(endV)), n)
+	if _, u := endV.(undefined); !u {
+		end = clampIndex(int(toNumber(endV)), n)
 	}
 	if start > end {
 		start = end
@@ -363,7 +363,7 @@ var stringMethods = map[string]methodFn{
 		} else {
 			parts = strings.Split(s, sep)
 		}
-		out := &Array{Elems: make([]Value, len(parts))}
+		out := &array{Elems: make([]Value, len(parts))}
 		for i, p := range parts {
 			out.Elems[i] = p
 		}
@@ -401,7 +401,7 @@ var stringMethods = map[string]methodFn{
 	},
 	"charAt": func(in *Interp, this Value, args []Value) (Value, error) {
 		s := this.(string)
-		i := int(ToNumber(arg(args, 0)))
+		i := int(toNumber(arg(args, 0)))
 		if i < 0 || i >= len(s) {
 			return "", nil
 		}
@@ -409,7 +409,7 @@ var stringMethods = map[string]methodFn{
 	},
 	"charCodeAt": func(in *Interp, this Value, args []Value) (Value, error) {
 		s := this.(string)
-		i := int(ToNumber(arg(args, 0)))
+		i := int(toNumber(arg(args, 0)))
 		if i < 0 || i >= len(s) {
 			return nan(), nil
 		}
@@ -419,7 +419,7 @@ var stringMethods = map[string]methodFn{
 		return strings.TrimSpace(this.(string)), nil
 	},
 	"repeat": func(in *Interp, this Value, args []Value) (Value, error) {
-		n := int(ToNumber(arg(args, 0)))
+		n := int(toNumber(arg(args, 0)))
 		if n < 0 {
 			return nil, &ThrowError{Value: "invalid repeat count"}
 		}
@@ -447,8 +447,8 @@ var stringMethods = map[string]methodFn{
 func (in *Interp) installBuiltins() {
 	g := in.globals
 
-	console := NewObject()
-	console.Set("log", &Builtin{Name: "console.log", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+	console := newObject()
+	console.set("log", &builtin{Name: "console.log", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		parts := make([]string, len(args))
 		size := 0
 		for n, a := range args {
@@ -464,13 +464,13 @@ func (in *Interp) installBuiltins() {
 		if i.hooks.Output != nil {
 			i.hooks.Output(strings.Join(parts, " "))
 		}
-		return Undefined{}, nil
+		return undefined{}, nil
 	}})
-	console.Set("error", console.Get("log"))
-	g.Define("console", console)
+	console.set("error", console.get("log"))
+	g.define("console", console)
 
-	jsonObj := NewObject()
-	jsonObj.Set("stringify", &Builtin{Name: "JSON.stringify", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+	jsonObj := newObject()
+	jsonObj.set("stringify", &builtin{Name: "JSON.stringify", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		var sb strings.Builder
 		writeJSON(&sb, arg(args, 0), 0, i.room())
 		if err := i.alloc(sb.Len()); err != nil {
@@ -478,19 +478,19 @@ func (in *Interp) installBuiltins() {
 		}
 		return sb.String(), nil
 	}})
-	jsonObj.Set("parse", &Builtin{Name: "JSON.parse", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+	jsonObj.set("parse", &builtin{Name: "JSON.parse", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		s, ok := arg(args, 0).(string)
 		if !ok {
 			return nil, &ThrowError{Value: "JSON.parse requires a string"}
 		}
 		return parseJSON(i, s)
 	}})
-	g.Define("JSON", jsonObj)
+	g.define("JSON", jsonObj)
 
-	mathObj := NewObject()
+	mathObj := newObject()
 	num1 := func(name string, f func(float64) float64) {
-		mathObj.Set(name, &Builtin{Name: "Math." + name, Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
-			return f(ToNumber(arg(args, 0))), nil
+		mathObj.set(name, &builtin{Name: "Math." + name, Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+			return f(toNumber(arg(args, 0))), nil
 		}})
 	}
 	num1("floor", math.Floor)
@@ -502,101 +502,101 @@ func (in *Interp) installBuiltins() {
 	num1("exp", math.Exp)
 	num1("sin", math.Sin)
 	num1("cos", math.Cos)
-	mathObj.Set("pow", &Builtin{Name: "Math.pow", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
-		return math.Pow(ToNumber(arg(args, 0)), ToNumber(arg(args, 1))), nil
+	mathObj.set("pow", &builtin{Name: "Math.pow", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+		return math.Pow(toNumber(arg(args, 0)), toNumber(arg(args, 1))), nil
 	}})
-	mathObj.Set("max", &Builtin{Name: "Math.max", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+	mathObj.set("max", &builtin{Name: "Math.max", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		out := math.Inf(-1)
 		for _, a := range args {
-			out = math.Max(out, ToNumber(a))
+			out = math.Max(out, toNumber(a))
 		}
 		return out, nil
 	}})
-	mathObj.Set("min", &Builtin{Name: "Math.min", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+	mathObj.set("min", &builtin{Name: "Math.min", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		out := math.Inf(1)
 		for _, a := range args {
-			out = math.Min(out, ToNumber(a))
+			out = math.Min(out, toNumber(a))
 		}
 		return out, nil
 	}})
-	mathObj.Set("random", &Builtin{Name: "Math.random", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+	mathObj.set("random", &builtin{Name: "Math.random", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		if i.hooks.Random != nil {
 			return i.hooks.Random(), nil
 		}
 		return 0.5, nil // deterministic default
 	}})
-	mathObj.Set("PI", math.Pi)
-	g.Define("Math", mathObj)
+	mathObj.set("PI", math.Pi)
+	g.define("Math", mathObj)
 
-	objectObj := NewObject()
-	objectObj.Set("keys", &Builtin{Name: "Object.keys", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
-		o, ok := arg(args, 0).(*Object)
+	objectObj := newObject()
+	objectObj.set("keys", &builtin{Name: "Object.keys", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+		o, ok := arg(args, 0).(*object)
 		if !ok {
-			return &Array{}, nil
+			return &array{}, nil
 		}
-		ks := o.Keys()
+		ks := o.ownKeys()
 		if err := i.alloc(24 + 16*len(ks)); err != nil {
 			return nil, err
 		}
-		out := &Array{Elems: make([]Value, len(ks))}
+		out := &array{Elems: make([]Value, len(ks))}
 		for n, k := range ks {
 			out.Elems[n] = k
 		}
 		return out, nil
 	}})
-	objectObj.Set("values", &Builtin{Name: "Object.values", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
-		o, ok := arg(args, 0).(*Object)
+	objectObj.set("values", &builtin{Name: "Object.values", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+		o, ok := arg(args, 0).(*object)
 		if !ok {
-			return &Array{}, nil
+			return &array{}, nil
 		}
-		ks := o.Keys()
+		ks := o.ownKeys()
 		if err := i.alloc(24 + 16*len(ks)); err != nil {
 			return nil, err
 		}
-		out := &Array{}
+		out := &array{}
 		for _, k := range ks {
-			out.Elems = append(out.Elems, o.Get(k))
+			out.Elems = append(out.Elems, o.get(k))
 		}
 		return out, nil
 	}})
-	objectObj.Set("assign", &Builtin{Name: "Object.assign", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
-		dst, ok := arg(args, 0).(*Object)
+	objectObj.set("assign", &builtin{Name: "Object.assign", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+		dst, ok := arg(args, 0).(*object)
 		if !ok {
 			return nil, &ThrowError{Value: "Object.assign target must be an object"}
 		}
 		for _, src := range args[1:] {
-			if so, ok := src.(*Object); ok {
-				for _, k := range so.Keys() {
+			if so, ok := src.(*object); ok {
+				for _, k := range so.ownKeys() {
 					if err := i.alloc(32 + len(k)); err != nil {
 						return nil, err
 					}
-					dst.Set(k, so.Get(k))
+					dst.set(k, so.get(k))
 				}
 			}
 		}
 		return dst, nil
 	}})
-	g.Define("Object", objectObj)
+	g.define("Object", objectObj)
 
-	arrayObj := NewObject()
-	arrayObj.Set("isArray", &Builtin{Name: "Array.isArray", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
-		_, ok := arg(args, 0).(*Array)
+	arrayObj := newObject()
+	arrayObj.set("isArray", &builtin{Name: "Array.isArray", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+		_, ok := arg(args, 0).(*array)
 		return ok, nil
 	}})
-	g.Define("Array", arrayObj)
+	g.define("Array", arrayObj)
 
-	dateObj := NewObject()
-	dateObj.Set("now", &Builtin{Name: "Date.now", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+	dateObj := newObject()
+	dateObj.set("now", &builtin{Name: "Date.now", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		if i.hooks.Now != nil {
 			return i.hooks.Now(), nil
 		}
 		return 0.0, nil
 	}})
-	g.Define("Date", dateObj)
+	g.define("Date", dateObj)
 
 	// Host bridge: the workload corpus calls these.
-	httpObj := NewObject()
-	httpObj.Set("get", &Builtin{Name: "http.get", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+	httpObj := newObject()
+	httpObj.set("get", &builtin{Name: "http.get", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		url, _ := arg(args, 0).(string)
 		if i.hooks.HTTPGet == nil {
 			return nil, &ThrowError{Value: "http.get: no network available"}
@@ -610,27 +610,27 @@ func (in *Interp) installBuiltins() {
 		}
 		return body, nil
 	}})
-	g.Define("http", httpObj)
+	g.define("http", httpObj)
 
-	g.Define("spin", &Builtin{Name: "spin", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+	g.define("spin", &builtin{Name: "spin", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		if i.hooks.Spin != nil {
-			i.hooks.Spin(ToNumber(arg(args, 0)))
+			i.hooks.Spin(toNumber(arg(args, 0)))
 		}
-		return Undefined{}, nil
+		return undefined{}, nil
 	}})
-	g.Define("sleep", &Builtin{Name: "sleep", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+	g.define("sleep", &builtin{Name: "sleep", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		if i.hooks.Sleep != nil {
-			i.hooks.Sleep(ToNumber(arg(args, 0)))
+			i.hooks.Sleep(toNumber(arg(args, 0)))
 		}
-		return Undefined{}, nil
+		return undefined{}, nil
 	}})
-	g.Define("parseInt", &Builtin{Name: "parseInt", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
-		return math.Trunc(ToNumber(arg(args, 0))), nil
+	g.define("parseInt", &builtin{Name: "parseInt", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+		return math.Trunc(toNumber(arg(args, 0))), nil
 	}})
-	g.Define("parseFloat", &Builtin{Name: "parseFloat", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
-		return ToNumber(arg(args, 0)), nil
+	g.define("parseFloat", &builtin{Name: "parseFloat", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+		return toNumber(arg(args, 0)), nil
 	}})
-	g.Define("String", &Builtin{Name: "String", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+	g.define("String", &builtin{Name: "String", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		v := arg(args, 0)
 		s, err := i.toString(v)
 		if _, same := v.(string); err == nil && !same {
@@ -641,19 +641,19 @@ func (in *Interp) installBuiltins() {
 		}
 		return s, nil
 	}})
-	g.Define("Number", &Builtin{Name: "Number", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
-		return ToNumber(arg(args, 0)), nil
+	g.define("Number", &builtin{Name: "Number", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+		return toNumber(arg(args, 0)), nil
 	}})
-	g.Define("isNaN", &Builtin{Name: "isNaN", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
-		n := ToNumber(arg(args, 0))
+	g.define("isNaN", &builtin{Name: "isNaN", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+		n := toNumber(arg(args, 0))
 		return n != n, nil
 	}})
-	g.Define("Error", &Builtin{Name: "Error", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
+	g.define("Error", &builtin{Name: "Error", Fn: func(i *Interp, _ Value, args []Value) (Value, error) {
 		if err := i.alloc(64); err != nil {
 			return nil, err
 		}
-		o := NewObject()
-		o.Set("message", arg(args, 0))
+		o := newObject()
+		o.set("message", arg(args, 0))
 		return o, nil
 	}})
 }
@@ -705,8 +705,8 @@ func init() {
 	}
 
 	arrayMethods["sort"] = func(in *Interp, this Value, args []Value) (Value, error) {
-		a := this.(*Array)
-		cmp, hasCmp := arg(args, 0).(*Closure)
+		a := this.(*array)
+		cmp, hasCmp := arg(args, 0).(*closure)
 		if !hasCmp {
 			return a, in.sortByString(a)
 		}
@@ -715,12 +715,12 @@ func init() {
 			if sortErr != nil {
 				return false
 			}
-			v, err := in.CallValue(cmp, Undefined{}, []Value{x, y})
+			v, err := in.callValue(cmp, undefined{}, []Value{x, y})
 			if err != nil {
 				sortErr = err
 				return false
 			}
-			return ToNumber(v) < 0
+			return toNumber(v) < 0
 		})
 		if sortErr != nil {
 			return nil, sortErr
@@ -728,49 +728,49 @@ func init() {
 		return a, nil
 	}
 	arrayMethods["some"] = func(in *Interp, this Value, args []Value) (Value, error) {
-		a := this.(*Array)
+		a := this.(*array)
 		for i, e := range a.Elems {
-			v, err := in.CallValue(arg(args, 0), Undefined{}, []Value{e, float64(i)})
+			v, err := in.callValue(arg(args, 0), undefined{}, []Value{e, float64(i)})
 			if err != nil {
 				return nil, err
 			}
-			if Truthy(v) {
+			if truthy(v) {
 				return true, nil
 			}
 		}
 		return false, nil
 	}
 	arrayMethods["every"] = func(in *Interp, this Value, args []Value) (Value, error) {
-		a := this.(*Array)
+		a := this.(*array)
 		for i, e := range a.Elems {
-			v, err := in.CallValue(arg(args, 0), Undefined{}, []Value{e, float64(i)})
+			v, err := in.callValue(arg(args, 0), undefined{}, []Value{e, float64(i)})
 			if err != nil {
 				return nil, err
 			}
-			if !Truthy(v) {
+			if !truthy(v) {
 				return false, nil
 			}
 		}
 		return true, nil
 	}
 	arrayMethods["find"] = func(in *Interp, this Value, args []Value) (Value, error) {
-		a := this.(*Array)
+		a := this.(*array)
 		for i, e := range a.Elems {
-			v, err := in.CallValue(arg(args, 0), Undefined{}, []Value{e, float64(i)})
+			v, err := in.callValue(arg(args, 0), undefined{}, []Value{e, float64(i)})
 			if err != nil {
 				return nil, err
 			}
-			if Truthy(v) {
+			if truthy(v) {
 				return e, nil
 			}
 		}
-		return Undefined{}, nil
+		return undefined{}, nil
 	}
 	arrayMethods["flat"] = func(in *Interp, this Value, args []Value) (Value, error) {
-		a := this.(*Array)
+		a := this.(*array)
 		n := 0
 		for _, e := range a.Elems {
-			if inner, ok := e.(*Array); ok {
+			if inner, ok := e.(*array); ok {
 				n += len(inner.Elems)
 			} else {
 				n++
@@ -779,9 +779,9 @@ func init() {
 		if err := in.alloc(24 + 16*n); err != nil {
 			return nil, err
 		}
-		out := &Array{Elems: make([]Value, 0, n)}
+		out := &array{Elems: make([]Value, 0, n)}
 		for _, e := range a.Elems {
-			if inner, ok := e.(*Array); ok {
+			if inner, ok := e.(*array); ok {
 				out.Elems = append(out.Elems, inner.Elems...)
 			} else {
 				out.Elems = append(out.Elems, e)
@@ -794,7 +794,7 @@ func init() {
 // padding prices the result of s.padStart/padEnd(args) and returns the
 // pad string repeated to cover the k bytes the result adds to s.
 func (in *Interp) padding(s string, args []Value) (fill string, k int, err error) {
-	n := int(ToNumber(arg(args, 0)))
+	n := int(toNumber(arg(args, 0)))
 	if n <= len(s) {
 		return "", 0, in.alloc(len(s))
 	}
@@ -818,8 +818,8 @@ func (in *Interp) allocReplaced(s, old, nw string, n int) error {
 	if len(nw) <= len(old) {
 		return in.alloc(len(s) - count*(len(old)-len(nw)))
 	}
-	if count > (MaxHostBytes-len(s))/(len(nw)-len(old)) {
-		return ErrHostMemory
+	if count > (maxHostBytes-len(s))/(len(nw)-len(old)) {
+		return errHostMemory
 	}
 	return in.alloc(len(s) + count*(len(nw)-len(old)))
 }
@@ -827,7 +827,7 @@ func (in *Interp) allocReplaced(s, old, nw string, n int) error {
 // sortByString sorts a in JavaScript's default order, by the elements'
 // string renderings. Each element is rendered once, up front, so the
 // renderings are charged once rather than on every comparison.
-func (in *Interp) sortByString(a *Array) error {
+func (in *Interp) sortByString(a *array) error {
 	type keyed struct {
 		key string
 		v   Value

@@ -38,7 +38,7 @@ type Hooks struct {
 
 // Interp evaluates MiniJS programs.
 type Interp struct {
-	globals  *Env
+	globals  *env
 	hooks    Hooks
 	steps    int64
 	maxSteps int64
@@ -56,14 +56,14 @@ var ErrTooManySteps = errors.New("minijs: step budget exhausted")
 // guest stops with an error no try/catch can intercept, and the
 // platform destroys its UC as it does on a deadline kill.
 var (
-	// ErrCallDepth is returned when guest recursion passes MaxCallDepth.
-	ErrCallDepth = errors.New("minijs: maximum call stack size exceeded")
-	// ErrHostMemory is returned when one entry into the guest would
+	// errCallDepth is returned when guest recursion passes MaxCallDepth.
+	errCallDepth = errors.New("minijs: maximum call stack size exceeded")
+	// errHostMemory is returned when one entry into the guest would
 	// charge more than MaxHostBytes.
-	ErrHostMemory = errors.New("minijs: host memory budget exhausted")
+	errHostMemory = errors.New("minijs: host memory budget exhausted")
 )
 
-// MaxCallDepth bounds guest recursion, as V8's stack limit bounds Node's
+// maxCallDepth bounds guest recursion, as V8's stack limit bounds Node's
 // (about 10 000 frames of a one-line recursive function). A call costs
 // one unit, plus one per nestUnit levels of static nesting in the
 // function's body, because the evaluator recurses once per level: a
@@ -75,13 +75,13 @@ var (
 // kept by eval and execStmt themselves, once per node, made
 // BenchmarkInterpreterNOP 4% slower (median of six alternating runs on
 // a 2-vCPU VM).
-const MaxCallDepth = 10_000
+const maxCallDepth = 10_000
 
 // nestUnit is how many levels of static nesting one call-depth unit
 // covers; see MaxCallDepth. A one-line body nests about 8 levels.
 const nestUnit = 16
 
-// MaxHostBytes bounds the host memory one entry into the guest (an
+// maxHostBytes bounds the host memory one entry into the guest (an
 // invocation, a module evaluation) may charge for the strings, arrays
 // and objects it builds and for the values it renders as strings. The
 // charge is made before the value is built, so a guest that doubles a
@@ -90,7 +90,7 @@ const nestUnit = 16
 // 1 KB. Array slots that an index or a length creates are the one thing
 // a guest keeps that the guest heap does not price (see grow), so they
 // are also held to MaxHostBytes over the interpreter's whole life.
-const MaxHostBytes = 64 << 20
+const maxHostBytes = 64 << 20
 
 // DefaultStepBudget is the interpreter's lifetime step budget before a
 // caller installs a per-invocation limit (LimitSteps).
@@ -116,16 +116,13 @@ func (t *ThrowError) Error() string { return "minijs: uncaught " + ToString(t.Va
 // New returns an interpreter with the standard builtins installed.
 func New(hooks Hooks) *Interp {
 	in := &Interp{
-		globals:  NewEnv(nil),
+		globals:  newEnv(nil),
 		hooks:    hooks,
 		maxSteps: DefaultStepBudget,
 	}
 	in.installBuiltins()
 	return in
 }
-
-// SetMaxSteps overrides the default step budget (0 disables the limit).
-func (in *Interp) SetMaxSteps(n int64) { in.maxSteps = n }
 
 // LimitSteps caps execution at n steps *beyond those already
 // consumed* — the per-invocation deadline form: steps spent by earlier
@@ -138,12 +135,6 @@ func (in *Interp) LimitSteps(n int64) {
 	}
 	in.maxSteps = in.steps + n
 }
-
-// Steps returns the steps consumed so far.
-func (in *Interp) Steps() int64 { return in.steps }
-
-// Globals returns the global scope (the driver script pokes values in).
-func (in *Interp) Globals() *Env { return in.globals }
 
 func (in *Interp) step(n int) error {
 	in.steps += int64(n)
@@ -170,8 +161,8 @@ func (in *Interp) alloc(n int) error {
 
 // allocN is alloc for count items of size bytes each, without overflow.
 func (in *Interp) allocN(count, size int) error {
-	if count < 0 || count > MaxHostBytes/size {
-		return ErrHostMemory
+	if count < 0 || count > maxHostBytes/size {
+		return errHostMemory
 	}
 	return in.alloc(count * size)
 }
@@ -180,8 +171,8 @@ func (in *Interp) allocN(count, size int) error {
 // guest heap: growth the guest heap model never priced still costs the
 // host.
 func (in *Interp) charge(n int) error {
-	if n < 0 || in.heap+int64(n) > MaxHostBytes {
-		return ErrHostMemory
+	if n < 0 || in.heap+int64(n) > maxHostBytes {
+		return errHostMemory
 	}
 	in.heap += int64(n)
 	return nil
@@ -197,8 +188,8 @@ func (in *Interp) grow(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	if n > MaxHostBytes/16 || in.grown+16*int64(n) > MaxHostBytes {
-		return ErrHostMemory
+	if n > maxHostBytes/16 || in.grown+16*int64(n) > maxHostBytes {
+		return errHostMemory
 	}
 	if err := in.charge(16 * n); err != nil {
 		return err
@@ -216,9 +207,9 @@ func (in *Interp) toString(v Value) (string, error) {
 	switch t := v.(type) {
 	case string:
 		return t, nil
-	case float64, bool, Null, Undefined, nil:
+	case float64, bool, null, undefined, nil:
 		return ToString(v), nil
-	case *Array:
+	case *array:
 		var sb strings.Builder
 		joinTo(&sb, t, ",", 0, in.room())
 		return sb.String(), in.charge(sb.Len())
@@ -228,7 +219,7 @@ func (in *Interp) toString(v Value) (string, error) {
 }
 
 // room is how many bytes the host budget has left in this entry.
-func (in *Interp) room() int { return int(MaxHostBytes - in.heap) }
+func (in *Interp) room() int { return int(maxHostBytes - in.heap) }
 
 // enter starts a host entry into the guest: the host budget is per
 // entry, so a long-lived UC never exhausts it across invocations.
@@ -237,12 +228,12 @@ func (in *Interp) enter() { in.heap = 0 }
 // Run parses nothing — callers Parse first — and executes the program
 // in the global scope, charging its compiled size to the guest heap.
 // The value of the last expression statement is returned.
-func (in *Interp) Run(prog *Program) (Value, error) {
+func (in *Interp) Run(prog *program) (Value, error) {
 	in.enter()
 	if err := in.alloc(TreeSize(prog)); err != nil {
 		return nil, err
 	}
-	var last Value = Undefined{}
+	var last Value = undefined{}
 	for _, stmt := range prog.Body {
 		v, err := in.execStmt(stmt, in.globals)
 		if err != nil {
@@ -252,7 +243,7 @@ func (in *Interp) Run(prog *Program) (Value, error) {
 			}
 			return nil, err
 		}
-		if es, ok := stmt.(*ExprStmt); ok && es != nil {
+		if es, ok := stmt.(*exprStmt); ok && es != nil {
 			last = v
 		}
 	}
@@ -270,27 +261,27 @@ func (in *Interp) RunSource(src string) (Value, error) {
 
 // CallGlobal invokes a global function by name.
 func (in *Interp) CallGlobal(name string, args []Value) (Value, error) {
-	fn, ok := in.globals.Get(name)
+	fn, ok := in.globals.get(name)
 	if !ok {
 		return nil, fmt.Errorf("minijs: %s is not defined", name)
 	}
 	in.enter()
-	return in.CallValue(fn, Undefined{}, args)
+	return in.callValue(fn, undefined{}, args)
 }
 
-// CallValue invokes a function value with this and args.
-func (in *Interp) CallValue(fn Value, this Value, args []Value) (Value, error) {
+// callValue invokes a function value with this and args.
+func (in *Interp) callValue(fn Value, this Value, args []Value) (Value, error) {
 	switch f := fn.(type) {
-	case *Closure:
+	case *closure:
 		units := 1 + f.Fn.Nesting/nestUnit
-		if in.depth+units > MaxCallDepth {
-			return nil, ErrCallDepth
+		if in.depth+units > maxCallDepth {
+			return nil, errCallDepth
 		}
 		in.depth += units
 		v, err := in.callClosure(f, args)
 		in.depth -= units
 		return v, err
-	case *Builtin:
+	case *builtin:
 		return f.Fn(in, this, args)
 	default:
 		return nil, &ThrowError{Value: describe(fn) + " is not a function"}
@@ -298,19 +289,19 @@ func (in *Interp) CallValue(fn Value, this Value, args []Value) (Value, error) {
 }
 
 // callClosure runs a guest function's body in a fresh scope.
-func (in *Interp) callClosure(f *Closure, args []Value) (Value, error) {
-	env := NewEnv(f.Env)
+func (in *Interp) callClosure(f *closure, args []Value) (Value, error) {
+	env := newEnv(f.Env)
 	if err := in.allocN(len(args)+3, 16); err != nil { // 48 + 16 per argument
 		return nil, err
 	}
 	for i, p := range f.Fn.Params {
 		if i < len(args) {
-			env.Define(p, args[i])
+			env.define(p, args[i])
 		} else {
-			env.Define(p, Undefined{})
+			env.define(p, undefined{})
 		}
 	}
-	env.Define("arguments", &Array{Elems: args})
+	env.define("arguments", &array{Elems: args})
 	for _, stmt := range f.Fn.Body {
 		if _, err := in.execStmt(stmt, env); err != nil {
 			if r, ok := err.(returnErr); ok {
@@ -319,17 +310,17 @@ func (in *Interp) callClosure(f *Closure, args []Value) (Value, error) {
 			return nil, err
 		}
 	}
-	return Undefined{}, nil
+	return undefined{}, nil
 }
 
 // execStmt executes one statement and returns its value (for ExprStmt).
-func (in *Interp) execStmt(n Node, env *Env) (Value, error) {
+func (in *Interp) execStmt(n Node, env *env) (Value, error) {
 	if err := in.step(1); err != nil {
 		return nil, err
 	}
 	switch t := n.(type) {
-	case *VarDecl:
-		var v Value = Undefined{}
+	case *varDecl:
+		var v Value = undefined{}
 		if t.Init != nil {
 			var err error
 			v, err = in.eval(t.Init, env)
@@ -340,12 +331,12 @@ func (in *Interp) execStmt(n Node, env *Env) (Value, error) {
 		if err := in.alloc(24); err != nil {
 			return nil, err
 		}
-		env.Define(t.Name, v)
-		return Undefined{}, nil
-	case *ExprStmt:
+		env.define(t.Name, v)
+		return undefined{}, nil
+	case *exprStmt:
 		return in.eval(t.Expr, env)
-	case *Return:
-		var v Value = Undefined{}
+	case *returnStmt:
+		var v Value = undefined{}
 		if t.Value != nil {
 			var err error
 			v, err = in.eval(t.Value, env)
@@ -354,27 +345,27 @@ func (in *Interp) execStmt(n Node, env *Env) (Value, error) {
 			}
 		}
 		return nil, returnErr{v: v}
-	case *If:
+	case *ifStmt:
 		test, err := in.eval(t.Test, env)
 		if err != nil {
 			return nil, err
 		}
-		if Truthy(test) {
+		if truthy(test) {
 			return nil, in.execBlock(t.Then, env)
 		}
 		return nil, in.execBlock(t.Else, env)
-	case *While:
+	case *while:
 		for {
 			test, err := in.eval(t.Test, env)
 			if err != nil {
 				return nil, err
 			}
-			if !Truthy(test) {
-				return Undefined{}, nil
+			if !truthy(test) {
+				return undefined{}, nil
 			}
 			if err := in.execBlock(t.Body, env); err != nil {
 				if _, ok := err.(breakErr); ok {
-					return Undefined{}, nil
+					return undefined{}, nil
 				}
 				if _, ok := err.(continueErr); ok {
 					continue
@@ -382,8 +373,8 @@ func (in *Interp) execStmt(n Node, env *Env) (Value, error) {
 				return nil, err
 			}
 		}
-	case *For:
-		loopEnv := NewEnv(env)
+	case *forStmt:
+		loopEnv := newEnv(env)
 		if t.Init != nil {
 			if _, err := in.execStmt(t.Init, loopEnv); err != nil {
 				return nil, err
@@ -395,14 +386,14 @@ func (in *Interp) execStmt(n Node, env *Env) (Value, error) {
 				if err != nil {
 					return nil, err
 				}
-				if !Truthy(test) {
-					return Undefined{}, nil
+				if !truthy(test) {
+					return undefined{}, nil
 				}
 			}
 			err := in.execBlock(t.Body, loopEnv)
 			if err != nil {
 				if _, ok := err.(breakErr); ok {
-					return Undefined{}, nil
+					return undefined{}, nil
 				}
 				if _, ok := err.(continueErr); !ok {
 					return nil, err
@@ -414,13 +405,13 @@ func (in *Interp) execStmt(n Node, env *Env) (Value, error) {
 				}
 			}
 		}
-	case *ForIn:
+	case *forIn:
 		return in.execForIn(t, env)
-	case *DoWhile:
+	case *doWhile:
 		for {
-			if err := in.execBlock(t.Body, NewEnv(env)); err != nil {
+			if err := in.execBlock(t.Body, newEnv(env)); err != nil {
 				if _, ok := err.(breakErr); ok {
-					return Undefined{}, nil
+					return undefined{}, nil
 				}
 				if _, ok := err.(continueErr); !ok {
 					return nil, err
@@ -430,44 +421,44 @@ func (in *Interp) execStmt(n Node, env *Env) (Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !Truthy(test) {
-				return Undefined{}, nil
+			if !truthy(test) {
+				return undefined{}, nil
 			}
 		}
-	case *Switch:
+	case *switchStmt:
 		return in.execSwitch(t, env)
-	case *Break:
+	case *breakStmt:
 		return nil, breakErr{}
-	case *Continue:
+	case *continueStmt:
 		return nil, continueErr{}
-	case *Throw:
+	case *throw:
 		v, err := in.eval(t.Value, env)
 		if err != nil {
 			return nil, err
 		}
 		return nil, &ThrowError{Value: v}
-	case *Try:
-		err := in.execBlock(t.Body, NewEnv(env))
+	case *try:
+		err := in.execBlock(t.Body, newEnv(env))
 		if err != nil {
 			if te, ok := err.(*ThrowError); ok {
-				catchEnv := NewEnv(env)
+				catchEnv := newEnv(env)
 				if t.CatchVar != "" {
-					catchEnv.Define(t.CatchVar, te.Value)
+					catchEnv.define(t.CatchVar, te.Value)
 				}
 				return nil, in.execBlock(t.CatchBody, catchEnv)
 			}
 			return nil, err
 		}
-		return Undefined{}, nil
-	case *Block:
-		return nil, in.execBlock(t.Body, NewEnv(env))
+		return undefined{}, nil
+	case *block:
+		return nil, in.execBlock(t.Body, newEnv(env))
 	default:
 		// Expression used in statement position (e.g. for-post).
 		return in.eval(n, env)
 	}
 }
 
-func (in *Interp) execBlock(stmts []Node, env *Env) error {
+func (in *Interp) execBlock(stmts []Node, env *env) error {
 	for _, s := range stmts {
 		if _, err := in.execStmt(s, env); err != nil {
 			return err
@@ -479,19 +470,19 @@ func (in *Interp) execBlock(stmts []Node, env *Env) error {
 // execSwitch evaluates a switch with JS semantics: === matching,
 // fallthrough until break, and a trailing default that participates in
 // fallthrough.
-func (in *Interp) execSwitch(t *Switch, env *Env) (Value, error) {
+func (in *Interp) execSwitch(t *switchStmt, env *env) (Value, error) {
 	tag, err := in.eval(t.Tag, env)
 	if err != nil {
 		return nil, err
 	}
-	swEnv := NewEnv(env)
+	swEnv := newEnv(env)
 	matched := -1
 	for i, cs := range t.Cases {
 		v, err := in.eval(cs.Value, swEnv)
 		if err != nil {
 			return nil, err
 		}
-		if StrictEquals(tag, v) {
+		if strictEquals(tag, v) {
 			matched = i
 			break
 		}
@@ -514,15 +505,15 @@ func (in *Interp) execSwitch(t *Switch, env *Env) (Value, error) {
 	for _, body := range bodies {
 		if err := in.execBlock(body, swEnv); err != nil {
 			if _, ok := err.(breakErr); ok {
-				return Undefined{}, nil
+				return undefined{}, nil
 			}
 			return nil, err
 		}
 	}
-	return Undefined{}, nil
+	return undefined{}, nil
 }
 
-func (in *Interp) execForIn(t *ForIn, env *Env) (Value, error) {
+func (in *Interp) execForIn(t *forIn, env *env) (Value, error) {
 	src, err := in.eval(t.Expr, env)
 	if err != nil {
 		return nil, err
@@ -533,7 +524,7 @@ func (in *Interp) execForIn(t *ForIn, env *Env) (Value, error) {
 	var next func() (Value, bool)
 	i := 0
 	switch s := src.(type) {
-	case *Array:
+	case *array:
 		elems := s.Elems
 		if t.Of {
 			elems = slices.Clone(elems)
@@ -560,11 +551,11 @@ func (in *Interp) execForIn(t *ForIn, env *Env) (Value, error) {
 			i += size
 			return string(r), true
 		}
-	case *Object:
+	case *object:
 		if t.Of {
 			return nil, &ThrowError{Value: "for-of over non-iterable"}
 		}
-		keys := s.Keys()
+		keys := s.ownKeys()
 		next = func() (Value, bool) {
 			if i == len(keys) {
 				return nil, false
@@ -578,17 +569,17 @@ func (in *Interp) execForIn(t *ForIn, env *Env) (Value, error) {
 		}
 		return nil, &ThrowError{Value: "for-in over non-object"}
 	}
-	loopEnv := NewEnv(env)
-	loopEnv.Define(t.Var, Undefined{})
+	loopEnv := newEnv(env)
+	loopEnv.define(t.Var, undefined{})
 	for {
 		v, ok := next()
 		if !ok {
-			return Undefined{}, nil
+			return undefined{}, nil
 		}
-		loopEnv.Define(t.Var, v)
+		loopEnv.define(t.Var, v)
 		if err := in.execBlock(t.Body, loopEnv); err != nil {
 			if _, ok := err.(breakErr); ok {
-				return Undefined{}, nil
+				return undefined{}, nil
 			}
 			if _, ok := err.(continueErr); ok {
 				continue
@@ -599,31 +590,31 @@ func (in *Interp) execForIn(t *ForIn, env *Env) (Value, error) {
 }
 
 // eval evaluates an expression.
-func (in *Interp) eval(n Node, env *Env) (Value, error) {
+func (in *Interp) eval(n Node, env *env) (Value, error) {
 	if err := in.step(1); err != nil {
 		return nil, err
 	}
 	switch t := n.(type) {
-	case *NumberLit:
+	case *numberLit:
 		return t.Value, nil
-	case *StringLit:
+	case *stringLit:
 		return t.Value, nil
-	case *BoolLit:
+	case *boolLit:
 		return t.Value, nil
-	case *NullLit:
-		return Null{}, nil
-	case *UndefinedLit:
-		return Undefined{}, nil
-	case *Ident:
-		if v, ok := env.Get(t.Name); ok {
+	case *nullLit:
+		return null{}, nil
+	case *undefinedLit:
+		return undefined{}, nil
+	case *ident:
+		if v, ok := env.get(t.Name); ok {
 			return v, nil
 		}
 		return nil, &ThrowError{Value: describe(t.Name) + " is not defined"}
-	case *ArrayLit:
+	case *arrayLit:
 		if err := in.alloc(24 + 16*len(t.Elems)); err != nil {
 			return nil, err
 		}
-		arr := &Array{Elems: make([]Value, 0, len(t.Elems))}
+		arr := &array{Elems: make([]Value, 0, len(t.Elems))}
 		for _, e := range t.Elems {
 			v, err := in.eval(e, env)
 			if err != nil {
@@ -632,11 +623,11 @@ func (in *Interp) eval(n Node, env *Env) (Value, error) {
 			arr.Elems = append(arr.Elems, v)
 		}
 		return arr, nil
-	case *ObjectLit:
+	case *objectLit:
 		if err := in.alloc(48); err != nil {
 			return nil, err
 		}
-		obj := NewObject()
+		obj := newObject()
 		for i, k := range t.Keys {
 			v, err := in.eval(t.Values[i], env)
 			if err != nil {
@@ -645,53 +636,53 @@ func (in *Interp) eval(n Node, env *Env) (Value, error) {
 			if err := in.alloc(32 + len(k)); err != nil {
 				return nil, err
 			}
-			obj.Set(k, v)
+			obj.set(k, v)
 		}
 		return obj, nil
-	case *FuncLit:
+	case *funcLit:
 		if err := in.alloc(64); err != nil {
 			return nil, err
 		}
-		return &Closure{Fn: t, Env: env}, nil
-	case *Unary:
+		return &closure{Fn: t, Env: env}, nil
+	case *unary:
 		return in.evalUnary(t, env)
-	case *Binary:
+	case *binary:
 		return in.evalBinary(t, env)
-	case *Logical:
+	case *logical:
 		lhs, err := in.eval(t.LHS, env)
 		if err != nil {
 			return nil, err
 		}
 		if t.Op == "&&" {
-			if !Truthy(lhs) {
+			if !truthy(lhs) {
 				return lhs, nil
 			}
-		} else if Truthy(lhs) {
+		} else if truthy(lhs) {
 			return lhs, nil
 		}
 		return in.eval(t.RHS, env)
-	case *Cond:
+	case *cond:
 		test, err := in.eval(t.Test, env)
 		if err != nil {
 			return nil, err
 		}
-		if Truthy(test) {
+		if truthy(test) {
 			return in.eval(t.Then, env)
 		}
 		return in.eval(t.Else, env)
-	case *Assign:
+	case *assign:
 		return in.evalAssign(t, env)
-	case *Update:
+	case *update:
 		return in.evalUpdate(t, env)
-	case *Call:
+	case *call:
 		return in.evalCall(t, env)
-	case *Member:
+	case *member:
 		obj, err := in.eval(t.Obj, env)
 		if err != nil {
 			return nil, err
 		}
 		return in.getMember(obj, t.Name)
-	case *Index:
+	case *index:
 		obj, err := in.eval(t.Obj, env)
 		if err != nil {
 			return nil, err
@@ -705,7 +696,7 @@ func (in *Interp) eval(n Node, env *Env) (Value, error) {
 	return nil, fmt.Errorf("minijs: cannot evaluate %T", n)
 }
 
-func (in *Interp) evalUnary(t *Unary, env *Env) (Value, error) {
+func (in *Interp) evalUnary(t *unary, env *env) (Value, error) {
 	v, err := in.eval(t.Expr, env)
 	if err != nil {
 		if t.Op == "typeof" {
@@ -720,20 +711,20 @@ func (in *Interp) evalUnary(t *Unary, env *Env) (Value, error) {
 	}
 	switch t.Op {
 	case "-":
-		return -ToNumber(v), nil
+		return -toNumber(v), nil
 	case "+":
-		return ToNumber(v), nil
+		return toNumber(v), nil
 	case "!":
-		return !Truthy(v), nil
+		return !truthy(v), nil
 	case "~":
-		return float64(^int64(ToNumber(v))), nil
+		return float64(^int64(toNumber(v))), nil
 	case "typeof":
-		return TypeOf(v), nil
+		return typeOf(v), nil
 	}
 	return nil, fmt.Errorf("minijs: unknown unary %q", t.Op)
 }
 
-func (in *Interp) evalBinary(t *Binary, env *Env) (Value, error) {
+func (in *Interp) evalBinary(t *binary, env *env) (Value, error) {
 	lhs, err := in.eval(t.LHS, env)
 	if err != nil {
 		return nil, err
@@ -767,44 +758,44 @@ func applyBinary(in *Interp, op string, lhs, rhs Value) (Value, error) {
 			}
 			return ls + rs, nil
 		}
-		return ToNumber(lhs) + ToNumber(rhs), nil
+		return toNumber(lhs) + toNumber(rhs), nil
 	case "-":
-		return ToNumber(lhs) - ToNumber(rhs), nil
+		return toNumber(lhs) - toNumber(rhs), nil
 	case "*":
-		return ToNumber(lhs) * ToNumber(rhs), nil
+		return toNumber(lhs) * toNumber(rhs), nil
 	case "/":
-		return ToNumber(lhs) / ToNumber(rhs), nil
+		return toNumber(lhs) / toNumber(rhs), nil
 	case "%":
-		l, r := int64(ToNumber(lhs)), int64(ToNumber(rhs))
+		l, r := int64(toNumber(lhs)), int64(toNumber(rhs))
 		if r == 0 {
 			return nan(), nil
 		}
 		return float64(l % r), nil
 	case "==":
-		return LooseEquals(lhs, rhs), nil
+		return looseEquals(lhs, rhs), nil
 	case "!=":
-		return !LooseEquals(lhs, rhs), nil
+		return !looseEquals(lhs, rhs), nil
 	case "===":
-		return StrictEquals(lhs, rhs), nil
+		return strictEquals(lhs, rhs), nil
 	case "!==":
-		return !StrictEquals(lhs, rhs), nil
+		return !strictEquals(lhs, rhs), nil
 	case "<", ">", "<=", ">=":
 		if ls, ok := lhs.(string); ok {
 			if rs, ok := rhs.(string); ok {
 				return compareStrings(op, ls, rs), nil
 			}
 		}
-		return compareNumbers(op, ToNumber(lhs), ToNumber(rhs)), nil
+		return compareNumbers(op, toNumber(lhs), toNumber(rhs)), nil
 	case "&":
-		return float64(int64(ToNumber(lhs)) & int64(ToNumber(rhs))), nil
+		return float64(int64(toNumber(lhs)) & int64(toNumber(rhs))), nil
 	case "|":
-		return float64(int64(ToNumber(lhs)) | int64(ToNumber(rhs))), nil
+		return float64(int64(toNumber(lhs)) | int64(toNumber(rhs))), nil
 	case "^":
-		return float64(int64(ToNumber(lhs)) ^ int64(ToNumber(rhs))), nil
+		return float64(int64(toNumber(lhs)) ^ int64(toNumber(rhs))), nil
 	case "<<":
-		return float64(int64(ToNumber(lhs)) << (uint64(ToNumber(rhs)) & 63)), nil
+		return float64(int64(toNumber(lhs)) << (uint64(toNumber(rhs)) & 63)), nil
 	case ">>":
-		return float64(int64(ToNumber(lhs)) >> (uint64(ToNumber(rhs)) & 63)), nil
+		return float64(int64(toNumber(lhs)) >> (uint64(toNumber(rhs)) & 63)), nil
 	}
 	return nil, fmt.Errorf("minijs: unknown operator %q", op)
 }
@@ -835,7 +826,7 @@ func compareStrings(op, l, r string) bool {
 	}
 }
 
-func (in *Interp) evalAssign(t *Assign, env *Env) (Value, error) {
+func (in *Interp) evalAssign(t *assign, env *env) (Value, error) {
 	val, err := in.eval(t.Value, env)
 	if err != nil {
 		return nil, err
@@ -856,18 +847,18 @@ func (in *Interp) evalAssign(t *Assign, env *Env) (Value, error) {
 	return val, nil
 }
 
-func (in *Interp) assignTo(target Node, val Value, env *Env) error {
+func (in *Interp) assignTo(target Node, val Value, env *env) error {
 	switch tg := target.(type) {
-	case *Ident:
-		env.Assign(tg.Name, val)
+	case *ident:
+		env.assign(tg.Name, val)
 		return nil
-	case *Member:
+	case *member:
 		obj, err := in.eval(tg.Obj, env)
 		if err != nil {
 			return err
 		}
 		return in.setMember(obj, tg.Name, val)
-	case *Index:
+	case *index:
 		obj, err := in.eval(tg.Obj, env)
 		if err != nil {
 			return err
@@ -881,12 +872,12 @@ func (in *Interp) assignTo(target Node, val Value, env *Env) error {
 	return fmt.Errorf("minijs: invalid assignment target %T", target)
 }
 
-func (in *Interp) evalUpdate(t *Update, env *Env) (Value, error) {
+func (in *Interp) evalUpdate(t *update, env *env) (Value, error) {
 	cur, err := in.eval(t.Target, env)
 	if err != nil {
 		return nil, err
 	}
-	old := ToNumber(cur)
+	old := toNumber(cur)
 	var next float64
 	if t.Op == "++" {
 		next = old + 1
@@ -902,13 +893,13 @@ func (in *Interp) evalUpdate(t *Update, env *Env) (Value, error) {
 	return next, nil
 }
 
-func (in *Interp) evalCall(t *Call, env *Env) (Value, error) {
+func (in *Interp) evalCall(t *call, env *env) (Value, error) {
 	// Method call: evaluate receiver once.
-	var this Value = Undefined{}
+	var this Value = undefined{}
 	var fn Value
 	var err error
 	switch callee := t.Fn.(type) {
-	case *Member:
+	case *member:
 		this, err = in.eval(callee.Obj, env)
 		if err != nil {
 			return nil, err
@@ -917,7 +908,7 @@ func (in *Interp) evalCall(t *Call, env *Env) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-	case *Index:
+	case *index:
 		this, err = in.eval(callee.Obj, env)
 		if err != nil {
 			return nil, err
@@ -947,5 +938,5 @@ func (in *Interp) evalCall(t *Call, env *Env) (Value, error) {
 	if err := in.step(4); err != nil {
 		return nil, err
 	}
-	return in.CallValue(fn, this, args)
+	return in.callValue(fn, this, args)
 }

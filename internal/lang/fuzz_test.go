@@ -50,7 +50,7 @@ func FuzzEval(f *testing.F) {
 		in.SetMaxSteps(100_000)
 		_, err := in.RunSource(src)
 		if err == nil {
-			if _, ok := in.globals.Get("main"); ok {
+			if _, ok := in.globals.get("main"); ok {
 				_, err = in.CallGlobal("main", nil)
 			}
 		}

@@ -65,7 +65,7 @@ func (r *jsonReader) value() (Value, error) {
 			elems = append(elems, v)
 		}
 		r.i++
-		return &Array{Elems: elems}, r.in.alloc(24 + 16*len(elems))
+		return &array{Elems: elems}, r.in.alloc(24 + 16*len(elems))
 	case '{':
 		r.i++
 		type prop struct {
@@ -98,7 +98,7 @@ func (r *jsonReader) value() (Value, error) {
 			return nil, err
 		}
 		slices.SortStableFunc(props, func(a, b prop) int { return strings.Compare(a.key, b.key) })
-		obj := NewObject()
+		obj := newObject()
 		for n, p := range props {
 			if n+1 < len(props) && props[n+1].key == p.key {
 				continue // a later duplicate wins
@@ -106,7 +106,7 @@ func (r *jsonReader) value() (Value, error) {
 			if err := r.in.alloc(32 + len(p.key)); err != nil {
 				return nil, err
 			}
-			obj.Set(p.key, p.v)
+			obj.set(p.key, p.v)
 		}
 		return obj, nil
 	case '"':
@@ -123,7 +123,7 @@ func (r *jsonReader) value() (Value, error) {
 		return false, nil
 	case 'n':
 		r.i += len("null")
-		return Null{}, nil
+		return null{}, nil
 	}
 	start := r.i
 	for r.i < len(r.s) && strings.IndexByte("+-.0123456789eE", r.s[r.i]) >= 0 {
@@ -160,34 +160,4 @@ func (r *jsonReader) str() (string, error) {
 	var out string
 	err := json.Unmarshal([]byte(lit), &out)
 	return out, err
-}
-
-// GoValue converts a MiniJS value into plain Go data (for host-side
-// inspection of results).
-func GoValue(v Value) interface{} {
-	switch t := v.(type) {
-	case nil, Undefined:
-		return nil
-	case Null:
-		return nil
-	case bool:
-		return t
-	case float64:
-		return t
-	case string:
-		return t
-	case *Array:
-		out := make([]interface{}, len(t.Elems))
-		for i, e := range t.Elems {
-			out[i] = GoValue(e)
-		}
-		return out
-	case *Object:
-		out := make(map[string]interface{}, t.Len())
-		for _, k := range t.Keys() {
-			out[k] = GoValue(t.Get(k))
-		}
-		return out
-	}
-	return ToString(v)
 }

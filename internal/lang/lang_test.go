@@ -290,7 +290,7 @@ func TestSyntaxErrors(t *testing.T) {
 	} {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("%q parsed without error", src)
-		} else if _, ok := err.(*SyntaxError); !ok {
+		} else if _, ok := err.(*syntaxError); !ok {
 			t.Errorf("%q error type %T", src, err)
 		}
 	}
@@ -370,8 +370,8 @@ func TestCallGlobal(t *testing.T) {
 	if _, err := in.RunSource(`function main(args) { return args.n * 2; }`); err != nil {
 		t.Fatal(err)
 	}
-	argObj := NewObject()
-	argObj.Set("n", 21.0)
+	argObj := newObject()
+	argObj.set("n", 21.0)
 	v, err := in.CallGlobal("main", []Value{argObj})
 	if err != nil {
 		t.Fatal(err)
@@ -464,7 +464,7 @@ func TestQuickDeterministicEval(t *testing.T) {
 		if (e1 == nil) != (e2 == nil) {
 			return false
 		}
-		return e1 != nil || StrictEquals(v1, v2)
+		return e1 != nil || strictEquals(v1, v2)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -17,8 +17,8 @@ func newLexer(src string) *lexer {
 	return &lexer{src: src, line: 1, col: 1}
 }
 
-func (l *lexer) errf(msg string) *SyntaxError {
-	return &SyntaxError{Msg: msg, Line: l.line, Col: l.col}
+func (l *lexer) errf(msg string) *syntaxError {
+	return &syntaxError{Msg: msg, Line: l.line, Col: l.col}
 }
 
 func (l *lexer) peekByte() byte {
@@ -97,13 +97,13 @@ var puncts = []string{
 }
 
 // next returns the next token.
-func (l *lexer) next() (Token, error) {
+func (l *lexer) next() (token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
-		return Token{}, err
+		return token{}, err
 	}
 	line, col := l.line, l.col
 	if l.pos >= len(l.src) {
-		return Token{Kind: TokEOF, Line: line, Col: col}, nil
+		return token{Kind: tokEOF, Line: line, Col: col}, nil
 	}
 	c := l.peekByte()
 	switch {
@@ -119,24 +119,24 @@ func (l *lexer) next() (Token, error) {
 			l.advance()
 		}
 		text := l.src[start:l.pos]
-		kind := TokIdent
+		kind := tokIdent
 		if keywords[text] {
-			kind = TokKeyword
+			kind = tokKeyword
 		}
-		return Token{Kind: kind, Text: text, Line: line, Col: col}, nil
+		return token{Kind: kind, Text: text, Line: line, Col: col}, nil
 	}
 	for _, p := range puncts {
 		if strings.HasPrefix(l.src[l.pos:], p) {
 			for range p {
 				l.advance()
 			}
-			return Token{Kind: TokPunct, Text: p, Line: line, Col: col}, nil
+			return token{Kind: tokPunct, Text: p, Line: line, Col: col}, nil
 		}
 	}
-	return Token{}, l.errf("unexpected character " + strconv.QuoteRune(rune(c)))
+	return token{}, l.errf("unexpected character " + strconv.QuoteRune(rune(c)))
 }
 
-func (l *lexer) lexNumber(line, col int) (Token, error) {
+func (l *lexer) lexNumber(line, col int) (token, error) {
 	start := l.pos
 	if l.peekByte() == '0' && (l.peekByteAt(1) == 'x' || l.peekByteAt(1) == 'X') {
 		l.advance()
@@ -146,9 +146,9 @@ func (l *lexer) lexNumber(line, col int) (Token, error) {
 		}
 		v, err := strconv.ParseUint(l.src[start+2:l.pos], 16, 64)
 		if err != nil {
-			return Token{}, l.errf("bad hex literal")
+			return token{}, l.errf("bad hex literal")
 		}
-		return Token{Kind: TokNumber, Text: l.src[start:l.pos], Num: float64(v), Line: line, Col: col}, nil
+		return token{Kind: tokNumber, Text: l.src[start:l.pos], Num: float64(v), Line: line, Col: col}, nil
 	}
 	for l.pos < len(l.src) && isDigit(l.peekByte()) {
 		l.advance()
@@ -176,21 +176,21 @@ func (l *lexer) lexNumber(line, col int) (Token, error) {
 	text := l.src[start:l.pos]
 	v, err := strconv.ParseFloat(text, 64)
 	if err != nil {
-		return Token{}, l.errf("bad number literal " + strconv.Quote(text))
+		return token{}, l.errf("bad number literal " + strconv.Quote(text))
 	}
-	return Token{Kind: TokNumber, Text: text, Num: v, Line: line, Col: col}, nil
+	return token{Kind: tokNumber, Text: text, Num: v, Line: line, Col: col}, nil
 }
 
 func isHex(c byte) bool {
 	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }
 
-func (l *lexer) lexString(line, col int) (Token, error) {
+func (l *lexer) lexString(line, col int) (token, error) {
 	quote := l.advance()
 	var sb strings.Builder
 	for {
 		if l.pos >= len(l.src) {
-			return Token{}, l.errf("unterminated string")
+			return token{}, l.errf("unterminated string")
 		}
 		c := l.advance()
 		if c == quote {
@@ -198,7 +198,7 @@ func (l *lexer) lexString(line, col int) (Token, error) {
 		}
 		if c == '\\' {
 			if l.pos >= len(l.src) {
-				return Token{}, l.errf("unterminated escape")
+				return token{}, l.errf("unterminated escape")
 			}
 			e := l.advance()
 			switch e {
@@ -217,24 +217,24 @@ func (l *lexer) lexString(line, col int) (Token, error) {
 			case '0':
 				sb.WriteByte(0)
 			default:
-				return Token{}, l.errf("unknown escape \\" + string(e))
+				return token{}, l.errf("unknown escape \\" + string(e))
 			}
 			continue
 		}
 		sb.WriteByte(c)
 	}
-	return Token{Kind: TokString, Text: sb.String(), Line: line, Col: col}, nil
+	return token{Kind: tokString, Text: sb.String(), Line: line, Col: col}, nil
 }
 
 // lexTemplate tokenizes a template literal into a synthetic token whose
 // Text carries the raw body; the parser splits the ${...} holes.
-func (l *lexer) lexTemplate(line, col int) (Token, error) {
+func (l *lexer) lexTemplate(line, col int) (token, error) {
 	l.advance() // opening backtick
 	var sb strings.Builder
 	depth := 0
 	for {
 		if l.pos >= len(l.src) {
-			return Token{}, l.errf("unterminated template literal")
+			return token{}, l.errf("unterminated template literal")
 		}
 		c := l.advance()
 		if c == '`' && depth == 0 {
@@ -252,20 +252,20 @@ func (l *lexer) lexTemplate(line, col int) (Token, error) {
 		}
 		sb.WriteByte(c)
 	}
-	return Token{Kind: TokTemplate, Text: sb.String(), Line: line, Col: col}, nil
+	return token{Kind: tokTemplate, Text: sb.String(), Line: line, Col: col}, nil
 }
 
 // lexAll tokenizes the whole source (including the trailing EOF token).
-func lexAll(src string) ([]Token, error) {
+func lexAll(src string) ([]token, error) {
 	l := newLexer(src)
-	var toks []Token
+	var toks []token
 	for {
 		t, err := l.next()
 		if err != nil {
 			return nil, err
 		}
 		toks = append(toks, t)
-		if t.Kind == TokEOF {
+		if t.Kind == tokEOF {
 			return toks, nil
 		}
 	}

@@ -44,12 +44,12 @@ func callMain(t *testing.T, src string) (Value, error) {
 }
 
 func TestCallDepthLimit(t *testing.T) {
-	if _, err := callMain(t, recursionSource); !errors.Is(err, ErrCallDepth) {
+	if _, err := callMain(t, recursionSource); !errors.Is(err, errCallDepth) {
 		t.Fatalf("unbounded recursion: err = %v, want ErrCallDepth", err)
 	}
 	// A guest cannot catch it and carry on.
 	caught := `function f(x){ return f(x+1); } function main(){ try { f(0); } catch (e) { return "caught"; } return "done"; }`
-	if _, err := callMain(t, caught); !errors.Is(err, ErrCallDepth) {
+	if _, err := callMain(t, caught); !errors.Is(err, errCallDepth) {
 		t.Fatalf("recursion under try: err = %v, want ErrCallDepth", err)
 	}
 	// Deep but bounded recursion still runs, and a failed call leaves
@@ -60,10 +60,10 @@ func TestCallDepthLimit(t *testing.T) {
 	}
 	for _, n := range []float64{9000, 1e6, 9000} {
 		v, err := in.CallGlobal("g", []Value{n})
-		if n < MaxCallDepth && (err != nil || v != n) {
+		if n < maxCallDepth && (err != nil || v != n) {
 			t.Fatalf("g(%v) = %v, %v", n, v, err)
 		}
-		if n > MaxCallDepth && !errors.Is(err, ErrCallDepth) {
+		if n > maxCallDepth && !errors.Is(err, errCallDepth) {
 			t.Fatalf("g(%v): err = %v, want ErrCallDepth", n, err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestCallDepthBoundsHostStack(t *testing.T) {
 			_, err := in.CallGlobal("f", []Value{0.0})
 			errc <- err
 		}()
-		if err := <-errc; !errors.Is(err, ErrCallDepth) {
+		if err := <-errc; !errors.Is(err, errCallDepth) {
 			t.Fatalf("%s: err = %v, want ErrCallDepth", name, err)
 		}
 		t.Logf("%s: %.1f MB of goroutine stack at the deepest point", name, float64(peak)/(1<<20))
@@ -131,7 +131,7 @@ func TestNestingCap(t *testing.T) {
 		"template":    "`" + strings.Repeat("${x}", 1<<18) + "`",
 	} {
 		_, err := Parse(src)
-		var se *SyntaxError
+		var se *syntaxError
 		if !errors.As(err, &se) || !strings.Contains(se.Msg, "nest too deeply") {
 			t.Errorf("%s: err = %v, want a nesting syntax error", name, err)
 		}
@@ -142,14 +142,14 @@ func TestNestingCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn := prog.Body[0].(*VarDecl).Init.(*FuncLit)
+	fn := prog.Body[0].(*varDecl).Init.(*funcLit)
 	if fn.Nesting < 200 || fn.Nesting > maxNesting {
 		t.Errorf("Nesting = %d for a body 100 parentheses deep", fn.Nesting)
 	}
 }
 
 func TestHostMemoryBudget(t *testing.T) {
-	if _, err := callMain(t, doublingSource); !errors.Is(err, ErrHostMemory) {
+	if _, err := callMain(t, doublingSource); !errors.Is(err, errHostMemory) {
 		t.Errorf("doubling: err = %v, want ErrHostMemory", err)
 	}
 	for name, body := range map[string]string{
@@ -169,7 +169,7 @@ func TestHostMemoryBudget(t *testing.T) {
 		"console.log":   `var s = "x".repeat(16 << 20); console.log(s, s, s, s, s); return 0;`,
 	} {
 		_, err := callMain(t, `function main(){ `+body+` }`)
-		if !errors.Is(err, ErrHostMemory) {
+		if !errors.Is(err, errHostMemory) {
 			t.Errorf("%s: err = %v, want ErrHostMemory", name, err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestGrowthBoundedOverLifetime(t *testing.T) {
 	for ; calls < 10 && err == nil; calls++ {
 		_, err = in.CallGlobal("main", nil)
 	}
-	if !errors.Is(err, ErrHostMemory) || calls != 3 {
+	if !errors.Is(err, errHostMemory) || calls != 3 {
 		t.Fatalf("after %d invocations: err = %v, want ErrHostMemory on the third", calls, err)
 	}
 	// Growth that is not kept is not the same thing: assigned slots are
@@ -249,7 +249,7 @@ func TestCyclicValuesRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := v.(*Array).Elems
+	got := v.(*array).Elems
 	if !strings.HasPrefix(got[0].(string), "1-1,1,") || !strings.HasPrefix(got[1].(string), "1,1,") || got[2] != true {
 		t.Errorf("cyclic renders = %q, %q, %v", got[0], got[1], got[2])
 	}

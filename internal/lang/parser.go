@@ -4,7 +4,7 @@ import "fmt"
 
 // parser is a recursive-descent / Pratt parser for MiniJS.
 type parser struct {
-	toks    []Token
+	toks    []token
 	pos     int
 	depth   int // statement and expression levels open; see nest
 	deepest int // the highest depth reached, for FuncLit.Nesting
@@ -32,14 +32,14 @@ func (p *parser) unnest() { p.depth-- }
 
 // Parse compiles MiniJS source into a Program. This is the "import and
 // compile the function code" step of a cold invocation.
-func Parse(src string) (*Program, error) {
+func Parse(src string) (*program, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	prog := &Program{Source: src}
-	for !p.at(TokEOF, "") {
+	prog := &program{Source: src}
+	for !p.at(tokEOF, "") {
 		stmt, err := p.statement()
 		if err != nil {
 			return nil, err
@@ -49,15 +49,15 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() token  { return p.toks[p.pos] }
+func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
 
-func (p *parser) at(kind TokenKind, text string) bool {
+func (p *parser) at(kind tokenKind, text string) bool {
 	t := p.cur()
 	return t.Kind == kind && (text == "" || t.Text == text)
 }
 
-func (p *parser) accept(kind TokenKind, text string) bool {
+func (p *parser) accept(kind tokenKind, text string) bool {
 	if p.at(kind, text) {
 		p.pos++
 		return true
@@ -65,7 +65,7 @@ func (p *parser) accept(kind TokenKind, text string) bool {
 	return false
 }
 
-func (p *parser) expect(kind TokenKind, text string) (Token, error) {
+func (p *parser) expect(kind tokenKind, text string) (token, error) {
 	if p.at(kind, text) {
 		return p.next(), nil
 	}
@@ -74,7 +74,7 @@ func (p *parser) expect(kind TokenKind, text string) (Token, error) {
 	if want == "" {
 		want = kind.String()
 	}
-	return Token{}, &SyntaxError{
+	return token{}, &syntaxError{
 		Msg:  fmt.Sprintf("expected %q, found %q", want, t.Text),
 		Line: t.Line, Col: t.Col,
 	}
@@ -82,7 +82,7 @@ func (p *parser) expect(kind TokenKind, text string) (Token, error) {
 
 func (p *parser) errHere(msg string) error {
 	t := p.cur()
-	return &SyntaxError{Msg: msg, Line: t.Line, Col: t.Col}
+	return &syntaxError{Msg: msg, Line: t.Line, Col: t.Col}
 }
 
 // ---- statements ----
@@ -93,7 +93,7 @@ func (p *parser) statement() (Node, error) {
 	}
 	defer p.unnest()
 	t := p.cur()
-	if t.Kind == TokKeyword {
+	if t.Kind == tokKeyword {
 		switch t.Text {
 		case "var", "let", "const":
 			return p.varDecl()
@@ -102,15 +102,15 @@ func (p *parser) statement() (Node, error) {
 		case "return":
 			p.next()
 			var val Node
-			if !p.at(TokPunct, ";") && !p.at(TokPunct, "}") && !p.at(TokEOF, "") {
+			if !p.at(tokPunct, ";") && !p.at(tokPunct, "}") && !p.at(tokEOF, "") {
 				v, err := p.expression()
 				if err != nil {
 					return nil, err
 				}
 				val = v
 			}
-			p.accept(TokPunct, ";")
-			return &Return{Value: val}, nil
+			p.accept(tokPunct, ";")
+			return &returnStmt{Value: val}, nil
 		case "if":
 			return p.ifStmt()
 		case "while":
@@ -119,20 +119,20 @@ func (p *parser) statement() (Node, error) {
 			return p.forStmt()
 		case "break":
 			p.next()
-			p.accept(TokPunct, ";")
-			return &Break{}, nil
+			p.accept(tokPunct, ";")
+			return &breakStmt{}, nil
 		case "continue":
 			p.next()
-			p.accept(TokPunct, ";")
-			return &Continue{}, nil
+			p.accept(tokPunct, ";")
+			return &continueStmt{}, nil
 		case "throw":
 			p.next()
 			v, err := p.expression()
 			if err != nil {
 				return nil, err
 			}
-			p.accept(TokPunct, ";")
-			return &Throw{Value: v}, nil
+			p.accept(tokPunct, ";")
+			return &throw{Value: v}, nil
 		case "try":
 			return p.tryStmt()
 		case "switch":
@@ -141,75 +141,75 @@ func (p *parser) statement() (Node, error) {
 			return p.doWhileStmt()
 		}
 	}
-	if p.at(TokPunct, "{") {
+	if p.at(tokPunct, "{") {
 		body, err := p.block()
 		if err != nil {
 			return nil, err
 		}
-		return &Block{Body: body}, nil
+		return &block{Body: body}, nil
 	}
-	if p.accept(TokPunct, ";") {
-		return &Block{}, nil // empty statement
+	if p.accept(tokPunct, ";") {
+		return &block{}, nil // empty statement
 	}
 	expr, err := p.expression()
 	if err != nil {
 		return nil, err
 	}
-	p.accept(TokPunct, ";")
-	return &ExprStmt{Expr: expr}, nil
+	p.accept(tokPunct, ";")
+	return &exprStmt{Expr: expr}, nil
 }
 
 func (p *parser) varDecl() (Node, error) {
 	p.next() // var/let/const
-	name, err := p.expect(TokIdent, "")
+	name, err := p.expect(tokIdent, "")
 	if err != nil {
 		return nil, err
 	}
 	var init Node
-	if p.accept(TokPunct, "=") {
+	if p.accept(tokPunct, "=") {
 		init, err = p.assignExpr()
 		if err != nil {
 			return nil, err
 		}
 	}
 	// Comma-separated declarations desugar into a block.
-	if p.accept(TokPunct, ",") {
+	if p.accept(tokPunct, ",") {
 		rest, err := p.varDeclTail()
 		if err != nil {
 			return nil, err
 		}
-		return &Block{Body: append([]Node{&VarDecl{Name: name.Text, Init: init}}, rest...)}, nil
+		return &block{Body: append([]Node{&varDecl{Name: name.Text, Init: init}}, rest...)}, nil
 	}
-	p.accept(TokPunct, ";")
-	return &VarDecl{Name: name.Text, Init: init}, nil
+	p.accept(tokPunct, ";")
+	return &varDecl{Name: name.Text, Init: init}, nil
 }
 
 func (p *parser) varDeclTail() ([]Node, error) {
 	var out []Node
 	for {
-		name, err := p.expect(TokIdent, "")
+		name, err := p.expect(tokIdent, "")
 		if err != nil {
 			return nil, err
 		}
 		var init Node
-		if p.accept(TokPunct, "=") {
+		if p.accept(tokPunct, "=") {
 			init, err = p.assignExpr()
 			if err != nil {
 				return nil, err
 			}
 		}
-		out = append(out, &VarDecl{Name: name.Text, Init: init})
-		if !p.accept(TokPunct, ",") {
+		out = append(out, &varDecl{Name: name.Text, Init: init})
+		if !p.accept(tokPunct, ",") {
 			break
 		}
 	}
-	p.accept(TokPunct, ";")
+	p.accept(tokPunct, ";")
 	return out, nil
 }
 
 func (p *parser) funcDecl() (Node, error) {
 	p.next() // function
-	name, err := p.expect(TokIdent, "")
+	name, err := p.expect(tokIdent, "")
 	if err != nil {
 		return nil, err
 	}
@@ -217,33 +217,33 @@ func (p *parser) funcDecl() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VarDecl{Name: name.Text, Init: fn}, nil
+	return &varDecl{Name: name.Text, Init: fn}, nil
 }
 
 // funcRest parses "(params) { body }" after the function keyword/name.
-func (p *parser) funcRest(name string) (*FuncLit, error) {
-	if _, err := p.expect(TokPunct, "("); err != nil {
+func (p *parser) funcRest(name string) (*funcLit, error) {
+	if _, err := p.expect(tokPunct, "("); err != nil {
 		return nil, err
 	}
 	var params []string
-	for !p.at(TokPunct, ")") {
-		id, err := p.expect(TokIdent, "")
+	for !p.at(tokPunct, ")") {
+		id, err := p.expect(tokIdent, "")
 		if err != nil {
 			return nil, err
 		}
 		params = append(params, id.Text)
-		if !p.accept(TokPunct, ",") {
+		if !p.accept(tokPunct, ",") {
 			break
 		}
 	}
-	if _, err := p.expect(TokPunct, ")"); err != nil {
+	if _, err := p.expect(tokPunct, ")"); err != nil {
 		return nil, err
 	}
-	return p.funcBody(&FuncLit{Name: name, Params: params}, p.block)
+	return p.funcBody(&funcLit{Name: name, Params: params}, p.block)
 }
 
 // funcBody parses fn's body with body and records how deeply it nests.
-func (p *parser) funcBody(fn *FuncLit, body func() ([]Node, error)) (*FuncLit, error) {
+func (p *parser) funcBody(fn *funcLit, body func() ([]Node, error)) (*funcLit, error) {
 	outer := p.deepest
 	p.deepest = p.depth
 	stmts, err := body()
@@ -256,12 +256,12 @@ func (p *parser) funcBody(fn *FuncLit, body func() ([]Node, error)) (*FuncLit, e
 }
 
 func (p *parser) block() ([]Node, error) {
-	if _, err := p.expect(TokPunct, "{"); err != nil {
+	if _, err := p.expect(tokPunct, "{"); err != nil {
 		return nil, err
 	}
 	var body []Node
-	for !p.at(TokPunct, "}") {
-		if p.at(TokEOF, "") {
+	for !p.at(tokPunct, "}") {
+		if p.at(tokEOF, "") {
 			return nil, p.errHere("unterminated block")
 		}
 		stmt, err := p.statement()
@@ -276,14 +276,14 @@ func (p *parser) block() ([]Node, error) {
 
 func (p *parser) ifStmt() (Node, error) {
 	p.next() // if
-	if _, err := p.expect(TokPunct, "("); err != nil {
+	if _, err := p.expect(tokPunct, "("); err != nil {
 		return nil, err
 	}
 	test, err := p.expression()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokPunct, ")"); err != nil {
+	if _, err := p.expect(tokPunct, ")"); err != nil {
 		return nil, err
 	}
 	then, err := p.blockOrSingle()
@@ -291,8 +291,8 @@ func (p *parser) ifStmt() (Node, error) {
 		return nil, err
 	}
 	var els []Node
-	if p.accept(TokKeyword, "else") {
-		if p.at(TokKeyword, "if") {
+	if p.accept(tokKeyword, "else") {
+		if p.at(tokKeyword, "if") {
 			elseIf, err := p.ifStmt()
 			if err != nil {
 				return nil, err
@@ -305,11 +305,11 @@ func (p *parser) ifStmt() (Node, error) {
 			}
 		}
 	}
-	return &If{Test: test, Then: then, Else: els}, nil
+	return &ifStmt{Test: test, Then: then, Else: els}, nil
 }
 
 func (p *parser) blockOrSingle() ([]Node, error) {
-	if p.at(TokPunct, "{") {
+	if p.at(tokPunct, "{") {
 		return p.block()
 	}
 	stmt, err := p.statement()
@@ -321,31 +321,31 @@ func (p *parser) blockOrSingle() ([]Node, error) {
 
 func (p *parser) whileStmt() (Node, error) {
 	p.next() // while
-	if _, err := p.expect(TokPunct, "("); err != nil {
+	if _, err := p.expect(tokPunct, "("); err != nil {
 		return nil, err
 	}
 	test, err := p.expression()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokPunct, ")"); err != nil {
+	if _, err := p.expect(tokPunct, ")"); err != nil {
 		return nil, err
 	}
 	body, err := p.blockOrSingle()
 	if err != nil {
 		return nil, err
 	}
-	return &While{Test: test, Body: body}, nil
+	return &while{Test: test, Body: body}, nil
 }
 
 func (p *parser) forStmt() (Node, error) {
 	p.next() // for
-	if _, err := p.expect(TokPunct, "("); err != nil {
+	if _, err := p.expect(tokPunct, "("); err != nil {
 		return nil, err
 	}
 	// for (x of e) / for (x in e)
-	if (p.at(TokKeyword, "var") || p.at(TokKeyword, "let") || p.at(TokKeyword, "const")) &&
-		p.toks[p.pos+1].Kind == TokIdent &&
+	if (p.at(tokKeyword, "var") || p.at(tokKeyword, "let") || p.at(tokKeyword, "const")) &&
+		p.toks[p.pos+1].Kind == tokIdent &&
 		(p.toks[p.pos+2].Text == "of" || p.toks[p.pos+2].Text == "in") {
 		p.next() // var
 		name := p.next()
@@ -354,26 +354,26 @@ func (p *parser) forStmt() (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TokPunct, ")"); err != nil {
+		if _, err := p.expect(tokPunct, ")"); err != nil {
 			return nil, err
 		}
 		body, err := p.blockOrSingle()
 		if err != nil {
 			return nil, err
 		}
-		return &ForIn{Var: name.Text, Of: ofTok.Text == "of", Expr: expr, Body: body}, nil
+		return &forIn{Var: name.Text, Of: ofTok.Text == "of", Expr: expr, Body: body}, nil
 	}
 	var init Node
 	var err error
-	if !p.at(TokPunct, ";") {
-		if p.at(TokKeyword, "var") || p.at(TokKeyword, "let") || p.at(TokKeyword, "const") {
+	if !p.at(tokPunct, ";") {
+		if p.at(tokKeyword, "var") || p.at(tokKeyword, "let") || p.at(tokKeyword, "const") {
 			init, err = p.varDecl() // consumes its own ';'
 		} else {
 			var e Node
 			e, err = p.expression()
-			init = &ExprStmt{Expr: e}
+			init = &exprStmt{Expr: e}
 			if err == nil {
-				_, err = p.expect(TokPunct, ";")
+				_, err = p.expect(tokPunct, ";")
 			}
 		}
 		if err != nil {
@@ -383,66 +383,66 @@ func (p *parser) forStmt() (Node, error) {
 		p.next()
 	}
 	var test Node
-	if !p.at(TokPunct, ";") {
+	if !p.at(tokPunct, ";") {
 		test, err = p.expression()
 		if err != nil {
 			return nil, err
 		}
 	}
-	if _, err := p.expect(TokPunct, ";"); err != nil {
+	if _, err := p.expect(tokPunct, ";"); err != nil {
 		return nil, err
 	}
 	var post Node
-	if !p.at(TokPunct, ")") {
+	if !p.at(tokPunct, ")") {
 		e, err := p.expression()
 		if err != nil {
 			return nil, err
 		}
-		post = &ExprStmt{Expr: e}
+		post = &exprStmt{Expr: e}
 	}
-	if _, err := p.expect(TokPunct, ")"); err != nil {
+	if _, err := p.expect(tokPunct, ")"); err != nil {
 		return nil, err
 	}
 	body, err := p.blockOrSingle()
 	if err != nil {
 		return nil, err
 	}
-	return &For{Init: init, Test: test, Post: post, Body: body}, nil
+	return &forStmt{Init: init, Test: test, Post: post, Body: body}, nil
 }
 
 func (p *parser) switchStmt() (Node, error) {
 	p.next() // switch
-	if _, err := p.expect(TokPunct, "("); err != nil {
+	if _, err := p.expect(tokPunct, "("); err != nil {
 		return nil, err
 	}
 	tag, err := p.expression()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokPunct, ")"); err != nil {
+	if _, err := p.expect(tokPunct, ")"); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokPunct, "{"); err != nil {
+	if _, err := p.expect(tokPunct, "{"); err != nil {
 		return nil, err
 	}
-	sw := &Switch{Tag: tag}
-	for !p.at(TokPunct, "}") {
+	sw := &switchStmt{Tag: tag}
+	for !p.at(tokPunct, "}") {
 		switch {
-		case p.accept(TokKeyword, "case"):
+		case p.accept(tokKeyword, "case"):
 			val, err := p.expression()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(TokPunct, ":"); err != nil {
+			if _, err := p.expect(tokPunct, ":"); err != nil {
 				return nil, err
 			}
 			body, err := p.caseBody()
 			if err != nil {
 				return nil, err
 			}
-			sw.Cases = append(sw.Cases, SwitchCase{Value: val, Body: body})
-		case p.accept(TokKeyword, "default"):
-			if _, err := p.expect(TokPunct, ":"); err != nil {
+			sw.Cases = append(sw.Cases, switchCase{Value: val, Body: body})
+		case p.accept(tokKeyword, "default"):
+			if _, err := p.expect(tokPunct, ":"); err != nil {
 				return nil, err
 			}
 			body, err := p.caseBody()
@@ -461,8 +461,8 @@ func (p *parser) switchStmt() (Node, error) {
 // caseBody parses statements until the next case/default/closing brace.
 func (p *parser) caseBody() ([]Node, error) {
 	var body []Node
-	for !p.at(TokKeyword, "case") && !p.at(TokKeyword, "default") && !p.at(TokPunct, "}") {
-		if p.at(TokEOF, "") {
+	for !p.at(tokKeyword, "case") && !p.at(tokKeyword, "default") && !p.at(tokPunct, "}") {
+		if p.at(tokEOF, "") {
 			return nil, p.errHere("unterminated switch")
 		}
 		stmt, err := p.statement()
@@ -480,21 +480,21 @@ func (p *parser) doWhileStmt() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokKeyword, "while"); err != nil {
+	if _, err := p.expect(tokKeyword, "while"); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokPunct, "("); err != nil {
+	if _, err := p.expect(tokPunct, "("); err != nil {
 		return nil, err
 	}
 	test, err := p.expression()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokPunct, ")"); err != nil {
+	if _, err := p.expect(tokPunct, ")"); err != nil {
 		return nil, err
 	}
-	p.accept(TokPunct, ";")
-	return &DoWhile{Body: body, Test: test}, nil
+	p.accept(tokPunct, ";")
+	return &doWhile{Body: body, Test: test}, nil
 }
 
 func (p *parser) tryStmt() (Node, error) {
@@ -503,17 +503,17 @@ func (p *parser) tryStmt() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokKeyword, "catch"); err != nil {
+	if _, err := p.expect(tokKeyword, "catch"); err != nil {
 		return nil, err
 	}
 	catchVar := ""
-	if p.accept(TokPunct, "(") {
-		id, err := p.expect(TokIdent, "")
+	if p.accept(tokPunct, "(") {
+		id, err := p.expect(tokIdent, "")
 		if err != nil {
 			return nil, err
 		}
 		catchVar = id.Text
-		if _, err := p.expect(TokPunct, ")"); err != nil {
+		if _, err := p.expect(tokPunct, ")"); err != nil {
 			return nil, err
 		}
 	}
@@ -521,7 +521,7 @@ func (p *parser) tryStmt() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Try{Body: body, CatchVar: catchVar, CatchBody: catchBody}, nil
+	return &try{Body: body, CatchVar: catchVar, CatchBody: catchBody}, nil
 }
 
 // ---- expressions (precedence climbing) ----
@@ -538,7 +538,7 @@ func (p *parser) assignExpr() (Node, error) {
 		return nil, err
 	}
 	t := p.cur()
-	if t.Kind == TokPunct {
+	if t.Kind == tokPunct {
 		switch t.Text {
 		case "=", "+=", "-=", "*=", "/=", "%=":
 			if !isAssignable(lhs) {
@@ -549,7 +549,7 @@ func (p *parser) assignExpr() (Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &Assign{Op: t.Text, Target: lhs, Value: rhs}, nil
+			return &assign{Op: t.Text, Target: lhs, Value: rhs}, nil
 		}
 	}
 	return lhs, nil
@@ -557,7 +557,7 @@ func (p *parser) assignExpr() (Node, error) {
 
 func isAssignable(n Node) bool {
 	switch n.(type) {
-	case *Ident, *Member, *Index:
+	case *ident, *member, *index:
 		return true
 	}
 	return false
@@ -568,19 +568,19 @@ func (p *parser) condExpr() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.accept(TokPunct, "?") {
+	if p.accept(tokPunct, "?") {
 		then, err := p.assignExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TokPunct, ":"); err != nil {
+		if _, err := p.expect(tokPunct, ":"); err != nil {
 			return nil, err
 		}
 		els, err := p.assignExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &Cond{Test: test, Then: then, Else: els}, nil
+		return &cond{Test: test, Then: then, Else: els}, nil
 	}
 	return test, nil
 }
@@ -610,7 +610,7 @@ func (p *parser) binaryExpr(minPrec int) (Node, error) {
 	defer func() { p.depth -= links }()
 	for {
 		t := p.cur()
-		if t.Kind != TokPunct {
+		if t.Kind != tokPunct {
 			return lhs, nil
 		}
 		prec, ok := binPrec[t.Text]
@@ -627,9 +627,9 @@ func (p *parser) binaryExpr(minPrec int) (Node, error) {
 			return nil, err
 		}
 		if t.Text == "&&" || t.Text == "||" {
-			lhs = &Logical{Op: t.Text, LHS: lhs, RHS: rhs}
+			lhs = &logical{Op: t.Text, LHS: lhs, RHS: rhs}
 		} else {
-			lhs = &Binary{Op: t.Text, LHS: lhs, RHS: rhs}
+			lhs = &binary{Op: t.Text, LHS: lhs, RHS: rhs}
 		}
 	}
 }
@@ -640,15 +640,15 @@ func (p *parser) unaryExpr() (Node, error) {
 	}
 	defer p.unnest()
 	t := p.cur()
-	if t.Kind == TokPunct && (t.Text == "-" || t.Text == "+" || t.Text == "!" || t.Text == "~") {
+	if t.Kind == tokPunct && (t.Text == "-" || t.Text == "+" || t.Text == "!" || t.Text == "~") {
 		p.next()
 		e, err := p.unaryExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: t.Text, Expr: e}, nil
+		return &unary{Op: t.Text, Expr: e}, nil
 	}
-	if t.Kind == TokPunct && (t.Text == "++" || t.Text == "--") {
+	if t.Kind == tokPunct && (t.Text == "++" || t.Text == "--") {
 		p.next()
 		e, err := p.unaryExpr()
 		if err != nil {
@@ -657,15 +657,15 @@ func (p *parser) unaryExpr() (Node, error) {
 		if !isAssignable(e) {
 			return nil, p.errHere("invalid update target")
 		}
-		return &Update{Op: t.Text, Target: e}, nil
+		return &update{Op: t.Text, Target: e}, nil
 	}
-	if t.Kind == TokKeyword && t.Text == "typeof" {
+	if t.Kind == tokKeyword && t.Text == "typeof" {
 		p.next()
 		e, err := p.unaryExpr()
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: "typeof", Expr: e}, nil
+		return &unary{Op: "typeof", Expr: e}, nil
 	}
 	return p.postfixExpr()
 }
@@ -676,12 +676,12 @@ func (p *parser) postfixExpr() (Node, error) {
 		return nil, err
 	}
 	t := p.cur()
-	if t.Kind == TokPunct && (t.Text == "++" || t.Text == "--") {
+	if t.Kind == tokPunct && (t.Text == "++" || t.Text == "--") {
 		if !isAssignable(e) {
 			return nil, p.errHere("invalid update target")
 		}
 		p.next()
-		return &Update{Op: t.Text, Target: e, Postfix: true}, nil
+		return &update{Op: t.Text, Target: e, Postfix: true}, nil
 	}
 	return e, nil
 }
@@ -696,44 +696,44 @@ func (p *parser) callExpr() (Node, error) {
 	links := 0
 	defer func() { p.depth -= links }()
 	for {
-		if p.at(TokPunct, "(") || p.at(TokPunct, ".") || p.at(TokPunct, "[") {
+		if p.at(tokPunct, "(") || p.at(tokPunct, ".") || p.at(tokPunct, "[") {
 			if err := p.nest(); err != nil {
 				return nil, err
 			}
 			links++
 		}
 		switch {
-		case p.accept(TokPunct, "("):
+		case p.accept(tokPunct, "("):
 			var args []Node
-			for !p.at(TokPunct, ")") {
+			for !p.at(tokPunct, ")") {
 				a, err := p.assignExpr()
 				if err != nil {
 					return nil, err
 				}
 				args = append(args, a)
-				if !p.accept(TokPunct, ",") {
+				if !p.accept(tokPunct, ",") {
 					break
 				}
 			}
-			if _, err := p.expect(TokPunct, ")"); err != nil {
+			if _, err := p.expect(tokPunct, ")"); err != nil {
 				return nil, err
 			}
-			e = &Call{Fn: e, Args: args}
-		case p.accept(TokPunct, "."):
-			id, err := p.expect(TokIdent, "")
+			e = &call{Fn: e, Args: args}
+		case p.accept(tokPunct, "."):
+			id, err := p.expect(tokIdent, "")
 			if err != nil {
 				return nil, err
 			}
-			e = &Member{Obj: e, Name: id.Text}
-		case p.accept(TokPunct, "["):
+			e = &member{Obj: e, Name: id.Text}
+		case p.accept(tokPunct, "["):
 			key, err := p.expression()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(TokPunct, "]"); err != nil {
+			if _, err := p.expect(tokPunct, "]"); err != nil {
 				return nil, err
 			}
-			e = &Index{Obj: e, Key: key}
+			e = &index{Obj: e, Key: key}
 		default:
 			return e, nil
 		}
@@ -743,33 +743,33 @@ func (p *parser) callExpr() (Node, error) {
 func (p *parser) primary() (Node, error) {
 	t := p.cur()
 	switch t.Kind {
-	case TokNumber:
+	case tokNumber:
 		p.next()
-		return &NumberLit{Value: t.Num}, nil
-	case TokString:
+		return &numberLit{Value: t.Num}, nil
+	case tokString:
 		p.next()
-		return &StringLit{Value: t.Text}, nil
-	case TokTemplate:
+		return &stringLit{Value: t.Text}, nil
+	case tokTemplate:
 		p.next()
 		return p.template(t)
-	case TokKeyword:
+	case tokKeyword:
 		switch t.Text {
 		case "true":
 			p.next()
-			return &BoolLit{Value: true}, nil
+			return &boolLit{Value: true}, nil
 		case "false":
 			p.next()
-			return &BoolLit{Value: false}, nil
+			return &boolLit{Value: false}, nil
 		case "null":
 			p.next()
-			return &NullLit{}, nil
+			return &nullLit{}, nil
 		case "undefined":
 			p.next()
-			return &UndefinedLit{}, nil
+			return &undefinedLit{}, nil
 		case "function":
 			p.next()
 			name := ""
-			if p.at(TokIdent, "") {
+			if p.at(tokIdent, "") {
 				name = p.next().Text
 			}
 			return p.funcRest(name)
@@ -782,16 +782,16 @@ func (p *parser) primary() (Node, error) {
 			defer p.unnest()
 			return p.callExpr()
 		}
-	case TokIdent:
+	case tokIdent:
 		// Arrow function: ident => ...
-		if p.toks[p.pos+1].Kind == TokPunct && p.toks[p.pos+1].Text == "=>" {
+		if p.toks[p.pos+1].Kind == tokPunct && p.toks[p.pos+1].Text == "=>" {
 			p.next()
 			p.next()
 			return p.arrowBody([]string{t.Text})
 		}
 		p.next()
-		return &Ident{Name: t.Text}, nil
-	case TokPunct:
+		return &ident{Name: t.Text}, nil
+	case tokPunct:
 		switch t.Text {
 		case "(":
 			// Could be a parenthesized expression or arrow params.
@@ -803,27 +803,27 @@ func (p *parser) primary() (Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(TokPunct, ")"); err != nil {
+			if _, err := p.expect(tokPunct, ")"); err != nil {
 				return nil, err
 			}
 			return e, nil
 		case "[":
 			p.next()
 			var elems []Node
-			for !p.at(TokPunct, "]") {
+			for !p.at(tokPunct, "]") {
 				e, err := p.assignExpr()
 				if err != nil {
 					return nil, err
 				}
 				elems = append(elems, e)
-				if !p.accept(TokPunct, ",") {
+				if !p.accept(tokPunct, ",") {
 					break
 				}
 			}
-			if _, err := p.expect(TokPunct, "]"); err != nil {
+			if _, err := p.expect(tokPunct, "]"); err != nil {
 				return nil, err
 			}
-			return &ArrayLit{Elems: elems}, nil
+			return &arrayLit{Elems: elems}, nil
 		case "{":
 			return p.objectLit()
 		}
@@ -834,9 +834,9 @@ func (p *parser) primary() (Node, error) {
 // template desugars a template literal into nested string
 // concatenation: `a${x}b` → "a" + (x) + "b". Holes are parsed as full
 // expressions, nesting inside the literal.
-func (p *parser) template(t Token) (Node, error) {
+func (p *parser) template(t token) (Node, error) {
 	body := t.Text
-	var node Node = &StringLit{Value: ""}
+	var node Node = &stringLit{Value: ""}
 	links := 0 // each piece wraps node one level deeper, as in binaryExpr
 	defer func() { p.depth -= links }()
 	appendNode := func(n Node) error {
@@ -844,19 +844,19 @@ func (p *parser) template(t Token) (Node, error) {
 			return err
 		}
 		links++
-		node = &Binary{Op: "+", LHS: node, RHS: n}
+		node = &binary{Op: "+", LHS: node, RHS: n}
 		return nil
 	}
 	for len(body) > 0 {
 		idx := indexHole(body)
 		if idx < 0 {
-			if err := appendNode(&StringLit{Value: body}); err != nil {
+			if err := appendNode(&stringLit{Value: body}); err != nil {
 				return nil, err
 			}
 			break
 		}
 		if idx > 0 {
-			if err := appendNode(&StringLit{Value: body[:idx]}); err != nil {
+			if err := appendNode(&stringLit{Value: body[:idx]}); err != nil {
 				return nil, err
 			}
 		}
@@ -878,7 +878,7 @@ func (p *parser) template(t Token) (Node, error) {
 			}
 		}
 		if end < 0 {
-			return nil, &SyntaxError{Msg: "unterminated ${ in template literal", Line: t.Line, Col: t.Col}
+			return nil, &syntaxError{Msg: "unterminated ${ in template literal", Line: t.Line, Col: t.Col}
 		}
 		holeSrc := rest[:end]
 		toks, err := lexAll(holeSrc)
@@ -890,8 +890,8 @@ func (p *parser) template(t Token) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !hp.at(TokEOF, "") {
-			return nil, &SyntaxError{Msg: "trailing tokens in template hole", Line: t.Line, Col: t.Col}
+		if !hp.at(tokEOF, "") {
+			return nil, &syntaxError{Msg: "trailing tokens in template hole", Line: t.Line, Col: t.Col}
 		}
 		p.deepest = hp.deepest
 		if err := appendNode(expr); err != nil {
@@ -900,7 +900,7 @@ func (p *parser) template(t Token) (Node, error) {
 		body = rest[end+1:]
 	}
 	if len(t.Text) == 0 {
-		return &StringLit{Value: ""}, nil
+		return &stringLit{Value: ""}, nil
 	}
 	return node, nil
 }
@@ -917,23 +917,23 @@ func indexHole(s string) int {
 
 // objectLit parses {k: v, "k": v, ...}.
 func (p *parser) objectLit() (Node, error) {
-	if _, err := p.expect(TokPunct, "{"); err != nil {
+	if _, err := p.expect(tokPunct, "{"); err != nil {
 		return nil, err
 	}
-	obj := &ObjectLit{}
-	for !p.at(TokPunct, "}") {
+	obj := &objectLit{}
+	for !p.at(tokPunct, "}") {
 		var key string
 		switch {
-		case p.at(TokIdent, "") || p.cur().Kind == TokKeyword:
+		case p.at(tokIdent, "") || p.cur().Kind == tokKeyword:
 			key = p.next().Text
-		case p.cur().Kind == TokString:
+		case p.cur().Kind == tokString:
 			key = p.next().Text
-		case p.cur().Kind == TokNumber:
+		case p.cur().Kind == tokNumber:
 			key = p.next().Text
 		default:
 			return nil, p.errHere("expected property name")
 		}
-		if _, err := p.expect(TokPunct, ":"); err != nil {
+		if _, err := p.expect(tokPunct, ":"); err != nil {
 			return nil, err
 		}
 		val, err := p.assignExpr()
@@ -942,11 +942,11 @@ func (p *parser) objectLit() (Node, error) {
 		}
 		obj.Keys = append(obj.Keys, key)
 		obj.Values = append(obj.Values, val)
-		if !p.accept(TokPunct, ",") {
+		if !p.accept(tokPunct, ",") {
 			break
 		}
 	}
-	if _, err := p.expect(TokPunct, "}"); err != nil {
+	if _, err := p.expect(tokPunct, "}"); err != nil {
 		return nil, err
 	}
 	return obj, nil
@@ -956,21 +956,21 @@ func (p *parser) objectLit() (Node, error) {
 // through "=>" and returns the parameter names.
 func (p *parser) tryArrowParams() ([]string, bool) {
 	save := p.pos
-	if !p.accept(TokPunct, "(") {
+	if !p.accept(tokPunct, "(") {
 		return nil, false
 	}
 	var params []string
-	for !p.at(TokPunct, ")") {
-		if !p.at(TokIdent, "") {
+	for !p.at(tokPunct, ")") {
+		if !p.at(tokIdent, "") {
 			p.pos = save
 			return nil, false
 		}
 		params = append(params, p.next().Text)
-		if !p.accept(TokPunct, ",") {
+		if !p.accept(tokPunct, ",") {
 			break
 		}
 	}
-	if !p.accept(TokPunct, ")") || !p.accept(TokPunct, "=>") {
+	if !p.accept(tokPunct, ")") || !p.accept(tokPunct, "=>") {
 		p.pos = save
 		return nil, false
 	}
@@ -979,16 +979,16 @@ func (p *parser) tryArrowParams() ([]string, bool) {
 
 func (p *parser) arrowBody(params []string) (Node, error) {
 	body := p.block
-	if !p.at(TokPunct, "{") {
+	if !p.at(tokPunct, "{") {
 		body = func() ([]Node, error) {
 			expr, err := p.assignExpr()
 			if err != nil {
 				return nil, err
 			}
-			return []Node{&Return{Value: expr}}, nil
+			return []Node{&returnStmt{Value: expr}}, nil
 		}
 	}
-	fn, err := p.funcBody(&FuncLit{Params: params}, body)
+	fn, err := p.funcBody(&funcLit{Params: params}, body)
 	if err != nil {
 		return nil, err
 	}

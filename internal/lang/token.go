@@ -16,36 +16,36 @@ package lang
 
 import "fmt"
 
-// TokenKind enumerates lexical token types.
-type TokenKind int
+// tokenKind enumerates lexical token types.
+type tokenKind int
 
 // Token kinds.
 const (
-	TokEOF TokenKind = iota
-	TokNumber
-	TokString
-	TokIdent
-	TokKeyword
-	TokPunct
-	TokTemplate
+	tokEOF tokenKind = iota
+	tokNumber
+	tokString
+	tokIdent
+	tokKeyword
+	tokPunct
+	tokTemplate
 )
 
-var kindNames = map[TokenKind]string{
-	TokEOF:      "EOF",
-	TokNumber:   "number",
-	TokString:   "string",
-	TokIdent:    "identifier",
-	TokKeyword:  "keyword",
-	TokPunct:    "punctuation",
-	TokTemplate: "template",
+var kindNames = map[tokenKind]string{
+	tokEOF:      "EOF",
+	tokNumber:   "number",
+	tokString:   "string",
+	tokIdent:    "identifier",
+	tokKeyword:  "keyword",
+	tokPunct:    "punctuation",
+	tokTemplate: "template",
 }
 
 // String implements fmt.Stringer.
-func (k TokenKind) String() string { return kindNames[k] }
+func (k tokenKind) String() string { return kindNames[k] }
 
-// Token is one lexical token with source position for error reporting.
-type Token struct {
-	Kind TokenKind
+// token is one lexical token with source position for error reporting.
+type token struct {
+	Kind tokenKind
 	Text string
 	Num  float64 // valid when Kind == TokNumber
 	Line int
@@ -53,7 +53,7 @@ type Token struct {
 }
 
 // String implements fmt.Stringer.
-func (t Token) String() string {
+func (t token) String() string {
 	return fmt.Sprintf("%s(%q)@%d:%d", t.Kind, t.Text, t.Line, t.Col)
 }
 
@@ -67,14 +67,14 @@ var keywords = map[string]bool{
 	"default": true, "do": true,
 }
 
-// SyntaxError is returned by Parse for malformed source.
-type SyntaxError struct {
+// syntaxError is returned by Parse for malformed source.
+type syntaxError struct {
 	Msg  string
 	Line int
 	Col  int
 }
 
 // Error implements the error interface.
-func (e *SyntaxError) Error() string {
+func (e *syntaxError) Error() string {
 	return fmt.Sprintf("minijs: syntax error at %d:%d: %s", e.Line, e.Col, e.Msg)
 }

@@ -2,7 +2,6 @@ package lang
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -21,100 +20,77 @@ import (
 //	*Builtin   host functions
 type Value interface{}
 
-// Null is the MiniJS null value.
-type Null struct{}
+// null is the MiniJS null value.
+type null struct{}
 
-// Undefined is the MiniJS undefined value.
-type Undefined struct{}
+// undefined is the MiniJS undefined value.
+type undefined struct{}
 
-// Object is a MiniJS object with insertion-ordered keys.
-type Object struct {
+// object is a MiniJS object with insertion-ordered keys.
+type object struct {
 	props map[string]Value
 	keys  []string
 }
 
-// NewObject returns an empty object.
-func NewObject() *Object {
-	return &Object{props: make(map[string]Value)}
+// newObject returns an empty object.
+func newObject() *object {
+	return &object{props: make(map[string]Value)}
 }
 
-// Get returns the property value, or Undefined{}.
-func (o *Object) Get(key string) Value {
+// get returns the property value, or Undefined{}.
+func (o *object) get(key string) Value {
 	if v, ok := o.props[key]; ok {
 		return v
 	}
-	return Undefined{}
+	return undefined{}
 }
 
-// Has reports whether the property exists.
-func (o *Object) Has(key string) bool {
-	_, ok := o.props[key]
-	return ok
-}
-
-// Set stores a property, preserving first-insertion key order.
-func (o *Object) Set(key string, v Value) {
+// set stores a property, preserving first-insertion key order.
+func (o *object) set(key string, v Value) {
 	if _, ok := o.props[key]; !ok {
 		o.keys = append(o.keys, key)
 	}
 	o.props[key] = v
 }
 
-// Delete removes a property.
-func (o *Object) Delete(key string) {
-	if _, ok := o.props[key]; !ok {
-		return
-	}
-	delete(o.props, key)
-	for i, k := range o.keys {
-		if k == key {
-			o.keys = append(o.keys[:i], o.keys[i+1:]...)
-			break
-		}
-	}
-}
-
-// Keys returns the property names in insertion order.
-func (o *Object) Keys() []string {
+// ownKeys returns the property names in insertion order.
+func (o *object) ownKeys() []string {
 	out := make([]string, len(o.keys))
 	copy(out, o.keys)
 	return out
 }
 
-// Len returns the number of properties.
-func (o *Object) Len() int { return len(o.keys) }
-
-// Array is a MiniJS array.
-type Array struct {
+// array is a MiniJS array.
+type array struct {
 	Elems []Value
 }
 
-// Closure is a user-defined function together with its captured
+// closure is a user-defined function together with its captured
 // environment.
-type Closure struct {
-	Fn  *FuncLit
-	Env *Env
+type closure struct {
+	Fn  *funcLit
+	Env *env
 }
 
-// Builtin is a host-implemented function.
-type Builtin struct {
+// builtin is a host-implemented function.
+type builtin struct {
 	Name string
 	Fn   func(in *Interp, this Value, args []Value) (Value, error)
 }
 
-// Env is a lexical scope.
-type Env struct {
+// env is a lexical scope.
+type env struct {
 	vars   map[string]Value
-	parent *Env
+	parent *env
 }
 
-// NewEnv returns a scope chained to parent (nil for the global scope).
-func NewEnv(parent *Env) *Env {
-	return &Env{vars: make(map[string]Value), parent: parent}
+// newEnv returns a scope chained to parent (nil for the global scope).
+func newEnv(parent *env) *env {
+	return &env{vars: make(map[string]Value), parent: parent}
 }
 
-// Get resolves a name up the scope chain.
-func (e *Env) Get(name string) (Value, bool) {
+// get resolves a name up the scope chain.
+func (e *env) get(name string) (Value, bool) {
 	for s := e; s != nil; s = s.parent {
 		if v, ok := s.vars[name]; ok {
 			return v, true
@@ -123,13 +99,13 @@ func (e *Env) Get(name string) (Value, bool) {
 	return nil, false
 }
 
-// Define binds a name in this scope.
-func (e *Env) Define(name string, v Value) { e.vars[name] = v }
+// define binds a name in this scope.
+func (e *env) define(name string, v Value) { e.vars[name] = v }
 
-// Assign rebinds the nearest existing binding; if none exists the name
+// assign rebinds the nearest existing binding; if none exists the name
 // is defined globally (sloppy-mode JS behavior, which serverless driver
 // scripts rely on).
-func (e *Env) Assign(name string, v Value) {
+func (e *env) assign(name string, v Value) {
 	for s := e; s != nil; s = s.parent {
 		if _, ok := s.vars[name]; ok {
 			s.vars[name] = v
@@ -142,8 +118,8 @@ func (e *Env) Assign(name string, v Value) {
 	}
 }
 
-// Truthy converts a value to boolean using JS semantics.
-func Truthy(v Value) bool {
+// truthy converts a value to boolean using JS semantics.
+func truthy(v Value) bool {
 	switch t := v.(type) {
 	case bool:
 		return t
@@ -151,15 +127,15 @@ func Truthy(v Value) bool {
 		return t != 0 && t == t // false for 0 and NaN
 	case string:
 		return t != ""
-	case Null, Undefined, nil:
+	case null, undefined, nil:
 		return false
 	default:
 		return true
 	}
 }
 
-// TypeOf returns the typeof string for a value.
-func TypeOf(v Value) string {
+// typeOf returns the typeof string for a value.
+func typeOf(v Value) string {
 	switch v.(type) {
 	case float64:
 		return "number"
@@ -167,11 +143,11 @@ func TypeOf(v Value) string {
 		return "string"
 	case bool:
 		return "boolean"
-	case Undefined, nil:
+	case undefined, nil:
 		return "undefined"
-	case Null, *Object, *Array:
+	case null, *object, *array:
 		return "object"
-	case *Closure, *Builtin:
+	case *closure, *builtin:
 		return "function"
 	}
 	return "unknown"
@@ -181,9 +157,9 @@ func TypeOf(v Value) string {
 // concatenation semantics).
 func ToString(v Value) string {
 	switch t := v.(type) {
-	case nil, Undefined:
+	case nil, undefined:
 		return "undefined"
-	case Null:
+	case null:
 		return "null"
 	case bool:
 		if t {
@@ -194,18 +170,18 @@ func ToString(v Value) string {
 		return formatNumber(t)
 	case string:
 		return t
-	case *Array:
+	case *array:
 		var sb strings.Builder
-		joinTo(&sb, t, ",", 0, MaxHostBytes)
+		joinTo(&sb, t, ",", 0, maxHostBytes)
 		return sb.String()
-	case *Object:
+	case *object:
 		return "[object Object]"
-	case *Closure:
+	case *closure:
 		if t.Fn.Name != "" {
 			return "function " + t.Fn.Name
 		}
 		return "function"
-	case *Builtin:
+	case *builtin:
 		return "function " + t.Name
 	}
 	return fmt.Sprintf("%v", v)
@@ -217,7 +193,7 @@ func ToString(v Value) string {
 // parser's bound (an array that contains itself, say) renders as
 // nothing, as JavaScript renders a cycle, and rendering stops one byte
 // past limit, which the caller then refuses.
-func joinTo(sb *strings.Builder, a *Array, sep string, depth, limit int) {
+func joinTo(sb *strings.Builder, a *array, sep string, depth, limit int) {
 	if depth > maxNesting {
 		return
 	}
@@ -228,7 +204,7 @@ func joinTo(sb *strings.Builder, a *Array, sep string, depth, limit int) {
 		if i > 0 {
 			writeCapped(sb, sep, limit)
 		}
-		if inner, ok := e.(*Array); ok {
+		if inner, ok := e.(*array); ok {
 			joinTo(sb, inner, ",", depth+1, limit)
 		} else {
 			writeCapped(sb, ToString(e), limit)
@@ -254,7 +230,7 @@ const describeLimit = 64
 func describe(v Value) string {
 	s, ok := v.(string)
 	if !ok {
-		if a, isArray := v.(*Array); isArray {
+		if a, isArray := v.(*array); isArray {
 			var sb strings.Builder
 			joinTo(&sb, a, ",", 0, describeLimit)
 			s = sb.String()
@@ -275,8 +251,8 @@ func formatNumber(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// ToNumber converts a value to a number using JS coercion.
-func ToNumber(v Value) float64 {
+// toNumber converts a value to a number using JS coercion.
+func toNumber(v Value) float64 {
 	switch t := v.(type) {
 	case float64:
 		return t
@@ -294,7 +270,7 @@ func ToNumber(v Value) float64 {
 			return f
 		}
 		return nan()
-	case Null:
+	case null:
 		return 0
 	}
 	return nan()
@@ -305,8 +281,8 @@ func nan() float64 {
 	return z / z * 0 // avoid importing math just for NaN
 }
 
-// StrictEquals implements ===.
-func StrictEquals(a, b Value) bool {
+// strictEquals implements ===.
+func strictEquals(a, b Value) bool {
 	switch at := a.(type) {
 	case float64:
 		bt, ok := b.(float64)
@@ -317,12 +293,12 @@ func StrictEquals(a, b Value) bool {
 	case bool:
 		bt, ok := b.(bool)
 		return ok && at == bt
-	case Null:
-		_, ok := b.(Null)
+	case null:
+		_, ok := b.(null)
 		return ok
-	case Undefined, nil:
+	case undefined, nil:
 		switch b.(type) {
-		case Undefined, nil:
+		case undefined, nil:
 			return true
 		}
 		return false
@@ -331,9 +307,9 @@ func StrictEquals(a, b Value) bool {
 	}
 }
 
-// LooseEquals implements == with the common coercions.
-func LooseEquals(a, b Value) bool {
-	if StrictEquals(a, b) {
+// looseEquals implements == with the common coercions.
+func looseEquals(a, b Value) bool {
+	if strictEquals(a, b) {
 		return true
 	}
 	an, aNullish := nullish(a)
@@ -346,7 +322,7 @@ func LooseEquals(a, b Value) bool {
 	case float64, string, bool:
 		switch b.(type) {
 		case float64, string, bool:
-			return ToNumber(a) == ToNumber(b)
+			return toNumber(a) == toNumber(b)
 		}
 	}
 	return false
@@ -354,7 +330,7 @@ func LooseEquals(a, b Value) bool {
 
 func nullish(v Value) (isNullish, _ bool) {
 	switch v.(type) {
-	case Null, Undefined, nil:
+	case null, undefined, nil:
 		return true, true
 	}
 	return false, false
@@ -367,7 +343,7 @@ func nullish(v Value) (isNullish, _ bool) {
 // output passes MaxHostBytes.
 func JSONStringify(v Value) string {
 	var sb strings.Builder
-	writeJSON(&sb, v, 0, MaxHostBytes)
+	writeJSON(&sb, v, 0, maxHostBytes)
 	return sb.String()
 }
 
@@ -376,9 +352,9 @@ func writeJSON(sb *strings.Builder, v Value, depth, limit int) {
 		return
 	}
 	switch t := v.(type) {
-	case nil, Undefined, *Closure, *Builtin:
+	case nil, undefined, *closure, *builtin:
 		sb.WriteString("null")
-	case Null:
+	case null:
 		sb.WriteString("null")
 	case bool:
 		if t {
@@ -390,7 +366,7 @@ func writeJSON(sb *strings.Builder, v Value, depth, limit int) {
 		sb.WriteString(formatNumber(t))
 	case string:
 		writeQuoted(sb, t, limit)
-	case *Array:
+	case *array:
 		if depth > maxNesting {
 			sb.WriteString("null")
 			return
@@ -403,7 +379,7 @@ func writeJSON(sb *strings.Builder, v Value, depth, limit int) {
 			writeJSON(sb, e, depth+1, limit)
 		}
 		sb.WriteByte(']')
-	case *Object:
+	case *object:
 		if depth > maxNesting {
 			sb.WriteString("null")
 			return
@@ -441,12 +417,4 @@ func writeQuoted(sb *strings.Builder, s string, limit int) {
 		s = s[n:]
 	}
 	sb.WriteByte('"')
-}
-
-// SortedKeys returns object keys sorted lexicographically (test helper
-// for deterministic output).
-func SortedKeys(o *Object) []string {
-	ks := o.Keys()
-	sort.Strings(ks)
-	return ks
 }

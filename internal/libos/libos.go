@@ -26,15 +26,15 @@ import (
 // defining property of a unikernel (§3): kernel, libraries, interpreter
 // and function code share one space.
 const (
-	// KernelBase holds the Rumprun kernel text/data.
-	KernelBase = uint64(0x0000_0000_0010_0000)
+	// kernelBase holds the Rumprun kernel text/data.
+	kernelBase = uint64(0x0000_0000_0010_0000)
 	// HeapBase is where the unified guest heap begins; it grows upward
 	// through interpreter, driver, and function allocations.
 	HeapBase = uint64(0x0000_0001_0000_0000)
 	// StackTop is the top of the primary guest stack (grows down).
 	StackTop = uint64(0x0000_7fff_fff0_0000)
-	// StackPages is the committed stack depth.
-	StackPages = 64
+	// stackPages is the committed stack depth.
+	stackPages = 64
 )
 
 // ErrNotBooted is returned by guest operations before Boot/Rehydrate.
@@ -113,9 +113,6 @@ func New(as *pagetable.AddressSpace, host hypercall.Host, env Env) *Unikernel {
 
 // Space returns the underlying address space.
 func (u *Unikernel) Space() *pagetable.AddressSpace { return u.as }
-
-// Host returns the hypercall interface.
-func (u *Unikernel) Host() hypercall.Host { return u.host }
 
 // Env returns the host environment.
 func (u *Unikernel) Env() Env { return u.env }
@@ -219,11 +216,11 @@ func (u *Unikernel) Boot() error {
 	}
 	// Kernel text/data/bss: written at load time.
 	kernelBytes := int64(4 << 20)
-	if err := u.as.TouchRange(KernelBase, uint64(kernelBytes)); err != nil {
+	if err := u.as.TouchRange(kernelBase, uint64(kernelBytes)); err != nil {
 		return fmt.Errorf("libos: loading kernel image: %w", err)
 	}
 	// Primary stack.
-	if err := u.as.TouchRange(StackTop-uint64(StackPages*mem.PageSize), uint64(StackPages*mem.PageSize)); err != nil {
+	if err := u.as.TouchRange(StackTop-uint64(stackPages*mem.PageSize), uint64(stackPages*mem.PageSize)); err != nil {
 		return fmt.Errorf("libos: committing stack: %w", err)
 	}
 	// Hypercall handshake: the boot path queries its world.
@@ -272,19 +269,14 @@ func (u *Unikernel) Alloc(n int64) (uint64, error) {
 	return addr, nil
 }
 
-// WriteGuest writes real bytes at a guest address (used where content
+// writeGuest writes real bytes at a guest address (used where content
 // fidelity matters, e.g. the ramdisk), billing fault time.
-func (u *Unikernel) WriteGuest(va uint64, data []byte) error {
+func (u *Unikernel) writeGuest(va uint64, data []byte) error {
 	if err := u.as.Store(va, data); err != nil {
 		return err
 	}
 	u.chargeFaults()
 	return nil
-}
-
-// ReadGuest reads guest memory.
-func (u *Unikernel) ReadGuest(va uint64, buf []byte) error {
-	return u.as.Load(va, buf)
 }
 
 // DirtyHot rewrites n of the pages captured in the image this guest was
@@ -321,7 +313,7 @@ func (u *Unikernel) WriteFile(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := u.WriteGuest(va, data); err != nil {
+	if err := u.writeGuest(va, data); err != nil {
 		return err
 	}
 	u.st.Files[path] = int64(len(data))
@@ -330,37 +322,6 @@ func (u *Unikernel) WriteFile(path string, data []byte) error {
 	u.host.BlkWrite(0, nil)
 	return nil
 }
-
-// ReadFile reads a ramdisk file's contents back out of guest memory,
-// crossing the hypercall interface the way Rumprun's ramdisk driver
-// does. It returns nil for absent paths.
-func (u *Unikernel) ReadFile(path string) []byte {
-	sz, ok := u.st.Files[path]
-	if !ok {
-		return nil
-	}
-	// One block read round trip per 4 KiB sector.
-	sectors := int(sz/4096) + 1
-	for i := 0; i < sectors; i++ {
-		u.host.BlkRead(int64(i), nil)
-	}
-	out := make([]byte, sz)
-	if va, ok2 := u.st.FileAddrs[path]; ok2 {
-		u.ReadGuest(va, out)
-	}
-	return out
-}
-
-// FileSize returns a ramdisk file's size, or -1 if absent.
-func (u *Unikernel) FileSize(path string) int64 {
-	if sz, ok := u.st.Files[path]; ok {
-		return sz
-	}
-	return -1
-}
-
-// Files returns the number of ramdisk files.
-func (u *Unikernel) Files() int { return len(u.st.Files) }
 
 // WarmNetwork exercises the guest network stack end to end — the
 // network anticipatory optimization (§3): an HTTP request is sent into
@@ -470,9 +431,6 @@ func (c *Conn) Reply(n int64) error {
 	return nil
 }
 
-// Close tears down the connection.
-func (c *Conn) Close() { c.alive = false }
-
 // Alive reports whether the connection is open.
 func (c *Conn) Alive() bool { return c.alive }
 
@@ -490,11 +448,6 @@ type CountingEnv struct {
 	CPU     time.Duration
 	Blocked time.Duration
 	Lines   []string
-	// HTTP handles outbound requests; nil returns an error to the
-	// guest.
-	HTTP func(url string) (string, error)
-	// HTTPLatency is added to Blocked per outbound request.
-	HTTPLatency time.Duration
 }
 
 // ChargeCPU implements Env.
@@ -506,13 +459,9 @@ func (e *CountingEnv) Block(d time.Duration) { e.Blocked += d }
 // Now implements Env.
 func (e *CountingEnv) Now() time.Duration { return e.CPU + e.Blocked }
 
-// HTTPGet implements Env.
+// HTTPGet implements Env: the microbenchmarks have no external network.
 func (e *CountingEnv) HTTPGet(url string) (string, error) {
-	if e.HTTP == nil {
-		return "", errors.New("libos: no external network")
-	}
-	e.Blocked += e.HTTPLatency
-	return e.HTTP(url)
+	return "", errors.New("libos: no external network")
 }
 
 // Output implements Env.
@@ -520,8 +469,5 @@ func (e *CountingEnv) Output(s string) { e.Lines = append(e.Lines, s) }
 
 // Elapsed returns total virtual time consumed (CPU + blocked).
 func (e *CountingEnv) Elapsed() time.Duration { return e.CPU + e.Blocked }
-
-// Reset zeroes the accumulators.
-func (e *CountingEnv) Reset() { e.CPU, e.Blocked, e.Lines = 0, 0, nil }
 
 var _ Env = (*CountingEnv)(nil)

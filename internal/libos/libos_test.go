@@ -40,7 +40,7 @@ func TestBootTouchesKernelAndStack(t *testing.T) {
 		t.Fatal("not booted")
 	}
 	// 4 MB kernel + 64-page stack.
-	wantPages := (4<<20)/mem.PageSize + StackPages
+	wantPages := (4<<20)/mem.PageSize + stackPages
 	if got := uk.Space().MappedPages(); got != wantPages {
 		t.Errorf("mapped = %d, want %d", got, wantPages)
 	}
@@ -305,7 +305,7 @@ func TestDirtyHotFaultsPages(t *testing.T) {
 func TestGuestReadWrite(t *testing.T) {
 	uk, _ := booted(t)
 	va, _ := uk.Alloc(64)
-	if err := uk.WriteGuest(va, []byte("unikernel")); err != nil {
+	if err := uk.writeGuest(va, []byte("unikernel")); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 9)
@@ -318,16 +318,13 @@ func TestGuestReadWrite(t *testing.T) {
 }
 
 func TestCountingEnv(t *testing.T) {
-	e := &CountingEnv{HTTPLatency: time.Millisecond, HTTP: func(url string) (string, error) {
-		return "ok:" + url, nil
-	}}
+	e := &CountingEnv{}
 	e.ChargeCPU(2 * time.Millisecond)
 	e.Block(3 * time.Millisecond)
-	body, err := e.HTTPGet("x")
-	if err != nil || body != "ok:x" {
-		t.Fatalf("HTTPGet = %q, %v", body, err)
+	if _, err := e.HTTPGet("x"); err == nil {
+		t.Fatal("HTTPGet reached a network")
 	}
-	if e.Elapsed() != 6*time.Millisecond {
+	if e.Elapsed() != 5*time.Millisecond {
 		t.Errorf("Elapsed = %v", e.Elapsed())
 	}
 	e.Output("line")

@@ -94,14 +94,7 @@ type Store struct {
 	pages     []*[PageSize]byte // payload side table; pages[0] is never used
 	freePages []uint32          // free payload slots, LIFO
 	idleBufs  int               // free slots still holding a buffer
-
-	scanner *Scanner // optional KSM-style content scanner
 }
-
-// AttachScanner registers a deduplication scanner: every frame that
-// materializes content is tracked, and frees untrack. Used by the
-// §5 KSM-contrast ablation.
-func (s *Store) AttachScanner(sc *Scanner) { s.scanner = sc }
 
 // NewStore returns a store with the given byte budget. A budget of 0
 // means unlimited (useful for unit tests); the paper's compute node uses
@@ -166,9 +159,6 @@ func (s *Store) Write(f Frame, off int, data []byte) {
 	if st.page == 0 {
 		st.page = s.getPage(true)
 		s.materialized++
-		if s.scanner != nil {
-			s.scanner.Track(f)
-		}
 	}
 	copy(s.pages[st.page][off:], data)
 }
@@ -253,16 +243,6 @@ func (s *Store) Alloc() (Frame, error) {
 	return f, nil
 }
 
-// MustAlloc is Alloc for contexts where the budget is known to hold
-// (tests, bootstrapping); it panics on exhaustion.
-func (s *Store) MustAlloc() Frame {
-	f, err := s.Alloc()
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // IncRef adds a reference to the frame (a new mapping or snapshot
 // capture of it).
 func (s *Store) IncRef(f Frame) { s.live(f, "IncRef on").refs++ }
@@ -280,9 +260,6 @@ func (s *Store) DecRef(f Frame) {
 		s.putPage(st.page)
 		st.page = 0
 		s.materialized--
-		if s.scanner != nil {
-			s.scanner.Untrack(f)
-		}
 	}
 	s.inUse--
 	s.frees++
@@ -304,9 +281,6 @@ func (s *Store) Clone(src Frame) (Frame, error) {
 		*s.pages[p] = *s.pages[from]
 		s.state(f).page = p
 		s.materialized++
-		if s.scanner != nil {
-			s.scanner.Track(f)
-		}
 	}
 	return f, nil
 }

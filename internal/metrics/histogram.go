@@ -17,12 +17,12 @@ import (
 	"time"
 )
 
-// LatencyBuckets are the histogram upper bounds, chosen to resolve the
+// latencyBuckets are the histogram upper bounds, chosen to resolve the
 // paper's three invocation paths: hot starts land around 100µs, warm
 // starts near 1ms, cold starts at 5-20ms, and the tail buckets catch
 // pressure-degraded or fault-delayed invocations. Fixed at compile
 // time: pre-registered buckets are what keep Observe allocation-free.
-var LatencyBuckets = [...]time.Duration{
+var latencyBuckets = [...]time.Duration{
 	10 * time.Microsecond,
 	20 * time.Microsecond,
 	50 * time.Microsecond,
@@ -42,16 +42,16 @@ var LatencyBuckets = [...]time.Duration{
 	5 * time.Second,
 }
 
-// NumBuckets counts the histogram's buckets including the implicit
+// numBuckets counts the histogram's buckets including the implicit
 // +Inf overflow bucket.
-const NumBuckets = len(LatencyBuckets) + 1
+const numBuckets = len(latencyBuckets) + 1
 
-// KeepaliveBuckets are the bounds for duration-valued (not
+// keepaliveBuckets are the bounds for duration-valued (not
 // latency-valued) histograms — keep-alive windows run seconds to
 // hours, three orders of magnitude above invocation latencies. Same
 // bucket count as LatencyBuckets: every Histogram shares one storage
 // layout and only the bound table differs.
-var KeepaliveBuckets = [len(LatencyBuckets)]time.Duration{
+var keepaliveBuckets = [len(latencyBuckets)]time.Duration{
 	1 * time.Second,
 	5 * time.Second,
 	10 * time.Second,
@@ -71,24 +71,18 @@ var KeepaliveBuckets = [len(LatencyBuckets)]time.Duration{
 	24 * time.Hour,
 }
 
-// Histogram is a fixed-bucket, lock-free latency histogram. The zero
+// histogram is a fixed-bucket, lock-free latency histogram. The zero
 // value is ready to use. Buckets hold per-bucket (non-cumulative)
 // counts; the exposition layer accumulates them into the cumulative
 // form Prometheus expects.
-type Histogram struct {
-	buckets [NumBuckets]atomic.Int64
+type histogram struct {
+	buckets [numBuckets]atomic.Int64
 	sum     atomic.Int64 // nanoseconds
-}
-
-// Observe records one duration against the default latency bounds.
-// Safe for concurrent use; never allocates.
-func (h *Histogram) Observe(d time.Duration) {
-	h.observe(&LatencyBuckets, d)
 }
 
 // observe records one duration against an explicit bound table (the
 // Recorder picks per-Hist bounds; see boundsFor).
-func (h *Histogram) observe(bounds *[len(LatencyBuckets)]time.Duration, d time.Duration) {
+func (h *histogram) observe(bounds *[len(latencyBuckets)]time.Duration, d time.Duration) {
 	i := 0
 	for i < len(bounds) && d > bounds[i] {
 		i++
@@ -97,11 +91,11 @@ func (h *Histogram) observe(bounds *[len(LatencyBuckets)]time.Duration, d time.D
 	h.sum.Add(int64(d))
 }
 
-// Snapshot returns a point-in-time copy. Concurrent Observes may land
+// snapshot returns a point-in-time copy. Concurrent Observes may land
 // between bucket reads; each bucket is individually exact and the
 // snapshot is monotonically consistent with earlier snapshots.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	var s HistogramSnapshot
+func (h *histogram) snapshot() histogramSnapshot {
+	var s histogramSnapshot
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
@@ -109,32 +103,23 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is an immutable histogram reading; the mergeable
+// histogramSnapshot is an immutable histogram reading; the mergeable
 // unit a sharded pool aggregates on scrape.
-type HistogramSnapshot struct {
+type histogramSnapshot struct {
 	// Buckets are per-bucket counts; Buckets[i] counts observations in
 	// (LatencyBuckets[i-1], LatencyBuckets[i]], with the final entry
 	// the +Inf overflow.
-	Buckets [NumBuckets]int64
+	Buckets [numBuckets]int64
 	// SumNanos is the sum of all observed durations in nanoseconds.
 	SumNanos int64
 }
 
-// Merge accumulates o into s. Element-wise addition, so merging is
+// merge accumulates o into s. Element-wise addition, so merging is
 // associative and commutative: any merge tree over the same shard
 // snapshots yields the same aggregate.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
+func (s *histogramSnapshot) merge(o histogramSnapshot) {
 	for i := range s.Buckets {
 		s.Buckets[i] += o.Buckets[i]
 	}
 	s.SumNanos += o.SumNanos
-}
-
-// Count returns the total number of observations.
-func (s HistogramSnapshot) Count() int64 {
-	var n int64
-	for _, b := range s.Buckets {
-		n += b
-	}
-	return n
 }

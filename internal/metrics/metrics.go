@@ -42,22 +42,22 @@ func Summarize(samples []time.Duration) Summary {
 		Mean:  total / time.Duration(len(sorted)),
 		Min:   sorted[0],
 		Max:   sorted[len(sorted)-1],
-		P1:    Quantile(sorted, 0.01),
-		P25:   Quantile(sorted, 0.25),
-		P50:   Quantile(sorted, 0.50),
-		P75:   Quantile(sorted, 0.75),
-		P99:   Quantile(sorted, 0.99),
+		P1:    quantile(sorted, 0.01),
+		P25:   quantile(sorted, 0.25),
+		P50:   quantile(sorted, 0.50),
+		P75:   quantile(sorted, 0.75),
+		P99:   quantile(sorted, 0.99),
 	}
 }
 
-// Quantile returns the q-quantile (0..1) of an ascending-sorted sample
+// quantile returns the q-quantile (0..1) of an ascending-sorted sample
 // set using linear interpolation between the closest ranks (the R-7
 // estimator of Hyndman & Fan, the default in NumPy and Excel): the
 // quantile position is q·(n−1), and a fractional position interpolates
 // linearly between the two neighboring order statistics. See DESIGN.md
 // §9 for why this estimator and how it relates to the /metrics
 // histograms.
-func Quantile(sorted []time.Duration, q float64) time.Duration {
+func quantile(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
@@ -156,22 +156,6 @@ func (t *Timeline) MaxGap(kind string) time.Duration {
 		}
 	}
 	return max
-}
-
-// Throughput is a throughput measurement: completed requests over a
-// window.
-type Throughput struct {
-	Completed int
-	Errors    int
-	Window    time.Duration
-}
-
-// PerSecond returns completions per second.
-func (t Throughput) PerSecond() float64 {
-	if t.Window <= 0 {
-		return 0
-	}
-	return float64(t.Completed) / t.Window.Seconds()
 }
 
 // Table renders rows of labeled values as an aligned text table —

@@ -58,16 +58,16 @@ func TestSummarizeDoesNotMutateInput(t *testing.T) {
 
 func TestQuantileBounds(t *testing.T) {
 	sorted := []time.Duration{ms(1), ms(2), ms(3)}
-	if Quantile(sorted, -1) != ms(1) || Quantile(sorted, 0) != ms(1) {
+	if quantile(sorted, -1) != ms(1) || quantile(sorted, 0) != ms(1) {
 		t.Error("low quantile")
 	}
-	if Quantile(sorted, 1) != ms(3) || Quantile(sorted, 2) != ms(3) {
+	if quantile(sorted, 1) != ms(3) || quantile(sorted, 2) != ms(3) {
 		t.Error("high quantile")
 	}
-	if Quantile(nil, 0.5) != 0 {
+	if quantile(nil, 0.5) != 0 {
 		t.Error("empty quantile")
 	}
-	if q := Quantile(sorted, 0.5); q != ms(2) {
+	if q := quantile(sorted, 0.5); q != ms(2) {
 		t.Errorf("median = %v", q)
 	}
 }
@@ -87,7 +87,7 @@ func TestQuickQuantileMonotone(t *testing.T) {
 		if qa > qb {
 			qa, qb = qb, qa
 		}
-		return Quantile(samples, qa) <= Quantile(samples, qb)
+		return quantile(samples, qa) <= quantile(samples, qb)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -114,16 +114,6 @@ func TestTimeline(t *testing.T) {
 	// Completions at 10ms and 110ms → max gap 100ms.
 	if g := tl.MaxGap("background"); g != ms(100) {
 		t.Errorf("gap = %v", g)
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	th := Throughput{Completed: 500, Window: 10 * time.Second}
-	if th.PerSecond() != 50 {
-		t.Errorf("rate = %v", th.PerSecond())
-	}
-	if (Throughput{}).PerSecond() != 0 {
-		t.Error("zero window")
 	}
 }
 

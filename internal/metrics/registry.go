@@ -116,9 +116,9 @@ const (
 	CtrPolicyPrewarmsMiss
 	CtrPolicyPrewarmsMisfire
 
-	// NumCounters is the registry's length: the size of any array
+	// numCounters is the registry's length: the size of any array
 	// indexed by Counter.
-	NumCounters
+	numCounters
 )
 
 // Counters is one reading of every registered counter, indexed by
@@ -126,7 +126,7 @@ const (
 // keeps its own (core.Node, cluster.Cluster) holds one
 // beside its Recorder; readers sum them with Add and derive their Stats
 // shape from the sum at read time.
-type Counters [NumCounters]int64
+type Counters [numCounters]int64
 
 // Add accumulates o into c, element-wise.
 func (c *Counters) Add(o Counters) {
@@ -158,7 +158,7 @@ type desc struct {
 	labels string // rendered label pairs, "" for none
 }
 
-var counterDescs = [NumCounters]desc{
+var counterDescs = [numCounters]desc{
 	CtrColdInvocations:     {"seuss_invocations_total", "Invocations served, by path taken.", `path="cold"`},
 	CtrWarmInvocations:     {"seuss_invocations_total", "", `path="warm"`},
 	CtrHotInvocations:      {"seuss_invocations_total", "", `path="hot"`},
@@ -254,17 +254,17 @@ var histDescs = [numHists]desc{
 
 // histBounds overrides a histogram's bucket bound table; nil entries
 // use the default LatencyBuckets.
-var histBounds = [numHists]*[len(LatencyBuckets)]time.Duration{
-	HistPolicyKeepalive: &KeepaliveBuckets,
+var histBounds = [numHists]*[len(latencyBuckets)]time.Duration{
+	HistPolicyKeepalive: &keepaliveBuckets,
 }
 
 // boundsFor returns the bound table a histogram records and renders
 // against.
-func boundsFor(h Hist) *[len(LatencyBuckets)]time.Duration {
+func boundsFor(h Hist) *[len(latencyBuckets)]time.Duration {
 	if b := histBounds[h]; b != nil {
 		return b
 	}
-	return &LatencyBuckets
+	return &latencyBuckets
 }
 
 // Recorder is one collection point's metric storage: a fixed array of
@@ -273,8 +273,8 @@ func boundsFor(h Hist) *[len(LatencyBuckets)]time.Duration {
 // carry a nil Recorder at zero cost and zero conditionals at call
 // sites.
 type Recorder struct {
-	counters [NumCounters]atomic.Int64
-	hists    [numHists]Histogram
+	counters [numCounters]atomic.Int64
+	hists    [numHists]histogram
 }
 
 // NewRecorder returns an empty recorder.
@@ -319,7 +319,7 @@ func (r *Recorder) Snapshot() Snapshot {
 	s := Snapshot{Counters: r.Counters()}
 	if r != nil {
 		for i := range r.hists {
-			s.Hists[i] = r.hists[i].Snapshot()
+			s.Hists[i] = r.hists[i].snapshot()
 		}
 	}
 	return s
@@ -329,22 +329,19 @@ func (r *Recorder) Snapshot() Snapshot {
 // across shards on scrape.
 type Snapshot struct {
 	Counters Counters
-	Hists    [numHists]HistogramSnapshot
+	Hists    [numHists]histogramSnapshot
 }
 
 // Merge accumulates o into s (element-wise, associative).
 func (s *Snapshot) Merge(o Snapshot) {
 	s.Counters.Add(o.Counters)
 	for i := range s.Hists {
-		s.Hists[i].Merge(o.Hists[i])
+		s.Hists[i].merge(o.Hists[i])
 	}
 }
 
 // Counter returns one counter's value.
 func (s Snapshot) Counter(c Counter) int64 { return s.Counters[c] }
-
-// Histogram returns one histogram's snapshot.
-func (s Snapshot) Histogram(h Hist) HistogramSnapshot { return s.Hists[h] }
 
 // WritePrometheus renders the snapshot in Prometheus text exposition
 // format (version 0.0.4): counters as counter families, histograms as
@@ -353,7 +350,7 @@ func (s Snapshot) Histogram(h Hist) HistogramSnapshot { return s.Hists[h] }
 // HELP/TYPE header, as the format requires.
 func WritePrometheus(w io.Writer, s Snapshot) error {
 	prev := ""
-	for i := Counter(0); i < NumCounters; i++ {
+	for i := Counter(0); i < numCounters; i++ {
 		d := counterDescs[i]
 		if d.name != prev {
 			if err := writeHeader(w, d.name, d.help, "counter"); err != nil {
@@ -398,7 +395,7 @@ func renderLabels(labels string) string {
 	return "{" + labels + "}"
 }
 
-func writeHistogram(w io.Writer, d desc, bounds *[len(LatencyBuckets)]time.Duration, h HistogramSnapshot) error {
+func writeHistogram(w io.Writer, d desc, bounds *[len(latencyBuckets)]time.Duration, h histogramSnapshot) error {
 	sep := ""
 	if d.labels != "" {
 		sep = d.labels + ","

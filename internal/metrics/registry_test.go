@@ -30,16 +30,16 @@ func TestQuantileKnownValues(t *testing.T) {
 		{1.5, 40 * time.Millisecond},  // clamped
 	}
 	for _, c := range cases {
-		if got := Quantile(sorted, c.q); got != c.want {
+		if got := quantile(sorted, c.q); got != c.want {
 			t.Errorf("Quantile(q=%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
-	if Quantile(nil, 0.5) != 0 {
+	if quantile(nil, 0.5) != 0 {
 		t.Error("empty sample set should yield 0")
 	}
 	one := []time.Duration{7 * time.Millisecond}
 	for _, q := range []float64{0, 0.5, 1} {
-		if got := Quantile(one, q); got != 7*time.Millisecond {
+		if got := quantile(one, q); got != 7*time.Millisecond {
 			t.Errorf("single-sample Quantile(%v) = %v", q, got)
 		}
 	}
@@ -59,7 +59,7 @@ func TestQuantileProperties(t *testing.T) {
 		}
 		prev := time.Duration(-1)
 		for q := 0.0; q <= 1.0; q += 0.05 {
-			v := Quantile(sorted, q)
+			v := quantile(sorted, q)
 			if v < sorted[0] || v > sorted[n-1] {
 				t.Fatalf("n=%d q=%v: %v outside [%v, %v]", n, q, v, sorted[0], sorted[n-1])
 			}
@@ -76,7 +76,7 @@ func TestQuantileProperties(t *testing.T) {
 			if n == 1 {
 				q = 0
 			}
-			got := Quantile(sorted, q)
+			got := quantile(sorted, q)
 			if d := got - sorted[i]; d < -time.Nanosecond || d > time.Nanosecond {
 				t.Fatalf("n=%d rank %d: got %v, want %v", n, i, got, sorted[i])
 			}
@@ -85,13 +85,13 @@ func TestQuantileProperties(t *testing.T) {
 }
 
 func TestHistogramObserveBuckets(t *testing.T) {
-	var h Histogram
+	var h histogram
 	h.Observe(5 * time.Microsecond)  // bucket 0 (≤10µs)
 	h.Observe(10 * time.Microsecond) // bucket 0 (bound is inclusive)
 	h.Observe(11 * time.Microsecond) // bucket 1
 	h.Observe(10 * time.Second)      // +Inf overflow
-	s := h.Snapshot()
-	if s.Buckets[0] != 2 || s.Buckets[1] != 1 || s.Buckets[NumBuckets-1] != 1 {
+	s := h.snapshot()
+	if s.Buckets[0] != 2 || s.Buckets[1] != 1 || s.Buckets[numBuckets-1] != 1 {
 		t.Errorf("buckets = %v", s.Buckets)
 	}
 	if s.Count() != 4 {
@@ -108,27 +108,27 @@ func TestHistogramMergeAssociative(t *testing.T) {
 	// the same shard snapshots yields the same aggregate — the property
 	// Pool.Metrics() relies on.
 	rng := rand.New(rand.NewSource(7))
-	mk := func() HistogramSnapshot {
-		var h Histogram
+	mk := func() histogramSnapshot {
+		var h histogram
 		for i := 0; i < 100; i++ {
 			h.Observe(time.Duration(rng.Intn(int(6 * time.Second))))
 		}
-		return h.Snapshot()
+		return h.snapshot()
 	}
 	a, b, c := mk(), mk(), mk()
 
 	abThenC := a // (a+b)+c
-	abThenC.Merge(b)
-	abThenC.Merge(c)
+	abThenC.merge(b)
+	abThenC.merge(c)
 
 	bc := b // a+(b+c)
-	bc.Merge(c)
+	bc.merge(c)
 	aThenBC := a
-	aThenBC.Merge(bc)
+	aThenBC.merge(bc)
 
 	ba := b // (b+a)+c — commutativity
-	ba.Merge(a)
-	ba.Merge(c)
+	ba.merge(a)
+	ba.merge(c)
 
 	if abThenC != aThenBC || abThenC != ba {
 		t.Errorf("merge not associative/commutative:\n(a+b)+c = %+v\na+(b+c) = %+v\n(b+a)+c = %+v",

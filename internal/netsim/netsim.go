@@ -23,15 +23,11 @@ import (
 	"seuss/internal/sim"
 )
 
-// ErrNoRoute is returned for traffic to an unmapped port.
-var ErrNoRoute = errors.New("netsim: no route for port")
+// errNoRoute is returned for traffic to an unmapped port.
+var errNoRoute = errors.New("netsim: no route for port")
 
-// ErrUnsupported is returned for traffic the proxy does not handle
-// (inbound-initiated connections, UDP, IPv6).
-var ErrUnsupported = errors.New("netsim: unsupported traffic")
-
-// Endpoint identifies a UC on a worker core.
-type Endpoint struct {
+// endpoint identifies a UC on a worker core.
+type endpoint struct {
 	UCID uint64
 	Core int
 }
@@ -42,8 +38,8 @@ type Endpoint struct {
 type Proxy struct {
 	cores    int
 	nextPort int
-	internal map[int]Endpoint // host→UC connections
-	external map[int]Endpoint // UC-initiated outbound flows (masqueraded)
+	internal map[int]endpoint // host→UC connections
+	external map[int]endpoint // UC-initiated outbound flows (masqueraded)
 	inPkts   int64
 	outPkts  int64
 	screened int64 // inbound packets dropped by screening
@@ -54,8 +50,8 @@ func NewProxy(cores int) *Proxy {
 	return &Proxy{
 		cores:    cores,
 		nextPort: 20000,
-		internal: make(map[int]Endpoint),
-		external: make(map[int]Endpoint),
+		internal: make(map[int]endpoint),
+		external: make(map[int]endpoint),
 	}
 }
 
@@ -66,7 +62,7 @@ func (p *Proxy) MapInternal(ucID uint64, core int) (int, error) {
 		return 0, fmt.Errorf("netsim: core %d out of range", core)
 	}
 	port := p.allocPort()
-	p.internal[port] = Endpoint{UCID: ucID, Core: core}
+	p.internal[port] = endpoint{UCID: ucID, Core: core}
 	return port, nil
 }
 
@@ -77,7 +73,7 @@ func (p *Proxy) MapOutbound(ucID uint64, core int) (int, error) {
 		return 0, fmt.Errorf("netsim: core %d out of range", core)
 	}
 	port := p.allocPort()
-	p.external[port] = Endpoint{UCID: ucID, Core: core}
+	p.external[port] = endpoint{UCID: ucID, Core: core}
 	return port, nil
 }
 
@@ -101,7 +97,7 @@ func (p *Proxy) allocPort() int {
 // it maps to. Packets destined for unmapped ports are screened out.
 // Inbound traffic can only belong to an internal mapping or be a reply
 // on a masqueraded outbound flow.
-func (p *Proxy) RouteInbound(port int) (Endpoint, error) {
+func (p *Proxy) RouteInbound(port int) (endpoint, error) {
 	p.inPkts++
 	if ep, ok := p.internal[port]; ok {
 		return ep, nil
@@ -110,11 +106,11 @@ func (p *Proxy) RouteInbound(port int) (Endpoint, error) {
 		return ep, nil
 	}
 	p.screened++
-	return Endpoint{}, ErrNoRoute
+	return endpoint{}, errNoRoute
 }
 
 // RouteOutbound records a UC-originated packet on a mapped flow.
-func (p *Proxy) RouteOutbound(port int) (Endpoint, error) {
+func (p *Proxy) RouteOutbound(port int) (endpoint, error) {
 	p.outPkts++
 	if ep, ok := p.external[port]; ok {
 		return ep, nil
@@ -122,17 +118,7 @@ func (p *Proxy) RouteOutbound(port int) (Endpoint, error) {
 	if ep, ok := p.internal[port]; ok {
 		return ep, nil
 	}
-	return Endpoint{}, ErrNoRoute
-}
-
-// InboundConnect handles an externally initiated connection attempt to
-// a UC. The design only supports outgoing TCP connections initiated
-// from within the unikernel (§6), so this always fails with
-// ErrUnsupported; the packet is screened.
-func (p *Proxy) InboundConnect(port int) error {
-	p.inPkts++
-	p.screened++
-	return ErrUnsupported
+	return endpoint{}, errNoRoute
 }
 
 // Unmap removes a mapping when its connection or UC dies.
@@ -159,9 +145,6 @@ func (p *Proxy) UnmapUC(ucID uint64) {
 func (p *Proxy) Mappings() (internal, external int) {
 	return len(p.internal), len(p.external)
 }
-
-// Screened returns the count of inbound packets dropped by screening.
-func (p *Proxy) Screened() int64 { return p.screened }
 
 // Traffic returns the (inbound, outbound) packet counts the proxy has
 // routed.
@@ -197,11 +180,11 @@ func (b *Bridge) Detach() {
 // Endpoints returns the number of attached endpoints.
 func (b *Bridge) Endpoints() int { return b.endpoints }
 
-// BroadcastLoad returns the fraction of one core the bridge's broadcast
+// broadcastLoad returns the fraction of one core the bridge's broadcast
 // processing consumes: each endpoint generates broadcasts at
 // BridgeBroadcastRate/s and each broadcast is processed once per
 // endpoint — the O(N²) kernel work of [46].
-func (b *Bridge) BroadcastLoad() float64 {
+func (b *Bridge) broadcastLoad() float64 {
 	n := float64(b.endpoints)
 	perSec := n * costs.BridgeBroadcastRate                // broadcasts/s
 	work := perSec * n * costs.BridgePerEndpoint.Seconds() // core-seconds/s
@@ -212,7 +195,7 @@ func (b *Bridge) BroadcastLoad() float64 {
 // current endpoint count. Zero below the threshold; grows linearly to
 // near-certain loss as broadcast work exceeds a full core.
 func (b *Bridge) DropProbability() float64 {
-	load := b.BroadcastLoad()
+	load := b.broadcastLoad()
 	if load <= costs.BridgeDropThreshold {
 		return 0
 	}
@@ -234,6 +217,3 @@ func (b *Bridge) Connect() bool {
 	}
 	return true
 }
-
-// Stats returns (attempts, drops).
-func (b *Bridge) Stats() (attempts, drops int64) { return b.attempts, b.drops }

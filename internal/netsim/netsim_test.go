@@ -23,7 +23,7 @@ func TestProxyInternalMapping(t *testing.T) {
 
 func TestProxyScreensUnmappedPorts(t *testing.T) {
 	p := NewProxy(16)
-	if _, err := p.RouteInbound(31337); err != ErrNoRoute {
+	if _, err := p.RouteInbound(31337); err != errNoRoute {
 		t.Errorf("err = %v", err)
 	}
 	if p.Screened() != 1 {
@@ -80,7 +80,7 @@ func TestProxyUnmap(t *testing.T) {
 	p := NewProxy(16)
 	port, _ := p.MapInternal(1, 0)
 	p.Unmap(port)
-	if _, err := p.RouteInbound(port); err != ErrNoRoute {
+	if _, err := p.RouteInbound(port); err != errNoRoute {
 		t.Error("mapping survived unmap")
 	}
 }
@@ -107,11 +107,11 @@ func TestBridgeLoadGrowsQuadratically(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Attach()
 	}
-	l100 := b.BroadcastLoad()
+	l100 := b.broadcastLoad()
 	for i := 0; i < 100; i++ {
 		b.Attach()
 	}
-	l200 := b.BroadcastLoad()
+	l200 := b.broadcastLoad()
 	ratio := l200 / l100
 	if ratio < 3.9 || ratio > 4.1 {
 		t.Errorf("load ratio for 2x endpoints = %.2f, want ≈4 (O(N²))", ratio)

@@ -52,29 +52,29 @@ import (
 	"seuss/internal/mem"
 )
 
-// Flags are per-leaf-entry permission and status bits.
-type Flags uint8
+// flags are per-leaf-entry permission and status bits.
+type flags uint8
 
 const (
-	// FlagPresent marks the entry as mapped.
-	FlagPresent Flags = 1 << iota
-	// FlagWritable allows stores without a fault.
-	FlagWritable
-	// FlagUser allows ring-3 (UC) access; all UC mappings carry it.
-	FlagUser
-	// FlagAccessed is set by any load or store (hardware A bit).
-	FlagAccessed
-	// FlagDirty is set by any store (hardware D bit).
-	FlagDirty
-	// FlagCoW is the software copy-on-write bit: the entry references a
+	// flagPresent marks the entry as mapped.
+	flagPresent flags = 1 << iota
+	// flagWritable allows stores without a fault.
+	flagWritable
+	// flagUser allows ring-3 (UC) access; all UC mappings carry it.
+	flagUser
+	// flagAccessed is set by any load or store (hardware A bit).
+	flagAccessed
+	// flagDirty is set by any store (hardware D bit).
+	flagDirty
+	// flagCoW is the software copy-on-write bit: the entry references a
 	// frame owned by a snapshot; the first store clones it.
-	FlagCoW
+	flagCoW
 
 	// flagDirtyListed is a software-only bit recording that the page's
 	// VA is on the space's dirty list — the invariant that lets the
 	// list be an append-only slice (reused across captures) instead of
 	// a map rebuilt per cycle, with no duplicate entries.
-	flagDirtyListed Flags = 1 << 7
+	flagDirtyListed flags = 1 << 7
 )
 
 const (
@@ -98,13 +98,13 @@ const (
 	maxPooledSpaces = 512
 )
 
-// ErrBadAddress is returned for virtual addresses outside the canonical
+// errBadAddress is returned for virtual addresses outside the canonical
 // range or not page-aligned where alignment is required.
-var ErrBadAddress = errors.New("pagetable: bad virtual address")
+var errBadAddress = errors.New("pagetable: bad virtual address")
 
-// ErrNotMapped is returned when an operation requires an existing
+// errNotMapped is returned when an operation requires an existing
 // mapping.
-var ErrNotMapped = errors.New("pagetable: address not mapped")
+var errNotMapped = errors.New("pagetable: address not mapped")
 
 // index extracts the radix index for the given level (3 = PML4 … 0 = PT).
 func index(va uint64, level int) int {
@@ -132,7 +132,7 @@ type tableNode interface{ header() *nodeHeader }
 type leaf struct {
 	nodeHeader
 	frames [entriesPer]mem.Frame
-	flags  [entriesPer]Flags
+	flags  [entriesPer]flags
 }
 
 // inlineKids is how many children an interior node holds before kids
@@ -416,7 +416,7 @@ func releaseNode(st *mem.Store, pool *structPool, n tableNode) {
 				st.DecRef(f)
 			}
 		}
-		n.frames, n.flags = [entriesPer]mem.Frame{}, [entriesPer]Flags{}
+		n.frames, n.flags = [entriesPer]mem.Frame{}, [entriesPer]flags{}
 		if len(pool.leaves) < maxPooledNodes {
 			pool.leaves = append(pool.leaves, n)
 		}
@@ -448,7 +448,7 @@ func (as *AddressSpace) Release() {
 // !build.
 func (as *AddressSpace) walk(va uint64, build bool) (*leaf, error) {
 	if va >= MaxVirtual {
-		return nil, ErrBadAddress
+		return nil, errBadAddress
 	}
 	n := as.root
 	for level := levels - 1; ; level-- {
@@ -483,33 +483,6 @@ func (as *AddressSpace) walk(va uint64, build bool) (*leaf, error) {
 	}
 }
 
-// MapFrame installs frame at page-aligned va with the given flags,
-// taking a reference on the frame. An existing mapping is replaced (its
-// frame reference dropped).
-func (as *AddressSpace) MapFrame(va uint64, f mem.Frame, flags Flags) error {
-	if as.frozen {
-		panic("pagetable: mutation of frozen address space")
-	}
-	if va%mem.PageSize != 0 {
-		return ErrBadAddress
-	}
-	pt, err := as.walk(va, true)
-	if err != nil {
-		return err
-	}
-	i := index(va, 0)
-	listed := pt.flags[i] & flagDirtyListed // a replaced mapping stays on the dirty list
-	if old := pt.frames[i]; old != 0 {
-		as.st.DecRef(old)
-	} else {
-		as.mapped++
-	}
-	as.st.IncRef(f)
-	pt.frames[i] = f
-	pt.flags[i] = (flags &^ flagDirtyListed) | FlagPresent | listed
-	return nil
-}
-
 // Unmap removes the mapping at va if present, dropping the frame
 // reference. An address that was never mapped returns ErrNotMapped and
 // leaves the table structure as it was.
@@ -518,7 +491,7 @@ func (as *AddressSpace) Unmap(va uint64) error {
 		panic("pagetable: mutation of frozen address space")
 	}
 	if va%mem.PageSize != 0 {
-		return ErrBadAddress
+		return errBadAddress
 	}
 	i := index(va, 0)
 	pt, err := as.walk(va, false)
@@ -526,7 +499,7 @@ func (as *AddressSpace) Unmap(va uint64) error {
 		return err
 	}
 	if pt == nil || pt.frames[i] == 0 {
-		return ErrNotMapped
+		return errNotMapped
 	}
 	// There is a mapping to remove: only now privatize the path to it.
 	if pt, err = as.walk(va, true); err != nil {
@@ -550,7 +523,7 @@ func (as *AddressSpace) Unmap(va uint64) error {
 // Translate returns the frame and flags mapped at va's page, or ok=false.
 // It does not set the accessed bit (use Load/Store for access
 // semantics). The software dirty-list bookkeeping bit is masked out.
-func (as *AddressSpace) Translate(va uint64) (mem.Frame, Flags, bool) {
+func (as *AddressSpace) Translate(va uint64) (mem.Frame, flags, bool) {
 	pt, err := as.walk(PageBase(va), false)
 	if err != nil || pt == nil {
 		return 0, 0, false
@@ -569,7 +542,7 @@ func (as *AddressSpace) Translate(va uint64) (mem.Frame, Flags, bool) {
 func (as *AddressSpace) Load(va uint64, dst []byte) error {
 	for len(dst) > 0 {
 		if va >= MaxVirtual {
-			return ErrBadAddress
+			return errBadAddress
 		}
 		off := int(va % mem.PageSize)
 		n := mem.PageSize - off
@@ -581,9 +554,9 @@ func (as *AddressSpace) Load(va uint64, dst []byte) error {
 			return err
 		}
 		if pt == nil {
-			zero(dst[:n])
+			clear(dst[:n])
 		} else if f := pt.frames[index(va, 0)]; f == 0 {
-			zero(dst[:n])
+			clear(dst[:n])
 		} else {
 			as.st.Read(f, off, dst[:n])
 		}
@@ -593,12 +566,6 @@ func (as *AddressSpace) Load(va uint64, dst []byte) error {
 	return nil
 }
 
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
 // Store writes data at va, crossing page boundaries, resolving faults
 // exactly as the SEUSS kernel handler does: demand-zero for unmapped
 // pages, frame clones for CoW pages. Dirty bits are set and the dirty
@@ -606,7 +573,7 @@ func zero(b []byte) {
 func (as *AddressSpace) Store(va uint64, data []byte) error {
 	for len(data) > 0 {
 		if va >= MaxVirtual {
-			return ErrBadAddress
+			return errBadAddress
 		}
 		off := int(va % mem.PageSize)
 		n := mem.PageSize - off
@@ -662,10 +629,10 @@ func (as *AddressSpace) faultForWrite(va uint64) (mem.Frame, error) {
 			return 0, err
 		}
 		pt.frames[i] = f
-		flags = FlagPresent | FlagWritable | FlagUser
+		flags = flagPresent | flagWritable | flagUser
 		as.mapped++
 		as.Faults.DemandZero++
-	case flags&FlagWritable == 0 && flags&FlagCoW != 0:
+	case flags&flagWritable == 0 && flags&flagCoW != 0:
 		// CoW fault: clone the snapshot's frame; all writes land on a
 		// page dedicated exclusively to this UC (§5).
 		f, err := as.st.Clone(pt.frames[i])
@@ -674,15 +641,15 @@ func (as *AddressSpace) faultForWrite(va uint64) (mem.Frame, error) {
 		}
 		as.st.DecRef(pt.frames[i])
 		pt.frames[i] = f
-		flags = (flags &^ FlagCoW) | FlagWritable
+		flags = (flags &^ flagCoW) | flagWritable
 		as.Faults.CoW++
-	case flags&FlagWritable == 0:
+	case flags&flagWritable == 0:
 		return 0, fmt.Errorf("pagetable: write protection fault at %#x", va)
 	}
 	if flags&flagDirtyListed == 0 {
 		as.dirty = append(as.dirty, va)
 	}
-	pt.flags[i] = flags | FlagDirty | FlagAccessed | flagDirtyListed
+	pt.flags[i] = flags | flagDirty | flagAccessed | flagDirtyListed
 	return pt.frames[i], nil
 }
 
@@ -733,7 +700,7 @@ func (as *AddressSpace) NewSparseInstaller(expect int) *SparseInstaller {
 func (si *SparseInstaller) Page(va uint64, content []byte) error {
 	as := si.as
 	if va >= MaxVirtual || va%mem.PageSize != 0 {
-		return ErrBadAddress
+		return errBadAddress
 	}
 	if !si.spanOK || va&^spanMask != si.spanBase {
 		pt, err := as.walk(va, false)
@@ -773,7 +740,7 @@ func (si *SparseInstaller) Page(va uint64, content []byte) error {
 		as.mapped++
 	}
 	si.pt.frames[i] = f
-	si.pt.flags[i] = FlagPresent | FlagUser | FlagCoW | FlagAccessed
+	si.pt.flags[i] = flagPresent | flagUser | flagCoW | flagAccessed
 	return nil
 }
 
@@ -803,7 +770,7 @@ func (as *AddressSpace) PrefetchWritable(vas []uint64) (int, error) {
 	resolved := 0
 	for _, va := range vas {
 		if va >= MaxVirtual || va%mem.PageSize != 0 {
-			return resolved, ErrBadAddress
+			return resolved, errBadAddress
 		}
 		pt, err := cur.at(as, va, true)
 		if err != nil {
@@ -818,23 +785,23 @@ func (as *AddressSpace) PrefetchWritable(vas []uint64) (int, error) {
 				return resolved, err
 			}
 			pt.frames[i] = f
-			flags = FlagPresent | FlagWritable | FlagUser
+			flags = flagPresent | flagWritable | flagUser
 			as.mapped++
-		case flags&FlagWritable == 0 && flags&FlagCoW != 0:
+		case flags&flagWritable == 0 && flags&flagCoW != 0:
 			f, err := as.st.Clone(pt.frames[i])
 			if err != nil {
 				return resolved, err
 			}
 			as.st.DecRef(pt.frames[i])
 			pt.frames[i] = f
-			flags = (flags &^ FlagCoW) | FlagWritable
+			flags = (flags &^ flagCoW) | flagWritable
 		default:
 			continue // already writable (or protected): nothing to prefetch
 		}
 		if flags&flagDirtyListed == 0 {
 			as.dirty = append(as.dirty, va)
 		}
-		pt.flags[i] = flags | FlagDirty | FlagAccessed | flagDirtyListed
+		pt.flags[i] = flags | flagDirty | flagAccessed | flagDirtyListed
 		as.Faults.Prefetched++
 		resolved++
 	}
@@ -864,7 +831,7 @@ func (as *AddressSpace) ClearDirty() {
 	var cur ptCursor
 	for _, va := range as.dirty {
 		if pt, _ := cur.at(as, va, false); pt != nil {
-			pt.flags[index(va, 0)] &^= FlagDirty | flagDirtyListed
+			pt.flags[index(va, 0)] &^= flagDirty | flagDirtyListed
 		}
 	}
 	as.dirty = as.dirty[:0]
@@ -895,18 +862,11 @@ func setCoW(n tableNode) {
 		}
 	case *leaf:
 		for i, flags := range n.flags {
-			if flags&FlagWritable != 0 {
-				n.flags[i] = (flags &^ FlagWritable) | FlagCoW
+			if flags&flagWritable != 0 {
+				n.flags[i] = (flags &^ flagWritable) | flagCoW
 			}
 		}
 	}
-}
-
-// ResetFaults zeroes the fault counters and returns the previous values.
-func (as *AddressSpace) ResetFaults() FaultStats {
-	f := as.Faults
-	as.Faults = FaultStats{}
-	return f
 }
 
 // PresentPages returns the sorted page-base addresses of every present

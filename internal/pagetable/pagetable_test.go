@@ -107,7 +107,7 @@ func TestDirtyTracking(t *testing.T) {
 	}
 	// Flags cleared too.
 	_, fl, ok := as.Translate(0x1000)
-	if !ok || fl&FlagDirty != 0 {
+	if !ok || fl&flagDirty != 0 {
 		t.Errorf("dirty bit survives ClearDirty: %v %v", fl, ok)
 	}
 }
@@ -125,16 +125,16 @@ func TestTouchRange(t *testing.T) {
 func TestMapFrameAndTranslate(t *testing.T) {
 	st := mem.NewStore(0)
 	as, _ := New(st)
-	f := st.MustAlloc()
+	f := mustAlloc(st)
 	st.Write(f, 0, []byte("shared"))
-	if err := as.MapFrame(0x7000, f, FlagUser); err != nil {
+	if err := as.MapFrame(0x7000, f, flagUser); err != nil {
 		t.Fatal(err)
 	}
 	got, fl, ok := as.Translate(0x7abc)
 	if !ok || got != f {
 		t.Fatal("translate failed")
 	}
-	if fl&FlagPresent == 0 {
+	if fl&flagPresent == 0 {
 		t.Error("present not set")
 	}
 	if st.Refs(f) != 2 {
@@ -145,7 +145,7 @@ func TestMapFrameAndTranslate(t *testing.T) {
 func TestMapFrameUnaligned(t *testing.T) {
 	st := mem.NewStore(0)
 	as, _ := New(st)
-	if err := as.MapFrame(0x7001, st.MustAlloc(), 0); err != ErrBadAddress {
+	if err := as.MapFrame(0x7001, mustAlloc(st), 0); err != errBadAddress {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -153,8 +153,8 @@ func TestMapFrameUnaligned(t *testing.T) {
 func TestUnmap(t *testing.T) {
 	st := mem.NewStore(0)
 	as, _ := New(st)
-	f := st.MustAlloc()
-	if err := as.MapFrame(0x7000, f, FlagUser); err != nil {
+	f := mustAlloc(st)
+	if err := as.MapFrame(0x7000, f, flagUser); err != nil {
 		t.Fatal(err)
 	}
 	if err := as.Unmap(0x7000); err != nil {
@@ -166,7 +166,7 @@ func TestUnmap(t *testing.T) {
 	if st.Refs(f) != 1 {
 		t.Errorf("refs = %d, want 1", st.Refs(f))
 	}
-	if err := as.Unmap(0x7000); err != ErrNotMapped {
+	if err := as.Unmap(0x7000); err != errNotMapped {
 		t.Errorf("double unmap err = %v", err)
 	}
 }
@@ -174,9 +174,9 @@ func TestUnmap(t *testing.T) {
 func TestWriteProtectionFault(t *testing.T) {
 	st := mem.NewStore(0)
 	as, _ := New(st)
-	f := st.MustAlloc()
+	f := mustAlloc(st)
 	// Read-only, not CoW: a genuine protection violation.
-	if err := as.MapFrame(0x1000, f, FlagUser); err != nil {
+	if err := as.MapFrame(0x1000, f, flagUser); err != nil {
 		t.Fatal(err)
 	}
 	if err := as.Store(0x1000, []byte{1}); err == nil {
@@ -186,10 +186,10 @@ func TestWriteProtectionFault(t *testing.T) {
 
 func TestBadAddress(t *testing.T) {
 	as := newAS(t)
-	if err := as.Store(MaxVirtual, []byte{1}); err != ErrBadAddress {
+	if err := as.Store(MaxVirtual, []byte{1}); err != errBadAddress {
 		t.Errorf("store err = %v", err)
 	}
-	if err := as.Load(MaxVirtual, make([]byte, 1)); err != ErrBadAddress {
+	if err := as.Load(MaxVirtual, make([]byte, 1)); err != errBadAddress {
 		t.Errorf("load err = %v", err)
 	}
 }

@@ -205,7 +205,7 @@ func TestQuickSetCoWAllLeavesNothingWritable(t *testing.T) {
 		downgraded := func() bool {
 			cur.SetCoWAll()
 			for _, va := range cur.PresentPages() {
-				if _, flags, ok := cur.Translate(va); !ok || flags&FlagWritable != 0 {
+				if _, flags, ok := cur.Translate(va); !ok || flags&flagWritable != 0 {
 					return false
 				}
 			}
@@ -263,7 +263,7 @@ func TestUnmapOfUnmappedAddressBuildsNothing(t *testing.T) {
 		0x7000,  // inside the parent's PT: a build walk would privatize three nodes
 		5 << 39, // under an empty root slot: a build walk would create three
 	} {
-		if err := child.Unmap(va); err != ErrNotMapped {
+		if err := child.Unmap(va); err != errNotMapped {
 			t.Errorf("Unmap(%#x) = %v, want ErrNotMapped", va, err)
 		}
 	}

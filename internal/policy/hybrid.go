@@ -22,7 +22,7 @@ type hybridKey struct {
 	hist     [iatBuckets]uint32
 }
 
-// Hybrid picks per-function windows from a per-key inter-arrival-time
+// hybrid picks per-function windows from a per-key inter-arrival-time
 // histogram, after the hybrid policy of "Serverless in the Wild"
 // (Shahrad et al., ATC'20): functions whose gaps are long but
 // concentrated (periodic crons, batch ticks) are scaled to zero right
@@ -30,7 +30,7 @@ type hybridKey struct {
 // else gets a keep-alive window sized to its tail gap (p95), clamped to
 // [Min, Max]. Keys with too little history get the short Default
 // window — which is what retires one-shot keys quickly.
-type Hybrid struct {
+type hybrid struct {
 	// Min and Max clamp every learned keep-alive window.
 	Min, Max time.Duration
 	// Default is the window used before MinSamples gaps are recorded.
@@ -65,8 +65,8 @@ type Hybrid struct {
 }
 
 // NewHybrid returns a Hybrid with the package defaults.
-func NewHybrid() *Hybrid {
-	return &Hybrid{
+func NewHybrid() *hybrid {
+	return &hybrid{
 		Min:           20 * time.Second,
 		Max:           10 * time.Minute,
 		Default:       45 * time.Second,
@@ -79,9 +79,9 @@ func NewHybrid() *Hybrid {
 	}
 }
 
-func (h *Hybrid) Name() string { return "hybrid" }
+func (h *hybrid) Name() string { return "hybrid" }
 
-func (h *Hybrid) RecordInvoke(key string, now time.Duration) {
+func (h *hybrid) RecordInvoke(key string, now time.Duration) {
 	if h.keys == nil {
 		h.keys = make(map[string]*hybridKey)
 	}
@@ -105,13 +105,13 @@ func (h *Hybrid) RecordInvoke(key string, now time.Duration) {
 	st.last = now
 }
 
-func (h *Hybrid) RecordPressure(key string, now time.Duration) {
+func (h *hybrid) RecordPressure(key string, now time.Duration) {
 	if st := h.keys[key]; st != nil {
 		st.pressure++
 	}
 }
 
-func (h *Hybrid) KeepAlive(key string, now time.Duration) time.Duration {
+func (h *hybrid) KeepAlive(key string, now time.Duration) time.Duration {
 	st := h.keys[key]
 	if st == nil || st.samples < h.MinSamples {
 		return h.pressureScaled(st, h.Default)
@@ -123,7 +123,7 @@ func (h *Hybrid) KeepAlive(key string, now time.Duration) time.Duration {
 	return h.pressureScaled(st, clampDur(p95u, h.Min, h.Max))
 }
 
-func (h *Hybrid) SnapshotKeepAlive(key string, now time.Duration) time.Duration {
+func (h *hybrid) SnapshotKeepAlive(key string, now time.Duration) time.Duration {
 	st := h.keys[key]
 	if st == nil || st.samples < h.MinSamples {
 		return h.pressureScaled(st, h.Default)
@@ -151,7 +151,7 @@ func (h *Hybrid) SnapshotKeepAlive(key string, now time.Duration) time.Duration 
 
 // holdFactor guards zero-value Hybrid literals (tests) against a
 // degenerate zero-length hold.
-func (h *Hybrid) holdFactor() float64 {
+func (h *hybrid) holdFactor() float64 {
 	if h.HoldFactor <= 0 {
 		return 2.0
 	}
@@ -165,7 +165,7 @@ func (h *Hybrid) holdFactor() float64 {
 // arrivals. Periodic keys are exempt — their windows are already Min
 // outside the prewarm hold, and shortening the hold would turn
 // predictions into lukewarm misses.
-func (h *Hybrid) pressureScaled(st *hybridKey, d time.Duration) time.Duration {
+func (h *hybrid) pressureScaled(st *hybridKey, d time.Duration) time.Duration {
 	if st == nil || st.pressure == 0 {
 		return d
 	}
@@ -176,7 +176,7 @@ func (h *Hybrid) pressureScaled(st *hybridKey, d time.Duration) time.Duration {
 	return d >> uint(p)
 }
 
-func (h *Hybrid) PrewarmAt(key string, now time.Duration) (time.Duration, bool) {
+func (h *hybrid) PrewarmAt(key string, now time.Duration) (time.Duration, bool) {
 	st := h.keys[key]
 	if st == nil || st.samples < h.MinSamples || !h.periodic(st) {
 		return 0, false
@@ -185,7 +185,7 @@ func (h *Hybrid) PrewarmAt(key string, now time.Duration) (time.Duration, bool) 
 	return st.last + time.Duration(h.PrewarmMargin*float64(p50l)), true
 }
 
-func (h *Hybrid) Clone() Policy {
+func (h *hybrid) Clone() Policy {
 	c := *h
 	c.keys = nil
 	return &c
@@ -194,21 +194,12 @@ func (h *Hybrid) Clone() Policy {
 // Keys reports how many distinct functions this instance has tracked —
 // observability for tests (a cloned-per-shard policy's template must
 // stay at zero) and stats.
-func (h *Hybrid) Keys() int { return len(h.keys) }
-
-// PressureEvents reports how many pressure evictions have been
-// recorded against key — observability for tests and stats.
-func (h *Hybrid) PressureEvents(key string) int {
-	if st := h.keys[key]; st != nil {
-		return st.pressure
-	}
-	return 0
-}
+func (h *hybrid) Keys() int { return len(h.keys) }
 
 // periodic reports whether the key's gaps are long (median at least
 // PrewarmMinIAT) and concentrated (p95 within Concentration× of p50) —
 // the pattern worth scaling to zero and prewarming.
-func (h *Hybrid) periodic(st *hybridKey) bool {
+func (h *hybrid) periodic(st *hybridKey) bool {
 	p50l, p50u := h.percentile(st, 0.50)
 	_, p95u := h.percentile(st, 0.95)
 	return p50l >= h.PrewarmMinIAT && float64(p95u) <= h.Concentration*float64(p50u)
@@ -218,7 +209,7 @@ func (h *Hybrid) periodic(st *hybridKey) bool {
 // holding the q-th gap quantile. Callers pick the bound whose error
 // direction is safe: upper for keep-alive windows (never expire
 // early), lower for prewarm predictions (never promote late).
-func (h *Hybrid) percentile(st *hybridKey, q float64) (lo, hi time.Duration) {
+func (h *hybrid) percentile(st *hybridKey, q float64) (lo, hi time.Duration) {
 	target := int(math.Ceil(q * float64(st.samples)))
 	if target < 1 {
 		target = 1

@@ -20,12 +20,8 @@ import (
 	"time"
 )
 
-// Pinned is the KeepAlive / SnapshotKeepAlive return value meaning
-// "never expire" — the reaper skips the key entirely.
-const Pinned = time.Duration(-1)
-
 // Policy picks per-function lifecycle windows. The zero windows mean
-// scale-to-zero immediately; Pinned (< 0) means never expire.
+// scale-to-zero immediately; a negative window means never expire.
 type Policy interface {
 	// Name identifies the policy in stats, TSV output, and flags.
 	Name() string
@@ -41,8 +37,8 @@ type Policy interface {
 	RecordPressure(key string, now time.Duration)
 
 	// KeepAlive returns how long an idle UC of key may sit unused
-	// before the reaper destroys it. 0 = destroy on the next tick,
-	// Pinned = keep forever.
+	// before the reaper destroys it: 0 destroys on the next tick, a
+	// negative window keeps it forever.
 	KeepAlive(key string, now time.Duration) time.Duration
 
 	// SnapshotKeepAlive returns how long the key's resident snapshot
@@ -80,9 +76,9 @@ func (NoKeepAlive) PrewarmAt(string, time.Duration) (time.Duration, bool) {
 }
 func (NoKeepAlive) Clone() Policy { return NoKeepAlive{} }
 
-// DefaultFixedWindow is the classic production keep-alive: idle state
+// defaultFixedWindow is the classic production keep-alive: idle state
 // survives ten minutes past the last invocation.
-const DefaultFixedWindow = 10 * time.Minute
+const defaultFixedWindow = 10 * time.Minute
 
 // FixedKeepAlive keeps every function's idle UCs and resident lineage
 // for one fixed window past its last invocation, then scales to zero.
@@ -94,7 +90,7 @@ type FixedKeepAlive struct {
 
 func (f FixedKeepAlive) window() time.Duration {
 	if f.Window <= 0 {
-		return DefaultFixedWindow
+		return defaultFixedWindow
 	}
 	return f.Window
 }

@@ -32,8 +32,8 @@ func TestPolicyBaselineWindows(t *testing.T) {
 	if _, ok := fixed.PrewarmAt("k", now); ok {
 		t.Error("FixedKeepAlive.PrewarmAt predicted a recurrence")
 	}
-	if got := (FixedKeepAlive{}).KeepAlive("k", now); got != DefaultFixedWindow {
-		t.Errorf("zero-window FixedKeepAlive = %v, want default %v", got, DefaultFixedWindow)
+	if got := (FixedKeepAlive{}).KeepAlive("k", now); got != defaultFixedWindow {
+		t.Errorf("zero-window FixedKeepAlive = %v, want default %v", got, defaultFixedWindow)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestPolicyHybridCloneIsIndependent(t *testing.T) {
 	h.RecordInvoke("k", 2*time.Second)
 	h.RecordInvoke("k", 3*time.Second)
 
-	c, ok := h.Clone().(*Hybrid)
+	c, ok := h.Clone().(*hybrid)
 	if !ok {
 		t.Fatal("Clone did not return a *Hybrid")
 	}

@@ -17,7 +17,7 @@ func TestMemberStateMachine(t *testing.T) {
 	if from, to := v.MissHeartbeat(0, 2, 4); from != StateAlive || to != StateSuspect {
 		t.Fatalf("miss 2: %v -> %v, want alive -> suspect", from, to)
 	}
-	if v.Alive(0) {
+	if v.alive(0) {
 		t.Error("suspect node reported alive")
 	}
 	if from, to := v.MissHeartbeat(0, 2, 4); from != StateSuspect || to != StateSuspect {
@@ -38,8 +38,8 @@ func TestMemberStateMachine(t *testing.T) {
 	if prev := v.ReportHeartbeat(0); prev != StateDead {
 		t.Fatalf("report returned prior state %v, want dead", prev)
 	}
-	if !v.Alive(0) || v.Missed(0) != 0 {
-		t.Errorf("report did not reset: alive=%v missed=%d", v.Alive(0), v.Missed(0))
+	if !v.alive(0) || v.Missed(0) != 0 {
+		t.Errorf("report did not reset: alive=%v missed=%d", v.alive(0), v.Missed(0))
 	}
 }
 
@@ -93,7 +93,7 @@ func TestFilterAliveDropsSuspectHolders(t *testing.T) {
 	v.MissHeartbeat(2, 1, 2)
 	v.MissHeartbeat(2, 1, 2) // dead
 	ids := []int{0, 1, 2}
-	got := v.FilterAlive(ids)
+	got := v.filterAlive(ids)
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("FilterAlive = %v, want [0]", got)
 	}

@@ -27,13 +27,13 @@ import (
 	"sync/atomic"
 )
 
-// Action is what the placer tells the caller to do with a request.
-type Action int
+// action is what the placer tells the caller to do with a request.
+type action int
 
 const (
 	// ActionCold places the request on a node with no snapshot
 	// anywhere: the function pays its once-per-cluster cold start.
-	ActionCold Action = iota
+	ActionCold action = iota
 	// ActionRoute forwards the request to a node already holding the
 	// snapshot (in RAM, or on disk for a lukewarm restore).
 	ActionRoute
@@ -46,7 +46,7 @@ const (
 var actionNames = [...]string{"cold", "route", "fetch"}
 
 // String implements fmt.Stringer.
-func (a Action) String() string { return actionNames[a] }
+func (a action) String() string { return actionNames[a] }
 
 // NodeState is one node's load and health input to a placement.
 type NodeState struct {
@@ -78,7 +78,7 @@ type Placement struct {
 	// Node serves the request.
 	Node int
 	// Action is how the node gets ready to serve it.
-	Action Action
+	Action action
 	// Holder is the source node for ActionFetch and the serving holder
 	// for ActionRoute; -1 when no holder is involved.
 	Holder int
@@ -107,9 +107,13 @@ func (sw *singleWriter) enter(who string) {
 
 func (sw *singleWriter) exit() { sw.busy.Store(false) }
 
+// placeSlack is how many in-flight requests beyond the least-loaded
+// node's a holder may carry before LocalityPlacer counts it overloaded.
+const placeSlack = 1
+
 // LocalityPlacer is the default policy: serve where the snapshot
 // already lives. A request routes to its least-loaded holder while the
-// holder keeps up; once the holder is Slack requests busier than the
+// holder keeps up; once the holder is placeSlack requests busier than the
 // cluster's least-loaded node and Replicate is set, the function
 // replicates there by layer fetch (the caller routes to the holder
 // instead when either end has no disk tier to fetch through). With no
@@ -118,12 +122,8 @@ func (sw *singleWriter) exit() { sw.busy.Store(false) }
 // placed least-loaded with a round-robin tie-break.
 type LocalityPlacer struct {
 	// Replicate allows fetch placements when a holder is overloaded
-	// (the cluster's PolicyMigrate). False always routes.
+	// (a replicated snapshot cache). False always routes.
 	Replicate bool
-	// Slack is how many in-flight requests beyond the least-loaded
-	// node's a holder may carry before it counts as overloaded
-	// (default 1).
-	Slack int
 
 	sw      singleWriter
 	cursor  int
@@ -142,22 +142,18 @@ func (lp *LocalityPlacer) Name() string {
 func (lp *LocalityPlacer) Place(r Request) Placement {
 	lp.sw.enter("LocalityPlacer")
 	defer lp.sw.exit()
-	slack := lp.Slack
-	if slack <= 0 {
-		slack = 1
-	}
 	least := leastLoaded(r.Nodes, &lp.cursor)
 
 	// Holders the heartbeat machinery believes non-alive are skipped:
 	// routing to a suspect node gambles the request on a member that has
 	// stopped reporting, and a dead one is certain to fail over.
-	lp.holders = r.View.FilterAlive(r.View.AppendResidentHolders(lp.holders[:0], r.Key))
+	lp.holders = r.View.filterAlive(r.View.appendResidentHolders(lp.holders[:0], r.Key))
 	holder := minInflight(r.Nodes, lp.holders)
 	if holder < 0 {
 		// No reachable RAM holder. A live node holding the lineage in
 		// its disk tier serves lukewarm — far cheaper than another
 		// cluster cold.
-		lp.holders = r.View.FilterAlive(r.View.AppendTierHolders(lp.holders[:0], r.Lineage))
+		lp.holders = r.View.filterAlive(r.View.appendTierHolders(lp.holders[:0], r.Lineage))
 		if h := minInflight(r.Nodes, lp.holders); h >= 0 {
 			return Placement{Node: h, Action: ActionRoute, Holder: h}
 		}
@@ -167,7 +163,7 @@ func (lp *LocalityPlacer) Place(r Request) Placement {
 	}
 
 	hs := stateOf(r.Nodes, holder)
-	if !lp.Replicate || hs.Inflight <= least.Inflight+slack {
+	if !lp.Replicate || hs.Inflight <= least.Inflight+placeSlack {
 		return Placement{Node: holder, Action: ActionRoute, Holder: holder}
 	}
 	// The holder is overloaded and replication is allowed.
@@ -195,7 +191,7 @@ func (lb *LeastLoadedPlacer) Place(r Request) Placement {
 	lb.sw.enter("LeastLoadedPlacer")
 	defer lb.sw.exit()
 	least := leastLoaded(r.Nodes, &lb.cursor)
-	if r.View.Resident(least.ID, r.Key) && r.View.Alive(least.ID) {
+	if r.View.Resident(least.ID, r.Key) && r.View.alive(least.ID) {
 		return Placement{Node: least.ID, Action: ActionRoute, Holder: least.ID}
 	}
 	return Placement{Node: least.ID, Action: ActionCold, Holder: -1}

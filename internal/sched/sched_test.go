@@ -198,14 +198,14 @@ func TestViewConcurrentLookupsDuringRefresh(t *testing.T) {
 			defer readers.Done()
 			var scratch []int
 			for i := 0; i < 5000; i++ {
-				scratch = v.AppendResidentHolders(scratch[:0], "a")
+				scratch = v.appendResidentHolders(scratch[:0], "a")
 				for _, id := range scratch {
 					if id < 0 || id >= 4 {
 						t.Errorf("torn holder ID %d", id)
 						return
 					}
 				}
-				scratch = v.AppendTierHolders(scratch[:0], "fn/a")
+				scratch = v.appendTierHolders(scratch[:0], "fn/a")
 				v.Resident(i%4, "b")
 				v.Layer(i%4, "runtime/nodejs")
 			}

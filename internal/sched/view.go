@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sort"
 	"sync"
 )
 
@@ -16,18 +15,18 @@ type Layer struct {
 	Size   int64
 }
 
-// MemberState is the scheduler's liveness belief about one node,
+// memberState is the scheduler's liveness belief about one node,
 // driven by heartbeats piggybacked on gossip rounds: a node whose
 // report lands is alive; one that misses K consecutive rounds is
 // suspect; one that keeps missing is declared dead and has its view
 // entries purged. The zero value is StateAlive, so callers that never
 // run the heartbeat machinery (the shardpool router) see every node as
 // placeable.
-type MemberState int
+type memberState int
 
 const (
 	// StateAlive: heartbeats landing; the node takes placements.
-	StateAlive MemberState = iota
+	StateAlive memberState = iota
 	// StateSuspect: K or more consecutive heartbeats missed; placers
 	// skip the node as a holder but its entries are retained — a single
 	// resumed report restores it.
@@ -40,13 +39,13 @@ const (
 var memberStateNames = [...]string{"alive", "suspect", "dead"}
 
 // String implements fmt.Stringer.
-func (s MemberState) String() string { return memberStateNames[s] }
+func (s memberState) String() string { return memberStateNames[s] }
 
 // nodeView is what the scheduler believes about one node.
 type nodeView struct {
 	// state is the heartbeat-driven liveness belief; missed counts the
 	// consecutive heartbeat rounds the node has failed to report.
-	state  MemberState
+	state  memberState
 	missed int
 	// resident is the node's RAM-resident function snapshots, keyed by
 	// function key. Updated synchronously on serve/transfer success and
@@ -90,22 +89,15 @@ func NewView(n int) *View {
 	return v
 }
 
-// Nodes returns the view's node count.
-func (v *View) Nodes() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.nodes)
-}
-
 // State returns the liveness belief for a node.
-func (v *View) State(node int) MemberState {
+func (v *View) State(node int) memberState {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return v.nodes[node].state
 }
 
-// Alive reports whether the view believes a node is taking placements.
-func (v *View) Alive(node int) bool {
+// alive reports whether the view believes a node is taking placements.
+func (v *View) alive(node int) bool {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return v.nodes[node].state == StateAlive
@@ -123,7 +115,7 @@ func (v *View) Missed(node int) int {
 // round: its missed count resets and it is believed alive again.
 // Returns the state the node held before the report, so the caller can
 // count and trace recoveries.
-func (v *View) ReportHeartbeat(node int) MemberState {
+func (v *View) ReportHeartbeat(node int) memberState {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	prev := v.nodes[node].state
@@ -137,7 +129,7 @@ func (v *View) ReportHeartbeat(node int) MemberState {
 // consecutive misses, suspect → dead after deadAfter. Returns the
 // states before and after so the caller can count transitions. A dead
 // node stays dead until a report lands (ReportHeartbeat).
-func (v *View) MissHeartbeat(node, suspectAfter, deadAfter int) (from, to MemberState) {
+func (v *View) MissHeartbeat(node, suspectAfter, deadAfter int) (from, to memberState) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	nv := &v.nodes[node]
@@ -167,10 +159,10 @@ func (v *View) PurgeNode(node int) int {
 	return n
 }
 
-// FilterAlive removes (in place) the IDs of nodes not believed alive
+// filterAlive removes (in place) the IDs of nodes not believed alive
 // and returns the filtered slice — the holder-liveness filter placers
 // apply before routing.
-func (v *View) FilterAlive(ids []int) []int {
+func (v *View) filterAlive(ids []int) []int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	out := ids[:0]
@@ -238,10 +230,10 @@ func (v *View) Resident(node int, key string) bool {
 	return v.nodes[node].resident[key]
 }
 
-// AppendResidentHolders appends (to dst) the IDs of nodes believed to
+// appendResidentHolders appends (to dst) the IDs of nodes believed to
 // hold key in RAM, in ascending node order, and returns the extended
 // slice — the allocation-free lookup the hot path uses.
-func (v *View) AppendResidentHolders(dst []int, key string) []int {
+func (v *View) appendResidentHolders(dst []int, key string) []int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	for i := range v.nodes {
@@ -255,12 +247,12 @@ func (v *View) AppendResidentHolders(dst []int, key string) []int {
 // ResidentHolders returns the nodes believed to hold key in RAM, in
 // ascending node order. Allocates; hot paths use the Append form.
 func (v *View) ResidentHolders(key string) []int {
-	return v.AppendResidentHolders(nil, key)
+	return v.appendResidentHolders(nil, key)
 }
 
-// AppendTierHolders appends the IDs of nodes whose advertised disk
+// appendTierHolders appends the IDs of nodes whose advertised disk
 // manifest contains the lineage key, in ascending node order.
-func (v *View) AppendTierHolders(dst []int, lineage string) []int {
+func (v *View) appendTierHolders(dst []int, lineage string) []int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	for i := range v.nodes {
@@ -269,25 +261,4 @@ func (v *View) AppendTierHolders(dst []int, lineage string) []int {
 		}
 	}
 	return dst
-}
-
-// Layer returns a node's advertised layer for a tier key.
-func (v *View) Layer(node int, key string) (Layer, bool) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	l, ok := v.nodes[node].layers[key]
-	return l, ok
-}
-
-// Layers returns a node's advertised manifest sorted by key (tests,
-// introspection).
-func (v *View) Layers(node int) []Layer {
-	v.mu.RLock()
-	out := make([]Layer, 0, len(v.nodes[node].layers))
-	for _, l := range v.nodes[node].layers {
-		out = append(out, l)
-	}
-	v.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }

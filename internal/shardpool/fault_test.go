@@ -261,7 +261,7 @@ func TestStallWithoutStealingFailsContained(t *testing.T) {
 	pool := newTestPool(t, cfg)
 
 	_, err := pool.InvokeSync("stall/fn", nopSource, "{}")
-	if !errors.Is(err, ErrShardStalled) {
+	if !errors.Is(err, errShardStalled) {
 		t.Fatalf("err = %v, want ErrShardStalled", err)
 	}
 	if !fault.IsContained(err) {

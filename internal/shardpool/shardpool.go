@@ -67,8 +67,8 @@ import (
 	"seuss/internal/uc"
 )
 
-// ErrClosed is returned for requests submitted after Close.
-var ErrClosed = errors.New("shardpool: pool closed")
+// errClosed is returned for requests submitted after Close.
+var errClosed = errors.New("shardpool: pool closed")
 
 // ErrOverloaded is returned when a request's shard queue stays full for
 // AdmitDeadline. Contained and counted: the pool sheds the request
@@ -83,11 +83,11 @@ var ErrOverloaded = errors.New("shardpool: overloaded")
 // keeps the front door answering.
 const AdmitDeadline = time.Second
 
-// ErrShardStalled is returned when a stalled shard cannot re-route a
+// errShardStalled is returned when a stalled shard cannot re-route a
 // request (stealing disabled, or the requeue budget is exhausted in a
 // pool-wide fault storm). Contained: a retry may land on a healthy
 // shard.
-var ErrShardStalled = errors.New("shardpool: shard stalled")
+var errShardStalled = errors.New("shardpool: shard stalled")
 
 // Config parameterizes a pool.
 type Config struct {
@@ -559,9 +559,6 @@ func (p *Pool) shardFor(key string) int {
 	return sched.OwnerShard(key, len(p.shards))
 }
 
-// OwnerShard exposes the routing decision (tests, instrumentation).
-func (p *Pool) OwnerShard(key string) int { return p.shardFor(key) }
-
 // loop is a shard goroutine: it exclusively owns the shard's engine and
 // node, serving its own queue with priority and stealing from the
 // shared overflow queue when idle. A shard whose breaker is not closed
@@ -627,7 +624,7 @@ func (s *shard) serve(r *request, stolen bool) {
 				// Overflow full under a pool-wide storm; fail contained.
 			}
 		}
-		r.reply <- response{err: fault.Contain(ErrShardStalled), shard: s.id, stolen: stolen}
+		r.reply <- response{err: fault.Contain(errShardStalled), shard: s.id, stolen: stolen}
 		return
 	}
 
@@ -655,7 +652,7 @@ func (s *shard) serve(r *request, stolen bool) {
 // which carry no client, wait as long as it takes).
 func (p *Pool) submit(r *request, owner int) error {
 	if p.closed.Load() {
-		return ErrClosed
+		return errClosed
 	}
 	s := p.shards[owner]
 	if !p.cfg.DisableWorkStealing && r.control == nil {
@@ -709,7 +706,7 @@ func (p *Pool) submit(r *request, owner int) error {
 		p.rec.Inc(metrics.CtrRequestsOverloaded)
 		return fault.Contain(ErrOverloaded)
 	case <-p.quit:
-		return ErrClosed
+		return errClosed
 	}
 }
 
@@ -725,7 +722,7 @@ func (p *Pool) await(r *request) (response, error) {
 		case resp := <-r.reply:
 			return resp, nil
 		default:
-			return response{}, ErrClosed
+			return response{}, errClosed
 		}
 	}
 }
@@ -757,12 +754,6 @@ func (p *Pool) Invoke(req core.Request) (Result, error) {
 		Shard:     resp.shard,
 		Stolen:    resp.stolen,
 	}, nil
-}
-
-// InvokeSync is the string-level convenience form mirroring the
-// single-node API.
-func (p *Pool) InvokeSync(key, source, args string) (Result, error) {
-	return p.Invoke(core.Request{Key: key, Source: source, Args: args})
 }
 
 // control runs fn on each of the given shards, inside the shard's owning
@@ -803,20 +794,6 @@ func (s *shard) stats() ShardStats {
 		Clock:           time.Duration(s.eng.Now()),
 		Breaker:         s.breaker.stateName(),
 	}
-}
-
-// ShardStats snapshots one shard's state by routing the read through
-// its owning goroutine — the reply is taken between invocations, never
-// mid-invocation.
-func (p *Pool) ShardStats(id int) (ShardStats, error) {
-	if id < 0 || id >= len(p.shards) {
-		return ShardStats{}, fmt.Errorf("shardpool: no shard %d", id)
-	}
-	var out ShardStats
-	if err := p.control(p.shards[id:id+1], func(s *shard) { out = s.stats() }); err != nil {
-		return ShardStats{}, err
-	}
-	return out, nil
 }
 
 // Stats aggregates counters across every shard. Each shard's snapshot
@@ -956,16 +933,6 @@ func (p *Pool) Metrics() metrics.Snapshot {
 	return s
 }
 
-// BreakerState returns a shard's circuit-breaker state name without
-// routing through the shard goroutine (the /healthz read: cheap and
-// safe even when a shard is wedged mid-request).
-func (p *Pool) BreakerState(shard int) (string, error) {
-	if shard < 0 || shard >= len(p.shards) {
-		return "", fmt.Errorf("shardpool: no shard %d", shard)
-	}
-	return p.shards[shard].breaker.stateName(), nil
-}
-
 // BreakerStates returns every shard's breaker state, indexed by shard.
 func (p *Pool) BreakerStates() []string {
 	out := make([]string, len(p.shards))
@@ -973,15 +940,6 @@ func (p *Pool) BreakerStates() []string {
 		out[i] = s.breaker.stateName()
 	}
 	return out
-}
-
-// ShardFaults exposes a shard's fault injector (tests, diagnostics);
-// nil when injection is disabled.
-func (p *Pool) ShardFaults(shard int) *fault.Injector {
-	if shard < 0 || shard >= len(p.shards) {
-		return nil
-	}
-	return p.shards[shard].faults
 }
 
 // Close stops the shard goroutines and rejects further submissions.

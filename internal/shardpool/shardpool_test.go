@@ -339,10 +339,10 @@ func TestCloseRejectsNewWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.Close()
-	if _, err := pool.InvokeSync("c/fn", nopSource, "{}"); err != ErrClosed {
+	if _, err := pool.InvokeSync("c/fn", nopSource, "{}"); err != errClosed {
 		t.Errorf("err = %v, want ErrClosed", err)
 	}
-	if _, err := pool.Stats(); err != ErrClosed {
+	if _, err := pool.Stats(); err != errClosed {
 		t.Errorf("stats err = %v, want ErrClosed", err)
 	}
 	pool.Close() // idempotent

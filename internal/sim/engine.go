@@ -56,21 +56,18 @@ import (
 // virtual and wall-clock time cannot be confused.
 type Time int64
 
-// Duration re-exports time.Duration for callers' convenience; virtual
+// duration re-exports time.Duration for callers' convenience; virtual
 // durations use the same unit (nanoseconds) as wall-clock durations.
-type Duration = time.Duration
+type duration = time.Duration
 
 // String formats the instant as a duration offset from simulation start.
 func (t Time) String() string { return time.Duration(t).String() }
 
 // Add returns the instant d after t.
-func (t Time) Add(d Duration) Time { return t + Time(d) }
+func (t Time) Add(d duration) Time { return t + Time(d) }
 
 // Sub returns the duration t-u.
-func (t Time) Sub(u Time) Duration { return Duration(t - u) }
-
-// Seconds returns the instant as seconds from simulation start.
-func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
+func (t Time) Sub(u Time) duration { return duration(t - u) }
 
 type event struct {
 	at  Time
@@ -164,20 +161,20 @@ func (e *Engine) At(t Time, fn func()) {
 	heap.Push(&e.pq, ev)
 }
 
-// After schedules fn to run d after the current virtual time. Negative
+// after schedules fn to run d after the current virtual time. Negative
 // durations are treated as zero.
-func (e *Engine) After(d Duration, fn func()) {
+func (e *Engine) after(d duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
 	e.At(e.now.Add(d), fn)
 }
 
-// Step runs the single earliest pending event, advancing the clock to
+// step runs the single earliest pending event, advancing the clock to
 // its instant. It reports whether an event was run. An engine driven by
 // bare Step calls is the reference execution: every Sleep schedules its
 // wake-up and parks, and each call here runs exactly one event.
-func (e *Engine) Step() bool {
+func (e *Engine) step() bool {
 	if len(e.pq) == 0 {
 		return false
 	}
@@ -226,26 +223,6 @@ func (e *Engine) endDrive(prev drive) {
 // do not keep Run alive: only scheduled events do.
 func (e *Engine) Run() {
 	defer e.endDrive(e.beginDrive(math.MaxInt64))
-	for e.Step() {
+	for e.step() {
 	}
 }
-
-// RunUntil executes events with instants <= t, then advances the clock
-// to exactly t.
-func (e *Engine) RunUntil(t Time) {
-	defer e.endDrive(e.beginDrive(t))
-	for len(e.pq) > 0 && e.pq[0].at <= t {
-		e.Step()
-	}
-	if e.now < t {
-		e.now = t
-	}
-}
-
-// Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.pq) }
-
-// LiveProcs returns the number of processes that have been spawned and
-// not yet finished — blocked servers and leaked workers show up here
-// after Run drains.
-func (e *Engine) LiveProcs() int { return e.procs }

@@ -8,9 +8,9 @@ import (
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.After(3*time.Millisecond, func() { got = append(got, 3) })
-	e.After(1*time.Millisecond, func() { got = append(got, 1) })
-	e.After(2*time.Millisecond, func() { got = append(got, 2) })
+	e.after(3*time.Millisecond, func() { got = append(got, 3) })
+	e.after(1*time.Millisecond, func() { got = append(got, 1) })
+	e.after(2*time.Millisecond, func() { got = append(got, 2) })
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -28,7 +28,7 @@ func TestEngineTieBreakBySchedulingOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.After(time.Millisecond, func() { got = append(got, i) })
+		e.after(time.Millisecond, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i := 0; i < 10; i++ {
@@ -41,9 +41,9 @@ func TestEngineTieBreakBySchedulingOrder(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var fired []string
-	e.After(time.Millisecond, func() {
+	e.after(time.Millisecond, func() {
 		fired = append(fired, "outer")
-		e.After(time.Millisecond, func() { fired = append(fired, "inner") })
+		e.after(time.Millisecond, func() { fired = append(fired, "inner") })
 	})
 	e.Run()
 	if len(fired) != 2 || fired[1] != "inner" {
@@ -56,7 +56,7 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.After(time.Second, func() {})
+	e.after(time.Second, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
@@ -70,7 +70,7 @@ func TestRunUntil(t *testing.T) {
 	e := NewEngine()
 	var count int
 	for i := 1; i <= 10; i++ {
-		e.After(time.Duration(i)*time.Second, func() { count++ })
+		e.after(time.Duration(i)*time.Second, func() { count++ })
 	}
 	e.RunUntil(Time(5 * time.Second))
 	if count != 5 {

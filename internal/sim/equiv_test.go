@@ -50,9 +50,9 @@ const (
 type op struct {
 	kind  opKind
 	idx   int      // resource, queue or signal
-	d     Duration // sleep, service, timeout or callback delay
+	d     duration // sleep, service, timeout or callback delay
 	val   int      // queue item
-	hold  []Duration
+	hold  []duration
 	child *procSpec // opGo, and opAfter with act == actGo
 	act   action    // opAfter
 }
@@ -106,8 +106,8 @@ type generator struct {
 // duration favours zero and a handful of small values, so that many
 // events land on the same instant and tie-breaking by sequence number
 // decides the order.
-func (g *generator) duration() Duration {
-	return []Duration{0, 0, 1, 1, 1, 2, 2, 3, 5, 8}[g.rng.Intn(10)]
+func (g *generator) duration() duration {
+	return []duration{0, 0, 1, 1, 1, 2, 2, 3, 5, 8}[g.rng.Intn(10)]
 }
 
 func (g *generator) proc(prefix string, depth int) *procSpec {
@@ -321,7 +321,7 @@ func (w *world) step(p *Proc, who string, o op) {
 		w.do(who, actGo, 0, 0, o.child)
 	case opAfter:
 		w.record(who, "after")
-		w.e.After(o.d, func() { w.do(who+".cb", o.act, o.idx, o.val, o.child) })
+		w.e.after(o.d, func() { w.do(who+".cb", o.act, o.idx, o.val, o.child) })
 	}
 }
 
@@ -336,7 +336,7 @@ const (
 // stepUntil is RunUntil written with bare Steps.
 func (w *world) stepUntil(t Time) {
 	for len(w.e.pq) > 0 && w.e.pq[0].at <= t {
-		w.e.Step()
+		w.e.step()
 	}
 	w.e.now = t
 }
@@ -397,7 +397,7 @@ func execute(t *testing.T, prog *program, d driver, rootRunProc bool, sliceSeed 
 		e.Go(prog.root.name, w.body(prog.root))
 		switch d {
 		case driveStep:
-			for e.Step() {
+			for e.step() {
 			}
 		case driveRun:
 			e.Run()
@@ -485,15 +485,15 @@ func TestStepNeverAdvancesInline(t *testing.T) {
 		p.Sleep(5)
 		p.Sleep(5)
 	})
-	e.Step() // starts p, which parks in its first Sleep
+	e.step() // starts p, which parks in its first Sleep
 	if e.Now() != 0 || e.Pending() != 1 {
 		t.Fatalf("after one Step: clock %d, %d pending; want 0 and the wake-up", e.Now(), e.Pending())
 	}
-	e.Step()
+	e.step()
 	if e.Now() != 5 || e.Pending() != 1 {
 		t.Fatalf("after two Steps: clock %d, %d pending; want 5 and the second wake-up", e.Now(), e.Pending())
 	}
-	e.Step()
+	e.step()
 	if e.Now() != 10 || e.Pending() != 0 || e.LiveProcs() != 0 {
 		t.Fatalf("after three Steps: clock %d, %d pending, %d live", e.Now(), e.Pending(), e.LiveProcs())
 	}

@@ -44,7 +44,7 @@ type worker struct {
 // the current virtual instant (as a scheduled event, so it does not run
 // until the engine reaches it). name is used in diagnostics only.
 func (e *Engine) Go(name string, fn func(p *Proc)) {
-	e.After(0, e.newProc(name, fn).dispatchFn)
+	e.after(0, e.newProc(name, fn).dispatchFn)
 }
 
 // newProc registers a live process; fn is nil for a RunProc process.
@@ -70,7 +70,7 @@ func (e *Engine) RunProc(name string, fn func(p *Proc)) {
 	fn(p)
 	p.dead = true
 	e.procs--
-	for e.Step() {
+	for e.step() {
 	}
 }
 
@@ -152,7 +152,7 @@ func (p *Proc) park() {
 		return
 	}
 	for !p.woken {
-		if !p.eng.Step() {
+		if !p.eng.step() {
 			panic("sim: RunProc process " + p.name + " is blocked and no event is pending")
 		}
 	}
@@ -166,14 +166,8 @@ func (p *Proc) unpark() {
 	if p.dead {
 		panic("sim: unpark of dead process " + p.name)
 	}
-	p.eng.After(0, p.dispatchFn)
+	p.eng.after(0, p.dispatchFn)
 }
-
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
-// Name returns the diagnostic name of the process.
-func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
@@ -181,7 +175,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Sleep suspends the process for d of virtual time. Negative durations
 // are treated as zero (the process still yields, giving other
 // same-instant events a chance to run).
-func (p *Proc) Sleep(d Duration) {
+func (p *Proc) Sleep(d duration) {
 	if d < 0 {
 		d = 0
 	}
@@ -203,10 +197,6 @@ func (p *Proc) Sleep(d Duration) {
 	e.At(t, p.dispatchFn)
 	p.park()
 }
-
-// Yield gives up the processor for the current instant, allowing other
-// events scheduled at the same virtual time to run first.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // String implements fmt.Stringer.
 func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
@@ -238,10 +228,10 @@ func (s *Signal) Wait(p *Proc) {
 // WaitTimeout suspends the process until the next Broadcast or until d
 // elapses, whichever comes first. It reports whether the wakeup was a
 // Broadcast (true) rather than the timeout (false).
-func (s *Signal) WaitTimeout(p *Proc, d Duration) bool {
+func (s *Signal) WaitTimeout(p *Proc, d duration) bool {
 	w := &signalWaiter{p: p}
 	s.waiters = append(s.waiters, w)
-	s.eng.After(d, func() {
+	s.eng.after(d, func() {
 		if w.woken {
 			return
 		}
@@ -275,6 +265,3 @@ func (s *Signal) Broadcast() {
 		w.p.unpark()
 	}
 }
-
-// Waiters returns the number of processes currently blocked in Wait.
-func (s *Signal) Waiters() int { return len(s.waiters) }

@@ -24,16 +24,6 @@ func (q *Queue) Put(v interface{}) {
 	q.wakeOne()
 }
 
-// PutFront prepends an item (used for requeueing work that must retain
-// priority) and wakes one waiter.
-func (q *Queue) PutFront(v interface{}) {
-	if q.closed {
-		panic("sim: PutFront on closed queue")
-	}
-	q.items = append([]interface{}{v}, q.items...)
-	q.wakeOne()
-}
-
 func (q *Queue) wakeOne() {
 	if len(q.waiters) == 0 {
 		return
@@ -59,17 +49,6 @@ func (q *Queue) Get(p *Proc) (interface{}, bool) {
 	return v, true
 }
 
-// TryGet removes and returns the head item without blocking. ok is
-// false if the queue is empty.
-func (q *Queue) TryGet() (v interface{}, ok bool) {
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	return v, true
-}
-
 // Close marks the queue closed and wakes all waiters, which will
 // observe ok=false once the queue drains.
 func (q *Queue) Close() {
@@ -80,6 +59,3 @@ func (q *Queue) Close() {
 		w.unpark()
 	}
 }
-
-// Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }

@@ -24,18 +24,6 @@ func NewResource(e *Engine, capacity int) *Resource {
 	return &Resource{eng: e, capacity: capacity}
 }
 
-// Capacity returns the configured capacity.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Available returns the number of free units.
-func (r *Resource) Available() int { return r.capacity - r.inUse }
-
-// QueueLen returns the number of processes blocked in Acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 // Acquire blocks the process until a unit is available, then takes it.
 func (r *Resource) Acquire(p *Proc) {
 	for r.inUse >= r.capacity {
@@ -46,18 +34,6 @@ func (r *Resource) Acquire(p *Proc) {
 	if r.inUse > r.MaxInUse {
 		r.MaxInUse = r.inUse
 	}
-}
-
-// TryAcquire takes a unit if one is free, without blocking.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse >= r.capacity {
-		return false
-	}
-	r.inUse++
-	if r.inUse > r.MaxInUse {
-		r.MaxInUse = r.inUse
-	}
-	return true
 }
 
 // Release returns a unit and wakes the first waiter, if any.
@@ -75,7 +51,7 @@ func (r *Resource) Release() {
 
 // Use acquires a unit, sleeps for d (the service time), and releases.
 // It is the common pattern for "run on a CPU core for d".
-func (r *Resource) Use(p *Proc, d Duration) {
+func (r *Resource) Use(p *Proc, d duration) {
 	r.Acquire(p)
 	p.Sleep(d)
 	r.Release()

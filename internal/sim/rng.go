@@ -18,30 +18,21 @@ func NewRNG(seed int64) *RNG {
 // Intn returns a uniform int in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a uniform non-negative int64.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Float64 returns a uniform float64 in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Jitter returns d scaled by a uniform factor in [1-f, 1+f]; it models
 // run-to-run variance around a calibrated mean cost.
-func (g *RNG) Jitter(d Duration, f float64) Duration {
+func (g *RNG) Jitter(d duration, f float64) duration {
 	if f <= 0 {
 		return d
 	}
 	scale := 1 + f*(2*g.r.Float64()-1)
-	return Duration(float64(d) * scale)
+	return duration(float64(d) * scale)
 }
 
 // Exp returns an exponentially distributed duration with the given
 // mean; it models inter-arrival times for open-loop streams.
-func (g *RNG) Exp(mean Duration) Duration {
-	return Duration(g.r.ExpFloat64() * float64(mean))
+func (g *RNG) Exp(mean duration) duration {
+	return duration(g.r.ExpFloat64() * float64(mean))
 }
-
-// Perm returns a deterministic permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle deterministically shuffles n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

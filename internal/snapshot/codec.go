@@ -38,8 +38,8 @@ import (
 const codecMagic = "SEUS"
 const codecVersion = 1
 
-// ErrCodec is wrapped by all decode failures.
-var ErrCodec = errors.New("snapshot: codec")
+// errCodec is wrapped by all decode failures.
+var errCodec = errors.New("snapshot: codec")
 
 // crcWriter streams bytes to an io.Writer while folding them into a
 // running CRC32 — the encode side never builds an intermediate copy of
@@ -74,7 +74,7 @@ func (c *crcWriter) write(b []byte) {
 // spaces map different frames at that address.
 func (s *Snapshot) Export(w io.Writer) error {
 	if s.deleted {
-		return fmt.Errorf("%w: export of deleted snapshot", ErrCodec)
+		return fmt.Errorf("%w: export of deleted snapshot", errCodec)
 	}
 	cw := &crcWriter{w: w}
 	var scratch [8]byte
@@ -114,7 +114,7 @@ func (s *Snapshot) Export(w io.Writer) error {
 	if bm, ok := s.payload.(encoding.BinaryMarshaler); ok {
 		pb, err := bm.MarshalBinary()
 		if err != nil {
-			return fmt.Errorf("%w: payload: %v", ErrCodec, err)
+			return fmt.Errorf("%w: payload: %v", errCodec, err)
 		}
 		payloadBytes = pb
 	}
@@ -265,13 +265,13 @@ func ImportBytes(raw []byte) (*ImportedDiff, error) {
 		va := cur.u64()
 		has := cur.take(1)
 		if cur.bad {
-			return nil, fmt.Errorf("%w: page %d: truncated", ErrCodec, i)
+			return nil, fmt.Errorf("%w: page %d: truncated", errCodec, i)
 		}
 		out.PageVAs = append(out.PageVAs, va)
 		if has[0] == 1 {
 			content := cur.take(mem.PageSize)
 			if cur.bad {
-				return nil, fmt.Errorf("%w: page %d content: truncated", ErrCodec, i)
+				return nil, fmt.Errorf("%w: page %d content: truncated", errCodec, i)
 			}
 			out.Contents[va] = content
 		}
@@ -295,32 +295,32 @@ func PeekWireHeader(raw []byte) (ImportHeader, error) {
 func decodePreamble(raw []byte) (*importCursor, ImportHeader, []byte, uint32, error) {
 	var hdr ImportHeader
 	if len(raw) < 12 {
-		return nil, hdr, nil, 0, fmt.Errorf("%w: truncated", ErrCodec)
+		return nil, hdr, nil, 0, fmt.Errorf("%w: truncated", errCodec)
 	}
 	body, crcBytes := raw[:len(raw)-4], raw[len(raw)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crcBytes) {
-		return nil, hdr, nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCodec)
+		return nil, hdr, nil, 0, fmt.Errorf("%w: checksum mismatch", errCodec)
 	}
 	cur := &importCursor{b: body}
 	if magic := cur.take(4); magic == nil || string(magic) != codecMagic {
-		return nil, hdr, nil, 0, fmt.Errorf("%w: bad magic %q", ErrCodec, magic)
+		return nil, hdr, nil, 0, fmt.Errorf("%w: bad magic %q", errCodec, magic)
 	}
 	version := cur.u16()
 	cur.u16() // flags (reserved)
 	if cur.bad {
-		return nil, hdr, nil, 0, fmt.Errorf("%w: truncated header", ErrCodec)
+		return nil, hdr, nil, 0, fmt.Errorf("%w: truncated header", errCodec)
 	}
 	if version != codecVersion {
-		return nil, hdr, nil, 0, fmt.Errorf("%w: unsupported version %d", ErrCodec, version)
+		return nil, hdr, nil, 0, fmt.Errorf("%w: unsupported version %d", errCodec, version)
 	}
 	readString := func() string { return string(cur.take(int(cur.u16()))) }
 	hdr.Name = readString()
 	if cur.bad {
-		return nil, hdr, nil, 0, fmt.Errorf("%w: name: truncated", ErrCodec)
+		return nil, hdr, nil, 0, fmt.Errorf("%w: name: truncated", errCodec)
 	}
 	hdr.BaseName = readString()
 	if cur.bad {
-		return nil, hdr, nil, 0, fmt.Errorf("%w: base: truncated", ErrCodec)
+		return nil, hdr, nil, 0, fmt.Errorf("%w: base: truncated", errCodec)
 	}
 	hdr.Regs.PC = cur.u64()
 	hdr.Regs.SP = cur.u64()
@@ -330,23 +330,23 @@ func decodePreamble(raw []byte) (*importCursor, ImportHeader, []byte, uint32, er
 	}
 	plen := cur.u32()
 	if cur.bad {
-		return nil, hdr, nil, 0, fmt.Errorf("%w: payload length: truncated", ErrCodec)
+		return nil, hdr, nil, 0, fmt.Errorf("%w: payload length: truncated", errCodec)
 	}
 	var payload []byte
 	if plen > 0 {
 		payload = cur.take(int(plen))
 		if cur.bad {
-			return nil, hdr, nil, 0, fmt.Errorf("%w: payload: truncated", ErrCodec)
+			return nil, hdr, nil, 0, fmt.Errorf("%w: payload: truncated", errCodec)
 		}
 	}
 	npages := cur.u32()
 	if cur.bad {
-		return nil, hdr, nil, 0, fmt.Errorf("%w: page count: truncated", ErrCodec)
+		return nil, hdr, nil, 0, fmt.Errorf("%w: page count: truncated", errCodec)
 	}
 	// Each page costs at least 9 bytes on the wire; reject counts the
 	// remaining body cannot possibly hold before allocating for them.
 	if int64(npages)*9 > int64(len(body)-cur.off) {
-		return nil, hdr, nil, 0, fmt.Errorf("%w: page count %d exceeds body", ErrCodec, npages)
+		return nil, hdr, nil, 0, fmt.Errorf("%w: page count %d exceeds body", errCodec, npages)
 	}
 	hdr.Pages = int(npages)
 	return cur, hdr, payload, npages, nil
@@ -366,11 +366,11 @@ func decodePreamble(raw []byte) (*importCursor, ImportHeader, []byte, uint32, er
 func Materialize(diff *ImportedDiff, st *mem.Store) (*Snapshot, error) {
 	if diff.Header.BaseName != "" {
 		return nil, fmt.Errorf("%w: materialize of non-root diff %q (base %q); graft it instead",
-			ErrCodec, diff.Header.Name, diff.Header.BaseName)
+			errCodec, diff.Header.Name, diff.Header.BaseName)
 	}
 	space, err := pagetable.New(st)
 	if err != nil {
-		return nil, fmt.Errorf("%w: materialize: %v", ErrCodec, err)
+		return nil, fmt.Errorf("%w: materialize: %v", errCodec, err)
 	}
 	for _, va := range diff.PageVAs {
 		if content, ok := diff.Contents[va]; ok {
@@ -380,7 +380,7 @@ func Materialize(diff *ImportedDiff, st *mem.Store) (*Snapshot, error) {
 		}
 		if err != nil {
 			space.Release()
-			return nil, fmt.Errorf("%w: materialize page %#x: %v", ErrCodec, va, err)
+			return nil, fmt.Errorf("%w: materialize page %#x: %v", errCodec, va, err)
 		}
 	}
 	snap, err := Capture(diff.Header.Name, nil, space, diff.Header.Regs)
@@ -411,7 +411,7 @@ func Materialize(diff *ImportedDiff, st *mem.Store) (*Snapshot, error) {
 // into page-table state through it.
 func GraftWire(raw []byte, base *Snapshot) (*Snapshot, []byte, error) {
 	if base == nil {
-		return nil, nil, fmt.Errorf("%w: graft requires a base", ErrCodec)
+		return nil, nil, fmt.Errorf("%w: graft requires a base", errCodec)
 	}
 	cur, hdr, payload, npages, err := decodePreamble(raw)
 	if err != nil {
@@ -419,7 +419,7 @@ func GraftWire(raw []byte, base *Snapshot) (*Snapshot, []byte, error) {
 	}
 	if base.name != hdr.BaseName {
 		return nil, nil, fmt.Errorf("%w: base %q does not match diff lineage %q",
-			ErrCodec, base.name, hdr.BaseName)
+			errCodec, base.name, hdr.BaseName)
 	}
 	space, _, err := base.Deploy()
 	if err != nil {
@@ -435,13 +435,13 @@ func GraftWire(raw []byte, base *Snapshot) (*Snapshot, []byte, error) {
 		va := cur.u64()
 		has := cur.take(1)
 		if cur.bad {
-			return fail(fmt.Errorf("%w: page %d: truncated", ErrCodec, i))
+			return fail(fmt.Errorf("%w: page %d: truncated", errCodec, i))
 		}
 		var content []byte
 		if has[0] == 1 {
 			content = cur.take(mem.PageSize)
 			if cur.bad {
-				return fail(fmt.Errorf("%w: page %d content: truncated", ErrCodec, i))
+				return fail(fmt.Errorf("%w: page %d content: truncated", errCodec, i))
 			}
 		}
 		if err := si.Page(va, content); err != nil {

@@ -23,7 +23,7 @@ func buildTestSnapshot(t *testing.T, name string) (*Snapshot, *mem.Store) {
 	// Churn the frame pool so exported frames are recycled ones.
 	churn := make([]mem.Frame, 32)
 	for i := range churn {
-		churn[i] = st.MustAlloc()
+		churn[i] = mustAlloc(st)
 		st.Write(churn[i], 0, []byte{0xEE, byte(i)})
 	}
 	for _, f := range churn {

@@ -41,12 +41,12 @@ type Registers struct {
 	GPR   [14]uint64
 }
 
-// ErrInUse is returned by Delete while UCs or descendant snapshots
+// errInUse is returned by Delete while UCs or descendant snapshots
 // still depend on the snapshot.
-var ErrInUse = errors.New("snapshot: in use by UCs or descendant snapshots")
+var errInUse = errors.New("snapshot: in use by UCs or descendant snapshots")
 
-// ErrDeleted is returned when deploying from a deleted snapshot.
-var ErrDeleted = errors.New("snapshot: deleted")
+// errDeleted is returned when deploying from a deleted snapshot.
+var errDeleted = errors.New("snapshot: deleted")
 
 // Snapshot is an immutable UC image. Create one with Capture; deploy
 // new address spaces from it with Deploy.
@@ -155,9 +155,6 @@ func (s *Snapshot) Name() string { return s.name }
 // snapshot.
 func (s *Snapshot) Base() *Snapshot { return s.base }
 
-// Registers returns the captured register state.
-func (s *Snapshot) Registers() Registers { return s.regs }
-
 // DiffPages returns the number of pages this snapshot captured beyond
 // its base — the page-level diff size of §3.
 func (s *Snapshot) DiffPages() int { return s.diffPages }
@@ -196,12 +193,6 @@ func (s *Snapshot) Children() int { return s.children }
 // snapshot that have not yet been released.
 func (s *Snapshot) ActiveUCs() int { return s.activeUCs }
 
-// Deploys returns the lifetime count of deployments.
-func (s *Snapshot) Deploys() int64 { return s.deploys }
-
-// Deleted reports whether Delete has succeeded on this snapshot.
-func (s *Snapshot) Deleted() bool { return s.deleted }
-
 // Deploy creates a new address space from the snapshot — a shallow copy
 // of the page-table structure whose cost is independent of image size —
 // and returns it with the captured registers. The caller owns the space
@@ -209,7 +200,7 @@ func (s *Snapshot) Deleted() bool { return s.deleted }
 // captured away.
 func (s *Snapshot) Deploy() (*pagetable.AddressSpace, Registers, error) {
 	if s.deleted {
-		return nil, Registers{}, ErrDeleted
+		return nil, Registers{}, errDeleted
 	}
 	space, err := s.space.Clone()
 	if err != nil {
@@ -238,7 +229,7 @@ func (s *Snapshot) Delete() error {
 		return nil
 	}
 	if s.children > 0 || s.activeUCs > 0 {
-		return ErrInUse
+		return errInUse
 	}
 	s.space.Release()
 	s.space = nil
@@ -249,14 +240,4 @@ func (s *Snapshot) Delete() error {
 		s.base = nil
 	}
 	return nil
-}
-
-// FootprintPages returns the number of private page-table pages plus
-// diff pages this snapshot holds — its true marginal memory cost.
-func (s *Snapshot) FootprintPages() int {
-	if s.deleted {
-		return 0
-	}
-	_, private := s.space.TableNodes()
-	return s.diffPages + private
 }

@@ -169,12 +169,12 @@ func TestDeleteSafety(t *testing.T) {
 	fn, _ := Capture("fn", runtime, fnSpace, Registers{})
 
 	// Runtime has a child: cannot delete.
-	if err := runtime.Delete(); err != ErrInUse {
+	if err := runtime.Delete(); err != errInUse {
 		t.Errorf("delete with child: %v", err)
 	}
 
 	uc, _, _ := fn.Deploy()
-	if err := fn.Delete(); err != ErrInUse {
+	if err := fn.Delete(); err != errInUse {
 		t.Errorf("delete with active UC: %v", err)
 	}
 	uc.Release()
@@ -206,7 +206,7 @@ func TestDeployFromDeleted(t *testing.T) {
 	if err := s.Delete(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Deploy(); err != ErrDeleted {
+	if _, _, err := s.Deploy(); err != errDeleted {
 		t.Errorf("err = %v", err)
 	}
 	if s.FootprintPages() != 0 {

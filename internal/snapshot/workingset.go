@@ -50,7 +50,7 @@ const maxPageIndex = pagetable.MaxVirtual >> mem.PageShift
 // shape AddressSpace.DirtyPages returns.
 func EncodeWorkingSet(pages []uint64) ([]byte, error) {
 	if len(pages) > maxWorkingSetPages {
-		return nil, fmt.Errorf("%w: working set of %d pages exceeds limit", ErrCodec, len(pages))
+		return nil, fmt.Errorf("%w: working set of %d pages exceeds limit", errCodec, len(pages))
 	}
 	buf := make([]byte, 0, wsMinLen+len(pages)*2)
 	buf = append(buf, wsMagic...)
@@ -59,16 +59,16 @@ func EncodeWorkingSet(pages []uint64) ([]byte, error) {
 	prev := uint64(0)
 	for i, va := range pages {
 		if va%mem.PageSize != 0 {
-			return nil, fmt.Errorf("%w: working-set page %#x not page-aligned", ErrCodec, va)
+			return nil, fmt.Errorf("%w: working-set page %#x not page-aligned", errCodec, va)
 		}
 		idx := va >> mem.PageShift
 		if idx >= maxPageIndex {
-			return nil, fmt.Errorf("%w: working-set page %#x out of range", ErrCodec, va)
+			return nil, fmt.Errorf("%w: working-set page %#x out of range", errCodec, va)
 		}
 		delta := idx
 		if i > 0 {
 			if idx <= prev {
-				return nil, fmt.Errorf("%w: working-set pages not strictly increasing at %#x", ErrCodec, va)
+				return nil, fmt.Errorf("%w: working-set pages not strictly increasing at %#x", errCodec, va)
 			}
 			delta = idx - prev
 		}
@@ -85,50 +85,50 @@ func EncodeWorkingSet(pages []uint64) ([]byte, error) {
 // the slice it implies.
 func DecodeWorkingSet(data []byte) ([]uint64, error) {
 	if len(data) < wsMinLen {
-		return nil, fmt.Errorf("%w: working set truncated", ErrCodec)
+		return nil, fmt.Errorf("%w: working set truncated", errCodec)
 	}
 	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crcBytes) {
-		return nil, fmt.Errorf("%w: working set checksum mismatch", ErrCodec)
+		return nil, fmt.Errorf("%w: working set checksum mismatch", errCodec)
 	}
 	if string(body[:4]) != wsMagic {
-		return nil, fmt.Errorf("%w: bad working-set magic %q", ErrCodec, body[:4])
+		return nil, fmt.Errorf("%w: bad working-set magic %q", errCodec, body[:4])
 	}
 	if v := binary.LittleEndian.Uint16(body[4:6]); v != wsVersion {
-		return nil, fmt.Errorf("%w: unsupported working-set version %d", ErrCodec, v)
+		return nil, fmt.Errorf("%w: unsupported working-set version %d", errCodec, v)
 	}
 	count := binary.LittleEndian.Uint32(body[6:wsHeaderLen])
 	rest := body[wsHeaderLen:]
 	// Each index costs at least one uvarint byte.
 	if count > maxWorkingSetPages || int64(count) > int64(len(rest)) {
-		return nil, fmt.Errorf("%w: working-set count %d exceeds body", ErrCodec, count)
+		return nil, fmt.Errorf("%w: working-set count %d exceeds body", errCodec, count)
 	}
 	pages := make([]uint64, 0, count)
 	prev := uint64(0)
 	for i := uint32(0); i < count; i++ {
 		delta, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return nil, fmt.Errorf("%w: working-set index %d truncated", ErrCodec, i)
+			return nil, fmt.Errorf("%w: working-set index %d truncated", errCodec, i)
 		}
 		rest = rest[n:]
 		idx := delta
 		if i > 0 {
 			if delta == 0 {
-				return nil, fmt.Errorf("%w: working-set indices not strictly increasing", ErrCodec)
+				return nil, fmt.Errorf("%w: working-set indices not strictly increasing", errCodec)
 			}
 			idx = prev + delta
 			if idx < prev { // overflow
-				return nil, fmt.Errorf("%w: working-set index overflow", ErrCodec)
+				return nil, fmt.Errorf("%w: working-set index overflow", errCodec)
 			}
 		}
 		if idx >= maxPageIndex {
-			return nil, fmt.Errorf("%w: working-set index %d out of range", ErrCodec, idx)
+			return nil, fmt.Errorf("%w: working-set index %d out of range", errCodec, idx)
 		}
 		pages = append(pages, idx<<mem.PageShift)
 		prev = idx
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after working set", ErrCodec, len(rest))
+		return nil, fmt.Errorf("%w: %d trailing bytes after working set", errCodec, len(rest))
 	}
 	return pages, nil
 }

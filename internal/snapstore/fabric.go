@@ -98,7 +98,7 @@ func (s *Store) LinkDigest(key, base string, digest uint64) error {
 		s.evictLocked(src.size - prevSize)
 		if s.bytes-prevSize+src.size > s.cap {
 			s.stats.PutRejected++
-			return ErrNoCapacity
+			return errNoCapacity
 		}
 		// Eviction may have cascaded away every holder of the source
 		// file; linking to deleted bytes would serve ErrNotFound later.
@@ -124,13 +124,13 @@ func (s *Store) PutFetched(key, base string, data []byte, digest uint64) error {
 		s.mu.Lock()
 		s.stats.CorruptDropped++
 		s.mu.Unlock()
-		return fmt.Errorf("%w: fetched layer: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: fetched layer: %v", errCorrupt, err)
 	}
 	if diff.Header.Name != key {
 		s.mu.Lock()
 		s.stats.CorruptDropped++
 		s.mu.Unlock()
-		return fmt.Errorf("%w: fetched layer decodes as %q, want %q", ErrCorrupt, diff.Header.Name, key)
+		return fmt.Errorf("%w: fetched layer decodes as %q, want %q", errCorrupt, diff.Header.Name, key)
 	}
 	sum := fnv.New64a()
 	sum.Write(data)
@@ -138,7 +138,7 @@ func (s *Store) PutFetched(key, base string, data []byte, digest uint64) error {
 		s.mu.Lock()
 		s.stats.CorruptDropped++
 		s.mu.Unlock()
-		return fmt.Errorf("%w: fetched layer digest %016x, want %016x", ErrCorrupt, got, digest)
+		return fmt.Errorf("%w: fetched layer digest %016x, want %016x", errCorrupt, got, digest)
 	}
 	return s.Put(key, base, data)
 }

@@ -165,13 +165,13 @@ func TestPutFetchedCorruptRejected(t *testing.T) {
 	}
 	damaged := append([]byte(nil), enc...)
 	damaged[len(damaged)/2] ^= 0xff
-	if err := peer.PutFetched("fn/hello", "", damaged, l.Digest); !errors.Is(err, ErrCorrupt) {
+	if err := peer.PutFetched("fn/hello", "", damaged, l.Digest); !errors.Is(err, errCorrupt) {
 		t.Fatalf("damaged bytes: got %v, want ErrCorrupt", err)
 	}
-	if err := peer.PutFetched("fn/hello", "", append([]byte(nil), enc...), l.Digest+1); !errors.Is(err, ErrCorrupt) {
+	if err := peer.PutFetched("fn/hello", "", append([]byte(nil), enc...), l.Digest+1); !errors.Is(err, errCorrupt) {
 		t.Fatalf("digest mismatch: got %v, want ErrCorrupt", err)
 	}
-	if err := peer.PutFetched("fn/other", "", append([]byte(nil), enc...), l.Digest); !errors.Is(err, ErrCorrupt) {
+	if err := peer.PutFetched("fn/other", "", append([]byte(nil), enc...), l.Digest); !errors.Is(err, errCorrupt) {
 		t.Fatalf("key mismatch: got %v, want ErrCorrupt", err)
 	}
 	if peer.Len() != 0 {

@@ -63,14 +63,14 @@ import (
 // ErrNotFound is returned by Get for keys the tier does not hold.
 var ErrNotFound = errors.New("snapstore: not found")
 
-// ErrNoCapacity is returned by Put when the entry cannot fit inside the
+// errNoCapacity is returned by Put when the entry cannot fit inside the
 // configured byte capacity (including cap 0 — a tier that accepts
 // nothing). Callers fall back to plain destruction.
-var ErrNoCapacity = errors.New("snapstore: over capacity")
+var errNoCapacity = errors.New("snapstore: over capacity")
 
-// ErrCorrupt is returned by Get when the stored bytes fail their CRC;
+// errCorrupt is returned by Get when the stored bytes fail their CRC;
 // the damaged entry is dropped from the store.
-var ErrCorrupt = errors.New("snapstore: corrupt entry")
+var errCorrupt = errors.New("snapstore: corrupt entry")
 
 const manifestName = "manifest.json"
 const logName = "manifest.log"
@@ -329,7 +329,7 @@ func (s *Store) Put(key, base string, data []byte) error {
 	if s.cap >= 0 && size > s.cap {
 		s.stats.PutRejected++
 		s.mu.Unlock()
-		return ErrNoCapacity
+		return errNoCapacity
 	}
 
 	sum := fnv.New64a()
@@ -354,7 +354,7 @@ func (s *Store) Put(key, base string, data []byte) error {
 		if s.bytes-prevSize+size > s.cap {
 			s.stats.PutRejected++
 			s.mu.Unlock()
-			return ErrNoCapacity
+			return errNoCapacity
 		}
 	}
 	s.mu.Unlock()
@@ -428,7 +428,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 	if err != nil {
 		err = fmt.Errorf("%w: %v", ErrNotFound, err)
 	} else if crc32.ChecksumIEEE(data) != e.CRC {
-		data, err, corrupt = nil, ErrCorrupt, true
+		data, err, corrupt = nil, errCorrupt, true
 	}
 
 	s.mu.Lock()

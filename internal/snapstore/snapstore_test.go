@@ -70,7 +70,7 @@ func TestCapacityZeroRejectsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("fn/a", "", []byte("x")); !errors.Is(err, ErrNoCapacity) {
+	if err := s.Put("fn/a", "", []byte("x")); !errors.Is(err, errNoCapacity) {
 		t.Fatalf("cap 0 Put: got %v, want ErrNoCapacity", err)
 	}
 	if s.Len() != 0 {
@@ -106,7 +106,7 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("resident %d bytes > cap", s.SizeBytes())
 	}
 	// An entry larger than the whole capacity is refused, not thrashed.
-	if err := s.Put("fn/huge", "", bytes.Repeat([]byte{'h'}, 26)); !errors.Is(err, ErrNoCapacity) {
+	if err := s.Put("fn/huge", "", bytes.Repeat([]byte{'h'}, 26)); !errors.Is(err, errNoCapacity) {
 		t.Fatalf("oversized Put: got %v", err)
 	}
 }
@@ -276,7 +276,7 @@ func TestCorruptEntryDroppedOnGet(t *testing.T) {
 	if err := os.WriteFile(snaps[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get("fn/a"); !errors.Is(err, ErrCorrupt) {
+	if _, err := s.Get("fn/a"); !errors.Is(err, errCorrupt) {
 		t.Fatalf("rot read: got %v, want ErrCorrupt", err)
 	}
 	if s.Has("fn/a") {
@@ -334,12 +334,12 @@ func TestConcurrentPutGet(t *testing.T) {
 			payload := bytes.Repeat([]byte{byte('A' + g)}, 256)
 			for i := 0; i < 50; i++ {
 				if g%2 == 0 {
-					if err := s.Put(key, "", payload); err != nil && !errors.Is(err, ErrNoCapacity) {
+					if err := s.Put(key, "", payload); err != nil && !errors.Is(err, errNoCapacity) {
 						t.Error(err)
 						return
 					}
 				} else if _, err := s.Get(key); err != nil &&
-					!errors.Is(err, ErrNotFound) && !errors.Is(err, ErrCorrupt) {
+					!errors.Is(err, ErrNotFound) && !errors.Is(err, errCorrupt) {
 					t.Error(err)
 					return
 				}

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,22 +35,16 @@ type Kind string
 
 // Event kinds emitted by the node.
 const (
-	KindDeploy  Kind = "deploy"
-	KindConnect Kind = "connect"
-	KindImport  Kind = "import"
 	KindCapture Kind = "capture"
-	KindExecute Kind = "execute"
 	KindInvoke  Kind = "invoke" // whole-invocation span
-	KindDestroy Kind = "destroy"
 	KindReclaim Kind = "reclaim"
 	KindEvict   Kind = "evict"
 	KindDemote  Kind = "demote"  // snapshot written to the disk tier
 	KindPromote Kind = "promote" // snapshot restored from the disk tier
-	KindMigrate Kind = "migrate"
-	KindFault   Kind = "fault"  // injected or contained failure
-	KindGossip  Kind = "gossip" // scheduler manifest exchange round
-	KindFetch   Kind = "fetch"  // content-addressed layer transfer
-	KindStale   Kind = "stale"  // stale directory entry pruned
+	KindFault   Kind = "fault"   // injected or contained failure
+	KindGossip  Kind = "gossip"  // scheduler manifest exchange round
+	KindFetch   Kind = "fetch"   // content-addressed layer transfer
+	KindStale   Kind = "stale"   // stale directory entry pruned
 
 	KindCrash    Kind = "crash"    // member crashed, partitioned, or declared dead
 	KindFailover Kind = "failover" // invocation re-picked off an unreachable member
@@ -184,11 +177,6 @@ func (t *Tracer) Record(ev Event) {
 	}
 }
 
-// Span records a span event. Safe on a nil tracer.
-func (t *Tracer) Span(kind Kind, key, path string, at, dur time.Duration) {
-	t.Record(Event{At: at, Dur: dur, Kind: kind, Key: key, Path: path})
-}
-
 // Dropped returns the number of events discarded tree-wide after the
 // retention budget filled. Safe on a nil tracer.
 func (t *Tracer) Dropped() int64 {
@@ -196,14 +184,6 @@ func (t *Tracer) Dropped() int64 {
 		return 0
 	}
 	return t.sh.dropped.Load()
-}
-
-// Cap returns the tree-wide retention budget (0 = unlimited).
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return t.sh.max
 }
 
 // Subscribe registers a live feed of every event recorded anywhere in
@@ -352,18 +332,6 @@ func (t *Tracer) ForEachSorted(fn func(Event) bool) {
 	}
 }
 
-// WriteJSONL writes the trace as JSON lines, streamed one event at a
-// time in timestamp order.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	var err error
-	t.ForEachSorted(func(ev Event) bool {
-		err = enc.Encode(ev)
-		return err == nil
-	})
-	return err
-}
-
 // chromeEvent is the Chrome trace-event format record.
 type chromeEvent struct {
 	Name  string            `json:"name"`
@@ -441,25 +409,4 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	_, err = fmt.Fprintf(w, `],"otherData":{"events":"%d","dropped":"%d"}}`, n, t.Dropped())
 	return err
-}
-
-// Summary renders a one-line-per-kind count summary, with drop
-// accounting appended when any event was discarded.
-func (t *Tracer) Summary() string {
-	counts := map[Kind]int{}
-	var order []Kind
-	for _, ev := range t.Events() {
-		if counts[ev.Kind] == 0 {
-			order = append(order, ev.Kind)
-		}
-		counts[ev.Kind]++
-	}
-	var sb strings.Builder
-	for _, k := range order {
-		fmt.Fprintf(&sb, "%s=%d ", k, counts[k])
-	}
-	if d := t.Dropped(); d > 0 {
-		fmt.Fprintf(&sb, "dropped=%d ", d)
-	}
-	return strings.TrimSpace(sb.String())
 }

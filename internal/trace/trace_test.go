@@ -46,22 +46,6 @@ func TestMaxEventsCap(t *testing.T) {
 	}
 }
 
-func TestWriteJSONL(t *testing.T) {
-	tr := New(0)
-	tr.Span(KindInvoke, "a/b", "warm", time.Second, 3*time.Millisecond)
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var ev Event
-	if err := json.Unmarshal(buf.Bytes(), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Kind != KindInvoke || ev.Key != "a/b" || ev.Dur != 3*time.Millisecond {
-		t.Errorf("round trip = %+v", ev)
-	}
-}
-
 func TestWriteChromeTrace(t *testing.T) {
 	tr := New(0)
 	tr.Span(KindInvoke, "fn", "cold", time.Millisecond, 7*time.Millisecond)
@@ -347,30 +331,5 @@ func TestForEachSortedUnsortedBuffer(t *testing.T) {
 		if ats[i] < ats[i-1] {
 			t.Fatalf("unsorted walk: %v", ats)
 		}
-	}
-}
-
-func TestWriteJSONLStreamsSorted(t *testing.T) {
-	parent := New(0)
-	c := parent.Child()
-	c.Record(Event{At: 2 * time.Millisecond, Kind: KindInvoke, ID: 7})
-	parent.Record(Event{At: 1 * time.Millisecond, Kind: KindDeploy})
-	var buf bytes.Buffer
-	if err := parent.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	var first, second Event
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &second); err != nil {
-		t.Fatal(err)
-	}
-	if first.Kind != KindDeploy || second.ID != 7 {
-		t.Errorf("stream order: %+v then %+v", first, second)
 	}
 }

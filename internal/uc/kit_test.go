@@ -37,7 +37,7 @@ func TestKitRecyclingRoundTrip(t *testing.T) {
 	if second.ID() == firstID {
 		t.Error("recycled UC kept its old identity")
 	}
-	if second.State() != StateIdle {
+	if second.State() != stateIdle {
 		t.Errorf("recycled state = %v", second.State())
 	}
 	if second.From() != runtime {

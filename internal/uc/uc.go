@@ -53,23 +53,23 @@ type Payload struct {
 	Interp interp.State
 }
 
-// State is a UC's lifecycle state.
-type State int
+// state is a UC's lifecycle state.
+type state int
 
 // Lifecycle states.
 const (
-	StateIdle State = iota
-	StateRunning
-	StateDestroyed
+	stateIdle state = iota
+	stateRunning
+	stateDestroyed
 )
 
 var stateNames = [...]string{"idle", "running", "destroyed"}
 
 // String implements fmt.Stringer.
-func (s State) String() string { return stateNames[s] }
+func (s state) String() string { return stateNames[s] }
 
-// ErrDestroyed is returned for operations on a destroyed UC.
-var ErrDestroyed = errors.New("uc: destroyed")
+// errDestroyed is returned for operations on a destroyed UC.
+var errDestroyed = errors.New("uc: destroyed")
 
 // UC is one unikernel context.
 type UC struct {
@@ -79,7 +79,7 @@ type UC struct {
 	guest *interp.Runtime
 	host  *hypercall.Counter
 	env   libos.Env
-	state State
+	state state
 	regs  snapshot.Registers
 	// recycled marks a UC whose last deploy rebound a retired deploy
 	// kit instead of rehydrating from scratch (the deploy-kit cache
@@ -164,7 +164,7 @@ func BootFreshProfile(st *mem.Store, host hypercall.Host, env libos.Env, prof in
 		space: space,
 		env:   env,
 		host:  hypercall.NewCounter(hostOrStub(host), costs.Hypercall, env),
-		state: StateRunning,
+		state: stateRunning,
 	}
 	if err := u.allocMeta(st); err != nil {
 		space.Release()
@@ -187,7 +187,7 @@ func BootFreshProfile(st *mem.Store, host hypercall.Host, env libos.Env, prof in
 	u.reseed(uk, rt)
 	u.guest = rt
 	u.regs = snapshot.Registers{PC: TriggerPCDriverListen, SP: libos.StackTop - 4096}
-	u.state = StateIdle
+	u.state = stateIdle
 	return u, nil
 }
 
@@ -253,7 +253,7 @@ func DeployPrefetched(snap *snapshot.Snapshot, host hypercall.Host, env libos.En
 		env:   env,
 		host:  hypercall.NewCounter(inner, costs.Hypercall, env),
 		regs:  regs,
-		state: StateIdle,
+		state: stateIdle,
 	}
 	if host == nil {
 		u.stub = inner
@@ -298,7 +298,7 @@ func (u *UC) redeploy(snap *snapshot.Snapshot, space *pagetable.AddressSpace, re
 	u.from = snap
 	u.env = env
 	u.regs = regs
-	u.state = StateIdle
+	u.state = stateIdle
 	u.recycled = true
 	inner := host
 	if inner == nil {
@@ -309,7 +309,7 @@ func (u *UC) redeploy(snap *snapshot.Snapshot, space *pagetable.AddressSpace, re
 	}
 	u.host.Reset(inner, env)
 	if err := u.allocMeta(space.Backing()); err != nil {
-		u.state = StateDestroyed
+		u.state = stateDestroyed
 		return err
 	}
 	uk := u.guest.Unikernel()
@@ -321,7 +321,7 @@ func (u *UC) redeploy(snap *snapshot.Snapshot, space *pagetable.AddressSpace, re
 	u.reseed(uk, u.guest)
 	if err := uk.Resume(); err != nil {
 		u.freeMeta(space.Backing())
-		u.state = StateDestroyed
+		u.state = stateDestroyed
 		return err
 	}
 	return nil
@@ -348,32 +348,19 @@ func (u *UC) Space() *pagetable.AddressSpace { return u.space }
 // Guest returns the runtime inside the UC.
 func (u *UC) Guest() *interp.Runtime { return u.guest }
 
-// From returns the snapshot this UC was deployed from (nil for fresh
-// boots).
-func (u *UC) From() *snapshot.Snapshot { return u.from }
-
-// State returns the lifecycle state.
-func (u *UC) State() State { return u.state }
-
 // SetRunning marks the UC as hosting a live invocation.
-func (u *UC) SetRunning() { u.state = StateRunning }
+func (u *UC) SetRunning() { u.state = stateRunning }
 
 // SetIdle marks the UC as cached and reusable (hot-path candidate).
-func (u *UC) SetIdle() { u.state = StateIdle }
-
-// Registers returns the UC's current (simulated) register file.
-func (u *UC) Registers() snapshot.Registers { return u.regs }
-
-// Hypercalls returns the UC's hypercall crossing counter.
-func (u *UC) Hypercalls() *hypercall.Counter { return u.host }
+func (u *UC) SetIdle() { u.state = stateIdle }
 
 // Capture freezes the UC's instantaneous state into a snapshot named
 // name, layered on the UC's deploy source. The UC continues running
 // transparently afterwards (its pages become CoW). triggerPC records
 // where execution resumes for deployments of the new snapshot.
 func (u *UC) Capture(name string, triggerPC uint64) (*snapshot.Snapshot, error) {
-	if u.state == StateDestroyed {
-		return nil, ErrDestroyed
+	if u.state == stateDestroyed {
+		return nil, errDestroyed
 	}
 	dirty := u.space.DirtyCount()
 	u.env.ChargeCPU(costs.SnapshotBase + time.Duration(dirty)*costs.SnapshotPerPage)
@@ -399,7 +386,7 @@ func (u *UC) Capture(name string, triggerPC uint64) (*snapshot.Snapshot, error) 
 // the snapshot's deploy-kit cache instead of being dropped for the GC,
 // and the next Deploy from that snapshot rebinds it allocation-free.
 func (u *UC) Destroy() {
-	if u.state == StateDestroyed {
+	if u.state == stateDestroyed {
 		return
 	}
 	u.env.ChargeCPU(costs.UCDestroy)
@@ -409,7 +396,7 @@ func (u *UC) Destroy() {
 	if from != nil {
 		from.ReleaseUC()
 	}
-	u.state = StateDestroyed
+	u.state = stateDestroyed
 	if from != nil && u.guest != nil && u.guest.Pristine() {
 		// Drop references that must not outlive this incarnation; the
 		// kit keeps only the guest stack and its own recycled storage.
@@ -424,7 +411,7 @@ func (u *UC) Destroy() {
 // created plus its private page-table nodes — the marginal cost of
 // caching this UC (Table 3's density denominator).
 func (u *UC) FootprintBytes() int64 {
-	if u.state == StateDestroyed {
+	if u.state == stateDestroyed {
 		return 0
 	}
 	return u.space.FootprintBytes() + int64(len(u.meta))*mem.PageSize

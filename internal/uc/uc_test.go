@@ -63,7 +63,7 @@ func TestBootFreshIsExpensiveAndBig(t *testing.T) {
 	if foot < 100<<20 || foot > 125<<20 {
 		t.Errorf("boot footprint = %d MB", foot>>20)
 	}
-	if boot.State() != StateIdle {
+	if boot.State() != stateIdle {
 		t.Errorf("state = %v", boot.State())
 	}
 }
@@ -319,7 +319,7 @@ func TestDestroyReleasesMemory(t *testing.T) {
 	if got := st.Stats().FramesInUse; got != frames0 {
 		t.Errorf("leaked %d frames", got-frames0)
 	}
-	if u.State() != StateDestroyed {
+	if u.State() != stateDestroyed {
 		t.Error("state not destroyed")
 	}
 	// Idempotent.
@@ -327,7 +327,7 @@ func TestDestroyReleasesMemory(t *testing.T) {
 	if u.FootprintBytes() != 0 {
 		t.Error("destroyed UC reports footprint")
 	}
-	if _, err := u.Capture("x", TriggerPCPostCompile); err != ErrDestroyed {
+	if _, err := u.Capture("x", TriggerPCPostCompile); err != errDestroyed {
 		t.Errorf("capture on destroyed = %v", err)
 	}
 	if runtime.ActiveUCs() != 0 {
@@ -383,7 +383,7 @@ func TestDeployFromSnapshotWithoutPayloadFails(t *testing.T) {
 }
 
 func TestStateStrings(t *testing.T) {
-	if StateIdle.String() != "idle" || StateRunning.String() != "running" || StateDestroyed.String() != "destroyed" {
+	if stateIdle.String() != "idle" || stateRunning.String() != "running" || stateDestroyed.String() != "destroyed" {
 		t.Error("state names")
 	}
 }

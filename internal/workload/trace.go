@@ -49,8 +49,8 @@ type Trace struct {
 	Seed    int64
 }
 
-// Arrival is one scheduled invocation: Keys[Key] fires at At.
-type Arrival struct {
+// arrival is one scheduled invocation: Keys[Key] fires at At.
+type arrival struct {
 	At  time.Duration
 	Key int
 }
@@ -73,19 +73,19 @@ type TraceResult struct {
 	Points    []TracePoint
 }
 
-// PathInvoker is an Invoker that also reports which taxonomy path
+// pathInvoker is an Invoker that also reports which taxonomy path
 // (cold/warm/hot/lukewarm) served each invocation — the trace
 // experiments' primary observable.
-type PathInvoker interface {
+type pathInvoker interface {
 	InvokePath(p *sim.Proc, spec Spec, args string) (path string, err error)
 }
 
-// Arrivals expands the trace into its deterministic arrival schedule,
+// arrivals expands the trace into its deterministic arrival schedule,
 // sorted by instant (ties broken by key index). Each key draws from
 // its own seeded stream, so adding or removing keys never perturbs the
 // others' schedules.
-func (t Trace) Arrivals() []Arrival {
-	var out []Arrival
+func (t Trace) arrivals() []arrival {
+	var out []arrival
 	for ki, k := range t.Keys {
 		kr := sim.NewRNG(t.Seed + int64(ki+1)*0x9E3779B9)
 		switch k.Process {
@@ -96,20 +96,20 @@ func (t Trace) Arrivals() []Arrival {
 			}
 			at := time.Duration(kr.Float64() * float64(window))
 			if at < t.Horizon {
-				out = append(out, Arrival{At: at, Key: ki})
+				out = append(out, arrival{At: at, Key: ki})
 			}
 		case ProcLognormal:
 			// Random phase so the periodic keys don't all tick in
 			// lockstep, then lognormal gaps.
 			at := time.Duration(kr.Float64() * float64(k.Mean))
 			for at < t.Horizon {
-				out = append(out, Arrival{At: at, Key: ki})
+				out = append(out, arrival{At: at, Key: ki})
 				at += lognormalGap(kr, k.Mean, k.Sigma)
 			}
 		default: // ProcPoisson
 			at := kr.Exp(k.Mean)
 			for at < t.Horizon {
-				out = append(out, Arrival{At: at, Key: ki})
+				out = append(out, arrival{At: at, Key: ki})
 				at += kr.Exp(k.Mean)
 			}
 		}
@@ -128,8 +128,8 @@ func (t Trace) Arrivals() []Arrival {
 // its own proc, so slow serves never delay later arrivals. Run drives
 // eng.Run itself and returns once every in-flight invocation has
 // completed.
-func (t Trace) Run(eng *sim.Engine, inv PathInvoker) TraceResult {
-	arrivals := t.Arrivals()
+func (t Trace) Run(eng *sim.Engine, inv pathInvoker) TraceResult {
+	arrivals := t.arrivals()
 	res := TraceResult{Arrivals: len(arrivals)}
 	eng.Go("trace-arrivals", func(p *sim.Proc) {
 		for _, a := range arrivals {

@@ -36,8 +36,8 @@ func testTrace(seed int64) Trace {
 // TestPolicyTraceDeterministicPerSeed: the same seed yields the same
 // schedule; a different seed yields a different one.
 func TestPolicyTraceDeterministicPerSeed(t *testing.T) {
-	a := testTrace(7).Arrivals()
-	b := testTrace(7).Arrivals()
+	a := testTrace(7).arrivals()
+	b := testTrace(7).arrivals()
 	if len(a) == 0 {
 		t.Fatal("no arrivals generated")
 	}
@@ -49,7 +49,7 @@ func TestPolicyTraceDeterministicPerSeed(t *testing.T) {
 			t.Fatalf("same seed, arrival %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	c := testTrace(8).Arrivals()
+	c := testTrace(8).arrivals()
 	same := len(a) == len(c)
 	if same {
 		for i := range a {
@@ -70,7 +70,7 @@ func TestPolicyTraceDeterministicPerSeed(t *testing.T) {
 // horizon and sorted.
 func TestPolicyTraceProcessShapes(t *testing.T) {
 	tr := testTrace(42)
-	arr := tr.Arrivals()
+	arr := tr.arrivals()
 	counts := map[int]int{}
 	var last time.Duration
 	for _, a := range arr {
@@ -104,8 +104,8 @@ func TestPolicyTraceRunOpenLoop(t *testing.T) {
 	tr := testTrace(7)
 	rec := &traceRecorder{}
 	res := tr.Run(eng, rec)
-	if res.Arrivals != len(tr.Arrivals()) {
-		t.Errorf("Arrivals = %d, want %d", res.Arrivals, len(tr.Arrivals()))
+	if res.Arrivals != len(tr.arrivals()) {
+		t.Errorf("Arrivals = %d, want %d", res.Arrivals, len(tr.arrivals()))
 	}
 	if res.Completed != res.Arrivals || res.Errors != 0 {
 		t.Errorf("Completed = %d, Errors = %d, want %d completions", res.Completed, res.Errors, res.Arrivals)
@@ -113,7 +113,7 @@ func TestPolicyTraceRunOpenLoop(t *testing.T) {
 	if len(res.Points) != res.Arrivals {
 		t.Fatalf("Points = %d, want %d", len(res.Points), res.Arrivals)
 	}
-	want := tr.Arrivals()
+	want := tr.arrivals()
 	for i, at := range rec.times {
 		if at != want[i].At {
 			t.Fatalf("invocation %d issued at %v, scheduled for %v", i, at, want[i].At)

@@ -34,9 +34,9 @@ func CPUBoundSource(ms int) string {
 	return fmt.Sprintf(`function main(args) { spin(%d); return {done: true}; }`, ms)
 }
 
-// IOBoundSource returns a function that blocks on an external HTTP
+// ioBoundSource returns a function that blocks on an external HTTP
 // call; the remote server's think time is configured server-side.
-func IOBoundSource(url string) string {
+func ioBoundSource(url string) string {
 	return fmt.Sprintf(`function main(args) { var body = http.get(%q); return {body: body}; }`, url)
 }
 
@@ -63,7 +63,7 @@ func CPUSpec(key string, ms int) Spec {
 
 // IOSpec builds an IO-bound function calling url.
 func IOSpec(key, url string, block time.Duration) Spec {
-	return Spec{Key: key, Source: IOBoundSource(url), IO: block}
+	return Spec{Key: key, Source: ioBoundSource(url), IO: block}
 }
 
 // Invoker is the platform interface the benchmark drives. Both the

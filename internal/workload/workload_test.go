@@ -36,7 +36,7 @@ func TestCorpusSourcesAreValidMiniJS(t *testing.T) {
 	for name, src := range map[string]string{
 		"nop": NOPSource,
 		"cpu": CPUBoundSource(150),
-		"io":  IOBoundSource("http://ext/block"),
+		"io":  ioBoundSource("http://ext/block"),
 	} {
 		if _, err := lang.Parse(src); err != nil {
 			t.Errorf("%s source does not parse: %v", name, err)

@@ -27,7 +27,6 @@
 package seuss
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -63,9 +62,6 @@ func (s *Simulation) Clock() time.Duration { return time.Duration(s.eng.Now()) }
 // Run drains all pending events, advancing virtual time to completion.
 func (s *Simulation) Run() { s.eng.Run() }
 
-// RunFor advances virtual time by d, running due events.
-func (s *Simulation) RunFor(d time.Duration) { s.eng.RunUntil(s.eng.Now().Add(d)) }
-
 // Engine exposes the underlying event engine for advanced scheduling.
 func (s *Simulation) Engine() *sim.Engine { return s.eng }
 
@@ -99,9 +95,6 @@ type Function = workload.Spec
 // NOP returns the i-th logically unique NOP JavaScript function, the
 // workload of the microbenchmarks and throughput experiments.
 func NOP(i int) Function { return workload.NOPSpec(i) }
-
-// CPUBound returns a function burning ms milliseconds of compute.
-func CPUBound(key string, ms int) Function { return workload.CPUSpec(key, ms) }
 
 // IOBound returns a function blocking on an external HTTP endpoint.
 func IOBound(key, url string, block time.Duration) Function {
@@ -211,20 +204,6 @@ func (n *Node) Stats() NodeStats {
 	}
 }
 
-// PolicyTick runs one lifecycle-reaper pass over the node at the
-// current virtual instant: idle UCs past their keep-alive are
-// destroyed, idle lineages past their snapshot window scale to zero
-// (demote to the disk tier), and predicted recurrences prewarm back.
-// A no-op without NodeConfig.Policy. Drive it from a Spawned task that
-// sleeps between passes.
-func (n *Node) PolicyTick(t *Task) LifecycleTickStats {
-	return n.node.PolicyTick(t.p)
-}
-
-// Core exposes the underlying node for advanced use (experiments,
-// ablations).
-func (n *Node) Core() *core.Node { return n.node }
-
 // ---- Sharded node pool ----
 
 // PoolConfig parameterizes a sharded node pool.
@@ -314,19 +293,6 @@ type PoolInvocation struct {
 	Stolen bool
 }
 
-// InvokeSync services one invocation. Safe for concurrent use.
-func (p *NodePool) InvokeSync(key, source, args string) (PoolInvocation, error) {
-	res, err := p.pool.InvokeSync(key, source, args)
-	if err != nil {
-		return PoolInvocation{}, err
-	}
-	return PoolInvocation{
-		Invocation: Invocation{RequestID: res.RequestID, Path: res.Path.String(), Output: res.Output, Latency: res.Latency},
-		Shard:      res.Shard,
-		Stolen:     res.Stolen,
-	}, nil
-}
-
 // InvokeRuntime services one invocation on a named interpreter runtime
 // ("" = the pool's default). Safe for concurrent use.
 func (p *NodePool) InvokeRuntime(runtime, key, source, args string) (PoolInvocation, error) {
@@ -404,11 +370,11 @@ func (p *NodePool) FlushSnapshots() (int, error) { return p.pool.FlushSnapshots(
 func (p *NodePool) SnapshotStore() *SnapshotStore { return p.pool.SnapStore() }
 
 // PolicyTick advances every shard's virtual clock by advance and runs
-// one lifecycle-reaper pass on each (see Node.PolicyTick), returning
-// the aggregate. Drive it from a wall-clock ticker: invocations only
-// advance a shard's virtual clock by their own latencies, so idle time
-// must be modelled explicitly for keep-alive windows to lapse. A
-// no-op without PoolConfig.Node.Policy.
+// one lifecycle-reaper pass on each, returning the aggregate. Drive it
+// from a wall-clock ticker: invocations only advance a shard's virtual
+// clock by their own latencies, so idle time must be modelled
+// explicitly for keep-alive windows to lapse. A no-op without
+// PoolConfig.Node.Policy.
 func (p *NodePool) PolicyTick(advance time.Duration) (LifecycleTickStats, error) {
 	return p.pool.PolicyTick(advance)
 }
@@ -422,23 +388,10 @@ func (p *NodePool) Close() { p.pool.Close() }
 // ---- Lifecycle policy ----
 
 // LifecyclePolicy decides per-function keep-alive, scale-to-zero, and
-// predictive prewarm. Attach one via NodeConfig.Policy (each shard or
-// cluster member gets a private clone) and drive the reaper with
-// Node.PolicyTick / NodePool.PolicyTick. Implementations: NoKeepAlive
-// (scale to zero immediately), FixedKeepAlive (one fixed window for
-// everything, the classic 10-minute baseline), Hybrid (per-function
-// inter-arrival histograms choose both the window and a prewarm
-// instant).
+// predictive prewarm. Build one with NewLifecyclePolicy, attach it via
+// PoolConfig.Node.Policy (each shard gets a private clone) and drive
+// the reaper with NodePool.PolicyTick.
 type LifecyclePolicy = policy.Policy
-
-// NoKeepAlive scales every function to zero the moment it goes idle.
-type NoKeepAlive = policy.NoKeepAlive
-
-// FixedKeepAlive keeps every idle function alive for one fixed window.
-type FixedKeepAlive = policy.FixedKeepAlive
-
-// HybridPolicy is the histogram-driven adaptive policy.
-type HybridPolicy = policy.Hybrid
 
 // LifecycleTickStats summarizes one reaper pass.
 type LifecycleTickStats = core.TickStats
@@ -451,9 +404,6 @@ func NewLifecyclePolicy(name string, keepalive time.Duration) (LifecyclePolicy, 
 	return policy.New(name, keepalive)
 }
 
-// NewHybridPolicy returns the adaptive policy at its defaults.
-func NewHybridPolicy() *HybridPolicy { return policy.NewHybrid() }
-
 // ---- Snapshot disk tier ----
 
 // SnapshotStore is the content-addressed on-disk snapshot tier.
@@ -465,10 +415,6 @@ func NewHybridPolicy() *HybridPolicy { return policy.NewHybrid() }
 // evictions cascade through snapshot-stack dependencies. Safe for
 // concurrent use; one store may back every shard of a pool.
 type SnapshotStore = snapstore.Store
-
-// SnapshotStoreStats is a store's counters: tier hits/misses, puts,
-// evictions, corrupt entries dropped, and current entry/byte footprint.
-type SnapshotStoreStats = snapstore.Stats
 
 // OpenSnapshotStore opens (creating if absent) a snapshot store rooted
 // at dir, recovering from any earlier crash: partial temp files are
@@ -497,14 +443,6 @@ func (s *Simulation) NewSeussCluster(cfg NodeConfig) (*Cluster, error) {
 	return &Cluster{sim: s, cluster: faas.NewCluster(faas.NewSeussBackend(n))}, nil
 }
 
-// NewSeussDistCluster assembles the platform over a DR-SEUSS
-// multi-node deployment: the same control plane and shim front door,
-// with the scheduler placing each invocation by snapshot locality.
-// The caller keeps the DistCluster handle for stats and holders.
-func (s *Simulation) NewSeussDistCluster(d *DistCluster) *Cluster {
-	return &Cluster{sim: s, cluster: faas.NewCluster(faas.NewSeussDistBackend(s.eng, d.c))}
-}
-
 // LinuxConfig parameterizes the stock OpenWhisk Linux backend.
 type LinuxConfig = faas.LinuxConfig
 
@@ -513,15 +451,6 @@ type LinuxConfig = faas.LinuxConfig
 func (s *Simulation) NewLinuxCluster(cfg LinuxConfig) *Cluster {
 	return &Cluster{sim: s, cluster: faas.NewCluster(faas.NewLinuxBackend(s.eng, cfg))}
 }
-
-// Invoke issues one synchronous platform request from a task.
-func (c *Cluster) Invoke(t *Task, fn Function, args string) error {
-	return c.cluster.Invoke(t.p, fn, args)
-}
-
-// Backend returns the backend's name ("seuss", "seuss-dist", or
-// "linux").
-func (c *Cluster) Backend() string { return c.cluster.Backend().Name() }
 
 // Platform exposes the underlying cluster for experiment harnesses.
 func (c *Cluster) Platform() *faas.Cluster { return c.cluster }
@@ -536,16 +465,16 @@ type Trial = workload.Trial
 // TrialResult is a trial's outcome.
 type TrialResult = workload.TrialResult
 
-// RunTrial executes a trial against the cluster.
-func (c *Cluster) RunTrial(t Trial) TrialResult {
-	return t.Run(c.sim.eng, c.cluster)
-}
-
 // Burst is the §7 burst-resiliency experiment configuration.
 type Burst = workload.Burst
 
 // Timeline is the per-request scatter data of the burst figures.
 type Timeline = metrics.Timeline
+
+// RunTrial executes a trial against the cluster.
+func (c *Cluster) RunTrial(t Trial) TrialResult {
+	return t.Run(c.sim.eng, c.cluster)
+}
 
 // RunBurst executes a burst experiment against the cluster.
 func (c *Cluster) RunBurst(b Burst) *Timeline {
@@ -559,38 +488,18 @@ func Summarize(samples []time.Duration) metrics.Summary {
 
 // ---- DR-SEUSS (distributed snapshot cache, the paper's §9) ----
 
-// DistPolicy selects how the distributed cache exploits remote holders.
-type DistPolicy = cluster.Policy
-
-// Distributed cache policies.
-const (
-	// PolicyRoute forwards requests to a snapshot holder.
-	PolicyRoute = cluster.PolicyRoute
-	// PolicyMigrate replicates snapshots across the fabric by fetching
-	// the stack layers a peer is missing; it needs DistConfig.SnapDir.
-	PolicyMigrate = cluster.PolicyMigrate
-)
-
 // DistConfig parameterizes a DR-SEUSS deployment.
 type DistConfig = cluster.Config
 
 // DistStats reports distributed-cache behavior.
 type DistStats = cluster.Stats
 
-// Placer decides where each invocation runs; plug one into
-// DistConfig.Placer to swap scheduling policies. Placers are
-// single-writer — the cluster serializes placement decisions.
-type Placer = sched.Placer
-
-// LocalityPlacer is the default policy: route to the least-loaded
-// snapshot holder, fall back to lukewarm tier holders, and — once
-// every holder is saturated past Slack — replicate by fetching only
-// the missing layers over the fabric.
+// LocalityPlacer is the default placement: route to the least-loaded
+// snapshot holder and fall back to lukewarm tier holders. With
+// Replicate set (it needs DistConfig.SnapDir), a holder saturated past
+// its peers replicates instead, by fetching only the missing layers
+// over the fabric.
 type LocalityPlacer = sched.LocalityPlacer
-
-// LeastLoadedPlacer ignores snapshot locality entirely — the
-// ablation baseline for the locality experiments.
-type LeastLoadedPlacer = sched.LeastLoadedPlacer
 
 // DistCluster is a multi-node SEUSS deployment with a global snapshot
 // directory: a function is cold at most once per cluster.
@@ -637,44 +546,6 @@ func (d *DistCluster) Holders(key string) []int { return d.c.Holders(key) }
 
 // Nodes returns the member count.
 func (d *DistCluster) Nodes() int { return len(d.c.Members()) }
-
-// DistMemberState is one member's lifecycle state: runtime ground truth
-// (Up, Partitioned) plus the heartbeat-driven belief recorded in the
-// scheduler view (State: "alive"/"suspect"/"dead", Missed rounds).
-type DistMemberState = cluster.MemberInfo
-
-// MemberStates reports every member's lifecycle state.
-func (d *DistCluster) MemberStates() []DistMemberState { return d.c.MemberStates() }
-
-// CrashMember kills a member: resident UCs and memory-tier snapshots
-// are lost, its disk tier survives but is offline until restart, and
-// in-flight invocations on it fail over. Returns false if the member
-// was already down. (Fault-injection hook; the member-crash fault point
-// drives the same path.)
-func (d *DistCluster) CrashMember(id int) bool { return d.c.Crash(id) }
-
-// RestartMember rebuilds a crashed member over its surviving disk tier
-// and rejoins it: fresh RAM, a full manifest resync, and a disk-tier
-// prewarm (unless the cluster was configured RejoinLazy). Runs the
-// rejoin on the simulation clock.
-func (d *DistCluster) RestartMember(id int) error {
-	var err error
-	d.sim.Spawn(fmt.Sprintf("restart:%d", id), func(t *Task) {
-		err = d.c.Restart(t.p, id)
-	})
-	d.sim.Run()
-	return err
-}
-
-// PartitionMember isolates a member: it keeps running but is reachable
-// by no one, so heartbeats stop landing and placements skip it once
-// suspected. Returns false if the member is down or already
-// partitioned.
-func (d *DistCluster) PartitionMember(id int) bool { return d.c.Partition(id) }
-
-// HealMember reconnects a partitioned member and resyncs its manifest.
-// Returns false if the member is not partitioned.
-func (d *DistCluster) HealMember(id int) bool { return d.c.Heal(id) }
 
 // ---- Metrics ----
 
