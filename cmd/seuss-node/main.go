@@ -358,16 +358,18 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // followTrace streams newly recorded events as chunked JSONL until the
 // client goes away. Only events recorded after the subscription starts
-// are delivered; fetch /trace first for the retained history.
+// are delivered; fetch /trace first for the retained history. The
+// subscription starts before the headers go out, so every event
+// recorded after the client sees the stream open is on it.
 func (s *server) followTrace(w http.ResponseWriter, r *http.Request) {
+	ch, cancel := s.tracer.Subscribe(256)
+	defer cancel()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
 	if fl != nil {
 		fl.Flush() // commit headers so the client sees the stream open
 	}
-	ch, cancel := s.tracer.Subscribe(256)
-	defer cancel()
 	enc := json.NewEncoder(w)
 	for {
 		select {

@@ -524,7 +524,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`seuss_invocation_latency_seconds_bucket{path="cold",le="+Inf"} 1`,
 		`seuss_invocation_latency_seconds_count{path="cold"} 1`,
 		`seuss_snapshot_stack_lookups_total{result=`,
-		`seuss_deploy_kit_lookups_total{result=`,
 		"seuss_trace_events ",
 		"seuss_trace_dropped_total 0",
 	} {

@@ -10,6 +10,8 @@ import (
 
 	"seuss/internal/fault"
 	"seuss/internal/lang"
+	"seuss/internal/sim"
+	"seuss/internal/uc"
 )
 
 // faultSeed honors the CI fault-matrix seed (SEUSS_FAULT_SEED),
@@ -29,12 +31,13 @@ func faultSeed(t *testing.T) int64 {
 // TestFaultCrashedUCNeverRecycled is the containment regression test:
 // a UC whose invocation returned an error — injected crash here — must
 // be destroyed, never returned to the idle cache where its dirty
-// interpreter state would poison later warm hits.
+// interpreter state would poison later warm hits, and never handed to
+// a later deploy.
 func TestFaultCrashedUCNeverRecycled(t *testing.T) {
 	cfg := DefaultConfig()
-	// Crash exactly the second invocation the node runs.
+	// Crash the second run the node starts (hot) and the fourth (warm).
 	cfg.Faults = fault.New(fault.Config{
-		Schedule: map[fault.Point][]uint64{fault.PointUCCrash: {2}},
+		Schedule: map[fault.Point][]uint64{fault.PointUCCrash: {2, 4}},
 	})
 	n, eng := newTestNode(t, cfg)
 	req := Request{Key: "acct/fn", Source: nopSource, Args: "{}"}
@@ -72,6 +75,43 @@ func TestFaultCrashedUCNeverRecycled(t *testing.T) {
 	}
 	if !strings.Contains(res.Output, `"ok":true`) {
 		t.Errorf("retry output = %q", res.Output)
+	}
+
+	// Warm: a UC deployed from the function snapshot crashes before any
+	// guest code runs, so its interpreter still equals the snapshot's
+	// payload. The retry must still get a UC that shares no guest
+	// structure with it.
+	n.reclaimAll(nil)
+	var crashed *uc.UC
+	eng.Go("warm-crash", func(p *sim.Proc) {
+		inv := &invocation{id: invokeSeq.Add(1), req: req, path: PathWarm}
+		mu, err := n.start(p, inv, n.fnSnaps[req.Key].snap, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		crashed = mu.u
+		if _, err := n.runOn(p, mu, req); !errors.Is(err, ErrUCCrashed) {
+			t.Errorf("warm crash err = %v, want ErrUCCrashed", err)
+		}
+	})
+	eng.Run()
+	if crashed == nil {
+		t.FailNow()
+	}
+	res, err = invoke(t, n, eng, req)
+	if err != nil || res.Path != PathWarm {
+		t.Fatalf("retry after warm crash: path=%v err=%v", res.Path, err)
+	}
+	retry := n.takeIdle(req.Key)
+	if retry == nil {
+		t.Fatal("served retry left no idle UC")
+	}
+	if retry.u == crashed || retry.u.Guest() == crashed.Guest() {
+		t.Error("retry reused the crashed warm UC's guest stack")
+	}
+	if n.Stats().UCCrashes != 2 {
+		t.Errorf("UCCrashes = %d, want 2", n.Stats().UCCrashes)
 	}
 }
 

@@ -848,7 +848,7 @@ func (n *Node) finish(inv *invocation, out string, err error) (Result, error) {
 // pages first when the caller supplies a record (nil ws is the plain
 // on-demand deploy). On memory pressure it walks the degradation
 // ladder instead of failing outright: reclaim idle UCs one at a time
-// (level 1, LRU-first — they redeploy cheaply from their snapshots),
+// (level 1, LRU-first — they deploy again cheaply from their snapshots),
 // then evict the coldest function snapshots (level 2 — future warm
 // starts are lost, nothing else). Only when both levels are exhausted
 // does it report saturation (level 3, the cold fallback, belongs to
@@ -872,11 +872,6 @@ func (n *Node) deploy(p *sim.Proc, snap *snapshot.Snapshot, ws []uint64, path Pa
 		return nil, 0, err
 	}
 	n.count(metrics.CtrUCsDeployed, 1)
-	if u.Recycled() {
-		n.count(metrics.CtrDeployKitHits, 1)
-	} else {
-		n.count(metrics.CtrDeployKitMisses, 1)
-	}
 	// Restore-time uniqueness (DESIGN.md §14): the deploy drew fresh
 	// entropy and a new generation into the clone's RNG seed. The
 	// entropy-stale fault point undoes the re-draw — reproducing the
@@ -887,7 +882,7 @@ func (n *Node) deploy(p *sim.Proc, snap *snapshot.Snapshot, ws []uint64, path Pa
 		n.count(metrics.CtrFaultsInjected, 1)
 		n.event(trace.KindFault, 0, snap.Name(), "entropy-stale: deploy kept the snapshot's RNG seed")
 	} else {
-		n.countReseed(u, path)
+		n.count(reseedCounters[path], 1)
 	}
 	mu := &managedUC{u: u, e: e, core: n.nextCore % n.cfg.Cores}
 	n.nextCore++
@@ -898,16 +893,6 @@ func (n *Node) deploy(p *sim.Proc, snap *snapshot.Snapshot, ws []uint64, path Pa
 		*host.port = port
 	}
 	return mu, prefetched, nil
-}
-
-// countReseed accounts the entropy reseed a deploy drew, by the path
-// that deployed — or as a kit reseed when the UC was a recycled one.
-func (n *Node) countReseed(u *uc.UC, path Path) {
-	ctr := reseedCounters[path]
-	if u.Recycled() {
-		ctr = metrics.CtrReseedsKit
-	}
-	n.count(ctr, 1)
 }
 
 // ucNetHost is the hypercall host the node gives each UC: non-network
@@ -969,7 +954,7 @@ func (n *Node) captureFnSnapshot(p *sim.Proc, u *uc.UC, key string) {
 // crash, a deadline kill, a guest fault — is destroyed here, NEVER
 // returned to the idle cache. Its interpreter state is dirty (half-run
 // function, exhausted step budget) and would poison later warm hits;
-// the function's immutable snapshot is what retries redeploy from.
+// the function's immutable snapshot is what retries deploy from.
 func (n *Node) runOn(p *sim.Proc, mu *managedUC, req Request) (string, error) {
 	mu.e.bind(p)
 	mu.u.SetRunning()
@@ -1452,6 +1437,6 @@ func (n *Node) DeployIdle(p *sim.Proc) (*uc.UC, error) {
 		return nil, err
 	}
 	n.count(metrics.CtrUCsDeployed, 1)
-	n.countReseed(u, PathWarm)
+	n.count(metrics.CtrReseedsWarm, 1)
 	return u, nil
 }

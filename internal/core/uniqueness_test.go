@@ -170,24 +170,6 @@ func TestReseedMetricsByPath(t *testing.T) {
 	if got := rec.Snapshot().Counter(metrics.CtrReseedsWarm); got != 1 {
 		t.Errorf("warm reseeds = %d, want 1", got)
 	}
-
-	// Deploy-kit recycling: an un-invoked idle UC parks a kit; the next
-	// deploy rebinds it and the reseed is attributed to the kit path.
-	eng.Go("idle", func(p *sim.Proc) {
-		u, err := n.DeployIdle(p)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		u.Destroy()
-		if _, err := n.DeployIdle(p); err != nil {
-			t.Error(err)
-		}
-	})
-	eng.Run()
-	if got := rec.Snapshot().Counter(metrics.CtrReseedsKit); got != 1 {
-		t.Errorf("kit reseeds = %d, want 1", got)
-	}
 }
 
 // TestInvokeTraceCarriesReseedGeneration: invocation spans that

@@ -146,16 +146,6 @@ func NewCounter(inner Host, cost time.Duration, sink cpuSink) *Counter {
 	return &Counter{inner: inner, cost: cost, sink: sink}
 }
 
-// Reset rebinds the counter to a new inner host and sink and zeroes the
-// crossing counts — the recycling path for deploy kits, where the
-// Counter struct outlives one UC incarnation and must start the next
-// with clean accounting.
-func (c *Counter) Reset(inner Host, sink cpuSink) {
-	c.inner = inner
-	c.sink = sink
-	c.counts = [numCalls]int64{}
-}
-
 // Counts returns the per-hypercall crossing counts.
 func (c *Counter) Counts() [numCalls]int64 { return c.counts }
 

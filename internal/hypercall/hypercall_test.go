@@ -55,25 +55,6 @@ func TestCounterNilCharge(t *testing.T) {
 	}
 }
 
-func TestCounterReset(t *testing.T) {
-	var a, b time.Duration
-	first := NewStubHost()
-	c := NewCounter(first, time.Microsecond, chargeFunc(func(d time.Duration) { a += d }))
-	c.Puts("x")
-	second := NewStubHost()
-	c.Reset(second, chargeFunc(func(d time.Duration) { b += d }))
-	if c.Total() != 0 {
-		t.Errorf("counts survived Reset: total = %d", c.Total())
-	}
-	c.Puts("y")
-	if a != time.Microsecond || b != time.Microsecond {
-		t.Errorf("charges a=%v b=%v, want 1µs each", a, b)
-	}
-	if len(first.Console) != 1 || len(second.Console) != 1 {
-		t.Errorf("console routing: first=%v second=%v", first.Console, second.Console)
-	}
-}
-
 func TestStubDisk(t *testing.T) {
 	h := NewStubHost()
 	cap0, sec := h.BlkInfo()

@@ -102,10 +102,7 @@ func (h *StubHost) SetTLS(base uint64) { h.TLSBase = base }
 func (h *StubHost) Halt(status int) { h.Halted = status }
 
 // Entropy implements Host: a splitmix64 step over EntropyState. Pure
-// arithmetic — the stub backs the allocation-free deploy benchmarks,
-// so the draw must not allocate or syscall. The state persists across
-// deploy-kit recycling (the stub outlives UC incarnations), so every
-// redeploy draws a fresh value.
+// arithmetic, so the draw neither allocates nor makes a syscall.
 func (h *StubHost) Entropy() uint64 {
 	h.EntropyState += 0x9E3779B97F4A7C15
 	x := h.EntropyState

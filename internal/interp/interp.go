@@ -103,16 +103,11 @@ type Runtime struct {
 	allocs  int64
 	hookErr error
 	rngSeed uint64
-	// pristine records that the interpreter environment still equals the
-	// state RestoreFromState replayed — no driver or user code has run
-	// since — so the whole guest stack can be recycled as a deploy kit.
-	pristine bool
 	// staleSeed is rngSeed as RestoreFromState left it: the byte-exact
-	// restore baseline every clone of the snapshot shares. Kit recycling
-	// rewinds to it so a recycled deploy starts from the same state a
-	// fresh rehydration would — and then the deploying host MUST call
-	// Reseed, on every path, or siblings replay one RNG stream (the
-	// snapshot-uniqueness bug of arXiv 2102.12892).
+	// restore baseline every clone of the snapshot shares. The deploying
+	// host MUST call Reseed, on every path, or siblings replay one RNG
+	// stream (the snapshot-uniqueness bug of arXiv 2102.12892);
+	// RewindToStaleSeed returns to it to reproduce that bug on purpose.
 	staleSeed uint64
 }
 
@@ -184,11 +179,10 @@ func (r *Runtime) hooks() lang.Hooks {
 // Reseed re-derives the guest RNG seed from a host entropy draw and
 // the deploy generation — the restore-time uniqueness step (DESIGN.md
 // §14), called by the deploying host on every path: cold boot, warm
-// deploy, lukewarm promote, recycled kit. The generation term alone
-// guarantees sibling clones diverge (entropy.MixSeed is a bijection in
-// gen), while a pinned (draw, gen) pair replays the identical stream —
-// per-clone determinism for the fault matrix. Reseeding is host work,
-// not guest activity, so it does not spoil pristineness.
+// deploy, lukewarm promote. The generation term alone guarantees
+// sibling clones diverge (entropy.MixSeed is a bijection in gen), while
+// a pinned (draw, gen) pair replays the identical stream — per-clone
+// determinism for the fault matrix.
 func (r *Runtime) Reseed(draw, gen uint64) {
 	r.rngSeed = entropy.MixSeed(draw, gen)
 }
@@ -224,7 +218,6 @@ func (r *Runtime) InitInterpreter() error {
 	if !r.uk.Booted() {
 		return libos.ErrNotBooted
 	}
-	r.pristine = false
 	// Interpreter binary + initial heap: the bulk of the runtime image
 	// (109.6 MB for the Node.js profile). Kernel, stack, and driver
 	// make up the rest.
@@ -242,7 +235,6 @@ func (r *Runtime) StartDriver() error {
 	if r.st.DriverStarted {
 		return errors.New("interp: driver already started")
 	}
-	r.pristine = false
 	if err := r.uk.WriteFile("/driver.js", []byte(r.prof.DriverSource)); err != nil {
 		return err
 	}
@@ -258,7 +250,6 @@ func (r *Runtime) StartDriver() error {
 // lazy interpreter initialization into the shared image and pre-growing
 // caches to production depth.
 func (r *Runtime) WarmInterpreter() error {
-	r.pristine = false
 	if err := r.ensureInterpFirstRun(); err != nil {
 		return err
 	}
@@ -312,7 +303,6 @@ func (r *Runtime) ImportAndCompile(src string) error {
 	if !r.connected() {
 		return errors.New("interp: import without connection")
 	}
-	r.pristine = false
 	if err := r.conn.Send(int64(len(src))); err != nil {
 		return err
 	}
@@ -354,7 +344,6 @@ func (r *Runtime) Invoke(argsJSON string) (string, error) {
 	if err := r.conn.Send(int64(len(argsJSON))); err != nil {
 		return "", err
 	}
-	r.pristine = false
 	r.uk.Env().ChargeCPU(costs.ArgImport)
 
 	// Mutable runtime structures captured in the deployed image are
@@ -449,36 +438,6 @@ func RestoreFromState(uk *libos.Unikernel, st State, diffPages int) (*Runtime, e
 			return nil, fmt.Errorf("interp: rehydrating driver counter: %w", err)
 		}
 	}
-	r.pristine = true
 	r.staleSeed = r.rngSeed
 	return r, nil
-}
-
-// Pristine reports whether the interpreter environment still equals
-// exactly what RestoreFromState replayed: no driver traffic, imports,
-// or invocations have run since. A pristine runtime can be rebound to a
-// fresh deployment of the same snapshot without replaying anything.
-// Connecting does not spoil pristineness — connection state lives in
-// libos and is reset by rehydration.
-func (r *Runtime) Pristine() bool { return r.pristine }
-
-// ResetForRedeploy rebinds a pristine runtime to a fresh deployment of
-// the snapshot it was rehydrated from, restoring every field
-// RestoreFromState would have set — without the replay, because
-// pristine means the interpreter environment already matches. The
-// unikernel must already be reattached and rehydrated. The RNG rewinds
-// to the shared restore baseline; the deploy path reseeds it next, the
-// same contract every other restore shape follows.
-func (r *Runtime) ResetForRedeploy(st State, diffPages int) {
-	r.st = st
-	if r.st.Runtime == "" {
-		r.st.Runtime = r.prof.Name
-	}
-	r.st.DeployedDiffPages = diffPages
-	r.conn = nil
-	r.silent = false
-	r.allocs = 0
-	r.hookErr = nil
-	r.rngSeed = r.staleSeed
-	r.in.LimitSteps(0)
 }

@@ -35,7 +35,6 @@ func Profiles() []string {
 // Requests returns the driver's in-guest request counter (read through
 // the interpreter, proving the driver state is real).
 func (r *Runtime) Requests() (int, error) {
-	r.pristine = false
 	v, err := r.in.CallGlobal("__status", nil)
 	if err != nil {
 		return 0, err

@@ -14,6 +14,7 @@ package libos
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
 	"seuss/internal/costs"
@@ -133,49 +134,23 @@ func (u *Unikernel) State() State {
 	return st
 }
 
-// Rehydrate restores guest metadata from a snapshot payload without
-// charging any virtual time: on real hardware this state is simply part
-// of the restored memory image. The address space must already be the
-// snapshot's deployed clone. The unikernel's existing ramdisk maps are
-// reused (cleared and refilled) so recycled deploy kits rehydrate
-// without allocating.
+// Rehydrate restores guest metadata from a snapshot payload into a
+// unikernel fresh from New, without charging any virtual time: on real
+// hardware this state is simply part of the restored memory image. The
+// address space must already be the snapshot's deployed clone. The
+// ramdisk entries are copied into the unikernel's own maps, so the
+// payload stays immutable whatever the guest writes.
 func (u *Unikernel) Rehydrate(st State) {
-	files := u.st.Files
-	if files == nil {
-		files = make(map[string]int64, len(st.Files))
-	}
-	clear(files)
-	for k, v := range st.Files {
-		files[k] = v
-	}
-	addrs := u.st.FileAddrs
-	if addrs == nil {
-		addrs = make(map[string]uint64, len(st.FileAddrs))
-	}
-	clear(addrs)
-	for k, v := range st.FileAddrs {
-		addrs[k] = v
-	}
+	maps.Copy(u.st.Files, st.Files)
+	maps.Copy(u.st.FileAddrs, st.FileAddrs)
+	st.Files, st.FileAddrs = u.st.Files, u.st.FileAddrs
 	u.st = st
-	u.st.Files = files
-	u.st.FileAddrs = addrs
 	u.syncFaultBase()
-}
-
-// Reattach rebinds a recycled unikernel to a fresh deployment: a new
-// address space clone, hypercall interface, and host environment. Guest
-// metadata is untouched — callers follow with Rehydrate, which resets it
-// from the snapshot payload (including the fault-charging base).
-func (u *Unikernel) Reattach(as *pagetable.AddressSpace, host hypercall.Host, env Env) {
-	u.as = as
-	u.host = host
-	u.env = env
-	u.lastFaults = 0
 }
 
 // SetDeployGeneration records the host-issued generation of the deploy
 // that produced this incarnation. Called by the deploying host on every
-// path — cold boot, warm deploy, lukewarm promote, recycled kit —
+// path — cold boot, warm deploy, lukewarm promote —
 // never restored from a snapshot payload.
 func (u *Unikernel) SetDeployGeneration(gen uint64) { u.deployGen = gen }
 

@@ -36,13 +36,11 @@ const (
 	CtrHotInvocations
 	CtrLukewarmInvocations
 	CtrInvokeErrors
-	// Cache behavior: snapshot-stack (function snapshot) lookups, idle
-	// UC (hot path) hits, and deploy-kit recycling.
+	// Cache behavior: snapshot-stack (function snapshot) lookups and
+	// idle UC (hot path) hits.
 	CtrSnapshotStackHits
 	CtrSnapshotStackMisses
 	CtrIdleUCHits
-	CtrDeployKitHits
-	CtrDeployKitMisses
 	// UC lifecycle.
 	CtrUCsDeployed
 	CtrUCsReclaimed
@@ -108,7 +106,6 @@ const (
 	CtrReseedsCold
 	CtrReseedsWarm
 	CtrReseedsLukewarm
-	CtrReseedsKit
 	// Lifecycle policy: keep-alive expirations (idle UCs destroyed and
 	// lineages scaled to zero) and prewarm outcomes.
 	CtrPolicyExpirations
@@ -168,8 +165,6 @@ var counterDescs = [numCounters]desc{
 	CtrSnapshotStackHits:   {"seuss_snapshot_stack_lookups_total", "Function-snapshot (snapshot stack) cache lookups on the warm path.", `result="hit"`},
 	CtrSnapshotStackMisses: {"seuss_snapshot_stack_lookups_total", "", `result="miss"`},
 	CtrIdleUCHits:          {"seuss_idle_uc_hits_total", "Invocations served hot from a cached idle UC.", ""},
-	CtrDeployKitHits:       {"seuss_deploy_kit_lookups_total", "Deploy-kit cache lookups (retired UC recycling) during deploys.", `result="hit"`},
-	CtrDeployKitMisses:     {"seuss_deploy_kit_lookups_total", "", `result="miss"`},
 
 	CtrUCsDeployed:       {"seuss_ucs_deployed_total", "UCs deployed from snapshots.", ""},
 	CtrUCsReclaimed:      {"seuss_ucs_reclaimed_total", "Idle UCs destroyed by the OOM reclaim policy.", ""},
@@ -236,7 +231,6 @@ var counterDescs = [numCounters]desc{
 	CtrReseedsCold:     {"seuss_uc_reseeds_total", "", `path="cold"`},
 	CtrReseedsWarm:     {"seuss_uc_reseeds_total", "", `path="warm"`},
 	CtrReseedsLukewarm: {"seuss_uc_reseeds_total", "", `path="lukewarm"`},
-	CtrReseedsKit:      {"seuss_uc_reseeds_total", "", `path="kit"`},
 
 	CtrPolicyExpirations:      {"seuss_policy_expirations_total", "Keep-alive expirations by the lifecycle policy: idle UCs destroyed plus lineages demoted to the disk tier (scale-to-zero).", ""},
 	CtrPolicyPrewarmsPromoted: {"seuss_policy_prewarms_total", "Policy-driven prewarm attempts, by outcome.", `outcome="promoted"`},

@@ -179,7 +179,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.AddCounter(CtrHotInvocations, 7)
 	r.Inc(CtrSnapshotStackHits)
 	r.AddCounter(CtrSnapshotStackMisses, 3)
-	r.AddCounter(CtrDeployKitHits, 4)
 	r.Inc(CtrUCsDeployed)
 	r.Inc(CtrBreakerTrips)
 	r.Observe(HistColdLatency, 8*time.Millisecond)

@@ -324,39 +324,3 @@ func TestZeroCopyRoundTripThroughMaterialize(t *testing.T) {
 		}
 	}
 }
-
-// TestDeployKitCache exercises the snapshot-side kit parking contract.
-func TestDeployKitCache(t *testing.T) {
-	snap, _ := buildTestSnapshot(t, "kits")
-	type kit struct{ n int }
-	if got := snap.TakeDeployKit(); got != nil {
-		t.Fatalf("empty cache returned %v", got)
-	}
-	if !snap.CacheDeployKit(&kit{1}) {
-		t.Fatal("CacheDeployKit refused on live snapshot")
-	}
-	if snap.CachedDeployKits() != 1 {
-		t.Fatalf("CachedDeployKits = %d", snap.CachedDeployKits())
-	}
-	k := snap.TakeDeployKit()
-	if k == nil || k.(*kit).n != 1 {
-		t.Fatalf("TakeDeployKit = %v", k)
-	}
-	for i := 0; i < maxDeployKits; i++ {
-		if !snap.CacheDeployKit(&kit{i}) {
-			t.Fatalf("cache refused at %d/%d", i, maxDeployKits)
-		}
-	}
-	if snap.CacheDeployKit(&kit{99}) {
-		t.Fatal("cache accepted beyond its bound")
-	}
-	if err := snap.Delete(); err != nil {
-		t.Fatal(err)
-	}
-	if snap.TakeDeployKit() != nil {
-		t.Fatal("deleted snapshot still held kits")
-	}
-	if snap.CacheDeployKit(&kit{0}) {
-		t.Fatal("deleted snapshot accepted a kit")
-	}
-}

@@ -68,43 +68,7 @@ type Snapshot struct {
 	// re-encoded wire bytes — and therefore the content digest — match
 	// the original exactly.
 	lazyZero []uint64
-	// kits caches retired deploy kits — opaque bundles of guest-side
-	// structures (UC shell, unikernel, interpreter) whose state still
-	// equals this snapshot's payload, parked here by the UC layer at
-	// destroy time so the next deploy can skip guest rehydration
-	// allocations entirely. The snapshot layer never looks inside.
-	kits []interface{}
 }
-
-// maxDeployKits bounds the per-snapshot kit cache; beyond it, retired
-// kits are dropped for the GC.
-const maxDeployKits = 64
-
-// CacheDeployKit parks a retired deploy kit for reuse by a future
-// Deploy from this snapshot. Returns false (kit not retained) when the
-// snapshot is deleted or the cache is full.
-func (s *Snapshot) CacheDeployKit(kit interface{}) bool {
-	if s == nil || s.deleted || len(s.kits) >= maxDeployKits {
-		return false
-	}
-	s.kits = append(s.kits, kit)
-	return true
-}
-
-// TakeDeployKit removes and returns a cached deploy kit, or nil.
-func (s *Snapshot) TakeDeployKit() interface{} {
-	n := len(s.kits)
-	if n == 0 {
-		return nil
-	}
-	kit := s.kits[n-1]
-	s.kits[n-1] = nil
-	s.kits = s.kits[:n-1]
-	return kit
-}
-
-// CachedDeployKits returns the number of parked kits (stats/tests).
-func (s *Snapshot) CachedDeployKits() int { return len(s.kits) }
 
 // SetPayload attaches opaque guest metadata to the snapshot. On real
 // hardware this state lives inside the captured memory image; the
@@ -233,7 +197,6 @@ func (s *Snapshot) Delete() error {
 	}
 	s.space.Release()
 	s.space = nil
-	s.kits = nil
 	s.deleted = true
 	if s.base != nil {
 		s.base.children--

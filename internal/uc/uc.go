@@ -81,16 +81,9 @@ type UC struct {
 	env   libos.Env
 	state state
 	regs  snapshot.Registers
-	// recycled marks a UC whose last deploy rebound a retired deploy
-	// kit instead of rehydrating from scratch (the deploy-kit cache
-	// hit/miss signal for metrics).
-	recycled bool
 	// meta holds the kernel-side frames backing the UC descriptor,
 	// event-context stacks, and proxy mappings.
 	meta []mem.Frame
-	// stub is the fallback hypercall host created when a caller passed
-	// nil, remembered so kit recycling does not rebuild it per deploy.
-	stub hypercall.Host
 }
 
 // allocMeta reserves the kernel-side frames for a live UC.
@@ -111,8 +104,7 @@ func (u *UC) freeMeta(st *mem.Store) {
 	for _, f := range u.meta {
 		st.DecRef(f)
 	}
-	// Keep the slice's capacity: a recycled kit refills it on redeploy.
-	u.meta = u.meta[:0]
+	u.meta = nil
 }
 
 // nextID is process-global so UC identifiers stay unique across the
@@ -121,7 +113,7 @@ func (u *UC) freeMeta(st *mem.Store) {
 var nextID atomic.Uint64
 
 // deployGen counts deployments process-wide. Every path that hands a UC
-// to a caller — fresh boot, snapshot deploy, kit redeploy — draws a new
+// to a caller — fresh boot or snapshot deploy — draws a new
 // generation and mixes it with a host entropy draw into the guest's RNG
 // seed (DESIGN.md §14): clones deployed from one byte-identical
 // snapshot must diverge, and the generation makes the divergence
@@ -194,13 +186,6 @@ func BootFreshProfile(st *mem.Store, host hypercall.Host, env libos.Env, prof in
 // Deploy creates a UC from a snapshot: the shallow page-table copy,
 // core mapping, TLB flush, and register restore of §6, followed by
 // rehydration of the guest stack from the snapshot's payload.
-//
-// When the snapshot holds a retired deploy kit — a UC destroyed while
-// its interpreter state still equaled the payload — the guest stack is
-// rebound instead of rebuilt, skipping the Go-level rehydration replay
-// entirely. On real hardware that replay does not exist (the state
-// arrives inside the memory image), so the fast path is also the more
-// faithful one.
 func Deploy(snap *snapshot.Snapshot, host hypercall.Host, env libos.Env) (*UC, error) {
 	u, _, err := DeployPrefetched(snap, host, env, nil)
 	return u, err
@@ -237,26 +222,14 @@ func DeployPrefetched(snap *snapshot.Snapshot, host hypercall.Host, env libos.En
 			env.ChargeCPU(costs.WSPrefetchBase + time.Duration(n)*costs.WSPrefetchPerPage)
 		}
 	}
-	if kit, _ := snap.TakeDeployKit().(*UC); kit != nil {
-		if err := kit.redeploy(snap, space, regs, payload, host, env); err != nil {
-			space.Release()
-			snap.ReleaseUC()
-			return nil, 0, err
-		}
-		return kit, prefetched, nil
-	}
-	inner := hostOrStub(host)
 	u := &UC{
 		id:    nextID.Add(1),
 		space: space,
 		from:  snap,
 		env:   env,
-		host:  hypercall.NewCounter(inner, costs.Hypercall, env),
+		host:  hypercall.NewCounter(hostOrStub(host), costs.Hypercall, env),
 		regs:  regs,
 		state: stateIdle,
-	}
-	if host == nil {
-		u.stub = inner
 	}
 	if err := u.allocMeta(space.Backing()); err != nil {
 		space.Release()
@@ -287,46 +260,6 @@ func DeployPrefetched(snap *snapshot.Snapshot, host hypercall.Host, env libos.En
 	return u, prefetched, nil
 }
 
-// redeploy rebinds a retired deploy kit to a fresh deployment: new
-// address space, new environment, clean hypercall accounting, guest
-// metadata reset from the payload. The interpreter replay is skipped —
-// the kit was only cached because its interpreter state still equals
-// the payload. Runs allocation-free in steady state.
-func (u *UC) redeploy(snap *snapshot.Snapshot, space *pagetable.AddressSpace, regs snapshot.Registers, payload Payload, host hypercall.Host, env libos.Env) error {
-	u.id = nextID.Add(1)
-	u.space = space
-	u.from = snap
-	u.env = env
-	u.regs = regs
-	u.state = stateIdle
-	u.recycled = true
-	inner := host
-	if inner == nil {
-		if u.stub == nil {
-			u.stub = hypercall.NewStubHost()
-		}
-		inner = u.stub
-	}
-	u.host.Reset(inner, env)
-	if err := u.allocMeta(space.Backing()); err != nil {
-		u.state = stateDestroyed
-		return err
-	}
-	uk := u.guest.Unikernel()
-	uk.Reattach(space, u.host, env)
-	uk.Rehydrate(payload.Libos)
-	u.guest.ResetForRedeploy(payload.Interp, snap.DiffPages())
-	// A recycled kit shares its guest stack across incarnations — without
-	// a re-draw, every redeploy would replay the previous clone's stream.
-	u.reseed(uk, u.guest)
-	if err := uk.Resume(); err != nil {
-		u.freeMeta(space.Backing())
-		u.state = stateDestroyed
-		return err
-	}
-	return nil
-}
-
 func hostOrStub(h hypercall.Host) hypercall.Host {
 	if h == nil {
 		return hypercall.NewStubHost()
@@ -336,11 +269,6 @@ func hostOrStub(h hypercall.Host) hypercall.Host {
 
 // ID returns the UC's unique identifier.
 func (u *UC) ID() uint64 { return u.id }
-
-// Recycled reports whether this UC's most recent deploy rebound a
-// retired deploy kit (skipping rehydration) rather than building the
-// guest from the snapshot payload.
-func (u *UC) Recycled() bool { return u.recycled }
 
 // Space returns the UC's address space.
 func (u *UC) Space() *pagetable.AddressSpace { return u.space }
@@ -380,11 +308,6 @@ func (u *UC) Capture(name string, triggerPC uint64) (*snapshot.Snapshot, error) 
 
 // Destroy tears the UC down, releasing its address space and its
 // reference on the deploy source.
-//
-// If the guest never ran anything since rehydration — its interpreter
-// state still equals the deploy source's payload — the UC retires into
-// the snapshot's deploy-kit cache instead of being dropped for the GC,
-// and the next Deploy from that snapshot rebinds it allocation-free.
 func (u *UC) Destroy() {
 	if u.state == stateDestroyed {
 		return
@@ -392,19 +315,10 @@ func (u *UC) Destroy() {
 	u.env.ChargeCPU(costs.UCDestroy)
 	u.freeMeta(u.space.Backing())
 	u.space.Release()
-	from := u.from
-	if from != nil {
-		from.ReleaseUC()
+	if u.from != nil {
+		u.from.ReleaseUC()
 	}
 	u.state = stateDestroyed
-	if from != nil && u.guest != nil && u.guest.Pristine() {
-		// Drop references that must not outlive this incarnation; the
-		// kit keeps only the guest stack and its own recycled storage.
-		u.space = nil
-		u.from = nil
-		u.env = nil
-		from.CacheDeployKit(u)
-	}
 }
 
 // FootprintBytes returns the UC's private memory cost: pages its faults

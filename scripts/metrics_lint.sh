@@ -150,7 +150,6 @@ require '^seuss_snapshot_stack_lookups_total{result='
 require '^seuss_snapshot_tier_lookups_total{result='
 require '^seuss_snapshot_tier_promotions_total{kind='
 require '^seuss_invocations_total{path="lukewarm"} 0$'
-require '^seuss_deploy_kit_lookups_total{result='
 require '^seuss_ucs_deployed_total '
 require '^seuss_trace_dropped_total 0$'
 # Admission control (DESIGN.md §7): two sequential requests never find a
@@ -193,7 +192,6 @@ require '^seuss_uc_reseeds_total{path="boot"} [1-9]'
 require '^seuss_uc_reseeds_total{path="cold"} 1$'
 require '^seuss_uc_reseeds_total{path="warm"} 0$'
 require '^seuss_uc_reseeds_total{path="lukewarm"} 0$'
-require '^seuss_uc_reseeds_total{path="kit"} 0$'
 # Lifecycle-policy families (DESIGN.md §15): the boot above arms
 # -policy fixed -keepalive 10m, so both invocations observe a 600 s
 # window; the reaper period outlives the lint, so nothing expires or

@@ -551,7 +551,7 @@ func (d *DistCluster) Nodes() int { return len(d.c.Members()) }
 
 // Metrics is a point-in-time reading of the pre-registered counters
 // and latency histograms: invocations by cold/warm/hot path, cache
-// hit/miss pairs (snapshot stack, idle UCs, deploy kits), UC
+// hit/miss pairs (snapshot stack, idle UCs), UC
 // lifecycle, containment, routing, and per-path latency histograms.
 type Metrics = metrics.Snapshot
 
