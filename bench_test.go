@@ -364,7 +364,7 @@ func BenchmarkAblationPageFaultCost(b *testing.B) {
 				w, _ := uc.Deploy(fn, nil, wEnv)
 				w.Guest().Connect()
 				w.Guest().Invoke(`{}`)
-				warm = wEnv.Elapsed()
+				warm = wEnv.CPU
 			}
 			vms(b, "warm_vms", warm)
 		})

@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -713,6 +714,140 @@ func TestCensusRules(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("census of testdata/census:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	rule := hostRule{
+		guest:      []string{"internal/guest"},
+		env:        "internal/guest.Env",
+		envMethods: []string{"ChargeCPU"},
+		host:       "internal/lib.Host",
+		hooks:      "internal/guest.Hooks",
+		hooksIn:    "internal/guest",
+	}
+	got = rule.check(tree)
+	want = []string{
+		"censusfix builds internal/guest.Hooks",                        // hooks built outside hooksIn
+		"internal/guest calls internal/lib.Clock.Tick",                 // an interface from outside the guest
+		"internal/guest.Env.Now: the CPU sink declares only ChargeCPU", // a second way to the host
+		// Not found: lib.Host.WallTime (the host interface) and
+		// Env.ChargeCPU (the sink), both called by the guest.
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("host rule on testdata/census:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// hostRule is the narrow-interface rule (DESIGN.md §5): the guest side
+// of a UC reaches the host only through the hypercall table. Three
+// things hold in non-test code:
+//   - env, the time model's CPU sink, declares exactly envMethods
+//   - the guest packages call no method of an interface the module
+//     declares outside them, host excepted
+//   - only hooksIn builds the interpreter's hooks
+//
+// Names are module-relative, as in the census. A rule whose env, host
+// or hooks type the module does not declare fails, not passes.
+type hostRule struct {
+	guest      []string
+	env        string
+	envMethods []string
+	host       string
+	hooks      string
+	hooksIn    string
+}
+
+// seussHostRule is the rule for this module.
+var seussHostRule = hostRule{
+	guest:      []string{"internal/lang", "internal/interp", "internal/libos"},
+	env:        "internal/libos.Env",
+	envMethods: []string{"ChargeCPU"},
+	host:       "internal/hypercall.Host",
+	hooks:      "internal/lang.Hooks",
+	hooksIn:    "internal/interp",
+}
+
+// check returns one line per breach, sorted.
+func (r hostRule) check(t *censusTree) []string {
+	rel := func(path string) string {
+		if path == t.modPath {
+			return path
+		}
+		return strings.TrimPrefix(path, t.modPath+"/")
+	}
+	// named returns a module type's "pkg.Name", or "".
+	named := func(typ types.Type) string {
+		n, ok := typ.(*types.Named)
+		if !ok || n.Obj().Pkg() == nil || t.pkgs[n.Obj().Pkg().Path()] == nil {
+			return ""
+		}
+		return rel(n.Obj().Pkg().Path()) + "." + n.Obj().Name()
+	}
+	guest := map[string]bool{}
+	for _, g := range r.guest {
+		guest[g] = true
+	}
+	found, declared := map[string]bool{}, map[string]bool{}
+	for _, p := range t.order {
+		if !p.reported {
+			continue
+		}
+		here, info := rel(p.path), p.infos[0]
+		for _, tn := range info.Defs {
+			tn, ok := tn.(*types.TypeName)
+			if ok {
+				declared[named(tn.Type())] = true
+			}
+			if ok && named(tn.Type()) == r.env {
+				it := tn.Type().Underlying().(*types.Interface)
+				for i := 0; i < it.NumMethods(); i++ {
+					if m := it.Method(i).Name(); !slices.Contains(r.envMethods, m) {
+						found[fmt.Sprintf("%s.%s: the CPU sink declares only %s", r.env, m, strings.Join(r.envMethods, ", "))] = true
+					}
+				}
+			}
+		}
+		for _, s := range info.Selections {
+			if !guest[here] || s.Kind() == types.FieldVal {
+				continue
+			}
+			recv := s.Obj().Type().(*types.Signature).Recv()
+			if recv == nil || !types.IsInterface(recv.Type()) {
+				continue
+			}
+			iface := named(recv.Type())
+			if iface != "" && iface != r.host && !guest[rel(s.Obj().Pkg().Path())] {
+				found[fmt.Sprintf("%s calls %s.%s", here, iface, s.Obj().Name())] = true
+			}
+		}
+		for e, tv := range info.Types {
+			if _, ok := e.(*ast.CompositeLit); ok && named(tv.Type) == r.hooks && here != r.hooksIn {
+				found[fmt.Sprintf("%s builds %s", here, r.hooks)] = true
+			}
+		}
+	}
+	for _, name := range []string{r.env, r.host, r.hooks} {
+		if !declared[name] {
+			found[name+": the module declares no such type"] = true
+		}
+	}
+	out := make([]string, 0, len(found))
+	for f := range found {
+		out = append(out, f)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestGuestReachesHostOnlyThroughHypercalls: the paper's security
+// argument (§5) is a UC that touches the host through its hypercall
+// table alone; seussHostRule checks that this tree holds it.
+func TestGuestReachesHostOnlyThroughHypercalls(t *testing.T) {
+	tree, err := rootCensus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, breach := range seussHostRule.check(tree) {
+		t.Errorf("%s: a guest reaches the host only through hypercall.Host", breach)
 	}
 }
 

@@ -253,18 +253,109 @@ type Stats struct {
 	PolicyPrewarmMisfires int64
 }
 
-// managedUC pairs a UC with its host environment so later operations
-// (hot invokes, OOM reclaim) can re-bind the environment to whichever
-// process performs them, plus the UC's network identity: the worker
-// core it is resident on and the proxy port mapping the kernel uses to
-// reach its driver (§6 Networking — TCP destination ports are the
-// unique key mapping packets to an active UC).
+// managedUC is the kernel's side of one UC: the handlers behind its
+// hypercall table (hypercall.Host, the only way its guest reaches the
+// host) and the CPU sink its work is charged to (libos.Env). It holds
+// the UC's network identity — the worker core it is resident on and
+// the proxy port the kernel reaches its driver on (§6 Networking: TCP
+// destination ports are the unique key mapping packets to an active
+// UC) — and the process operating on it, which every node operation
+// re-binds: a UC outlives the process that deployed it.
 type managedUC struct {
-	u    *uc.UC
-	e    *env
-	core int
-	port int
+	hypercall.Devices
+	n     *Node
+	p     *sim.Proc
+	u     *uc.UC
+	core  int
+	port  int    // 0 until the driver connection is mapped
+	reply []byte // an http.get reply the guest has not read yet
 }
+
+// bind attaches the UC to the process about to operate on it.
+func (mu *managedUC) bind(p *sim.Proc) { mu.p = p }
+
+// ChargeCPU implements libos.Env: CPU charges contend for the node's
+// cores. With no bound process (teardown from harness code outside the
+// simulation) the charge is dropped.
+func (mu *managedUC) ChargeCPU(d time.Duration) {
+	if d <= 0 || mu.p == nil {
+		return
+	}
+	mu.n.cores.Use(mu.p, d)
+}
+
+// WallTime implements hypercall.Host: the engine's clock.
+func (mu *managedUC) WallTime() time.Duration { return time.Duration(mu.n.eng.Now()) }
+
+// Puts implements hypercall.Host. Console lines are dropped: the
+// platform returns results explicitly.
+func (mu *managedUC) Puts(string) {}
+
+// Poll implements hypercall.Host: the guest blocks for timeout without
+// holding a core. Nothing else wakes it.
+func (mu *managedUC) Poll(timeout time.Duration) bool {
+	mu.p.Sleep(timeout)
+	return false
+}
+
+// NetWrite implements hypercall.Host. An empty frame is driver traffic
+// on the UC's port. A request (http.get) leaves through the UC's
+// per-core proxy under a masquerade mapping of its own, crosses the
+// external network and blocks until the remote end replies; the reply
+// waits for the guest's NetRead.
+func (mu *managedUC) NetWrite(frame []byte) error {
+	n := mu.n
+	if len(frame) == 0 {
+		if mu.port != 0 {
+			n.proxy.RouteOutbound(mu.port)
+		}
+		return nil
+	}
+	if n.cfg.HTTPHandler == nil {
+		return errors.New("core: no external network configured")
+	}
+	port, err := n.proxy.MapOutbound(mu.u.ID(), mu.core)
+	if err != nil {
+		return err
+	}
+	defer n.proxy.Unmap(port)
+	n.proxy.RouteOutbound(port)
+	// Fault point: the proxy drops the outbound packet. The flow is
+	// absorbed, not failed — one retransmit timeout, then it proceeds.
+	if n.cfg.Faults.Fire(fault.PointProxyDrop) {
+		n.count(metrics.CtrFaultsInjected, 1)
+		mu.p.Sleep(costs.ExternalHTTPLatency)
+	}
+	mu.p.Sleep(costs.ExternalHTTPLatency)
+	body, delay, err := n.cfg.HTTPHandler(strings.TrimPrefix(string(frame), "GET "))
+	if err != nil {
+		return err
+	}
+	if delay > 0 {
+		mu.p.Sleep(delay)
+	}
+	mu.p.Sleep(costs.ExternalHTTPLatency)
+	n.proxy.RouteInbound(port)
+	mu.reply = []byte(body)
+	return nil
+}
+
+// NetRead implements hypercall.Host: the pending http.get reply, else
+// driver traffic on the UC's port.
+func (mu *managedUC) NetRead() ([]byte, bool) {
+	if f := mu.reply; f != nil {
+		mu.reply = nil
+		return f, true
+	}
+	if mu.port != 0 {
+		mu.n.proxy.RouteInbound(mu.port)
+	}
+	return nil, true
+}
+
+// Entropy implements hypercall.Host: deploy-time draws come from the
+// node's entropy source, so clones of one snapshot diverge.
+func (mu *managedUC) Entropy() uint64 { return mu.n.drawEntropy() }
 
 type idleUC struct {
 	mu   *managedUC
@@ -392,17 +483,17 @@ func BootRuntime(store *mem.Store, cfg Config, name string) (*snapshot.Snapshot,
 		return nil, fmt.Errorf("core: system init: %w", err)
 	}
 	initEnv := &libos.CountingEnv{}
-	// The boot UC draws its RNG seed from host entropy like every other
-	// deploy path — never the compile-time constant it used to share
-	// with every node ever booted. Deterministic from Seed unless the
-	// caller supplies a live source.
+	// The boot UC runs before any node exists, on the standalone host.
+	// It draws its RNG seed from host entropy like every other deploy
+	// path — never the compile-time constant it used to share with
+	// every node ever booted. Deterministic from Seed unless the caller
+	// supplies a live source.
 	stub := hypercall.NewStubHost()
 	stub.EntropyState = entropy.Splitmix64(uint64(cfg.Seed) ^ 0xB007)
-	var host hypercall.Host = stub
 	if cfg.Entropy != nil {
-		host = entropyHost{Host: stub, draw: cfg.Entropy}
+		stub.EntropyState = cfg.Entropy()
 	}
-	boot, err := uc.BootFreshProfile(store, host, initEnv, prof)
+	boot, err := uc.BootFreshProfile(store, stub, initEnv, prof)
 	if err != nil {
 		return nil, fmt.Errorf("core: system init (%s): %w", name, err)
 	}
@@ -422,17 +513,6 @@ func BootRuntime(store *mem.Store, cfg Config, name string) (*snapshot.Snapshot,
 	}
 	return snap, nil
 }
-
-// entropyHost overrides just the Entropy draw of an inner hypercall
-// host with a caller-supplied source (BootRuntime runs before any node
-// exists to route through).
-type entropyHost struct {
-	hypercall.Host
-	draw func() uint64
-}
-
-// Entropy implements hypercall.Host.
-func (h entropyHost) Entropy() uint64 { return h.draw() }
 
 // NewNode builds a node and performs system initialization: boot the
 // unikernel into the interpreter, run the invocation driver, apply the
@@ -549,72 +629,6 @@ func (n *Node) CachedSnapshots() int { return len(n.fnSnaps) }
 
 // IdleUCs returns the number of cached idle UCs.
 func (n *Node) IdleUCs() int { return n.idleCount }
-
-// env builds the host environment one invocation runs against: CPU
-// charges contend for the node's cores; blocking does not hold a core.
-// A UC's env outlives the process that deployed it, so every node
-// operation re-binds the env to the process performing it.
-type env struct {
-	n *Node
-	p *sim.Proc
-}
-
-// bind attaches the env to the process about to operate on the UC.
-func (e *env) bind(p *sim.Proc) { e.p = p }
-
-// ChargeCPU implements libos.Env. With no bound process (teardown from
-// harness code outside the simulation) the charge is dropped.
-func (e *env) ChargeCPU(d time.Duration) {
-	if d <= 0 || e.p == nil {
-		return
-	}
-	e.n.cores.Use(e.p, d)
-}
-
-// Block implements libos.Env.
-func (e *env) Block(d time.Duration) {
-	if e.p == nil {
-		return
-	}
-	e.p.Sleep(d)
-}
-
-// Now implements libos.Env.
-func (e *env) Now() time.Duration { return time.Duration(e.n.eng.Now()) }
-
-// HTTPGet implements libos.Env: the request leaves through the per-core
-// proxy (masqueraded), crosses the external network, and blocks until
-// the remote end replies.
-func (e *env) HTTPGet(url string) (string, error) {
-	if e.n.cfg.HTTPHandler == nil {
-		return "", errors.New("core: no external network configured")
-	}
-	port, err := e.n.proxy.MapOutbound(0, 0)
-	if err != nil {
-		return "", err
-	}
-	defer e.n.proxy.Unmap(port)
-	// Fault point: the proxy drops the outbound packet. The flow is
-	// absorbed, not failed — one retransmit timeout, then it proceeds.
-	if e.n.cfg.Faults.Fire(fault.PointProxyDrop) {
-		e.n.count(metrics.CtrFaultsInjected, 1)
-		e.p.Sleep(costs.ExternalHTTPLatency)
-	}
-	e.p.Sleep(costs.ExternalHTTPLatency)
-	body, delay, err := e.n.cfg.HTTPHandler(url)
-	if err != nil {
-		return "", err
-	}
-	if delay > 0 {
-		e.p.Sleep(delay)
-	}
-	e.p.Sleep(costs.ExternalHTTPLatency)
-	return body, nil
-}
-
-// Output implements libos.Env (guest console lines are dropped at the
-// node level; the platform returns results explicitly).
-func (e *env) Output(string) {}
 
 // Request is one invocation request as delivered to the node.
 type Request struct {
@@ -854,16 +868,15 @@ func (n *Node) finish(inv *invocation, out string, err error) (Result, error) {
 // does it report saturation (level 3, the cold fallback, belongs to
 // Invoke, which knows the request).
 func (n *Node) deploy(p *sim.Proc, snap *snapshot.Snapshot, ws []uint64, path Path) (*managedUC, int, error) {
-	e := &env{n: n, p: p}
-	host := &ucNetHost{Host: hypercall.NewStubHost(), n: n, port: new(int)}
-	u, prefetched, err := uc.DeployPrefetched(snap, host, e, ws)
+	mu := &managedUC{n: n, p: p}
+	u, prefetched, err := uc.DeployPrefetched(snap, mu, mu, ws)
 	for errors.Is(err, mem.ErrOutOfMemory) && n.reclaimOneIdle(p) {
 		n.count(metrics.CtrPressureIdleReclaims, 1)
-		u, prefetched, err = uc.DeployPrefetched(snap, host, e, ws)
+		u, prefetched, err = uc.DeployPrefetched(snap, mu, mu, ws)
 	}
 	for errors.Is(err, mem.ErrOutOfMemory) && n.evictOneSnapshot(p) {
 		n.count(metrics.CtrPressureSnapshotEvictions, 1)
-		u, prefetched, err = uc.DeployPrefetched(snap, host, e, ws)
+		u, prefetched, err = uc.DeployPrefetched(snap, mu, mu, ws)
 	}
 	if err != nil {
 		if errors.Is(err, mem.ErrOutOfMemory) {
@@ -884,47 +897,15 @@ func (n *Node) deploy(p *sim.Proc, snap *snapshot.Snapshot, ws []uint64, path Pa
 	} else {
 		n.count(reseedCounters[path], 1)
 	}
-	mu := &managedUC{u: u, e: e, core: n.nextCore % n.cfg.Cores}
+	mu.u, mu.core = u, n.nextCore%n.cfg.Cores
 	n.nextCore++
 	// Install the UC's port mapping on its resident core so kernel↔UC
 	// traffic (connection setup, arguments, results) routes to it.
 	if port, perr := n.proxy.MapInternal(u.ID(), mu.core); perr == nil {
 		mu.port = port
-		*host.port = port
 	}
 	return mu, prefetched, nil
 }
-
-// ucNetHost is the hypercall host the node gives each UC: non-network
-// calls hit the standard stub; network reads and writes route through
-// the node's per-core proxy under the UC's port mapping, so proxy
-// traffic counters reflect real guest activity.
-type ucNetHost struct {
-	hypercall.Host
-	n    *Node
-	port *int
-}
-
-// NetWrite implements hypercall.Host.
-func (h *ucNetHost) NetWrite(frame []byte) error {
-	if *h.port != 0 {
-		h.n.proxy.RouteOutbound(*h.port)
-	}
-	return h.Host.NetWrite(frame)
-}
-
-// NetRead implements hypercall.Host.
-func (h *ucNetHost) NetRead() ([]byte, bool) {
-	if *h.port != 0 {
-		h.n.proxy.RouteInbound(*h.port)
-	}
-	return h.Host.NetRead()
-}
-
-// Entropy implements hypercall.Host: deploy-time draws come from the
-// node's entropy source, not the per-UC stub — every stub starts at
-// the same state, but clones of one snapshot must not.
-func (h *ucNetHost) Entropy() uint64 { return h.n.drawEntropy() }
 
 // destroyUC tears a managed UC down, removing its proxy mappings.
 func (n *Node) destroyUC(mu *managedUC) {
@@ -956,7 +937,7 @@ func (n *Node) captureFnSnapshot(p *sim.Proc, u *uc.UC, key string) {
 // function, exhausted step budget) and would poison later warm hits;
 // the function's immutable snapshot is what retries deploy from.
 func (n *Node) runOn(p *sim.Proc, mu *managedUC, req Request) (string, error) {
-	mu.e.bind(p)
+	mu.bind(p)
 	mu.u.SetRunning()
 
 	// Thread the invocation deadline into the interpreter's step
@@ -1054,7 +1035,7 @@ func (n *Node) putIdle(p *sim.Proc, key string, mu *managedUC) {
 // the idle cache, on p's time (nil: harness teardown, costs dropped),
 // and accounts it as reclaimed.
 func (n *Node) reclaimUC(p *sim.Proc, mu *managedUC) {
-	mu.e.bind(p)
+	mu.bind(p)
 	n.destroyUC(mu)
 	n.count(metrics.CtrUCsReclaimed, 1)
 }
@@ -1430,9 +1411,8 @@ func (n *Node) FlushSnapshots(p *sim.Proc) int {
 // idle (no function imported) — the Table 3 density and creation-rate
 // unit of work.
 func (n *Node) DeployIdle(p *sim.Proc) (*uc.UC, error) {
-	e := &env{n: n, p: p}
-	host := &ucNetHost{Host: hypercall.NewStubHost(), n: n, port: new(int)}
-	u, err := uc.Deploy(n.runtimeSnap, host, e)
+	mu := &managedUC{n: n, p: p}
+	u, err := uc.Deploy(n.runtimeSnap, mu, mu)
 	if err != nil {
 		return nil, err
 	}

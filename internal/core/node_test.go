@@ -506,15 +506,6 @@ func TestNewNodeUnknownRuntimeFails(t *testing.T) {
 	}
 }
 
-func TestGuestTrafficRoutesThroughProxy(t *testing.T) {
-	n, eng := newTestNode(t, DefaultConfig())
-	invoke(t, n, eng, Request{Key: "net/fn", Source: nopSource, Args: "{}"})
-	in, out := n.Proxy().Traffic()
-	if in == 0 || out == 0 {
-		t.Errorf("proxy traffic in=%d out=%d; guest hypercalls not routed", in, out)
-	}
-}
-
 // TestSnapshotMovesBetweenNodes: two nodes with identical base images
 // and separate disk tiers. A flushes its function snapshot, the encoded
 // layer is copied tier to tier the way a fabric fetch does, and B

@@ -98,7 +98,7 @@ func (n *Node) expireIdleUCs(p *sim.Proc, pol policy.Policy, now time.Duration, 
 				kept = append(kept, entry)
 				continue
 			}
-			entry.mu.e.bind(p)
+			entry.mu.bind(p)
 			n.destroyUC(entry.mu)
 			n.idleCount--
 			ts.ExpiredUCs++

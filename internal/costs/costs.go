@@ -43,8 +43,8 @@ var (
 	// paper's ≈400 µs NOP-function capture together with SnapshotBase.
 	SnapshotPerPage = 600 * time.Nanosecond
 
-	// Hypercall is one domain crossing through the narrow (12-call)
-	// interface.
+	// Hypercall is one domain crossing through the narrow (13-entry)
+	// hypercall table.
 	Hypercall = 300 * time.Nanosecond
 )
 

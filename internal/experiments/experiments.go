@@ -75,7 +75,7 @@ func runMicro(netAO, interpAO bool, iters int) (microRun, error) {
 			return out, err
 		}
 	}
-	out.boot = env.Elapsed()
+	out.boot = env.CPU
 	base, err := boot.Capture("runtime", uc.TriggerPCDriverListen)
 	if err != nil {
 		return out, err
@@ -92,11 +92,11 @@ func runMicro(netAO, interpAO bool, iters int) (microRun, error) {
 		if err != nil {
 			return out, err
 		}
-		cold.deploy = coldEnv.Elapsed()
+		cold.deploy = coldEnv.CPU
 		if err := coldUC.Guest().Connect(); err != nil {
 			return out, err
 		}
-		cold.connect = coldEnv.Elapsed()
+		cold.connect = coldEnv.CPU
 		if err := coldUC.Guest().ImportAndCompile(workload.NOPSource); err != nil {
 			return out, err
 		}
@@ -104,11 +104,11 @@ func runMicro(netAO, interpAO bool, iters int) (microRun, error) {
 		if err != nil {
 			return out, err
 		}
-		cold.importCompile = coldEnv.Elapsed()
+		cold.importCompile = coldEnv.CPU
 		if _, err := coldUC.Guest().Invoke(`{}`); err != nil {
 			return out, err
 		}
-		cold.execute = coldEnv.Elapsed()
+		cold.execute = coldEnv.CPU
 		coldTotal += cold.execute
 		if i == 0 {
 			out.FnSnapshotMB = float64(snapN.DiffBytes()) / 1e6
@@ -122,16 +122,16 @@ func runMicro(netAO, interpAO bool, iters int) (microRun, error) {
 		if err != nil {
 			return out, err
 		}
-		warm.deploy = warmEnv.Elapsed()
+		warm.deploy = warmEnv.CPU
 		if err := warmUC.Guest().Connect(); err != nil {
 			return out, err
 		}
-		warm.connect = warmEnv.Elapsed()
+		warm.connect = warmEnv.CPU
 		warm.importCompile = warm.connect // skipped: in the function snapshot
 		if _, err := warmUC.Guest().Invoke(`{}`); err != nil {
 			return out, err
 		}
-		warm.execute = warmEnv.Elapsed()
+		warm.execute = warmEnv.CPU
 		warmTotal += warm.execute
 		if i == 0 {
 			out.WarmPagesCopied = warmUC.Space().Faults.Copied()
@@ -139,12 +139,12 @@ func runMicro(netAO, interpAO bool, iters int) (microRun, error) {
 		}
 
 		// Hot path (reuse the warm UC).
-		h0 := warmEnv.Elapsed()
+		h0 := warmEnv.CPU
 		preFaults := warmUC.Space().Faults.Copied()
 		if _, err := warmUC.Guest().Invoke(`{}`); err != nil {
 			return out, err
 		}
-		hotTotal += warmEnv.Elapsed() - h0
+		hotTotal += warmEnv.CPU - h0
 		if i == 0 {
 			out.HotPagesCopied = warmUC.Space().Faults.Copied() - preFaults
 		}

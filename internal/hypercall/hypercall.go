@@ -78,9 +78,37 @@ var defaultNetInfo = netInfo{
 	MTU: 1500,
 }
 
-// Host is the kernel side of the hypercall interface. libos is its only
-// caller; the SEUSS kernel (internal/core) and the standalone test
-// harnesses provide implementations.
+// Devices answers the calls a UC makes to learn its world, the same for
+// every UC: the ramdisk's geometry, the memory limit and the shared
+// network identity, with the boot handshake's SetTLS and Halt accepted
+// and forgotten. The ramdisk's contents live in guest pages, so its
+// block device stores nothing. Hosts embed it.
+type Devices struct{}
+
+// BlkInfo implements Host: a 64 MB ramdisk of 512-byte sectors.
+func (Devices) BlkInfo() (int64, int) { return 64 << 20, 512 }
+
+// BlkRead implements Host: every sector reads as zeros.
+func (Devices) BlkRead(sector int64, buf []byte) error { clear(buf); return nil }
+
+// BlkWrite implements Host.
+func (Devices) BlkWrite(sector int64, buf []byte) error { return nil }
+
+// NetInfo implements Host.
+func (Devices) NetInfo() netInfo { return defaultNetInfo }
+
+// MemInfo implements Host: a 512 MB guest.
+func (Devices) MemInfo() int64 { return 512 << 20 }
+
+// SetTLS implements Host.
+func (Devices) SetTLS(base uint64) {}
+
+// Halt implements Host.
+func (Devices) Halt(status int) {}
+
+// Host is the kernel side of the hypercall interface, and the only way
+// a guest reaches the host: libos is its only caller. The SEUSS kernel
+// (internal/core) gives every UC one; StubHost is the standalone one.
 type Host interface {
 	// WallTime returns nanoseconds since host boot.
 	WallTime() time.Duration
@@ -98,9 +126,13 @@ type Host interface {
 	// NetInfo returns the guest's network identity.
 	NetInfo() netInfo
 	// NetRead receives one frame, blocking in virtual time; ok=false
-	// means the device was closed.
+	// means nothing arrived. After a non-empty NetWrite it returns that
+	// request's reply.
 	NetRead() (frame []byte, ok bool)
 	// NetWrite transmits one frame through the per-core network proxy.
+	// An empty frame is traffic on the kernel's driver connection; a
+	// non-empty one is an outbound request, "GET " and a URL (libos's
+	// http.get).
 	NetWrite(frame []byte) error
 	// MemInfo returns the guest's memory limit in bytes.
 	MemInfo() int64
@@ -123,12 +155,6 @@ type Host interface {
 type cpuSink interface {
 	ChargeCPU(d time.Duration)
 }
-
-// chargeFunc adapts a plain function to CPUSink (test harnesses).
-type chargeFunc func(d time.Duration)
-
-// ChargeCPU implements CPUSink.
-func (f chargeFunc) ChargeCPU(d time.Duration) { f(d) }
 
 // Counter wraps a Host and counts crossings per hypercall, charging the
 // domain-crossing cost to a CPU-time sink. It is how the evaluation

@@ -5,6 +5,12 @@ import (
 	"time"
 )
 
+// chargeFunc adapts a plain function to cpuSink.
+type chargeFunc func(d time.Duration)
+
+// ChargeCPU implements cpuSink.
+func (f chargeFunc) ChargeCPU(d time.Duration) { f(d) }
+
 func TestInterfaceIsNarrow(t *testing.T) {
 	// The security argument of §5: Solo5's 12 hypercalls vs >300 Linux
 	// syscalls. Entropy (restore-time uniqueness, DESIGN.md §14) is the
@@ -80,21 +86,30 @@ func TestStubDisk(t *testing.T) {
 	}
 }
 
+// TestStubNetworkLoopback: a driver-connection frame comes back on
+// NetRead; an outbound request finds no external network.
 func TestStubNetworkLoopback(t *testing.T) {
 	h := NewStubHost()
 	if h.Poll(0) {
 		t.Error("poll true with no frames")
 	}
-	h.NetWrite([]byte{1, 2, 3})
+	if err := h.NetWrite(nil); err != nil {
+		t.Fatal(err)
+	}
 	if !h.Poll(0) {
 		t.Error("poll false with pending frame")
 	}
-	f, ok := h.NetRead()
-	if !ok || len(f) != 3 || f[2] != 3 {
-		t.Errorf("NetRead = %v, %v", f, ok)
+	if _, ok := h.NetRead(); !ok {
+		t.Error("driver frame lost")
 	}
 	if _, ok := h.NetRead(); ok {
 		t.Error("read from empty device")
+	}
+	if err := h.NetWrite([]byte("GET http://x/")); err == nil {
+		t.Error("outbound request reached a network")
+	}
+	if h.Poll(0) {
+		t.Error("refused request queued a frame")
 	}
 }
 

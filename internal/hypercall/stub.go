@@ -1,19 +1,26 @@
 package hypercall
 
-import "time"
+import (
+	"errors"
+	"time"
+)
 
-// StubHost is a self-contained Host for tests and standalone guests: a
-// clock stopped at zero, an in-memory console, a small ramdisk, and a
-// loopback network that delivers written frames back to NetRead.
+// errNoNetwork refuses an outbound request on a host with no external
+// network.
+var errNoNetwork = errors.New("hypercall: no external network")
+
+// StubHost is the standalone single-UC host: the one a UC gets when it
+// is deployed with no host (the Tables 1–2 microbenchmarks and bench/
+// measure one UC at a time). Its clock is stopped at zero and it has
+// no external network: driver-connection frames loop back, an outbound
+// request fails. The console, the ramdisk and the exit status are
+// recorded for inspection.
 type StubHost struct {
+	Devices
 	// Console accumulates Puts output.
 	Console []string
 	// Disk is the ramdisk contents, sector-indexed.
-	Disk       map[int64][]byte
-	SectorSize int
-	Capacity   int64
-	// Mem is the reported guest memory limit.
-	Mem int64
+	Disk map[int64][]byte
 	// TLSBase records the last SetTLS.
 	TLSBase uint64
 	// Halted records the exit status passed to Halt, or -1.
@@ -27,16 +34,9 @@ type StubHost struct {
 	frames [][]byte
 }
 
-// NewStubHost returns a StubHost with a 64 MB ramdisk and 512 MB guest
-// memory limit.
+// NewStubHost returns a StubHost with an empty ramdisk.
 func NewStubHost() *StubHost {
-	return &StubHost{
-		Disk:       make(map[int64][]byte),
-		SectorSize: 512,
-		Capacity:   64 << 20,
-		Mem:        512 << 20,
-		Halted:     -1,
-	}
+	return &StubHost{Disk: make(map[int64][]byte), Halted: -1}
 }
 
 // WallTime implements Host.
@@ -48,31 +48,21 @@ func (h *StubHost) Puts(s string) { h.Console = append(h.Console, s) }
 // Poll implements Host.
 func (h *StubHost) Poll(timeout time.Duration) bool { return len(h.frames) > 0 }
 
-// BlkInfo implements Host.
-func (h *StubHost) BlkInfo() (int64, int) { return h.Capacity, h.SectorSize }
-
 // BlkRead implements Host.
 func (h *StubHost) BlkRead(sector int64, buf []byte) error {
 	if data, ok := h.Disk[sector]; ok {
 		copy(buf, data)
 		return nil
 	}
-	for i := range buf {
-		buf[i] = 0
-	}
+	clear(buf)
 	return nil
 }
 
 // BlkWrite implements Host.
 func (h *StubHost) BlkWrite(sector int64, buf []byte) error {
-	cp := make([]byte, len(buf))
-	copy(cp, buf)
-	h.Disk[sector] = cp
+	h.Disk[sector] = append([]byte(nil), buf...)
 	return nil
 }
-
-// NetInfo implements Host.
-func (h *StubHost) NetInfo() netInfo { return defaultNetInfo }
 
 // NetRead implements Host.
 func (h *StubHost) NetRead() ([]byte, bool) {
@@ -84,16 +74,15 @@ func (h *StubHost) NetRead() ([]byte, bool) {
 	return f, true
 }
 
-// NetWrite implements Host (loopback: frames come back on NetRead).
+// NetWrite implements Host: a driver frame comes back on NetRead, an
+// outbound request fails.
 func (h *StubHost) NetWrite(frame []byte) error {
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
-	h.frames = append(h.frames, cp)
+	if len(frame) > 0 {
+		return errNoNetwork
+	}
+	h.frames = append(h.frames, nil)
 	return nil
 }
-
-// MemInfo implements Host.
-func (h *StubHost) MemInfo() int64 { return h.Mem }
 
 // SetTLS implements Host.
 func (h *StubHost) SetTLS(base uint64) { h.TLSBase = base }

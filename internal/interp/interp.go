@@ -139,20 +139,25 @@ func (r *Runtime) hooks() lang.Hooks {
 			}
 			r.uk.Env().ChargeCPU(time.Duration(n) * costs.StepTime)
 		},
+		// The host services cross the hypercall table; a silent replay
+		// crosses nothing.
 		Output: func(s string) {
 			if r.silent {
 				return
 			}
-			r.uk.Env().Output(s)
+			r.uk.Puts(s)
 		},
 		HTTPGet: func(url string) (string, error) {
 			if r.silent {
 				return "", nil
 			}
-			return r.uk.Env().HTTPGet(url)
+			return r.uk.HTTPGet(url)
 		},
 		Now: func() float64 {
-			return float64(r.uk.Env().Now()) / float64(time.Millisecond)
+			if r.silent {
+				return 0
+			}
+			return float64(r.uk.WallTime()) / float64(time.Millisecond)
 		},
 		Spin: func(ms float64) {
 			if r.silent {
@@ -164,7 +169,7 @@ func (r *Runtime) hooks() lang.Hooks {
 			if r.silent {
 				return
 			}
-			r.uk.Env().Block(time.Duration(ms * float64(time.Millisecond)))
+			r.uk.Sleep(time.Duration(ms * float64(time.Millisecond)))
 		},
 		Random: func() float64 {
 			// xorshift64*: deterministic per runtime.

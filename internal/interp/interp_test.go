@@ -288,26 +288,42 @@ func TestHotWriteCapBoundsDirtying(t *testing.T) {
 	}
 }
 
-// httpEnv answers a guest http.get after blocking it 250 ms.
-type httpEnv struct{ libos.CountingEnv }
+// httpHost answers a guest http.get after blocking it 250 ms.
+type httpHost struct {
+	*hypercall.StubHost
+	blocked time.Duration
+	reply   []byte
+}
 
-func (e *httpEnv) HTTPGet(url string) (string, error) {
-	e.Blocked += 250 * time.Millisecond
-	return "pong:" + url, nil
+func (h *httpHost) NetWrite(frame []byte) error {
+	if len(frame) == 0 {
+		return h.StubHost.NetWrite(frame)
+	}
+	h.blocked += 250 * time.Millisecond
+	h.reply = []byte("pong:" + strings.TrimPrefix(string(frame), "GET "))
+	return nil
+}
+
+func (h *httpHost) NetRead() ([]byte, bool) {
+	if h.reply != nil {
+		f := h.reply
+		h.reply = nil
+		return f, true
+	}
+	return h.StubHost.NetRead()
 }
 
 func TestGuestHTTPThroughHooks(t *testing.T) {
 	st := mem.NewStore(0)
 	as, _ := pagetable.New(st)
-	env := &httpEnv{}
-	uk := libos.New(as, hypercall.NewStubHost(), env)
+	host := &httpHost{StubHost: hypercall.NewStubHost()}
+	uk := libos.New(as, host, &libos.CountingEnv{})
 	uk.Boot()
 	r := NewRuntime(uk)
 	r.InitInterpreter()
 	r.StartDriver()
 	r.Connect()
 	r.ImportAndCompile(`function main(args) { return {body: http.get("svc")}; }`)
-	blocked0 := env.Blocked
 	out, err := r.Invoke(`{}`)
 	if err != nil {
 		t.Fatal(err)
@@ -315,8 +331,29 @@ func TestGuestHTTPThroughHooks(t *testing.T) {
 	if !strings.Contains(out, "pong:svc") {
 		t.Errorf("out = %q", out)
 	}
-	if env.Blocked-blocked0 < 250*time.Millisecond {
-		t.Errorf("guest IO did not block: %v", env.Blocked-blocked0)
+	if host.blocked < 250*time.Millisecond {
+		t.Errorf("guest IO did not block: %v", host.blocked)
+	}
+}
+
+// TestSilentReplayCrossesNothing: rehydrating a function whose module
+// code reads the clock, logs and sleeps makes no hypercall — the
+// restored image already holds what that code computed.
+func TestSilentReplayCrossesNothing(t *testing.T) {
+	st := mem.NewStore(0)
+	as, _ := pagetable.New(st)
+	stub := hypercall.NewStubHost()
+	c := hypercall.NewCounter(stub, costs.Hypercall, nil)
+	uk := libos.New(as, c, &libos.CountingEnv{})
+	uk.Boot()
+	state := State{DriverStarted: true, ImportedSource: `var t0 = Date.now(); console.log("up"); sleep(1);
+function main(a) { return {t: t0}; }`}
+	before := c.Total()
+	if _, err := RestoreFromState(uk, state, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Total() - before; got != 0 || len(stub.Console) != 0 {
+		t.Errorf("replay crossed %d times, console %v", got, stub.Console)
 	}
 }
 

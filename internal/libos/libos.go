@@ -41,21 +41,14 @@ const (
 // ErrNotBooted is returned by guest operations before Boot/Rehydrate.
 var ErrNotBooted = errors.New("libos: unikernel not booted")
 
-// Env is the host environment a unikernel charges work against. The
-// SEUSS kernel provides one bound to the discrete-event engine; unit
-// tests use CountingEnv.
+// Env is the time model's CPU sink: what the guest's work costs is
+// charged here. It is not a way to the host — every guest service
+// crosses the hypercall table (hypercall.Host). The SEUSS kernel
+// provides one bound to the discrete-event engine; the single-UC
+// harnesses use CountingEnv.
 type Env interface {
 	// ChargeCPU burns d of guest CPU time.
 	ChargeCPU(d time.Duration)
-	// Block suspends the guest for d without burning CPU (I/O wait).
-	Block(d time.Duration)
-	// Now returns the current time since host boot.
-	Now() time.Duration
-	// HTTPGet performs an outbound request through the network proxy,
-	// blocking until the response arrives.
-	HTTPGet(url string) (string, error)
-	// Output receives guest console lines.
-	Output(s string)
 }
 
 // State is the libos portion of a snapshot's guest metadata: the
@@ -162,6 +155,26 @@ func (u *Unikernel) DeployGeneration() uint64 { return u.deployGen }
 // hypercall crossing. The guest runtime mixes it with the deploy
 // generation to reseed its RNG at restore time.
 func (u *Unikernel) DrawEntropy() uint64 { return u.host.Entropy() }
+
+// WallTime reads the host clock (Date.now): one crossing.
+func (u *Unikernel) WallTime() time.Duration { return u.host.WallTime() }
+
+// Puts writes one console line (console.log): one crossing.
+func (u *Unikernel) Puts(s string) { u.host.Puts(s) }
+
+// Sleep blocks the guest for d without burning CPU (sleep): one Poll
+// crossing with nothing to wait for but its timeout.
+func (u *Unikernel) Sleep(d time.Duration) { u.host.Poll(d) }
+
+// HTTPGet sends an outbound request and reads its reply (http.get):
+// two crossings, a NetWrite of the request and a NetRead of the reply.
+func (u *Unikernel) HTTPGet(url string) (string, error) {
+	if err := u.host.NetWrite([]byte("GET " + url)); err != nil {
+		return "", err
+	}
+	reply, _ := u.host.NetRead()
+	return string(reply), nil
+}
 
 // syncFaultBase resets fault charging so pre-existing faults (e.g. from
 // rehydration-time bookkeeping) are not billed.
@@ -420,29 +433,10 @@ func minInt64(a, b int64) int64 {
 // single-UC microbenchmarks (Tables 1 and 2), where the paper also
 // measures one invocation at a time.
 type CountingEnv struct {
-	CPU     time.Duration
-	Blocked time.Duration
-	Lines   []string
+	CPU time.Duration
 }
 
 // ChargeCPU implements Env.
 func (e *CountingEnv) ChargeCPU(d time.Duration) { e.CPU += d }
-
-// Block implements Env.
-func (e *CountingEnv) Block(d time.Duration) { e.Blocked += d }
-
-// Now implements Env.
-func (e *CountingEnv) Now() time.Duration { return e.CPU + e.Blocked }
-
-// HTTPGet implements Env: the microbenchmarks have no external network.
-func (e *CountingEnv) HTTPGet(url string) (string, error) {
-	return "", errors.New("libos: no external network")
-}
-
-// Output implements Env.
-func (e *CountingEnv) Output(s string) { e.Lines = append(e.Lines, s) }
-
-// Elapsed returns total virtual time consumed (CPU + blocked).
-func (e *CountingEnv) Elapsed() time.Duration { return e.CPU + e.Blocked }
 
 var _ Env = (*CountingEnv)(nil)

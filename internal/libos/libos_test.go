@@ -320,27 +320,38 @@ func TestGuestReadWrite(t *testing.T) {
 func TestCountingEnv(t *testing.T) {
 	e := &CountingEnv{}
 	e.ChargeCPU(2 * time.Millisecond)
-	e.Block(3 * time.Millisecond)
-	if _, err := e.HTTPGet("x"); err == nil {
-		t.Fatal("HTTPGet reached a network")
-	}
-	if e.Elapsed() != 5*time.Millisecond {
-		t.Errorf("Elapsed = %v", e.Elapsed())
-	}
-	e.Output("line")
-	if len(e.Lines) != 1 {
-		t.Error("output lost")
+	e.ChargeCPU(3 * time.Millisecond)
+	if e.CPU != 5*time.Millisecond {
+		t.Errorf("CPU = %v", e.CPU)
 	}
 	e.Reset()
-	if e.Elapsed() != 0 || e.Lines != nil {
+	if e.CPU != 0 {
 		t.Error("reset incomplete")
 	}
 }
 
+// TestCountingEnvNoNetwork: the standalone harness (a CountingEnv and
+// the stub host) has no external network, a stopped clock and a
+// recorded console, and each guest service is one crossing more.
 func TestCountingEnvNoNetwork(t *testing.T) {
-	e := &CountingEnv{}
-	if _, err := e.HTTPGet("x"); err == nil {
-		t.Error("HTTPGet without handler succeeded")
+	st := mem.NewStore(0)
+	as, _ := pagetable.New(st)
+	stub := hypercall.NewStubHost()
+	c := hypercall.NewCounter(stub, costs.Hypercall, nil)
+	uk := New(as, c, &CountingEnv{})
+	if _, err := uk.HTTPGet("x"); err == nil {
+		t.Error("HTTPGet without a network succeeded")
+	}
+	uk.Sleep(time.Second)
+	uk.Puts("line")
+	if uk.WallTime() != 0 {
+		t.Error("the standalone clock moved")
+	}
+	if len(stub.Console) != 1 || stub.Console[0] != "line" {
+		t.Errorf("console = %v", stub.Console)
+	}
+	if c.Total() != 4 {
+		t.Errorf("%d crossings, want 4 (netwrite, poll, puts, walltime)", c.Total())
 	}
 }
 

@@ -104,8 +104,8 @@ func tripBreaker(t *testing.T, pool *Pool, id int) {
 // returns to the owner.
 func TestBreakerReroutesAroundSickShard(t *testing.T) {
 	cfg := testConfig(2)
-	cfg.BreakerThreshold = 3
-	cfg.BreakerProbeAfter = 3
+	cfg.breakerThreshold = 3
+	cfg.breakerProbeAfter = 3
 	pool := newTestPool(t, cfg)
 
 	key := "brk/fn"
@@ -176,7 +176,7 @@ func TestBreakerTripsAndSelfHealsSingleShard(t *testing.T) {
 	cfg.Faults = fault.Config{
 		Schedule: map[fault.Point][]uint64{fault.PointUCCrash: {1, 2, 3}},
 	}
-	cfg.BreakerThreshold = 3
+	cfg.breakerThreshold = 3
 	pool := newTestPool(t, cfg)
 
 	for i := 0; i < 3; i++ {
@@ -339,7 +339,7 @@ func TestPoolFaultDeterminism(t *testing.T) {
 	run := func() ([]string, []core.Stats) {
 		cfg := testConfig(2)
 		cfg.DisableWorkStealing = true
-		cfg.BreakerThreshold = -1
+		cfg.breakerThreshold = -1
 		cfg.Faults = fault.Config{
 			Seed:   7,
 			Rate:   0.15,
@@ -407,7 +407,7 @@ func TestControlMessagesBypassRoutingAndFaults(t *testing.T) {
 	}
 	seed.Close()
 
-	cfg.BreakerThreshold = 3
+	cfg.breakerThreshold = 3
 	cfg.Faults = fault.Config{
 		Schedule: map[fault.Point][]uint64{fault.PointShardStall: {1}},
 	}

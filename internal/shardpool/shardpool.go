@@ -101,9 +101,6 @@ type Config struct {
 	// reads are single-flight, the one deliberate exception to the
 	// shared-nothing rule (disk, unlike the engines, is one device).
 	Node core.Config
-	// StealThreshold is the owner-queue depth at or beyond which a
-	// request overflows to the shared steal queue (default 2).
-	StealThreshold int
 	// DisableWorkStealing pins every request to its hash-owner shard.
 	// Skewed keys then serialize on their owner — useful when per-shard
 	// request sequences must be exactly reproducible. Breaker diversion
@@ -117,27 +114,28 @@ type Config struct {
 	// crashes, proxy drops) land in one per-shard trace. The zero
 	// config injects nothing at zero overhead.
 	Faults fault.Config
-	// BreakerThreshold is the number of consecutive contained failures
+
+	// Only tests move these. stealThreshold is the owner-queue depth at
+	// or beyond which a request overflows to the shared steal queue
+	// (default 2); breakerThreshold the consecutive contained failures
 	// that open a shard's circuit breaker (default 3; -1 disables
-	// breakers).
-	BreakerThreshold int
-	// BreakerProbeAfter is how many diverted requests an open breaker
-	// absorbs before letting one probe through half-open (default 4).
-	BreakerProbeAfter int
+	// breakers); breakerProbeAfter the diverted requests an open breaker
+	// absorbs before one probe goes through half-open (default 4).
+	stealThreshold, breakerThreshold, breakerProbeAfter int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
 		c.Shards = runtime.NumCPU()
 	}
-	if c.StealThreshold == 0 {
-		c.StealThreshold = 2
+	if c.stealThreshold == 0 {
+		c.stealThreshold = 2
 	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
+	if c.breakerThreshold == 0 {
+		c.breakerThreshold = 3
 	}
-	if c.BreakerProbeAfter == 0 {
-		c.BreakerProbeAfter = 4
+	if c.breakerProbeAfter == 0 {
+		c.breakerProbeAfter = 4
 	}
 	// Normalize the node config here so per-shard derivations below
 	// (memory split, runtime list) work from the defaulted values.
@@ -530,7 +528,7 @@ func (p *Pool) hydrateShard(id int, memBytes int64, encoded map[string][]byte) (
 		node:    node,
 		reqs:    make(chan *request, queueDepth),
 		faults:  inj,
-		breaker: newBreaker(p.cfg.BreakerThreshold, p.cfg.BreakerProbeAfter, rec),
+		breaker: newBreaker(p.cfg.breakerThreshold, p.cfg.breakerProbeAfter, rec),
 		rec:     rec,
 	}, nil
 }
@@ -677,7 +675,7 @@ func (p *Pool) submit(r *request, owner int) error {
 		case probe:
 			// The half-open probe must reach the owner itself — skip
 			// the steal spill below.
-		case len(s.reqs) >= p.cfg.StealThreshold:
+		case len(s.reqs) >= p.cfg.stealThreshold:
 			select {
 			case p.overflow <- r:
 				return nil

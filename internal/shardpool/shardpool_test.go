@@ -211,7 +211,7 @@ func TestWorkStealingOverflow(t *testing.T) {
 	// callback, so the follow-up requests MUST overflow and be stolen
 	// by the idle shards.
 	cfg := testConfig(4)
-	cfg.StealThreshold = 1
+	cfg.stealThreshold = 1
 	blocked := make(chan struct{}) // closed to release the stuck owner
 	entered := make(chan struct{}) // signals the owner is wedged
 	var enterOnce sync.Once

@@ -53,7 +53,7 @@ func measureAO(t *testing.T, netAO, interpAO bool) (cold, warm, hot time.Duratio
 	if _, err := coldUC.Guest().Invoke(`{}`); err != nil {
 		t.Fatal(err)
 	}
-	cold = coldEnv.Elapsed()
+	cold = coldEnv.CPU
 
 	warmEnv := &libos.CountingEnv{}
 	warmUC, err := Deploy(fn, nil, warmEnv)
@@ -66,13 +66,13 @@ func measureAO(t *testing.T, netAO, interpAO bool) (cold, warm, hot time.Duratio
 	if _, err := warmUC.Guest().Invoke(`{}`); err != nil {
 		t.Fatal(err)
 	}
-	warm = warmEnv.Elapsed()
+	warm = warmEnv.CPU
 
-	h0 := warmEnv.Elapsed()
+	h0 := warmEnv.CPU
 	if _, err := warmUC.Guest().Invoke(`{}`); err != nil {
 		t.Fatal(err)
 	}
-	hot = warmEnv.Elapsed() - h0
+	hot = warmEnv.CPU - h0
 	return cold, warm, hot, base, fn
 }
 

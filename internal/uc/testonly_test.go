@@ -3,13 +3,7 @@ package uc
 // Accessors and hooks only tests use. The reachability census
 // (TestNothingUnreferenced) keeps them out of the non-test build.
 
-import (
-	"seuss/internal/hypercall"
-	"seuss/internal/snapshot"
-)
-
-// Hypercalls returns the UC's hypercall crossing counter.
-func (u *UC) Hypercalls() *hypercall.Counter { return u.host }
+import "seuss/internal/snapshot"
 
 // Registers returns the UC's current (simulated) register file.
 func (u *UC) Registers() snapshot.Registers { return u.regs }

@@ -273,6 +273,9 @@ func (u *UC) ID() uint64 { return u.id }
 // Space returns the UC's address space.
 func (u *UC) Space() *pagetable.AddressSpace { return u.space }
 
+// Hypercalls returns the UC's hypercall crossing counter.
+func (u *UC) Hypercalls() *hypercall.Counter { return u.host }
+
 // Guest returns the runtime inside the UC.
 func (u *UC) Guest() *interp.Runtime { return u.guest }
 

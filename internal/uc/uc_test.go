@@ -154,7 +154,7 @@ func TestColdWarmHotPathsExerciseLessEachTime(t *testing.T) {
 	if _, err := cold.Guest().Invoke(`{}`); err != nil {
 		t.Fatal(err)
 	}
-	coldTime := coldEnv.Elapsed()
+	coldTime := coldEnv.CPU
 
 	// Warm: deploy from fn snapshot, connect, invoke.
 	warmEnv := &libos.CountingEnv{}
@@ -169,14 +169,14 @@ func TestColdWarmHotPathsExerciseLessEachTime(t *testing.T) {
 	if _, err := warm.Guest().Invoke(`{}`); err != nil {
 		t.Fatal(err)
 	}
-	warmTime := warmEnv.Elapsed()
+	warmTime := warmEnv.CPU
 
 	// Hot: reuse the warm UC for a second invocation.
-	hotStart := warmEnv.Elapsed()
+	hotStart := warmEnv.CPU
 	if _, err := warm.Guest().Invoke(`{}`); err != nil {
 		t.Fatal(err)
 	}
-	hotTime := warmEnv.Elapsed() - hotStart
+	hotTime := warmEnv.CPU - hotStart
 
 	if !(coldTime > warmTime && warmTime > hotTime) {
 		t.Errorf("cold %v, warm %v, hot %v: expected strict ordering", coldTime, warmTime, hotTime)

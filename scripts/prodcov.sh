@@ -9,9 +9,11 @@
 #
 #   - seuss-experiments -run all -quick, -run trial, -run burst -quick
 #   - every program under examples/
-#   - a scripted seuss-node session: cold and hot invocations, a
-#     SIGTERM drain over -snapdir, a restart that restores from it, and
-#     a boot under -fault-rate 0.05 (injected faults, retried warm)
+#   - a scripted seuss-node session: cold and hot invocations, one of
+#     a function that reads the clock, logs and sleeps (the host
+#     services a guest reaches through the hypercall table), a SIGTERM
+#     drain over -snapdir, a restart that restores from it, and a boot
+#     under -fault-rate 0.05 (injected faults, retried warm)
 #
 # Tests are not traffic: a function only a test reaches is listed.
 # Needs go, curl and bash; takes under a minute once the build is cached.
@@ -69,10 +71,14 @@ drain() {
   NODE_PID=""
 }
 
-# invoke sends n requests for function $1; failures are part of the
-# traffic under -fault-rate, so their status is not checked.
+COUNTER='function main(a) { return {n: a.n + 1}; }'
+SERVICES='function main(a) { console.log(\"x\"); sleep(1); return {t: Date.now()}; }'
+
+# invoke sends n requests for function $1, whose source is $3 (default
+# COUNTER, JSON-escaped); failures are part of the traffic under
+# -fault-rate, so their status is not checked.
 invoke() {
-  local body="{\"key\":\"prodcov/$1\",\"source\":\"function main(a) { return {n: a.n + 1}; }\",\"args\":{\"n\":1}}"
+  local body="{\"key\":\"prodcov/$1\",\"source\":\"${3:-$COUNTER}\",\"args\":{\"n\":1}}"
   for _ in $(seq 1 "$2"); do
     curl -s -X POST "http://$ADDR/invoke" -d "$body" >/dev/null || true
   done
@@ -81,6 +87,7 @@ invoke() {
 echo "== seuss-node: cold, hot, drain over -snapdir" >&2
 boot -snapdir "$TMP/snaps"
 for f in a b c d; do invoke "$f" 3; done
+invoke services 2 "$SERVICES"
 curl -s "http://$ADDR/stats" >/dev/null
 curl -s "http://$ADDR/metrics" >/dev/null
 drain

@@ -3,7 +3,12 @@
 // report, plus a second module (user/) that imports it.
 package censusfix
 
-import "censusfix/internal/lib"
+import (
+	"censusfix/internal/guest"
+	"censusfix/internal/lib"
+)
 
 // Run is called only from the user module.
-func Run() int { return lib.Used(lib.Options{Set: 1}) }
+func Run() int {
+	return lib.Used(lib.Options{Set: 1}) + guest.Run(nil, nil, nil, guest.Hooks{Out: func(string) {}})
+}

@@ -41,3 +41,9 @@ type byLen []string
 func (b byLen) Len() int           { return len(b) }
 func (b byLen) Less(i, j int) bool { return len(b[i]) < len(b[j]) }
 func (b byLen) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
+
+// Host is the one interface the guest package may call.
+type Host interface{ WallTime() int }
+
+// Clock is an interface the guest package must not call.
+type Clock interface{ Tick() int }
