@@ -167,7 +167,7 @@ var (
 	// regardless of source size (module wrapper, compile scratch).
 	ImportMachineryBytes = int64(470_000)
 
-	// CompileAllocFactor multiplies a program's TreeSize into guest
+	// CompileAllocFactor multiplies a parsed program's Size into guest
 	// heap bytes (AST + generated code + metadata).
 	CompileAllocFactor = 8
 

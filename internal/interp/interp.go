@@ -11,10 +11,12 @@
 // consequences of running code.
 //
 // Because Go object graphs cannot live inside simulated pages, each
-// snapshot carries a State payload; deploying re-creates the Go-level
-// interpreter by silently (zero virtual time, no allocation charging)
-// replaying the deterministic import sequence — the simulation
-// equivalent of the memory image already containing that state.
+// snapshot carries a State payload, and its Go-level interpreter state
+// is an Image: built once per snapshot by silently (zero virtual time,
+// no allocation charging) replaying the deterministic import sequence,
+// then copied into every runtime deployed from it — the simulation
+// equivalent of the memory image already containing that state, and of
+// a deploy that skips the work the snapshot holds.
 package interp
 
 import (
@@ -103,11 +105,12 @@ type Runtime struct {
 	allocs  int64
 	hookErr error
 	rngSeed uint64
-	// staleSeed is rngSeed as RestoreFromState left it: the byte-exact
-	// restore baseline every clone of the snapshot shares. The deploying
-	// host MUST call Reseed, on every path, or siblings replay one RNG
-	// stream (the snapshot-uniqueness bug of arXiv 2102.12892);
-	// RewindToStaleSeed returns to it to reproduce that bug on purpose.
+	// staleSeed is rngSeed as the snapshot's image left it: the
+	// byte-exact restore baseline every clone of the snapshot shares.
+	// The deploying host MUST call Reseed, on every path, or siblings
+	// replay one RNG stream (the snapshot-uniqueness bug of arXiv
+	// 2102.12892); RewindToStaleSeed returns to it to reproduce that bug
+	// on purpose.
 	staleSeed uint64
 }
 
@@ -319,7 +322,7 @@ func (r *Runtime) ImportAndCompile(src string) error {
 		return fmt.Errorf("interp: compile: %w", err)
 	}
 	// Module machinery + compiled-code metadata land in the guest heap.
-	if _, err := r.uk.Alloc(costs.ImportMachineryBytes + int64(costs.CompileAllocFactor*lang.TreeSize(prog))); err != nil {
+	if _, err := r.uk.Alloc(costs.ImportMachineryBytes + int64(costs.CompileAllocFactor*prog.Size())); err != nil {
 		return err
 	}
 	r.uk.Env().ChargeCPU(costs.CompileBase + time.Duration(len(src))*costs.CompilePerByte)
@@ -400,34 +403,64 @@ func (r *Runtime) hookError() error {
 	return err
 }
 
-// RestoreFromState rebuilds a runtime deployed from a snapshot: the
-// unikernel must already be rehydrated. The driver script and imported
-// source are replayed silently — zero virtual time, zero allocation
-// charging — because on real hardware this state arrives inside the
-// restored memory image. diffPages is the deployed snapshot's diff size.
-func RestoreFromState(uk *libos.Unikernel, st State, diffPages int) (*Runtime, error) {
-	name := st.Runtime
-	if name == "" {
-		name = NodeJS.Name
+// Image is a snapshot's interpreter state: the interpreter the
+// snapshot's import sequence leaves behind, and the RNG seed that
+// replay left. A deploy copies it (Restore) and never runs it, so one
+// image serves every runtime deployed from its snapshot, from any
+// goroutine.
+type Image struct {
+	in   *lang.Interp
+	seed uint64
+	prof Profile
+	st   State
+}
+
+// Extends reports whether an image built for base is a prefix of the
+// replay of st, so that BuildImage can derive st's image from it: the
+// same runtime with the same driver and warm script, and nothing
+// imported or counted yet.
+func (st State) Extends(base State) bool {
+	return profileName(st) == profileName(base) &&
+		st.DriverStarted == base.DriverStarted && st.InterpAO == base.InterpAO &&
+		base.ImportedSource == "" && base.Requests == 0
+}
+
+func profileName(st State) string {
+	if st.Runtime == "" {
+		return NodeJS.Name
 	}
-	prof, err := ProfileByName(name)
+	return st.Runtime
+}
+
+// BuildImage builds the image of a snapshot whose payload is st by
+// replaying, silently, what a runtime ran to reach it: the driver
+// script, the warm script, the imported source, and the driver's
+// request counter, in that order. base, when st.Extends its state, is
+// the image of the snapshot st was captured on, and the replay starts
+// from a copy of it instead of from nothing: the same operations in the
+// same order, so the same result, without re-running the driver and the
+// warm script. A nil or unrelated base replays everything.
+func BuildImage(st State, base *Image) (*Image, error) {
+	prof, err := ProfileByName(profileName(st))
 	if err != nil {
 		return nil, err
 	}
-	r := NewRuntimeWithProfile(uk, prof)
-	r.st = st
-	r.st.Runtime = prof.Name
-	r.st.DeployedDiffPages = diffPages
-	r.silent = true
-	defer func() { r.silent = false }()
-	if st.DriverStarted {
-		if _, err := r.in.RunSource(prof.DriverSource); err != nil {
-			return nil, fmt.Errorf("interp: rehydrating driver: %w", err)
+	st.Runtime = prof.Name
+	r := &Runtime{prof: prof, st: st, silent: true, rngSeed: entropy.Golden}
+	if base != nil && st.Extends(base.st) {
+		r.rngSeed = base.seed
+		r.in = base.in.Clone(r.hooks())
+	} else {
+		r.in = lang.New(r.hooks())
+		if st.DriverStarted {
+			if _, err := r.in.RunSource(prof.DriverSource); err != nil {
+				return nil, fmt.Errorf("interp: rehydrating driver: %w", err)
+			}
 		}
-	}
-	if st.InterpAO {
-		if _, err := r.in.RunSource(prof.WarmSource); err != nil {
-			return nil, fmt.Errorf("interp: rehydrating warm state: %w", err)
+		if st.InterpAO {
+			if _, err := r.in.RunSource(prof.WarmSource); err != nil {
+				return nil, fmt.Errorf("interp: rehydrating warm state: %w", err)
+			}
 		}
 	}
 	if st.ImportedSource != "" {
@@ -436,13 +469,22 @@ func RestoreFromState(uk *libos.Unikernel, st State, diffPages int) (*Runtime, e
 		}
 	}
 	if st.DriverStarted && st.Requests > 0 {
-		// The captured driver counter arrives inside the memory image;
-		// poke it back into the replayed interpreter.
-		src := fmt.Sprintf("__driver.requests = %d;", st.Requests)
-		if _, err := r.in.RunSource(src); err != nil {
+		// The captured driver counter arrives inside the memory image.
+		if err := r.in.SetGlobalMember("__driver", "requests", float64(st.Requests)); err != nil {
 			return nil, fmt.Errorf("interp: rehydrating driver counter: %w", err)
 		}
 	}
-	r.staleSeed = r.rngSeed
-	return r, nil
+	return &Image{in: r.in, seed: r.rngSeed, prof: prof, st: r.st}, nil
+}
+
+// Restore deploys a runtime from a snapshot's image onto its unikernel,
+// which must already be rehydrated: a copy of the image's interpreter
+// wired to this runtime, at no virtual time and no allocation charge,
+// because on real hardware this state arrives inside the restored
+// memory image. diffPages is the deployed snapshot's diff size.
+func Restore(uk *libos.Unikernel, img *Image, diffPages int) *Runtime {
+	r := &Runtime{uk: uk, prof: img.prof, st: img.st, rngSeed: img.seed, staleSeed: img.seed}
+	r.st.DeployedDiffPages = diffPages
+	r.in = img.in.Clone(r.hooks())
+	return r
 }

@@ -215,7 +215,7 @@ func TestCompileChargesBySourceSize(t *testing.T) {
 	}
 }
 
-func TestRestoreFromStateReplaysSilently(t *testing.T) {
+func TestImageReplaysSilently(t *testing.T) {
 	r, _ := newRuntime(t)
 	r.Connect()
 	r.WarmInterpreter()
@@ -226,8 +226,8 @@ func TestRestoreFromStateReplaysSilently(t *testing.T) {
 	r.Invoke(`{}`)
 	r.Invoke(`{}`)
 
-	// Simulate the snapshot/deploy cycle: clone the space, rebuild the
-	// runtime from the state payload.
+	// Simulate the snapshot/deploy cycle: clone the space, build the
+	// state payload's image and restore the runtime from it.
 	st := r.State()
 	ukState := r.Unikernel().State()
 	space := r.Unikernel().Space()
@@ -241,7 +241,7 @@ func TestRestoreFromStateReplaysSilently(t *testing.T) {
 	env2 := &libos.CountingEnv{}
 	uk2 := libos.New(clone, hypercall.NewStubHost(), env2)
 	uk2.Rehydrate(ukState)
-	r2, err := RestoreFromState(uk2, st, 500)
+	r2, err := restoreFromState(uk2, st, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestSilentReplayCrossesNothing(t *testing.T) {
 	state := State{DriverStarted: true, ImportedSource: `var t0 = Date.now(); console.log("up"); sleep(1);
 function main(a) { return {t: t0}; }`}
 	before := c.Total()
-	if _, err := RestoreFromState(uk, state, 0); err != nil {
+	if _, err := restoreFromState(uk, state, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Total() - before; got != 0 || len(stub.Console) != 0 {
@@ -447,7 +447,7 @@ func TestRestorePreservesRuntimeName(t *testing.T) {
 	clone, _ := space.Clone()
 	uk2 := libos.New(clone, hypercall.NewStubHost(), &libos.CountingEnv{})
 	uk2.Rehydrate(ukState)
-	r2, err := RestoreFromState(uk2, stState, 0)
+	r2, err := restoreFromState(uk2, stState, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ func (r *Runtime) Profile() Profile { return r.prof }
 
 // NewRuntime wires a fresh Node.js-profile interpreter to a booted
 // unikernel. The interpreter image itself is not yet loaded; call
-// InitInterpreter (the once-per-interpreter system initialization) or
-// RestoreFromState (the deploy path).
+// InitInterpreter (the once-per-interpreter system initialization), or
+// deploy with Restore instead.
 func NewRuntime(uk *libos.Unikernel) *Runtime {
 	return NewRuntimeWithProfile(uk, NodeJS)
 }
@@ -46,4 +46,14 @@ func (r *Runtime) Requests() (int, error) {
 		return 0, fmt.Errorf("interp: bad status %q: %v", s, err)
 	}
 	return n, nil
+}
+
+// restoreFromState is a deploy from a snapshot whose payload is st and
+// whose image nothing has built yet: a full replay, then a copy.
+func restoreFromState(uk *libos.Unikernel, st State, diffPages int) (*Runtime, error) {
+	img, err := BuildImage(st, nil)
+	if err != nil {
+		return nil, err
+	}
+	return Restore(uk, img, diffPages), nil
 }

@@ -190,7 +190,13 @@ type program struct {
 	Body []Node
 	// Source is retained so snapshot tooling can report code size.
 	Source string
+	// size is treeSize(program), computed once by Parse.
+	size int
 }
+
+// Size returns the guest bytes the compiled program occupies: the sum
+// of every node's GuestSize, computed once when it was parsed.
+func (p *program) Size() int { return p.size }
 
 // GuestSize implementations: coarse per-node costs approximating AST +
 // bytecode footprint of a real engine. Values chosen so realistic
@@ -245,14 +251,14 @@ func (n *try) GuestSize() int          { return 48 + len(n.CatchVar) }
 func (n *block) GuestSize() int        { return 16 }
 func (n *program) GuestSize() int      { return 64 }
 
-// TreeSize returns the total guest bytes of a subtree.
-func TreeSize(n Node) int {
+// treeSize returns the total guest bytes of a subtree.
+func treeSize(n Node) int {
 	if n == nil {
 		return 0
 	}
 	sz := n.GuestSize()
 	for _, c := range children(n) {
-		sz += TreeSize(c)
+		sz += treeSize(c)
 	}
 	return sz
 }

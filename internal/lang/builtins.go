@@ -135,9 +135,7 @@ func (in *Interp) setIndex(obj, key, val Value) error {
 type methodFn func(in *Interp, this Value, args []Value) (Value, error)
 
 func bindMethod(name string, this Value, m methodFn) *builtin {
-	return &builtin{Name: name, Fn: func(in *Interp, _ Value, args []Value) (Value, error) {
-		return m(in, this, args)
-	}}
+	return &builtin{Name: name, recv: this, method: m}
 }
 
 func arg(args []Value, i int) Value {

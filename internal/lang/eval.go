@@ -230,7 +230,7 @@ func (in *Interp) enter() { in.heap = 0 }
 // The value of the last expression statement is returned.
 func (in *Interp) Run(prog *program) (Value, error) {
 	in.enter()
-	if err := in.alloc(TreeSize(prog)); err != nil {
+	if err := in.alloc(prog.size); err != nil {
 		return nil, err
 	}
 	var last Value = undefined{}
@@ -269,6 +269,16 @@ func (in *Interp) CallGlobal(name string, args []Value) (Value, error) {
 	return in.callValue(fn, undefined{}, args)
 }
 
+// SetGlobalMember performs the guest assignment name.prop = v from the
+// host, without parsing or running a statement.
+func (in *Interp) SetGlobalMember(name, prop string, v Value) error {
+	obj, ok := in.globals.get(name)
+	if !ok {
+		return fmt.Errorf("minijs: %s is not defined", name)
+	}
+	return in.setMember(obj, prop, v)
+}
+
 // callValue invokes a function value with this and args.
 func (in *Interp) callValue(fn Value, this Value, args []Value) (Value, error) {
 	switch f := fn.(type) {
@@ -282,6 +292,9 @@ func (in *Interp) callValue(fn Value, this Value, args []Value) (Value, error) {
 		in.depth -= units
 		return v, err
 	case *builtin:
+		if f.method != nil {
+			return f.method(in, f.recv, args)
+		}
 		return f.Fn(in, this, args)
 	default:
 		return nil, &ThrowError{Value: describe(fn) + " is not a function"}

@@ -439,8 +439,11 @@ func TestGuestSizeGrowsWithSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if TreeSize(big) <= TreeSize(small) {
-		t.Errorf("TreeSize not monotone: %d <= %d", TreeSize(big), TreeSize(small))
+	if big.Size() <= small.Size() {
+		t.Errorf("Size not monotone: %d <= %d", big.Size(), small.Size())
+	}
+	if big.Size() != treeSize(big) {
+		t.Errorf("Size %d, want the tree's %d", big.Size(), treeSize(big))
 	}
 }
 

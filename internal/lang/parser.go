@@ -46,6 +46,7 @@ func Parse(src string) (*program, error) {
 		}
 		prog.Body = append(prog.Body, stmt)
 	}
+	prog.size = treeSize(prog)
 	return prog, nil
 }
 

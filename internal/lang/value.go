@@ -72,10 +72,13 @@ type closure struct {
 	Env *env
 }
 
-// builtin is a host-implemented function.
+// builtin is a host-implemented function. A method read off an array
+// or a string (bindMethod) has no Fn: it calls method on recv.
 type builtin struct {
-	Name string
-	Fn   func(in *Interp, this Value, args []Value) (Value, error)
+	Name   string
+	Fn     func(in *Interp, this Value, args []Value) (Value, error)
+	recv   Value
+	method methodFn
 }
 
 // env is a lexical scope.

@@ -51,6 +51,10 @@ const (
 type Payload struct {
 	Libos  libos.State
 	Interp interp.State
+	// image is the snapshot's interpreter image, built on its first
+	// deploy (imageOf) and never encoded: it lives and dies with the
+	// snapshot that carries this payload.
+	image *interp.Image
 }
 
 // state is a UC's lifecycle state.
@@ -211,6 +215,12 @@ func DeployPrefetched(snap *snapshot.Snapshot, host hypercall.Host, env libos.En
 		snap.ReleaseUC()
 		return nil, 0, fmt.Errorf("uc: snapshot %q has no guest payload", snap.Name())
 	}
+	img, err := imageOf(snap, payload)
+	if err != nil {
+		space.Release()
+		snap.ReleaseUC()
+		return nil, 0, err
+	}
 	prefetched := 0
 	if len(ws) > 0 {
 		// Replay before Resume: the resume-time rewrite of runtime
@@ -238,13 +248,7 @@ func DeployPrefetched(snap *snapshot.Snapshot, host hypercall.Host, env libos.En
 	}
 	uk := libos.New(space, u.host, env)
 	uk.Rehydrate(payload.Libos)
-	rt, err := interp.RestoreFromState(uk, payload.Interp, snap.DiffPages())
-	if err != nil {
-		u.freeMeta(space.Backing())
-		space.Release()
-		snap.ReleaseUC()
-		return nil, 0, err
-	}
+	rt := interp.Restore(uk, img, snap.DiffPages())
 	// Re-draw uniqueness before the guest's first instruction: every
 	// clone of this snapshot restored the same staleSeed.
 	u.reseed(uk, rt)
@@ -258,6 +262,34 @@ func DeployPrefetched(snap *snapshot.Snapshot, host hypercall.Host, env libos.En
 	}
 	u.guest = rt
 	return u, prefetched, nil
+}
+
+// imageOf returns the interpreter image of snap, whose payload is p,
+// building it on the snapshot's first deploy: derived from its base
+// snapshot's image when that holds a prefix of the replay (a function
+// snapshot over its runtime snapshot), replayed from nothing otherwise.
+// The image is stored back on the snapshot's own payload, so it is
+// built on the goroutine that owns the snapshot and collected with it.
+func imageOf(snap *snapshot.Snapshot, p Payload) (*interp.Image, error) {
+	if p.image != nil {
+		return p.image, nil
+	}
+	var base *interp.Image
+	if b := snap.Base(); b != nil {
+		if bp, ok := b.Payload().(Payload); ok && p.Interp.Extends(bp.Interp) {
+			var err error
+			if base, err = imageOf(b, bp); err != nil {
+				return nil, err
+			}
+		}
+	}
+	img, err := interp.BuildImage(p.Interp, base)
+	if err != nil {
+		return nil, err
+	}
+	p.image = img
+	snap.SetPayload(p)
+	return img, nil
 }
 
 func hostOrStub(h hypercall.Host) hypercall.Host {
