@@ -6,7 +6,7 @@
 //
 //   - go-test ns/op measures the *real* cost of the reproduced
 //     mechanisms (deploying a UC really is a root-node copy; capturing
-//     a snapshot really walks the dirty list), and
+//     a snapshot really walks the page table's dirty bits), and
 //   - ReportMetric values labeled warm_vms, req/s, etc. are *virtual*
 //     time results from the ablations.
 package seuss

@@ -231,10 +231,11 @@ func TestImageReplaysSilently(t *testing.T) {
 	st := r.State()
 	ukState := r.Unikernel().State()
 	space := r.Unikernel().Space()
-	space.SetCoWAll()
-	space.ClearDirty()
-	space.Freeze()
-	clone, err := space.Clone()
+	img, _, err := space.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := img.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,10 +442,11 @@ func TestRestorePreservesRuntimeName(t *testing.T) {
 	stState := r.State()
 	ukState := uk.State()
 	space := uk.Space()
-	space.SetCoWAll()
-	space.ClearDirty()
-	space.Freeze()
-	clone, _ := space.Clone()
+	img, _, err := space.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, _ := img.Clone()
 	uk2 := libos.New(clone, hypercall.NewStubHost(), &libos.CountingEnv{})
 	uk2.Rehydrate(ukState)
 	r2, err := restoreFromState(uk2, stState, 0)

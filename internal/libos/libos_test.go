@@ -251,10 +251,11 @@ func TestStateRoundTrip(t *testing.T) {
 	st := uk.State()
 
 	// Rehydrate into a second unikernel over a clone (as deploy does).
-	uk.Space().SetCoWAll()
-	uk.Space().ClearDirty()
-	uk.Space().Freeze()
-	clone, err := uk.Space().Clone()
+	img, _, err := uk.Space().Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := img.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +286,11 @@ func TestDirtyHotFaultsPages(t *testing.T) {
 	uk.Alloc(500 * mem.PageSize)
 
 	// Capture-like downgrade, then clone as a deploy would.
-	uk.Space().SetCoWAll()
-	uk.Space().ClearDirty()
-	uk.Space().Freeze()
-	clone, _ := uk.Space().Clone()
+	img, _, err := uk.Space().Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, _ := img.Clone()
 	env2 := &CountingEnv{}
 	uk2 := New(clone, hypercall.NewStubHost(), env2)
 	uk2.Rehydrate(uk.State())
@@ -374,10 +376,11 @@ func TestReadFileSurvivesRehydration(t *testing.T) {
 	uk, _ := booted(t)
 	uk.WriteFile("/cfg", []byte("answer=42"))
 	st := uk.State()
-	uk.Space().SetCoWAll()
-	uk.Space().ClearDirty()
-	uk.Space().Freeze()
-	clone, err := uk.Space().Clone()
+	img, _, err := uk.Space().Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := img.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@
 //   - Leaf entries carry Present/Writable/Dirty/Accessed bits plus a
 //     software CoW bit; stores to CoW pages clone the frame, stores to
 //     unmapped pages allocate demand-zero frames, and every store sets
-//     the dirty bit and lands on the address space's dirty list — the
-//     exact state snapshot capture consumes.
+//     the dirty bit. The D bits are the dirty set: the space keeps only
+//     their count, and snapshot capture reads the bits themselves.
 //
 // A node is charged one simulated frame whatever it holds, but on the
 // host each kind is sized to what it maps, because a node.js function
@@ -36,9 +36,8 @@
 //
 // The structures themselves are recycled: page-table nodes and address
 // space shells released by Release/privatize return to a per-lineage
-// free pool (created by New, inherited by every Clone), and the dirty
-// list keeps its storage across ClearDirty cycles. Combined with the
-// frame pool in package mem, a deploy→fault→capture cycle is
+// free pool (created by New, inherited by every Clone). Combined with
+// the frame pool in package mem, a deploy→fault→capture cycle is
 // allocation-free in steady state. Lineages are shard-local
 // (shared-nothing), so the pools need no locking.
 package pagetable
@@ -69,12 +68,6 @@ const (
 	// flagCoW is the software copy-on-write bit: the entry references a
 	// frame owned by a snapshot; the first store clones it.
 	flagCoW
-
-	// flagDirtyListed is a software-only bit recording that the page's
-	// VA is on the space's dirty list — the invariant that lets the
-	// list be an append-only slice (reused across captures) instead of
-	// a map rebuilt per cycle, with no duplicate entries.
-	flagDirtyListed flags = 1 << 7
 )
 
 const (
@@ -105,6 +98,9 @@ var errBadAddress = errors.New("pagetable: bad virtual address")
 // errNotMapped is returned when an operation requires an existing
 // mapping.
 var errNotMapped = errors.New("pagetable: address not mapped")
+
+// errFrozen is returned by Capture of an immutable space.
+var errFrozen = errors.New("pagetable: capture of a frozen address space")
 
 // index extracts the radix index for the given level (3 = PML4 … 0 = PT).
 func index(va uint64, level int) int {
@@ -228,7 +224,7 @@ func (f FaultStats) Copied() int { return f.DemandZero + f.CoW }
 type AddressSpace struct {
 	st    *mem.Store
 	root  *interior
-	dirty []uint64 // page-base VAs written since last ClearDirty; dedup via flagDirtyListed
+	dirty int // D bits set, all in leaves it owns alone (eachOwnLeaf)
 	// Faults accumulates fault-resolution counts; see FaultStats.
 	Faults FaultStats
 	mapped int // present leaf entries reachable (maintained incrementally)
@@ -312,9 +308,6 @@ func (as *AddressSpace) Backing() *mem.Store { return as.st }
 // freeze their spaces; sharing is then always safe.
 func (as *AddressSpace) Freeze() { as.frozen = true }
 
-// Frozen reports whether the space is immutable.
-func (as *AddressSpace) Frozen() bool { return as.frozen }
-
 // MappedPages returns the number of present leaf mappings.
 func (as *AddressSpace) MappedPages() int { return as.mapped }
 
@@ -324,10 +317,14 @@ func (as *AddressSpace) MappedPages() int { return as.mapped }
 // cost of deploying a UC is independent of the snapshot's size.
 //
 // The source's leaf entries are inherited as-is, so the source must
-// have been downgraded to read-only CoW (SetCoWAll) and frozen first;
-// the snapshot layer enforces this. Cloning a space with writable
-// entries would alias writable frames between spaces.
+// be a frozen image made by Capture: cloning a space with writable
+// entries would alias writable frames between spaces, and cloning one
+// with dirty pages would share leaves that hold D bits. The second
+// panics, the way a store to a frozen space does.
 func (as *AddressSpace) Clone() (*AddressSpace, error) {
+	if as.dirty != 0 {
+		panic("pagetable: Clone of a space with dirty pages")
+	}
 	root, err := newInterior(as.st, as.pool)
 	if err != nil {
 		return nil, err
@@ -338,14 +335,37 @@ func (as *AddressSpace) Clone() (*AddressSpace, error) {
 	// than scribble into a node the clone shares.
 	as.cache = ptCursor{}
 	cp := as.pool.getSpace()
-	*cp = AddressSpace{
-		st:     as.st,
-		root:   root,
-		dirty:  cp.dirty[:0], // keep recycled storage
-		mapped: as.mapped,
-		pool:   as.pool,
-	}
+	*cp = AddressSpace{st: as.st, root: root, mapped: as.mapped, pool: as.pool}
 	return cp, nil
+}
+
+// Capture freezes the space's current contents into a new immutable
+// image and returns it with the number of pages dirtied since the space
+// was created or last captured. One pass over the leaves the space owns
+// alone downgrades every writable entry to read-only CoW and clears
+// every D bit; only then does the image share the tree. The space stays
+// usable, its D bits clear even if the clone fails: its next store to a
+// captured page faults and clones, the transparent continuation of §6.
+func (as *AddressSpace) Capture() (*AddressSpace, int, error) {
+	if as.frozen {
+		return nil, 0, errFrozen
+	}
+	dirty := as.dirty
+	eachOwnLeaf(as.root, levels-1, 0, func(_ uint64, l *leaf) {
+		for i, flags := range l.flags {
+			if flags&flagWritable != 0 {
+				flags = (flags &^ flagWritable) | flagCoW
+			}
+			l.flags[i] = flags &^ flagDirty
+		}
+	})
+	as.dirty = 0
+	img, err := as.Clone()
+	if err != nil {
+		return nil, 0, err
+	}
+	img.Freeze()
+	return img, dirty, nil
 }
 
 // shareKids makes the empty node dst a second parent of src's children.
@@ -436,8 +456,7 @@ func (as *AddressSpace) Release() {
 	as.root = nil
 	as.cache = ptCursor{}
 	if pool := as.pool; pool != nil && len(pool.spaces) < maxPooledSpaces {
-		dirty := as.dirty[:0]
-		*as = AddressSpace{dirty: dirty}
+		*as = AddressSpace{}
 		pool.spaces = append(pool.spaces, as)
 	}
 }
@@ -505,14 +524,8 @@ func (as *AddressSpace) Unmap(va uint64) error {
 	if pt, err = as.walk(va, true); err != nil {
 		return err
 	}
-	if pt.flags[i]&flagDirtyListed != 0 {
-		for j, d := range as.dirty {
-			if d == va {
-				as.dirty[j] = as.dirty[len(as.dirty)-1]
-				as.dirty = as.dirty[:len(as.dirty)-1]
-				break
-			}
-		}
+	if pt.flags[i]&flagDirty != 0 {
+		as.dirty--
 	}
 	as.st.DecRef(pt.frames[i])
 	pt.frames[i], pt.flags[i] = 0, 0
@@ -522,7 +535,7 @@ func (as *AddressSpace) Unmap(va uint64) error {
 
 // Translate returns the frame and flags mapped at va's page, or ok=false.
 // It does not set the accessed bit (use Load/Store for access
-// semantics). The software dirty-list bookkeeping bit is masked out.
+// semantics).
 func (as *AddressSpace) Translate(va uint64) (mem.Frame, flags, bool) {
 	pt, err := as.walk(PageBase(va), false)
 	if err != nil || pt == nil {
@@ -532,7 +545,7 @@ func (as *AddressSpace) Translate(va uint64) (mem.Frame, flags, bool) {
 	if pt.frames[i] == 0 {
 		return 0, 0, false
 	}
-	return pt.frames[i], pt.flags[i] &^ flagDirtyListed, true
+	return pt.frames[i], pt.flags[i], true
 }
 
 // Load copies memory at va into dst, crossing page boundaries as
@@ -568,8 +581,7 @@ func (as *AddressSpace) Load(va uint64, dst []byte) error {
 
 // Store writes data at va, crossing page boundaries, resolving faults
 // exactly as the SEUSS kernel handler does: demand-zero for unmapped
-// pages, frame clones for CoW pages. Dirty bits are set and the dirty
-// list updated.
+// pages, frame clones for CoW pages. Dirty bits are set.
 func (as *AddressSpace) Store(va uint64, data []byte) error {
 	for len(data) > 0 {
 		if va >= MaxVirtual {
@@ -646,10 +658,10 @@ func (as *AddressSpace) faultForWrite(va uint64) (mem.Frame, error) {
 	case flags&flagWritable == 0:
 		return 0, fmt.Errorf("pagetable: write protection fault at %#x", va)
 	}
-	if flags&flagDirtyListed == 0 {
-		as.dirty = append(as.dirty, va)
+	if flags&flagDirty == 0 {
+		as.dirty++
 	}
-	pt.flags[i] = flags | flagDirty | flagAccessed | flagDirtyListed
+	pt.flags[i] = flags | flagDirty | flagAccessed
 	return pt.frames[i], nil
 }
 
@@ -658,10 +670,10 @@ func (as *AddressSpace) faultForWrite(va uint64) (mem.Frame, error) {
 // fuses decode and install into a single pass (snapshot.GraftWire).
 //
 // Each installed page gets a freshly allocated private frame mapped
-// read-only CoW — exactly the entry Capture's SetCoWAll + Clone would
-// have produced for a store at that address, so a snapshot built over
-// the result re-exports byte-identically. Nothing faults, nothing is
-// dirty-listed, and shared path nodes are privatized once per 2 MB span
+// read-only CoW — exactly the entry Capture would have left for a store
+// at that address, so a snapshot built over the result re-exports
+// byte-identically. Nothing faults, nothing is marked dirty, and shared
+// path nodes are privatized once per 2 MB span
 // rather than once per page.
 //
 // Pages whose installed mapping would be indistinguishable from the
@@ -757,7 +769,7 @@ func (si *SparseInstaller) Lazy() []uint64 { return si.lazy }
 // rather than DemandZero/CoW — the caller charges them in bulk at the
 // batched rate, not at the per-fault rate.
 //
-// Prefetched pages are marked dirty and dirty-listed: the record was
+// Prefetched pages are marked dirty: the record was
 // harvested from a dirty set, so the pages are expected to be written,
 // and keeping them observable in DirtyPages is what makes the next
 // harvest the union the drift-merge rule needs. Already-writable pages
@@ -798,10 +810,10 @@ func (as *AddressSpace) PrefetchWritable(vas []uint64) (int, error) {
 		default:
 			continue // already writable (or protected): nothing to prefetch
 		}
-		if flags&flagDirtyListed == 0 {
-			as.dirty = append(as.dirty, va)
+		if flags&flagDirty == 0 {
+			as.dirty++
 		}
-		pt.flags[i] = flags | flagDirty | flagAccessed | flagDirtyListed
+		pt.flags[i] = flags | flagDirty | flagAccessed
 		as.Faults.Prefetched++
 		resolved++
 	}
@@ -813,59 +825,47 @@ func (as *AddressSpace) PrefetchWritable(vas []uint64) (int, error) {
 	return resolved, nil
 }
 
-// DirtyPages returns the sorted page-base addresses written since
-// creation or the last ClearDirty — the set snapshot capture clones.
+// DirtyPages returns, in ascending order, the page-base addresses
+// written since the space was created or last captured — the set a
+// capture records as its diff — read from the D bits of the leaves the
+// space owns alone.
 func (as *AddressSpace) DirtyPages() []uint64 {
-	out := slices.Clone(as.dirty)
-	slices.Sort(out)
+	out := make([]uint64, 0, as.dirty)
+	if as.dirty > 0 {
+		eachOwnLeaf(as.root, levels-1, 0, func(base uint64, l *leaf) {
+			for i, flags := range l.flags {
+				if flags&flagDirty != 0 {
+					out = append(out, base|uint64(i)<<mem.PageShift)
+				}
+			}
+		})
+	}
 	return out
 }
 
-// DirtyCount returns the number of dirty pages without copying the list.
-func (as *AddressSpace) DirtyCount() int { return len(as.dirty) }
+// DirtyCount returns the number of dirty pages.
+func (as *AddressSpace) DirtyCount() int { return as.dirty }
 
-// ClearDirty resets dirty tracking (hardware D bits and the software
-// list). Called after a snapshot capture. The list's storage is kept
-// for the next cycle.
-func (as *AddressSpace) ClearDirty() {
-	var cur ptCursor
-	for _, va := range as.dirty {
-		if pt, _ := cur.at(as, va, false); pt != nil {
-			pt.flags[index(va, 0)] &^= flagDirty | flagDirtyListed
-		}
-	}
-	as.dirty = as.dirty[:0]
-}
-
-// SetCoWAll downgrades every writable mapping to read-only CoW. Clone
-// already produces CoW views; this is used when freezing a live space
-// into a snapshot in place.
-//
-// A node with more than one reference is skipped with everything under
-// it. It became shared through a Clone, whose contract is that the
-// source was downgraded first, and nothing has written under it since:
-// a store reaches an entry only through walk(build), which privatizes
-// every shared node on the way down, so the writable entry it leaves
-// behind lives in a private copy. A shared subtree is therefore
-// read-only CoW already, and a capture walks only the nodes the space
-// has privatized since it was deployed.
-func (as *AddressSpace) SetCoWAll() { setCoW(as.root) }
-
-func setCoW(n tableNode) {
+// eachOwnLeaf calls visit, in ascending address order, with every leaf
+// under n that is reached through single-reference nodes only, and the
+// address its first slot maps; n's own slot starts at prefix. A shared
+// node is skipped with everything under it: it became shared through a
+// Clone of a captured space, and a store since would have privatized
+// it (walk(build) privatizes every shared node on its way down), so it
+// is clean read-only CoW, with no D bit. Capture and DirtyPages
+// therefore cost the nodes a space has privatized since it was deployed.
+func eachOwnLeaf(n tableNode, level int, prefix uint64, visit func(base uint64, l *leaf)) {
 	if n.header().refs > 1 {
 		return
 	}
 	switch n := n.(type) {
 	case *interior:
-		for _, kid := range n.kids {
-			setCoW(kid)
-		}
+		shift := uint(mem.PageShift + indexBits*level)
+		n.eachKid(func(idx int, kid tableNode) {
+			eachOwnLeaf(kid, level-1, prefix|uint64(idx)<<shift, visit)
+		})
 	case *leaf:
-		for i, flags := range n.flags {
-			if flags&flagWritable != 0 {
-				n.flags[i] = (flags &^ flagWritable) | flagCoW
-			}
-		}
+		visit(prefix, n)
 	}
 }
 

@@ -101,14 +101,20 @@ func TestDirtyTracking(t *testing.T) {
 			t.Errorf("dirty[%d] = %#x, want %#x (sorted)", i, dirty[i], va)
 		}
 	}
-	as.ClearDirty()
-	if as.DirtyCount() != 0 {
-		t.Error("ClearDirty left pages dirty")
+	img, n, err := as.Capture()
+	if err != nil || n != 3 {
+		t.Fatalf("Capture = %d dirty, %v; want 3", n, err)
 	}
-	// Flags cleared too.
-	_, fl, ok := as.Translate(0x1000)
-	if !ok || fl&flagDirty != 0 {
-		t.Errorf("dirty bit survives ClearDirty: %v %v", fl, ok)
+	if as.DirtyCount() != 0 || len(as.DirtyPages()) != 0 {
+		t.Error("Capture left pages dirty")
+	}
+	// Flags cleared too, in the source and in the image that shares its
+	// leaves.
+	for _, space := range []*AddressSpace{as, img} {
+		_, fl, ok := space.Translate(0x1000)
+		if !ok || fl&flagDirty != 0 {
+			t.Errorf("dirty bit survives Capture: %v %v", fl, ok)
+		}
 	}
 }
 
@@ -194,8 +200,8 @@ func TestBadAddress(t *testing.T) {
 	}
 }
 
-// buildParent creates a space with n pages of content, downgrades it to
-// CoW and freezes it — the snapshot preparation sequence.
+// buildParent creates a space with n pages of content and returns its
+// captured image, the source released — a snapshot's space.
 func buildParent(t *testing.T, st *mem.Store, n int) *AddressSpace {
 	t.Helper()
 	as, err := New(st)
@@ -207,10 +213,12 @@ func buildParent(t *testing.T, st *mem.Store, n int) *AddressSpace {
 			t.Fatal(err)
 		}
 	}
-	as.SetCoWAll()
-	as.ClearDirty()
-	as.Freeze()
-	return as
+	img, _, err := as.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	as.Release()
+	return img
 }
 
 func TestCloneSharesFrames(t *testing.T) {
@@ -333,6 +341,19 @@ func TestFrozenStorePanics(t *testing.T) {
 	parent.Store(0, []byte{1})
 }
 
+// TestCloneOfDirtySpacePanics: a clone would share leaves that hold D
+// bits, where DirtyPages never looks; only a captured image is cloned.
+func TestCloneOfDirtySpacePanics(t *testing.T) {
+	as := newAS(t)
+	as.Touch(0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	as.Clone()
+}
+
 func TestTableClonePrivatizesPath(t *testing.T) {
 	st := mem.NewStore(0)
 	parent := buildParent(t, st, 4)
@@ -384,11 +405,12 @@ func TestStackedClones(t *testing.T) {
 	st := mem.NewStore(0)
 	base := buildParent(t, st, 4)
 
-	fnSpace, _ := base.Clone()
-	fnSpace.Store(mem.PageSize, []byte{0x11}) // the "function code" page
-	fnSpace.SetCoWAll()
-	fnSpace.ClearDirty()
-	fnSpace.Freeze()
+	fnUC, _ := base.Clone()
+	fnUC.Store(mem.PageSize, []byte{0x11}) // the "function code" page
+	fnSpace, _, err := fnUC.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	uc, _ := fnSpace.Clone()
 	uc.Store(2*mem.PageSize, []byte{0x22}) // "execution" writes
@@ -436,9 +458,12 @@ func TestQuickCloneIsolation(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			parent.Store(uint64(i)*mem.PageSize, []byte{byte(i + 1)})
 		}
-		parent.SetCoWAll()
-		parent.ClearDirty()
-		parent.Freeze()
+		img, _, err := parent.Capture()
+		if err != nil {
+			return false
+		}
+		parent.Release()
+		parent = img
 		child, err := parent.Clone()
 		if err != nil {
 			return false

@@ -6,18 +6,14 @@ import (
 	"seuss/internal/mem"
 )
 
-// snapshotStyleCapture mimics the snapshot layer's capture sequence:
-// downgrade, clone (the immutable image), then clear dirty on the live
-// space.
+// snapshotStyleCapture is the snapshot layer's capture: the live space
+// stays writable, and the returned image is frozen.
 func snapshotStyleCapture(t *testing.T, live *AddressSpace) *AddressSpace {
 	t.Helper()
-	live.SetCoWAll()
-	snap, err := live.Clone()
+	snap, _, err := live.Capture()
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Freeze()
-	live.ClearDirty()
 	return snap
 }
 
@@ -80,9 +76,11 @@ func TestFaultCacheInvalidatedByClone(t *testing.T) {
 	}
 }
 
-// TestDirtyListStorageReused: ClearDirty must keep the list's capacity
-// so steady-state capture cycles stop allocating.
-func TestDirtyListStorageReused(t *testing.T) {
+// TestCaptureCycleAllocatesNothing: a live space that is written,
+// captured and written again, its images released as it goes, recycles
+// every node, shell and frame, and its dirty set is bits, not a list
+// that grows: steady-state cycles allocate nothing.
+func TestCaptureCycleAllocatesNothing(t *testing.T) {
 	st := mem.NewStore(0)
 	as, err := New(st)
 	if err != nil {
@@ -91,18 +89,19 @@ func TestDirtyListStorageReused(t *testing.T) {
 	if mem.PoisonEnabled {
 		t.Skip("seusspoison never reuses a frame number, so the frame table keeps growing")
 	}
-	for i := 0; i < 100; i++ {
-		as.Touch(uint64(i) * mem.PageSize)
-	}
-	as.ClearDirty()
-	allocs := testing.AllocsPerRun(50, func() {
+	cycle := func() {
 		for i := 0; i < 100; i++ {
 			as.Touch(uint64(i) * mem.PageSize)
 		}
-		as.ClearDirty()
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state touch+clear cycle allocates %.1f/op, want 0", allocs)
+		img, n, err := as.Capture()
+		if err != nil || n != 100 {
+			t.Fatalf("capture: %d dirty, %v", n, err)
+		}
+		img.Release()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Errorf("steady-state touch+capture cycle allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -188,11 +188,13 @@ func TestSparseShapesMatchModel(t *testing.T) {
 	}
 }
 
-// TestQuickSetCoWAllLeavesNothingWritable: SetCoWAll skips subtrees it
-// shares with a clone, on the argument that they were downgraded before
-// the clone was taken. Whatever sequence of stores, captures and
-// redeploys came before, no present page may translate writable after.
-func TestQuickSetCoWAllLeavesNothingWritable(t *testing.T) {
+// TestQuickCaptureLeavesNothingWritable: Capture's downgrade pass
+// skips subtrees the space shares with a clone, on the argument that
+// they were downgraded before the clone was taken. Whatever sequence of
+// stores, captures and redeploys came before, no present page may
+// translate writable or dirty after a capture, in the source or in the
+// image.
+func TestQuickCaptureLeavesNothingWritable(t *testing.T) {
 	pages := sparsePages()
 	type op struct{ Kind, Page uint8 }
 	prop := func(ops []op) bool {
@@ -202,11 +204,17 @@ func TestQuickSetCoWAllLeavesNothingWritable(t *testing.T) {
 			return false
 		}
 		var snaps []*AddressSpace
-		downgraded := func() bool {
-			cur.SetCoWAll()
-			for _, va := range cur.PresentPages() {
-				if _, flags, ok := cur.Translate(va); !ok || flags&flagWritable != 0 {
-					return false
+		capture := func() bool {
+			snap, _, err := cur.Capture()
+			if err != nil {
+				return false
+			}
+			snaps = append(snaps, snap)
+			for _, space := range []*AddressSpace{cur, snap} {
+				for _, va := range space.PresentPages() {
+					if _, flags, ok := space.Translate(va); !ok || flags&(flagWritable|flagDirty) != 0 {
+						return false
+					}
 				}
 			}
 			return true
@@ -218,16 +226,9 @@ func TestQuickSetCoWAllLeavesNothingWritable(t *testing.T) {
 					return false
 				}
 			case 2: // capture; the source lives on, as a UC does
-				if !downgraded() {
+				if !capture() {
 					return false
 				}
-				snap, err := cur.Clone()
-				if err != nil {
-					return false
-				}
-				snap.Freeze()
-				cur.ClearDirty()
-				snaps = append(snaps, snap)
 			case 3: // destroy the UC and deploy one from an earlier capture
 				if len(snaps) == 0 {
 					continue
@@ -240,7 +241,7 @@ func TestQuickSetCoWAllLeavesNothingWritable(t *testing.T) {
 				cur = next
 			}
 		}
-		return downgraded()
+		return capture()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -22,7 +22,7 @@ func (as *AddressSpace) MapFrame(va uint64, f mem.Frame, flags flags) error {
 		return err
 	}
 	i := index(va, 0)
-	listed := pt.flags[i] & flagDirtyListed // a replaced mapping stays on the dirty list
+	dirty := pt.flags[i] & flagDirty // a replaced mapping stays dirty
 	if old := pt.frames[i]; old != 0 {
 		as.st.DecRef(old)
 	} else {
@@ -30,7 +30,7 @@ func (as *AddressSpace) MapFrame(va uint64, f mem.Frame, flags flags) error {
 	}
 	as.st.IncRef(f)
 	pt.frames[i] = f
-	pt.flags[i] = (flags &^ flagDirtyListed) | flagPresent | listed
+	pt.flags[i] = (flags &^ flagDirty) | flagPresent | dirty
 	return nil
 }
 

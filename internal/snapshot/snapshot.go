@@ -11,13 +11,16 @@
 // base snapshot), so a function-specific snapshot costs only its dirty
 // pages plus a handful of table nodes. The mechanism:
 //
-//  1. The source space's writable entries are downgraded to read-only
-//     CoW (SetCoWAll) — writes the source issues afterwards fault and
-//     clone, exactly the "transparent continuation" of §6.
-//  2. The snapshot takes a shallow clone of the page-table structure
+//  1. The count of the source's dirty pages — those modified since it
+//     was deployed — is recorded as the snapshot's diff size.
+//  2. In one pass, the source's writable entries are downgraded to
+//     read-only CoW and their dirty bits cleared — writes the source
+//     issues afterwards fault and clone, exactly the "transparent
+//     continuation" of §6.
+//  3. The snapshot takes a shallow clone of the page-table structure
 //     and freezes it.
-//  3. The source's dirty list — the pages modified since it was
-//     deployed — is recorded as the snapshot's diff and then cleared.
+//
+// All three are pagetable.AddressSpace.Capture.
 //
 // Deletion safety follows §6: a snapshot can only be deleted when no
 // other snapshots or UCs depend on it.
@@ -87,17 +90,10 @@ func (s *Snapshot) Payload() interface{} { return s.payload }
 // The returned snapshot's diff is exactly src's dirty set at the moment
 // of capture; src's dirty tracking is reset.
 func Capture(name string, base *Snapshot, src *pagetable.AddressSpace, regs Registers) (*Snapshot, error) {
-	if src.Frozen() {
-		return nil, fmt.Errorf("snapshot: capturing %q from a frozen space", name)
-	}
-	diff := src.DirtyCount()
-	src.SetCoWAll()
-	space, err := src.Clone()
+	space, diff, err := src.Capture()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: capture %q: %w", name, err)
 	}
-	space.Freeze()
-	src.ClearDirty()
 	s := &Snapshot{
 		name:      name,
 		base:      base,

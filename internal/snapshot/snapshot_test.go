@@ -40,7 +40,7 @@ func TestCaptureRecordsDiff(t *testing.T) {
 		t.Error("registers not captured")
 	}
 	if as.DirtyCount() != 0 {
-		t.Error("source dirty list not cleared")
+		t.Error("source dirty set not cleared")
 	}
 }
 
@@ -229,9 +229,11 @@ func TestReleaseUCUnderflowPanics(t *testing.T) {
 func TestCaptureFromFrozenFails(t *testing.T) {
 	st := mem.NewStore(0)
 	boot := bootSpace(t, st, 1)
-	boot.SetCoWAll()
-	boot.Freeze()
-	if _, err := Capture("bad", nil, boot, Registers{}); err == nil {
+	img, _, err := boot.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Capture("bad", nil, img, Registers{}); err == nil {
 		t.Fatal("capture from frozen space succeeded")
 	}
 }

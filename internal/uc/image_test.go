@@ -2,8 +2,9 @@ package uc
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
-	"weak"
+	"time"
 
 	"seuss/internal/interp"
 	"seuss/internal/libos"
@@ -17,10 +18,30 @@ func imageOn(snap *snapshot.Snapshot) *interp.Image {
 	return snap.Payload().(Payload).image
 }
 
+// collectedFlag sets a finalizer on img and returns the flag it raises
+// once img has become garbage and been collected.
+func collectedFlag(img *interp.Image) *atomic.Bool {
+	dead := new(atomic.Bool)
+	runtime.SetFinalizer(img, func(*interp.Image) { dead.Store(true) })
+	return dead
+}
+
+// collectUntil runs the collector until dead is raised or a bounded
+// number of tries pass, and reports whether it was raised. A finalizer
+// runs on its own goroutine after the cycle that found its object
+// unreachable, so each try also gives it a moment.
+func collectUntil(dead *atomic.Bool) bool {
+	for try := 0; try < 50 && !dead.Load(); try++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	return dead.Load()
+}
+
 // warmTwice captures a function snapshot over base, deploys it twice,
 // checks both deploys shared one image, destroys both UCs and returns
-// the snapshot with a weak pointer to its image.
-func warmTwice(t *testing.T, base *snapshot.Snapshot) (*snapshot.Snapshot, weak.Pointer[interp.Image]) {
+// the snapshot with a flag its image raises once it is collected.
+func warmTwice(t *testing.T, base *snapshot.Snapshot) (*snapshot.Snapshot, *atomic.Bool) {
 	t.Helper()
 	env := &libos.CountingEnv{}
 	u, err := Deploy(base, nil, env)
@@ -60,7 +81,7 @@ func warmTwice(t *testing.T, base *snapshot.Snapshot) (*snapshot.Snapshot, weak.
 	}
 	w1.Destroy()
 	w2.Destroy()
-	return fn, weak.Make(img)
+	return fn, collectedFlag(img)
 }
 
 // TestImageDiesWithItsSnapshot: a snapshot builds its image on its
@@ -69,20 +90,19 @@ func warmTwice(t *testing.T, base *snapshot.Snapshot) (*snapshot.Snapshot, weak.
 // while the base snapshot's image it was derived from lives on.
 func TestImageDiesWithItsSnapshot(t *testing.T) {
 	base := initRuntimeSnapshot(t, mem.NewStore(0), true)
-	fn, img := warmTwice(t, base)
-	baseImg := weak.Make(imageOn(base))
-	if baseImg.Value() == nil {
+	fn, imgDead := warmTwice(t, base)
+	if imageOn(base) == nil {
 		t.Fatal("deploying from the base snapshot built no image on it")
 	}
+	baseImgDead := collectedFlag(imageOn(base))
 	if err := fn.Delete(); err != nil {
 		t.Fatal(err)
 	}
 	fn = nil
-	runtime.GC()
-	if img.Value() != nil {
+	if !collectUntil(imgDead) {
 		t.Error("a deleted snapshot's image is still reachable")
 	}
-	if baseImg.Value() == nil {
+	if baseImgDead.Load() {
 		t.Error("the base snapshot's image was collected with its child's")
 	}
 	runtime.KeepAlive(base)
