@@ -1,6 +1,8 @@
 package lang
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -8,10 +10,22 @@ import (
 // FuzzEval parses and runs arbitrary source, then calls its main if it
 // defines one, under a step budget. Whatever the source, the host must
 // come back with a value or an error: no panic, no stack overflow, no
-// allocation the operating system refuses. The seeds are the hostile
-// guests the interpreter bounds, and sources that reach every error
-// the evaluator can return.
+// allocation the operating system refuses. The seeds are the guest
+// conformance corpus (testdata/guest), the hostile guests the
+// interpreter bounds, and sources that reach every error the evaluator
+// can return.
 func FuzzEval(f *testing.F) {
+	corpus, err := filepath.Glob("../../testdata/guest/*.js")
+	if err != nil || len(corpus) == 0 {
+		f.Fatalf("no guest corpus: %v", err)
+	}
+	for _, path := range corpus {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
 	for _, src := range []string{
 		recursionSource,
 		doublingSource,
