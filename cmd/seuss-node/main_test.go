@@ -181,13 +181,26 @@ func TestInvokeValidation(t *testing.T) {
 	}
 }
 
+// TestInvokeBadSource: source that does not parse is refused with 422,
+// and a construct outside the MiniJS subset is named in the error.
 func TestInvokeBadSource(t *testing.T) {
 	ts := newTestServer(t)
-	resp, _ := post(t, ts, `{"key": "bad/fn", "source": "function main( {"}`)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("status = %d, want 422", resp.StatusCode)
+	for src, want := range map[string]string{
+		`function main( {`:                             "syntax error",
+		`function main(a) { switch (a) {} }`:           "switch statements are not supported",
+		`function main(a) { do {} while (0); }`:        "do-while loops are not supported",
+		"function main(a) { return `x`; }":             "template literals are not supported",
+		`function main(a) { return [1].map(x => x); }`: "arrow functions are not supported",
+	} {
+		body, _ := json.Marshal(map[string]string{"key": "bad/fn", "source": src})
+		resp, _ := post(t, ts, string(body))
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status = %d, want 422", src, resp.StatusCode)
+		}
+		if msg := errorBody(t, resp); !strings.Contains(msg, want) {
+			t.Errorf("%s: error %q does not say %q", src, msg, want)
+		}
 	}
-	errorBody(t, resp)
 }
 
 // TestHostileGuestsAreContained: guests that once took the whole

@@ -38,7 +38,7 @@ type objectLit struct {
 	Values []Node
 }
 
-// funcLit is function(params){body} or (params) => expr/body.
+// funcLit is function name(params){body}, the name optional.
 type funcLit struct {
 	Name   string // optional
 	Params []string
@@ -147,26 +147,7 @@ type forIn struct {
 	Body []Node
 }
 
-// switchStmt is a switch statement with === case matching.
-type switchStmt struct {
-	Tag     Node
-	Cases   []switchCase
-	Default []Node // nil when absent
-}
-
-// switchCase is one case arm.
-type switchCase struct {
-	Value Node
-	Body  []Node
-}
-
-// doWhile is a do { } while (cond) loop.
-type doWhile struct {
-	Body []Node
-	Test Node
-}
-
-// breakStmt breaks the innermost loop or switch.
+// breakStmt breaks the innermost loop.
 type breakStmt struct{}
 
 // continueStmt continues the innermost loop.
@@ -224,26 +205,22 @@ func (n *funcLit) GuestSize() int {
 	}
 	return sz
 }
-func (n *unary) GuestSize() int      { return 16 }
-func (n *binary) GuestSize() int     { return 24 }
-func (n *logical) GuestSize() int    { return 24 }
-func (n *cond) GuestSize() int       { return 24 }
-func (n *assign) GuestSize() int     { return 24 }
-func (n *update) GuestSize() int     { return 16 }
-func (n *call) GuestSize() int       { return 32 }
-func (n *member) GuestSize() int     { return 24 + len(n.Name) }
-func (n *index) GuestSize() int      { return 24 }
-func (n *varDecl) GuestSize() int    { return 24 + len(n.Name) }
-func (n *exprStmt) GuestSize() int   { return 8 }
-func (n *returnStmt) GuestSize() int { return 16 }
-func (n *ifStmt) GuestSize() int     { return 32 }
-func (n *while) GuestSize() int      { return 32 }
-func (n *forStmt) GuestSize() int    { return 48 }
-func (n *forIn) GuestSize() int      { return 48 + len(n.Var) }
-func (n *switchStmt) GuestSize() int {
-	return 48 + 16*len(n.Cases)
-}
-func (n *doWhile) GuestSize() int      { return 32 }
+func (n *unary) GuestSize() int        { return 16 }
+func (n *binary) GuestSize() int       { return 24 }
+func (n *logical) GuestSize() int      { return 24 }
+func (n *cond) GuestSize() int         { return 24 }
+func (n *assign) GuestSize() int       { return 24 }
+func (n *update) GuestSize() int       { return 16 }
+func (n *call) GuestSize() int         { return 32 }
+func (n *member) GuestSize() int       { return 24 + len(n.Name) }
+func (n *index) GuestSize() int        { return 24 }
+func (n *varDecl) GuestSize() int      { return 24 + len(n.Name) }
+func (n *exprStmt) GuestSize() int     { return 8 }
+func (n *returnStmt) GuestSize() int   { return 16 }
+func (n *ifStmt) GuestSize() int       { return 32 }
+func (n *while) GuestSize() int        { return 32 }
+func (n *forStmt) GuestSize() int      { return 48 }
+func (n *forIn) GuestSize() int        { return 48 + len(n.Var) }
 func (n *breakStmt) GuestSize() int    { return 8 }
 func (n *continueStmt) GuestSize() int { return 8 }
 func (n *throw) GuestSize() int        { return 16 }
@@ -305,15 +282,6 @@ func children(n Node) []Node {
 		return append(out, t.Else...)
 	case *while:
 		return append([]Node{t.Test}, t.Body...)
-	case *doWhile:
-		return append(append([]Node{}, t.Body...), t.Test)
-	case *switchStmt:
-		out := []Node{t.Tag}
-		for _, cs := range t.Cases {
-			out = append(out, cs.Value)
-			out = append(out, cs.Body...)
-		}
-		return append(out, t.Default...)
 	case *forStmt:
 		var out []Node
 		for _, c := range []Node{t.Init, t.Test, t.Post} {

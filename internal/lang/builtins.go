@@ -656,9 +656,9 @@ func (in *Interp) installBuiltins() {
 	}})
 }
 
-// extraStringMethods and extraArrayMethods extend the method tables
-// with the remainder of the commonly-used surface (replace, substring,
-// padding; sort, some/every, flat).
+// init extends the string and array method tables with the rest of
+// the commonly used surface (replace, substring; sort, some/every,
+// flat).
 func init() {
 	stringMethods["replace"] = func(in *Interp, this Value, args []Value) (Value, error) {
 		s := this.(string)
@@ -685,22 +685,6 @@ func init() {
 		return strings.ReplaceAll(s, old, nw), nil
 	}
 	stringMethods["substring"] = stringMethods["slice"]
-	stringMethods["padStart"] = func(in *Interp, this Value, args []Value) (Value, error) {
-		s := this.(string)
-		fill, k, err := in.padding(s, args)
-		if err != nil {
-			return nil, err
-		}
-		return fill[len(fill)-k:] + s, nil
-	}
-	stringMethods["padEnd"] = func(in *Interp, this Value, args []Value) (Value, error) {
-		s := this.(string)
-		fill, k, err := in.padding(s, args)
-		if err != nil {
-			return nil, err
-		}
-		return s + fill[:k], nil
-	}
 
 	arrayMethods["sort"] = func(in *Interp, this Value, args []Value) (Value, error) {
 		a := this.(*array)
@@ -787,24 +771,6 @@ func init() {
 		}
 		return out, nil
 	}
-}
-
-// padding prices the result of s.padStart/padEnd(args) and returns the
-// pad string repeated to cover the k bytes the result adds to s.
-func (in *Interp) padding(s string, args []Value) (fill string, k int, err error) {
-	n := int(toNumber(arg(args, 0)))
-	if n <= len(s) {
-		return "", 0, in.alloc(len(s))
-	}
-	if err := in.alloc(n); err != nil {
-		return "", 0, err
-	}
-	pad := " "
-	if p, ok := arg(args, 1).(string); ok && p != "" {
-		pad = p
-	}
-	k = n - len(s)
-	return strings.Repeat(pad, (k+len(pad)-1)/len(pad)), k, nil
 }
 
 // allocReplaced prices strings.Replace(s, old, nw, n) before it is built.

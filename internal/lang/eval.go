@@ -420,26 +420,6 @@ func (in *Interp) execStmt(n Node, env *env) (Value, error) {
 		}
 	case *forIn:
 		return in.execForIn(t, env)
-	case *doWhile:
-		for {
-			if err := in.execBlock(t.Body, newEnv(env)); err != nil {
-				if _, ok := err.(breakErr); ok {
-					return undefined{}, nil
-				}
-				if _, ok := err.(continueErr); !ok {
-					return nil, err
-				}
-			}
-			test, err := in.eval(t.Test, env)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(test) {
-				return undefined{}, nil
-			}
-		}
-	case *switchStmt:
-		return in.execSwitch(t, env)
 	case *breakStmt:
 		return nil, breakErr{}
 	case *continueStmt:
@@ -478,52 +458,6 @@ func (in *Interp) execBlock(stmts []Node, env *env) error {
 		}
 	}
 	return nil
-}
-
-// execSwitch evaluates a switch with JS semantics: === matching,
-// fallthrough until break, and a trailing default that participates in
-// fallthrough.
-func (in *Interp) execSwitch(t *switchStmt, env *env) (Value, error) {
-	tag, err := in.eval(t.Tag, env)
-	if err != nil {
-		return nil, err
-	}
-	swEnv := newEnv(env)
-	matched := -1
-	for i, cs := range t.Cases {
-		v, err := in.eval(cs.Value, swEnv)
-		if err != nil {
-			return nil, err
-		}
-		if strictEquals(tag, v) {
-			matched = i
-			break
-		}
-	}
-	var bodies [][]Node
-	if matched >= 0 {
-		for i := matched; i < len(t.Cases); i++ { // fallthrough
-			bodies = append(bodies, t.Cases[i].Body)
-		}
-	}
-	if t.Default != nil && (matched >= 0 || matched == -1) {
-		// The default arm runs on fallthrough past the last case, or
-		// when nothing matched. (MiniJS requires default to be last.)
-		if matched >= 0 {
-			bodies = append(bodies, t.Default)
-		} else {
-			bodies = [][]Node{t.Default}
-		}
-	}
-	for _, body := range bodies {
-		if err := in.execBlock(body, swEnv); err != nil {
-			if _, ok := err.(breakErr); ok {
-				return undefined{}, nil
-			}
-			return nil, err
-		}
-	}
-	return undefined{}, nil
 }
 
 func (in *Interp) execForIn(t *forIn, env *env) (Value, error) {

@@ -34,13 +34,11 @@ func FuzzEval(f *testing.F) {
 		`function main(){ var s = "[" + "0,".repeat(1e7) + "0]"; return JSON.parse(s).length; }`,
 		strings.Repeat("(", 4096),
 		"x" + strings.Repeat("+x", 1024),
-		"`" + strings.Repeat("${1}", 1024) + "`",
 		`function main(){ var a = [1]; a.push(a); var o = {}; o.o = o; return [a + "", JSON.stringify(o)]; }`,
 		`function main(){ var a = []; a[1e9] = 1; a.length = 1e12; return "ab".repeat(1e12); }`,
-		`function main(){ return "x".padStart(1e9) + "y".padEnd(1e9) + "z".replaceAll("", "zz"); }`,
+		`function main(){ return "z".replaceAll("", "zz"); }`,
 		`function main(){ var a = [3, 1, 2]; return a.sort(function(x, y){ return x - y; }).concat([[4]]).flat(); }`,
 		`function main(){ return JSON.parse('{"a": [1, "b", null, {"c": true}]}'); }`,
-		"function main(){ var s = 0; for (var k in {a: 1, b: 2}) { s++; } switch (s) { case 2: return `two ${s}`; default: return s; } }",
 		`break;`,
 		`continue;`,
 		`return 1;`,

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -184,36 +185,24 @@ func TestObjectsAndArrays(t *testing.T) {
 
 func TestArrayMethods(t *testing.T) {
 	cases := map[string]string{
-		`[3,1,2].indexOf(1)`:                      "1",
-		`[1,2,3].includes(2)`:                     "true",
-		`[1,2,3].map(x => x * 2).join(",")`:       "2,4,6",
-		`[1,2,3,4].filter(x => x % 2 === 0)[0]`:   "2",
-		`[1,2,3].reduce((a, b) => a + b, 10)`:     "16",
-		`[1,2,3].reduce((a, b) => a + b)`:         "6",
-		`[1,2,3].slice(1).join(",")`:              "2,3",
-		`[1,2].concat([3,4]).length`:              "4",
-		`[1,2,3].reverse().join("")`:              "321",
-		`var a = [1,2,3]; a.pop(); a.join(",")`:   "1,2",
-		`var a = [1,2,3]; a.shift(); a.join("")`:  "23",
-		`var a = []; a[4] = 1; a.length`:          "5",
-		`var a = [1,2,3]; a.length = 1; a.join()`: "1",
+		`[3,1,2].indexOf(1)`:  "1",
+		`[1,2,3].includes(2)`: "true",
+		`[1,2,3].map(function (x) { return x * 2; }).join(",")`:     "2,4,6",
+		`[1,2,3,4].filter(function (x) { return x % 2 === 0; })[0]`: "2",
+		`[1,2,3].reduce(function (a, b) { return a + b; }, 10)`:     "16",
+		`[1,2,3].reduce(function (a, b) { return a + b; })`:         "6",
+		`[1,2,3].slice(1).join(",")`:                                "2,3",
+		`[1,2].concat([3,4]).length`:                                "4",
+		`[1,2,3].reverse().join("")`:                                "321",
+		`var a = [1,2,3]; a.pop(); a.join(",")`:                     "1,2",
+		`var a = [1,2,3]; a.shift(); a.join("")`:                    "23",
+		`var a = []; a[4] = 1; a.length`:                            "5",
+		`var a = [1,2,3]; a.length = 1; a.join()`:                   "1",
 	}
 	for src, want := range cases {
 		if got := ToString(run(t, src)); got != want {
 			t.Errorf("%q = %q, want %q", src, got, want)
 		}
-	}
-}
-
-func TestArrowFunctions(t *testing.T) {
-	src := `
-		var add = (a, b) => a + b;
-		var sq = x => x * x;
-		var block = (x) => { return x + 1; };
-		add(1, 2) + sq(3) + block(4);
-	`
-	if got := runNum(t, src); got != 3+9+5 {
-		t.Errorf("got %v", got)
 	}
 }
 
@@ -448,7 +437,7 @@ func TestGuestSizeGrowsWithSource(t *testing.T) {
 }
 
 func TestTryArrowParamsBacktrack(t *testing.T) {
-	// "(a + b)" must parse as a parenthesized expression, not arrow params.
+	// "(a + b)" parses as a parenthesized expression.
 	src := `var a = 1; var b = 2; (a + b) * 2;`
 	if got := runNum(t, src); got != 6 {
 		t.Errorf("got %v", got)
@@ -517,70 +506,33 @@ func TestQuickJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSwitchStatement(t *testing.T) {
-	cases := map[string]string{
-		// Basic matching with break.
-		`var r = ""; switch (2) { case 1: r = "one"; break; case 2: r = "two"; break; default: r = "other"; } r;`: "two",
-		// Default arm.
-		`var r = ""; switch (9) { case 1: r = "one"; break; default: r = "other"; } r;`: "other",
-		// Fallthrough accumulates.
-		`var r = ""; switch (1) { case 1: r += "a"; case 2: r += "b"; break; case 3: r += "c"; } r;`: "ab",
-		// Fallthrough into default.
-		`var r = ""; switch (3) { case 3: r += "c"; default: r += "d"; } r;`: "cd",
-		// Strict matching: "1" does not match 1.
-		`var r = "none"; switch ("1") { case 1: r = "number"; break; default: r = "default"; } r;`: "default",
-		// Expression cases.
-		`var x = 5; var r = 0; switch (x) { case 2 + 3: r = 42; break; } r;`: "42",
-		// No match, no default: nothing runs.
-		`var r = "untouched"; switch (7) { case 1: r = "no"; break; } r;`: "untouched",
-	}
-	for src, want := range cases {
-		if got := ToString(run(t, src)); got != want {
-			t.Errorf("%q = %q, want %q", src, got, want)
+// TestUnsupportedConstructs: a construct outside the MiniJS subset is
+// a syntax error that names it, so a tenant learns why a function was
+// refused (seuss-node answers 422 with the message).
+func TestUnsupportedConstructs(t *testing.T) {
+	for src, name := range map[string]string{
+		`switch (x) {}`:                    "switch",
+		`do {} while (0)`:                  "do-while",
+		"`x`":                              "template literal",
+		`x => x`:                           "arrow function",
+		`var f = (a, b) => { return a; };`: "arrow function",
+	} {
+		_, err := Parse(src)
+		var se *syntaxError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, name) {
+			t.Errorf("%s: err = %v, want a syntax error naming %s", src, err, name)
 		}
 	}
 }
 
-func TestSwitchInsideLoop(t *testing.T) {
-	src := `
-		var evens = 0;
-		var odds = 0;
-		for (var i = 0; i < 10; i++) {
-			switch (i % 2) {
-			case 0: evens++; break;
-			default: odds++;
-			}
-		}
-		evens * 10 + odds;
-	`
-	if got := runNum(t, src); got != 55 {
-		t.Errorf("got %v", got)
-	}
-}
-
-func TestDoWhile(t *testing.T) {
-	// Body runs at least once even when the condition is false.
-	src := `var n = 0; do { n++; } while (false); n;`
-	if got := runNum(t, src); got != 1 {
-		t.Errorf("got %v", got)
-	}
-	src = `var n = 1; do { n = n * 3; } while (n < 100); n;`
-	if got := runNum(t, src); got != 243 {
-		t.Errorf("got %v", got)
-	}
-	// break and continue work.
-	src = `var n = 0; var iter = 0; do { iter++; if (iter % 2 === 0) { continue; } n++; if (iter >= 9) { break; } } while (true); n;`
-	if got := runNum(t, src); got != 5 {
-		t.Errorf("got %v", got)
-	}
-}
-
+// TestSwitchSyntaxErrors: switch and do-while are outside the subset,
+// so every form of them, well formed or not, fails to parse.
 func TestSwitchSyntaxErrors(t *testing.T) {
 	for _, src := range []string{
-		`switch (1) { case 1 }`,     // missing colon
-		`switch (1) { foo: 1; }`,    // not case/default
-		`switch { case 1: break; }`, // missing tag parens
-		`do { } until (true);`,      // bad keyword
+		`switch (1) { case 1 }`,
+		`switch (1) { foo: 1; }`,
+		`switch { case 1: break; }`,
+		`do { } until (true);`,
 	} {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("%q parsed", src)
@@ -588,23 +540,8 @@ func TestSwitchSyntaxErrors(t *testing.T) {
 	}
 }
 
-func TestTemplateLiterals(t *testing.T) {
-	cases := map[string]string{
-		"`plain`":                          "plain",
-		"``":                               "",
-		"var x = 7; `x is ${x}`":           "x is 7",
-		"`${1 + 2} and ${3 * 4}`":          "3 and 12",
-		"var o = {n: \"go\"}; `hi ${o.n}`": "hi go",
-		"`outer ${`inner ${1}`}!`":         "outer inner 1!",
-		"`a${[1,2].join(\"-\")}b`":         "a1-2b",
-	}
-	for src, want := range cases {
-		if got := ToString(run(t, src)); got != want {
-			t.Errorf("%q = %q, want %q", src, got, want)
-		}
-	}
-}
-
+// TestTemplateSyntaxErrors: template literals are outside the subset,
+// so every form of them, well formed or not, fails to parse.
 func TestTemplateSyntaxErrors(t *testing.T) {
 	for _, src := range []string{
 		"`unterminated",
@@ -621,9 +558,6 @@ func TestExtendedStringMethods(t *testing.T) {
 		`"a-b-c".replace("-", "+")`:    "a+b-c",
 		`"a-b-c".replaceAll("-", "+")`: "a+b+c",
 		`"hello".substring(1, 3)`:      "el",
-		`"5".padStart(3, "0")`:         "005",
-		`"5".padEnd(3, "x")`:           "5xx",
-		`"abc".padStart(2)`:            "abc",
 	}
 	for src, want := range cases {
 		if got := ToString(run(t, src)); got != want {
@@ -636,12 +570,12 @@ func TestExtendedArrayMethods(t *testing.T) {
 	cases := map[string]string{
 		`[3,1,2].sort().join(",")`:                                    "1,2,3",
 		`[10,9,80].sort().join(",")`:                                  "10,80,9", // JS default string sort
-		`[10,9,80].sort((a,b) => a - b).join(",")`:                    "9,10,80",
-		`[1,2,3].some(x => x > 2)`:                                    "true",
-		`[1,2,3].some(x => x > 5)`:                                    "false",
-		`[1,2,3].every(x => x > 0)`:                                   "true",
-		`[1,2,3].every(x => x > 1)`:                                   "false",
-		`[1,2,3,4].find(x => x % 2 === 0)`:                            "2",
+		`[10,9,80].sort(function (a, b) { return a - b; }).join(",")`: "9,10,80",
+		`[1,2,3].some(function (x) { return x > 2; })`:                "true",
+		`[1,2,3].some(function (x) { return x > 5; })`:                "false",
+		`[1,2,3].every(function (x) { return x > 0; })`:               "true",
+		`[1,2,3].every(function (x) { return x > 1; })`:               "false",
+		`[1,2,3,4].find(function (x) { return x % 2 === 0; })`:        "2",
 		`[[1,2],[3],[4]].flat().join(",")`:                            "1,2,3,4",
 		`Array.isArray([1])`:                                          "true",
 		`Array.isArray("no")`:                                         "false",
@@ -657,8 +591,8 @@ func TestExtendedArrayMethods(t *testing.T) {
 func TestSortStability(t *testing.T) {
 	src := `
 		var items = [{k: "b", i: 1}, {k: "a", i: 2}, {k: "b", i: 3}, {k: "a", i: 4}];
-		items.sort((x, y) => x.k < y.k ? -1 : (x.k > y.k ? 1 : 0));
-		items.map(e => e.i).join(",");
+		items.sort(function (x, y) { return x.k < y.k ? -1 : (x.k > y.k ? 1 : 0); });
+		items.map(function (e) { return e.i; }).join(",");
 	`
 	if got := ToString(run(t, src)); got != "2,4,1,3" {
 		t.Errorf("stable sort order = %q", got)

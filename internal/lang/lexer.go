@@ -91,7 +91,7 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 // multi-byte punctuation, longest first.
 var puncts = []string{
 	"===", "!==", "<<=", ">>=", "&&", "||", "==", "!=", "<=", ">=",
-	"+=", "-=", "*=", "/=", "%=", "++", "--", "=>", "<<", ">>",
+	"+=", "-=", "*=", "/=", "%=", "++", "--", "<<", ">>",
 	"+", "-", "*", "/", "%", "<", ">", "=", "!", "(", ")", "{", "}",
 	"[", "]", ",", ";", ":", ".", "?", "&", "|", "^", "~",
 }
@@ -112,7 +112,9 @@ func (l *lexer) next() (token, error) {
 	case c == '"' || c == '\'':
 		return l.lexString(line, col)
 	case c == '`':
-		return l.lexTemplate(line, col)
+		return token{}, l.errf("template literals are not supported")
+	case c == '=' && l.peekByteAt(1) == '>':
+		return token{}, l.errf("arrow functions are not supported")
 	case isIdentStart(c):
 		start := l.pos
 		for l.pos < len(l.src) && isIdentPart(l.peekByte()) {
@@ -224,35 +226,6 @@ func (l *lexer) lexString(line, col int) (token, error) {
 		sb.WriteByte(c)
 	}
 	return token{Kind: tokString, Text: sb.String(), Line: line, Col: col}, nil
-}
-
-// lexTemplate tokenizes a template literal into a synthetic token whose
-// Text carries the raw body; the parser splits the ${...} holes.
-func (l *lexer) lexTemplate(line, col int) (token, error) {
-	l.advance() // opening backtick
-	var sb strings.Builder
-	depth := 0
-	for {
-		if l.pos >= len(l.src) {
-			return token{}, l.errf("unterminated template literal")
-		}
-		c := l.advance()
-		if c == '`' && depth == 0 {
-			break
-		}
-		if c == '$' && l.peekByte() == '{' {
-			depth++
-		}
-		if c == '}' && depth > 0 {
-			depth--
-		}
-		if c == '\\' && l.peekByte() == '`' {
-			sb.WriteByte(l.advance())
-			continue
-		}
-		sb.WriteByte(c)
-	}
-	return token{Kind: tokTemplate, Text: sb.String(), Line: line, Col: col}, nil
 }
 
 // lexAll tokenizes the whole source (including the trailing EOF token).

@@ -137,9 +137,9 @@ func (p *parser) statement() (Node, error) {
 		case "try":
 			return p.tryStmt()
 		case "switch":
-			return p.switchStmt()
+			return nil, p.errHere("switch statements are not supported")
 		case "do":
-			return p.doWhileStmt()
+			return nil, p.errHere("do-while loops are not supported")
 		}
 	}
 	if p.at(tokPunct, "{") {
@@ -240,18 +240,14 @@ func (p *parser) funcRest(name string) (*funcLit, error) {
 	if _, err := p.expect(tokPunct, ")"); err != nil {
 		return nil, err
 	}
-	return p.funcBody(&funcLit{Name: name, Params: params}, p.block)
-}
-
-// funcBody parses fn's body with body and records how deeply it nests.
-func (p *parser) funcBody(fn *funcLit, body func() ([]Node, error)) (*funcLit, error) {
+	// Record how deeply the body nests.
 	outer := p.deepest
 	p.deepest = p.depth
-	stmts, err := body()
+	body, err := p.block()
 	if err != nil {
 		return nil, err
 	}
-	fn.Body, fn.Nesting = stmts, p.deepest-p.depth
+	fn := &funcLit{Name: name, Params: params, Body: body, Nesting: p.deepest - p.depth}
 	p.deepest = max(outer, p.deepest)
 	return fn, nil
 }
@@ -409,93 +405,6 @@ func (p *parser) forStmt() (Node, error) {
 		return nil, err
 	}
 	return &forStmt{Init: init, Test: test, Post: post, Body: body}, nil
-}
-
-func (p *parser) switchStmt() (Node, error) {
-	p.next() // switch
-	if _, err := p.expect(tokPunct, "("); err != nil {
-		return nil, err
-	}
-	tag, err := p.expression()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokPunct, ")"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokPunct, "{"); err != nil {
-		return nil, err
-	}
-	sw := &switchStmt{Tag: tag}
-	for !p.at(tokPunct, "}") {
-		switch {
-		case p.accept(tokKeyword, "case"):
-			val, err := p.expression()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokPunct, ":"); err != nil {
-				return nil, err
-			}
-			body, err := p.caseBody()
-			if err != nil {
-				return nil, err
-			}
-			sw.Cases = append(sw.Cases, switchCase{Value: val, Body: body})
-		case p.accept(tokKeyword, "default"):
-			if _, err := p.expect(tokPunct, ":"); err != nil {
-				return nil, err
-			}
-			body, err := p.caseBody()
-			if err != nil {
-				return nil, err
-			}
-			sw.Default = body
-		default:
-			return nil, p.errHere("expected case or default")
-		}
-	}
-	p.next() // }
-	return sw, nil
-}
-
-// caseBody parses statements until the next case/default/closing brace.
-func (p *parser) caseBody() ([]Node, error) {
-	var body []Node
-	for !p.at(tokKeyword, "case") && !p.at(tokKeyword, "default") && !p.at(tokPunct, "}") {
-		if p.at(tokEOF, "") {
-			return nil, p.errHere("unterminated switch")
-		}
-		stmt, err := p.statement()
-		if err != nil {
-			return nil, err
-		}
-		body = append(body, stmt)
-	}
-	return body, nil
-}
-
-func (p *parser) doWhileStmt() (Node, error) {
-	p.next() // do
-	body, err := p.block()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokKeyword, "while"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokPunct, "("); err != nil {
-		return nil, err
-	}
-	test, err := p.expression()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokPunct, ")"); err != nil {
-		return nil, err
-	}
-	p.accept(tokPunct, ";")
-	return &doWhile{Body: body, Test: test}, nil
 }
 
 func (p *parser) tryStmt() (Node, error) {
@@ -750,9 +659,6 @@ func (p *parser) primary() (Node, error) {
 	case tokString:
 		p.next()
 		return &stringLit{Value: t.Text}, nil
-	case tokTemplate:
-		p.next()
-		return p.template(t)
 	case tokKeyword:
 		switch t.Text {
 		case "true":
@@ -784,21 +690,11 @@ func (p *parser) primary() (Node, error) {
 			return p.callExpr()
 		}
 	case tokIdent:
-		// Arrow function: ident => ...
-		if p.toks[p.pos+1].Kind == tokPunct && p.toks[p.pos+1].Text == "=>" {
-			p.next()
-			p.next()
-			return p.arrowBody([]string{t.Text})
-		}
 		p.next()
 		return &ident{Name: t.Text}, nil
 	case tokPunct:
 		switch t.Text {
 		case "(":
-			// Could be a parenthesized expression or arrow params.
-			if params, ok := p.tryArrowParams(); ok {
-				return p.arrowBody(params)
-			}
 			p.next()
 			e, err := p.expression()
 			if err != nil {
@@ -830,90 +726,6 @@ func (p *parser) primary() (Node, error) {
 		}
 	}
 	return nil, p.errHere(fmt.Sprintf("unexpected token %q", t.Text))
-}
-
-// template desugars a template literal into nested string
-// concatenation: `a${x}b` → "a" + (x) + "b". Holes are parsed as full
-// expressions, nesting inside the literal.
-func (p *parser) template(t token) (Node, error) {
-	body := t.Text
-	var node Node = &stringLit{Value: ""}
-	links := 0 // each piece wraps node one level deeper, as in binaryExpr
-	defer func() { p.depth -= links }()
-	appendNode := func(n Node) error {
-		if err := p.nest(); err != nil {
-			return err
-		}
-		links++
-		node = &binary{Op: "+", LHS: node, RHS: n}
-		return nil
-	}
-	for len(body) > 0 {
-		idx := indexHole(body)
-		if idx < 0 {
-			if err := appendNode(&stringLit{Value: body}); err != nil {
-				return nil, err
-			}
-			break
-		}
-		if idx > 0 {
-			if err := appendNode(&stringLit{Value: body[:idx]}); err != nil {
-				return nil, err
-			}
-		}
-		rest := body[idx+2:] // past "${"
-		depth := 1
-		end := -1
-		for i := 0; i < len(rest); i++ {
-			switch rest[i] {
-			case '{':
-				depth++
-			case '}':
-				depth--
-				if depth == 0 {
-					end = i
-				}
-			}
-			if end >= 0 {
-				break
-			}
-		}
-		if end < 0 {
-			return nil, &syntaxError{Msg: "unterminated ${ in template literal", Line: t.Line, Col: t.Col}
-		}
-		holeSrc := rest[:end]
-		toks, err := lexAll(holeSrc)
-		if err != nil {
-			return nil, err
-		}
-		hp := &parser{toks: toks, depth: p.depth, deepest: p.deepest}
-		expr, err := hp.expression()
-		if err != nil {
-			return nil, err
-		}
-		if !hp.at(tokEOF, "") {
-			return nil, &syntaxError{Msg: "trailing tokens in template hole", Line: t.Line, Col: t.Col}
-		}
-		p.deepest = hp.deepest
-		if err := appendNode(expr); err != nil {
-			return nil, err
-		}
-		body = rest[end+1:]
-	}
-	if len(t.Text) == 0 {
-		return &stringLit{Value: ""}, nil
-	}
-	return node, nil
-}
-
-// indexHole finds the next unescaped "${" in a template body.
-func indexHole(s string) int {
-	for i := 0; i+1 < len(s); i++ {
-		if s[i] == '$' && s[i+1] == '{' {
-			return i
-		}
-	}
-	return -1
 }
 
 // objectLit parses {k: v, "k": v, ...}.
@@ -951,47 +763,4 @@ func (p *parser) objectLit() (Node, error) {
 		return nil, err
 	}
 	return obj, nil
-}
-
-// tryArrowParams looks ahead for "(a, b) =>" and, if found, consumes
-// through "=>" and returns the parameter names.
-func (p *parser) tryArrowParams() ([]string, bool) {
-	save := p.pos
-	if !p.accept(tokPunct, "(") {
-		return nil, false
-	}
-	var params []string
-	for !p.at(tokPunct, ")") {
-		if !p.at(tokIdent, "") {
-			p.pos = save
-			return nil, false
-		}
-		params = append(params, p.next().Text)
-		if !p.accept(tokPunct, ",") {
-			break
-		}
-	}
-	if !p.accept(tokPunct, ")") || !p.accept(tokPunct, "=>") {
-		p.pos = save
-		return nil, false
-	}
-	return params, true
-}
-
-func (p *parser) arrowBody(params []string) (Node, error) {
-	body := p.block
-	if !p.at(tokPunct, "{") {
-		body = func() ([]Node, error) {
-			expr, err := p.assignExpr()
-			if err != nil {
-				return nil, err
-			}
-			return []Node{&returnStmt{Value: expr}}, nil
-		}
-	}
-	fn, err := p.funcBody(&funcLit{Params: params}, body)
-	if err != nil {
-		return nil, err
-	}
-	return fn, nil
 }

@@ -12,6 +12,18 @@
 // space and every evaluation step advances the virtual clock. Snapshot
 // diffs, AO effects, and compile overheads then emerge from running
 // code rather than from constants.
+//
+// MiniJS is the ES5 subset every committed guest source uses, with the
+// grammar in DESIGN.md §7: var/let/const, function declarations and
+// expressions, closures, if/else, for, for-in, for-of, while, break,
+// continue, return, try/catch and throw; the arithmetic, bitwise,
+// comparison, logical, ternary, typeof, assignment and update
+// operators; object and array literals with member and indexed access;
+// and console, JSON, Math, Object, Array.isArray, String, Number, Date,
+// Error and the host bridge (http, spin, sleep). Anything else is a
+// syntax error, and switch, do-while, template literals and arrow
+// functions are errors that name the construct. testdata/guest holds a
+// program for each construct and builtin.
 package lang
 
 import "fmt"
@@ -27,17 +39,15 @@ const (
 	tokIdent
 	tokKeyword
 	tokPunct
-	tokTemplate
 )
 
 var kindNames = map[tokenKind]string{
-	tokEOF:      "EOF",
-	tokNumber:   "number",
-	tokString:   "string",
-	tokIdent:    "identifier",
-	tokKeyword:  "keyword",
-	tokPunct:    "punctuation",
-	tokTemplate: "template",
+	tokEOF:     "EOF",
+	tokNumber:  "number",
+	tokString:  "string",
+	tokIdent:   "identifier",
+	tokKeyword: "keyword",
+	tokPunct:   "punctuation",
 }
 
 // String implements fmt.Stringer.
@@ -63,8 +73,10 @@ var keywords = map[string]bool{
 	"for": true, "break": true, "continue": true, "true": true,
 	"false": true, "null": true, "undefined": true, "new": true,
 	"typeof": true, "throw": true, "try": true, "catch": true,
-	"in": true, "of": true, "switch": true, "case": true,
-	"default": true, "do": true,
+	"in": true, "of": true,
+	// Reserved so that source using them is a syntax error naming the
+	// construct, not a call of a function called switch.
+	"switch": true, "do": true,
 }
 
 // syntaxError is returned by Parse for malformed source.
