@@ -231,7 +231,7 @@ type AddressSpace struct {
 	frozen bool
 	pool   *structPool
 	// One-entry software TLB for the write-fault path: the PT node that
-	// resolved the last faultForWrite. A burst of faults within one
+	// resolved the last write fault. A burst of faults within one
 	// 2 MB span walks (and privatizes) the node once, then hits here.
 	// Invalidated by Clone — the source's nodes become shared and the
 	// next write must re-privatize — and by Release.
@@ -592,7 +592,7 @@ func (as *AddressSpace) Store(va uint64, data []byte) error {
 		if n > len(data) {
 			n = len(data)
 		}
-		f, err := as.faultForWrite(PageBase(va))
+		f, err := as.resolveWrite(&as.cache, PageBase(va), false)
 		if err != nil {
 			return err
 		}
@@ -607,7 +607,7 @@ func (as *AddressSpace) Store(va uint64, data []byte) error {
 // the simulation's fast path for workloads where only footprint, not
 // byte fidelity, matters. Fault semantics are identical to Store.
 func (as *AddressSpace) Touch(va uint64) error {
-	_, err := as.faultForWrite(PageBase(va))
+	_, err := as.resolveWrite(&as.cache, PageBase(va), false)
 	return err
 }
 
@@ -621,13 +621,22 @@ func (as *AddressSpace) TouchRange(va uint64, size uint64) error {
 	return nil
 }
 
-// faultForWrite makes the page at page-base va privately writable,
-// resolving demand-zero and CoW faults, and returns its frame.
-func (as *AddressSpace) faultForWrite(va uint64) (mem.Frame, error) {
+// resolveWrite makes the page at page-base va privately writable and
+// dirty, resolving demand-zero and CoW faults exactly as the SEUSS
+// kernel handler does, and returns its frame. It walks to the page's
+// leaf through cur: the space's one-entry cache for a fault, a
+// span-at-a-time cursor for a prefetch. A fault counts DemandZero or
+// CoW and fails on a page neither writable nor CoW; a prefetch counts
+// Prefetched and skips that page, returning frame 0.
+//
+// A writable page needs nothing, not even a D-bit write: writable
+// implies dirty, because only the two resolutions here set
+// flagWritable, and Capture clears it together with flagDirty.
+func (as *AddressSpace) resolveWrite(cur *ptCursor, va uint64, prefetch bool) (mem.Frame, error) {
 	if as.frozen {
-		panic("pagetable: store to frozen address space")
+		panic("pagetable: write to frozen address space")
 	}
-	pt, err := as.cache.at(as, va, true)
+	pt, err := cur.at(as, va, true)
 	if err != nil {
 		return 0, err
 	}
@@ -643,8 +652,14 @@ func (as *AddressSpace) faultForWrite(va uint64) (mem.Frame, error) {
 		pt.frames[i] = f
 		flags = flagPresent | flagWritable | flagUser
 		as.mapped++
-		as.Faults.DemandZero++
-	case flags&flagWritable == 0 && flags&flagCoW != 0:
+		if prefetch {
+			as.Faults.Prefetched++
+		} else {
+			as.Faults.DemandZero++
+		}
+	case flags&flagWritable != 0:
+		return pt.frames[i], nil
+	case flags&flagCoW != 0:
 		// CoW fault: clone the snapshot's frame; all writes land on a
 		// page dedicated exclusively to this UC (§5).
 		f, err := as.st.Clone(pt.frames[i])
@@ -654,8 +669,14 @@ func (as *AddressSpace) faultForWrite(va uint64) (mem.Frame, error) {
 		as.st.DecRef(pt.frames[i])
 		pt.frames[i] = f
 		flags = (flags &^ flagCoW) | flagWritable
-		as.Faults.CoW++
-	case flags&flagWritable == 0:
+		if prefetch {
+			as.Faults.Prefetched++
+		} else {
+			as.Faults.CoW++
+		}
+	case prefetch:
+		return 0, nil
+	default:
 		return 0, fmt.Errorf("pagetable: write protection fault at %#x", va)
 	}
 	if flags&flagDirty == 0 {
@@ -761,68 +782,35 @@ func (si *SparseInstaller) Page(va uint64, content []byte) error {
 func (si *SparseInstaller) Lazy() []uint64 { return si.lazy }
 
 // PrefetchWritable bulk-resolves the given page-base VAs for writing —
-// the working-set replay path (DESIGN.md §13). Each page is made
-// privately writable exactly as faultForWrite would (demand-zero
-// allocation for absent pages, a frame clone for CoW pages), but the
-// table walk and path privatization happen once per 2 MB span instead
-// of once per fault, and the resolutions count into Faults.Prefetched
-// rather than DemandZero/CoW — the caller charges them in bulk at the
-// batched rate, not at the per-fault rate.
+// the working-set replay path (DESIGN.md §13). Each page is resolved
+// by the fault path's resolveWrite, but the table walk and path
+// privatization happen once per 2 MB span instead of once per fault,
+// and the resolutions count into Faults.Prefetched rather than
+// DemandZero/CoW — the caller charges them in bulk at the batched rate,
+// not at the per-fault rate.
 //
 // Prefetched pages are marked dirty: the record was
 // harvested from a dirty set, so the pages are expected to be written,
 // and keeping them observable in DirtyPages is what makes the next
-// harvest the union the drift-merge rule needs. Already-writable pages
-// are skipped. Returns the number of pages resolved.
+// harvest the union the drift-merge rule needs. Already-writable and
+// protected pages are skipped. Returns the number of pages resolved.
 func (as *AddressSpace) PrefetchWritable(vas []uint64) (int, error) {
-	if as.frozen {
-		panic("pagetable: PrefetchWritable on frozen address space")
-	}
 	var cur ptCursor
-	resolved := 0
+	before := as.Faults.Prefetched
 	for _, va := range vas {
 		if va >= MaxVirtual || va%mem.PageSize != 0 {
-			return resolved, errBadAddress
+			return as.Faults.Prefetched - before, errBadAddress
 		}
-		pt, err := cur.at(as, va, true)
-		if err != nil {
-			return resolved, err
+		if _, err := as.resolveWrite(&cur, va, true); err != nil {
+			return as.Faults.Prefetched - before, err
 		}
-		i := index(va, 0)
-		flags := pt.flags[i]
-		switch {
-		case pt.frames[i] == 0:
-			f, err := as.st.Alloc()
-			if err != nil {
-				return resolved, err
-			}
-			pt.frames[i] = f
-			flags = flagPresent | flagWritable | flagUser
-			as.mapped++
-		case flags&flagWritable == 0 && flags&flagCoW != 0:
-			f, err := as.st.Clone(pt.frames[i])
-			if err != nil {
-				return resolved, err
-			}
-			as.st.DecRef(pt.frames[i])
-			pt.frames[i] = f
-			flags = (flags &^ flagCoW) | flagWritable
-		default:
-			continue // already writable (or protected): nothing to prefetch
-		}
-		if flags&flagDirty == 0 {
-			as.dirty++
-		}
-		pt.flags[i] = flags | flagDirty | flagAccessed
-		as.Faults.Prefetched++
-		resolved++
 	}
 	if cur.ok {
 		// Seed the one-entry fault cache with the last span: residual
 		// on-demand faults often land near the tail of the working set.
 		as.cache = cur
 	}
-	return resolved, nil
+	return as.Faults.Prefetched - before, nil
 }
 
 // DirtyPages returns, in ascending order, the page-base addresses
