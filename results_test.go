@@ -16,7 +16,7 @@ import (
 
 var (
 	updateResults = flag.Bool("update", false, "rewrite results/ from what this tree produces")
-	resultsPolicy = flag.Bool("results.policy", false, "also regenerate the policy trace (about 10 min, 0.5 GB)")
+	resultsPolicy = flag.Bool("results.policy", false, "also regenerate the policy trace (about 25 s more, 0.25 GB peak RSS)")
 )
 
 // TestResultsByteIdentical regenerates every registry experiment that
@@ -28,8 +28,8 @@ var (
 // output. An experiment without a series is held by its rendered text,
 // and those share results/tables.txt in registry order.
 //
-//	go test -run TestResultsByteIdentical .                 # ~30 s
-//	go test -run TestResultsByteIdentical -results.policy -timeout 30m .
+//	go test -run TestResultsByteIdentical .                 # ~8 s
+//	go test -run TestResultsByteIdentical -results.policy . # ~30 s
 func TestResultsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates results/ (about 30 s)")
