@@ -35,7 +35,7 @@ func vms(b *testing.B, name string, d time.Duration) {
 }
 
 // buildRuntimeSnapshot performs system initialization with full AO.
-func buildRuntimeSnapshot(b *testing.B, st *mem.Store) *snapshot.Snapshot {
+func buildRuntimeSnapshot(b testing.TB, st *mem.Store) *snapshot.Snapshot {
 	b.Helper()
 	env := &libos.CountingEnv{}
 	boot, err := uc.BootFresh(st, nil, env)
@@ -148,108 +148,100 @@ func BenchmarkPageFaultRealTime(b *testing.B) {
 // BenchmarkUCDeployRealTime (the deploy both paths then pay), with a
 // bound that keeps the promote within 31.4 µs at today's deploy speed.
 func BenchmarkLukewarmPrefetched(b *testing.B) {
-	st := mem.NewStore(0)
-	runtime := buildRuntimeSnapshot(b, st)
-	env := &libos.CountingEnv{}
-	u, err := uc.Deploy(runtime, nil, env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u.Guest().Connect()
-	u.Guest().ImportAndCompile(workload.NOPSource)
-	fnSnap, err := u.Capture("fn/bench", uc.TriggerPCPostCompile)
-	if err != nil {
-		b.Fatal(err)
-	}
-	store, err := snapstore.Open(b.TempDir(), -1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var wire bytes.Buffer
-	if err := fnSnap.Export(&wire); err != nil {
-		b.Fatal(err)
-	}
-	if err := store.Put("fn/bench", "runtime", wire.Bytes()); err != nil {
-		b.Fatal(err)
-	}
-	// Record the working set the way the node does: one on-demand
-	// restore, harvest its dirty pages, persist the sidecar.
-	{
-		snap, payloadBytes, err := snapshot.GraftWire(wire.Bytes(), runtime)
-		if err != nil {
-			b.Fatal(err)
-		}
-		payload, err := uc.DecodePayload(payloadBytes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snap.SetPayload(payload)
-		probe, err := uc.Deploy(snap, nil, env)
-		if err != nil {
-			b.Fatal(err)
-		}
-		record, err := snapshot.EncodeWorkingSet(probe.Space().DirtyPages())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := store.PutWorkingSet("fn/bench", record); err != nil {
-			b.Fatal(err)
-		}
-		probe.Destroy()
-		snap.Delete()
-	}
+	promote := lukewarmFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := store.Get("fn/bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		ws, ok := store.GetWorkingSetPages("fn/bench")
-		if !ok {
-			b.Fatal("no working set recorded")
-		}
-		snap, payloadBytes, err := snapshot.GraftWire(data, runtime)
-		if err != nil {
-			b.Fatal(err)
-		}
-		payload, err := uc.DecodePayload(payloadBytes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snap.SetPayload(payload)
+		snap, _ := promote()
 		b.StopTimer()
-		if len(ws) == 0 {
-			b.Fatal("empty working set")
-		}
 		snap.Delete()
 		b.StartTimer()
 	}
 	// The premapped deploy itself is covered by the prefetched-vs-warm
 	// equivalence tests; one here proves the measured promote yields a
 	// deployable snapshot with the recorded plan.
-	verify := func() {
-		data, _ := store.Get("fn/bench")
-		ws, _ := store.GetWorkingSetPages("fn/bench")
+	b.StopTimer()
+	snap, ws := promote()
+	u, prefetched, err := uc.DeployPrefetched(snap, nil, &libos.CountingEnv{}, ws)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if prefetched == 0 {
+		b.Fatal("no pages prefetched")
+	}
+	u.Destroy()
+	snap.Delete()
+	b.StartTimer()
+}
+
+// lukewarmFixture puts a NOP function's diff and its recorded working
+// set into a disk tier over a fresh runtime snapshot, and returns the
+// promote BenchmarkLukewarmPrefetched times: the grafted snapshot, with
+// its payload attached, and the working-set plan to deploy it with.
+func lukewarmFixture(tb testing.TB) (promote func() (*snapshot.Snapshot, []uint64)) {
+	st := mem.NewStore(0)
+	runtime := buildRuntimeSnapshot(tb, st)
+	env := &libos.CountingEnv{}
+	u, err := uc.Deploy(runtime, nil, env)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	u.Guest().Connect()
+	u.Guest().ImportAndCompile(workload.NOPSource)
+	fnSnap, err := u.Capture("fn/bench", uc.TriggerPCPostCompile)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	store, err := snapstore.Open(tb.TempDir(), -1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if err := fnSnap.Export(&wire); err != nil {
+		tb.Fatal(err)
+	}
+	if err := store.Put("fn/bench", "runtime", wire.Bytes()); err != nil {
+		tb.Fatal(err)
+	}
+	graft := func(data []byte) *snapshot.Snapshot {
 		snap, payloadBytes, err := snapshot.GraftWire(data, runtime)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		payload, _ := uc.DecodePayload(payloadBytes)
-		snap.SetPayload(payload)
-		u2, prefetched, err := uc.DeployPrefetched(snap, nil, env, ws)
+		payload, err := uc.DecodePayload(payloadBytes)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if prefetched == 0 {
-			b.Fatal("no pages prefetched")
-		}
-		u2.Destroy()
-		snap.Delete()
+		snap.SetPayload(payload)
+		return snap
 	}
-	b.StopTimer()
-	verify()
-	b.StartTimer()
+	// Record the working set the way the node does: one on-demand
+	// restore, harvest its dirty pages, persist the sidecar.
+	snap := graft(wire.Bytes())
+	probe, err := uc.Deploy(snap, nil, env)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	record, err := snapshot.EncodeWorkingSet(probe.Space().DirtyPages())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := store.PutWorkingSet("fn/bench", record); err != nil {
+		tb.Fatal(err)
+	}
+	probe.Destroy()
+	snap.Delete()
+	return func() (*snapshot.Snapshot, []uint64) {
+		data, err := store.Get("fn/bench")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ws, ok := store.GetWorkingSetPages("fn/bench")
+		if !ok || len(ws) == 0 {
+			tb.Fatal("no working set recorded")
+		}
+		return graft(data), ws
+	}
 }
 
 // BenchmarkColdRebuildRealTime is the work a lukewarm restore replaces:
@@ -281,6 +273,99 @@ func BenchmarkColdRebuildRealTime(b *testing.B) {
 		snap.Delete()
 		b.StartTimer()
 	}
+}
+
+// TestHotPathAllocationCeilings holds the allocation counts of the
+// mechanism benchmarks that scripts/bench.sh gates, in tier-1: each
+// part of what a benchmark times, run under testing.AllocsPerRun, may
+// allocate no more than its row of BENCH_hotpath.json (capture is 9,
+// one under its row). A count is machine-independent, so unlike the
+// benchmarks' times it can fail a test on any host. Under seusspoison
+// freed frame numbers are never reused, so the frame table grows and
+// the counts are not the hot path's.
+func TestHotPathAllocationCeilings(t *testing.T) {
+	if mem.PoisonEnabled {
+		t.Skip("frame numbers are never reused in the seusspoison build")
+	}
+	const runs = 50
+	check := func(name string, ceiling float64, f func()) {
+		t.Helper()
+		if got := testing.AllocsPerRun(runs, f); got > ceiling {
+			t.Errorf("%s: %v allocations per run, ceiling %v", name, got, ceiling)
+		}
+	}
+	st := mem.NewStore(0)
+	runtime := buildRuntimeSnapshot(t, st)
+	env := &libos.CountingEnv{}
+	deploy := func() *uc.UC {
+		u, err := uc.Deploy(runtime, nil, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	}
+
+	check("deploy", 70, func() { deploy().Destroy() })
+
+	// Capture is timed alone: the UCs it captures are deployed,
+	// connected and compiled beforehand (AllocsPerRun runs f once more
+	// than runs, to warm up).
+	ready := make([]*uc.UC, runs+1)
+	for i := range ready {
+		ready[i] = deploy()
+		ready[i].Guest().Connect()
+		if err := ready[i].Guest().ImportAndCompile(workload.NOPSource); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var captured []*snapshot.Snapshot
+	check("capture", 9, func() {
+		snap, err := ready[len(captured)].Capture("fn/capture", uc.TriggerPCPostCompile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		captured = append(captured[:len(captured):len(captured)], snap)
+	})
+	for i, u := range ready {
+		u.Destroy()
+		captured[i].Delete()
+	}
+
+	// Named as the benchmark names them: the name's formatting is two
+	// of the 97.
+	rebuilt := 0
+	check("cold rebuild", 97, func() {
+		rebuilt++
+		u := deploy()
+		if err := u.Guest().Connect(); err != nil {
+			t.Fatal(err)
+		}
+		if err := u.Guest().ImportAndCompile(workload.NOPSource); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := u.Capture(fmt.Sprintf("fn/%d", rebuilt), uc.TriggerPCPostCompile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u.Destroy()
+		snap.Delete()
+	})
+
+	u := deploy()
+	va := uint64(0x4000_0000_0000)
+	check("page fault", 0, func() {
+		if err := u.Space().Touch(va); err != nil {
+			t.Fatal(err)
+		}
+		va += mem.PageSize
+	})
+	u.Destroy()
+
+	promote := lukewarmFixture(t)
+	check("lukewarm promote", 20, func() {
+		snap, _ := promote()
+		snap.Delete()
+	})
 }
 
 func BenchmarkInterpreterNOP(b *testing.B) {

@@ -111,11 +111,19 @@ type invokeResponse struct {
 	Output    json.RawMessage `json:"output"`
 }
 
-// writeJSON emits a JSON response body.
+// writeJSON emits a JSON response body. The body is rendered before
+// the status is written, so a value that does not render (a guest reply
+// that is not JSON) answers 500 with the error envelope, never the
+// intended status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "reply does not render as JSON: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 // writeError emits the uniform JSON error envelope every endpoint uses.

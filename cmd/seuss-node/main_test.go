@@ -203,6 +203,76 @@ func TestInvokeBadSource(t *testing.T) {
 	}
 }
 
+// TestInvokeReplyIsJSON: whatever a guest returns, /invoke answers
+// with a body encoding/json parses, the guest's reply included — NaN
+// and ±Infinity, undefined and function members, control bytes ("\0"
+// once came back as Go's "\x00") and invalid UTF-8, which a guest makes
+// by slicing a string between the bytes of one character.
+func TestInvokeReplyIsJSON(t *testing.T) {
+	ts := newTestServer(t)
+	for name, ret := range map[string]string{
+		"nan":        `0/0`,
+		"infinities": `[1/0, -1/0]`,
+		"undefined":  `{a: undefined, f: function(){}, g: Math.floor, k: 1}`,
+		"slots":      `[undefined, function(){}]`,
+		"nul":        `"\0"`,
+		"control":    "\"\a\x1b\b\f\"",
+		"tag":        "\"\U000e0001\"",
+		"invalid":    `"é".slice(0, 1) + "é".slice(1)`, // two halves of one rune
+		"error":      `(function(){ throw "bad \0 " + "é".slice(1); })()`,
+	} {
+		body, err := json.Marshal(map[string]string{
+			"key":    "json/" + name,
+			"source": "function main(args) { return " + ret + "; }",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/invoke", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d, body %s", name, resp.StatusCode, raw)
+			continue
+		}
+		var out struct {
+			Output struct {
+				OK     bool `json:"ok"`
+				Result any  `json:"result"`
+			} `json:"output"`
+		}
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Errorf("%s: body is not JSON: %v: %s", name, err, raw)
+			continue
+		}
+		if out.Output.OK != (name != "error") {
+			t.Errorf("%s: output %s", name, raw)
+		}
+	}
+}
+
+// TestWriteJSONRendersBeforeStatus: a value that does not render as
+// JSON is a JSON 500, not the intended status with an empty body.
+func TestWriteJSONRendersBeforeStatus(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, invokeResponse{Output: json.RawMessage(`{"result":NaN}`)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status = %d, want 500", rec.Code)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Errorf("body %q is not the error envelope (%v)", rec.Body.String(), err)
+	}
+}
+
 // TestHostileGuestsAreContained: guests that once took the whole
 // process down — unbounded recursion (a Go stack overflow is fatal),
 // a string doubled forty times or an array rendered again and again

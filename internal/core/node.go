@@ -365,7 +365,10 @@ type idleUC struct {
 
 type fnEntry struct {
 	snap *snapshot.Snapshot
+	key  string
 	last sim.Time
+	// prev and next link the entry into Node.lru.
+	prev, next *fnEntry
 	// ws is the lineage's decoded working-set record — the pages its
 	// first lukewarm restore touched, bulk-mapped before resume on
 	// later restores. nil arms recording: the next successful lukewarm
@@ -391,6 +394,7 @@ type Node struct {
 	runtimeSnap  *snapshot.Snapshot            // default runtime (first profile)
 	runtimeSnaps map[string]*snapshot.Snapshot // one per supported interpreter
 	fnSnaps      map[string]*fnEntry
+	lru          fnLRU // fnSnaps' entries ordered by (last, key)
 	idle         map[string][]*idleUC
 	idleCount    int
 	nextCore     int
@@ -411,6 +415,77 @@ type Node struct {
 	// need not be: a cluster's members may share one recorder, or have
 	// none.
 	ledger metrics.Counters
+}
+
+// fnLRU orders the cached function snapshots by (last, key), least
+// recently used first, so pressure eviction finds its victim without
+// scanning every cached function. last only moves forward with the
+// engine's clock, so an entry re-enters at the tail or just before the
+// entries stamped at the same instant.
+type fnLRU struct{ head, tail *fnEntry }
+
+// insert links e in (last, key) order, walking back from the tail.
+func (l *fnLRU) insert(e *fnEntry) {
+	at := l.tail
+	for at != nil && (at.last > e.last || (at.last == e.last && at.key > e.key)) {
+		at = at.prev
+	}
+	e.prev = at
+	if at == nil {
+		e.next, l.head = l.head, e
+	} else {
+		e.next, at.next = at.next, e
+	}
+	if e.next == nil {
+		l.tail = e
+	} else {
+		e.next.prev = e
+	}
+}
+
+// remove unlinks e.
+func (l *fnLRU) remove(e *fnEntry) {
+	if e.prev == nil {
+		l.head = e.next
+	} else {
+		e.prev.next = e.next
+	}
+	if e.next == nil {
+		l.tail = e.prev
+	} else {
+		e.next.prev = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
+
+// cacheSnapshot makes snap key's resident function snapshot, used now.
+func (n *Node) cacheSnapshot(key string, snap *snapshot.Snapshot) {
+	if old, ok := n.fnSnaps[key]; ok {
+		n.lru.remove(old)
+	}
+	e := &fnEntry{snap: snap, key: key, last: n.eng.Now()}
+	n.fnSnaps[key] = e
+	n.lru.insert(e)
+}
+
+// touchSnapshot marks e used now. Invocations yield, so e may be an
+// entry a concurrent one has dropped or replaced since: only the cached
+// entry is listed.
+func (n *Node) touchSnapshot(e *fnEntry) {
+	e.last = n.eng.Now()
+	if n.fnSnaps[e.key] == e {
+		n.lru.remove(e)
+		n.lru.insert(e)
+	}
+}
+
+// uncacheSnapshot forgets e, whose snapshot the caller has deleted,
+// unless a concurrent invocation has dropped or replaced it already.
+func (n *Node) uncacheSnapshot(e *fnEntry) {
+	if n.fnSnaps[e.key] == e {
+		n.lru.remove(e)
+		delete(n.fnSnaps, e.key)
+	}
 }
 
 // count records delta occurrences of one event — the node's single
@@ -783,7 +858,7 @@ func (n *Node) start(p *sim.Proc, inv *invocation, snap *snapshot.Snapshot, ws [
 // instruction — and a served one feeds the record back. Warm deploys
 // are left alone: the snapshot is resident and its faults are cheap.
 func (n *Node) fromSnapshot(p *sim.Proc, inv *invocation, entry *fnEntry) (string, error) {
-	entry.last = n.eng.Now()
+	n.touchSnapshot(entry)
 	var ws []uint64
 	if inv.path == PathLukewarm {
 		ws = entry.ws
@@ -842,7 +917,7 @@ func (n *Node) finish(inv *invocation, out string, err error) (Result, error) {
 		// Touch the lineage so SnapshotKeepAlive ages from the last
 		// invocation on every path (hot serves bypass the entry).
 		if e, ok := n.fnSnaps[key]; ok {
-			e.last = n.eng.Now()
+			n.touchSnapshot(e)
 		}
 		// A real arrival supersedes any scheduled prewarm.
 		delete(n.prewarmDue, key)
@@ -923,7 +998,7 @@ func (n *Node) captureFnSnapshot(p *sim.Proc, u *uc.UC, key string) {
 	if err != nil {
 		return
 	}
-	n.fnSnaps[key] = &fnEntry{snap: snap, last: n.eng.Now()}
+	n.cacheSnapshot(key, snap)
 	n.count(metrics.CtrSnapshotsCaptured, 1)
 	n.snapshotEvent(trace.KindCapture, 0, key, snap)
 }
@@ -1101,20 +1176,15 @@ func (n *Node) evictSnapshotsIfNeeded(p *sim.Proc) {
 }
 
 // evictOneSnapshot drops the least recently used function snapshot no
-// other snapshot is stacked on; false if there is none, or a live
-// invocation still depends on it (try later).
+// other snapshot is stacked on (ties broken by key); false if there is
+// none, or a live invocation still depends on it (try later).
 func (n *Node) evictOneSnapshot(p *sim.Proc) bool {
-	var lruKey string
-	var lru *fnEntry
-	for key, entry := range n.fnSnaps {
-		if entry.snap.Children() > 0 {
-			continue
-		}
-		if lru == nil || entry.last < lru.last || (entry.last == lru.last && key < lruKey) {
-			lru, lruKey = entry, key
+	for e := n.lru.head; e != nil; e = e.next {
+		if e.snap.Children() == 0 {
+			return n.dropSnapshot(p, e.key)
 		}
 	}
-	return lru != nil && n.dropSnapshot(p, lruKey)
+	return false
 }
 
 // dropSnapshot is the node's one eviction routine (LRU pressure
@@ -1128,11 +1198,14 @@ func (n *Node) dropSnapshot(p *sim.Proc, key string) bool {
 		return false
 	}
 	if list, ok := n.idle[key]; ok {
+		// Detach the list before reclaiming: a destroy charges CPU and
+		// yields, and a concurrent invocation must neither take one of
+		// these UCs nor reclaim it a second time.
+		delete(n.idle, key)
+		n.idleCount -= len(list)
 		for _, idle := range list {
-			n.idleCount--
 			n.reclaimUC(p, idle.mu)
 		}
-		delete(n.idle, key)
 		n.notePressure(key)
 	}
 	if entry.snap.ActiveUCs() > 0 || entry.snap.Children() > 0 {
@@ -1146,7 +1219,7 @@ func (n *Node) dropSnapshot(p *sim.Proc, key string) bool {
 	if err := entry.snap.Delete(); err != nil {
 		return false
 	}
-	delete(n.fnSnaps, key)
+	n.uncacheSnapshot(entry)
 	n.count(metrics.CtrSnapshotsEvicted, 1)
 	n.event(trace.KindEvict, 0, key, "")
 	return true
@@ -1253,7 +1326,7 @@ func (n *Node) promote(p *sim.Proc, name string, id uint64, kind metrics.Counter
 	}
 	n.chargeTier(p, costs.SnapPromoteBase, costs.SnapPromotePerPage, hdr.Pages)
 	if key := strings.TrimPrefix(name, "fn/"); key != name {
-		n.fnSnaps[key] = &fnEntry{snap: snap, last: n.eng.Now()}
+		n.cacheSnapshot(key, snap)
 	}
 	n.count(kind, 1)
 	n.snapshotEvent(trace.KindPromote, id, name, snap)

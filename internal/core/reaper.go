@@ -146,7 +146,7 @@ func (n *Node) scaleToZero(p *sim.Proc, pol policy.Policy, now time.Duration, mi
 		if err := entry.snap.Delete(); err != nil {
 			continue
 		}
-		delete(n.fnSnaps, key)
+		n.uncacheSnapshot(entry)
 		ts.DemotedLineages++
 		n.count(metrics.CtrPolicyExpirations, 1)
 		n.eventAt(now, trace.KindEvict, 0, key, fmt.Sprintf("scale-to-zero after %v idle", ska))

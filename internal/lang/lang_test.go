@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -649,6 +650,37 @@ func TestLooseVsStrictEquality(t *testing.T) {
 	for src, want := range cases {
 		if got := ToString(run(t, src)); got != want {
 			t.Errorf("%q = %q, want %q", src, got, want)
+		}
+	}
+}
+
+// TestJSONStringifyWritesJSON: whatever a guest renders, JSON.stringify
+// writes JSON that encoding/json parses, as JavaScript does: null for
+// NaN and ±Infinity, no member for an undefined or function value (null
+// in an array), and JSON escapes, not Go's, for control bytes, with
+// U+FFFD for invalid UTF-8.
+func TestJSONStringifyWritesJSON(t *testing.T) {
+	for src, want := range map[string]string{
+		`JSON.stringify(0/0)`:                                         `null`,
+		`JSON.stringify([1/0, -1/0, 0/0, 1.5])`:                       `[null,null,null,1.5]`,
+		`JSON.stringify({a: undefined, b: function(){}, c: 1})`:       `{"c":1}`,
+		`JSON.stringify({a: undefined, b: Math.floor})`:               `{}`,
+		`JSON.stringify({n: {x: undefined}, d: 0/0})`:                 `{"n":{},"d":null}`,
+		`JSON.stringify([undefined, function(){}, Math.floor, null])`: `[null,null,null,null]`,
+		`JSON.stringify("\0")`:                                        `"\u0000"`,
+		"JSON.stringify(\"\a\x1b\x7f\")":                              "\"\\u0007\\u001b\x7f\"",
+		"JSON.stringify(\"\b\f\n\r\t\\\"\\\\\")":                      `"\b\f\n\r\t\"\\"`,
+		"JSON.stringify(\"\U000e0001 \u2028 é\")":                     "\"\U000e0001 \u2028 é\"",
+		"JSON.stringify(\"a\xffb\xe2\x82\")":                          "\"a\uFFFDb\uFFFD\uFFFD\"",
+		"JSON.stringify({\"\x01\": \"\xc3\"})":                        "{\"\\u0001\":\"\uFFFD\"}",
+	} {
+		got := ToString(run(t, src))
+		if got != want {
+			t.Errorf("%q = %q, want %q", src, got, want)
+		}
+		var v any
+		if err := json.Unmarshal([]byte(got), &v); err != nil {
+			t.Errorf("%q = %q is not JSON: %v", src, got, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -339,15 +340,26 @@ func nullish(v Value) (isNullish, _ bool) {
 	return false, false
 }
 
-// JSONStringify renders a value as JSON; functions and undefined render
-// as null inside containers, matching JS closely enough for driver use.
-// Rendering is bounded as joinTo's is: a container nested deeper than
-// the parser's bound renders as null, and rendering stops once the
-// output passes MaxHostBytes.
+// JSONStringify renders a value as JSON, as JavaScript's JSON.stringify
+// does: NaN and ±Infinity render as null, object members whose value is
+// undefined or a function are omitted, and such array elements (and
+// such a value itself) render as null. Rendering is bounded as joinTo's
+// is: a container nested deeper than the parser's bound renders as
+// null, and rendering stops once the output passes MaxHostBytes.
 func JSONStringify(v Value) string {
 	var sb strings.Builder
 	writeJSON(&sb, v, 0, maxHostBytes)
 	return sb.String()
+}
+
+// unrepresentable reports whether v has no JSON form: an object member
+// holding it is omitted, and anywhere else it renders as null.
+func unrepresentable(v Value) bool {
+	switch v.(type) {
+	case nil, undefined, *closure, *builtin:
+		return true
+	}
+	return false
 }
 
 func writeJSON(sb *strings.Builder, v Value, depth, limit int) {
@@ -355,10 +367,6 @@ func writeJSON(sb *strings.Builder, v Value, depth, limit int) {
 		return
 	}
 	switch t := v.(type) {
-	case nil, undefined, *closure, *builtin:
-		sb.WriteString("null")
-	case null:
-		sb.WriteString("null")
 	case bool:
 		if t {
 			sb.WriteString("true")
@@ -366,6 +374,10 @@ func writeJSON(sb *strings.Builder, v Value, depth, limit int) {
 			sb.WriteString("false")
 		}
 	case float64:
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			sb.WriteString("null")
+			return
+		}
 		sb.WriteString(formatNumber(t))
 	case string:
 		writeQuoted(sb, t, limit)
@@ -388,36 +400,89 @@ func writeJSON(sb *strings.Builder, v Value, depth, limit int) {
 			return
 		}
 		sb.WriteByte('{')
-		for i, k := range t.keys {
-			if i > 0 {
+		first := true
+		for _, k := range t.keys {
+			e := t.props[k]
+			if unrepresentable(e) {
+				continue
+			}
+			if !first {
 				sb.WriteByte(',')
 			}
+			first = false
 			writeQuoted(sb, k, limit)
 			sb.WriteByte(':')
-			writeJSON(sb, t.props[k], depth+1, limit)
+			writeJSON(sb, e, depth+1, limit)
 		}
 		sb.WriteByte('}')
-	default:
+	default: // null, and the values unrepresentable reports
 		sb.WriteString("null")
 	}
 }
 
-// writeQuoted writes s as a quoted string literal, a piece at a time
-// so that quoting (up to six bytes per byte) never builds more than a
-// piece past limit. Pieces end on rune boundaries, so the output is
-// strconv.Quote(s)'s.
+// writeQuoted writes s as a JSON string literal, escaped as
+// JSON.stringify escapes it: `"` and `\`, the short escapes for
+// backspace, form feed, newline, carriage return and tab, \u00XX for
+// the other bytes below 0x20, U+FFFD for each byte of invalid UTF-8,
+// and every other character as it is. It works a piece at a time so
+// that escaping (up to six bytes per byte) never writes more than a
+// piece past limit; pieces end on rune boundaries.
 func writeQuoted(sb *strings.Builder, s string, limit int) {
 	const piece = 4096
 	sb.WriteByte('"')
-	var buf []byte
 	for len(s) > 0 && sb.Len() <= limit {
 		n := min(len(s), piece)
 		for k := 0; k < utf8.UTFMax && n < len(s) && !utf8.RuneStart(s[n]); k++ {
 			n--
 		}
-		buf = strconv.AppendQuote(buf[:0], s[:n])
-		sb.Write(buf[1 : len(buf)-1])
+		writeEscaped(sb, s[:n])
 		s = s[n:]
 	}
 	sb.WriteByte('"')
+}
+
+// writeEscaped writes s's characters with writeQuoted's escapes.
+func writeEscaped(sb *strings.Builder, s string) {
+	const hex = "0123456789abcdef"
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r != utf8.RuneError || size != 1 {
+				i += size
+				continue
+			}
+		} else if c >= 0x20 && c != '"' && c != '\\' {
+			i++
+			continue
+		}
+		sb.WriteString(s[start:i])
+		switch c {
+		case '"', '\\':
+			sb.WriteByte('\\')
+			sb.WriteByte(c)
+		case '\b':
+			sb.WriteString(`\b`)
+		case '\f':
+			sb.WriteString(`\f`)
+		case '\n':
+			sb.WriteString(`\n`)
+		case '\r':
+			sb.WriteString(`\r`)
+		case '\t':
+			sb.WriteString(`\t`)
+		default:
+			if c < 0x20 {
+				sb.WriteString(`\u00`)
+				sb.WriteByte(hex[c>>4])
+				sb.WriteByte(hex[c&0xf])
+			} else {
+				sb.WriteString("\uFFFD")
+			}
+		}
+		i++
+		start = i
+	}
+	sb.WriteString(s[start:])
 }

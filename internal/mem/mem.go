@@ -7,18 +7,24 @@
 // allocator with reference counting (frames are shared read-only between
 // snapshots and unikernel contexts), byte-level accounting against a
 // configurable budget, and *lazy* frame contents so density experiments
-// with 50 000+ cached contexts fit in laptop RAM — a frame's 4 KB payload
-// is only materialized when something writes actual bytes into it.
+// with 50 000+ cached contexts fit in laptop RAM — a frame is
+// materialized when something first writes into it, and even then the
+// host keeps only its written extent: the bytes from the lowest to the
+// highest non-zero byte ever written, every other byte reading as zero.
+// A cold function's two materialized pages hold under 256 bytes each.
+// The simulated accounting does not see the difference: a materialized
+// frame is a 4 KB page to the budget, the counters and virtual time.
 //
 // A frame is a number, not an object. The store keeps each number's
 // state — a reference count and a payload slot, 8 bytes — in chunked
 // tables that hold no pointers, so the garbage collector never scans
 // them, and a cached function's thousand or so frames cost it 8 KB of
-// host memory. Payload buffers sit in a side table indexed by the slot,
+// host memory. Payload extents sit in a side table indexed by the slot,
 // which only materialized pages occupy. Chunks are never copied when the
 // table grows, so a pointer into one stays valid.
 //
-// Freed numbers and freed payload slots are reused last-in first-out, so
+// Freed numbers and freed payload slots are reused last-in first-out,
+// and a freed slot keeps its buffer for whatever extent comes next, so
 // the deploy→fault→capture hot path runs allocation-free in steady
 // state. Reuse trades away use-after-free detection: a stale number
 // names whichever frame holds it next. Build with `-tags seusspoison` to
@@ -31,8 +37,10 @@
 package mem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // PageSize is the size of a physical frame in bytes, matching x86-64.
@@ -51,8 +59,9 @@ const (
 
 // maxIdleBufs bounds the payload buffers kept on free slots, so a
 // transient burst of materialized pages (a density spike) does not pin
-// its high-water mark in buffers forever. 16 384 buffers = 64 MB per
-// store.
+// its high-water mark in buffers forever. A buffer is as large as the
+// largest extent it has held: 16 384 buffers are at most 64 MB per
+// store, and 4 MB at the 256 bytes a cold function's pages hold.
 const maxIdleBufs = 16384
 
 // ErrOutOfMemory is returned by Alloc when the store's byte budget is
@@ -91,9 +100,19 @@ type Store struct {
 	last   Frame    // highest number handed out
 	free   []Frame  // recycled numbers, LIFO
 
-	pages     []*[PageSize]byte // payload side table; pages[0] is never used
-	freePages []uint32          // free payload slots, LIFO
-	idleBufs  int               // free slots still holding a buffer
+	pages     []extent // payload side table; pages[0] is never used
+	freePages []uint32 // free payload slots, LIFO
+	idleBufs  int      // free slots still holding a buffer
+}
+
+// extent is a materialized frame's payload: the bytes of its page from
+// offset lo up to the highest non-zero byte ever written, every other
+// byte of the page reading as zero. An all-zero write materializes a
+// frame with an empty extent. b's capacity is the slot's buffer, which
+// the slot keeps when its frame is freed.
+type extent struct {
+	b  []byte
+	lo int
 }
 
 // NewStore returns a store with the given byte budget. A budget of 0
@@ -103,7 +122,7 @@ func NewStore(budget int64) *Store {
 	return &Store{
 		budget: budget,
 		chunks: []*chunk{new(chunk)}, // holds number 0, which is never handed out
-		pages:  make([]*[PageSize]byte, 1),
+		pages:  make([]extent, 1),
 	}
 }
 
@@ -133,20 +152,24 @@ func (s *Store) Refs(f Frame) int32 { return s.state(f).refs }
 // (true) or is an implicit zero page (false).
 func (s *Store) Materialized(f Frame) bool { return s.state(f).page != 0 }
 
-// Bytes returns f's live payload without copying, or nil for an
-// unmaterialized (implicit zero) frame. The slice aliases the frame's
-// backing buffer: it is valid only while the caller holds a reference,
+// Extent returns f's written extent without copying: its page offset
+// and bytes, every other byte of the page reading as zero, and ok false
+// for an unmaterialized (implicit zero) frame. The slice aliases the
+// frame's buffer: it is valid only while the caller holds a reference,
 // and callers must treat it as read-only — it exists so the snapshot
 // codec can stream page contents straight from frames to the wire.
-func (s *Store) Bytes(f Frame) []byte {
+func (s *Store) Extent(f Frame) (off int, b []byte, ok bool) {
 	if p := s.state(f).page; p != 0 {
-		return s.pages[p][:]
+		e := &s.pages[p]
+		return e.lo, e.b, true
 	}
-	return nil
+	return 0, nil, false
 }
 
 // Write copies data into f at off, materializing the payload on first
-// write. It panics if the write would run past the frame — callers are
+// write. The extent grows only to cover data's non-zero bytes; a zero
+// byte inside the extent is stored, one outside it already reads as
+// zero. It panics if the write would run past the frame — callers are
 // simulating hardware and must respect page bounds — or if f is freed.
 func (s *Store) Write(f Frame, off int, data []byte) {
 	if off < 0 || off+len(data) > PageSize {
@@ -157,45 +180,112 @@ func (s *Store) Write(f Frame, off int, data []byte) {
 		return
 	}
 	if st.page == 0 {
-		st.page = s.getPage(true)
+		st.page = s.getPage()
 		s.materialized++
 	}
-	copy(s.pages[st.page][off:], data)
+	e := &s.pages[st.page]
+	if i, j := nonZeroSpan(data); i < j {
+		e.cover(off+i, off+j)
+	}
+	lo, hi := max(off, e.lo), min(off+len(data), e.lo+len(e.b))
+	if lo < hi {
+		copy(e.b[lo-e.lo:], data[lo-off:hi-off])
+	}
 }
 
-// Read copies f's bytes at off into dst. Unmaterialized frames read as
-// zeros.
+// Read copies f's bytes at off into dst. Bytes outside the written
+// extent, and every byte of an unmaterialized frame, read as zeros.
 func (s *Store) Read(f Frame, off int, dst []byte) {
 	if off < 0 || off+len(dst) > PageSize {
 		panic(fmt.Sprintf("mem: read [%d,%d) outside frame", off, off+len(dst)))
 	}
-	if p := s.state(f).page; p != 0 {
-		copy(dst, s.pages[p][off:])
+	e := &s.pages[s.state(f).page] // slot 0, an unmaterialized frame's, is always empty
+	lo, hi := max(off, e.lo), min(off+len(dst), e.lo+len(e.b))
+	if lo >= hi {
+		clear(dst)
 		return
 	}
-	clear(dst)
+	clear(dst[:lo-off])
+	copy(dst[lo-off:], e.b[lo-e.lo:hi-e.lo])
+	clear(dst[hi-off:])
 }
 
-// getPage returns a payload slot with a buffer, recycled when possible.
-// Recycled buffers carry stale bytes (or poison, under the seusspoison
-// tag), so callers that expose the buffer as a fresh zero page pass
-// zero=true; the Clone path overwrites the full page and skips the clear.
-func (s *Store) getPage(zero bool) uint32 {
+// cover grows e to include page offsets [lo, hi), keeping its bytes at
+// their offsets and zeroing what the growth adds. The slot's buffer is
+// reused whenever it is large enough, wherever the extent sits.
+func (e *extent) cover(lo, hi int) {
+	n, shift := len(e.b), 0
+	if n > 0 {
+		if lo >= e.lo && hi <= e.lo+n {
+			return
+		}
+		lo, hi = min(lo, e.lo), max(hi, e.lo+n)
+		shift = e.lo - lo
+	}
+	var b []byte
+	if cap(e.b) >= hi-lo {
+		b = e.b[:hi-lo]
+	} else {
+		b = slices.Grow([]byte(nil), hi-lo)[:hi-lo] // the whole size class
+	}
+	copy(b[shift:], e.b) // overlapping when the buffer is reused: copy is a memmove
+	clear(b[:shift])
+	clear(b[shift+n:])
+	e.b, e.lo = b, lo
+}
+
+// nonZeroSpan returns the bounds [i, j) of b's non-zero bytes, i == j
+// when b is all zero. A grafted 4 KB page is mostly zero edges, so it
+// steps over them a 64-byte block, then a word, at a time.
+func nonZeroSpan(b []byte) (i, j int) {
+	for len(b)-i >= 64 && zeroBlock(b[i:]) {
+		i += 64
+	}
+	for len(b)-i >= 8 && binary.LittleEndian.Uint64(b[i:]) == 0 {
+		i += 8
+	}
+	for i < len(b) && b[i] == 0 {
+		i++
+	}
+	if i == len(b) {
+		return 0, 0
+	}
+	j = len(b)
+	for j-i >= 64 && zeroBlock(b[j-64:]) {
+		j -= 64
+	}
+	for j-i >= 8 && binary.LittleEndian.Uint64(b[j-8:]) == 0 {
+		j -= 8
+	}
+	for b[j-1] == 0 {
+		j--
+	}
+	return i, j
+}
+
+// zeroBlock reports whether b's first 64 bytes are all zero.
+func zeroBlock(b []byte) bool {
+	b = b[:64]
+	le := binary.LittleEndian
+	return le.Uint64(b[0:])|le.Uint64(b[8:])|le.Uint64(b[16:])|le.Uint64(b[24:])|
+		le.Uint64(b[32:])|le.Uint64(b[40:])|le.Uint64(b[48:])|le.Uint64(b[56:]) == 0
+}
+
+// getPage returns a free payload slot with an empty extent, recycled
+// when possible. A recycled slot keeps its buffer, stale bytes (or
+// poison, under the seusspoison tag) and all: cover zeroes what an
+// extent takes of it.
+func (s *Store) getPage() uint32 {
 	n := len(s.freePages)
 	if n == 0 {
-		s.pages = append(s.pages, new([PageSize]byte))
+		s.pages = append(s.pages, extent{})
 		return uint32(len(s.pages) - 1)
 	}
 	p := s.freePages[n-1]
 	s.freePages = s.freePages[:n-1]
-	if b := s.pages[p]; b != nil {
+	if s.pages[p].b != nil {
 		s.idleBufs--
 		s.bufReuses++
-		if zero {
-			clear(b[:])
-		}
-	} else {
-		s.pages[p] = new([PageSize]byte)
 	}
 	return p
 }
@@ -204,12 +294,17 @@ func (s *Store) getPage(zero bool) uint32 {
 // seusspoison build tag). Past maxIdleBufs idle buffers the slot gives
 // its buffer back to the garbage collector.
 func (s *Store) putPage(p uint32) {
-	poisonBuf(s.pages[p][:])
-	if s.idleBufs < maxIdleBufs {
-		s.idleBufs++
-	} else {
-		s.pages[p] = nil
+	e := &s.pages[p]
+	if e.b != nil {
+		poisonBuf(e.b[:cap(e.b)])
+		if s.idleBufs < maxIdleBufs {
+			s.idleBufs++
+			e.b = e.b[:0]
+		} else {
+			e.b = nil
+		}
 	}
+	e.lo = 0
 	s.freePages = append(s.freePages, p)
 }
 
@@ -269,16 +364,18 @@ func (s *Store) DecRef(f Frame) {
 }
 
 // Clone allocates a new frame containing a copy of src's bytes — the
-// copy-on-write resolution path. Unmaterialized sources clone to
-// unmaterialized (zero) frames at no real-memory cost.
+// copy-on-write resolution path. Only the written extent is copied, and
+// unmaterialized sources clone to unmaterialized (zero) frames at no
+// real-memory cost.
 func (s *Store) Clone(src Frame) (Frame, error) {
 	f, err := s.Alloc()
 	if err != nil {
 		return 0, err
 	}
 	if from := s.state(src).page; from != 0 {
-		p := s.getPage(false)
-		*s.pages[p] = *s.pages[from]
+		p := s.getPage()
+		e, orig := &s.pages[p], &s.pages[from]
+		e.b, e.lo = append(e.b[:0], orig.b...), orig.lo
 		s.state(f).page = p
 		s.materialized++
 	}

@@ -134,7 +134,7 @@ func TestFreedBufferNeverAliasesLiveMapping(t *testing.T) {
 	st := NewStore(0)
 	f := st.MustAlloc()
 	st.Write(f, 0, []byte{0x11})
-	stale := st.Bytes(f) // use-after-free view kept on purpose
+	_, stale, _ := st.Extent(f) // use-after-free view kept on purpose
 	st.DecRef(f)
 
 	// Materialize several live frames; exactly one may own the recycled
@@ -144,7 +144,7 @@ func TestFreedBufferNeverAliasesLiveMapping(t *testing.T) {
 	for i := range live {
 		live[i] = st.MustAlloc()
 		st.Write(live[i], 0, []byte{byte(0x80 + i)})
-		if &st.Bytes(live[i])[0] == &stale[0] {
+		if _, b, _ := st.Extent(live[i]); &b[0] == &stale[0] {
 			owners++
 		}
 	}

@@ -12,3 +12,14 @@ func (s *Store) MustAlloc() Frame {
 	}
 	return f
 }
+
+// Bytes returns a copy of f's whole 4 KB page, or nil for an
+// unmaterialized (implicit zero) frame.
+func (s *Store) Bytes(f Frame) []byte {
+	if !s.Materialized(f) {
+		return nil
+	}
+	b := make([]byte, PageSize)
+	s.Read(f, 0, b)
+	return b
+}

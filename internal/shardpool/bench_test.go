@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"seuss/internal/mem"
 )
 
 // BenchmarkShardedThroughput measures wall-clock invocations/sec
@@ -45,5 +47,33 @@ func BenchmarkShardedThroughput(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "invokes/sec")
 		})
+	}
+}
+
+// TestPoolHotAllocationCeiling holds, in tier-1, the allocation count
+// of a hot invocation through a one-shard pool's front door, as
+// BenchmarkShardedThroughput/shards=1 loops it (key formatting
+// included): 50 per invocation. Skipped under seusspoison, where freed
+// frame numbers are never reused.
+func TestPoolHotAllocationCeiling(t *testing.T) {
+	if mem.PoisonEnabled {
+		t.Skip("frame numbers are never reused in the seusspoison build")
+	}
+	pool := newTestPool(t, testConfig(1))
+	const keys = 64
+	for k := 0; k < keys; k++ {
+		if _, err := pool.InvokeSync(fmt.Sprintf("bench/fn%d", k), nopSource, "{}"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := 0
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := pool.InvokeSync(fmt.Sprintf("bench/fn%d", k%keys), nopSource, "{}"); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	if got > 50 {
+		t.Errorf("hot invocation through the pool: %v allocations, ceiling 50", got)
 	}
 }

@@ -41,6 +41,9 @@ const codecVersion = 1
 // errCodec is wrapped by all decode failures.
 var errCodec = errors.New("snapshot: codec")
 
+// zeroPage supplies the zero bytes around a frame's written extent.
+var zeroPage [mem.PageSize]byte
+
 // crcWriter streams bytes to an io.Writer while folding them into a
 // running CRC32 — the encode side never builds an intermediate copy of
 // the image. Errors are sticky so the encoder can write unconditionally
@@ -52,7 +55,7 @@ type crcWriter struct {
 }
 
 func (c *crcWriter) write(b []byte) {
-	if c.err != nil {
+	if c.err != nil || len(b) == 0 {
 		return
 	}
 	c.crc = crc32.Update(c.crc, crc32.IEEETable, b)
@@ -128,10 +131,14 @@ func (s *Snapshot) Export(w io.Writer) error {
 		putU64(pg.va)
 		// Frame 0 is a lazy zero page (skipped at graft): wire-wise
 		// identical to an unmaterialized frame, i.e. no content.
-		if content := st.Bytes(pg.frame); content != nil {
+		if off, content, ok := st.Extent(pg.frame); ok {
+			// A frame keeps only its written extent; the wire carries
+			// the whole page, so the zeros around it are streamed too.
 			scratch[0] = 1
 			cw.write(scratch[:1])
+			cw.write(zeroPage[:off])
 			cw.write(content) // straight from the frame, no copy
+			cw.write(zeroPage[off+len(content):])
 		} else {
 			scratch[0] = 0
 			cw.write(scratch[:1])
